@@ -379,7 +379,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 		}
 	}
 	c := &callCtx{
-		op:       req.Operation,
+		name:     req.Operation,
 		data:     req.Data,
 		caps:     req.Caps,
 		rts:      req.Target.Rights(),

@@ -59,11 +59,11 @@ type Config struct {
 	// a read-only shadow, never admitted to the write path, and retired
 	// when an invalidation raises the serving floor past it.
 	ReplicaServe bool
-	// AdmissionQueue caps each object's reader and writer admission
-	// queues. Calls arriving past the cap are shed immediately with
-	// StatusTimeout (like the transport's bounded send queues, the
-	// queue rejects early rather than growing without bound). 0 uses
-	// DefaultAdmissionQueue.
+	// AdmissionQueue caps each of an object's admission queues — one
+	// per invocation class and access mode. Calls arriving past the cap
+	// are shed immediately with StatusTimeout (like the transport's
+	// bounded send queues, the queue rejects early rather than growing
+	// without bound). 0 uses DefaultAdmissionQueue.
 	AdmissionQueue int
 	// AsyncPending caps the node's async dispatcher: how many
 	// InvokeAsync/InvokeAsyncPort submissions may sit in the
@@ -249,8 +249,8 @@ type Kernel struct {
 // read-only invocation processes when Config.ReaderPool is zero.
 const DefaultReaderPool = 8
 
-// DefaultAdmissionQueue is the per-object cap on queued reader and
-// writer calls when Config.AdmissionQueue is zero.
+// DefaultAdmissionQueue is the cap on each admission queue of an object
+// when Config.AdmissionQueue is zero.
 const DefaultAdmissionQueue = 1024
 
 func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *Kernel {
@@ -476,7 +476,7 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 func (k *Kernel) handleFrame(env msg.Envelope) {
 	switch env.Kind {
 	case msg.KindInvokeReq:
-		// Serving an invocation can block (class gates, nested
+		// Serving an invocation can block (class queues, nested
 		// invokes), so it gets its own goroutine.
 		go k.serveInvoke(env)
 	case msg.KindInvokeRep:
@@ -527,7 +527,7 @@ type ChecksiteSpec struct {
 // delegates by restriction). The type's Init hook, if any, runs before
 // the object accepts invocations.
 func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capability, error) {
-	tm, err := k.types.Lookup(typeName)
+	tt, err := k.types.table(typeName)
 	if err != nil {
 		return capability.Capability{}, err
 	}
@@ -539,10 +539,10 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	k.mu.Unlock()
 
 	id := k.gen.Next()
-	obj := k.newObject(id, tm, segment.New(), 0, false)
+	obj := k.newObject(id, tt, segment.New(), 0, false)
 	obj.epoch = 1 // first residency; every committed move increments it
-	if tm.Init != nil {
-		if err := tm.Init(obj); err != nil {
+	if tt.tm.Init != nil {
+		if err := tt.tm.Init(obj); err != nil {
 			return capability.Capability{}, fmt.Errorf("kernel: init of %q: %w", typeName, err)
 		}
 	}
@@ -582,6 +582,10 @@ func (k *Kernel) install(obj *Object) error {
 		return fmt.Errorf("kernel: object %v already active", obj.id)
 	}
 	k.active[obj.id] = obj
+	// A fresh incarnation is the most recently used object on the node,
+	// not the least: without the stamp the next activation's eviction
+	// would pick it, unserved, ahead of every object that ever ran.
+	obj.lastInvoked = k.tick.Add(1)
 	obj.charged.Store(size)
 	k.memInUse += size
 	delete(k.forwards, obj.id)

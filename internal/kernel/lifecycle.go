@@ -60,7 +60,7 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
 	}
-	tm, err := k.types.Lookup(rec.TypeName)
+	tt, err := k.types.table(rec.TypeName)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +68,12 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err != nil || len(rest) != 0 {
 		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
 	}
-	obj := k.newObject(id, tm, rep, rec.Version, rec.Frozen)
+	obj := k.newObject(id, tt, rep, rec.Version, rec.Frozen)
 	obj.epoch = normEpoch(rec.Epoch)
 	// The reincarnation condition handler runs before any invocation
 	// is dispatched; install() happens only after it succeeds.
-	if tm.Reincarnate != nil {
-		if err := tm.Reincarnate(obj); err != nil {
+	if tt.tm.Reincarnate != nil {
+		if err := tt.tm.Reincarnate(obj); err != nil {
 			return nil, fmt.Errorf("kernel: reincarnation of %v failed: %w", id, err)
 		}
 	}
@@ -127,7 +127,7 @@ func (o *Object) Checkpoint() error {
 	// durable — a kill here must recover to the previous checkpoint.
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
-	err := o.k.writeCheckpoint(o.id, o.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
+	err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
 	if err == nil {
 		// Crash boundary: the checkpoint is durable but the caller has
 		// not learned of it — a kill here loses the acknowledgment,
@@ -373,7 +373,7 @@ func (o *Object) Replicate(nodes ...uint32) error {
 	encoded := o.rep.Encode(nil)
 	ver := o.version
 	o.mu.Unlock()
-	ship := msg.Ship{Purpose: msg.ShipReplica, Object: o.id, TypeName: o.tm.Name, Frozen: true, Version: ver, Epoch: o.epoch, Rep: encoded}
+	ship := msg.Ship{Purpose: msg.ShipReplica, Object: o.id, TypeName: o.table.tm.Name, Frozen: true, Version: ver, Epoch: o.epoch, Rep: encoded}
 	var firstErr error
 	for _, n := range nodes {
 		if n == o.k.cfg.Node {
@@ -440,7 +440,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	// deletion). A crash at any boundary leaves recovery a deterministic
 	// verdict — see movetxn.go's decision table.
 	newEpoch := o.epoch + 1
-	ship := msg.Ship{Purpose: msg.ShipMove, Object: o.id, TypeName: o.tm.Name, Frozen: frozen, Version: ver, Epoch: newEpoch, Rep: encoded}
+	ship := msg.Ship{Purpose: msg.ShipMove, Object: o.id, TypeName: o.table.tm.Name, Frozen: frozen, Version: ver, Epoch: newEpoch, Rep: encoded}
 	// Crash boundary: the object is quiesced and encoded but nothing
 	// about the move is durable — a kill here must reincarnate it at
 	// this home, as if the move was never attempted.
@@ -653,7 +653,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		return nil
 
 	case msg.ShipReplica:
-		tm, err := k.types.Lookup(ship.TypeName)
+		tt, err := k.types.table(ship.TypeName)
 		if err != nil {
 			return err
 		}
@@ -661,7 +661,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil || len(rest) != 0 {
 			return fmt.Errorf("kernel: corrupt replica representation: %v", err)
 		}
-		obj := k.newObject(ship.Object, tm, rep, ship.Version, true)
+		obj := k.newObject(ship.Object, tt, rep, ship.Version, true)
 		obj.epoch = normEpoch(ship.Epoch)
 		obj.replica = true
 		obj.home = from
@@ -687,7 +687,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			return fmt.Errorf("kernel: stale move of %v at epoch %d, already hosting epoch %d",
 				ship.Object, newEpoch, cur.epoch)
 		}
-		tm, err := k.types.Lookup(ship.TypeName)
+		tt, err := k.types.table(ship.TypeName)
 		if err != nil {
 			return err
 		}
@@ -695,15 +695,15 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil || len(rest) != 0 {
 			return fmt.Errorf("kernel: corrupt moved representation: %v", err)
 		}
-		obj := k.newObject(ship.Object, tm, rep, ship.Version, ship.Frozen)
+		obj := k.newObject(ship.Object, tt, rep, ship.Version, ship.Frozen)
 		obj.epoch = newEpoch
 		// A move transports the representation but not short-term state
 		// (processes cannot cross machines); the reincarnation
 		// condition handler rebuilds temporary structures and respawns
 		// behaviors at the new home, exactly as it would after a
 		// passive activation.
-		if tm.Reincarnate != nil {
-			if err := tm.Reincarnate(obj); err != nil {
+		if tt.tm.Reincarnate != nil {
+			if err := tt.tm.Reincarnate(obj); err != nil {
 				return fmt.Errorf("kernel: reincarnation after move failed: %w", err)
 			}
 		}

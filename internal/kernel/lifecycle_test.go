@@ -848,3 +848,56 @@ func TestMoveInvalidatesIncrementalBase(t *testing.T) {
 		t.Error("kept segment missing from the post-move checkpoint")
 	}
 }
+
+// ---- eviction vs fresh incarnations ----
+
+// TestEvictionSparesFreshIncarnation: an object reincarnated but not
+// yet invoked carried recency zero, so the next activation's eviction
+// chose it — and answered its first call "object crashed" — over
+// objects idle far longer. Installing stamps it most recently used.
+// (A budget of one object leaves eviction no choice to get wrong; two
+// is the smallest that shows it.)
+func TestEvictionSparesFreshIncarnation(t *testing.T) {
+	k, reg, _ := newSchedKernel(t, func(c *Config) {
+		c.MemoryBytes = 2*4096 + 2048 // fits two pagees, not three
+		c.EvictOnPressure = true
+	})
+	pagee := NewType("pagee")
+	pagee.Init = func(o *Object) error {
+		return o.Update(func(r *segment.Representation) error {
+			r.SetData("blob", make([]byte, 4096))
+			return nil
+		})
+	}
+	pagee.Op(Operation{Name: "touch", Access: AccessRead, Handler: func(c *Call) {}})
+	mustRegister(t, reg, pagee)
+
+	old, err := k.Create("pagee", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, k, old, "touch", nil)
+	fresh, err := k.Create("pagee", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := k.Object(fresh.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Passivate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Object(fresh.ID()); err != nil { // reincarnated, never invoked
+		t.Fatal(err)
+	}
+	if _, err := k.Create("pagee", nil); err != nil { // needs one victim
+		t.Fatal(err)
+	}
+	if _, ok := k.lookupActive(fresh.ID()); !ok {
+		t.Error("eviction chose the just-reincarnated object over one idle since before it")
+	}
+	if _, ok := k.lookupActive(old.ID()); ok {
+		t.Error("the least recently used object is still resident")
+	}
+}

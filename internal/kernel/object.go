@@ -12,6 +12,7 @@ import (
 	"eden/internal/msg"
 	"eden/internal/rights"
 	"eden/internal/segment"
+	"eden/internal/telemetry"
 )
 
 // objState is the lifecycle state of an active object's in-memory
@@ -32,12 +33,12 @@ const (
 // Object is one active Eden object: "a unique name, a representation
 // (a data part), a type ..., and some number of invocations (threads
 // of control)". The representation is long-term state; everything
-// else here — coordinator, class gates, semaphores, ports, behaviors —
+// else here — coordinator, class queues, semaphores, ports, behaviors —
 // is short-term state that "is never written to long-term storage".
 type Object struct {
-	k  *Kernel
-	id edenid.ID
-	tm *TypeManager
+	k     *Kernel
+	id    edenid.ID
+	table *typeTable // the type manager, with its hierarchy's operations and classes flattened
 
 	// mu is a reader/writer lock on the representation: View calls
 	// from the bounded reader pool share it, while Update and
@@ -54,12 +55,16 @@ type Object struct {
 	// (movetxn.go), so it needs no lock.
 	epoch uint64
 
-	// sched guards the incarnation's scheduling state. It is separate
-	// from mu so the coordinator can admit new processes while readers
-	// sit inside View holding mu: with a single RWMutex, one blocked
-	// reader would stall the coordinator's write-lock acquisition —
-	// and, since a waiting writer blocks new RLocks, serialize the
-	// whole pool.
+	// sched guards the part of the scheduling state that goroutines
+	// other than the coordinator touch: lifecycle state (Move, Crash,
+	// Passivate), the running-process count their quiesce waits on, and
+	// the recency eviction reads. Queues and per-class counts are the
+	// coordinator's alone (coordState) and need no lock. sched is
+	// separate from mu so the coordinator can admit new processes while
+	// readers sit inside View holding mu: with a single RWMutex, one
+	// blocked reader would stall the coordinator's write-lock
+	// acquisition — and, since a waiting writer blocks new RLocks,
+	// serialize the whole pool.
 	sched       sync.Mutex
 	state       objState
 	movedTo     uint32     // valid once state becomes stMoving->moved
@@ -80,13 +85,11 @@ type Object struct {
 	home    uint32
 
 	inbox    chan *callCtx
-	procDone chan procExit  // reader/writer process completions, back to the coordinator
+	procDone chan procExit  // process completions, back to the coordinator
 	yield    chan *yieldReq // writer exclusivity release/re-acquire (Call.Invoke)
 	down     chan struct{}  // closed when active state is destroyed
 	resume   chan struct{}  // pinged when an aborted move re-admits held calls
 	downOnce sync.Once
-
-	classTok map[string]chan struct{}
 
 	semMu sync.Mutex
 	sems  map[string]*Semaphore
@@ -97,7 +100,12 @@ type Object struct {
 
 // callCtx is one invocation traveling through the coordinator.
 type callCtx struct {
-	op      string
+	name string   // the operation as invoked
+	op   *boundOp // what name resolved to; set by arrive
+	// seq is the call's arrival order at the coordinator: admission is
+	// FIFO within a class queue, and across classes the older head goes
+	// first.
+	seq     uint64
 	data    []byte
 	caps    capability.List
 	rts     rights.Set
@@ -113,65 +121,29 @@ type callCtx struct {
 	queued bool
 }
 
-func (k *Kernel) newObject(id edenid.ID, tm *TypeManager, rep *segment.Representation, version uint64, frozen bool) *Object {
+func (k *Kernel) newObject(id edenid.ID, tt *typeTable, rep *segment.Representation, version uint64, frozen bool) *Object {
 	o := &Object{
 		k:       k,
 		id:      id,
-		tm:      tm,
+		table:   tt,
 		rep:     rep,
 		version: version,
 		frozen:  frozen,
 		inbox:   make(chan *callCtx, 128),
 		// At most ReaderPool readers or maxWriteBatch batched writers
-		// run at a time, so a buffer covering both bounds guarantees
-		// completion sends never block — even after the coordinator has
-		// exited at teardown.
+		// run at a time, so a buffer covering both bounds means their
+		// completion sends never wait for the coordinator. Shared-mode
+		// processes are bounded only by their class limit, so every
+		// send also selects on down (see runProcess).
 		procDone: make(chan procExit, k.cfg.ReaderPool+maxWriteBatch+1),
 		yield:    make(chan *yieldReq),
 		down:     make(chan struct{}),
 		resume:   make(chan struct{}, 1),
-		classTok: make(map[string]chan struct{}),
 		sems:     make(map[string]*Semaphore),
 		ports:    make(map[string]*Port),
 	}
 	o.drained = sync.NewCond(&o.sched)
-	// Build the class admission gates: one counting gate per limited
-	// class reachable through the type (including inherited ops).
-	for class, limit := range collectClassLimits(k.types, tm) {
-		if limit > 0 {
-			o.classTok[class] = make(chan struct{}, limit)
-		}
-	}
 	return o
-}
-
-// collectClassLimits walks the type and its supertypes gathering the
-// effective limit for every class mentioned by any operation or limit
-// declaration.
-func collectClassLimits(reg *Registry, tm *TypeManager) map[string]int {
-	limits := make(map[string]int)
-	seen := 0
-	for cur := tm; cur != nil && seen < 64; seen++ {
-		for class, n := range cur.ClassLimits {
-			if _, have := limits[class]; !have {
-				limits[class] = n
-			}
-		}
-		for _, op := range cur.Operations {
-			if _, have := limits[op.Class]; !have {
-				limits[op.Class] = reg.classLimit(tm, op.Class)
-			}
-		}
-		if cur.Extends == "" {
-			break
-		}
-		next, err := reg.Lookup(cur.Extends)
-		if err != nil {
-			break
-		}
-		cur = next
-	}
-	return limits
 }
 
 // ID returns the object's unique name.
@@ -180,7 +152,7 @@ func collectClassLimits(reg *Registry, tm *TypeManager) map[string]int {
 func (o *Object) ID() edenid.ID { return o.id }
 
 // TypeName returns the name of the object's type manager.
-func (o *Object) TypeName() string { return o.tm.Name }
+func (o *Object) TypeName() string { return o.table.tm.Name }
 
 // Node returns the number of the node currently supporting the object.
 func (o *Object) Node() uint32 { return o.k.cfg.Node }
@@ -284,24 +256,18 @@ func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 	}()
 }
 
-// schedCall is one validated invocation waiting in the coordinator's
-// admission queue for a reader slot or writer exclusivity.
-type schedCall struct {
-	c  *callCtx
-	op *Operation
-}
-
 // maxWriteBatch bounds how many commuting writers share one exclusive
 // admission — the write-side analogue of the reader pool.
 const maxWriteBatch = 16
 
-// procExit is one reader/writer process completion reported back to
-// the coordinator. holding is false when a writer yielded its
-// exclusive slot for a nested invoke and never re-acquired it: the
-// slot was already released when the yield was processed, so counting
-// this exit again would free exclusivity twice.
+// procExit is one process completion reported back to the coordinator.
+// holding is false when a writer yielded its exclusive slot for a
+// nested invoke and never re-acquired it: the slot was already released
+// when the yield was processed, so counting this exit again would free
+// exclusivity twice.
 type procExit struct {
-	cls     Access
+	class   int32 // kept to 8 bytes: every incarnation buffers a pool's worth
+	mode    Access
 	holding bool
 }
 
@@ -314,57 +280,49 @@ type yieldReq struct {
 	grant chan bool
 }
 
+// classState is one invocation class of one incarnation: the paper's
+// unit of synchronization. running counts the class's executing
+// processes against its limit, whatever their access mode; the queue is
+// split by mode (indexed by Access) so that writer preference is a
+// choice between queues rather than a search through one.
+type classState struct {
+	running int
+	q       [3][]*callCtx
+}
+
 // coordState is the coordinator's scheduling state: Eden's "tree of
-// processes" for one object. Read-only calls fan out to a bounded pool
-// of concurrently executing processes; mutating calls drain the
-// readers and run exclusively, in arrival order, with preference over
-// newly arriving readers. Two extensions pipeline the write path:
-// writers suspended in a nested invoke release exclusivity into
-// resumeQ and re-acquire with priority over everything queued, and a
-// consecutive run of queued calls to one Commutes operation is
-// batched into a single exclusive admission (writers counts the
-// processes sharing it). All fields are owned by the coordinator
+// processes" for one object, synchronized the paper's way — operations
+// partition into classes, each with a concurrency limit — plus an
+// exclusion relation between access modes. A call is admitted when its
+// class has room and its mode admits it: shared processes exclude
+// nothing; read processes fan out to a bounded pool; a write process
+// excludes readers and writers, in arrival order and with preference
+// over queued readers. Two policies pipeline the write mode: writers
+// suspended in a nested invoke release exclusivity into resumeQ and
+// re-acquire with priority over everything queued, and a consecutive
+// run of queued calls to one Commutes operation is batched into a
+// single exclusive admission. All fields are owned by the coordinator
 // goroutine — no lock guards them.
 type coordState struct {
 	o       *Object
-	readQ   []*schedCall // admitted read-only calls awaiting a pool slot
-	writeQ  []*schedCall // admitted mutating calls awaiting exclusivity
+	classes []classState // parallel to o.table.classes
+	active  [3]int       // executing processes per access mode; a yielded writer is not counted
+	seq     uint64       // arrival stamp of the next admitted call
 	resumeQ []*yieldReq  // suspended writers awaiting re-acquisition
-	held    []*callCtx   // calls arriving during a move
-	readers int          // reader processes currently executing
-	writers int          // writer processes holding the current exclusive admission
+	held    []*callCtx   // calls whose turn came mid-move: re-admitted on abort, bounced on commit
 }
 
 // coordinate is the coordinator process: "kernel code responsible for
 // maintenance of the object, reception of invocation requests ...,
 // verification of rights, and dispatching of processes to
 // invocations". One goroutine per active object; it owns the object's
-// admission queues and reader/writer schedule.
+// class queues and their schedule.
 func (o *Object) coordinate() {
-	cs := &coordState{o: o}
+	cs := &coordState{o: o, classes: make([]classState, len(o.table.classes))}
 	for {
 		select {
 		case c := <-o.inbox:
-			o.sched.Lock()
-			st := o.state
-			moved := o.movedTo
-			o.sched.Unlock()
-			switch st {
-			case stMoving:
-				cs.held = append(cs.held, c)
-			case stDown:
-				o.unqueue(c)
-				if moved != 0 {
-					// The incarnation was retired toward a live home
-					// (move, or a shadow superseded by a fresher
-					// checkpoint); bounce instead of reporting a crash.
-					c.reply(movedReply(moved))
-				} else {
-					c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-				}
-			default:
-				cs.arrive(c)
-			}
+			cs.arrive(c)
 		case e := <-o.procDone:
 			cs.complete(e)
 		case q := <-o.yield:
@@ -406,15 +364,14 @@ func (o *Object) notifyResume() {
 }
 
 // arrive validates one call on the coordinator — operation resolution,
-// rights, replica and frozen gates — then routes it by access class:
-// shared calls dispatch immediately (the type synchronizes them with
-// its own monitors), readers and writers enter the admission queues.
+// rights, replica and frozen gates — and appends it to its class's
+// queue: the one way into the schedule, whatever the access mode.
 func (cs *coordState) arrive(c *callCtx) {
 	o := cs.o
-	op, _, err := o.k.types.resolveOp(o.tm, c.op)
-	if err != nil {
+	op := o.table.ops[c.name]
+	if op == nil {
 		o.unqueue(c)
-		c.reply(msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(err.Error())})
+		c.reply(msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(fmt.Sprintf("%v: %q on type %q", ErrNoSuchOperation, c.name, o.table.tm.Name))})
 		return
 	}
 	// Rights verification: the capability must carry Invoke plus the
@@ -424,7 +381,7 @@ func (cs *coordState) arrive(c *callCtx) {
 		o.unqueue(c)
 		c.reply(msg.InvokeRep{
 			Status: msg.StatusRights,
-			Data:   []byte(fmt.Sprintf("operation %q requires rights %v, capability has %v", c.op, need, c.rts)),
+			Data:   []byte(fmt.Sprintf("operation %q requires rights %v, capability has %v", c.name, need, c.rts)),
 		})
 		return
 	}
@@ -448,37 +405,28 @@ func (cs *coordState) arrive(c *callCtx) {
 		c.reply(msg.InvokeRep{Status: msg.StatusFrozen, Data: []byte("representation is frozen")})
 		return
 	}
-	switch op.Access {
-	case AccessRead:
-		if len(cs.readQ) >= o.k.cfg.AdmissionQueue {
-			o.shedFull(c)
-			return
-		}
-		cs.readQ = append(cs.readQ, &schedCall{c: c, op: op})
-	case AccessWrite:
-		if len(cs.writeQ) >= o.k.cfg.AdmissionQueue {
-			o.shedFull(c)
-			return
-		}
-		cs.writeQ = append(cs.writeQ, &schedCall{c: c, op: op})
-	default:
-		cs.spawn(op, c, AccessShared)
+	q := &cs.classes[op.class].q[op.mode]
+	if len(*q) >= o.k.cfg.AdmissionQueue {
+		// The queue sheds at the door rather than growing without
+		// bound, matching the transport's bounded send queues. Counted
+		// apart from deadline expiry (kernel.admission.shed).
+		o.shed(c, o.k.tel.queueFull)
 		return
 	}
+	c.op, c.seq = op, cs.seq
+	cs.seq++
+	*q = append(*q, c)
 	cs.schedule()
 }
 
-// complete processes one reader/writer process completion and
-// reschedules. A writer that yielded and never re-acquired already
-// released its slot when the yield was processed.
+// complete settles one process completion against its class and mode
+// and reschedules. A writer that yielded and never re-acquired already
+// released its exclusivity when the yield was processed; its class slot
+// it kept throughout.
 func (cs *coordState) complete(e procExit) {
-	switch e.cls {
-	case AccessRead:
-		cs.readers--
-	case AccessWrite:
-		if e.holding {
-			cs.writers--
-		}
+	cs.classes[e.class].running--
+	if e.holding || e.mode != AccessWrite {
+		cs.active[e.mode]--
 	}
 	cs.schedule()
 }
@@ -488,63 +436,101 @@ func (cs *coordState) complete(e procExit) {
 // re-acquisition parks in resumeQ until the object is otherwise idle.
 func (cs *coordState) handleYield(q *yieldReq) {
 	if q.grant == nil {
-		cs.writers--
+		cs.active[AccessWrite]--
 		cs.o.k.tel.writerYield.Inc()
-		cs.schedule()
-		return
+	} else {
+		cs.resumeQ = append(cs.resumeQ, q)
 	}
-	cs.resumeQ = append(cs.resumeQ, q)
 	cs.schedule()
 }
 
-// schedule is the reader/writer admission policy. Expired calls are
-// shed first — they cost a queue slot, never a process. Then, in
-// strict priority order: suspended writers re-acquire exclusivity
-// (they hold partially applied work and predate everything queued),
-// a pending writer waits only for running readers to drain (writer
-// preference — queued readers stay queued), writers run one exclusive
-// admission at a time in arrival order — shared by a consecutive run
-// of commuting calls — and readers fan out up to the pool bound.
+// schedule is the one drain loop. Expired calls are shed first — they
+// cost a queue slot, never a process. Suspended writers then re-acquire
+// exclusivity (they hold partially applied work and predate everything
+// queued). After that each mode admits, oldest head first, while the
+// exclusion relation allows: writers before readers, so that a pending
+// writer waits only for running readers to drain while queued readers
+// stay queued behind it.
 func (cs *coordState) schedule() {
 	cs.shedExpired()
-	for len(cs.resumeQ) > 0 {
-		if cs.writers > 0 || cs.readers > 0 {
-			return // re-acquisition waits for the object to go idle
+	for len(cs.resumeQ) > 0 && cs.active[AccessWrite] == 0 && cs.active[AccessRead] == 0 {
+		// Lifecycle state is re-checked exactly as for a starting
+		// process: the incarnation may have moved or died while the
+		// writer was away, and resuming into a shipped representation
+		// would fork the object.
+		st, _ := cs.o.enter()
+		if st == stMoving {
+			// The move may still abort; the writer stays parked until
+			// the coordinator learns the outcome (resume ping or down).
+			break
 		}
-		granted, keep := cs.regrant(cs.resumeQ[0])
-		if keep {
-			return // mid-move: stays parked until abort or commit
-		}
+		cs.resumeQ[0].grant <- st == stActive
 		cs.resumeQ = cs.resumeQ[1:]
-		if granted {
-			cs.writers++
+		if st == stActive {
+			cs.active[AccessWrite]++
 		}
 	}
-	if cs.writers > 0 {
-		return
+	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
+		for cl := cs.oldest(mode); cl != nil && cs.admits(mode); cl = cs.oldest(mode) {
+			if op := cl.q[mode][0].op; cs.admit(cl, mode) && op.Commutes {
+				cs.batchCommuting(cl, op)
+			}
+		}
 	}
-	for len(cs.writeQ) > 0 && cs.readers == 0 && cs.writers == 0 {
-		sc := cs.writeQ[0]
-		cs.writeQ = cs.writeQ[1:]
-		if !cs.spawn(sc.op, sc.c, AccessWrite) {
+}
+
+// admits is the exclusion relation: whether one more process of the
+// mode may start beside those executing. A parked re-acquisition waits
+// for the object to go idle, so nothing that would keep it busy starts
+// ahead of it.
+func (cs *coordState) admits(mode Access) bool {
+	idle := len(cs.resumeQ) == 0 && cs.active[AccessWrite] == 0
+	switch mode {
+	case AccessWrite:
+		return idle && cs.active[AccessRead] == 0
+	case AccessRead:
+		// Writer preference yields only to a writer that could take the
+		// slot: one whose class is full cannot, and holding readers back
+		// for it would idle the object.
+		return idle && cs.active[AccessRead] < cs.o.k.cfg.ReaderPool && cs.oldest(AccessWrite) == nil
+	}
+	return true
+}
+
+// oldest returns the class whose queue for the mode has the earliest-
+// arrived head among classes with room under their limit — nil when no
+// queued call of the mode can start. A limit of one yields mutual
+// exclusion among the class's operations.
+func (cs *coordState) oldest(mode Access) *classState {
+	var best *classState
+	for i := range cs.classes {
+		cl := &cs.classes[i]
+		if limit := cs.o.table.classes[i].limit; len(cl.q[mode]) == 0 || (limit > 0 && cl.running >= limit) {
 			continue
 		}
-		cs.writers++
-		if sc.op.Commutes {
-			cs.batchCommuting(sc.op)
-		}
-		break
-	}
-	if cs.writers > 0 || len(cs.writeQ) > 0 {
-		return
-	}
-	for len(cs.readQ) > 0 && cs.readers < cs.o.k.cfg.ReaderPool {
-		sc := cs.readQ[0]
-		cs.readQ = cs.readQ[1:]
-		if cs.spawn(sc.op, sc.c, AccessRead) {
-			cs.readers++
+		if best == nil || cl.q[mode][0].seq < best.q[mode][0].seq {
+			best = cl
 		}
 	}
+	return best
+}
+
+// admit takes the head of the class's queue for the mode and starts
+// its process, charging the class and the mode. It reports whether a
+// process started.
+func (cs *coordState) admit(cl *classState, mode Access) bool {
+	q := cl.q[mode]
+	c := q[0]
+	if q = q[1:]; len(q) == 0 {
+		q = cl.q[mode][:0] // drained: rewind onto the backing array, so an idle queue costs no allocation per call
+	}
+	cl.q[mode] = q
+	if !cs.start(c) {
+		return false
+	}
+	cl.running++
+	cs.active[mode]++
+	return true
 }
 
 // batchCommuting extends a freshly granted exclusive admission to the
@@ -553,152 +539,127 @@ func (cs *coordState) schedule() {
 // preserves writer exclusivity toward everything else while their
 // handler latencies overlap. The run stops at the first queued call
 // for a different operation (order toward non-commuting work is
-// preserved), at the batch bound, or when a lifecycle re-check fails.
-func (cs *coordState) batchCommuting(op *Operation) {
-	for len(cs.writeQ) > 0 && cs.writers < maxWriteBatch && cs.writeQ[0].op == op {
-		sc := cs.writeQ[0]
-		cs.writeQ = cs.writeQ[1:]
-		if !cs.spawn(sc.op, sc.c, AccessWrite) {
+// preserved), at the batch bound or the class limit, or when a
+// lifecycle re-check fails.
+func (cs *coordState) batchCommuting(cl *classState, op *boundOp) {
+	for cs.active[AccessWrite] < maxWriteBatch && cs.oldest(AccessWrite) == cl && cl.q[AccessWrite][0].op == op {
+		if !cs.admit(cl, AccessWrite) {
 			return
 		}
-		cs.writers++
 		cs.o.k.tel.writeBatched.Inc()
 	}
 }
 
-// regrant attempts to restore exclusivity to one suspended writer,
-// re-checking lifecycle state under the lock exactly like spawn: the
-// incarnation may have moved or died while the writer was away, and
-// resuming into a shipped representation would fork the object.
-func (cs *coordState) regrant(q *yieldReq) (granted, keep bool) {
-	o := cs.o
-	o.sched.Lock()
-	switch o.state {
-	case stMoving:
-		// The move may still abort; keep the writer parked until the
-		// coordinator learns the outcome (resume ping or down).
-		o.sched.Unlock()
-		return false, true
-	case stDown:
-		o.sched.Unlock()
-		q.grant <- false
-		return false, false
-	}
-	o.running++
-	o.lastInvoked = o.k.tick.Add(1)
-	o.sched.Unlock()
-	q.grant <- true
-	return true, false
-}
-
-// shedExpired drops queued calls whose caller deadline has passed:
-// the caller has already given up, so dispatching a process for the
-// call would only burn a virtual processor on a reply nobody reads.
+// shedExpired is the one deadline pass: it drops queued calls whose
+// caller deadline has passed. The caller has already given up, so
+// dispatching a process for the call would only burn a virtual
+// processor on a reply nobody reads.
 func (cs *coordState) shedExpired() {
-	if len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
-		return
-	}
-	now := time.Now()
-	cs.readQ = cs.shedQueue(cs.readQ, now)
-	cs.writeQ = cs.shedQueue(cs.writeQ, now)
-}
-
-func (cs *coordState) shedQueue(q []*schedCall, now time.Time) []*schedCall {
-	kept := q[:0]
-	for _, sc := range q {
-		if !sc.c.deadline.IsZero() && now.After(sc.c.deadline) {
-			cs.o.shed(sc.c)
-			continue
+	var now time.Time
+	for i := range cs.classes {
+		for mode, q := range cs.classes[i].q {
+			if len(q) == 0 {
+				continue
+			}
+			if now.IsZero() {
+				now = time.Now()
+			}
+			kept := q[:0]
+			for _, c := range q {
+				if !c.deadline.IsZero() && now.After(c.deadline) {
+					cs.o.shed(c, cs.o.k.tel.admissionShed)
+					continue
+				}
+				kept = append(kept, c)
+			}
+			clear(q[len(kept):]) // shed entries must not linger reachable
+			cs.classes[i].q[mode] = kept
 		}
-		kept = append(kept, sc)
 	}
-	// Zero the tail so shed entries do not linger reachable.
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
-	return kept
 }
 
-// shed rejects one expired call with StatusTimeout and counts it.
-func (o *Object) shed(c *callCtx) {
+// shed rejects one call with StatusTimeout before it costs a process,
+// counting it under why: kernel.admission.shed for an expired deadline,
+// kernel.admission.queue.full for a queue at Config.AdmissionQueue.
+func (o *Object) shed(c *callCtx, why *telemetry.Counter) {
 	o.unqueue(c)
-	o.k.tel.admissionShed.Inc()
+	why.Inc()
 	c.reply(msg.InvokeRep{Status: msg.StatusTimeout})
 }
 
-// shedFull rejects one call because the object's admission queue hit
-// Config.AdmissionQueue: the queue sheds at the door rather than
-// growing without bound, matching the transport's bounded send queues.
-// Counted under kernel.admission.queue.full (disjoint from
-// kernel.admission.shed, which counts deadline expiry).
-func (o *Object) shedFull(c *callCtx) {
-	o.unqueue(c)
-	o.k.tel.queueFull.Inc()
-	c.reply(msg.InvokeRep{Status: msg.StatusTimeout})
-}
-
-// spawn dispatches one process for a validated call, re-checking
+// start dispatches one process for a validated call, re-checking
 // lifecycle state under the lock so a queued call cannot start
 // executing against an incarnation that began moving or was destroyed
 // after the call was admitted. It reports whether a process started.
-func (cs *coordState) spawn(op *Operation, c *callCtx, cls Access) bool {
+func (cs *coordState) start(c *callCtx) bool {
 	o := cs.o
-	o.sched.Lock()
-	switch o.state {
+	switch st, movedTo := o.enter(); st {
 	case stMoving:
-		o.sched.Unlock()
 		cs.held = append(cs.held, c)
 		return false
 	case stDown:
-		moved := o.movedTo
-		o.sched.Unlock()
-		o.unqueue(c)
-		if moved != 0 {
-			c.reply(movedReply(moved))
-		} else {
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-		}
+		o.answerDown(c, movedTo)
 		return false
 	}
-	o.running++
-	o.lastInvoked = o.k.tick.Add(1)
-	o.sched.Unlock()
 	o.unqueue(c)
-	go o.runProcess(op, c, cls)
+	go o.runProcess(c)
 	return true
 }
 
+// enter counts one more executing process against lifecycle quiesce
+// and stamps the object's recency — unless the incarnation is moving
+// or down, which it reports (with the new home, if retired toward one)
+// for the caller to act on.
+func (o *Object) enter() (objState, uint32) {
+	o.sched.Lock()
+	defer o.sched.Unlock()
+	if o.state == stActive {
+		o.running++
+		o.lastInvoked = o.k.tick.Add(1)
+	}
+	return o.state, o.movedTo
+}
+
+// leave is enter's counterpart: the last process out wakes a waiting
+// move's quiesce.
+func (o *Object) leave() {
+	o.sched.Lock()
+	o.running--
+	if o.running == 0 {
+		o.drained.Broadcast()
+	}
+	o.sched.Unlock()
+}
+
+// answerDown answers a call this incarnation will never run: bounced
+// to the new home when the incarnation was retired toward one, crashed
+// otherwise.
+func (o *Object) answerDown(c *callCtx, movedTo uint32) {
+	o.unqueue(c)
+	if movedTo != 0 {
+		c.reply(movedReply(movedTo))
+	} else {
+		c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
+	}
+}
+
 // drain answers everything queued or held so no invoker hangs until
-// its timeout: the reader pool and writer queue quiesce along with the
-// incarnation.
+// its timeout: every class queue quiesces along with the incarnation.
 func (cs *coordState) drain() {
 	o := cs.o
 	o.sched.Lock()
-	moved := o.state == stMoving || o.movedTo != 0
 	dest := o.movedTo
 	o.sched.Unlock()
-	for {
-		select {
-		case c := <-o.inbox:
-			cs.held = append(cs.held, c)
-			continue
-		default:
+	for len(o.inbox) > 0 { // the coordinator is the only receiver
+		cs.held = append(cs.held, <-o.inbox)
+	}
+	for i := range cs.classes {
+		for _, q := range cs.classes[i].q {
+			cs.held = append(cs.held, q...)
 		}
-		break
-	}
-	for _, sc := range cs.readQ {
-		cs.held = append(cs.held, sc.c)
-	}
-	for _, sc := range cs.writeQ {
-		cs.held = append(cs.held, sc.c)
 	}
 	for _, c := range cs.held {
-		o.unqueue(c)
-		if moved && dest != 0 {
-			c.reply(movedReply(dest))
-		} else {
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-		}
+		o.answerDown(c, dest)
 	}
 	// Suspended writers parked for re-acquisition observe the terminal
 	// state: their Call.Invoke returns the lifecycle error instead of
@@ -735,24 +696,25 @@ func movedDest(rep msg.InvokeRep) (uint32, bool) {
 		uint32(rep.Data[2])<<8 | uint32(rep.Data[3]), true
 }
 
-// runProcess executes one invocation: acquire the class gate, run the
-// handler, and reply. "In the normal case, a new process will be
-// created and assigned the invocation." Reader and writer processes
-// report completion to the coordinator so the next calls can be
-// scheduled.
+// runProcess executes one invocation: run the handler and reply. "In
+// the normal case, a new process will be created and assigned the
+// invocation." Admission already happened on the coordinator, so
+// nothing here waits; every process reports its completion there so
+// the next calls can be scheduled.
 //
 //edenvet:ignore rightsgate arrive verifies Invoke plus the operation's declared rights on the coordinator before the call is scheduled
-func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
+func (o *Object) runProcess(c *callCtx) {
+	op := c.op
 	o.k.tel.serveConc.Add(1)
 	call := &Call{
 		k:         o.k,
 		self:      o,
-		Operation: c.op,
+		Operation: c.name,
 		Data:      c.data,
 		Caps:      c.caps,
 		Rights:    c.rts,
 		status:    msg.StatusOK,
-		access:    cls,
+		access:    op.mode,
 		holding:   true,
 	}
 	defer func() {
@@ -761,37 +723,21 @@ func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
 		// exclusivity back already left the running count and released
 		// its slot; settling either again would double-free.
 		if call.holding {
-			o.sched.Lock()
-			o.running--
-			if o.running == 0 {
-				o.drained.Broadcast()
-			}
-			o.sched.Unlock()
+			o.leave()
 		}
-		if cls == AccessRead || cls == AccessWrite {
-			// Buffered past the pool and batch bounds; never blocks,
-			// even after the coordinator exited at teardown.
-			o.procDone <- procExit{cls: cls, holding: call.holding}
+		// Once the incarnation is down the coordinator has exited and
+		// its counts went with it.
+		select {
+		case o.procDone <- procExit{class: op.class, mode: op.mode, holding: call.holding}:
+		case <-o.down:
 		}
 	}()
 
-	if tok := o.classTok[op.Class]; tok != nil {
-		// Class admission: at most `limit` processes service this
-		// class concurrently; the rest queue here. A limit of one
-		// yields mutual exclusion among the class's operations.
-		select {
-		case tok <- struct{}{}:
-			defer func() { <-tok }()
-		case <-o.down:
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-			return
-		}
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				call.status = msg.StatusError
-				call.replyData = []byte(fmt.Sprintf("operation %q panicked: %v", c.op, r))
+				call.replyData = []byte(fmt.Sprintf("operation %q panicked: %v", c.name, r))
 			}
 		}()
 		op.Handler(call)
@@ -846,7 +792,7 @@ type Call struct {
 	replyData []byte
 	replyCaps capability.List
 
-	// access is the process's scheduling class; holding reports
+	// access is the process's access mode; holding reports
 	// whether the process currently counts in o.running and (for a
 	// writer) holds its exclusive slot. Only the handler goroutine
 	// touches holding after dispatch: a writer clears it across the
@@ -926,12 +872,7 @@ func (c *Call) InvokeAsync(target capability.Capability, operation string, data 
 func (c *Call) yieldExclusivity() {
 	o := c.self
 	c.holding = false
-	o.sched.Lock()
-	o.running--
-	if o.running == 0 {
-		o.drained.Broadcast()
-	}
-	o.sched.Unlock()
+	o.leave()
 	select {
 	case o.yield <- &yieldReq{}:
 	case <-o.down:
@@ -1025,25 +966,14 @@ type Anatomy struct {
 func (o *Object) Describe() Anatomy {
 	a := Anatomy{
 		Name:     o.id,
-		TypeName: o.tm.Name,
+		TypeName: o.table.tm.Name,
 		Replica:  o.replica,
-		Classes:  collectClassLimits(o.k.types, o.tm),
+		Classes:  make(map[string]int, len(o.table.classes)),
 	}
-	ops := make(map[string]bool)
-	for cur, depth := o.tm, 0; cur != nil && depth < 64; depth++ {
-		for name := range cur.Operations {
-			ops[name] = true
-		}
-		if cur.Extends == "" {
-			break
-		}
-		next, err := o.k.types.Lookup(cur.Extends)
-		if err != nil {
-			break
-		}
-		cur = next
+	for _, cl := range o.table.classes {
+		a.Classes[cl.name] = cl.limit
 	}
-	for name := range ops {
+	for name := range o.table.ops {
 		a.Operations = append(a.Operations, name)
 	}
 	sort.Strings(a.Operations)
@@ -1108,12 +1038,7 @@ func (c *Call) Subprocess(fn func()) <-chan struct{} {
 				// A subordinate's panic is contained like a handler's.
 				_ = r
 			}
-			o.sched.Lock()
-			o.running--
-			if o.running == 0 {
-				o.drained.Broadcast()
-			}
-			o.sched.Unlock()
+			o.leave()
 			close(done)
 		}()
 		fn()

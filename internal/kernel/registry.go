@@ -26,19 +26,19 @@ import (
 // name one. Its concurrency limit defaults to unlimited.
 const DefaultClass = "default"
 
-// Access is an operation's declared access class: how its processes
-// may share the object's representation. The coordinator schedules
-// each invocation by this declaration — the paper's "tree of
+// Access is an operation's declared access mode: how its processes
+// may share the object's representation. Every invocation waits in its
+// invocation class's queue for room under the class limit; the mode
+// adds which other processes it excludes — the paper's "tree of
 // processes" synchronized by the kernel rather than by every caller
 // serializing through one dispatch loop.
 type Access uint8
 
 const (
-	// AccessShared is the zero value: the operation's processes run
-	// concurrently with everything else and the type synchronizes
-	// internally through the monitor machinery (invocation-class
-	// limits, semaphores, ports). This is the scheduling every
-	// operation had before access classes existed.
+	// AccessShared is the zero value: the operation's processes
+	// exclude nothing — they run concurrently with everything else up
+	// to their class limit, and the type synchronizes internally
+	// through the monitor machinery (semaphores, ports).
 	AccessShared Access = iota
 	// AccessRead declares the operation read-only. Its processes fan
 	// out to a bounded per-object pool (Config.ReaderPool) and run
@@ -88,8 +88,8 @@ type Operation struct {
 	// Rights are the rights, beyond rights.Invoke, that the invoking
 	// capability must carry.
 	Rights rights.Set
-	// Access is the operation's declared access class; it drives the
-	// coordinator's reader/writer scheduling. The zero value
+	// Access is the operation's declared access mode; it is the
+	// exclusion half of the coordinator's schedule. The zero value
 	// (AccessShared) preserves monitor-synchronized concurrency.
 	// Setting ReadOnly implies AccessRead, and vice versa; Op
 	// normalizes the pair.
@@ -103,7 +103,7 @@ type Operation struct {
 	// run of queued invocations of a commuting operation into one
 	// exclusive admission and runs them concurrently. Only legal with
 	// AccessWrite: readers already run concurrently, and shared
-	// operations schedule outside the reader/writer queues entirely.
+	// operations hold no exclusivity to batch.
 	Commutes bool
 	// Handler is the operation body.
 	Handler Handler
@@ -201,8 +201,9 @@ func (t *TypeManager) Limit(class string, n int) *TypeManager {
 // homogeneous, so in practice one Registry is shared by every kernel
 // in a system.
 type Registry struct {
-	mu    sync.RWMutex
-	types map[string]*TypeManager
+	mu     sync.RWMutex
+	types  map[string]*TypeManager
+	tables sync.Map // type name → *typeTable, built on first use
 }
 
 // NewRegistry returns an empty type registry.
@@ -269,46 +270,99 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// resolveOp finds the operation on the type, walking the Extends chain
-// (subtype inheritance: "the subtype inherits the operations of its
-// supertype"). The second result reports the inheritance depth at
-// which the operation was found (0 = defined on the type itself).
-func (r *Registry) resolveOp(t *TypeManager, name string) (*Operation, int, error) {
-	depth := 0
-	for cur := t; cur != nil; depth++ {
-		if op, ok := cur.Operations[name]; ok {
-			return op, depth, nil
-		}
-		if cur.Extends == "" {
-			break
-		}
-		next, err := r.Lookup(cur.Extends)
+// lineage returns the named type followed by its supertypes, nearest
+// first (subtype inheritance: "the subtype inherits the operations of
+// its supertype"). It is the only walk of the Extends chain, so its
+// guard is the only one: a hierarchy that names an unregistered
+// supertype or loops back on itself is an error, never a hang.
+func (r *Registry) lineage(name string) ([]*TypeManager, error) {
+	var chain []*TypeManager
+	for name != "" {
+		t, err := r.Lookup(name)
 		if err != nil {
-			return nil, 0, fmt.Errorf("kernel: type %q extends unknown %q", cur.Name, cur.Extends)
+			if len(chain) > 0 {
+				err = fmt.Errorf("kernel: type %q extends unknown %q", chain[len(chain)-1].Name, name)
+			}
+			return nil, err
 		}
-		if depth > 64 {
-			return nil, 0, fmt.Errorf("kernel: type hierarchy cycle at %q", cur.Name)
+		for _, seen := range chain {
+			if seen == t {
+				return nil, fmt.Errorf("kernel: type hierarchy cycle at %q", name)
+			}
 		}
-		cur = next
+		chain = append(chain, t)
+		name = t.Extends
 	}
-	return nil, 0, fmt.Errorf("%w: %q on type %q", ErrNoSuchOperation, name, t.Name)
+	return chain, nil
 }
 
-// classLimit returns the concurrency limit for the class on this type,
-// inheriting the nearest explicit limit up the Extends chain.
-func (r *Registry) classLimit(t *TypeManager, class string) int {
-	for cur := t; cur != nil; {
-		if n, ok := cur.ClassLimits[class]; ok {
-			return n
-		}
-		if cur.Extends == "" {
-			break
-		}
-		next, err := r.Lookup(cur.Extends)
-		if err != nil {
-			break
-		}
-		cur = next
+// classSpec is one row of a type's class table: an invocation class
+// and "the number of concurrent processes that are allowed to be
+// servicing" it (0 = unlimited).
+type classSpec struct {
+	name  string
+	limit int
+}
+
+// boundOp is an operation bound to its row of the class table and to
+// the access mode the coordinator schedules it under — captured here
+// rather than read from the Operation per call, so that the counts an
+// admission charges are the ones its completion settles whatever
+// happens to the Operation in between.
+type boundOp struct {
+	*Operation
+	class int32 // index into typeTable.classes and coordState.classes
+	mode  Access
+}
+
+// typeTable is a type's flattened hierarchy: every operation reachable
+// on it (own and inherited, nearest declaration winning) and every
+// class those operations or a Limit declaration mention, each with the
+// nearest explicit limit. Types are immutable once published, so the
+// table is built once per type and shared by all its incarnations.
+type typeTable struct {
+	tm      *TypeManager
+	ops     map[string]*boundOp
+	classes []classSpec
+}
+
+// table returns the named type's table, building it on first use — not
+// at Register, because a subtype may be registered before the
+// supertype it extends. A failed build is not cached for the same
+// reason.
+func (r *Registry) table(name string) (*typeTable, error) {
+	if tt, ok := r.tables.Load(name); ok {
+		return tt.(*typeTable), nil
 	}
-	return 0 // unlimited
+	chain, err := r.lineage(name)
+	if err != nil {
+		return nil, err
+	}
+	ops, limits := make(map[string]*Operation), make(map[string]int)
+	for i := len(chain) - 1; i >= 0; i-- { // root first: nearer declarations override
+		for class, n := range chain[i].ClassLimits {
+			limits[class] = n
+		}
+		for opName, op := range chain[i].Operations {
+			ops[opName] = op
+		}
+	}
+	tt := &typeTable{tm: chain[0], ops: make(map[string]*boundOp, len(ops))}
+	class := func(name string) int32 {
+		for i, cl := range tt.classes {
+			if cl.name == name {
+				return int32(i)
+			}
+		}
+		tt.classes = append(tt.classes, classSpec{name: name, limit: limits[name]})
+		return int32(len(tt.classes) - 1)
+	}
+	for name := range limits { // a limited class no operation is in still shows in Describe
+		class(name)
+	}
+	for opName, op := range ops {
+		tt.ops[opName] = &boundOp{Operation: op, class: class(op.Class), mode: op.Access}
+	}
+	first, _ := r.tables.LoadOrStore(name, tt) // a racing first use built an equal table
+	return first.(*typeTable), nil
 }

@@ -2,10 +2,15 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"eden/internal/capability"
+	"eden/internal/edenid"
 	"eden/internal/rights"
+	"eden/internal/segment"
+	"eden/internal/store"
 )
 
 func TestRegistryRegisterAndLookup(t *testing.T) {
@@ -140,16 +145,21 @@ func TestResolveOpInheritance(t *testing.T) {
 		}
 	}
 
-	op, depth, err := r.resolveOp(leaf, "shared")
-	if err != nil || op == nil || depth != 2 {
-		t.Errorf("resolveOp(shared) = %v depth %d err %v", op, depth, err)
+	tt, err := r.table("leaf")
+	if err != nil {
+		t.Fatal(err)
 	}
-	op, depth, err = r.resolveOp(leaf, "midop")
-	if err != nil || depth != 1 {
-		t.Errorf("resolveOp(midop) depth = %d err %v", depth, err)
+	if op := tt.ops["shared"]; op == nil || op.Operation != base.Operations["shared"] {
+		t.Errorf("ops[shared] = %v, want the root type's operation", op)
 	}
-	if _, _, err := r.resolveOp(leaf, "ghost"); !errors.Is(err, ErrNoSuchOperation) {
-		t.Errorf("resolveOp(ghost): %v", err)
+	if op := tt.ops["midop"]; op == nil || op.Operation != mid.Operations["midop"] {
+		t.Errorf("ops[midop] = %v, want the supertype's operation", op)
+	}
+	if op := tt.ops["ghost"]; op != nil {
+		t.Errorf("ops[ghost] = %v", op)
+	}
+	if again, _ := r.table("leaf"); again != tt {
+		t.Error("table rebuilt on second use; it must be built once per type")
 	}
 }
 
@@ -160,21 +170,63 @@ func TestResolveOpBrokenChain(t *testing.T) {
 	if err := r.Register(orphan); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.resolveOp(orphan, "x"); err == nil {
+	if _, err := r.table("orphan"); err == nil {
 		t.Error("resolve through missing supertype succeeded")
+	}
+	// The supertype may simply not be registered yet: the failure must
+	// not stick.
+	if err := r.Register(NewType("never-registered")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.table("orphan"); err != nil {
+		t.Errorf("resolve after the supertype registered: %v", err)
 	}
 }
 
-func TestResolveOpCycleTerminates(t *testing.T) {
-	r := NewRegistry()
+// TestHierarchyCycleIsAnError: two types that extend each other used
+// to hang Create forever (classLimit walked the chain with no guard).
+// Every walk now goes through one guarded walker, so Create and Invoke
+// report the cycle instead.
+func TestHierarchyCycleIsAnError(t *testing.T) {
+	s := newSys(t, 1)
 	a := NewType("cyc-a")
 	a.Extends = "cyc-b"
+	a.Op(Operation{Name: "x", Handler: func(c *Call) {}})
 	b := NewType("cyc-b")
 	b.Extends = "cyc-a"
-	_ = r.Register(a)
-	_ = r.Register(b)
-	if _, _, err := r.resolveOp(a, "x"); err == nil {
-		t.Error("cyclic hierarchy resolved an operation")
+	mustRegister(t, s.reg, a, b)
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.ks[1].Create("cyc-a", nil)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Errorf("Create on a cyclic hierarchy: err = %v, want a cycle error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Create on a cyclic hierarchy hung")
+	}
+
+	// Invoke meets the hierarchy when it reincarnates a passive object
+	// of the type; that path hung the same way.
+	id := edenid.NewGenerator(1).Next()
+	if err := s.stores[1].Put(store.Record{Object: id, TypeName: "cyc-a", Version: 1, Epoch: 1, Rep: segment.New().Encode(nil)}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_, err := s.ks[1].Invoke(capability.New(id, rights.All), "x", nil, nil, &InvokeOptions{Timeout: time.Second})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Error("Invoke on a cyclic hierarchy succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Invoke on a cyclic hierarchy hung")
 	}
 }
 
@@ -192,13 +244,25 @@ func TestClassLimitInheritance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.classLimit(sub, "w"); got != 3 {
+	limit := func(typ, class string) int {
+		tt, err := r.table(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cl := range tt.classes {
+			if cl.name == class {
+				return cl.limit
+			}
+		}
+		return 0
+	}
+	if got := limit("lim-sub", "w"); got != 3 {
 		t.Errorf("inherited limit = %d, want 3", got)
 	}
-	if got := r.classLimit(override, "w"); got != 7 {
+	if got := limit("lim-override", "w"); got != 7 {
 		t.Errorf("overridden limit = %d, want 7", got)
 	}
-	if got := r.classLimit(base, "unknown"); got != 0 {
+	if got := limit("lim-base", "unknown"); got != 0 {
 		t.Errorf("unknown class limit = %d, want 0", got)
 	}
 }

@@ -70,7 +70,7 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 		k.tel.replicaStale.Inc()
 		return nil
 	}
-	tm, err := k.types.Lookup(rec.TypeName)
+	tt, err := k.types.table(rec.TypeName)
 	if err != nil {
 		k.tel.replicaMiss.Inc()
 		return nil
@@ -84,7 +84,7 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	// makes even a mis-registered mutating handler fail at Update. The
 	// coordinator's replica gate refuses anything not AccessRead before
 	// that can matter.
-	obj := k.newObject(id, tm, rep, rec.Version, true)
+	obj := k.newObject(id, tt, rep, rec.Version, true)
 	obj.epoch = normEpoch(rec.Epoch)
 	obj.replica = true
 	obj.shadow = true

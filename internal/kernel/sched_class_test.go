@@ -1,0 +1,310 @@
+package kernel
+
+// Tests for what one scheduler makes uniform: a call queued behind a
+// limited class of shared-mode operations is treated exactly like one
+// queued for a reader slot or writer exclusivity — shed on deadline or
+// at the queue cap without costing a goroutine, served in arrival
+// order, invisible to move quiescence, answered promptly on a crash —
+// and the allocation ceilings that guard the one-path cost.
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"eden/internal/capability"
+	"eden/internal/store"
+	"eden/internal/telemetry"
+	"eden/internal/transport"
+)
+
+// classRig is one object of a type whose only operation, "work", is
+// shared-mode in class "one" with limit 1. work records its tag and
+// the node it ran on; the tag "hold" then blocks until release closes,
+// so everything invoked after it queues behind the class limit.
+type classRig struct {
+	t       *testing.T
+	ks      map[uint32]*Kernel
+	tel     *telemetry.Registry // of node 1, the object's first home
+	cap     capability.Capability
+	entered chan struct{}
+	release chan struct{}
+
+	mu  sync.Mutex
+	ran []string // "tag@node", in execution order
+}
+
+func newClassRig(t *testing.T, tweak func(*Config), nodes ...uint32) *classRig {
+	t.Helper()
+	r := &classRig{
+		t:       t,
+		ks:      make(map[uint32]*Kernel),
+		tel:     telemetry.New(),
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	tm := NewType("classrig").Limit("one", 1)
+	tm.Op(Operation{Name: "work", Class: "one", Handler: func(c *Call) {
+		tag := string(c.Data)
+		r.mu.Lock()
+		r.ran = append(r.ran, fmt.Sprintf("%s@%d", tag, c.Self().Node()))
+		r.mu.Unlock()
+		if tag == "hold" {
+			r.entered <- struct{}{}
+			<-r.release
+		}
+	}})
+	reg := NewRegistry()
+	mustRegister(t, reg, tm)
+	mesh := transport.NewMesh(7)
+	t.Cleanup(func() { mesh.Close() })
+	for _, n := range nodes {
+		ep, err := mesh.Attach(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(n, "classrig")
+		if n == 1 {
+			cfg.Telemetry = r.tel
+		}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		k := New(cfg, ep, reg, store.NewMemory())
+		t.Cleanup(func() { k.Close() })
+		r.ks[n] = k
+	}
+	var err error
+	if r.cap, err = r.ks[1].Create("classrig", nil); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// hold occupies the class's only slot until release closes.
+func (r *classRig) hold() <-chan error {
+	r.t.Helper()
+	done := r.invoke("hold", 10*time.Second)
+	select {
+	case <-r.entered:
+	case <-time.After(2 * time.Second):
+		r.t.Fatal("holder never entered its handler")
+	}
+	return done
+}
+
+// invoke starts one work invocation from node 1.
+func (r *classRig) invoke(tag string, timeout time.Duration) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.ks[1].Invoke(r.cap, "work", []byte(tag), nil, &InvokeOptions{Timeout: timeout})
+		done <- err
+	}()
+	return done
+}
+
+// queue starts n invocations one at a time, each after the previous is
+// charged to the admission gauge, so they reach the class queue in tag
+// order.
+func (r *classRig) queue(n int, timeout time.Duration) []<-chan error {
+	r.t.Helper()
+	base := r.tel.Gauge(metricAdmissionDepth).Value()
+	var done []<-chan error
+	for i := 1; i <= n; i++ {
+		done = append(done, r.invoke(fmt.Sprint(i), timeout))
+		want := base + int64(i)
+		eventually(r.t, func() bool { return r.tel.Gauge(metricAdmissionDepth).Value() == want },
+			"queued call charged to the admission-depth gauge")
+		time.Sleep(2 * time.Millisecond) // gauge charge → inbox send
+	}
+	return done
+}
+
+func (r *classRig) executed() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.ran...)
+}
+
+func TestClassQueueUniformBehaviour(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		nodes []uint32
+		tweak func(*Config)
+		run   func(t *testing.T, r *classRig)
+	}{
+		{
+			name:  "expired queued call is shed without costing a goroutine",
+			nodes: []uint32{1},
+			run: func(t *testing.T, r *classRig) {
+				holder := r.hold()
+				before := runtime.NumGoroutine()
+				const n = 6
+				queued := r.queue(n, 150*time.Millisecond)
+				// One goroutine per caller, this test's own; the kernel
+				// adds none for a call that only waits.
+				if grew := runtime.NumGoroutine() - before; grew > n {
+					t.Errorf("%d queued calls grew the goroutine count by %d; a queued call must not cost a process", n, grew)
+				}
+				for _, done := range queued {
+					if err := <-done; !errors.Is(err, ErrTimeout) {
+						t.Errorf("queued caller: err = %v, want ErrTimeout", err)
+					}
+				}
+				close(r.release)
+				if err := <-holder; err != nil {
+					t.Fatalf("holder: %v", err)
+				}
+				eventually(t, func() bool { return r.tel.Counter(metricAdmissionShed).Value() == n },
+					"every expired queued call counted in kernel.admission.shed")
+				eventually(t, func() bool { return r.tel.Gauge(metricAdmissionDepth).Value() == 0 },
+					"admission-depth gauge settles to zero")
+				if got := r.executed(); len(got) != 1 {
+					t.Errorf("executed %v, want only the holder (an expired call must never run)", got)
+				}
+			},
+		},
+		{
+			name:  "calls past AdmissionQueue are refused at the door",
+			nodes: []uint32{1},
+			tweak: func(c *Config) { c.AdmissionQueue = 2 },
+			run: func(t *testing.T, r *classRig) {
+				holder := r.hold()
+				queued := r.queue(2, 10*time.Second)
+				for i := 0; i < 3; i++ {
+					if err := <-r.invoke("over", 10*time.Second); !errors.Is(err, ErrTimeout) {
+						t.Errorf("call past the cap: err = %v, want ErrTimeout", err)
+					}
+				}
+				if got := r.tel.Counter(metricQueueFull).Value(); got != 3 {
+					t.Errorf("%s = %d, want 3", metricQueueFull, got)
+				}
+				close(r.release)
+				for _, done := range append(queued, holder) {
+					if err := <-done; err != nil {
+						t.Errorf("admitted call: %v", err)
+					}
+				}
+			},
+		},
+		{
+			name:  "limit-1 class serves in arrival order",
+			nodes: []uint32{1},
+			run: func(t *testing.T, r *classRig) {
+				holder := r.hold()
+				queued := r.queue(5, 10*time.Second)
+				close(r.release)
+				for _, done := range append(queued, holder) {
+					if err := <-done; err != nil {
+						t.Fatalf("call: %v", err)
+					}
+				}
+				want := []string{"hold@1", "1@1", "2@1", "3@1", "4@1", "5@1"}
+				if got := r.executed(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("execution order = %v, want %v", got, want)
+				}
+			},
+		},
+		{
+			name:  "move does not wait for queued calls and bounces them to the new home",
+			nodes: []uint32{1, 2},
+			run: func(t *testing.T, r *classRig) {
+				obj, err := r.ks[1].Object(r.cap.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				holder := r.hold()
+				queued := r.queue(3, 10*time.Second)
+				moved := obj.Move(2)
+				// The move's quiesce waits for the one running process.
+				select {
+				case err := <-moved:
+					t.Fatalf("move finished while the holder was running: %v", err)
+				case <-time.After(50 * time.Millisecond):
+				}
+				close(r.release)
+				if err := <-moved; err != nil {
+					t.Fatalf("move with calls queued behind the class limit: %v", err)
+				}
+				for _, done := range append(queued, holder) {
+					if err := <-done; err != nil {
+						t.Errorf("call: %v", err)
+					}
+				}
+				// Queued is not running: none of the three started at the
+				// old home, all were bounced and chased to the new one.
+				for i, ran := range r.executed() {
+					if i > 0 && !strings.HasSuffix(ran, "@2") {
+						t.Errorf("execution %d = %q, want it at node 2 (%v)", i, ran, r.executed())
+					}
+				}
+				if got := r.ks[1].Stats().MovedChases; got < 3 {
+					t.Errorf("MovedChases = %d, want >= 3 (one StatusMoved bounce per queued call)", got)
+				}
+			},
+		},
+		{
+			name:  "crash answers every queued call promptly",
+			nodes: []uint32{1},
+			run: func(t *testing.T, r *classRig) {
+				obj, err := r.ks[1].Object(r.cap.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.hold()
+				queued := r.queue(3, 10*time.Second)
+				start := time.Now()
+				obj.Crash()
+				for _, done := range queued {
+					if err := <-done; !errors.Is(err, ErrCrashed) {
+						t.Errorf("queued caller: err = %v, want ErrCrashed", err)
+					}
+				}
+				if elapsed := time.Since(start); elapsed > 2*time.Second {
+					t.Errorf("queued callers took %v to learn of the crash", elapsed)
+				}
+				close(r.release)
+			},
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			row.run(t, newClassRig(t, row.tweak, row.nodes...))
+		})
+	}
+}
+
+// TestLocalInvokeAllocCeilings pins the allocations of one uncontended
+// local invoke: one path through the scheduler, one cost, whatever the
+// access mode. Before the three admission paths became one the counts
+// were read 10, write 10 (a queue node and a queue-slice growth per
+// call) and shared-in-a-limited-class 8; that 8 is the ceiling for all
+// three. benchmark/ bounds allocs_per_op at 5 %, and one allocation
+// here is more than that.
+func TestLocalInvokeAllocCeilings(t *testing.T) {
+	const ceiling = 8
+	k, reg, _ := newSchedKernel(t, func(c *Config) { c.Telemetry = nil })
+	nop := func(c *Call) {}
+	tm := NewType("allocs").Limit("one", 1)
+	tm.Op(Operation{Name: "read", Access: AccessRead, Handler: nop})
+	tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: nop})
+	tm.Op(Operation{Name: "shared", Class: "one", Handler: nop})
+	mustRegister(t, reg, tm)
+	cp, err := k.Create("allocs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"read", "write", "shared"} {
+		got := testing.AllocsPerRun(1000, func() {
+			if _, err := k.Invoke(cp, op, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s: %.1f allocs per local invoke, ceiling %d", op, got, ceiling)
+		}
+	}
+}

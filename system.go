@@ -130,9 +130,9 @@ type NodeConfig struct {
 	// invocations of other nodes' mutable objects from checkpoint
 	// records it holds as a checksite (see kernel.Config.ReplicaServe).
 	Replicas bool
-	// AdmissionQueue caps each object's reader and writer admission
-	// queues; excess calls are shed with a timeout (0 = kernel
-	// default).
+	// AdmissionQueue caps each of an object's admission queues (one per
+	// invocation class and access mode); excess calls are shed with a
+	// timeout (0 = kernel default).
 	AdmissionQueue int
 	// AsyncPending caps the node's async-invocation dispatcher table;
 	// excess submissions are shed with a timeout (0 = kernel default).
