@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"eden/internal/capability"
 	"eden/internal/naming"
@@ -106,7 +107,11 @@ func (p *PathFS) Lookup(path string) (capability.Capability, error) {
 // Write commits new content at the path as a fresh immutable version,
 // creating the file (and directories) if absent. It retries validation
 // conflicts, since "last writer adds a version" is the intended
-// whole-file semantic here.
+// whole-file semantic here. A conflict means another transaction holds
+// the file between its prepare and its commit, and that one needs time
+// — a checkpoint, a turn on a processor — to finish: the retries back
+// off, doubling from 20 µs to 5 ms (some 45 ms in all), or a loser
+// spends its sixteen attempts inside the winner's one commit.
 func (p *PathFS) Write(path string, data []byte) (version uint64, err error) {
 	file, err := p.Lookup(path)
 	if errors.Is(err, naming.ErrNotFound) {
@@ -115,7 +120,12 @@ func (p *PathFS) Write(path string, data []byte) (version uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
+	backoff := 20 * time.Microsecond
 	for attempt := 0; attempt < 16; attempt++ {
+		if attempt > 0 {
+			time.Sleep(backoff)
+			backoff = min(2*backoff, 5*time.Millisecond)
+		}
 		tx := p.c.Begin()
 		_, cur, err := tx.Read(file)
 		if err != nil {

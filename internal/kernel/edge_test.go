@@ -121,7 +121,11 @@ func TestSelfCrashViaOperation(t *testing.T) {
 	cap, _ := s.ks[1].Create("counter", nil)
 	mustInvoke(t, s.ks[1], cap, "inc", nil)
 	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
-	mustInvoke(t, s.ks[1], cap, "crashme", nil)
+	// The handler's `go c.Self().Crash()` races its own reply: a crash
+	// that lands first destroys the result, and the invoker sees it.
+	if _, err := s.ks[1].Invoke(cap, "crashme", nil, nil, nil); err != nil && !errors.Is(err, ErrCrashed) {
+		t.Fatalf("invoke %q: %v", "crashme", err)
+	}
 	// Give the deferred self-crash a moment.
 	deadline := time.Now().Add(2 * time.Second)
 	for len(s.ks[1].ActiveObjects()) != 0 && time.Now().Before(deadline) {

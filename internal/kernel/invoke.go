@@ -344,93 +344,120 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 	return rep, true, err
 }
 
-// dispatch hands one call to an object's coordinator and awaits the
-// reply, honoring the node's virtual processor budget. One absolute
-// deadline covers the whole dispatch — the virtual-processor wait, the
-// admission-queue hand-off, and the reply wait share a single timer,
-// so a call can never consume more than its caller's time limit (the
-// old code armed a fresh full-length timer after the virtual-processor
-// wait, doubling the worst case).
+// dispatch submits one call to an object and awaits the reply, honoring
+// the node's virtual processor budget. The invoker is its own
+// coordinator: under the object's monitor it queues the call and runs
+// the schedule, which — uncontended — starts the call's process before
+// the lock is released; the only hand-offs are to that process and back.
+// One absolute deadline covers the whole dispatch — the virtual-
+// processor wait and the reply wait share it, so a call can never
+// consume more than its caller's time limit.
 func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, error) {
 	// The serving side verifies rights before admitting the call: a
 	// request that arrived over the wire carries whatever capability
 	// the sender claims, and the target's node — not the sender — is
-	// the authority. The coordinator re-checks per-operation rights in
-	// arrive; this gate rejects capabilities lacking Invoke before they
-	// consume a virtual processor.
+	// the authority. validate checks per-operation rights below; this
+	// gate rejects capabilities lacking Invoke outright.
 	if !req.Target.Has(rights.Invoke) {
 		k.tel.rightsDenied.Inc()
 		return msg.InvokeRep{Status: msg.StatusRights, Data: []byte("capability lacks invoke right")}, nil
 	}
 	start := k.tel.dispatchLat.Start()
 	deadline := time.Now().Add(timeout)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	c := getFrame()
+	c.name, c.data, c.caps, c.rts = req.Operation, req.Data, req.Caps, req.Target.Rights()
+	c.o, c.deadline = obj, deadline
+	if rep, ok := obj.validate(c); !ok {
+		c.recycle()
+		return rep, nil
+	}
+	remaining := timeout
 	if k.vprocs != nil {
 		// The node has a fixed pool of virtual processors; handler
 		// execution beyond it queues here. A call whose deadline
 		// expires in this queue is shed — it never cost a processor.
 		select {
 		case k.vprocs <- struct{}{}:
-			defer func() { <-k.vprocs }()
-		case <-timer.C:
-			k.tel.admissionShed.Inc()
-			return msg.InvokeRep{Status: msg.StatusTimeout}, nil
+		default:
+			c.arm(timeout)
+			select {
+			case k.vprocs <- struct{}{}:
+				c.disarm()
+				remaining = time.Until(deadline)
+			case <-c.timer.C:
+				k.tel.admissionShed.Inc()
+				c.recycle()
+				return msg.InvokeRep{Status: msg.StatusTimeout}, nil
+			}
 		}
+		c.vproc = true
 	}
-	c := &callCtx{
-		name:     req.Operation,
-		data:     req.Data,
-		caps:     req.Caps,
-		rts:      req.Target.Rights(),
-		replyCh:  make(chan msg.InvokeRep, 1),
-		deadline: deadline,
-		queued:   true,
+	c.owners.Store(2) // the invoker's share and the object side's
+	obj.sched.Lock()
+	if obj.state == stDown {
+		// The incarnation died between lookup and arrival: the object
+		// side's one disposal of the call happens here.
+		moved := obj.movedTo
+		obj.sched.Unlock()
+		c.finish(k.retryAfterDown(obj, moved))
+	} else {
+		obj.cs.arrive(c)
+		obj.sched.Unlock()
 	}
-	k.tel.admissionDepth.Add(1)
-	select {
-	case obj.inbox <- c:
-	case <-obj.down:
-		k.tel.admissionDepth.Add(-1)
-		return k.retryAfterDown(obj, req)
-	case <-timer.C:
-		k.tel.admissionDepth.Add(-1)
-		return msg.InvokeRep{Status: msg.StatusTimeout}, nil
-	}
-	select {
-	case rep := <-c.replyCh:
-		k.tel.dispatchLat.ObserveSince(start)
-		if rep.Status == msg.StatusRights {
-			k.tel.rightsDenied.Inc()
-		}
-		return rep, nil
-	case <-timer.C:
+	rep, ok := c.await(remaining)
+	c.release()
+	if !ok {
 		// "The invoker wishes to be notified if the invocation is not
 		// completed within some time limit." The process may still
 		// complete; only the caller stops waiting.
 		return msg.InvokeRep{Status: msg.StatusTimeout}, nil
 	}
+	k.tel.dispatchLat.ObserveSince(start)
+	return rep, nil
 }
 
 // retryAfterDown resolves a dispatch race where the incarnation died
-// between lookup and enqueue: the object may have moved, passivated,
-// or crashed.
-func (k *Kernel) retryAfterDown(obj *Object, req msg.InvokeReq) (msg.InvokeRep, error) {
-	// An incarnation retired toward a live home (a move, or a shadow
-	// superseded by a fresher checkpoint) records the destination.
-	obj.sched.Lock()
-	moved := obj.movedTo
-	obj.sched.Unlock()
+// between lookup and arrival: the object may have moved, passivated,
+// or crashed. moved is the incarnation's movedTo: an incarnation
+// retired toward a live home (a move, or a shadow superseded by a
+// fresher checkpoint) records the destination.
+func (k *Kernel) retryAfterDown(obj *Object, moved uint32) msg.InvokeRep {
 	if moved != 0 {
-		return movedReply(moved), nil
+		return movedReply(moved)
 	}
 	k.mu.Lock()
 	fwd, isFwd := k.forwards[obj.id]
 	k.mu.Unlock()
 	if isFwd {
-		return movedReply(fwd), nil
+		return movedReply(fwd)
 	}
-	return msg.InvokeRep{Status: msg.StatusCrashed}, nil
+	return msg.InvokeRep{Status: msg.StatusCrashed}
+}
+
+// roundTrip sends one request envelope and waits for the reply envelope
+// carrying its correlation id. The wait is a pooled frame registered in
+// k.pend; handleFrame delivers into it under pendMu, and the entry is
+// removed under pendMu before the frame is recycled, so a reply that
+// arrives after the invoker gave up finds the live frame or nothing.
+func (k *Kernel) roundTrip(env msg.Envelope, timeout time.Duration) (msg.InvokeRep, error) {
+	c := getFrame()
+	k.pendMu.Lock()
+	k.pend[env.Corr] = c
+	k.pendMu.Unlock()
+	var rep msg.InvokeRep
+	err := k.tr.Send(env)
+	if err != nil {
+		err = fmt.Errorf("kernel: send to node %d: %w", env.To, err)
+	} else if r, ok := c.await(timeout); ok {
+		rep = r
+	} else {
+		err = ErrTimeout
+	}
+	k.pendMu.Lock()
+	delete(k.pend, env.Corr)
+	k.pendMu.Unlock()
+	c.recycle()
+	return rep, err
 }
 
 // invokeRemote ships the request to another node's kernel and awaits
@@ -440,37 +467,16 @@ func (k *Kernel) invokeRemote(node uint32, corr, trace uint64, req msg.InvokeReq
 	if timeout <= 0 {
 		return msg.InvokeRep{}, ErrTimeout
 	}
-	ch := make(chan msg.InvokeRep, 1)
-	k.pendMu.Lock()
-	k.pend[corr] = ch
-	k.pendMu.Unlock()
-	defer func() {
-		k.pendMu.Lock()
-		delete(k.pend, corr)
-		k.pendMu.Unlock()
-	}()
-
 	req.TimeoutNanos = int64(timeout)
-	env := msg.Envelope{
+	k.stRemote.Add(1)
+	k.tel.invRemote.Inc()
+	return k.roundTrip(msg.Envelope{
 		Kind:    msg.KindInvokeReq,
 		To:      node,
 		Corr:    corr,
 		Trace:   trace,
 		Payload: req.Encode(nil),
-	}
-	k.stRemote.Add(1)
-	k.tel.invRemote.Inc()
-	if err := k.tr.Send(env); err != nil {
-		return msg.InvokeRep{}, fmt.Errorf("kernel: send to node %d: %w", node, err)
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case rep := <-ch:
-		return rep, nil
-	case <-timer.C:
-		return msg.InvokeRep{}, ErrTimeout
-	}
+	}, timeout)
 }
 
 // serveInvoke executes an invocation received from another node and

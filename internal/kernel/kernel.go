@@ -30,7 +30,9 @@ type Config struct {
 	Name string
 	// VirtualProcessors bounds how many invocation handler processes
 	// execute truly concurrently on this node (the paper's GDPs
-	// supply "virtual processors"). 0 means unbounded.
+	// supply "virtual processors"). A handler keeps its processor until
+	// it returns, whether or not its invoker is still waiting. 0 means
+	// unbounded.
 	VirtualProcessors int
 	// MemoryBytes is the node's virtual memory budget for active
 	// representations; 0 means unbounded. Exceeding it makes new
@@ -210,7 +212,7 @@ type Kernel struct {
 	resolveMu sync.Mutex
 
 	pendMu sync.Mutex
-	pend   map[uint64]chan msg.InvokeRep
+	pend   map[uint64]*callCtx // correlation id -> the frame awaiting that reply (roundTrip)
 	corr   atomic.Uint64
 
 	// served deduplicates re-transmitted invocation requests so a
@@ -292,7 +294,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		lastShip: make(map[edenid.ID]time.Time),
 		intents:  make(map[edenid.ID]store.MoveIntent),
 		boot:     time.Now(),
-		pend:     make(map[uint64]chan msg.InvokeRep),
+		pend:     make(map[uint64]*callCtx),
 		served:   make(map[servedKey]*servedEntry),
 	}
 	k.asyncQ = make(chan *asyncCall, cfg.AsyncPending)
@@ -480,19 +482,21 @@ func (k *Kernel) handleFrame(env msg.Envelope) {
 		// invokes), so it gets its own goroutine.
 		go k.serveInvoke(env)
 	case msg.KindInvokeRep:
+		rep, err := msg.DecodeInvokeRep(env.Payload)
+		if err != nil {
+			return
+		}
+		// Delivered under pendMu: roundTrip removes its entry under the
+		// same lock before recycling the frame, so the frame found here
+		// is still waiting for this correlation id.
 		k.pendMu.Lock()
-		ch := k.pend[env.Corr]
-		k.pendMu.Unlock()
-		if ch != nil {
-			rep, err := msg.DecodeInvokeRep(env.Payload)
-			if err != nil {
-				return
-			}
+		if c := k.pend[env.Corr]; c != nil {
 			select {
-			case ch <- rep:
+			case c.reply <- rep:
 			default:
 			}
 		}
+		k.pendMu.Unlock()
 	case msg.KindLocateReq:
 		k.loc.HandleRequest(env)
 	case msg.KindLocateRep:
@@ -557,8 +561,9 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	return capability.New(id, rights.All), nil
 }
 
-// install registers an active object and starts its coordinator,
-// charging its representation against the node's memory budget.
+// install registers an active object, charging its representation
+// against the node's memory budget. Once it is in the active table
+// invocations can reach it: an incarnation has no process of its own.
 func (k *Kernel) install(obj *Object) error {
 	size := int64(repSize(obj))
 	k.mu.Lock()
@@ -592,7 +597,6 @@ func (k *Kernel) install(obj *Object) error {
 	k.tel.activeObjects.Add(1)
 	k.tel.memBytes.Set(k.memInUse)
 	k.mu.Unlock()
-	go obj.coordinate()
 	return nil
 }
 
@@ -682,9 +686,9 @@ func (k *Kernel) Close() error {
 	k.loc.Close()
 	// Fail outstanding remote invocations promptly.
 	k.pendMu.Lock()
-	for corr, ch := range k.pend {
+	for corr, c := range k.pend {
 		select {
-		case ch <- msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte("node closed")}:
+		case c.reply <- msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte("node closed")}:
 		default:
 		}
 		delete(k.pend, corr)

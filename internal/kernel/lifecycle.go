@@ -21,7 +21,9 @@ import (
 // a passive object is 'reincarnated' into an active one, the kernel
 // creates a new coordinator process for the object. The coordinator
 // will block the invocation while it attempts to execute the object's
-// reincarnation condition handler."
+// reincarnation condition handler." Here the coordinator is a monitor
+// (Object.sched) and the blocking is activationMu's: the handler runs
+// before the incarnation is installed, so no call can reach it.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	k.activationMu.Lock()
 	defer k.activationMu.Unlock()
@@ -331,9 +333,10 @@ func (k *Kernel) removeActive(o *Object) {
 }
 
 // destroyActiveState tears down the incarnation's short-term state:
-// stops dispatch, waits out behaviors. movedTo, when non-zero, makes
-// queued invocations bounce to the new home instead of reporting a
-// crash.
+// stops dispatch, answers everything queued or parked so no invoker
+// hangs until its timeout, waits out behaviors. movedTo, when non-zero,
+// makes queued invocations bounce to the new home instead of reporting
+// a crash.
 func (o *Object) destroyActiveState(movedTo uint32) {
 	o.sched.Lock()
 	if o.state == stDown {
@@ -342,8 +345,18 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	}
 	o.state = stDown
 	o.movedTo = movedTo
+	queued, parked := o.cs.drain()
 	o.sched.Unlock()
-	o.downOnce.Do(func() { close(o.down) })
+	close(o.down) // once: only the transition to stDown gets here
+	for _, c := range queued {
+		o.answerDown(c, movedTo)
+	}
+	// Suspended writers parked for re-acquisition observe the terminal
+	// state: their Call.Invoke returns the lifecycle error instead of
+	// resuming into a shipped or destroyed representation.
+	for _, grant := range parked {
+		grant <- false
+	}
 	o.behaviors.Wait()
 }
 
@@ -422,8 +435,8 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	}
 	o.state = stMoving
 	// Quiesce: wait for running handler processes — the reader pool
-	// included — to complete. New arrivals queue at the coordinator
-	// and will be bounced to the new home once the transfer commits.
+	// included — to complete. New arrivals queue and will be bounced
+	// to the new home once the transfer commits.
 	o.waitDrainedLocked()
 	o.sched.Unlock()
 	// Invocation processes are drained and stMoving blocks new ones;
@@ -447,12 +460,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	killpoint.Hit(killpoint.MovePreShip)
 	intent := store.MoveIntent{Object: o.id, Dest: to, Epoch: newEpoch}
 	if err := k.store.PutIntent(intent); err != nil {
-		o.sched.Lock()
-		if o.state == stMoving {
-			o.state = stActive
-		}
-		o.sched.Unlock()
-		o.notifyResume()
+		o.resumeService()
 		k.stMoveAborts.Add(1)
 		return fmt.Errorf("kernel: move to node %d: intent: %w", to, err)
 	}
@@ -476,15 +484,9 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 			delete(k.intents, o.id)
 		}
 		k.mu.Unlock()
-		// The object resumes service here, and calls held at the
-		// coordinator during the move are re-admitted rather than left
-		// to time out.
-		o.sched.Lock()
-		if o.state == stMoving {
-			o.state = stActive
-		}
-		o.sched.Unlock()
-		o.notifyResume()
+		// The object resumes service here, and calls that queued during
+		// the move are scheduled rather than left to time out.
+		o.resumeService()
 		k.stMoveAborts.Add(1)
 		return fmt.Errorf("kernel: move to node %d: %w", to, err)
 	}
@@ -537,28 +539,11 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 // shipAndWait sends a representation shipment and waits for the
 // receiving kernel's acknowledgment.
 func (k *Kernel) shipAndWait(node uint32, ship msg.Ship, timeout time.Duration) error {
-	corr := k.corr.Add(1)
-	ch := make(chan msg.InvokeRep, 1)
-	k.pendMu.Lock()
-	k.pend[corr] = ch
-	k.pendMu.Unlock()
-	defer func() {
-		k.pendMu.Lock()
-		delete(k.pend, corr)
-		k.pendMu.Unlock()
-	}()
-	env := msg.Envelope{Kind: msg.KindShip, To: node, Corr: corr, Payload: ship.Encode(nil)}
-	if err := k.tr.Send(env); err != nil {
+	rep, err := k.roundTrip(msg.Envelope{Kind: msg.KindShip, To: node, Corr: k.corr.Add(1), Payload: ship.Encode(nil)}, timeout)
+	if err != nil {
 		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case rep := <-ch:
-		return errFromStatus(rep.Status, rep.Data)
-	case <-timer.C:
-		return ErrTimeout
-	}
+	return errFromStatus(rep.Status, rep.Data)
 }
 
 // serveShip handles an inbound representation shipment.
@@ -671,7 +656,6 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		}
 		k.replicas[ship.Object] = obj
 		k.mu.Unlock()
-		go obj.coordinate()
 		k.loc.Learn(ship.Object, from, false)
 		k.stReplicas.Add(1)
 		return nil

@@ -225,8 +225,11 @@ func TestMoveObject(t *testing.T) {
 	if got := fromU64(mustInvoke(t, s.ks[3], cap, "inc", nil).Data); got != 2 {
 		t.Errorf("inc after move = %d, want 2", got)
 	}
-	if s.ks[3].Stats().MovedChases == 0 {
-		t.Error("no forwarding chase recorded")
+	// ... unless the move's invalidation broadcast reached node 3 first
+	// and renamed its hint to node 2, which makes the chase unnecessary.
+	// One of the two must have happened for the call to arrive there.
+	if s.ks[3].Stats().MovedChases == 0 && s.ks[3].Locator().Stats().Invalidations == 0 {
+		t.Error("no forwarding chase recorded, and node 3's stale hint was never replaced")
 	}
 	// State traveled with the object.
 	if got := fromU64(mustInvoke(t, s.ks[2], cap, "get", nil).Data); got != 2 {

@@ -20,10 +20,11 @@ import (
 type objState uint8
 
 const (
-	// stActive: the coordinator is dispatching invocations.
+	// stActive: invocations are being scheduled and dispatched.
 	stActive objState = iota
-	// stMoving: a move is in progress; new invocations are held and
-	// answered with StatusMoved once the transfer commits.
+	// stMoving: a move is in progress; new invocations queue, to be
+	// answered with StatusMoved once the transfer commits or scheduled
+	// if it aborts.
 	stMoving
 	// stDown: the active state has been destroyed (crash or
 	// passivation); this incarnation is finished.
@@ -33,7 +34,7 @@ const (
 // Object is one active Eden object: "a unique name, a representation
 // (a data part), a type ..., and some number of invocations (threads
 // of control)". The representation is long-term state; everything
-// else here — coordinator, class queues, semaphores, ports, behaviors —
+// else here — class queues, semaphores, ports, behaviors —
 // is short-term state that "is never written to long-term storage".
 type Object struct {
 	k     *Kernel
@@ -55,17 +56,20 @@ type Object struct {
 	// (movetxn.go), so it needs no lock.
 	epoch uint64
 
-	// sched guards the part of the scheduling state that goroutines
-	// other than the coordinator touch: lifecycle state (Move, Crash,
-	// Passivate), the running-process count their quiesce waits on, and
-	// the recency eviction reads. Queues and per-class counts are the
-	// coordinator's alone (coordState) and need no lock. sched is
-	// separate from mu so the coordinator can admit new processes while
-	// readers sit inside View holding mu: with a single RWMutex, one
-	// blocked reader would stall the coordinator's write-lock
-	// acquisition — and, since a waiting writer blocks new RLocks,
-	// serialize the whole pool.
+	// sched is the coordinator: a monitor, not a process. It guards the
+	// object's whole schedule — class queues and counts (cs), lifecycle
+	// state (Move, Crash, Passivate), the running-process count their
+	// quiesce waits on, and the recency eviction reads. An invoker
+	// enqueues and schedules its own call in one critical section, a
+	// finishing process settles its exit and schedules its successors in
+	// another, and nothing that can block — a handler, a Reincarnate
+	// hook, a send that might wait — ever runs inside one. sched is
+	// separate from mu so calls are admitted while readers sit inside
+	// View holding mu: with a single RWMutex, one blocked reader would
+	// stall every arrival's write-lock acquisition — and, since a waiting
+	// writer blocks new RLocks, serialize the whole pool.
 	sched       sync.Mutex
+	cs          coordState
 	state       objState
 	movedTo     uint32     // valid once state becomes stMoving->moved
 	running     int        // handler processes currently executing
@@ -84,41 +88,13 @@ type Object struct {
 	shadow  bool
 	home    uint32
 
-	inbox    chan *callCtx
-	procDone chan procExit  // process completions, back to the coordinator
-	yield    chan *yieldReq // writer exclusivity release/re-acquire (Call.Invoke)
-	down     chan struct{}  // closed when active state is destroyed
-	resume   chan struct{}  // pinged when an aborted move re-admits held calls
-	downOnce sync.Once
+	down chan struct{} // closed when active state is destroyed
 
 	semMu sync.Mutex
 	sems  map[string]*Semaphore
 	ports map[string]*Port
 
 	behaviors sync.WaitGroup
-}
-
-// callCtx is one invocation traveling through the coordinator.
-type callCtx struct {
-	name string   // the operation as invoked
-	op   *boundOp // what name resolved to; set by arrive
-	// seq is the call's arrival order at the coordinator: admission is
-	// FIFO within a class queue, and across classes the older head goes
-	// first.
-	seq     uint64
-	data    []byte
-	caps    capability.List
-	rts     rights.Set
-	replyCh chan msg.InvokeRep
-	// deadline is the caller's absolute time limit; admission sheds the
-	// call instead of dispatching a process once it has passed. Zero
-	// means no deadline.
-	deadline time.Time
-	// queued tracks the admission-queue depth gauge: set by dispatch
-	// when the call is charged to the gauge, cleared (exactly once, by
-	// whichever side disposes of the call) when it leaves admission.
-	// After enqueue only the coordinator goroutine touches it.
-	queued bool
 }
 
 func (k *Kernel) newObject(id edenid.ID, tt *typeTable, rep *segment.Representation, version uint64, frozen bool) *Object {
@@ -129,19 +105,11 @@ func (k *Kernel) newObject(id edenid.ID, tt *typeTable, rep *segment.Representat
 		rep:     rep,
 		version: version,
 		frozen:  frozen,
-		inbox:   make(chan *callCtx, 128),
-		// At most ReaderPool readers or maxWriteBatch batched writers
-		// run at a time, so a buffer covering both bounds means their
-		// completion sends never wait for the coordinator. Shared-mode
-		// processes are bounded only by their class limit, so every
-		// send also selects on down (see runProcess).
-		procDone: make(chan procExit, k.cfg.ReaderPool+maxWriteBatch+1),
-		yield:    make(chan *yieldReq),
-		down:     make(chan struct{}),
-		resume:   make(chan struct{}, 1),
-		sems:     make(map[string]*Semaphore),
-		ports:    make(map[string]*Port),
+		down:    make(chan struct{}),
+		sems:    make(map[string]*Semaphore),
+		ports:   make(map[string]*Port),
 	}
+	o.cs = coordState{o: o, classes: make([]classState, len(tt.classes))}
 	o.drained = sync.NewCond(&o.sched)
 	return o
 }
@@ -260,26 +228,6 @@ func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 // admission — the write-side analogue of the reader pool.
 const maxWriteBatch = 16
 
-// procExit is one process completion reported back to the coordinator.
-// holding is false when a writer yielded its exclusive slot for a
-// nested invoke and never re-acquired it: the slot was already released
-// when the yield was processed, so counting this exit again would free
-// exclusivity twice.
-type procExit struct {
-	class   int32 // kept to 8 bytes: every incarnation buffers a pool's worth
-	mode    Access
-	holding bool
-}
-
-// yieldReq is a writer process releasing or re-acquiring the object's
-// exclusivity around a nested invocation (Call.Invoke). A nil grant
-// marks a release; a non-nil grant awaits re-acquisition — true once
-// exclusivity is held again, false if the incarnation moved away or
-// was destroyed while the writer was suspended.
-type yieldReq struct {
-	grant chan bool
-}
-
 // classState is one invocation class of one incarnation: the paper's
 // unit of synchronization. running counts the class's executing
 // processes against its limit, whatever their access mode; the queue is
@@ -301,94 +249,47 @@ type classState struct {
 // suspended in a nested invoke release exclusivity into resumeQ and
 // re-acquire with priority over everything queued, and a consecutive
 // run of queued calls to one Commutes operation is batched into a
-// single exclusive admission. All fields are owned by the coordinator
-// goroutine — no lock guards them.
+// single exclusive admission. The coordinator — "kernel code responsible
+// for maintenance of the object, reception of invocation requests ...,
+// verification of rights, and dispatching of processes to invocations" —
+// is this state and the methods below, run under o.sched by whichever
+// goroutine has an event to report: an invoker arriving, a process
+// finishing, a writer yielding or re-acquiring, a move aborting.
 type coordState struct {
 	o       *Object
 	classes []classState // parallel to o.table.classes
 	active  [3]int       // executing processes per access mode; a yielded writer is not counted
-	seq     uint64       // arrival stamp of the next admitted call
-	resumeQ []*yieldReq  // suspended writers awaiting re-acquisition
-	held    []*callCtx   // calls whose turn came mid-move: re-admitted on abort, bounced on commit
+	seq     uint64       // arrival stamp of the next queued call
+	// resumeQ holds suspended writers awaiting re-acquisition, each
+	// parked on its own capacity-1 grant: true once exclusivity is held
+	// again, false if the incarnation moved away or was destroyed
+	// meanwhile.
+	resumeQ []chan bool
 }
 
-// coordinate is the coordinator process: "kernel code responsible for
-// maintenance of the object, reception of invocation requests ...,
-// verification of rights, and dispatching of processes to
-// invocations". One goroutine per active object; it owns the object's
-// class queues and their schedule.
-func (o *Object) coordinate() {
-	cs := &coordState{o: o, classes: make([]classState, len(o.table.classes))}
-	for {
-		select {
-		case c := <-o.inbox:
-			cs.arrive(c)
-		case e := <-o.procDone:
-			cs.complete(e)
-		case q := <-o.yield:
-			cs.handleYield(q)
-		case <-o.resume:
-			cs.readmit()
-		case <-o.down:
-			cs.drain()
-			return
-		}
-	}
-}
-
-// readmit re-admits calls held during a move after the move aborts:
-// the object resumed service here, so held invokers get scheduled
-// instead of timing out against a silent queue. Each call re-enters
-// through arrive, which re-validates it and sheds any whose caller
-// deadline expired while the move was in flight.
-func (cs *coordState) readmit() {
-	held := cs.held
-	cs.held = nil
-	for _, c := range held {
-		cs.arrive(c)
-	}
-	// A writer suspended across the whole move attempt has no held
-	// call to re-enter through; reschedule so its parked re-acquisition
-	// is granted even when nothing else arrived.
-	cs.schedule()
-}
-
-// notifyResume wakes the coordinator to re-admit held calls. Non-
-// blocking: one pending notification is enough, and the coordinator
-// may already be gone at teardown.
-func (o *Object) notifyResume() {
-	select {
-	case o.resume <- struct{}{}:
-	default:
-	}
-}
-
-// arrive validates one call on the coordinator — operation resolution,
-// rights, replica and frozen gates — and appends it to its class's
-// queue: the one way into the schedule, whatever the access mode.
-func (cs *coordState) arrive(c *callCtx) {
-	o := cs.o
+// validate resolves one call's operation and verifies it may run here —
+// rights, replica and frozen gates — before the call costs a virtual
+// processor or a queue slot. It reads nothing sched guards, so it runs
+// outside the monitor. false carries the refusal.
+func (o *Object) validate(c *callCtx) (msg.InvokeRep, bool) {
 	op := o.table.ops[c.name]
 	if op == nil {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(fmt.Sprintf("%v: %q on type %q", ErrNoSuchOperation, c.name, o.table.tm.Name))})
-		return
+		return msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(fmt.Sprintf("%v: %q on type %q", ErrNoSuchOperation, c.name, o.table.tm.Name))}, false
 	}
 	// Rights verification: the capability must carry Invoke plus the
 	// operation's declared rights.
 	need := op.Rights.Union(rights.Invoke)
 	if !c.rts.Has(need) {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{
+		o.k.tel.rightsDenied.Inc()
+		return msg.InvokeRep{
 			Status: msg.StatusRights,
 			Data:   []byte(fmt.Sprintf("operation %q requires rights %v, capability has %v", c.name, need, c.rts)),
-		})
-		return
+		}, false
 	}
 	o.mu.RLock()
-	replica, frozen, home := o.replica, o.frozen, o.home
+	frozen := o.frozen
 	o.mu.RUnlock()
-	if replica && (!op.ReadOnly || op.Access != AccessRead) {
+	if o.replica && (!op.ReadOnly || op.Access != AccessRead) {
 		// A replica serves only operations registered AccessRead: the
 		// declaration is what proves (statically, via accesspurity, and
 		// at registration via Register's normalization) that the
@@ -396,16 +297,21 @@ func (cs *coordState) arrive(c *callCtx) {
 		// runtime mirror of Register's ReadOnly/AccessWrite check also
 		// catches a contradictory Operation mutated after registration;
 		// everything else bounces to the home node.
-		o.unqueue(c)
-		c.reply(movedReply(home))
-		return
+		return movedReply(o.home), false
 	}
-	if frozen && !op.ReadOnly && !replica {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{Status: msg.StatusFrozen, Data: []byte("representation is frozen")})
-		return
+	if frozen && !op.ReadOnly && !o.replica {
+		return msg.InvokeRep{Status: msg.StatusFrozen, Data: []byte("representation is frozen")}, false
 	}
-	q := &cs.classes[op.class].q[op.mode]
+	c.op = op
+	return msg.InvokeRep{}, true
+}
+
+// arrive appends one validated call to its class's queue — the one way
+// into the schedule, whatever the access mode — and schedules. The
+// caller holds o.sched and has seen the incarnation not down.
+func (cs *coordState) arrive(c *callCtx) {
+	o := cs.o
+	q := &cs.classes[c.op.class].q[c.op.mode]
 	if len(*q) >= o.k.cfg.AdmissionQueue {
 		// The queue sheds at the door rather than growing without
 		// bound, matching the transport's bounded send queues. Counted
@@ -413,33 +319,26 @@ func (cs *coordState) arrive(c *callCtx) {
 		o.shed(c, o.k.tel.queueFull)
 		return
 	}
-	c.op, c.seq = op, cs.seq
+	c.seq = cs.seq
 	cs.seq++
+	c.queued = true
+	o.k.tel.admissionDepth.Add(1)
 	*q = append(*q, c)
 	cs.schedule()
 }
 
-// complete settles one process completion against its class and mode
-// and reschedules. A writer that yielded and never re-acquired already
-// released its exclusivity when the yield was processed; its class slot
-// it kept throughout.
-func (cs *coordState) complete(e procExit) {
-	cs.classes[e.class].running--
-	if e.holding || e.mode != AccessWrite {
-		cs.active[e.mode]--
+// complete settles one finished process against its class, its mode and
+// the quiesce count, and schedules its successors. A writer that yielded
+// and never re-acquired already released its exclusivity and left the
+// running count when it yielded — settling either again would free them
+// twice; its class slot it kept throughout.
+func (cs *coordState) complete(op *boundOp, holding bool) {
+	cs.classes[op.class].running--
+	if holding || op.mode != AccessWrite {
+		cs.active[op.mode]--
 	}
-	cs.schedule()
-}
-
-// handleYield processes one writer exclusivity transition. A release
-// frees the writer's slot for the duration of its nested invoke; a
-// re-acquisition parks in resumeQ until the object is otherwise idle.
-func (cs *coordState) handleYield(q *yieldReq) {
-	if q.grant == nil {
-		cs.active[AccessWrite]--
-		cs.o.k.tel.writerYield.Inc()
-	} else {
-		cs.resumeQ = append(cs.resumeQ, q)
+	if holding {
+		cs.o.leave()
 	}
 	cs.schedule()
 }
@@ -450,29 +349,28 @@ func (cs *coordState) handleYield(q *yieldReq) {
 // queued). After that each mode admits, oldest head first, while the
 // exclusion relation allows: writers before readers, so that a pending
 // writer waits only for running readers to drain while queued readers
-// stay queued behind it.
+// stay queued behind it. The caller holds o.sched.
 func (cs *coordState) schedule() {
 	cs.shedExpired()
+	if cs.o.state != stActive {
+		// Moving: nothing may start against a representation about to
+		// ship, nor resume into one. The move may still abort, so queued
+		// calls and parked writers wait for its outcome — resumeService
+		// schedules them, destroyActiveState bounces them to the new home.
+		// Down: teardown has drained everything.
+		return
+	}
 	for len(cs.resumeQ) > 0 && cs.active[AccessWrite] == 0 && cs.active[AccessRead] == 0 {
-		// Lifecycle state is re-checked exactly as for a starting
-		// process: the incarnation may have moved or died while the
-		// writer was away, and resuming into a shipped representation
-		// would fork the object.
-		st, _ := cs.o.enter()
-		if st == stMoving {
-			// The move may still abort; the writer stays parked until
-			// the coordinator learns the outcome (resume ping or down).
-			break
-		}
-		cs.resumeQ[0].grant <- st == stActive
+		cs.resumeQ[0] <- true // capacity 1, one verdict per request: never waits
 		cs.resumeQ = cs.resumeQ[1:]
-		if st == stActive {
-			cs.active[AccessWrite]++
-		}
+		cs.o.enter()
+		cs.active[AccessWrite]++
 	}
 	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
 		for cl := cs.oldest(mode); cl != nil && cs.admits(mode); cl = cs.oldest(mode) {
-			if op := cl.q[mode][0].op; cs.admit(cl, mode) && op.Commutes {
+			op := cl.q[mode][0].op
+			cs.admit(cl, mode)
+			if op.Commutes {
 				cs.batchCommuting(cl, op)
 			}
 		}
@@ -516,21 +414,23 @@ func (cs *coordState) oldest(mode Access) *classState {
 }
 
 // admit takes the head of the class's queue for the mode and starts
-// its process, charging the class and the mode. It reports whether a
-// process started.
-func (cs *coordState) admit(cl *classState, mode Access) bool {
+// its process — "in the normal case, a new process will be created and
+// assigned the invocation" — charging the class, the mode and the
+// quiesce count. The object side's share of the frame passes from the
+// queue to the process.
+func (cs *coordState) admit(cl *classState, mode Access) {
 	q := cl.q[mode]
 	c := q[0]
+	q[0] = nil
 	if q = q[1:]; len(q) == 0 {
 		q = cl.q[mode][:0] // drained: rewind onto the backing array, so an idle queue costs no allocation per call
 	}
 	cl.q[mode] = q
-	if !cs.start(c) {
-		return false
-	}
+	cs.o.unqueue(c)
+	cs.o.enter()
 	cl.running++
 	cs.active[mode]++
-	return true
+	go c.run()
 }
 
 // batchCommuting extends a freshly granted exclusive admission to the
@@ -539,13 +439,10 @@ func (cs *coordState) admit(cl *classState, mode Access) bool {
 // preserves writer exclusivity toward everything else while their
 // handler latencies overlap. The run stops at the first queued call
 // for a different operation (order toward non-commuting work is
-// preserved), at the batch bound or the class limit, or when a
-// lifecycle re-check fails.
+// preserved), at the batch bound or at the class limit.
 func (cs *coordState) batchCommuting(cl *classState, op *boundOp) {
 	for cs.active[AccessWrite] < maxWriteBatch && cs.oldest(AccessWrite) == cl && cl.q[AccessWrite][0].op == op {
-		if !cs.admit(cl, AccessWrite) {
-			return
-		}
+		cs.admit(cl, AccessWrite)
 		cs.o.k.tel.writeBatched.Inc()
 	}
 }
@@ -566,7 +463,7 @@ func (cs *coordState) shedExpired() {
 			}
 			kept := q[:0]
 			for _, c := range q {
-				if !c.deadline.IsZero() && now.After(c.deadline) {
+				if now.After(c.deadline) {
 					cs.o.shed(c, cs.o.k.tel.admissionShed)
 					continue
 				}
@@ -578,56 +475,56 @@ func (cs *coordState) shedExpired() {
 	}
 }
 
+// drain empties the schedule at teardown, handing back every queued
+// call and every parked writer for destroyActiveState to answer once it
+// has left the monitor.
+func (cs *coordState) drain() (queued []*callCtx, parked []chan bool) {
+	for i := range cs.classes {
+		for mode, q := range cs.classes[i].q {
+			queued = append(queued, q...)
+			cs.classes[i].q[mode] = nil
+		}
+	}
+	parked, cs.resumeQ = cs.resumeQ, nil
+	return queued, parked
+}
+
 // shed rejects one call with StatusTimeout before it costs a process,
 // counting it under why: kernel.admission.shed for an expired deadline,
 // kernel.admission.queue.full for a queue at Config.AdmissionQueue.
 func (o *Object) shed(c *callCtx, why *telemetry.Counter) {
 	o.unqueue(c)
 	why.Inc()
-	c.reply(msg.InvokeRep{Status: msg.StatusTimeout})
-}
-
-// start dispatches one process for a validated call, re-checking
-// lifecycle state under the lock so a queued call cannot start
-// executing against an incarnation that began moving or was destroyed
-// after the call was admitted. It reports whether a process started.
-func (cs *coordState) start(c *callCtx) bool {
-	o := cs.o
-	switch st, movedTo := o.enter(); st {
-	case stMoving:
-		cs.held = append(cs.held, c)
-		return false
-	case stDown:
-		o.answerDown(c, movedTo)
-		return false
-	}
-	o.unqueue(c)
-	go o.runProcess(c)
-	return true
+	c.finish(msg.InvokeRep{Status: msg.StatusTimeout})
 }
 
 // enter counts one more executing process against lifecycle quiesce
-// and stamps the object's recency — unless the incarnation is moving
-// or down, which it reports (with the new home, if retired toward one)
-// for the caller to act on.
-func (o *Object) enter() (objState, uint32) {
-	o.sched.Lock()
-	defer o.sched.Unlock()
-	if o.state == stActive {
-		o.running++
-		o.lastInvoked = o.k.tick.Add(1)
-	}
-	return o.state, o.movedTo
+// and stamps the object's recency. The caller holds o.sched and has
+// seen the incarnation active.
+func (o *Object) enter() {
+	o.running++
+	o.lastInvoked = o.k.tick.Add(1)
 }
 
 // leave is enter's counterpart: the last process out wakes a waiting
-// move's quiesce.
+// move's quiesce. The caller holds o.sched.
 func (o *Object) leave() {
-	o.sched.Lock()
 	o.running--
 	if o.running == 0 {
 		o.drained.Broadcast()
 	}
+}
+
+// resumeService ends an aborted move: the object serves here again, and
+// the calls and parked writers that waited out the attempt are
+// scheduled instead of timing out against a silent queue (any whose
+// caller deadline passed meanwhile are shed).
+func (o *Object) resumeService() {
+	o.sched.Lock()
+	if o.state == stMoving {
+		o.state = stActive
+	}
+	o.cs.schedule()
 	o.sched.Unlock()
 }
 
@@ -637,37 +534,10 @@ func (o *Object) leave() {
 func (o *Object) answerDown(c *callCtx, movedTo uint32) {
 	o.unqueue(c)
 	if movedTo != 0 {
-		c.reply(movedReply(movedTo))
+		c.finish(movedReply(movedTo))
 	} else {
-		c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
+		c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
 	}
-}
-
-// drain answers everything queued or held so no invoker hangs until
-// its timeout: every class queue quiesces along with the incarnation.
-func (cs *coordState) drain() {
-	o := cs.o
-	o.sched.Lock()
-	dest := o.movedTo
-	o.sched.Unlock()
-	for len(o.inbox) > 0 { // the coordinator is the only receiver
-		cs.held = append(cs.held, <-o.inbox)
-	}
-	for i := range cs.classes {
-		for _, q := range cs.classes[i].q {
-			cs.held = append(cs.held, q...)
-		}
-	}
-	for _, c := range cs.held {
-		o.answerDown(c, dest)
-	}
-	// Suspended writers parked for re-acquisition observe the terminal
-	// state: their Call.Invoke returns the lifecycle error instead of
-	// resuming into a shipped or destroyed representation.
-	for _, q := range cs.resumeQ {
-		q.grant <- false
-	}
-	cs.resumeQ = nil
 }
 
 // unqueue settles the call's admission-queue depth charge. Safe to
@@ -696,17 +566,17 @@ func movedDest(rep msg.InvokeRep) (uint32, bool) {
 		uint32(rep.Data[2])<<8 | uint32(rep.Data[3]), true
 }
 
-// runProcess executes one invocation: run the handler and reply. "In
-// the normal case, a new process will be created and assigned the
-// invocation." Admission already happened on the coordinator, so
-// nothing here waits; every process reports its completion there so
-// the next calls can be scheduled.
+// runProcess is one invocation's process: run the handler, settle the
+// exit with the coordinator, reply. Admission already happened, so
+// nothing here waits; the finishing process itself schedules whatever
+// its exit makes room for.
 //
-//edenvet:ignore rightsgate arrive verifies Invoke plus the operation's declared rights on the coordinator before the call is scheduled
-func (o *Object) runProcess(c *callCtx) {
-	op := c.op
+//edenvet:ignore rightsgate validate verifies Invoke plus the operation's declared rights before the call is queued
+func (c *callCtx) runProcess() {
+	o, op := c.o, c.op
 	o.k.tel.serveConc.Add(1)
-	call := &Call{
+	call := &c.call
+	*call = Call{
 		k:         o.k,
 		self:      o,
 		Operation: c.name,
@@ -717,22 +587,6 @@ func (o *Object) runProcess(c *callCtx) {
 		access:    op.mode,
 		holding:   true,
 	}
-	defer func() {
-		o.k.tel.serveConc.Add(-1)
-		// A writer that yielded for a nested invoke and never got
-		// exclusivity back already left the running count and released
-		// its slot; settling either again would double-free.
-		if call.holding {
-			o.leave()
-		}
-		// Once the incarnation is down the coordinator has exited and
-		// its counts went with it.
-		select {
-		case o.procDone <- procExit{class: op.class, mode: op.mode, holding: call.holding}:
-		case <-o.down:
-		}
-	}()
-
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -742,25 +596,19 @@ func (o *Object) runProcess(c *callCtx) {
 		}()
 		op.Handler(call)
 	}()
+	o.k.tel.serveConc.Add(-1)
 
+	o.sched.Lock()
+	o.cs.complete(op, call.holding)
 	// A crash that happened while the handler ran destroys its result:
 	// the invoker sees the crash, not a reply from a dead incarnation.
-	o.sched.Lock()
 	crashed := o.state == stDown && o.movedTo == 0
 	o.sched.Unlock()
 	if crashed {
-		c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
+		c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
 		return
 	}
-	c.reply(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
-}
-
-// reply delivers the invocation outcome exactly once.
-func (c *callCtx) reply(rep msg.InvokeRep) {
-	select {
-	case c.replyCh <- rep:
-	default: // already replied (cannot happen in practice; belt and braces)
-	}
+	c.finish(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
 }
 
 // waitDrained blocks until no handler processes are running. Caller
@@ -773,7 +621,9 @@ func (o *Object) waitDrainedLocked() {
 
 // Call is the context an operation handler receives: the invocation's
 // parameters, and the means to produce its reply and to reach the
-// kernel ("the major user-kernel interface").
+// kernel ("the major user-kernel interface"). It is part of the
+// invocation's pooled call frame: a handler must not use it, or hand it
+// to anything that uses it, after returning.
 type Call struct {
 	k    *Kernel
 	self *Object
@@ -828,7 +678,7 @@ func (c *Call) Fail(format string, args ...interface{}) {
 
 // Invoke performs a nested invocation from inside this operation's
 // process. For an AccessWrite process the object's exclusivity is
-// released across the wait — the coordinator may admit readers, other
+// released across the wait — the scheduler may admit readers, other
 // writers, a checkpoint, a passivation, even a move — and re-acquired
 // before the handler resumes, so a writer blocked on another object
 // no longer holds its home object idle end-to-end. Re-acquisition
@@ -866,41 +716,33 @@ func (c *Call) InvokeAsync(target capability.Capability, operation string, data 
 
 // yieldExclusivity releases a writer's exclusive slot: the process
 // leaves the running count (so a move's or passivation's quiesce can
-// proceed) and tells the coordinator to free the admission. The
-// coordinator may already be gone at teardown; the down channel
-// covers that.
+// proceed) and frees the admission for whatever is queued.
 func (c *Call) yieldExclusivity() {
 	o := c.self
 	c.holding = false
+	o.sched.Lock()
 	o.leave()
-	select {
-	case o.yield <- &yieldReq{}:
-	case <-o.down:
-	}
+	o.cs.active[AccessWrite]--
+	o.k.tel.writerYield.Inc()
+	o.cs.schedule()
+	o.sched.Unlock()
 }
 
-// reacquireExclusivity parks the writer at the coordinator until the
-// object is idle again and lifecycle state permits resumption.
+// reacquireExclusivity parks the writer until the object is idle again
+// and lifecycle state permits resumption. Every parked writer gets a
+// verdict: schedule grants, teardown's drain refuses.
 func (c *Call) reacquireExclusivity() error {
 	o := c.self
-	q := &yieldReq{grant: make(chan bool, 1)}
-	select {
-	case o.yield <- q:
-	case <-o.down:
+	grant := make(chan bool, 1)
+	o.sched.Lock()
+	if o.state == stDown {
+		o.sched.Unlock()
 		return c.lostExclusivity()
 	}
-	var ok bool
-	select {
-	case ok = <-q.grant:
-	case <-o.down:
-		// The coordinator's drain answers parked requests; prefer its
-		// verdict if it raced the down observation.
-		select {
-		case ok = <-q.grant:
-		default:
-		}
-	}
-	if !ok {
+	o.cs.resumeQ = append(o.cs.resumeQ, grant)
+	o.cs.schedule()
+	o.sched.Unlock()
+	if !<-grant {
 		return c.lostExclusivity()
 	}
 	c.holding = true
@@ -1038,7 +880,9 @@ func (c *Call) Subprocess(fn func()) <-chan struct{} {
 				// A subordinate's panic is contained like a handler's.
 				_ = r
 			}
+			o.sched.Lock()
 			o.leave()
+			o.sched.Unlock()
 			close(done)
 		}()
 		fn()

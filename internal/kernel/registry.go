@@ -10,8 +10,9 @@
 //
 // The mapping from the paper's iAPX-432 machinery to Go is direct:
 // Eden processes are goroutines, ports are channels, and each active
-// object's coordinator is a goroutine owning the object's dispatch
-// state.
+// object's coordinator is a monitor (Object.sched) guarding the
+// object's dispatch state, entered by whichever goroutine has an
+// arrival or a completion to report.
 package kernel
 
 import (

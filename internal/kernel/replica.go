@@ -81,8 +81,8 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 		return nil
 	}
 	// The shadow is constructed frozen: it is a snapshot, and freezing
-	// makes even a mis-registered mutating handler fail at Update. The
-	// coordinator's replica gate refuses anything not AccessRead before
+	// makes even a mis-registered mutating handler fail at Update.
+	// validate's replica gate refuses anything not AccessRead before
 	// that can matter.
 	obj := k.newObject(id, tt, rep, rec.Version, true)
 	obj.epoch = normEpoch(rec.Epoch)
@@ -112,7 +112,6 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	if old != nil {
 		go old.destroyActiveState(home)
 	}
-	go obj.coordinate()
 	k.stReplicas.Add(1)
 	return obj
 }

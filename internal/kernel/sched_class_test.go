@@ -279,13 +279,18 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 
 // TestLocalInvokeAllocCeilings pins the allocations of one uncontended
 // local invoke: one path through the scheduler, one cost, whatever the
-// access mode. Before the three admission paths became one the counts
-// were read 10, write 10 (a queue node and a queue-slice growth per
-// call) and shared-in-a-limited-class 8; that 8 is the ceiling for all
-// three. benchmark/ bounds allocs_per_op at 5 %, and one allocation
-// here is more than that.
+// access mode. With three admission paths the counts were read 10,
+// write 10 and shared-in-a-limited-class 8; one scheduler behind a
+// coordinator goroutine made it 8 for all three (3 for a timer, the
+// callCtx, 2 for its reply channel, the `go` closure, the Call); the
+// monitor and the pooled frame leave none, and the ceiling of 1 is
+// slack for a pool refill after a collection. benchmark/ bounds
+// allocs_per_op at 5 %, and one allocation here is more than that.
 func TestLocalInvokeAllocCeilings(t *testing.T) {
-	const ceiling = 8
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
+	}
+	const ceiling = 1
 	k, reg, _ := newSchedKernel(t, func(c *Config) { c.Telemetry = nil })
 	nop := func(c *Call) {}
 	tm := NewType("allocs").Limit("one", 1)
@@ -306,5 +311,36 @@ func TestLocalInvokeAllocCeilings(t *testing.T) {
 		if got > ceiling {
 			t.Errorf("%s: %.1f allocs per local invoke, ceiling %d", op, got, ceiling)
 		}
+	}
+}
+
+// TestRemoteInvokeAllocCeiling is the sibling for one invocation served
+// by another node over the in-memory mesh, both nodes' allocations
+// counted: the invoking node's wait is a pooled frame in k.pend (it was
+// a reply channel and a timer, 5 allocations) and the serving node's
+// dispatch is the local path above (it was 8). Measured 25 before and
+// 12 now — the two envelopes' encode and decode, the serve goroutine
+// and the dedup entry remain — and held to 13, the same one of slack.
+func TestRemoteInvokeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
+	}
+	const ceiling = 13
+	s := newSys(t, 1, 2)
+	tm := NewType("allocs")
+	tm.Op(Operation{Name: "read", Access: AccessRead, Handler: func(c *Call) {}})
+	mustRegister(t, s.reg, tm)
+	cp, err := s.ks[2].Create("allocs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cp, "read", nil) // node 1 learns the home
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := s.ks[1].Invoke(cp, "read", nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("%.1f allocs per remote invoke, ceiling %d", got, ceiling)
 	}
 }

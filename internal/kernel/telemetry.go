@@ -23,7 +23,7 @@ type kernelTel struct {
 
 	localLat    *telemetry.Histogram // user-level latency, locally served
 	remoteLat   *telemetry.Histogram // user-level latency, served remotely
-	dispatchLat *telemetry.Histogram // coordinator hand-off through handler reply
+	dispatchLat *telemetry.Histogram // submission to an object through handler reply
 	ckptLat     *telemetry.Histogram // checkpoint write (policy-wide)
 	portWait    *telemetry.Histogram // Port.Receive wait
 
@@ -33,7 +33,7 @@ type kernelTel struct {
 	memBytes      *telemetry.Gauge // representation bytes resident
 
 	admissionShed  *telemetry.Counter // calls shed by admission before executing
-	admissionDepth *telemetry.Gauge   // calls waiting in admission (vproc + coordinator queues)
+	admissionDepth *telemetry.Gauge   // calls waiting in an object's class queues
 	queueFull      *telemetry.Counter // calls shed because a per-object queue hit its cap
 	serveConc      *telemetry.Gauge   // invocation processes currently executing
 
