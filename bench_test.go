@@ -418,7 +418,11 @@ func BenchmarkDispatchDepth8(b *testing.B) { benchDispatchDepth(b, 8) }
 
 // ---- E11: single-level memory ----
 
-func benchPagedInvoke(b *testing.B, budgetFraction float64) {
+// benchPagedInvoke reads round-robin over objects of which the memory
+// budget holds the given fraction, on a memory store or (storeDir set)
+// a file store with real fsync. The reads change nothing, so every
+// eviction after the first round is of a clean object.
+func benchPagedInvoke(b *testing.B, budgetFraction float64, storeDir string) {
 	const objects, objectSize = 8, 8 << 10
 	sys, err := eden.NewSystem(eden.SystemConfig{DefaultTimeout: 30 * time.Second})
 	if err != nil {
@@ -428,6 +432,7 @@ func benchPagedInvoke(b *testing.B, budgetFraction float64) {
 	node, err := sys.AddNodeWithConfig("paging", eden.NodeConfig{
 		MemoryBytes:     int64(budgetFraction * objects * objectSize),
 		EvictOnPressure: true,
+		StoreDir:        storeDir,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -462,5 +467,6 @@ func benchPagedInvoke(b *testing.B, budgetFraction float64) {
 	}
 }
 
-func BenchmarkInvokeResident(b *testing.B)  { benchPagedInvoke(b, 2.0) }
-func BenchmarkInvokePagedHalf(b *testing.B) { benchPagedInvoke(b, 0.5) }
+func BenchmarkInvokeResident(b *testing.B)      { benchPagedInvoke(b, 2.0, "") }
+func BenchmarkInvokePagedHalf(b *testing.B)     { benchPagedInvoke(b, 0.5, "") }
+func BenchmarkInvokePagedHalfFile(b *testing.B) { benchPagedInvoke(b, 0.5, b.TempDir()) }

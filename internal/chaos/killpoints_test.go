@@ -19,6 +19,7 @@ var (
 	reCap       = regexp.MustCompile(`cap ([0-9a-f]+)`)
 	reCkptV1    = regexp.MustCompile(`checkpointed at version 1`)
 	reArmed     = regexp.MustCompile(`killpoint armed: `)
+	reOK8       = regexp.MustCompile(`ok \(8 bytes\)`)
 )
 
 // reIncdurOK matches the console reply of the i-th successful incdur
@@ -36,8 +37,9 @@ func reStatOK(value, version uint64) *regexp.Regexp {
 // boundary and asserts recovery lands on the last durable checkpoint.
 // Each case runs the same prologue — create, explicit checkpoint
 // (version 1, value 0), then incdurs (the i-th acknowledges value i at
-// version i+1) — then issues the console command that crosses the
-// armed boundary and dies there with the killpoint exit code.
+// version i+1), then an optional volatile command — then issues the
+// console command that crosses the armed boundary and dies there with
+// the killpoint exit code.
 //
 // The move transaction's boundaries (move.intent-durable,
 // move.pre-commit, move.post-commit) need a live destination node and
@@ -51,9 +53,11 @@ func TestKillpointRecovery(t *testing.T) {
 	bin := Build(t)
 
 	cases := []struct {
+		name      string
 		point     killpoint.Point
 		after     int    // boundary crossings to let pass before dying
 		okIncdurs int    // incdurs acknowledged before the dying command
+		pre       string // console command (%s = cap) run before the dying one, if any
 		die       string // console command (%s = cap) that crosses the armed boundary
 		wantValue uint64 // durable state recovery must land on
 		wantVer   uint64
@@ -61,23 +65,28 @@ func TestKillpointRecovery(t *testing.T) {
 		// Baseline checkpoint crosses pre-sync once, the first incdur
 		// again; the second incdur dies before its write is durable —
 		// recovery must show only the acknowledged first increment.
-		{killpoint.CheckpointPreSync, 2, 1, "invoke %s incdur", 1, 2},
+		{"", killpoint.CheckpointPreSync, 2, 1, "", "invoke %s incdur", 1, 2},
 		// Same schedule, but the death is after the write hit the
 		// medium: the unacknowledged second increment must survive.
-		{killpoint.CheckpointPostSync, 2, 1, "invoke %s incdur", 2, 3},
-		// Passivation checkpoints (version 4) and dies before releasing
-		// active state: the passivation checkpoint must be what
-		// reincarnates.
-		{killpoint.PassivatePreRelease, 0, 2, "passivate %s", 2, 4},
+		{"", killpoint.CheckpointPostSync, 2, 1, "", "invoke %s incdur", 2, 3},
+		// A third, volatile increment makes the object dirty: passivation
+		// checkpoints it (version 4) and dies before releasing active
+		// state. The passivation checkpoint — the only record of that
+		// increment — must be what reincarnates.
+		{"/dirty", killpoint.PassivatePreRelease, 0, 2, "invoke %s inc", "passivate %s", 3, 4},
+		// Unchanged since its last checkpoint, the object passivates
+		// without writing and dies at the same boundary: that checkpoint
+		// reincarnates, at its own version.
+		{"/clean", killpoint.PassivatePreRelease, 0, 2, "", "passivate %s", 2, 3},
 		// A move that dies after quiescing but before the
 		// representation leaves the node must reincarnate at this home,
 		// unchanged.
-		{killpoint.MovePreShip, 0, 2, "move %s 9", 2, 3},
+		{"", killpoint.MovePreShip, 0, 2, "", "move %s 9", 2, 3},
 	}
 
 	for _, tc := range cases {
 		tc := tc
-		t.Run(string(tc.point), func(t *testing.T) {
+		t.Run(string(tc.point)+tc.name, func(t *testing.T) {
 			storeDir := t.TempDir()
 			addr := FreePort(t)
 			opts := NodeOpts{Node: 1, Listen: addr, StoreDir: storeDir}
@@ -97,6 +106,10 @@ func TestKillpointRecovery(t *testing.T) {
 			for i := 1; i <= tc.okIncdurs; i++ {
 				p.Send("invoke " + capHex + " incdur")
 				p.Expect(t, reIncdurOK(i), 10*time.Second)
+			}
+			if tc.pre != "" {
+				p.Send(fmt.Sprintf(tc.pre, capHex))
+				p.Expect(t, reOK8, 10*time.Second)
 			}
 			p.Send(fmt.Sprintf(tc.die, capHex))
 			if code := p.WaitExit(t, 15*time.Second); code != killpoint.KillExitCode {

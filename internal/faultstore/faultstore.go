@@ -296,7 +296,7 @@ func (s *Store) Put(rec store.Record) error {
 // overlay+inner view, so a lying or tearing store still rejects stale
 // checkpoints exactly like a healthy one.
 func (s *Store) staleCheck(rec store.Record) error {
-	if cur, err := s.Peek(rec.Object); err == nil && rec.Version <= cur.Version {
+	if cur, ok := s.Stat(rec.Object); ok && rec.Version <= cur.Version {
 		return fmt.Errorf("%w: have v%d, got v%d", store.ErrStale, cur.Version, rec.Version)
 	}
 	return nil
@@ -355,6 +355,23 @@ func (s *Store) Peek(id edenid.ID) (store.Record, error) {
 		return rec, nil
 	}
 	return s.inner.Get(id)
+}
+
+// Stat implements store.Store over the same merged view as Get: an
+// unsynced record or tombstone shadows the inner store, and a torn
+// record answers as the medium holds it. It asks about the store rather
+// than reading the medium, so like Peek it consumes no schedule draw
+// and injects no fault.
+//
+//edenvet:ignore capleak implements Store, which is below the capability layer
+func (s *Store) Stat(id edenid.ID) (store.Meta, bool) {
+	s.mu.Lock()
+	o, ok := s.unsynced[id]
+	s.mu.Unlock()
+	if ok {
+		return o.rec.Meta(), !o.del
+	}
+	return s.inner.Stat(id)
 }
 
 // Delete implements store.Store. Under SyncLie the deletion is itself

@@ -289,3 +289,86 @@ func TestPassThroughWhenZero(t *testing.T) {
 		t.Fatalf("zero config injected faults: %+v", c)
 	}
 }
+
+// agree asserts Stat and Get (through Peek, which draws nothing) give
+// the same answer about id: the kernel asks Stat where it used to Get.
+func agree(t *testing.T, fs *Store, id edenid.ID, when string) {
+	t.Helper()
+	got, gerr := fs.Peek(id)
+	meta, ok := fs.Stat(id)
+	if ok != (gerr == nil) {
+		t.Errorf("%s: Stat found=%v, Get err=%v", when, ok, gerr)
+	}
+	if ok && meta != got.Meta() {
+		t.Errorf("%s: Stat = %+v, Get = %+v", when, meta, got.Meta())
+	}
+}
+
+func TestStatAgreesWithGetUnderFaults(t *testing.T) {
+	t.Run("unsynced and dropped", func(t *testing.T) {
+		inner := store.NewMemory()
+		id, fresh := gen.Next(), gen.Next()
+		if err := inner.Put(rec(id, 1, "durable")); err != nil {
+			t.Fatal(err)
+		}
+		fs := Wrap(inner, Config{Seed: 1, SyncLie: true})
+		agree(t, fs, id, "before any lie")
+		backup := rec(id, 2, "acked")
+		backup.Backup, backup.Home, backup.Epoch = true, 3, 5
+		if err := fs.Put(backup); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Put(rec(fresh, 1, "acked")); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := fs.Stat(id); !ok || m.Version != 2 || !m.Backup || m.Home != 3 || m.Epoch != 5 {
+			t.Errorf("Stat of unsynced write = %+v, %v", m, ok)
+		}
+		agree(t, fs, id, "unsynced overwrite")
+		agree(t, fs, fresh, "unsynced first write")
+		fs.DropUnsynced()
+		if m, ok := fs.Stat(id); !ok || m.Version != 1 || m.Backup {
+			t.Errorf("Stat after the drop = %+v, %v; want the durable v1", m, ok)
+		}
+		agree(t, fs, id, "dropped overwrite")
+		agree(t, fs, fresh, "dropped first write")
+
+		if err := fs.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fs.Stat(id); ok {
+			t.Error("Stat sees through an unsynced tombstone")
+		}
+		agree(t, fs, id, "unsynced delete")
+		fs.DropUnsynced()
+		agree(t, fs, id, "resurrected")
+		if err := fs.Put(rec(id, 2, "again")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, fs, id, "synced")
+	})
+	t.Run("torn", func(t *testing.T) {
+		fs := Wrap(store.NewMemory(), Config{Seed: 9, TornProb: 1})
+		id := gen.Next()
+		if err := fs.Put(rec(id, 4, "this representation will not survive")); err != nil {
+			t.Fatal(err)
+		}
+		// The header landed: the record is there, at its version, and a
+		// stale write is still refused on Stat's word.
+		if m, ok := fs.Stat(id); !ok || m.Version != 4 {
+			t.Errorf("Stat of torn record = %+v, %v", m, ok)
+		}
+		agree(t, fs, id, "torn")
+	})
+	t.Run("draws nothing", func(t *testing.T) {
+		fs := Wrap(store.NewMemory(), Config{Seed: 1, FailProb: 1})
+		before := fs.Ops()
+		fs.Stat(gen.Next())
+		if fs.Ops() != before || fs.Counters().Fail != 0 {
+			t.Error("Stat consumed a schedule draw")
+		}
+	})
+}

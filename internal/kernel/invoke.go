@@ -35,6 +35,16 @@ type InvokeOptions struct {
 // maxHops bounds forwarding chases after moves.
 const maxHops = 8
 
+// statusPassive is a reply that never leaves the kernel: the incarnation
+// the call was submitted to was passivated before the call ran, so its
+// state is in the local record and the call belongs on whatever
+// resolution finds now. tryLocal consumes it.
+const statusPassive msg.Status = 0xff
+
+// maxReresolve bounds how often one tryLocal goes back to resolution
+// after meeting a passivated incarnation.
+const maxReresolve = 2
+
 // servedCacheSize bounds the reply-deduplication cache: the most
 // recent completed remote invocations whose replies are replayed if
 // the invoker retransmits (reply lost, invoker timed out early).
@@ -111,7 +121,7 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 		}
 
 		// Local fast path: the target is (or can become) active here.
-		if rep, served, err := k.tryLocal(req, allowReplica, false, remaining); served {
+		if rep, served, err := k.tryLocal(req, allowReplica, false, deadline); served {
 			if err != nil {
 				return Reply{}, err
 			}
@@ -231,7 +241,26 @@ func replyFrom(rep msg.InvokeRep) (Reply, error) {
 // StatusMoved bounce from a forwarding pointer, while locally
 // originated invocations fall through to the locator (bouncing them
 // here would loop on this node's own forward).
-func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, timeout time.Duration) (msg.InvokeRep, bool, error) {
+//
+// Resolution and arrival are separate critical sections, so the
+// incarnation resolved may have been passivated by the time the call
+// arrives at it, or while the call waited in its queue. Such a call
+// never ran, and the object's state is in the local record: it goes
+// round again (at most maxReresolve times) and lands on the passive
+// record, or on the incarnation a racing call made from it.
+func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, deadline time.Time) (msg.InvokeRep, bool, error) {
+	for round := 0; ; round++ {
+		rep, served, err := k.tryLocalOnce(req, allowReplica, remoteOrigin, deadline)
+		if rep.Status != statusPassive {
+			return rep, served, err
+		}
+		if round == maxReresolve {
+			return msg.InvokeRep{Status: msg.StatusCrashed}, true, nil
+		}
+	}
+}
+
+func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool, deadline time.Time) (msg.InvokeRep, bool, error) {
 	id := req.Target.ID()
 	k.mu.Lock()
 	if k.closed {
@@ -299,8 +328,11 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 			}
 		}
 		// Passive here? Only if our store holds the object's home
-		// record (not a backup held for another node).
-		if _, err := k.store.Get(id); err != nil || isBackup {
+		// record (not a backup held for another node). The store answers
+		// from its directory: on a node that never held the object this
+		// is a map miss, and where it is held the record is read once,
+		// by activate.
+		if _, here := k.store.Stat(id); !here || isBackup {
 			// A backup record may still serve a stale-tolerant read as
 			// a checkpoint shadow when this node is a checksite.
 			if isBackup && allowReplica && k.cfg.ReplicaServe {
@@ -318,6 +350,17 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 			return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(aerr.Error())}, true, nil
 		}
 	}
+	var start time.Time
+	if shadowServe {
+		start = k.tel.now()
+	}
+	if k.testHook != nil {
+		k.testHook(hookArrival, obj)
+	}
+	rep, err := k.dispatch(obj, req, deadline)
+	if rep.Status == statusPassive {
+		return rep, true, err // not served yet: tryLocal resolves again
+	}
 	k.stLocal.Add(1)
 	// Served requests that arrived over the wire are counted by
 	// kernel.invoke.served at the dedup layer; invLocal counts only
@@ -325,11 +368,6 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 	if !remoteOrigin {
 		k.tel.invLocal.Inc()
 	}
-	var start time.Time
-	if shadowServe {
-		start = k.tel.now()
-	}
-	rep, err := k.dispatch(obj, req, timeout)
 	if shadowServe && err == nil {
 		switch rep.Status {
 		case msg.StatusOK:
@@ -352,7 +390,7 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 // One absolute deadline covers the whole dispatch — the virtual-
 // processor wait and the reply wait share it, so a call can never
 // consume more than its caller's time limit.
-func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, error) {
+func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time) (msg.InvokeRep, error) {
 	// The serving side verifies rights before admitting the call: a
 	// request that arrived over the wire carries whatever capability
 	// the sender claims, and the target's node — not the sender — is
@@ -363,7 +401,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 		return msg.InvokeRep{Status: msg.StatusRights, Data: []byte("capability lacks invoke right")}, nil
 	}
 	start := k.tel.dispatchLat.Start()
-	deadline := time.Now().Add(timeout)
+	timeout := time.Until(deadline)
 	c := getFrame()
 	c.name, c.data, c.caps, c.rts = req.Operation, req.Data, req.Caps, req.Target.Rights()
 	c.o, c.deadline = obj, deadline
@@ -397,9 +435,9 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 	if obj.state == stDown {
 		// The incarnation died between lookup and arrival: the object
 		// side's one disposal of the call happens here.
-		moved := obj.movedTo
+		moved, passive := obj.movedTo, obj.passive
 		obj.sched.Unlock()
-		c.finish(k.retryAfterDown(obj, moved))
+		c.finish(k.retryAfterDown(obj, moved, passive))
 	} else {
 		obj.cs.arrive(c)
 		obj.sched.Unlock()
@@ -418,20 +456,16 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 
 // retryAfterDown resolves a dispatch race where the incarnation died
 // between lookup and arrival: the object may have moved, passivated,
-// or crashed. moved is the incarnation's movedTo: an incarnation
-// retired toward a live home (a move, or a shadow superseded by a
-// fresher checkpoint) records the destination.
-func (k *Kernel) retryAfterDown(obj *Object, moved uint32) msg.InvokeRep {
-	if moved != 0 {
-		return movedReply(moved)
+// or crashed. moved and passive are the incarnation's: one retired
+// toward a live home (a move, or a shadow superseded by a fresher
+// checkpoint) records the destination, one passivated says so.
+func (k *Kernel) retryAfterDown(obj *Object, moved uint32, passive bool) msg.InvokeRep {
+	if moved == 0 {
+		k.mu.Lock()
+		moved = k.forwards[obj.id]
+		k.mu.Unlock()
 	}
-	k.mu.Lock()
-	fwd, isFwd := k.forwards[obj.id]
-	k.mu.Unlock()
-	if isFwd {
-		return movedReply(fwd)
-	}
-	return msg.InvokeRep{Status: msg.StatusCrashed}
+	return downReply(moved, passive)
 }
 
 // roundTrip sends one request envelope and waits for the reply envelope
@@ -493,6 +527,7 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	if timeout <= 0 {
 		timeout = k.cfg.DefaultTimeout
 	}
+	deadline := time.Now().Add(timeout)
 
 	key := servedKey{from: env.From, corr: env.Corr}
 	k.servedMu.Lock()
@@ -528,7 +563,7 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	// trace id; together they split a remote invocation's latency into
 	// service time (here) and everything else (wire + location).
 	sp := k.tel.reg.StartSpan("serve", env.Trace, k.cfg.Node)
-	rep, served, derr := k.serveLocally(req, timeout)
+	rep, served, derr := k.serveLocally(req, deadline)
 	if derr != nil {
 		rep = msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(derr.Error())}
 	} else if !served {
@@ -562,6 +597,6 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 // qualifies: an invoker that demands the home (after a StatusMoved
 // bounce, or because it never opted into stale reads) clears the flag,
 // and serving a shadow anyway would bounce it here forever.
-func (k *Kernel) serveLocally(req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, bool, error) {
-	return k.tryLocal(req, req.AllowReplica(), true, timeout)
+func (k *Kernel) serveLocally(req msg.InvokeReq, deadline time.Time) (msg.InvokeRep, bool, error) {
+	return k.tryLocal(req, req.AllowReplica(), true, deadline)
 }

@@ -242,7 +242,25 @@ type Kernel struct {
 	stReplicas, stEvictions               atomic.Int64
 	tick                                  atomic.Int64 // recency counter for eviction
 	activationMu                          sync.Mutex   // serializes reincarnations
+
+	// testHook, when this package's tests set it (before the kernel
+	// serves anything), runs at the two points where a lifecycle race
+	// window opens, so a test can force the interleaving instead of
+	// hoping for it. Nil otherwise: one load on the dispatch path.
+	testHook func(at hookPoint, o *Object)
 }
+
+// hookPoint names where testHook runs.
+type hookPoint uint8
+
+const (
+	// hookArrival: tryLocal has resolved the incarnation; dispatch has
+	// not yet taken its monitor.
+	hookArrival hookPoint = iota
+	// hookEvictClaimed: evictUntil has claimed its victim; nothing is
+	// released yet.
+	hookEvictClaimed
+)
 
 // New assembles a kernel from its substrates. types is typically
 // shared across all kernels of a system (homogeneous nodes); st is the
@@ -312,15 +330,14 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	// from its own checkpoints, and would answer locate queries as
 	// those objects' home while the real home is alive. The record's
 	// version is the last checkpoint this site acked before it went
-	// down, so it re-anchors the replica serving floor too.
+	// down, so it re-anchors the replica serving floor too. The store's
+	// directory answers; no representation is read.
 	if ids, err := st.List(); err == nil {
 		for _, id := range ids {
-			rec, err := st.Get(id)
-			if err != nil || !rec.Backup {
-				continue
+			if m, ok := st.Stat(id); ok && m.Backup {
+				k.backups[id] = m.Home
+				k.minServe[id] = m.Version
 			}
-			k.backups[id] = rec.Home
-			k.minServe[id] = rec.Version
 		}
 	}
 	// Load move intents that survived a crash: each marks an in-flight
@@ -433,7 +450,7 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	// A passive object is homed where its checkpoint lives — unless
 	// that record is a backup held for another node, in which case it
 	// only counts during recovery.
-	if rec, err := k.store.Get(id); err == nil {
+	if rec, ok := k.store.Stat(id); ok {
 		if !isBackup {
 			return true, isReplica
 		}
@@ -747,9 +764,9 @@ func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	if active {
 		epoch = obj.epoch
 	}
-	rec, err := k.store.Get(id)
+	rec, ok := k.store.Stat(id)
 	stored := "no-record"
-	if err == nil {
+	if ok {
 		stored = fmt.Sprintf("record-v%d-e%d", rec.Version, normEpoch(rec.Epoch))
 		if !active {
 			epoch = normEpoch(rec.Epoch)

@@ -70,8 +70,19 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err != nil || len(rest) != 0 {
 		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
 	}
+	// Decode builds the representation through the mutators, so it comes
+	// back all dirty; it is in fact exactly what the record holds. Marked
+	// clean here — before the Reincarnate hook, so that a hook that
+	// writes a segment is seen — the incarnation can be passivated again
+	// without a checkpoint until something changes it. A promoted backup
+	// record does not qualify: the home's record must be written without
+	// the backup marker, or a restart would take it for a backup again.
+	rep.MarkClean()
 	obj := k.newObject(id, tt, rep, rec.Version, rec.Frozen)
 	obj.epoch = normEpoch(rec.Epoch)
+	if !rec.Backup {
+		obj.saved, obj.savedFrozen = rec.Version, rec.Frozen
+	}
 	// The reincarnation condition handler runs before any invocation
 	// is dispatched; install() happens only after it succeeds.
 	if tt.tm.Reincarnate != nil {
@@ -129,12 +140,19 @@ func (o *Object) Checkpoint() error {
 	// durable — a kill here must recover to the previous checkpoint.
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
-	err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
+	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
 	if err == nil {
 		// Crash boundary: the checkpoint is durable but the caller has
 		// not learned of it — a kill here loses the acknowledgment,
 		// never the data.
 		killpoint.Hit(killpoint.CheckpointPostSync)
+		if local {
+			o.mu.Lock()
+			if ver > o.saved { // a concurrent later checkpoint may have finished first
+				o.saved, o.savedFrozen = ver, frozen
+			}
+			o.mu.Unlock()
+		}
 		o.k.tel.ckptLat.ObserveSince(start)
 		o.k.tel.ckptBytes.Add(int64(len(encoded)))
 		o.k.stCkpt.Add(1)
@@ -177,8 +195,10 @@ func (o *Object) Checksite() (Reliability, []uint32) {
 // checkpoint is issued." Remote checksites holding the immediately
 // preceding version receive only the changed segments (an incremental
 // checkpoint); anything else — a lagging or fresh site, or a site that
-// rejects the delta — receives the full representation.
-func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded, partial []byte, removed []string) error {
+// rejects the delta — receives the full representation. local reports
+// that this node's store now holds exactly this version as the home
+// record (a stale Put is tolerated but leaves something else there).
+func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded, partial []byte, removed []string) (local bool, err error) {
 	k.mu.Lock()
 	policy, ok := k.sites[id]
 	k.mu.Unlock()
@@ -190,40 +210,43 @@ func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint6
 
 	var firstErr error
 	writeLocal := policy.level == RelLocal || policy.level == RelReplicated
-	if writeLocal {
-		if err := k.store.Put(rec); err != nil && !errors.Is(err, store.ErrStale) {
-			firstErr = err
-		}
-	}
+	var remote []uint32
 	if policy.level == RelRemote || policy.level == RelReplicated {
-		var acked []uint32
 		for _, site := range policy.sites {
 			if site == k.cfg.Node {
-				if !writeLocal {
-					if err := k.store.Put(rec); err != nil && !errors.Is(err, store.ErrStale) && firstErr == nil {
-						firstErr = err
-					}
-				}
-				continue
+				writeLocal = true // this node named as its own checksite
+			} else {
+				remote = append(remote, site)
 			}
-			if err := k.shipCheckpoint(site, full, partial, removed, ver); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("kernel: checkpoint to site %d: %w", site, err)
-				}
-				continue
-			}
-			acked = append(acked, site)
-		}
-		// Every acked site already raised its serving floor to ver when
-		// it acknowledged the ship; the broadcast retires shadows on
-		// lagging and ex-checksites and steers stale-tolerant readers
-		// at the sites that can serve this version. Local-only policies
-		// never broadcast — no remote site serves them.
-		if len(acked) > 0 {
-			k.broadcastInvalidate(id, ver, false, k.cfg.Node, acked)
 		}
 	}
-	return firstErr
+	if writeLocal {
+		switch perr := k.store.Put(rec); {
+		case perr == nil:
+			local = true
+		case !errors.Is(perr, store.ErrStale):
+			firstErr = perr
+		}
+	}
+	var acked []uint32
+	for _, site := range remote {
+		if err := k.shipCheckpoint(site, full, partial, removed, ver); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("kernel: checkpoint to site %d: %w", site, err)
+			}
+			continue
+		}
+		acked = append(acked, site)
+	}
+	// Every acked site already raised its serving floor to ver when
+	// it acknowledged the ship; the broadcast retires shadows on
+	// lagging and ex-checksites and steers stale-tolerant readers
+	// at the sites that can serve this version. Local-only policies
+	// never broadcast — no remote site serves them.
+	if len(acked) > 0 {
+		k.broadcastInvalidate(id, ver, false, k.cfg.Node, acked)
+	}
+	return local, firstErr
 }
 
 // shipCheckpoint delivers one checkpoint to a remote site, preferring
@@ -280,16 +303,75 @@ func (o *Object) Crash() {
 	o.destroyActiveState(0)
 }
 
-// Passivate checkpoints the object and then releases its active state
-// — the orderly way to "release system virtual memory resources".
+// Passivate makes the object's state durable and then releases its
+// active state — the orderly way to "release system virtual memory
+// resources". It writes only what changed: an incarnation the local
+// record already describes (clean) is released without a checkpoint.
+// Calls that arrive meanwhile queue, and are re-resolved onto the
+// passive record afterwards; processes already running are not waited
+// for, and report a crash.
 func (o *Object) Passivate() error {
-	if err := o.Checkpoint(); err != nil {
+	if err := o.claimPassivation(false); err != nil {
 		return err
 	}
-	// Crash boundary: the passivation checkpoint is durable but the
-	// active state still exists — a kill here is equivalent to a crash
-	// right after a successful checkpoint.
+	return o.passivateClaimed()
+}
+
+// claimPassivation is the one transition active → passivating. With
+// ifIdle it is refused unless the incarnation is quiescent — nothing
+// running, suspended or queued — checked in the critical section that
+// makes the transition, so no call can slip in between: whatever arrives
+// later queues behind the claim.
+func (o *Object) claimPassivation(ifIdle bool) error {
+	o.sched.Lock()
+	defer o.sched.Unlock()
+	switch {
+	case o.state == stMoving:
+		return ErrMoving
+	case o.state == stDown:
+		return ErrCrashed
+	case o.state == stPassivating || ifIdle && !o.quiescentLocked():
+		return errBusy
+	}
+	o.state = stPassivating
+	return nil
+}
+
+// errBusy refuses a claim on an incarnation another passivation holds,
+// or, for an eviction's, one that a call reached after it was chosen.
+var errBusy = errors.New("kernel: object busy")
+
+// quiescentLocked reports whether nothing is executing against, suspended
+// in, or waiting for the incarnation. A writer suspended in a nested
+// invoke has left running but keeps its class slot. Caller holds o.sched.
+func (o *Object) quiescentLocked() bool {
+	if o.running != 0 || len(o.cs.resumeQ) != 0 {
+		return false
+	}
+	for i := range o.cs.classes {
+		cl := &o.cs.classes[i]
+		if cl.running != 0 || len(cl.q[AccessShared])+len(cl.q[AccessRead])+len(cl.q[AccessWrite]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// passivateClaimed finishes a passivation whose claim succeeded.
+func (o *Object) passivateClaimed() error {
+	if !o.clean() {
+		if err := o.Checkpoint(); err != nil {
+			o.resumeService()
+			return err
+		}
+	}
+	// Crash boundary: the object's state is durable but the active
+	// state still exists — a kill here is equivalent to a crash right
+	// after a successful checkpoint.
 	killpoint.Hit(killpoint.PassivatePreRelease)
+	o.sched.Lock()
+	o.passive = true
+	o.sched.Unlock()
 	o.k.removeActive(o)
 	o.destroyActiveState(0)
 	return nil
@@ -336,7 +418,7 @@ func (k *Kernel) removeActive(o *Object) {
 // stops dispatch, answers everything queued or parked so no invoker
 // hangs until its timeout, waits out behaviors. movedTo, when non-zero,
 // makes queued invocations bounce to the new home instead of reporting
-// a crash.
+// a crash; those queued behind a passivation go back to resolution.
 func (o *Object) destroyActiveState(movedTo uint32) {
 	o.sched.Lock()
 	if o.state == stDown {
@@ -345,11 +427,13 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	}
 	o.state = stDown
 	o.movedTo = movedTo
+	passive := o.passive
 	queued, parked := o.cs.drain()
 	o.sched.Unlock()
 	close(o.down) // once: only the transition to stDown gets here
 	for _, c := range queued {
-		o.answerDown(c, movedTo)
+		o.unqueue(c)
+		c.finish(downReply(movedTo, passive))
 	}
 	// Suspended writers parked for re-acquisition observe the terminal
 	// state: their Call.Invoke returns the lifecycle error instead of
@@ -738,7 +822,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			// protocol will follow the forwarding chain.
 			return nil
 		}
-		if rec, err := k.store.Get(ship.Object); err == nil && !rec.Backup && normEpoch(rec.Epoch) >= probeEpoch {
+		if rec, ok := k.store.Stat(ship.Object); ok && !rec.Backup && normEpoch(rec.Epoch) >= probeEpoch {
 			// Passive here at the probed epoch: the move installed and
 			// the object has since checkpointed or passivated.
 			return nil
@@ -752,10 +836,10 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 
 // evictUntil passivates least-recently-invoked idle objects until the
 // node's memory use drops to the target. Only quiescent objects (no
-// running invocation processes, not replicas, not mid-move) are
-// eligible; their representations are checkpointed and their active
-// state released, to be reincarnated transparently on the next
-// invocation.
+// running, suspended or queued invocations, not replicas, not mid-move)
+// are eligible; their active state is released — after a checkpoint if
+// anything changed since the last — to be reincarnated transparently on
+// the next invocation.
 func (k *Kernel) evictUntil(target int64) {
 	if target < 0 {
 		target = 0
@@ -771,7 +855,7 @@ func (k *Kernel) evictUntil(target int64) {
 		var oldest int64
 		for _, o := range k.active {
 			o.sched.Lock()
-			eligible := o.state == stActive && o.running == 0 && !o.replica
+			eligible := o.state == stActive && !o.replica && o.quiescentLocked()
 			last := o.lastInvoked
 			o.sched.Unlock()
 			if !eligible {
@@ -785,7 +869,16 @@ func (k *Kernel) evictUntil(target int64) {
 		if victim == nil {
 			return // nothing evictable; let the caller fail
 		}
-		if err := victim.Passivate(); err != nil {
+		// The scan let go of the victim's monitor, so a call may have
+		// reached it since; the claim checks again, and a victim that is
+		// no longer idle sends the scan round once more.
+		if victim.claimPassivation(true) != nil {
+			continue
+		}
+		if k.testHook != nil {
+			k.testHook(hookEvictClaimed, victim)
+		}
+		if err := victim.passivateClaimed(); err != nil {
 			// Checkpoint failed (e.g. media failure): stop evicting
 			// rather than spin.
 			return

@@ -26,6 +26,11 @@ const (
 	// answered with StatusMoved once the transfer commits or scheduled
 	// if it aborts.
 	stMoving
+	// stPassivating: a passivation has claimed the incarnation and is
+	// making its state durable; new invocations queue, to be re-resolved
+	// onto the passive record once the active state is released or
+	// scheduled if the checkpoint fails.
+	stPassivating
 	// stDown: the active state has been destroyed (crash or
 	// passivation); this incarnation is finished.
 	stDown
@@ -48,6 +53,13 @@ type Object struct {
 	rep     *segment.Representation
 	version uint64 // checkpoint version counter
 	frozen  bool
+	// saved and savedFrozen are the version and frozen flag of the local
+	// home record this incarnation is known to match — the one it was
+	// decoded from, or that its latest fully successful Checkpoint wrote.
+	// saved is zero when there is none (never checkpointed, shipped in,
+	// promoted from a backup record, or checkpointing elsewhere).
+	saved       uint64
+	savedFrozen bool
 
 	// epoch is the object's residency epoch: set before the incarnation
 	// is published (Create, activate, acceptShip) and immutable for its
@@ -72,6 +84,7 @@ type Object struct {
 	cs          coordState
 	state       objState
 	movedTo     uint32     // valid once state becomes stMoving->moved
+	passive     bool       // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
 	running     int        // handler processes currently executing
 	lastInvoked int64      // monotonic tick of the last admitted invocation
 	drained     *sync.Cond // on sched
@@ -145,6 +158,17 @@ func (o *Object) Version() uint64 {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.version
+}
+
+// clean reports whether the local home record already holds exactly this
+// incarnation's long-term state: it is at the version and frozen flag of
+// the record the incarnation was decoded from or last checkpointed into,
+// and no segment has been touched since. Passivating a clean incarnation
+// writes nothing — no virtual memory writes back a clean page.
+func (o *Object) clean() bool {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.saved != 0 && o.saved == o.version && o.savedFrozen == o.frozen && !o.rep.HasDirty()
 }
 
 // SelfCapability returns a capability for the object itself carrying
@@ -353,11 +377,12 @@ func (cs *coordState) complete(op *boundOp, holding bool) {
 func (cs *coordState) schedule() {
 	cs.shedExpired()
 	if cs.o.state != stActive {
-		// Moving: nothing may start against a representation about to
-		// ship, nor resume into one. The move may still abort, so queued
-		// calls and parked writers wait for its outcome — resumeService
-		// schedules them, destroyActiveState bounces them to the new home.
-		// Down: teardown has drained everything.
+		// Moving or passivating: nothing may start against a
+		// representation about to ship or be released, nor resume into
+		// one. Either may still fail, so queued calls and parked writers
+		// wait for the outcome — resumeService schedules them,
+		// destroyActiveState sends them on to the new home or the passive
+		// record. Down: teardown has drained everything.
 		return
 	}
 	for len(cs.resumeQ) > 0 && cs.active[AccessWrite] == 0 && cs.active[AccessRead] == 0 {
@@ -515,29 +540,30 @@ func (o *Object) leave() {
 	}
 }
 
-// resumeService ends an aborted move: the object serves here again, and
-// the calls and parked writers that waited out the attempt are
-// scheduled instead of timing out against a silent queue (any whose
-// caller deadline passed meanwhile are shed).
+// resumeService ends an aborted move or a failed passivation: the object
+// serves here again, and the calls and parked writers that waited out
+// the attempt are scheduled instead of timing out against a silent
+// queue (any whose caller deadline passed meanwhile are shed).
 func (o *Object) resumeService() {
 	o.sched.Lock()
-	if o.state == stMoving {
+	if o.state == stMoving || o.state == stPassivating {
 		o.state = stActive
 	}
 	o.cs.schedule()
 	o.sched.Unlock()
 }
 
-// answerDown answers a call this incarnation will never run: bounced
-// to the new home when the incarnation was retired toward one, crashed
-// otherwise.
-func (o *Object) answerDown(c *callCtx, movedTo uint32) {
-	o.unqueue(c)
-	if movedTo != 0 {
-		c.finish(movedReply(movedTo))
-	} else {
-		c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
+// downReply is what a call this incarnation will never run is told:
+// bounced to the new home when the incarnation was retired toward one,
+// sent back to resolution when it was passivated, crashed otherwise.
+func downReply(movedTo uint32, passive bool) msg.InvokeRep {
+	switch {
+	case movedTo != 0:
+		return movedReply(movedTo)
+	case passive:
+		return msg.InvokeRep{Status: statusPassive}
 	}
+	return msg.InvokeRep{Status: msg.StatusCrashed}
 }
 
 // unqueue settles the call's admission-queue depth charge. Safe to

@@ -76,6 +76,10 @@ func (i *instrumented) Get(id edenid.ID) (Record, error) {
 	return rec, err
 }
 
+// Stat implements Store. It is a question about the store, not traffic
+// to the medium, so it is neither timed nor counted as a get.
+func (i *instrumented) Stat(id edenid.ID) (Meta, bool) { return i.s.Stat(id) }
+
 // Delete implements Store.
 func (i *instrumented) Delete(id edenid.ID) error {
 	err := i.s.Delete(id)

@@ -21,9 +21,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"eden/internal/edenid"
@@ -43,9 +45,8 @@ var (
 )
 
 // notFound is an ErrNotFound carrying the missed ID. The message is
-// formatted only if the error is actually printed: the kernel probes
-// the store on every invocation's host check and discards the error,
-// so a miss must not pay for fmt on the invoke hot path.
+// formatted only if the error is actually printed, so a miss that its
+// caller discards does not pay for fmt.
 type notFound struct{ id edenid.ID }
 
 func (e *notFound) Error() string { return fmt.Sprintf("%v: %v", ErrNotFound, e.id) }
@@ -101,6 +102,23 @@ type MoveIntent struct {
 	Epoch uint64
 }
 
+// Meta is what a store knows about a record without reading its
+// representation: the answer to "is it here, at what version, and whose
+// is it".
+type Meta struct {
+	// Version and Epoch are the record's checkpoint version and
+	// residency epoch.
+	Version, Epoch uint64
+	// Backup and Home are the record's backup marker and shipping node.
+	Backup bool
+	Home   uint32
+}
+
+// Meta returns the record's metadata.
+func (rec Record) Meta() Meta {
+	return Meta{Version: rec.Version, Epoch: rec.Epoch, Backup: rec.Backup, Home: rec.Home}
+}
+
 // Store is the long-term storage interface the kernel checkpoints
 // against. Implementations must be safe for concurrent use.
 //
@@ -111,6 +129,11 @@ type Store interface {
 	Put(rec Record) error
 	// Get returns the most recent checkpoint for the object.
 	Get(id edenid.ID) (Record, error)
+	// Stat reports whether Get would find a checkpoint for the object,
+	// and that record's metadata, without reading the representation. A
+	// caller that wants a fact about a record, not its contents, asks
+	// here.
+	Stat(id edenid.ID) (Meta, bool)
 	// Delete removes an object's checkpoint (object destruction).
 	Delete(id edenid.ID) error
 	// List returns the IDs of all checkpointed objects, sorted.
@@ -182,6 +205,20 @@ func (m *Memory) Get(id edenid.ID) (Record, error) {
 	}
 	rec.Rep = append([]byte(nil), rec.Rep...)
 	return rec, nil
+}
+
+// Stat implements Store. A failing medium has no records to report, as
+// its Get has none to return.
+//
+//edenvet:ignore capleak implements Store, which is below the capability layer
+func (m *Memory) Stat(id edenid.ID) (Meta, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	rec, ok := m.recs[id]
+	if m.fail != nil || !ok {
+		return Meta{}, false
+	}
+	return rec.Meta(), true
 }
 
 // Delete implements Store.
@@ -265,10 +302,22 @@ func (m *Memory) Len() int {
 
 // File is a Store keeping one file per object under a directory,
 // written atomically (temp file + rename) so a crash mid-checkpoint
-// leaves the previous checkpoint intact.
+// leaves the previous checkpoint intact. One process owns the directory
+// at a time: the store answers "is it here" from memory.
 type File struct {
-	dir string
-	mu  sync.Mutex
+	prefix string // the directory, with its trailing separator
+
+	// mu serializes the store's file operations. Put holds it across its
+	// fsync.
+	mu sync.Mutex
+
+	// recs is the store directory: the metadata of every record Get
+	// would find. It equals the durable state — built from the record
+	// headers when the store is opened, changed only after the Rename or
+	// Remove that changes the disk, under mu — and has its own lock so
+	// that Stat never waits behind a Put's fsync.
+	dirMu sync.Mutex
+	recs  map[edenid.ID]Meta
 }
 
 var _ Store = (*File)(nil)
@@ -282,23 +331,103 @@ const fileMagic = "EDENCKP3"
 // with the .mvi extension).
 const intentMagic = "EDENMVI1"
 
+const (
+	recExt    = ".ckp"
+	intentExt = ".mvi"
+	// The CreateTemp patterns of Put and PutIntent. A record or intent
+	// file is named by 32 hex digits, so neither prefix can name one.
+	recTmp    = "ckp-"
+	intentTmp = "mvi-"
+)
+
+// headerLen is the fixed part of a record that precedes the type name:
+// magic | id | version(8) | epoch(8) | flags(1) | home(4).
+const headerLen = len(fileMagic) + edenid.Size + 8 + 8 + 1 + 4
+
 // NewFile opens (creating if needed) a file-backed store rooted at dir.
+// It reads the header of every record there — never a representation —
+// to build the store directory, and removes the temp files a crash
+// between CreateTemp and Rename left behind.
 func NewFile(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &File{dir: dir}, nil
+	prefix := filepath.Clean(dir)
+	if !os.IsPathSeparator(prefix[len(prefix)-1]) { // all but the root
+		prefix += string(filepath.Separator)
+	}
+	f := &File{prefix: prefix, recs: make(map[edenid.ID]Meta)}
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	names, err := d.Readdirnames(-1)
+	d.Close()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var hdr [headerLen]byte
+	for _, name := range names {
+		if strings.HasPrefix(name, recTmp) || strings.HasPrefix(name, intentTmp) {
+			os.Remove(f.prefix + name) // best effort: a survivor costs the next open a directory entry, nothing else
+			continue
+		}
+		id, ok := recordName(name)
+		if !ok {
+			continue
+		}
+		// A file whose header does not parse, or names another object,
+		// is not a record Get would return.
+		if meta, ok := readHeader(f.prefix+name, hdr[:], id); ok {
+			f.recs[id] = meta
+		}
+	}
+	return f, nil
 }
 
-func (f *File) path(id edenid.ID) string {
-	return filepath.Join(f.dir, fmt.Sprintf("%032x.ckp", id[:]))
+// recordName parses a checkpoint file's name back into the object it
+// holds.
+func recordName(name string) (edenid.ID, bool) {
+	var id edenid.ID
+	if len(name) != 2*edenid.Size+len(recExt) || !strings.HasSuffix(name, recExt) {
+		return id, false
+	}
+	if _, err := hex.Decode(id[:], []byte(name[:2*edenid.Size])); err != nil {
+		return id, false
+	}
+	return id, id.Valid()
+}
+
+// readHeader reads the fixed header of the record file at path into buf
+// and returns its metadata if it is a record of id.
+func readHeader(path string, buf []byte, id edenid.ID) (Meta, bool) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return Meta{}, false
+	}
+	_, err = io.ReadFull(fh, buf)
+	fh.Close()
+	if err != nil {
+		return Meta{}, false
+	}
+	rec, _, err := decodeHeader(buf)
+	return rec.Meta(), err == nil && rec.Object == id
+}
+
+// path names the file holding id's record (ext recExt) or move intent
+// (intentExt), with one allocation.
+func (f *File) path(id edenid.ID, ext string) string {
+	var a [128]byte // a longer directory spills to the heap
+	buf := append(a[:0], f.prefix...)
+	buf = hex.AppendEncode(buf, id[:])
+	return string(append(buf, ext...))
 }
 
 // encodeRecord lays a record out as:
 // magic | id | version(8) | epoch(8) | flags(1) | home(4) | typeLen(4) type | repLen(4) rep
 // where flags bit 0 is Frozen and bit 1 is Backup.
 func encodeRecord(rec Record) []byte {
-	buf := make([]byte, 0, len(fileMagic)+8+8+1+4+4+len(rec.TypeName)+4+len(rec.Rep)+edenid.Size)
+	buf := make([]byte, 0, headerLen+4+len(rec.TypeName)+4+len(rec.Rep))
 	buf = append(buf, fileMagic...)
 	buf = rec.Object.Encode(buf)
 	buf = append(buf,
@@ -322,19 +451,20 @@ func encodeRecord(rec Record) []byte {
 	return append(buf, rec.Rep...)
 }
 
-func decodeRecord(b []byte) (Record, error) {
+// decodeHeader parses the fixed header at the front of b into a record
+// without type name or representation, returning what follows it.
+func decodeHeader(b []byte) (Record, []byte, error) {
 	var rec Record
 	if len(b) < len(fileMagic) || string(b[:len(fileMagic)]) != fileMagic {
-		return rec, fmt.Errorf("%w: bad magic", ErrFailed)
+		return rec, nil, fmt.Errorf("%w: bad magic", ErrFailed)
 	}
-	b = b[len(fileMagic):]
-	id, b, err := edenid.Decode(b)
+	id, b, err := edenid.Decode(b[len(fileMagic):])
 	if err != nil {
-		return rec, fmt.Errorf("%w: %v", ErrFailed, err)
+		return rec, nil, fmt.Errorf("%w: %v", ErrFailed, err)
 	}
 	rec.Object = id
-	if len(b) < 25 {
-		return rec, fmt.Errorf("%w: truncated header", ErrFailed)
+	if len(b) < 21 {
+		return rec, nil, fmt.Errorf("%w: truncated header", ErrFailed)
 	}
 	for i := 0; i < 8; i++ {
 		rec.Version = rec.Version<<8 | uint64(b[i])
@@ -343,8 +473,20 @@ func decodeRecord(b []byte) (Record, error) {
 	rec.Frozen = b[16]&1 != 0
 	rec.Backup = b[16]&2 != 0
 	rec.Home = uint32(b[17])<<24 | uint32(b[18])<<16 | uint32(b[19])<<8 | uint32(b[20])
-	tl := int(b[21])<<24 | int(b[22])<<16 | int(b[23])<<8 | int(b[24])
-	b = b[25:]
+	return rec, b[21:], nil
+}
+
+// decodeRecord parses one record. The result's Rep aliases b.
+func decodeRecord(b []byte) (Record, error) {
+	rec, b, err := decodeHeader(b)
+	if err != nil {
+		return rec, err
+	}
+	if len(b) < 4 {
+		return rec, fmt.Errorf("%w: truncated header", ErrFailed)
+	}
+	tl := int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])
+	b = b[4:]
 	if tl < 0 || len(b) < tl+4 {
 		return rec, fmt.Errorf("%w: truncated type name", ErrFailed)
 	}
@@ -355,23 +497,20 @@ func decodeRecord(b []byte) (Record, error) {
 	if rl < 0 || len(b) != rl {
 		return rec, fmt.Errorf("%w: representation length mismatch", ErrFailed)
 	}
-	rec.Rep = append([]byte(nil), b...)
+	rec.Rep = b
 	return rec, nil
 }
 
-// Put implements Store with an atomic temp-file-and-rename write.
-func (f *File) Put(rec Record) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if prev, err := f.getLocked(rec.Object); err == nil && rec.Version <= prev.Version {
-		return fmt.Errorf("%w: have v%d, got v%d", ErrStale, prev.Version, rec.Version)
-	}
-	tmp, err := os.CreateTemp(f.dir, "ckp-*")
+// writeAtomic makes data the contents of the file at path, durably and
+// atomically: a crash leaves the previous contents or the new, never a
+// mixture. Caller holds f.mu.
+func (f *File) writeAtomic(path, tmpPattern string, data []byte) error {
+	tmp, err := os.CreateTemp(f.prefix, tmpPattern+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(encodeRecord(rec)); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
@@ -385,19 +524,53 @@ func (f *File) Put(rec Record) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmpName, f.path(rec.Object)); err != nil {
+	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-func (f *File) getLocked(id edenid.ID) (Record, error) {
-	b, err := os.ReadFile(f.path(id))
+// Put implements Store with an atomic temp-file-and-rename write. The
+// directory learns of the record only once the rename has made it
+// durable.
+func (f *File) Put(rec Record) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if prev, ok := f.Stat(rec.Object); ok && rec.Version <= prev.Version {
+		return fmt.Errorf("%w: have v%d, got v%d", ErrStale, prev.Version, rec.Version)
+	}
+	if err := f.writeAtomic(f.path(rec.Object, recExt), recTmp, encodeRecord(rec)); err != nil {
+		return err
+	}
+	f.dirMu.Lock()
+	f.recs[rec.Object] = rec.Meta()
+	f.dirMu.Unlock()
+	return nil
+}
+
+// Stat implements Store from the directory: no file is touched.
+//
+//edenvet:ignore capleak implements Store, which is below the capability layer
+func (f *File) Stat(id edenid.ID) (Meta, bool) {
+	f.dirMu.Lock()
+	defer f.dirMu.Unlock()
+	m, ok := f.recs[id]
+	return m, ok
+}
+
+// Get implements Store. A record the directory does not list is a miss
+// without a file operation.
+//
+//edenvet:ignore capleak implements Store, which is below the capability layer
+func (f *File) Get(id edenid.ID) (Record, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.Stat(id); !ok {
+		return Record{}, &notFound{id: id}
+	}
+	b, err := os.ReadFile(f.path(id, recExt))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Record{}, &notFound{id: id}
-		}
 		return Record{}, fmt.Errorf("store: %w", err)
 	}
 	rec, err := decodeRecord(b)
@@ -410,59 +583,33 @@ func (f *File) getLocked(id edenid.ID) (Record, error) {
 	return rec, nil
 }
 
-// Get implements Store.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
-func (f *File) Get(id edenid.ID) (Record, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.getLocked(id)
-}
-
 // Delete implements Store.
 //
 //edenvet:ignore capleak implements Store, which is below the capability layer
 func (f *File) Delete(id edenid.ID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := os.Remove(f.path(id)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(f.path(id, recExt)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: %w", err)
 	}
+	f.dirMu.Lock()
+	delete(f.recs, id)
+	f.dirMu.Unlock()
 	return nil
 }
 
-// List implements Store.
+// List implements Store from the directory.
 //
 //edenvet:ignore capleak implements Store, which is below the capability layer
 func (f *File) List() ([]edenid.ID, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	f.dirMu.Lock()
+	out := make([]edenid.ID, 0, len(f.recs))
+	for id := range f.recs {
+		out = append(out, id)
 	}
-	var out []edenid.ID
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) != ".ckp" {
-			continue
-		}
-		raw, err := hex.DecodeString(name[:len(name)-4])
-		if err != nil || len(raw) != edenid.Size {
-			continue
-		}
-		var id edenid.ID
-		copy(id[:], raw)
-		if id.Valid() && !id.IsNil() {
-			out = append(out, id)
-		}
-	}
+	f.dirMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i], out[j]) < 0 })
 	return out, nil
-}
-
-func (f *File) intentPath(id edenid.ID) string {
-	return filepath.Join(f.dir, fmt.Sprintf("%032x.mvi", id[:]))
 }
 
 // encodeIntent lays an intent out as:
@@ -504,30 +651,7 @@ func decodeIntent(b []byte) (MoveIntent, error) {
 func (f *File) PutIntent(it MoveIntent) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	tmp, err := os.CreateTemp(f.dir, "mvi-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(encodeIntent(it)); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, f.intentPath(it.Object)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return f.writeAtomic(f.path(it.Object, intentExt), intentTmp, encodeIntent(it))
 }
 
 // DeleteIntent implements Store. Removing an absent intent is not an
@@ -537,7 +661,7 @@ func (f *File) PutIntent(it MoveIntent) error {
 func (f *File) DeleteIntent(id edenid.ID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := os.Remove(f.intentPath(id)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(f.path(id, intentExt)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
@@ -549,17 +673,17 @@ func (f *File) DeleteIntent(id edenid.ID) error {
 func (f *File) ListIntents() ([]MoveIntent, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
+	entries, err := os.ReadDir(f.prefix)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var out []MoveIntent
 	for _, e := range entries {
 		name := e.Name()
-		if filepath.Ext(name) != ".mvi" {
+		if filepath.Ext(name) != intentExt {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(f.dir, name))
+		b, err := os.ReadFile(f.prefix + name)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
