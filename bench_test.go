@@ -13,6 +13,8 @@ import (
 	"eden"
 	"eden/internal/efs"
 	"eden/internal/ether"
+	"eden/internal/kernel"
+	"eden/internal/transport"
 )
 
 // benchSystem builds an n-node system with the echo type registered.
@@ -81,6 +83,72 @@ func BenchmarkInvokeLocal64KB(b *testing.B)  { benchInvoke(b, false, 64*1024) }
 func BenchmarkInvokeRemote64B(b *testing.B)  { benchInvoke(b, true, 64) }
 func BenchmarkInvokeRemote4KB(b *testing.B)  { benchInvoke(b, true, 4096) }
 func BenchmarkInvokeRemote64KB(b *testing.B) { benchInvoke(b, true, 64*1024) }
+
+// BenchmarkInvokeRemoteAsyncTCP is the shape of benchmark/'s
+// invoke-remote workload as a Go benchmark: two kernels over loopback
+// TCP, 16 asynchronous echoes in flight, payloads of 64 B, 4 KiB and
+// 64 KiB in the ratio 14:5:1. allocs/op is what one remote invocation
+// allocates on both nodes together; B/op shows every copy of a payload
+// that is not into a pooled buffer.
+func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
+	reg := kernel.NewRegistry()
+	tm := kernel.NewType("bench.echo")
+	tm.Op(kernel.Operation{Name: "echo", ReadOnly: true, Handler: func(c *kernel.Call) { c.Return(c.Data) }})
+	if err := reg.Register(tm); err != nil {
+		b.Fatal(err)
+	}
+	var trs [2]*transport.TCP
+	for i := range trs {
+		tr, err := transport.NewTCP(uint32(i+1), "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs[i] = tr
+	}
+	trs[0].AddPeer(2, trs[1].Addr())
+	trs[1].AddPeer(1, trs[0].Addr())
+	var ks [2]*kernel.Kernel
+	for i, tr := range trs {
+		ks[i] = kernel.New(kernel.DefaultConfig(uint32(i+1), fmt.Sprintf("bench-tcp-%d", i+1)), tr, reg, nil)
+		b.Cleanup(func() { ks[i].Close() })
+	}
+	cp, err := ks[1].Create("bench.echo", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const inflight = 16
+	size := func(i int) int { // of every 20 ops: one 64 KiB, five 4 KiB, fourteen 64 B
+		switch {
+		case i%20 == 0:
+			return 64 << 10
+		case i%4 == 1:
+			return 4 << 10
+		}
+		return 64
+	}
+	data := make([]byte, 64<<10)
+	if _, err := ks[0].Invoke(cp, "echo", data, nil, nil); err != nil { // locate, dial, fill the pools
+		b.Fatal(err)
+	}
+	var window [inflight]*kernel.Pending
+	collect := func(i int) {
+		if p := window[i%inflight]; p != nil {
+			if rep, err := p.Wait(); err != nil || len(rep.Data) != size(i-inflight) {
+				b.Fatal(len(rep.Data), err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		collect(i)
+		window[i%inflight] = ks[0].InvokeAsync(cp, "echo", data[:size(i)], nil, nil)
+	}
+	for i := b.N; i < b.N+inflight; i++ {
+		collect(i)
+		window[i%inflight] = nil
+	}
+}
 
 // ---- E2: invocation classes ----
 

@@ -38,22 +38,25 @@ const DefaultAsyncWorkers = 16
 
 // Pending is an asynchronous invocation in flight. The result is
 // sticky: Wait may be called any number of times, from any number of
-// goroutines, and always returns the same outcome.
+// goroutines, and always returns the same outcome. The promise is also
+// the invocation's entry in the dispatcher's table, so a submission
+// costs this one allocation and its done channel.
 type Pending struct {
 	done chan struct{}
 	rep  Reply
 	err  error
-}
 
-func newPending() *Pending {
-	return &Pending{done: make(chan struct{})}
-}
-
-// complete resolves the promise exactly once; the dispatcher owns the
-// single call site per submission.
-func (p *Pending) complete(rep Reply, err error) {
-	p.rep, p.err = rep, err
-	close(p.done)
+	req          msg.InvokeReq
+	allowReplica bool
+	// deadline is fixed at submission: time spent queued in the table
+	// counts against the caller's budget, so a saturated dispatcher
+	// surfaces as timeouts rather than invisible latency.
+	deadline time.Time
+	trace    uint64
+	sp       telemetry.Span
+	enq      time.Time // queue-wait sample start (zero with telemetry off)
+	port     *Port     // optional port-based completion delivery
+	portID   uint64    // completion id carried to the port
 }
 
 // Wait blocks until the invocation completes and returns its outcome.
@@ -67,23 +70,6 @@ func (p *Pending) Wait() (Reply, error) {
 // for callers multiplexing several pending invocations in a select.
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
-// asyncCall is one entry in the dispatcher's pending-invocation table.
-type asyncCall struct {
-	req          msg.InvokeReq
-	allowReplica bool
-	// deadline is fixed at submission: time spent queued in the table
-	// counts against the caller's budget, so a saturated dispatcher
-	// surfaces as timeouts rather than invisible latency.
-	deadline time.Time
-	trace    uint64
-	sp       telemetry.Span
-	enq      time.Time // queue-wait sample start (zero with telemetry off)
-
-	p      *Pending
-	port   *Port  // optional port-based completion delivery
-	portID uint64 // completion id carried to the port
-}
-
 // InvokeAsync starts an invocation without suspending the caller; the
 // returned Pending collects the reply. The invocation runs through
 // the node's bounded async dispatcher: if the pending-invocation
@@ -91,8 +77,7 @@ type asyncCall struct {
 // resolves with ErrTimeout (counted under kernel.async.shed).
 // Ignoring the Pending gives fire-and-forget.
 func (k *Kernel) InvokeAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) *Pending {
-	p := newPending()
-	_ = k.submitAsync(target, operation, data, caps, opts, p, nil, 0)
+	p, _ := k.submitAsync(target, operation, data, caps, opts, nil, 0)
 	return p
 }
 
@@ -110,7 +95,7 @@ func (k *Kernel) InvokeAsyncPort(target capability.Capability, operation string,
 		return 0, fmt.Errorf("kernel: InvokeAsyncPort requires a completion port")
 	}
 	id := k.asyncID.Add(1)
-	if err := k.submitAsync(target, operation, data, caps, opts, newPending(), port, id); err != nil {
+	if _, err := k.submitAsync(target, operation, data, caps, opts, port, id); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -120,7 +105,7 @@ func (k *Kernel) InvokeAsyncPort(target capability.Capability, operation string,
 // pending-invocation table. Rejections resolve the Pending and are
 // also returned (port-based callers get the synchronous error;
 // promise-based callers read it from the Pending).
-func (k *Kernel) submitAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions, p *Pending, port *Port, portID uint64) error {
+func (k *Kernel) submitAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions, port *Port, portID uint64) (*Pending, error) {
 	var o InvokeOptions
 	if opts != nil {
 		o = *opts
@@ -131,22 +116,8 @@ func (k *Kernel) submitAsync(target capability.Capability, operation string, dat
 	// The span opens at submission and closes at completion, so queue
 	// wait inside the dispatcher is visible in the trace.
 	trace := k.tel.reg.NextTraceID(k.cfg.Node)
-	sp := k.tel.reg.StartSpan("invoke.async", trace, k.cfg.Node)
-	fail := func(err error) error {
-		sp.End(spanStatus(err))
-		if errors.Is(err, ErrTimeout) {
-			k.tel.timeouts.Inc()
-		}
-		p.complete(Reply{}, err)
-		return err
-	}
-	if target.IsNull() {
-		return fail(fmt.Errorf("%w: null capability", ErrNoSuchObject))
-	}
-	if !target.Has(rights.Invoke) {
-		return fail(fmt.Errorf("%w: capability lacks invoke right", ErrRights))
-	}
-	ac := &asyncCall{
+	p := &Pending{
+		done: make(chan struct{}),
 		req: msg.InvokeReq{
 			Target:       target,
 			Operation:    operation,
@@ -157,30 +128,35 @@ func (k *Kernel) submitAsync(target capability.Capability, operation string, dat
 		allowReplica: o.AllowReplica,
 		deadline:     time.Now().Add(o.Timeout),
 		trace:        trace,
-		sp:           sp,
+		sp:           k.tel.reg.StartSpan("invoke.async", trace, k.cfg.Node),
 		enq:          k.tel.now(),
-		p:            p,
 		port:         port,
 		portID:       portID,
+	}
+	switch {
+	case target.IsNull():
+		return p, k.resolve(p, Reply{}, fmt.Errorf("%w: null capability", ErrNoSuchObject))
+	case !target.Has(rights.Invoke):
+		return p, k.resolve(p, Reply{}, fmt.Errorf("%w: capability lacks invoke right", ErrRights))
 	}
 	// Admission under asyncMu so a submission cannot slip into the
 	// table after Close has drained it (the entry would never resolve).
 	k.asyncMu.Lock()
 	if k.asyncClosed {
 		k.asyncMu.Unlock()
-		return fail(fmt.Errorf("%w: async dispatcher stopped", ErrClosed))
+		return p, k.resolve(p, Reply{}, fmt.Errorf("%w: async dispatcher stopped", ErrClosed))
 	}
 	select {
-	case k.asyncQ <- ac:
+	case k.asyncQ <- p:
 		k.asyncMu.Unlock()
 	default:
 		k.asyncMu.Unlock()
 		k.tel.asyncShed.Inc()
-		return fail(fmt.Errorf("%w: async dispatcher at capacity (%d pending)", ErrTimeout, cap(k.asyncQ)))
+		return p, k.resolve(p, Reply{}, fmt.Errorf("%w: async dispatcher at capacity (%d pending)", ErrTimeout, cap(k.asyncQ)))
 	}
 	k.tel.asyncPending.Add(1)
 	k.asyncOnce.Do(k.startAsyncWorkers)
-	return nil
+	return p, nil
 }
 
 // startAsyncWorkers launches the dispatcher's worker pool, lazily on
@@ -193,8 +169,8 @@ func (k *Kernel) startAsyncWorkers() {
 				select {
 				case <-k.asyncStop:
 					return
-				case ac := <-k.asyncQ:
-					k.runAsync(ac)
+				case p := <-k.asyncQ:
+					k.runAsync(p)
 				}
 			}
 		}()
@@ -202,31 +178,42 @@ func (k *Kernel) startAsyncWorkers() {
 }
 
 // runAsync executes one table entry on a dispatcher worker.
-func (k *Kernel) runAsync(ac *asyncCall) {
-	k.tel.asyncQueueWait.ObserveSince(ac.enq)
-	if time.Now().After(ac.deadline) {
+func (k *Kernel) runAsync(p *Pending) {
+	k.tel.asyncQueueWait.ObserveSince(p.enq)
+	if time.Now().After(p.deadline) {
 		// The deadline expired while the entry sat in the table; shed
 		// it like the per-object admission queues shed expired calls.
 		k.tel.asyncShed.Inc()
-		k.finishAsync(ac, Reply{}, ErrTimeout)
+		k.finishAsync(p, Reply{}, ErrTimeout)
 		return
 	}
-	rep, err := k.invoke(ac.req, ac.allowReplica, ac.deadline, ac.trace)
-	k.finishAsync(ac, rep, err)
+	rep, err := k.invoke(p.req, p.allowReplica, p.deadline, p.trace)
+	k.finishAsync(p, rep, err)
 }
 
-// finishAsync resolves one table entry: promise first, then the
-// optional port delivery, then the span.
-func (k *Kernel) finishAsync(ac *asyncCall, rep Reply, err error) {
+// finishAsync takes one entry out of the table: promise first, then the
+// optional port delivery.
+func (k *Kernel) finishAsync(p *Pending, rep Reply, err error) {
 	k.tel.asyncPending.Add(-1)
+	_ = k.resolve(p, rep, err)
+	if p.port != nil {
+		k.deliverCompletion(p.port, p.portID, rep, err)
+	}
+}
+
+// resolve completes the promise and closes its span; every submission
+// reaches it exactly once, admitted to the table or not. It returns err.
+// The request is let go, so that a Pending its caller keeps does not pin
+// the parameters.
+func (k *Kernel) resolve(p *Pending, rep Reply, err error) error {
 	if err != nil && errors.Is(err, ErrTimeout) {
 		k.tel.timeouts.Inc()
 	}
-	ac.p.complete(rep, err)
-	if ac.port != nil {
-		k.deliverCompletion(ac.port, ac.portID, rep, err)
-	}
-	ac.sp.End(spanStatus(err))
+	p.req = msg.InvokeReq{}
+	p.rep, p.err = rep, err
+	close(p.done)
+	p.sp.End(spanStatus(err))
+	return err
 }
 
 // deliverCompletion posts one encoded AsyncCompletion. A full port
@@ -254,19 +241,19 @@ func (k *Kernel) drainAsync() {
 	}
 	k.asyncClosed = true
 	close(k.asyncStop)
-	var stranded []*asyncCall
+	var stranded []*Pending
 	for {
 		select {
-		case ac := <-k.asyncQ:
-			stranded = append(stranded, ac)
+		case p := <-k.asyncQ:
+			stranded = append(stranded, p)
 			continue
 		default:
 		}
 		break
 	}
 	k.asyncMu.Unlock()
-	for _, ac := range stranded {
-		k.finishAsync(ac, Reply{}, fmt.Errorf("%w: node closed", ErrClosed))
+	for _, p := range stranded {
+		k.finishAsync(p, Reply{}, fmt.Errorf("%w: node closed", ErrClosed))
 	}
 }
 

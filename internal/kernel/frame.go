@@ -25,7 +25,9 @@ import (
 // late reply cannot surface in the frame's next use.
 //
 // A frame waiting for a remote reply (roundTrip) has one owner, the
-// invoker; k.pend is how the reply finds it.
+// invoker; k.pend is how the reply finds it. A frame carrying an inbound
+// request to its serve goroutine (handleFrame) has one owner at a time:
+// the transport's goroutine until `go c.serve()`, that goroutine after.
 type callCtx struct {
 	name string   // the operation as invoked
 	op   *boundOp // what name resolved to; set by validate
@@ -51,11 +53,16 @@ type callCtx struct {
 	o    *Object // the incarnation the call was submitted to
 	call Call    // the handler's context; valid until the handler returns
 
+	k   *Kernel      // the serving kernel, for serve
+	env msg.Envelope // the inbound request, for serve
+
 	reply chan msg.InvokeRep // capacity 1: the outcome, delivered at most once per use
 	// timer is created on the frame's first wait and afterwards only
 	// Reset, and only when the invoker is about to block.
 	timer *time.Timer
-	run   func() // c.runProcess, bound once so that `go c.run()` allocates nothing
+	// run and serve are c.runProcess and c.serveRequest, bound once so
+	// that `go c.run()` and `go c.serve()` allocate nothing.
+	run, serve func()
 
 	owners atomic.Int32
 }
@@ -69,7 +76,7 @@ func getFrame() *callCtx {
 		return c
 	}
 	c := &callCtx{reply: make(chan msg.InvokeRep, 1)}
-	c.run = c.runProcess
+	c.run, c.serve = c.runProcess, c.serveRequest
 	return c
 }
 
@@ -91,7 +98,17 @@ func (c *callCtx) recycle() {
 	c.name, c.op, c.data, c.caps, c.o = "", nil, nil, nil, nil
 	c.queued, c.vproc = false, false
 	c.call = Call{}
+	c.k, c.env = nil, msg.Envelope{}
 	framePool.Put(c)
+}
+
+// serveRequest is the goroutine an inbound invocation request is served
+// on. The frame only carried the request here: it goes back to the pool
+// before the serve, whose dispatch takes one of its own.
+func (c *callCtx) serveRequest() {
+	k, env := c.k, c.env
+	c.recycle()
+	k.serveInvoke(env)
 }
 
 // finish is the object side's one disposal of a submitted call: give
@@ -141,12 +158,16 @@ func (c *callCtx) arm(d time.Duration) {
 
 // disarm stops an armed timer whose channel was not received from. A
 // timer that fired in the meantime has left a tick behind, which the
-// next wait must not mistake for its own.
+// next wait must not mistake for its own. Stop can report such a timer
+// before the runtime has put the tick in the channel; that tick cannot
+// be waited for, so the timer is abandoned with it and the frame's next
+// wait makes a new one.
 func (c *callCtx) disarm() {
 	if !c.timer.Stop() {
 		select {
 		case <-c.timer.C:
 		default:
+			c.timer = nil
 		}
 	}
 }

@@ -143,3 +143,33 @@ func TestTimedOutCallKeepsItsVirtualProcessor(t *testing.T) {
 		t.Errorf("call after the holder returned: %v", err)
 	}
 }
+
+// TestDisarmLeavesNoTick: a reply that arrives as the frame's timer
+// fires must not leave the tick for the frame's next wait, where it
+// would time out a call with seconds to spare. Stop can report a fired
+// timer before its tick is in the channel; disarm then abandons the
+// timer. Each round disarms at the instant of expiry and looks for a
+// tick afterwards.
+func TestDisarmLeavesNoTick(t *testing.T) {
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	c := getFrame()
+	defer c.recycle()
+	for i := 0; i < 20000; i++ {
+		d := time.Duration(20+i%40) * time.Microsecond
+		c.arm(d)
+		spin(d - 2*time.Microsecond)
+		c.disarm()
+		spin(5 * time.Microsecond)
+		if c.timer == nil {
+			continue // abandoned, and its tick with it
+		}
+		select {
+		case <-c.timer.C:
+			t.Fatalf("round %d: a disarmed timer's tick surfaced afterwards", i)
+		default:
+		}
+	}
+}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"eden/internal/capability"
@@ -14,7 +15,8 @@ import (
 // Reply is the outcome of an invocation: "the object executes the
 // request and responds with status and return parameters".
 type Reply struct {
-	// Data carries the data results.
+	// Data carries the data results. From another node they are the bytes
+	// inside the frame the reply arrived in, which nothing else refers to.
 	Data []byte
 	// Caps carries the capability results.
 	Caps capability.List
@@ -45,9 +47,14 @@ const statusPassive msg.Status = 0xff
 // after meeting a passivated incarnation.
 const maxReresolve = 2
 
-// servedCacheSize bounds the reply-deduplication cache: the most
-// recent completed remote invocations whose replies are replayed if
-// the invoker retransmits (reply lost, invoker timed out early).
+// statusDuplicate never leaves the kernel either: the request retransmits
+// a call still executing here and is dropped by serveInvoke — that
+// execution's reply carries the same (From, Corr) and satisfies whichever
+// of the invoker's attempts is waiting.
+const statusDuplicate msg.Status = 0xfe
+
+// servedCacheSize is the at-most-once window: how many of the most
+// recent state-changing remote invocations a node remembers.
 const servedCacheSize = 4096
 
 // servedKey identifies one logical remote invocation.
@@ -56,12 +63,65 @@ type servedKey struct {
 	corr uint64
 }
 
-// servedEntry is a dedup slot: while the first execution runs, done is
-// open and retries wait on it; afterwards rep holds the reply to
-// replay.
-type servedEntry struct {
-	done chan struct{}
-	rep  msg.InvokeRep
+// servedTable makes remote execution at-most-once where that means
+// something. A call to an operation not declared ReadOnly takes a slot
+// before it is queued; its retransmission (an attempt timed out, a reply
+// was lost) is dropped while that execution runs and answered with its
+// reply afterwards. A ReadOnly operation cannot change state (DESIGN §6)
+// and any replica may serve it (§7), so it may run twice: it takes no
+// slot and its reply is retained nowhere. Slots are values in a ring:
+// call n occupies ring[n%servedCacheSize] and evicts what was there. idx
+// holds exactly the occupied slots' keys — a freed slot is zeroed — so
+// an eviction removes the one entry its slot wrote.
+type servedTable struct {
+	mu   sync.Mutex
+	n    uint64               // calls admitted so far
+	idx  map[servedKey]uint64 // logical invocation -> the n of its slot
+	ring []servedSlot         // made by the first call that needs it
+}
+
+type servedSlot struct {
+	n   uint64 // the call occupying the slot; 0 when free
+	key servedKey
+	rep msg.InvokeRep // the outcome to replay; statusDuplicate until there is one
+}
+
+// begin admits one call. n != 0: first sight of it — execute, then end(n).
+// n == 0: a retransmission, and rep is its answer.
+func (t *servedTable) begin(key servedKey) (n uint64, rep msg.InvokeRep) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, dup := t.idx[key]; dup {
+		return 0, t.ring[n%servedCacheSize].rep
+	}
+	if t.ring == nil {
+		t.ring = make([]servedSlot, servedCacheSize)
+	}
+	t.n++
+	s := &t.ring[t.n%servedCacheSize]
+	if s.n != 0 {
+		delete(t.idx, s.key)
+	}
+	*s = servedSlot{n: t.n, key: key, rep: msg.InvokeRep{Status: statusDuplicate}}
+	t.idx[key] = t.n
+	return t.n, msg.InvokeRep{}
+}
+
+// end settles call n with its outcome. A call that met a moved or
+// passivated incarnation never ran: its slot is freed, so that the retry
+// — which may find the object elsewhere by then — is not answered here.
+func (t *servedTable) end(n uint64, rep msg.InvokeRep) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := &t.ring[n%servedCacheSize]
+	switch {
+	case s.n != n: // the ring came round while the call ran
+	case rep.Status == msg.StatusMoved || rep.Status == statusPassive:
+		delete(t.idx, s.key)
+		*s = servedSlot{}
+	default:
+		s.rep = rep
+	}
 }
 
 // Invoke performs a synchronous invocation: "parameters are passed and
@@ -121,7 +181,7 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 		}
 
 		// Local fast path: the target is (or can become) active here.
-		if rep, served, err := k.tryLocal(req, allowReplica, false, deadline); served {
+		if rep, served, err := k.tryLocal(req, allowReplica, nil, deadline); served {
 			if err != nil {
 				return Reply{}, err
 			}
@@ -237,10 +297,11 @@ func replyFrom(rep msg.InvokeRep) (Reply, error) {
 // tryLocal serves the invocation on this node if the target is active,
 // passive, a forwarded ghost, or (when permitted) a cached replica
 // here. served reports whether the invocation was handled locally.
-// remoteOrigin marks requests that arrived over the wire: those get a
-// StatusMoved bounce from a forwarding pointer, while locally
-// originated invocations fall through to the locator (bouncing them
-// here would loop on this node's own forward).
+// origin is non-nil for requests that arrived over the wire, and names
+// the logical invocation: those get a StatusMoved bounce from a
+// forwarding pointer, while locally originated invocations fall through
+// to the locator (bouncing them here would loop on this node's own
+// forward).
 //
 // Resolution and arrival are separate critical sections, so the
 // incarnation resolved may have been passivated by the time the call
@@ -248,9 +309,9 @@ func replyFrom(rep msg.InvokeRep) (Reply, error) {
 // never ran, and the object's state is in the local record: it goes
 // round again (at most maxReresolve times) and lands on the passive
 // record, or on the incarnation a racing call made from it.
-func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, deadline time.Time) (msg.InvokeRep, bool, error) {
+func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica bool, origin *servedKey, deadline time.Time) (msg.InvokeRep, bool, error) {
 	for round := 0; ; round++ {
-		rep, served, err := k.tryLocalOnce(req, allowReplica, remoteOrigin, deadline)
+		rep, served, err := k.tryLocalOnce(req, allowReplica, origin, deadline)
 		if rep.Status != statusPassive {
 			return rep, served, err
 		}
@@ -260,7 +321,7 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, de
 	}
 }
 
-func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool, deadline time.Time) (msg.InvokeRep, bool, error) {
+func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *servedKey, deadline time.Time) (msg.InvokeRep, bool, error) {
 	id := req.Target.ID()
 	k.mu.Lock()
 	if k.closed {
@@ -280,7 +341,7 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool
 	switch {
 	case isActive:
 	case isFwd:
-		if remoteOrigin {
+		if origin != nil {
 			return movedReply(fwd), true, nil
 		}
 		// Locally originated: fall through to the locator. The local
@@ -288,7 +349,6 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool
 		// it may be stale (the object moved on), and re-learning it on
 		// every retry would clobber the fresher hints the chase
 		// produces, bouncing forever between two old homes.
-		_ = fwd
 		return msg.InvokeRep{}, false, nil
 	case replica != nil:
 		obj = replica
@@ -302,7 +362,7 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool
 			outcome, rerr := k.resolvePendingIntent(id)
 			switch outcome {
 			case moveRolledForward:
-				if remoteOrigin {
+				if origin != nil {
 					k.mu.Lock()
 					dest, isNowFwd := k.forwards[id]
 					k.mu.Unlock()
@@ -357,15 +417,15 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool
 	if k.testHook != nil {
 		k.testHook(hookArrival, obj)
 	}
-	rep, err := k.dispatch(obj, req, deadline)
-	if rep.Status == statusPassive {
-		return rep, true, err // not served yet: tryLocal resolves again
+	rep, err := k.dispatch(obj, req, deadline, origin)
+	if rep.Status == statusPassive || rep.Status == statusDuplicate {
+		return rep, true, err // not served: tryLocal resolves again, serveInvoke drops it
 	}
 	k.stLocal.Add(1)
 	// Served requests that arrived over the wire are counted by
 	// kernel.invoke.served at the dedup layer; invLocal counts only
 	// invocations that originated here and never touched the network.
-	if !remoteOrigin {
+	if origin == nil {
 		k.tel.invLocal.Inc()
 	}
 	if shadowServe && err == nil {
@@ -389,8 +449,8 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica, remoteOrigin bool
 // the lock is released; the only hand-offs are to that process and back.
 // One absolute deadline covers the whole dispatch — the virtual-
 // processor wait and the reply wait share it, so a call can never
-// consume more than its caller's time limit.
-func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time) (msg.InvokeRep, error) {
+// consume more than its caller's time limit. origin is nil for a local call.
+func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, origin *servedKey) (rep msg.InvokeRep, _ error) {
 	// The serving side verifies rights before admitting the call: a
 	// request that arrived over the wire carries whatever capability
 	// the sender claims, and the target's node — not the sender — is
@@ -408,6 +468,16 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time) (m
 	if rep, ok := obj.validate(c); !ok {
 		c.recycle()
 		return rep, nil
+	}
+	// The operation is known and the call has cost nothing yet: the one
+	// place to decide whether a retransmission of it may run again.
+	if origin != nil && !c.op.ReadOnly {
+		n, answer := k.served.begin(*origin)
+		if n == 0 {
+			c.recycle()
+			return answer, nil
+		}
+		defer func() { k.served.end(n, rep) }()
 	}
 	remaining := timeout
 	if k.vprocs != nil {
@@ -473,13 +543,13 @@ func (k *Kernel) retryAfterDown(obj *Object, moved uint32, passive bool) msg.Inv
 // k.pend; handleFrame delivers into it under pendMu, and the entry is
 // removed under pendMu before the frame is recycled, so a reply that
 // arrives after the invoker gave up finds the live frame or nothing.
-func (k *Kernel) roundTrip(env msg.Envelope, timeout time.Duration) (msg.InvokeRep, error) {
+func (k *Kernel) roundTrip(env msg.Envelope, payload *msg.Buffer, timeout time.Duration) (msg.InvokeRep, error) {
 	c := getFrame()
 	k.pendMu.Lock()
 	k.pend[env.Corr] = c
 	k.pendMu.Unlock()
 	var rep msg.InvokeRep
-	err := k.tr.Send(env)
+	err := k.send(env, payload)
 	if err != nil {
 		err = fmt.Errorf("kernel: send to node %d: %w", env.To, err)
 	} else if r, ok := c.await(timeout); ok {
@@ -504,20 +574,16 @@ func (k *Kernel) invokeRemote(node uint32, corr, trace uint64, req msg.InvokeReq
 	req.TimeoutNanos = int64(timeout)
 	k.stRemote.Add(1)
 	k.tel.invRemote.Inc()
-	return k.roundTrip(msg.Envelope{
-		Kind:    msg.KindInvokeReq,
-		To:      node,
-		Corr:    corr,
-		Trace:   trace,
-		Payload: req.Encode(nil),
-	}, timeout)
+	return k.roundTrip(msg.Envelope{Kind: msg.KindInvokeReq, To: node, Corr: corr, Trace: trace}, msg.Encode(req), timeout)
 }
 
 // serveInvoke executes an invocation received from another node and
-// sends the reply envelope back. Retransmissions of an invocation
-// already executed (or executing) do not run the operation again: the
-// first execution's reply is replayed, giving at-most-once execution
-// per logical invocation.
+// sends the reply envelope back. The request is decoded in place: its
+// data is the handler's Call.Data, inside the frame it arrived in. The
+// request's own flag decides whether a replica or checkpoint shadow
+// qualifies: an invoker that demands the home (after a StatusMoved
+// bounce, or because it never opted into stale reads) clears the flag,
+// and serving a shadow anyway would bounce it here forever.
 func (k *Kernel) serveInvoke(env msg.Envelope) {
 	req, err := msg.DecodeInvokeReq(env.Payload)
 	if err != nil {
@@ -527,76 +593,23 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	if timeout <= 0 {
 		timeout = k.cfg.DefaultTimeout
 	}
-	deadline := time.Now().Add(timeout)
-
-	key := servedKey{from: env.From, corr: env.Corr}
-	k.servedMu.Lock()
-	if entry, dup := k.served[key]; dup {
-		k.servedMu.Unlock()
-		// Retransmission: wait out the original execution if it is
-		// still running, then replay its reply.
-		select {
-		case <-entry.done:
-			_ = k.tr.Send(msg.Envelope{
-				Kind:    msg.KindInvokeRep,
-				To:      env.From,
-				Corr:    env.Corr,
-				Trace:   env.Trace,
-				Payload: entry.rep.Encode(nil),
-			})
-		case <-time.After(timeout):
-		}
-		return
-	}
-	entry := &servedEntry{done: make(chan struct{})}
-	k.served[key] = entry
-	k.servedLog = append(k.servedLog, key)
-	for len(k.servedLog) > servedCacheSize {
-		delete(k.served, k.servedLog[0])
-		k.servedLog = k.servedLog[1:]
-	}
-	k.servedMu.Unlock()
-
-	k.stServed.Add(1)
-	k.tel.invServed.Inc()
 	// The serving-side span joins the invoker's via the envelope's
 	// trace id; together they split a remote invocation's latency into
 	// service time (here) and everything else (wire + location).
 	sp := k.tel.reg.StartSpan("serve", env.Trace, k.cfg.Node)
-	rep, served, derr := k.serveLocally(req, deadline)
+	origin := servedKey{from: env.From, corr: env.Corr}
+	rep, served, derr := k.tryLocal(req, req.AllowReplica(), &origin, time.Now().Add(timeout))
 	if derr != nil {
 		rep = msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(derr.Error())}
 	} else if !served {
 		rep = msg.InvokeRep{Status: msg.StatusNoSuchObject}
 	}
-	sp.End(rep.Status.String())
-	k.servedMu.Lock()
-	entry.rep = rep
-	k.servedMu.Unlock()
-	close(entry.done)
-	// Routing outcomes must not stick in the dedup cache: a "not
-	// here" or "moved" answer may legitimately differ on the next
-	// retry (after recovery or another move), so only executed
-	// operations are deduplicated.
-	if rep.Status == msg.StatusNoSuchObject || rep.Status == msg.StatusMoved {
-		k.servedMu.Lock()
-		delete(k.served, key)
-		k.servedMu.Unlock()
+	if rep.Status == statusDuplicate {
+		sp.End("duplicate")
+		return
 	}
-	_ = k.tr.Send(msg.Envelope{
-		Kind:    msg.KindInvokeRep,
-		To:      env.From,
-		Corr:    env.Corr,
-		Trace:   env.Trace,
-		Payload: rep.Encode(nil),
-	})
-}
-
-// serveLocally is tryLocal for requests arriving over the wire. The
-// request's own flag decides whether a replica or checkpoint shadow
-// qualifies: an invoker that demands the home (after a StatusMoved
-// bounce, or because it never opted into stale reads) clears the flag,
-// and serving a shadow anyway would bounce it here forever.
-func (k *Kernel) serveLocally(req msg.InvokeReq, deadline time.Time) (msg.InvokeRep, bool, error) {
-	return k.tryLocal(req, req.AllowReplica(), true, deadline)
+	k.stServed.Add(1)
+	k.tel.invServed.Inc()
+	sp.End(rep.Status.String())
+	_ = k.send(msg.Envelope{Kind: msg.KindInvokeRep, To: env.From, Corr: env.Corr, Trace: env.Trace}, msg.Encode(rep))
 }

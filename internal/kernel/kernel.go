@@ -215,12 +215,10 @@ type Kernel struct {
 	pend   map[uint64]*callCtx // correlation id -> the frame awaiting that reply (roundTrip)
 	corr   atomic.Uint64
 
-	// served deduplicates re-transmitted invocation requests so a
-	// retry after a lost reply does not re-execute the operation
-	// (at-most-once execution per logical invocation).
-	servedMu  sync.Mutex
-	served    map[servedKey]*servedEntry
-	servedLog []servedKey // FIFO eviction order
+	// served deduplicates retransmitted requests for operations that may
+	// change state, so a retry after a lost reply does not execute one
+	// again (invoke.go).
+	served servedTable
 
 	vprocs chan struct{} // virtual processor tokens (nil = unbounded)
 
@@ -228,7 +226,7 @@ type Kernel struct {
 	// table drained by a lazily started worker pool. asyncMu fences
 	// submission against Close's drain so no entry is stranded.
 	asyncMu     sync.Mutex
-	asyncQ      chan *asyncCall
+	asyncQ      chan *Pending
 	asyncStop   chan struct{}
 	asyncClosed bool
 	asyncOnce   sync.Once
@@ -313,9 +311,9 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		intents:  make(map[edenid.ID]store.MoveIntent),
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
-		served:   make(map[servedKey]*servedEntry),
+		served:   servedTable{idx: make(map[servedKey]uint64)},
 	}
-	k.asyncQ = make(chan *asyncCall, cfg.AsyncPending)
+	k.asyncQ = make(chan *Pending, cfg.AsyncPending)
 	k.asyncStop = make(chan struct{})
 	if cfg.VirtualProcessors > 0 {
 		k.vprocs = make(chan struct{}, cfg.VirtualProcessors)
@@ -491,13 +489,25 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	return false, isReplica
 }
 
+// send transmits one frame whose payload is in a pooled buffer, and
+// frees the buffer: Send borrows a payload only until it returns.
+func (k *Kernel) send(env msg.Envelope, payload *msg.Buffer) error {
+	env.Payload = payload.B
+	err := k.tr.Send(env)
+	payload.Free()
+	return err
+}
+
 // handleFrame demultiplexes inbound transport frames.
 func (k *Kernel) handleFrame(env msg.Envelope) {
 	switch env.Kind {
 	case msg.KindInvokeReq:
 		// Serving an invocation can block (class queues, nested
-		// invokes), so it gets its own goroutine.
-		go k.serveInvoke(env)
+		// invokes), so it gets its own goroutine, started from a pooled
+		// frame: `go k.serveInvoke(env)` would allocate a closure.
+		c := getFrame()
+		c.k, c.env = k, env
+		go c.serve()
 	case msg.KindInvokeRep:
 		rep, err := msg.DecodeInvokeRep(env.Payload)
 		if err != nil {

@@ -623,7 +623,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 // shipAndWait sends a representation shipment and waits for the
 // receiving kernel's acknowledgment.
 func (k *Kernel) shipAndWait(node uint32, ship msg.Ship, timeout time.Duration) error {
-	rep, err := k.roundTrip(msg.Envelope{Kind: msg.KindShip, To: node, Corr: k.corr.Add(1), Payload: ship.Encode(nil)}, timeout)
+	rep, err := k.roundTrip(msg.Envelope{Kind: msg.KindShip, To: node, Corr: k.corr.Add(1)}, msg.Encode(ship), timeout)
 	if err != nil {
 		return err
 	}
@@ -645,12 +645,7 @@ func (k *Kernel) serveShip(env msg.Envelope) {
 			ack = msg.InvokeRep{Status: msg.StatusError, Data: []byte(err.Error())}
 		}
 	}
-	_ = k.tr.Send(msg.Envelope{
-		Kind:    msg.KindInvokeRep,
-		To:      env.From,
-		Corr:    env.Corr,
-		Payload: ack.Encode(nil),
-	})
+	_ = k.send(msg.Envelope{Kind: msg.KindInvokeRep, To: env.From, Corr: env.Corr}, msg.Encode(ack))
 }
 
 // acceptShip applies one shipment.

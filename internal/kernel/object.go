@@ -656,7 +656,9 @@ type Call struct {
 
 	// Operation is the invoked operation's name.
 	Operation string
-	// Data carries the data parameters.
+	// Data carries the data parameters: the invoker's own slice for a
+	// local call; for a call from another node, the bytes inside the frame
+	// it arrived in, which belongs to this call alone.
 	Data []byte
 	// Caps carries the capability parameters.
 	Caps capability.List

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"eden/internal/msg"
 	"eden/internal/rights"
 )
 
@@ -238,6 +239,9 @@ func (r *Registry) Register(t *TypeManager) error {
 		if op.Commutes && op.Access != AccessWrite {
 			return fmt.Errorf("kernel: operation %q on type %q declares Commutes without AccessWrite", name, t.Name)
 		}
+		// A served request's operation name then decodes to this string,
+		// not to a new one per frame.
+		msg.InternOperation(name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -220,9 +220,5 @@ func (k *Kernel) handleInvalidate(env msg.Envelope) {
 // the next checkpoint.
 func (k *Kernel) broadcastInvalidate(id edenid.ID, ver uint64, move bool, home uint32, sites []uint32) {
 	iv := msg.Invalidate{Object: id, Home: home, Version: ver, Move: move, Sites: sites}
-	_ = k.tr.Send(msg.Envelope{
-		Kind:    msg.KindInvalidate,
-		To:      msg.Broadcast,
-		Payload: iv.Encode(nil),
-	})
+	_ = k.send(msg.Envelope{Kind: msg.KindInvalidate, To: msg.Broadcast}, msg.Encode(iv))
 }

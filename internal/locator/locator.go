@@ -45,7 +45,7 @@ var (
 type HostCheck func(id edenid.ID, recover bool) (home, replica bool)
 
 // SendFunc transmits one frame; the kernel supplies its transport's
-// Send.
+// Send, which borrows env.Payload only until it returns.
 type SendFunc func(env msg.Envelope) error
 
 // Stats counts locator activity.
@@ -286,6 +286,16 @@ func (l *Locator) lookup(id edenid.ID, wantHome, recover bool, timeout time.Dura
 	return l.broadcast(id, wantHome, recover, timeout)
 }
 
+// sendBody transmits one frame whose payload is in a pooled buffer, and
+// frees the buffer: the transport borrows a payload only until its Send
+// returns.
+func (l *Locator) sendBody(env msg.Envelope, payload *msg.Buffer) error {
+	env.Payload = payload.B
+	err := l.send(env)
+	payload.Free()
+	return err
+}
+
 // broadcast runs the location protocol for one object.
 func (l *Locator) broadcast(id edenid.ID, wantHome, recover bool, timeout time.Duration) (Location, error) {
 	if timeout <= 0 {
@@ -308,13 +318,9 @@ func (l *Locator) broadcast(id edenid.ID, wantHome, recover bool, timeout time.D
 	}()
 
 	l.broadcasts.Add(1)
-	env := msg.Envelope{
-		Kind:    msg.KindLocateReq,
-		To:      msg.Broadcast,
-		Corr:    corr,
-		Payload: msg.LocateReq{Object: id, Recover: recover}.Encode(nil),
-	}
-	if err := l.send(env); err != nil {
+	err := l.sendBody(msg.Envelope{Kind: msg.KindLocateReq, To: msg.Broadcast, Corr: corr},
+		msg.Encode(msg.LocateReq{Object: id, Recover: recover}))
+	if err != nil {
 		return Location{}, fmt.Errorf("locator: broadcast: %w", err)
 	}
 
@@ -351,12 +357,7 @@ func (l *Locator) HandleRequest(env msg.Envelope) {
 		return
 	}
 	rep := msg.LocateRep{Object: req.Object, Node: l.node, Replica: !home}
-	_ = l.send(msg.Envelope{
-		Kind:    msg.KindLocateRep,
-		To:      env.From,
-		Corr:    env.Corr,
-		Payload: rep.Encode(nil),
-	})
+	_ = l.sendBody(msg.Envelope{Kind: msg.KindLocateRep, To: env.From, Corr: env.Corr}, msg.Encode(rep))
 }
 
 // HandleReply processes an inbound LocateRep, delivering it to the

@@ -10,12 +10,40 @@ import (
 	"eden/internal/rights"
 )
 
-// The fuzz targets below all check the same property: any input the
+// The fuzz targets below all check the same properties: any input the
 // decoder accepts must survive a re-encode/re-decode round trip
-// unchanged. Decoders are also implicitly checked for panics and
-// out-of-bounds reads on arbitrary input — the frames come straight
-// off the network, so "corrupt input returns an error" is a security
-// property, not a nicety.
+// unchanged — byte for byte where the encoding is canonical (envelope,
+// request, reply) — its Size must be the length Encode produces, and
+// every []byte the decoder returns must lie inside the input it was
+// given: decoders alias, so a field outside the input would be a hidden
+// copy, and one reaching past the input's length an overrun. Decoders
+// are also implicitly checked for panics on arbitrary input — the
+// frames come straight off the network, so "corrupt input returns an
+// error" is a security property, not a nicety.
+
+// slack is spare capacity behind every fuzz input, so that a decoder
+// slicing past the input's length lands in memory the test owns, where
+// inside reports it, rather than faulting.
+const slack = 64
+
+// withSlack returns data copied to the front of a larger array.
+func withSlack(data []byte) []byte {
+	return append(make([]byte, 0, len(data)+slack), data...)
+}
+
+// inside reports whether field is a sub-slice of buf: the same memory,
+// within buf's length, not an equal copy of it.
+func inside(buf, field []byte) bool {
+	if len(field) == 0 {
+		return true
+	}
+	for i := range buf {
+		if &buf[i] == &field[0] {
+			return i+len(field) <= len(buf)
+		}
+	}
+	return false
+}
 
 func fuzzSeedCap() capability.Capability {
 	return capability.New(edenid.NewGenerator(3).Next(), rights.All)
@@ -29,18 +57,25 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Payload: []byte("payload"),
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = withSlack(data)
 		e, rest, err := DecodeEnvelope(data)
 		if err != nil {
 			return
 		}
-		again, rest2, err := DecodeEnvelope(EncodeEnvelope(nil, e))
+		if !inside(data, e.Payload) || !inside(data, rest) {
+			t.Fatal("payload or remainder is not a sub-slice of the input")
+		}
+		wire := EncodeEnvelope(nil, e)
+		if len(wire) != e.Size() || !bytes.Equal(append(wire, rest...), data) {
+			t.Fatalf("re-encode is %d bytes (Size %d) and differs from the %d-byte input", len(wire), e.Size(), len(data))
+		}
+		again, rest2, err := DecodeEnvelope(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if len(rest2) != 0 {
 			t.Fatalf("re-decode left %d bytes", len(rest2))
 		}
-		_ = rest
 		if e.Kind != again.Kind || e.From != again.From || e.To != again.To ||
 			e.Corr != again.Corr || e.Trace != again.Trace || !bytes.Equal(e.Payload, again.Payload) {
 			t.Fatalf("round trip changed envelope: %+v != %+v", e, again)
@@ -56,11 +91,19 @@ func FuzzDecodeInvokeReq(f *testing.F) {
 		Flags: FlagAllowReplica,
 	}.Encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = withSlack(data)
 		r, err := DecodeInvokeReq(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeInvokeReq(r.Encode(nil))
+		if !inside(data, r.Data) {
+			t.Fatal("Data is not a sub-slice of the input")
+		}
+		wire := r.Encode(nil)
+		if len(wire) != r.Size() || !bytes.Equal(wire, data) {
+			t.Fatalf("re-encode is %d bytes (Size %d) and differs from the %d-byte input", len(wire), r.Size(), len(data))
+		}
+		again, err := DecodeInvokeReq(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -74,11 +117,19 @@ func FuzzDecodeInvokeRep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(InvokeRep{Status: StatusOK, Data: []byte("out"), Caps: capability.List{fuzzSeedCap()}}.Encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = withSlack(data)
 		r, err := DecodeInvokeRep(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeInvokeRep(r.Encode(nil))
+		if !inside(data, r.Data) {
+			t.Fatal("Data is not a sub-slice of the input")
+		}
+		wire := r.Encode(nil)
+		if len(wire) != r.Size() || !bytes.Equal(wire, data) {
+			t.Fatalf("re-encode is %d bytes (Size %d) and differs from the %d-byte input", len(wire), r.Size(), len(data))
+		}
+		again, err := DecodeInvokeRep(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -96,7 +147,11 @@ func FuzzDecodeLocateReq(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := DecodeLocateReq(r.Encode(nil))
+		wire := r.Encode(nil)
+		if len(wire) != r.Size() {
+			t.Fatalf("Size %d, encoded %d bytes", r.Size(), len(wire))
+		}
+		again, err := DecodeLocateReq(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -114,7 +169,11 @@ func FuzzDecodeLocateRep(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := DecodeLocateRep(r.Encode(nil))
+		wire := r.Encode(nil)
+		if len(wire) != r.Size() {
+			t.Fatalf("Size %d, encoded %d bytes", r.Size(), len(wire))
+		}
+		again, err := DecodeLocateRep(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -136,7 +195,11 @@ func FuzzDecodeInvalidate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := DecodeInvalidate(iv.Encode(nil))
+		wire := iv.Encode(nil)
+		if len(wire) != iv.Size() {
+			t.Fatalf("Size %d, encoded %d bytes", iv.Size(), len(wire))
+		}
+		again, err := DecodeInvalidate(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -167,11 +230,20 @@ func FuzzDecodeShip(f *testing.F) {
 		Purpose: ShipMoveProbe, Object: edenid.NewGenerator(9).Next(), Epoch: 5,
 	}.Encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = withSlack(data)
 		s, err := DecodeShip(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeShip(s.Encode(nil))
+		if !inside(data, s.Rep) {
+			t.Fatal("Rep is not a sub-slice of the input")
+		}
+		// Not byte for byte: the flags byte has bits Decode ignores.
+		wire := s.Encode(nil)
+		if len(wire) != s.Size() || len(wire) != len(data) {
+			t.Fatalf("Size %d, encoded %d bytes, input %d", s.Size(), len(wire), len(data))
+		}
+		again, err := DecodeShip(wire)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

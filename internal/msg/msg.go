@@ -8,6 +8,13 @@
 // in-process mesh transport and the TCP transport. Every frame starts
 // with a fixed envelope (version, kind, source, destination,
 // correlation id); the payload layout depends on the kind.
+//
+// Decoders alias: every []byte a Decode* function returns is a
+// sub-slice of its input, never a copy. The input must therefore stay
+// unchanged for as long as the decoded value is in use — which the
+// transports guarantee by handing each inbound frame to its handler as
+// a freshly allocated slice nobody else writes to (DESIGN.md, "The
+// wire path: who owns a buffer").
 package msg
 
 import (
@@ -15,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
@@ -103,6 +111,9 @@ type Envelope struct {
 // envelope header: version(1) kind(1) from(4) to(4) corr(8) trace(8) payloadLen(4)
 const headerSize = 1 + 1 + 4 + 4 + 8 + 8 + 4
 
+// Size is the length of the envelope's wire form.
+func (e Envelope) Size() int { return headerSize + len(e.Payload) }
+
 // EncodeEnvelope appends the wire form of e to dst.
 func EncodeEnvelope(dst []byte, e Envelope) []byte {
 	dst = append(dst, Version, byte(e.Kind))
@@ -114,20 +125,22 @@ func EncodeEnvelope(dst []byte, e Envelope) []byte {
 	return append(dst, e.Payload...)
 }
 
-// Buffer is a pooled encoding buffer for wire frames. Transports that
-// encode an envelope per send borrow one with GetBuffer, append via
-// EncodeEnvelope (plus any transport framing), and return it with Free
-// once the bytes are on the wire — keeping the per-frame allocation off
-// the send hot path. The struct wraps the slice so the pool traffics in
-// a stable pointer rather than re-boxing a slice header on every Put.
+// Buffer is a pooled encoding buffer. A sender borrows one with
+// GetBuffer, sizes it with Grow, appends a payload (Encode) or a whole
+// frame (EncodeEnvelope plus any transport framing), and returns it with
+// Free once nobody reads the bytes any more: a payload when Send
+// returns, a frame when it is on the wire. The struct wraps the slice so
+// the pool traffics in a stable pointer rather than re-boxing a slice
+// header on every Put.
 type Buffer struct {
 	// B is the buffer's contents; append to it freely.
 	B []byte
 }
 
 // maxPooledBuffer caps the backing arrays kept in the pool: one huge
-// Ship frame must not pin megabytes inside the pool forever.
-const maxPooledBuffer = 1 << 16
+// Ship frame must not pin megabytes inside the pool forever. A frame
+// carrying a 64 KiB payload, with every header around it, still fits.
+const maxPooledBuffer = 64<<10 + 1<<10
 
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
@@ -135,6 +148,32 @@ var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 func GetBuffer() *Buffer {
 	b := bufferPool.Get().(*Buffer)
 	b.B = b.B[:0]
+	return b
+}
+
+// Grow makes room for n more bytes and returns b.B, so that appending
+// an encoding whose Size is n allocates at most once and never doubles.
+// The backing array is made to the exact size: append would round it up
+// to an allocator size class, past maxPooledBuffer for the largest
+// frames the pool is meant to keep.
+func (b *Buffer) Grow(n int) []byte {
+	if need := len(b.B) + n; need > cap(b.B) {
+		grown := make([]byte, len(b.B), need)
+		copy(grown, b.B)
+		b.B = grown
+	}
+	return b.B
+}
+
+// Encode returns a pooled buffer holding the wire form of one payload,
+// grown once to its exact size. It is generic rather than taking an
+// interface so that a request or reply passed by value is not boxed.
+func Encode[P interface {
+	Size() int
+	Encode(dst []byte) []byte
+}](p P) *Buffer {
+	b := GetBuffer()
+	b.B = p.Encode(b.Grow(p.Size()))
 	return b
 }
 
@@ -151,7 +190,7 @@ func (b *Buffer) Free() {
 }
 
 // DecodeEnvelope parses one envelope from the front of src, returning
-// it and the remaining bytes.
+// it and the remaining bytes. The envelope's Payload aliases src.
 func DecodeEnvelope(src []byte) (Envelope, []byte, error) {
 	if len(src) < headerSize {
 		return Envelope{}, src, fmt.Errorf("%w: short header", ErrBadFrame)
@@ -171,7 +210,7 @@ func DecodeEnvelope(src []byte) (Envelope, []byte, error) {
 	if plen < 0 || len(rest) < plen {
 		return Envelope{}, src, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadFrame, len(rest), plen)
 	}
-	e.Payload = append([]byte(nil), rest[:plen]...)
+	e.Payload = rest[:plen:plen]
 	return e, rest[plen:], nil
 }
 
@@ -182,6 +221,9 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// takeBytes returns the length-prefixed field at the front of src as a
+// sub-slice of src (capacity clipped, so appending to it cannot reach
+// the bytes that follow), and the remainder.
 func takeBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 4 {
 		return nil, src, fmt.Errorf("%w: short length prefix", ErrBadFrame)
@@ -191,15 +233,60 @@ func takeBytes(src []byte) ([]byte, []byte, error) {
 	if n < 0 || len(src) < n {
 		return nil, src, fmt.Errorf("%w: truncated field", ErrBadFrame)
 	}
-	return append([]byte(nil), src[:n]...), src[n:], nil
+	return src[:n:n], src[n:], nil
 }
 
-func appendString(dst []byte, s string) []byte { return appendBytes(dst, []byte(s)) }
+func appendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
 
 func takeString(src []byte) (string, []byte, error) {
 	b, rest, err := takeBytes(src)
 	return string(b), rest, err
 }
+
+// opNames interns operation names. A request names its operation on
+// every frame, and the set of names is the small fixed one the type
+// registry holds: DecodeInvokeReq looks the decoded bytes up here and
+// returns the registered string instead of allocating a new one per
+// frame. A registration table, copied on write, so lookups take no lock.
+var (
+	opNamesMu sync.Mutex
+	opNames   atomic.Pointer[map[string]string]
+)
+
+// InternOperation registers an operation name with the decoder. The type
+// registry calls it for every operation of every type it is given; a name
+// never registered still decodes, at one allocation per frame.
+func InternOperation(name string) {
+	opNamesMu.Lock()
+	defer opNamesMu.Unlock()
+	next := map[string]string{name: name}
+	if old := opNames.Load(); old != nil {
+		if _, known := (*old)[name]; known {
+			return
+		}
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	opNames.Store(&next)
+}
+
+// operationName is string(b), without the allocation when the name is a
+// registered one.
+func operationName(b []byte) string {
+	if m := opNames.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok { // the conversion in a map index does not allocate
+			return s
+		}
+	}
+	return string(b)
+}
+
+// listSize is the length of a capability list's wire form.
+func listSize(l capability.List) int { return 4 + len(l)*capability.EncodedSize }
 
 // InvokeReq is the payload of KindInvokeReq: "the user supplies a
 // capability for the object, the name of the operation to be invoked,
@@ -237,6 +324,11 @@ const (
 // AllowReplica reports whether the caller opted into replica serving.
 func (r InvokeReq) AllowReplica() bool { return r.Flags&FlagAllowReplica != 0 }
 
+// Size is the length of the request's wire form.
+func (r InvokeReq) Size() int {
+	return capability.EncodedSize + 4 + len(r.Operation) + 4 + len(r.Data) + listSize(r.Caps) + 8 + 2
+}
+
 // Encode appends the wire form of the request to dst.
 func (r InvokeReq) Encode(dst []byte) []byte {
 	dst = r.Target.Encode(dst)
@@ -247,7 +339,7 @@ func (r InvokeReq) Encode(dst []byte) []byte {
 	return append(dst, r.Hops, r.Flags)
 }
 
-// DecodeInvokeReq parses an InvokeReq payload.
+// DecodeInvokeReq parses an InvokeReq payload. Data aliases src.
 func DecodeInvokeReq(src []byte) (InvokeReq, error) {
 	var r InvokeReq
 	var err error
@@ -255,9 +347,11 @@ func DecodeInvokeReq(src []byte) (InvokeReq, error) {
 	if err != nil {
 		return r, fmt.Errorf("%w: target: %v", ErrBadFrame, err)
 	}
-	if r.Operation, src, err = takeString(src); err != nil {
+	var name []byte
+	if name, src, err = takeBytes(src); err != nil {
 		return r, err
 	}
+	r.Operation = operationName(name)
 	if r.Data, src, err = takeBytes(src); err != nil {
 		return r, err
 	}
@@ -342,6 +436,9 @@ type InvokeRep struct {
 	Caps capability.List
 }
 
+// Size is the length of the reply's wire form.
+func (r InvokeRep) Size() int { return 1 + 4 + len(r.Data) + listSize(r.Caps) }
+
 // Encode appends the wire form of the reply to dst.
 func (r InvokeRep) Encode(dst []byte) []byte {
 	dst = append(dst, byte(r.Status))
@@ -349,7 +446,7 @@ func (r InvokeRep) Encode(dst []byte) []byte {
 	return capability.EncodeList(dst, r.Caps)
 }
 
-// DecodeInvokeRep parses an InvokeRep payload.
+// DecodeInvokeRep parses an InvokeRep payload. Data aliases src.
 func DecodeInvokeRep(src []byte) (InvokeRep, error) {
 	var r InvokeRep
 	if len(src) < 1 {
@@ -381,6 +478,9 @@ type LocateReq struct {
 	// backups stay silent.
 	Recover bool
 }
+
+// Size is the length of the query's wire form.
+func (r LocateReq) Size() int { return edenid.Size + 1 }
 
 // Encode appends the wire form of the query to dst.
 func (r LocateReq) Encode(dst []byte) []byte {
@@ -416,6 +516,9 @@ type LocateRep struct {
 	// the (unique) active/passive home.
 	Replica bool
 }
+
+// Size is the length of the answer's wire form.
+func (r LocateRep) Size() int { return edenid.Size + 4 + 1 }
 
 // Encode appends the wire form of the answer to dst.
 func (r LocateRep) Encode(dst []byte) []byte {
@@ -514,6 +617,15 @@ type Ship struct {
 	Removed []string
 }
 
+// Size is the length of the shipment's wire form.
+func (s Ship) Size() int {
+	n := 1 + edenid.Size + 4 + len(s.TypeName) + 1 + 8 + 8 + 8 + 4 + 4 + len(s.Rep)
+	for _, name := range s.Removed {
+		n += 4 + len(name)
+	}
+	return n
+}
+
 // Encode appends the wire form of the shipment to dst.
 func (s Ship) Encode(dst []byte) []byte {
 	dst = append(dst, byte(s.Purpose))
@@ -537,7 +649,7 @@ func (s Ship) Encode(dst []byte) []byte {
 	return appendBytes(dst, s.Rep)
 }
 
-// DecodeShip parses a Ship payload.
+// DecodeShip parses a Ship payload. Rep aliases src.
 func DecodeShip(src []byte) (Ship, error) {
 	var s Ship
 	if len(src) < 1 {
@@ -607,6 +719,9 @@ type Invalidate struct {
 	// policy's checksites), so locator caches can steer reads.
 	Sites []uint32
 }
+
+// Size is the length of the invalidation's wire form.
+func (iv Invalidate) Size() int { return edenid.Size + 4 + 8 + 1 + 4 + 4*len(iv.Sites) }
 
 // Encode appends the wire form of the invalidation to dst.
 func (iv Invalidate) Encode(dst []byte) []byte {

@@ -1,6 +1,8 @@
 package msg
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +329,84 @@ func TestShipPartialRoundTrip(t *testing.T) {
 	got, err = DecodeShip(s.Encode(nil))
 	if err != nil || !got.Frozen || !got.Partial {
 		t.Errorf("flag independence: %+v %v", got, err)
+	}
+}
+
+// TestLengthPrefixesAreChecked: decoders alias their input, so a length
+// prefix is the only thing between a hostile frame and a slice past the
+// end of it. Every prefixed field is tried one too long and absurdly
+// long, with spare capacity behind the input for an unchecked slice to
+// land in: all must fail with ErrBadFrame.
+func TestLengthPrefixesAreChecked(t *testing.T) {
+	put := func(b []byte, at int, n uint32) []byte {
+		b = append(make([]byte, 0, len(b)+1<<10), b...)
+		binary.BigEndian.PutUint32(b[at:], n)
+		return b
+	}
+	env := EncodeEnvelope(nil, Envelope{Kind: KindShip, Payload: []byte("payload")})
+	req := InvokeReq{Target: capability.New(gen.Next(), rights.Invoke), Operation: "op", Data: []byte("data")}.Encode(nil)
+	rep := InvokeRep{Data: []byte("data")}.Encode(nil)
+	ship := Ship{Purpose: ShipCheckpoint, Object: gen.Next(), TypeName: "t", Rep: []byte("rep")}.Encode(nil)
+	opAt := capability.EncodedSize
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		at     int // offset of a length prefix
+		decode func([]byte) error
+	}{
+		{"envelope payload", env, headerSize - 4, func(b []byte) error { _, _, err := DecodeEnvelope(b); return err }},
+		{"request operation", req, opAt, func(b []byte) error { _, err := DecodeInvokeReq(b); return err }},
+		{"request data", req, opAt + 4 + len("op"), func(b []byte) error { _, err := DecodeInvokeReq(b); return err }},
+		{"reply data", rep, 1, func(b []byte) error { _, err := DecodeInvokeRep(b); return err }},
+		{"ship type name", ship, 1 + edenid.Size, func(b []byte) error { _, err := DecodeShip(b); return err }},
+		{"ship rep", ship, len(ship) - 4 - len("rep"), func(b []byte) error { _, err := DecodeShip(b); return err }},
+	} {
+		have := binary.BigEndian.Uint32(tc.frame[tc.at:])
+		for _, n := range []uint32{have + 1, uint32(len(tc.frame)), 1 << 31, 1<<32 - 1} {
+			if err := tc.decode(put(tc.frame, tc.at, n)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: prefix %d in place of %d: err = %v, want ErrBadFrame", tc.name, n, have, err)
+			}
+		}
+	}
+}
+
+// TestEncodeSizesOnce: Encode grows a pooled buffer to the payload's
+// exact Size — one allocation at most, no doubling, no rounding up to an
+// allocator size class — so a buffer made for the largest frame the pool
+// is meant to keep, a 64 KiB payload with every header around it, is
+// kept.
+func TestEncodeSizesOnce(t *testing.T) {
+	req := InvokeReq{Target: capability.New(gen.Next(), rights.All), Operation: "echo", Data: make([]byte, 64<<10)}
+	b := Encode(req)
+	defer b.Free()
+	if len(b.B) != req.Size() {
+		t.Fatalf("encoded %d bytes, Size %d", len(b.B), req.Size())
+	}
+	var frame Buffer
+	need := 4 + Envelope{Payload: b.B}.Size()
+	if frame.Grow(need); cap(frame.B) != need {
+		t.Errorf("Grow(%d) made cap %d", need, cap(frame.B))
+	}
+	if need > maxPooledBuffer {
+		t.Errorf("a 64 KiB echo's frame is %d bytes, over the pool's %d: Free would drop it", need, maxPooledBuffer)
+	}
+}
+
+// TestOperationNamesAreInterned: a registered operation name decodes to
+// the registered string at no allocation; any other still decodes.
+func TestOperationNamesAreInterned(t *testing.T) {
+	InternOperation("interned-op")
+	target := capability.New(gen.Next(), rights.All)
+	known := InvokeReq{Target: target, Operation: "interned-op", Data: []byte("d")}.Encode(nil)
+	if got := testing.AllocsPerRun(200, func() {
+		if r, err := DecodeInvokeReq(known); err != nil || r.Operation != "interned-op" {
+			t.Fatalf("decode: %+v %v", r, err)
+		}
+	}); got != 0 {
+		t.Errorf("%.1f allocations decoding a request with a registered operation", got)
+	}
+	r, err := DecodeInvokeReq(InvokeReq{Target: target, Operation: "never-registered"}.Encode(nil))
+	if err != nil || r.Operation != "never-registered" {
+		t.Errorf("unregistered name: %+v %v", r, err)
 	}
 }

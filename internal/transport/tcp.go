@@ -24,6 +24,7 @@ import (
 // up).
 //
 // Sending is pipelined: Send encodes the frame into a pooled buffer
+// (the one copy of the caller's payload, which it is then done with)
 // and enqueues it on the peer's bounded queue; a per-peer writer
 // goroutine drains the queue and flushes every pending frame in one
 // net.Buffers writev, so N concurrent invokers cost ~one syscall per
@@ -59,6 +60,11 @@ var _ Transport = (*TCP)(nil)
 // maxFrame bounds a single frame (envelope + payload) on the wire; a
 // peer announcing more is treated as corrupt and disconnected.
 const maxFrame = 64 << 20
+
+// readChunk bounds what a length prefix alone can make a reader
+// allocate: a frame's buffer starts no larger than this and grows only
+// as body bytes arrive.
+const readChunk = 1 << 20
 
 // maxBatchFrames bounds one writev flush, so a deep queue cannot grow
 // the iovec without bound; the remainder goes in the next flush.
@@ -186,7 +192,7 @@ func (t *TCP) Send(env msg.Envelope) error {
 		return nil
 	}
 	if env.To == t.node {
-		t.dispatch(env)
+		t.dispatch(owned(env))
 		return nil
 	}
 	p, err := t.peer(env.To)
@@ -225,12 +231,12 @@ func (t *TCP) peerList() []*tcpPeer {
 }
 
 // encodeFrame renders env (length prefix + envelope) into a pooled
-// buffer.
+// buffer, sized before anything is appended.
 func encodeFrame(env msg.Envelope) outFrame {
 	b := msg.GetBuffer()
-	b.B = append(b.B, 0, 0, 0, 0)
+	n := env.Size()
+	b.B = binary.BigEndian.AppendUint32(b.Grow(4+n), uint32(n))
 	b.B = msg.EncodeEnvelope(b.B, env)
-	binary.BigEndian.PutUint32(b.B, uint32(len(b.B)-4))
 	return outFrame{buf: b, payload: len(env.Payload)}
 }
 
@@ -277,6 +283,7 @@ func (t *TCP) enqueue(p *tcpPeer, env msg.Envelope, block bool) error {
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	frames := make([]outFrame, 0, maxBatchFrames)
+	var iov net.Buffers // flush's iovec, kept from one flush to the next
 	for {
 		select {
 		case f := <-p.q:
@@ -300,7 +307,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				break coalesce
 			}
 		}
-		t.flush(p, frames)
+		t.flush(p, frames, &iov)
 		for i := range frames {
 			frames[i].buf.Free()
 			frames[i] = outFrame{}
@@ -311,7 +318,10 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 // flush writes one coalesced batch to the peer, dialing if necessary.
 // Failures follow datagram semantics: the batch is dropped, counted,
 // and the connection (if any) torn down for the next flush to redial.
-func (t *TCP) flush(p *tcpPeer, frames []outFrame) {
+// A batch of one — the common case unless many invokers send at once —
+// is a plain Write; a larger one is a writev through iov, the writer's
+// one iovec, handed back empty and holding no frame.
+func (t *TCP) flush(p *tcpPeer, frames []outFrame, iov *net.Buffers) {
 	tel := t.tel.Load()
 	tel.queueDepth.Add(-int64(len(frames)))
 	conn, err := t.peerConn(p)
@@ -319,14 +329,22 @@ func (t *TCP) flush(p *tcpPeer, frames []outFrame) {
 		tel.sendErrors.Add(int64(len(frames)))
 		return
 	}
-	bufs := make(net.Buffers, 0, len(frames))
 	payload := 0
 	for _, f := range frames {
-		bufs = append(bufs, f.buf.B)
 		payload += f.payload
 	}
 	start := tel.flushLatency.Start()
-	_, err = bufs.WriteTo(conn)
+	if len(frames) == 1 {
+		_, err = conn.Write(frames[0].buf.B)
+	} else {
+		for _, f := range frames {
+			*iov = append(*iov, f.buf.B)
+		}
+		all := *iov // WriteTo consumes the slice it is called on
+		_, err = iov.WriteTo(conn)
+		clear(all) // a failed write leaves its unsent frames behind
+		*iov = all[:0]
+	}
 	tel.flushLatency.ObserveSince(start)
 	if err != nil {
 		t.dropConn(p, conn)
@@ -440,10 +458,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if n == 0 || n > maxFrame {
 			return // corrupt peer
 		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(r, frame); err != nil {
+		frame, err := readFrame(r, int(n))
+		if err != nil {
 			return
 		}
+		// The envelope's payload aliases frame, and frame is this
+		// delivery's alone: the handler owns it.
 		env, rest, err := msg.DecodeEnvelope(frame)
 		if err != nil || len(rest) != 0 {
 			return // corrupt peer
@@ -452,6 +472,27 @@ func (t *TCP) readLoop(conn net.Conn) {
 		tel.recvFrames.Inc()
 		tel.recvBytes.Add(int64(len(env.Payload)))
 		t.dispatch(env)
+	}
+}
+
+// readFrame reads an n-byte frame body. A peer is believed about n only
+// as far as it has sent: the buffer starts at no more than readChunk and
+// doubles as it fills, so a header claiming 64 MiB followed by nothing
+// costs readChunk, while every frame up to readChunk — any invocation
+// short of a bulk transfer — is still one allocation.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	frame := make([]byte, min(n, readChunk))
+	have := 0
+	for {
+		if _, err := io.ReadFull(r, frame[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(frame); have == n {
+			return frame, nil
+		}
+		grown := make([]byte, min(n, 2*have))
+		copy(grown, frame)
+		frame = grown
 	}
 }
 

@@ -24,7 +24,10 @@ import (
 
 // Handler receives inbound frames. Handlers run on transport
 // goroutines and must not block for long; kernels hand frames off to
-// their own dispatch machinery.
+// their own dispatch machinery. The handler owns env.Payload outright:
+// it is one allocation made for this delivery, which no sender, pool or
+// other receiver can reach, so anything decoded from it may alias it
+// for as long as it likes.
 type Handler func(env msg.Envelope)
 
 // Transport is the kernel's view of the network.
@@ -33,7 +36,9 @@ type Transport interface {
 	Node() uint32
 	// Send transmits one frame to env.To (or all peers when env.To is
 	// msg.Broadcast). Datagram semantics: a returned nil does not
-	// guarantee delivery; higher layers use timeouts and retries.
+	// guarantee delivery; higher layers use timeouts and retries. Send
+	// borrows env.Payload: it does not retain the slice once it has
+	// returned, so the caller may overwrite or recycle it at once.
 	Send(env msg.Envelope) error
 	// SetHandler installs the inbound frame handler. It must be
 	// called before any traffic arrives.
@@ -223,6 +228,15 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
+// owned returns env with a private copy of its payload: what a
+// delivery that stays inside the process must make, because the sender
+// takes its slice back when Send returns and the handler owns what it is
+// given.
+func owned(env msg.Envelope) msg.Envelope {
+	env.Payload = append([]byte(nil), env.Payload...)
+	return env
+}
+
 // route delivers env to a single destination endpoint, applying loss,
 // partitions and latency. Caller holds no locks.
 func (m *Mesh) route(from uint32, env msg.Envelope) {
@@ -253,14 +267,15 @@ func (m *Mesh) route(from uint32, env msg.Envelope) {
 	tel := m.tel.Load()
 	tel.sendFrames.Inc()
 	tel.sendBytes.Add(int64(len(env.Payload)))
+	mine := owned(env) // a new variable: the closure below then captures a value, and only when it is made
 	if delay <= 0 {
-		ep.deliver(env)
+		ep.deliver(mine)
 		return
 	}
 	m.inflight.Add(1)
 	time.AfterFunc(delay, func() {
 		defer m.inflight.Done()
-		ep.deliver(env)
+		ep.deliver(mine)
 	})
 }
 
@@ -320,7 +335,7 @@ func (e *Endpoint) Send(env msg.Envelope) error {
 	}
 	if env.To == e.node {
 		// Loopback: deliver locally without touching the mesh.
-		e.deliver(env)
+		e.deliver(owned(env))
 		return nil
 	}
 	e.mesh.route(e.node, env)

@@ -319,7 +319,7 @@ func TestTCPBidirectional(t *testing.T) {
 
 func TestTCPLargePayload(t *testing.T) {
 	a, _, _, cb := tcpPair(t)
-	big := make([]byte, 1<<20)
+	big := make([]byte, 3<<20+7) // the reader's buffer grows twice past readChunk on the way in
 	for i := range big {
 		big[i] = byte(i)
 	}
