@@ -242,9 +242,10 @@ func isNamedPtr(t types.Type, pkgSuffix, name string) bool {
 
 // repPureMethods are segment.Representation methods that neither
 // mutate the representation nor return a live internal reference
-// (Data/Caps/Clone/Encode all copy).
+// (Data/Caps/Clone/Encode all copy; CopyData copies into the caller's
+// buffer).
 var repPureMethods = map[string]bool{
-	"Data": true, "Caps": true, "Has": true, "Names": true,
+	"Data": true, "CopyData": true, "Caps": true, "Has": true, "Names": true,
 	"NumSegments": true, "Size": true, "Capabilities": true,
 	"Clone": true, "Equal": true, "Encode": true, "EncodePartial": true,
 	"Dirty": true, "HasDirty": true,

@@ -155,6 +155,34 @@ func register(tm *kernel.TypeManager) {
 		},
 	})
 
+	// Copying into a buffer the handler sized is a pure read: the
+	// buffer is the handler's, not the representation's.
+	tm.Op(kernel.Operation{
+		Name:     "copydata-ok",
+		ReadOnly: true,
+		Handler: func(c *kernel.Call) {
+			var out []byte
+			c.Self().View(func(r *segment.Representation) {
+				n, _ := r.CopyData(nil, "x")
+				out = make([]byte, n)
+				_, _ = r.CopyData(out, "x")
+			})
+			c.Return(out)
+		},
+	})
+
+	// Representation methods absent from the pure table fail closed:
+	// taking the dirty set is a mutation even from under a view.
+	tm.Op(kernel.Operation{
+		Name:     "bad-takedirty",
+		ReadOnly: true,
+		Handler: func(c *kernel.Call) {
+			c.Self().View(func(r *segment.Representation) {
+				_ = r.TakeDirty() // want "calls (*segment.Representation).TakeDirty"
+			})
+		},
+	})
+
 	// A reasoned suppression absorbs the finding.
 	tm.Op(kernel.Operation{
 		Name:     "suppressed",

@@ -3,6 +3,8 @@ package efs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"eden/internal/capability"
@@ -18,7 +20,7 @@ const (
 	// Locking takes the file lock at write time (pessimistic 2PL):
 	// conflicts surface early and the lock is held until commit.
 	Locking CCMode = iota
-	// Optimistic buffers writes without locks; prepare validates that
+	// Optimistic buffers writes without locks; commit validates that
 	// the base version is still the latest. Conflicts surface at
 	// commit.
 	Optimistic
@@ -43,20 +45,22 @@ var tidCounter atomic.Uint64
 type Client struct {
 	k    *kernel.Kernel
 	mode CCMode
+	// opts carries the node's invocation budget on every EFS call, so
+	// each has a visible, bounded timeout. Invoke copies it; it is
+	// never mutated.
+	opts *kernel.InvokeOptions
 	tel  efsTel
-}
-
-// opts propagates the node's configured invocation budget to the
-// client's own invocations, so every EFS call carries a visible,
-// bounded timeout.
-func (c *Client) opts() *kernel.InvokeOptions {
-	return &kernel.InvokeOptions{Timeout: c.k.Config().DefaultTimeout}
 }
 
 // NewClient returns an EFS client bound to a kernel, using the given
 // concurrency-control mode for its transactions.
 func NewClient(k *kernel.Kernel, mode CCMode) *Client {
-	return &Client{k: k, mode: mode, tel: newEFSTel(k.Telemetry())}
+	return &Client{
+		k:    k,
+		mode: mode,
+		opts: &kernel.InvokeOptions{Timeout: k.Config().DefaultTimeout},
+		tel:  newEFSTel(k.Telemetry()),
+	}
 }
 
 // Mode returns the client's concurrency-control mode.
@@ -90,7 +94,7 @@ func (c *Client) CreateReplicated(nodes ...uint32) (primary capability.Capabilit
 				return capability.Capability{}, nil, fmt.Errorf("efs: placing mirror on node %d: %w", n, err)
 			}
 		}
-		if _, err := c.k.Invoke(primary, "add-mirror", nil, capability.List{m}, c.opts()); err != nil {
+		if _, err := c.k.Invoke(primary, "add-mirror", nil, capability.List{m}, c.opts); err != nil {
 			return capability.Capability{}, nil, err
 		}
 		mirrors = append(mirrors, m)
@@ -107,9 +111,11 @@ func (c *Client) Read(file capability.Capability) (data []byte, version uint64, 
 // immutable, so any replica can serve any version it holds.
 func (c *Client) ReadVersion(file capability.Capability, version uint64) ([]byte, uint64, error) {
 	c.tel.reads.Inc()
-	var req [8]byte
-	binary.BigEndian.PutUint64(req[:], version)
-	rep, err := c.k.Invoke(file, "read", req[:], nil, c.opts())
+	var req []byte // none asks for the latest
+	if version != 0 {
+		req = binary.BigEndian.AppendUint64(nil, version)
+	}
+	rep, err := c.k.Invoke(file, "read", req, nil, c.opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -141,7 +147,7 @@ func (c *Client) ReadAny(candidates ...capability.Capability) ([]byte, uint64, e
 // History returns the latest version number and the count of retained
 // versions.
 func (c *Client) History(file capability.Capability) (latest, count uint64, err error) {
-	rep, err := c.k.Invoke(file, "history", nil, nil, c.opts())
+	rep, err := c.k.Invoke(file, "history", nil, nil, c.opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -151,15 +157,21 @@ func (c *Client) History(file capability.Capability) (latest, count uint64, err 
 	return binary.BigEndian.Uint64(rep.Data), binary.BigEndian.Uint64(rep.Data[8:]), nil
 }
 
-// Tx is one transaction: a set of buffered writes (and recorded reads)
-// that commits atomically across all touched files via two-phase
-// commit.
+// Tx is one transaction: a set of buffered writes that commits
+// atomically across all touched files. A transaction that writes one
+// file commits in one invocation; one that writes several runs
+// two-phase commit.
 type Tx struct {
-	c      *Client
-	tid    string
+	c *Client
+	// tid is minted on first need — a Locking write, or a commit of
+	// several files; an optimistic one-file transaction has none.
+	tid    []byte
 	writes []txWrite
-	locked []capability.Capability // locking mode: locks already held
-	done   bool
+	// held are the files sent a lock or a prepare under tid: each may
+	// hold the lock or pending state, whether or not its reply came,
+	// until an abort or a commit step reaches it.
+	held []capability.Capability
+	done bool
 }
 
 type txWrite struct {
@@ -171,14 +183,22 @@ type txWrite struct {
 // Begin starts a transaction.
 func (c *Client) Begin() *Tx {
 	c.tel.begins.Inc()
-	return &Tx{
-		c:   c,
-		tid: fmt.Sprintf("tx-%d-%d", c.k.Node(), tidCounter.Add(1)),
-	}
+	return &Tx{c: c}
 }
 
-// TID returns the transaction's identifier.
-func (t *Tx) TID() string { return t.tid }
+// TID returns the transaction's identifier, minting it if the
+// transaction has not needed one yet.
+func (t *Tx) TID() string { return string(t.id()) }
+
+func (t *Tx) id() []byte {
+	if t.tid == nil {
+		b := append(make([]byte, 0, 32), "tx-"...)
+		b = strconv.AppendUint(b, uint64(t.c.k.Node()), 10)
+		b = append(b, '-')
+		t.tid = strconv.AppendUint(b, tidCounter.Add(1), 10)
+	}
+	return t.tid
+}
 
 // Read reads the latest version inside the transaction, recording the
 // version so a later Write of the same file validates against it.
@@ -193,20 +213,21 @@ func (t *Tx) Read(file capability.Capability) ([]byte, uint64, error) {
 // transaction lock is taken now; in Optimistic mode nothing happens
 // until Commit. base is the version the write builds upon (from a
 // transactional Read); writes that don't care pass the current version
-// via WriteLatest.
+// via WriteLatest. A failed Write leaves the transaction open: Abort
+// releases whatever lock the attempt may have taken.
 func (t *Tx) Write(file capability.Capability, base uint64, data []byte) error {
 	if t.done {
 		return ErrBadTransaction
 	}
 	if t.c.mode == Locking {
-		if _, err := t.c.k.Invoke(file, "lock", []byte(t.tid), nil, t.c.opts()); err != nil {
+		t.hold(file)
+		if _, err := t.c.k.Invoke(file, "lock", t.id(), nil, t.c.opts); err != nil {
 			if isConflict(err) {
 				t.c.tel.conflicts.Inc()
 				return fmt.Errorf("%w: %v", ErrConflict, err)
 			}
 			return err
 		}
-		t.locked = append(t.locked, file)
 	}
 	t.c.tel.writes.Inc()
 	// Replace an earlier buffered write of the same file.
@@ -231,57 +252,93 @@ func (t *Tx) WriteLatest(file capability.Capability, data []byte) error {
 	return t.Write(file, ver, data)
 }
 
-// Commit runs two-phase commit over the transaction's files. On a
-// conflict every prepared file is aborted and ErrConflict returned;
-// the caller may retry the whole transaction.
+// Commit commits the transaction's writes atomically. One written file
+// commits in one step: a single invocation validates the lock and the
+// base version, installs the version and checkpoints it. If that
+// invocation times out the outcome is unknown — the version may or may
+// not be installed — but no lock is held. Several files commit by
+// two-phase commit; a file whose phase-two commit fails stays prepared
+// and locked (the 2PC window, reported but not repaired). On a conflict
+// every file the transaction reached is aborted and ErrConflict
+// returned; the caller may retry the whole transaction.
 func (t *Tx) Commit() error {
 	if t.done {
 		return ErrBadTransaction
 	}
 	t.done = true
 	start := t.c.tel.commitLat.Start()
-	if len(t.writes) == 0 {
-		t.releaseLocks()
-		t.c.tel.commits.Inc()
-		return nil
-	}
-
-	// Phase one: prepare everywhere.
-	prepared := make([]capability.Capability, 0, len(t.writes))
-	for _, w := range t.writes {
-		req := make([]byte, 0, 12+len(t.tid)+len(w.data))
-		req = binary.BigEndian.AppendUint32(req, uint32(len(t.tid)))
-		req = append(req, t.tid...)
-		req = binary.BigEndian.AppendUint64(req, w.base)
-		req = append(req, w.data...)
-		if _, err := t.c.k.Invoke(w.file, "prepare", req, nil, t.c.opts()); err != nil {
-			// A no vote (or a failure) aborts the transaction.
-			t.abortAll(prepared)
-			t.releaseLocks()
-			t.c.tel.aborts.Inc()
-			if isConflict(err) {
-				t.c.tel.conflicts.Inc()
-				return fmt.Errorf("%w: %v", ErrConflict, err)
-			}
-			return fmt.Errorf("efs: prepare: %w", err)
+	var err error
+	switch len(t.writes) {
+	case 0:
+	case 1:
+		w := t.writes[0]
+		if _, err = t.c.k.Invoke(w.file, "commit-one", t.proposal(w), nil, t.c.opts); err != nil {
+			return t.refused("commit", err)
 		}
-		prepared = append(prepared, w.file)
+		t.settle(w.file)
+	default:
+		if err = t.prepareAll(); err != nil {
+			return t.refused("prepare", err)
+		}
+		err = t.commitAll()
 	}
+	t.release()
+	if len(t.writes) > 0 {
+		t.c.tel.commitLat.ObserveSince(start)
+	}
+	t.c.tel.commits.Inc()
+	return err
+}
 
-	// Phase two: commit everywhere. Prepared files hold the
-	// transaction's lock, so commit cannot conflict; a failure here is
-	// an availability problem (the classic 2PC window), reported but
-	// not repaired.
+// proposal encodes w as prepare and commit-one take it: tidLen(4) tid |
+// base(8) | content.
+func (t *Tx) proposal(w txWrite) []byte {
+	req := make([]byte, 0, 12+len(t.tid)+len(w.data))
+	req = binary.BigEndian.AppendUint32(req, uint32(len(t.tid)))
+	req = append(req, t.tid...)
+	req = binary.BigEndian.AppendUint64(req, w.base)
+	return append(req, w.data...)
+}
+
+// prepareAll is phase one: every file votes, and each may hold the
+// transaction's lock from the moment its prepare is sent.
+func (t *Tx) prepareAll() error {
+	t.id()
+	for _, w := range t.writes {
+		t.hold(w.file)
+		if _, err := t.c.k.Invoke(w.file, "prepare", t.proposal(w), nil, t.c.opts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// commitAll is phase two. Prepared files hold the transaction's lock,
+// so commit cannot conflict; a failure here is an availability problem.
+// No file is aborted after its commit was sent: that could undo half of
+// a transaction the other files committed.
+func (t *Tx) commitAll() error {
 	var firstErr error
-	for _, f := range prepared {
-		if _, err := t.c.k.Invoke(f, "commit", []byte(t.tid), nil, t.c.opts()); err != nil && firstErr == nil {
+	for _, w := range t.writes {
+		t.settle(w.file)
+		if _, err := t.c.k.Invoke(w.file, "commit", t.tid, nil, t.c.opts); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("efs: commit phase two: %w", err)
 		}
 	}
-	t.releaseLocks()
-	t.c.tel.commitLat.ObserveSince(start)
-	t.c.tel.commits.Inc()
 	return firstErr
+}
+
+// refused ends a transaction whose commit was voted down or failed
+// before any file committed: it aborts every file reached and wraps
+// err.
+func (t *Tx) refused(step string, err error) error {
+	t.release()
+	t.c.tel.aborts.Inc()
+	if isConflict(err) {
+		t.c.tel.conflicts.Inc()
+		return fmt.Errorf("%w: %v", ErrConflict, err)
+	}
+	return fmt.Errorf("efs: %s: %w", step, err)
 }
 
 // Abort abandons the transaction, releasing locks and pending state.
@@ -291,27 +348,28 @@ func (t *Tx) Abort() {
 	}
 	t.done = true
 	t.c.tel.aborts.Inc()
-	files := make([]capability.Capability, 0, len(t.writes))
-	for _, w := range t.writes {
-		files = append(files, w.file)
-	}
-	t.abortAll(files)
-	t.releaseLocks()
+	t.release()
 }
 
-func (t *Tx) abortAll(files []capability.Capability) {
-	for _, f := range files {
-		_, _ = t.c.k.Invoke(f, "abort", []byte(t.tid), nil, t.c.opts())
+// hold records that file is about to be sent a lock or prepare.
+func (t *Tx) hold(file capability.Capability) {
+	if !slices.ContainsFunc(t.held, file.Same) {
+		t.held = append(t.held, file)
 	}
 }
 
-// releaseLocks drops locking-mode locks not already released by
-// commit/abort (abort and commit clear the lock only on files that
-// reached prepare; a locking-mode transaction may hold locks on files
-// whose prepare never ran).
-func (t *Tx) releaseLocks() {
-	for _, f := range t.locked {
-		_, _ = t.c.k.Invoke(f, "unlock", []byte(t.tid), nil, t.c.opts())
+// settle drops file from the held set once a commit step is sent to it:
+// from there the file's own commit releases the lock.
+func (t *Tx) settle(file capability.Capability) {
+	t.held = slices.DeleteFunc(t.held, file.Same)
+}
+
+// release sends abort to every file still held. Abort is tid-guarded
+// and idempotent, so a file whose lock or prepare never ran, or was
+// refused, ignores it.
+func (t *Tx) release() {
+	for _, f := range t.held {
+		_, _ = t.c.k.Invoke(f, "abort", t.tid, nil, t.c.opts)
 	}
-	t.locked = nil
+	t.held = nil
 }

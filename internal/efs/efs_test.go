@@ -14,6 +14,13 @@ import (
 
 func testSys(t *testing.T, nodes ...uint32) map[uint32]*kernel.Kernel {
 	t.Helper()
+	return testSysWith(t, 2*time.Second, nil, nodes...)
+}
+
+// testSysWith is testSys with the invocation timeout given and, when
+// wrap is set, each node's transport passed through it.
+func testSysWith(t *testing.T, timeout time.Duration, wrap func(transport.Transport) transport.Transport, nodes ...uint32) map[uint32]*kernel.Kernel {
+	t.Helper()
 	mesh := transport.NewMesh(9)
 	t.Cleanup(func() { mesh.Close() })
 	reg := kernel.NewRegistry()
@@ -26,9 +33,13 @@ func testSys(t *testing.T, nodes ...uint32) map[uint32]*kernel.Kernel {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var tr transport.Transport = ep
+		if wrap != nil {
+			tr = wrap(tr)
+		}
 		cfg := kernel.DefaultConfig(n, fmt.Sprintf("node-%d", n))
-		cfg.DefaultTimeout = 2 * time.Second
-		k := kernel.New(cfg, ep, reg, store.NewMemory())
+		cfg.DefaultTimeout = timeout
+		k := kernel.New(cfg, tr, reg, store.NewMemory())
 		k.Locator().DefaultTimeout = 250 * time.Millisecond
 		ks[n] = k
 		t.Cleanup(func() { k.Close() })

@@ -7,12 +7,14 @@
 //
 // An EFS file is an ordinary Eden object holding an append-only chain
 // of immutable versions. Writers never mutate a version; a committed
-// transaction installs a new one. Transactions span any number of
-// files and commit by two-phase commit (prepare / commit / abort
+// transaction installs a new one. A transaction that writes one file
+// commits in one step: one invocation validates, installs and
+// checkpoints under the file's own exclusion. A transaction spanning
+// several files commits by two-phase commit (prepare / commit / abort
 // operations on each file). Two concurrency-control disciplines are
 // provided behind one client API — pessimistic locking (locks taken at
 // write time) and optimistic validation (base versions checked at
-// prepare time) — exactly the experimentation §5 promises.
+// commit time) — exactly the experimentation §5 promises.
 //
 // Replication: a file may have mirror files at other sites; committed
 // versions are pushed to mirrors, and reads may be served by any
@@ -22,6 +24,7 @@ package efs
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -36,7 +39,7 @@ import (
 const TypeName = "efs.file"
 
 // WriteRight is the type-defined right required to mutate a file
-// (lock, prepare, commit, abort, add-mirror).
+// (lock, prepare, commit, commit-one, abort, add-mirror).
 var WriteRight = rights.Type(1)
 
 // Errors reported by EFS.
@@ -54,10 +57,10 @@ var (
 
 // Representation layout of an efs.file:
 //
-//	data "meta"     latest(8) | lockTidLen(4) lockTid
-//	data "v:<n>"    content of version n (immutable once written)
+//	data "meta"       latest(8) | lockTidLen(4) lockTid
+//	data "v:<n>"      content of version n, n in 16 hex digits (immutable once written)
 //	data "pend:<tid>" base(8) | proposed content
-//	caps "mirrors"  capabilities of mirror files at other sites
+//	caps "mirrors"    capabilities of mirror files at other sites
 const (
 	segMeta    = "meta"
 	segMirrors = "mirrors"
@@ -71,37 +74,78 @@ func u64b(v uint64) []byte {
 	return b[:]
 }
 
-func verSeg(n uint64) string { return fmt.Sprintf("%s%016x", verPrefix, n) }
+func verSeg(n uint64) string {
+	var v [8]byte
+	binary.BigEndian.PutUint64(v[:], n)
+	var b [len(verPrefix) + 16]byte
+	copy(b[:], verPrefix)
+	hex.Encode(b[len(verPrefix):], v[:])
+	return string(b[:])
+}
 
 type meta struct {
 	latest  uint64
 	lockTid string
 }
 
+// metaBuf holds the meta segment of any tid this package mints, so
+// reading meta copies it into the stack, not the heap.
+const metaBuf = 64
+
 func readMeta(r *segment.Representation) meta {
-	b, err := r.Data(segMeta)
-	if err != nil || len(b) < 12 {
+	var buf [metaBuf]byte
+	b := buf[:]
+	n, err := r.CopyData(b, segMeta)
+	if err != nil || n < 12 {
 		return meta{}
 	}
+	if n > len(b) {
+		b = make([]byte, n)
+		_, _ = r.CopyData(b, segMeta)
+	}
+	b = b[:n]
 	m := meta{latest: binary.BigEndian.Uint64(b)}
-	n := int(binary.BigEndian.Uint32(b[8:12]))
-	if n > 0 && len(b) >= 12+n {
-		m.lockTid = string(b[12 : 12+n])
+	if t := int(binary.BigEndian.Uint32(b[8:12])); t > 0 && n >= 12+t {
+		m.lockTid = string(b[12 : 12+t])
 	}
 	return m
 }
 
 func writeMeta(r *segment.Representation, m meta) {
-	b := make([]byte, 0, 12+len(m.lockTid))
-	b = append(b, u64b(m.latest)...)
+	var buf [metaBuf]byte
+	b := binary.BigEndian.AppendUint64(buf[:0], m.latest)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(m.lockTid)))
-	b = append(b, m.lockTid...)
-	r.SetData(segMeta, b)
+	r.SetData(segMeta, append(b, m.lockTid...))
+}
+
+// vote is the validation both commit paths run under the file's
+// exclusion: the file is unlocked or locked by tid, and base still names
+// the latest version.
+func (m meta) vote(tid string, base uint64) error {
+	if m.lockTid != "" && m.lockTid != tid {
+		return fmt.Errorf("%w: locked by other transaction", ErrConflict)
+	}
+	if base != m.latest {
+		return fmt.Errorf("%w: base version %d, latest %d", ErrConflict, base, m.latest)
+	}
+	return nil
+}
+
+// install appends content as the next immutable version and releases
+// tid's lock, returning the new version.
+func install(r *segment.Representation, m meta, tid string, content []byte) uint64 {
+	m.latest++
+	r.SetData(verSeg(m.latest), content)
+	if m.lockTid == tid {
+		m.lockTid = ""
+	}
+	writeMeta(r, m)
+	return m.latest
 }
 
 // RegisterType installs the EFS file type manager. All mutating
-// operations share one invocation class with limit 1, so 2PC steps on
-// a single file are serialized — the fine-grained atomicity the
+// operations share one invocation class with limit 1, so commit steps
+// on a single file are serialized — the fine-grained atomicity the
 // protocol requires.
 func RegisterType(reg *kernel.Registry) error {
 	tm := kernel.NewType(TypeName)
@@ -127,9 +171,9 @@ func RegisterType(reg *kernel.Registry) error {
 		Handler:  opHistory,
 	})
 	tm.Op(kernel.Operation{Name: "lock", Class: "mutate", Rights: WriteRight, Handler: opLock})
-	tm.Op(kernel.Operation{Name: "unlock", Class: "mutate", Rights: WriteRight, Handler: opUnlock})
 	tm.Op(kernel.Operation{Name: "prepare", Class: "mutate", Rights: WriteRight, Handler: opPrepare})
 	tm.Op(kernel.Operation{Name: "commit", Class: "mutate", Rights: WriteRight, Handler: opCommit})
+	tm.Op(kernel.Operation{Name: "commit-one", Class: "mutate", Rights: WriteRight, Handler: opCommitOne})
 	tm.Op(kernel.Operation{Name: "abort", Class: "mutate", Rights: WriteRight, Handler: opAbort})
 	tm.Op(kernel.Operation{Name: "add-mirror", Class: "mutate", Rights: WriteRight, Handler: opAddMirror})
 	tm.Op(kernel.Operation{Name: "mirror-put", Class: "mutate", Rights: WriteRight, Handler: opMirrorPut})
@@ -137,8 +181,8 @@ func RegisterType(reg *kernel.Registry) error {
 }
 
 // opRead returns version(8) | content. Request data: version(8),
-// where 0 means latest. Reading version 0 of an empty file returns
-// version 0 with empty content.
+// where absent or 0 means latest. Reading version 0 of an empty file
+// returns version 0 with empty content.
 func opRead(c *kernel.Call) {
 	var want uint64
 	if len(c.Data) == 8 {
@@ -147,21 +191,23 @@ func opRead(c *kernel.Call) {
 	var out []byte
 	var fail error
 	c.Self().View(func(r *segment.Representation) {
-		m := readMeta(r)
 		v := want
 		if v == 0 {
-			v = m.latest
+			v = readMeta(r).latest
 		}
 		if v == 0 {
 			out = u64b(0)
 			return
 		}
-		content, err := r.Data(verSeg(v))
+		name := verSeg(v)
+		n, err := r.CopyData(nil, name)
 		if err != nil {
 			fail = fmt.Errorf("%w: %d", ErrNoVersion, v)
 			return
 		}
-		out = append(u64b(v), content...)
+		out = make([]byte, 8+n)
+		binary.BigEndian.PutUint64(out, v)
+		_, _ = r.CopyData(out[8:], name)
 	})
 	if fail != nil {
 		c.Fail("%v", fail)
@@ -207,44 +253,34 @@ func opLock(c *kernel.Call) {
 	}
 }
 
-// opUnlock releases the lock if held by the tid in Data.
-func opUnlock(c *kernel.Call) {
-	tid := string(c.Data)
-	_ = c.Self().Update(func(r *segment.Representation) error {
-		m := readMeta(r)
-		if m.lockTid == tid {
-			m.lockTid = ""
-			writeMeta(r, m)
-		}
-		return nil
-	})
+// proposal decodes the request prepare and commit-one share:
+// tidLen(4) tid | base(8) | content. The tid is empty in an optimistic
+// one-file commit, which holds no lock.
+func proposal(data []byte) (tid string, base uint64, content []byte, ok bool) {
+	if len(data) < 12 {
+		return "", 0, nil, false
+	}
+	n := int(binary.BigEndian.Uint32(data))
+	if len(data) < 4+n+8 {
+		return "", 0, nil, false
+	}
+	return string(data[4 : 4+n]), binary.BigEndian.Uint64(data[4+n:]), data[4+n+8:], true
 }
 
-// opPrepare is 2PC phase one. Data: tidLen(4) tid | base(8) | content.
-// The file votes yes by storing the pending version and taking the
-// lock for the 2PC window; it votes no (fails) on a lock conflict or —
-// the optimistic validation — when base no longer names the latest
-// version.
+// opPrepare is 2PC phase one; Data is a proposal with a tid. The file
+// votes yes by storing the pending version and taking the lock for the
+// 2PC window; it votes no (fails) on a lock conflict or — the
+// optimistic validation — when base no longer names the latest version.
 func opPrepare(c *kernel.Call) {
-	if len(c.Data) < 12 {
-		c.Fail("prepare: short request")
-		return
-	}
-	n := int(binary.BigEndian.Uint32(c.Data))
-	if n <= 0 || len(c.Data) < 4+n+8 {
+	tid, base, content, ok := proposal(c.Data)
+	if !ok || tid == "" {
 		c.Fail("prepare: malformed request")
 		return
 	}
-	tid := string(c.Data[4 : 4+n])
-	base := binary.BigEndian.Uint64(c.Data[4+n : 4+n+8])
-	content := c.Data[4+n+8:]
 	err := c.Self().Update(func(r *segment.Representation) error {
 		m := readMeta(r)
-		if m.lockTid != "" && m.lockTid != tid {
-			return fmt.Errorf("%w: locked by other transaction", ErrConflict)
-		}
-		if base != m.latest {
-			return fmt.Errorf("%w: base version %d, latest %d", ErrConflict, base, m.latest)
+		if err := m.vote(tid, base); err != nil {
+			return err
 		}
 		r.SetData(pendPrefix+tid, append(u64b(base), content...))
 		m.lockTid = tid
@@ -256,41 +292,66 @@ func opPrepare(c *kernel.Call) {
 	}
 }
 
-// opCommit is 2PC phase two: promote the pending content to a new
-// immutable version, release the lock, checkpoint, and push the new
+// opCommit is 2PC phase two: promote the tid's pending content to a
+// new immutable version, release the lock, checkpoint, and push the new
 // version to mirrors.
 func opCommit(c *kernel.Call) {
 	tid := string(c.Data)
-	var newVer uint64
+	var ver uint64
 	var content []byte
 	err := c.Self().Update(func(r *segment.Representation) error {
 		pend, err := r.Data(pendPrefix + tid)
 		if err != nil {
 			return fmt.Errorf("%w: %s", ErrBadTransaction, tid)
 		}
-		m := readMeta(r)
-		newVer = m.latest + 1
 		content = pend[8:]
-		r.SetData(verSeg(newVer), content)
+		ver = install(r, readMeta(r), tid, content)
 		r.Delete(pendPrefix + tid)
-		m.latest = newVer
-		if m.lockTid == tid {
-			m.lockTid = ""
-		}
-		writeMeta(r, m)
 		return nil
 	})
 	if err != nil {
 		c.Fail("%v", err)
 		return
 	}
-	// Durability: the committed version survives a node failure.
+	finishCommit(c, ver, content)
+}
+
+// opCommitOne commits a transaction whose write set is this file alone,
+// in one step; Data is a proposal. It votes as prepare does and, on
+// yes, installs at once — no pending state, and tid's lock (a Locking
+// transaction's, taken at write time) released — then finishes as
+// phase two does.
+func opCommitOne(c *kernel.Call) {
+	tid, base, content, ok := proposal(c.Data)
+	if !ok {
+		c.Fail("commit-one: malformed request")
+		return
+	}
+	var ver uint64
+	err := c.Self().Update(func(r *segment.Representation) error {
+		m := readMeta(r)
+		if err := m.vote(tid, base); err != nil {
+			return err
+		}
+		ver = install(r, m, tid, content)
+		return nil
+	})
+	if err != nil {
+		c.Fail("%v", err)
+		return
+	}
+	finishCommit(c, ver, content)
+}
+
+// finishCommit makes an installed version durable — it survives a node
+// failure — pushes it to mirrors and replies with its number.
+func finishCommit(c *kernel.Call, ver uint64, content []byte) {
 	if err := c.Self().Checkpoint(); err != nil {
 		c.Fail("efs: commit checkpoint: %v", err)
 		return
 	}
-	pushToMirrors(c, newVer, content)
-	c.Return(u64b(newVer))
+	pushToMirrors(c, ver, content)
+	c.Return(u64b(ver))
 }
 
 // pushToMirrors propagates a committed version to each mirror,
@@ -303,6 +364,9 @@ func pushToMirrors(c *kernel.Call, ver uint64, content []byte) {
 			mirrors = l
 		}
 	})
+	if len(mirrors) == 0 {
+		return
+	}
 	payload := append(u64b(ver), content...)
 	opts := &kernel.InvokeOptions{Timeout: c.Kernel().Config().DefaultTimeout}
 	for _, m := range mirrors {
@@ -310,8 +374,9 @@ func pushToMirrors(c *kernel.Call, ver uint64, content []byte) {
 	}
 }
 
-// opAbort is the 2PC abort: discard pending state and release the
-// transaction's lock.
+// opAbort discards the tid's pending state and releases its lock. It
+// is tid-guarded and idempotent, so a client sends it to every file it
+// sent a lock or prepare to, answered or not.
 func opAbort(c *kernel.Call) {
 	tid := string(c.Data)
 	_ = c.Self().Update(func(r *segment.Representation) error {

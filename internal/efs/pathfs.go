@@ -107,11 +107,11 @@ func (p *PathFS) Lookup(path string) (capability.Capability, error) {
 // Write commits new content at the path as a fresh immutable version,
 // creating the file (and directories) if absent. It retries validation
 // conflicts, since "last writer adds a version" is the intended
-// whole-file semantic here. A conflict means another transaction holds
-// the file between its prepare and its commit, and that one needs time
-// — a checkpoint, a turn on a processor — to finish: the retries back
-// off, doubling from 20 µs to 5 ms (some 45 ms in all), or a loser
-// spends its sixteen attempts inside the winner's one commit.
+// whole-file semantic here. A conflict means another transaction
+// committed since our read, or holds the file's lock, and a winner
+// needs time — a checkpoint, a turn on a processor — to finish: the
+// retries back off, doubling from 20 µs to 5 ms (some 45 ms in all), or
+// a loser spends its sixteen attempts inside the winner's one commit.
 func (p *PathFS) Write(path string, data []byte) (version uint64, err error) {
 	file, err := p.Lookup(path)
 	if errors.Is(err, naming.ErrNotFound) {

@@ -114,6 +114,7 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 // representation atomically with respect to Update, so any moment
 // between handler mutations is consistent.
 func (o *Object) Checkpoint() error {
+	policy := o.k.checksite(o.id)
 	o.mu.Lock()
 	if o.replica {
 		o.mu.Unlock()
@@ -123,16 +124,16 @@ func (o *Object) Checkpoint() error {
 	ver := o.version
 	encoded := o.rep.Encode(nil)
 	frozen := o.frozen
-	// Snapshot the dirty set for incremental shipping to remote
-	// checksites. Taking it leaves the representation clean; on
-	// failure it is merged back so nothing is lost.
+	// Taking the dirty set leaves the representation clean; on failure
+	// it is merged back so nothing is lost. Only a remote checksite can
+	// use it, as the delta of an incremental shipment.
 	taken := o.rep.TakeDirty()
-	changed, removed := segment.DirtyFromTaken(taken)
 	var partial []byte
-	if len(changed) > 0 {
+	var removed []string
+	if policy.hasRemote(o.k.cfg.Node) {
+		var changed []string
+		changed, removed = segment.DirtyFromTaken(taken)
 		partial = o.rep.EncodePartial(changed, nil)
-	} else {
-		partial = segment.New().Encode(nil)
 	}
 	o.mu.Unlock()
 
@@ -140,7 +141,7 @@ func (o *Object) Checkpoint() error {
 	// durable — a kill here must recover to the previous checkpoint.
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
-	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
+	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, policy, encoded, partial, removed)
 	if err == nil {
 		// Crash boundary: the checkpoint is durable but the caller has
 		// not learned of it — a kill here loses the acknowledgment,
@@ -180,31 +181,43 @@ func (o *Object) SetChecksite(level Reliability, sites ...uint32) error {
 
 // Checksite returns the object's current checkpoint policy.
 func (o *Object) Checksite() (Reliability, []uint32) {
-	k := o.k
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	p, ok := k.sites[o.id]
-	if !ok {
-		return RelLocal, nil
-	}
+	p := o.k.checksite(o.id)
 	return p.level, append([]uint32(nil), p.sites...)
 }
 
-// writeCheckpoint persists one checkpoint per the object's policy.
-// "Different reliability levels may cause different actions when a
-// checkpoint is issued." Remote checksites holding the immediately
-// preceding version receive only the changed segments (an incremental
-// checkpoint); anything else — a lagging or fresh site, or a site that
-// rejects the delta — receives the full representation. local reports
-// that this node's store now holds exactly this version as the home
-// record (a stale Put is tolerated but leaves something else there).
-func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded, partial []byte, removed []string) (local bool, err error) {
+// checksite snapshots an object's checkpoint policy; RelLocal when none
+// was set. The sites slice is never mutated in place, so the snapshot
+// may be read after the lock is dropped.
+func (k *Kernel) checksite(id edenid.ID) checksitePolicy {
 	k.mu.Lock()
-	policy, ok := k.sites[id]
-	k.mu.Unlock()
-	if !ok {
-		policy = checksitePolicy{level: RelLocal}
+	defer k.mu.Unlock()
+	return k.sites[id] // the zero policy is RelLocal
+}
+
+// hasRemote reports whether the policy names a checksite other than
+// self.
+func (p checksitePolicy) hasRemote(self uint32) bool {
+	if p.level != RelRemote && p.level != RelReplicated {
+		return false
 	}
+	for _, site := range p.sites {
+		if site != self {
+			return true
+		}
+	}
+	return false
+}
+
+// writeCheckpoint persists one checkpoint per the policy snapshot its
+// caller took. "Different reliability levels may cause different
+// actions when a checkpoint is issued." Remote checksites holding the
+// immediately preceding version receive only the changed segments (an
+// incremental checkpoint, partial and removed); anything else — a
+// lagging or fresh site, or a site that rejects the delta — receives the
+// full representation. local reports that this node's store now holds
+// exactly this version as the home record (a stale Put is tolerated but
+// leaves something else there).
+func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, policy checksitePolicy, encoded, partial []byte, removed []string) (local bool, err error) {
 	rec := store.Record{Object: id, TypeName: typeName, Version: ver, Epoch: epoch, Frozen: frozen, Rep: encoded}
 	full := msg.Ship{Purpose: msg.ShipCheckpoint, Object: id, TypeName: typeName, Frozen: frozen, Version: ver, Epoch: epoch, Rep: encoded}
 

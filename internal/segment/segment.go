@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"strings"
 
 	"eden/internal/capability"
 )
@@ -124,6 +126,24 @@ func (r *Representation) Data(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q is %v, not data", ErrKind, name, s.kind)
 	}
 	return append([]byte(nil), s.data...), nil
+}
+
+// CopyData copies the named data segment's bytes into dst and returns
+// the segment's length n. When n > len(dst) only len(dst) bytes were
+// copied, so a caller that does not know the length asks with a nil dst
+// and sizes its buffer from the answer.
+func (r *Representation) CopyData(dst []byte, name string) (n int, err error) {
+	// The errors quote a clone, so name does not escape: a name the
+	// caller builds in a stack buffer stays there.
+	s, ok := r.segs[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoSegment, strings.Clone(name))
+	}
+	if s.kind != Data {
+		return 0, fmt.Errorf("%w: %q is %v, not data", ErrKind, strings.Clone(name), s.kind)
+	}
+	copy(dst, s.data)
+	return len(s.data), nil
 }
 
 // Caps returns a copy of the named capability segment's list.
@@ -250,27 +270,44 @@ const encMagic = 0x45645231 // "EdR1"
 
 // Encode appends the deterministic binary form of the representation
 // (including its trailing checksum) to dst.
-func (r *Representation) Encode(dst []byte) []byte {
+func (r *Representation) Encode(dst []byte) []byte { return r.encode(dst, r.Names()) }
+
+// encode appends the encoding of the named segments, which must be
+// present, sorted and distinct, growing dst once to the exact size.
+func (r *Representation) encode(dst []byte, names []string) []byte {
+	size := 12 // magic, count, checksum
+	for _, name := range names {
+		size += 2 + len(name) + 1 + 4 + r.segs[name].bodyLen()
+	}
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, encMagic)
-	names := r.Names()
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
 	for _, name := range names {
 		s := r.segs[name]
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
 		dst = append(dst, name...)
 		dst = append(dst, byte(s.kind))
-		var body []byte
+		dst = binary.BigEndian.AppendUint32(dst, uint32(s.bodyLen()))
 		if s.kind == Data {
-			body = s.data
+			dst = append(dst, s.data...)
 		} else {
-			body = capability.EncodeList(nil, s.caps)
+			dst = capability.EncodeList(dst, s.caps)
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-		dst = append(dst, body...)
 	}
 	crc := crc32.ChecksumIEEE(dst[start:])
 	return binary.BigEndian.AppendUint32(dst, crc)
+}
+
+// bodyLen is the length of the segment's encoded body: its bytes, or a
+// count and the capabilities.
+func (s *Segment) bodyLen() int {
+	if s.kind == Data {
+		return len(s.data)
+	}
+	return 4 + len(s.caps)*capability.EncodedSize
 }
 
 // Decode parses a representation from the front of src, returning it
@@ -419,19 +456,14 @@ func DirtyFromTaken(taken map[string]bool) (changed, removed []string) {
 // Decoding a partial encoding yields a sub-representation that Merge
 // applies onto a base.
 func (r *Representation) EncodePartial(names []string, dst []byte) []byte {
-	sub := New()
+	present := make([]string, 0, len(names))
 	for _, name := range names {
-		s, ok := r.segs[name]
-		if !ok {
-			continue
-		}
-		if s.kind == Data {
-			sub.SetData(name, s.data)
-		} else {
-			sub.SetCaps(name, s.caps)
+		if _, ok := r.segs[name]; ok {
+			present = append(present, name)
 		}
 	}
-	return sub.Encode(dst)
+	slices.Sort(present)
+	return r.encode(dst, slices.Compact(present))
 }
 
 // Merge applies a partial representation onto r: every segment in

@@ -260,6 +260,61 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesOnce: the encoding is written into one buffer of its
+// exact size, so Encode(nil) allocates one buffer more than an Encode
+// into a buffer with exactly enough room.
+func TestEncodeSizesOnce(t *testing.T) {
+	r := sampleRep()
+	if buf := r.Encode(nil); len(buf) != cap(buf) {
+		t.Errorf("Encode(nil): len %d, cap %d", len(buf), cap(buf))
+	}
+	exact := make([]byte, 0, len(r.Encode(nil)))
+	fresh := testing.AllocsPerRun(100, func() { _ = r.Encode(nil) })
+	into := testing.AllocsPerRun(100, func() { _ = r.Encode(exact) })
+	if fresh-into != 1 {
+		t.Errorf("Encode(nil) %.0f allocs, into an exact buffer %.0f: want one buffer between them", fresh, into)
+	}
+}
+
+// TestEncodePartialMergesOntoBase: a partial encoding of some changed
+// segments, merged onto the old state with the removed ones, is the new
+// state. Names may be absent, repeated or unsorted.
+func TestEncodePartialMergesOntoBase(t *testing.T) {
+	base := sampleRep()
+	r := base.Clone()
+	r.SetData("state", []byte("changed"))
+	r.SetData("new", []byte("added"))
+	r.Delete("empty")
+	sub, rest, err := Decode(r.EncodePartial([]string{"state", "new", "gone", "state"}, nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("Decode partial: %v, %d bytes left", err, len(rest))
+	}
+	if sub.NumSegments() != 2 {
+		t.Errorf("partial holds %v, want [new state]", sub.Names())
+	}
+	base.Merge(sub, []string{"empty"})
+	if !base.Equal(r) {
+		t.Errorf("merged %v, want %v", base.Names(), r.Names())
+	}
+}
+
+func TestCopyData(t *testing.T) {
+	r := sampleRep()
+	if n, err := r.CopyData(nil, "state"); err != nil || n != len("hello, eden") {
+		t.Fatalf("CopyData(nil) = %d, %v", n, err)
+	}
+	short := make([]byte, 5)
+	if n, err := r.CopyData(short, "state"); err != nil || n != len("hello, eden") || string(short) != "hello" {
+		t.Errorf("CopyData(short) = %d %q, %v", n, short, err)
+	}
+	if _, err := r.CopyData(nil, "missing"); !errors.Is(err, ErrNoSegment) {
+		t.Errorf("missing segment: %v", err)
+	}
+	if _, err := r.CopyData(nil, "refs"); !errors.Is(err, ErrKind) {
+		t.Errorf("caps segment: %v", err)
+	}
+}
+
 func TestZeroValueUsable(t *testing.T) {
 	var r Representation
 	r.SetData("x", []byte("y"))
