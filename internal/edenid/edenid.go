@@ -4,9 +4,10 @@
 // unique-for-all-time binary identifier"; the name is
 // location-independent "although it may indicate where the object was
 // created". An ID here is a 128-bit value composed of the creating
-// node's number (a hint only, never used for routing), a monotonic
-// creation timestamp, a per-generator sequence counter, and a checksum
-// byte that lets the codec reject corrupted names.
+// node's number (the locator's first guess at where the object is, never
+// an authority), a monotonic creation timestamp, a per-generator
+// sequence counter, and a checksum byte that lets the codec reject
+// corrupted names.
 package edenid
 
 import (
@@ -64,8 +65,10 @@ func New(node uint32, stamp uint64, seq uint32) ID {
 }
 
 // Node returns the number of the node on which the object was created.
-// Per the paper this is only a hint about origin; it must not be used
-// for routing, since objects move.
+// Per the paper this only indicates origin. The locator tries it first
+// for an object it knows nothing about, which is right for one that
+// never moved; the node is never an authority on where the object is,
+// since objects move.
 func (id ID) Node() uint32 { return binary.BigEndian.Uint32(id[0:4]) }
 
 // Stamp returns the creation timestamp recorded in the ID.

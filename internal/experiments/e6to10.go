@@ -98,8 +98,10 @@ func RunE6Sizes() (*Table, error) {
 	return t, nil
 }
 
-// RunE7 measures the location machinery: cold broadcast resolution
-// versus hint-cache hits, and cache behavior under object churn.
+// RunE7 measures the location machinery: first touches of objects at
+// their creator (the name's guess) and of objects that moved away (a
+// chase through the creator's forwarding pointer), hint-cache hits, and
+// cache behavior under object churn.
 func RunE7() (*Table, error) {
 	sys, nodes, err := newSystem(4)
 	if err != nil {
@@ -109,57 +111,90 @@ func RunE7() (*Table, error) {
 
 	t := &Table{
 		ID:         "E7",
-		Title:      "location lookup: broadcast vs hint cache; churn repair",
-		Prediction: "a cold lookup costs a broadcast round trip; warm lookups are free; each move costs one chase then re-caches",
-		Columns:    []string{"case", "median invoke µs", "broadcasts", "hit rate"},
+		Title:      "location lookup: creator guess, forwarding chase and hint cache; churn repair",
+		Prediction: "a first touch of an object at its creator costs what a warm one does, with no broadcast; one of an object that moved away pays one chase through the creator's forwarding pointer; warm lookups are free; each move costs one chase then re-caches",
+		Columns:    []string{"case", "median invoke µs", "broadcasts", "how found"},
 	}
+	client := nodes[3]
+	loc := client.Kernel().Locator()
 
-	// Cold lookups: fresh objects, first-ever invocation from afar.
-	const coldN = 50
-	var coldTotal time.Duration
-	for i := 0; i < coldN; i++ {
-		cap, err := nodes[0].CreateObject("bench.echo")
+	// Objects that never left their creator, and objects that moved away
+	// while the client could not hear of it (so it knows only the names).
+	const firstN = 50
+	fresh := make([]eden.Capability, firstN)
+	moved := make([]eden.Capability, firstN)
+	for i := range fresh {
+		if fresh[i], err = nodes[0].CreateObject("bench.echo"); err != nil {
+			return nil, err
+		}
+	}
+	sys.Partition(nodes[0], client)
+	for i := range moved {
+		if moved[i], err = nodes[0].CreateObject("bench.echo"); err != nil {
+			return nil, err
+		}
+		obj, err := nodes[0].Object(moved[i])
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		if _, err := nodes[3].Invoke(cap, "echo", nil, nil, expOpts()); err != nil {
+		if err := <-obj.Move(nodes[1].Num()); err != nil {
 			return nil, err
 		}
-		coldTotal += time.Since(start)
 	}
-	st := nodes[3].Kernel().Locator().Stats()
-	t.Rows = append(t.Rows, []string{
-		"cold (first invocation)", us(coldTotal / coldN),
-		fmt.Sprint(st.Broadcasts), "0%",
-	})
+	sys.Heal(nodes[0], client)
+	// firstTouches invokes each object once from the client, and returns
+	// the mean latency and the client's location counts over the calls.
+	firstTouches := func(caps []eden.Capability) (lat time.Duration, broadcasts, guesses, chases int64, err error) {
+		l0, c0 := loc.Stats(), client.Kernel().Stats().MovedChases
+		for _, cap := range caps {
+			start := time.Now()
+			if _, err := client.Invoke(cap, "echo", nil, nil, expOpts()); err != nil {
+				return 0, 0, 0, 0, err
+			}
+			lat += time.Since(start)
+		}
+		l1 := loc.Stats()
+		return lat / time.Duration(len(caps)), l1.Broadcasts - l0.Broadcasts, l1.Guesses - l0.Guesses,
+			client.Kernel().Stats().MovedChases - c0, nil
+	}
 
-	// Warm lookups: same object, repeated invocation.
-	cap, err := nodes[0].CreateObject("bench.echo")
+	lat, broadcasts, _, chases, err := firstTouches(moved)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := nodes[3].Invoke(cap, "echo", nil, nil, expOpts()); err != nil {
-		return nil, err
-	}
-	b0 := nodes[3].Kernel().Locator().Stats()
+	t.Rows = append(t.Rows, []string{
+		"cold, moved from its creator", us(lat),
+		fmt.Sprint(broadcasts), fmt.Sprintf("%d chases from the creator", chases),
+	})
+
+	// Warm lookups: one of the moved objects, its home now cached.
+	b0 := loc.Stats()
 	warm, _, _, err := measure(300, func() error {
-		_, err := nodes[3].Invoke(cap, "echo", nil, nil, expOpts())
+		_, err := client.Invoke(moved[0], "echo", nil, nil, expOpts())
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	b1 := nodes[3].Kernel().Locator().Stats()
-	hits := b1.Hits - b0.Hits
+	b1 := loc.Stats()
 	t.Rows = append(t.Rows, []string{
 		"warm (hint cached)", us(warm),
 		fmt.Sprint(b1.Broadcasts - b0.Broadcasts),
-		fmt.Sprintf("%.0f%%", 100*float64(hits)/300),
+		fmt.Sprintf("%.0f%% hit rate", 100*float64(b1.Hits-b0.Hits)/300),
+	})
+
+	lat, broadcasts, guesses, _, err := firstTouches(fresh)
+	if err != nil {
+		return nil, err
+	}
+	t.Rows = append(t.Rows, []string{
+		"cold, never moved", us(lat),
+		fmt.Sprint(broadcasts), fmt.Sprintf("%.0f%% creator guessed", 100*float64(guesses)/firstN),
 	})
 
 	// Churn: the object moves between invocations; every move
 	// invalidates the client's hint once.
+	cap := fresh[0]
 	var churnTotal time.Duration
 	const churnN = 30
 	homes := []*eden.Node{nodes[0], nodes[1], nodes[2]}

@@ -187,12 +187,15 @@ func TestE7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, warm := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
-	if cold <= warm {
-		t.Errorf("cold lookup (%v) not above warm (%v)", cold, warm)
+	moved, warm := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
+	if moved <= warm {
+		t.Errorf("first touch of a moved object (%v) not above warm (%v)", moved, warm)
 	}
 	if warmBroadcasts := cell(t, tab, 1, 2); warmBroadcasts != 0 {
 		t.Errorf("warm lookups broadcast %v times", warmBroadcasts)
+	}
+	if fresh := cell(t, tab, 2, 2); fresh != 0 {
+		t.Errorf("first touches of never-moved objects broadcast %v times", fresh)
 	}
 }
 

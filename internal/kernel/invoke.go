@@ -174,6 +174,10 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 	corr := k.corr.Add(1)
 	start := k.tel.now() // zero (no clock read) when telemetry is off
 	triedRecovery := false
+	// guessSpent is what a wrong guess at the object's creating node took
+	// out of the locate budget: the broadcast after it gets the rest, so a
+	// dead creator delays failure recovery by nothing.
+	var guessSpent time.Duration
 	for hop := 0; hop < maxHops; hop++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -202,15 +206,14 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 		// Locate the target elsewhere. Location answers arrive within
 		// a round trip, so the broadcast wait is bounded separately
 		// from the invocation budget.
-		ltimeout := remaining
-		if ltimeout > k.loc.DefaultTimeout {
-			ltimeout = k.loc.DefaultTimeout
-		}
+		ltimeout := min(remaining, k.loc.DefaultTimeout-guessSpent)
 		var loc locator.Location
-		var err error
-		if allowReplica {
+		err := locator.ErrNotFound
+		switch {
+		case ltimeout <= 0:
+		case allowReplica:
 			loc, err = k.loc.LookupAny(id, ltimeout)
-		} else {
+		default:
 			loc, err = k.loc.Lookup(id, ltimeout)
 		}
 		if err != nil {
@@ -233,16 +236,17 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 
 		// A cached hint may point at a dead or stale node; probe it
 		// with a bounded slice of the budget so a wrong hint cannot
-		// consume the caller's whole timeout. A freshly confirmed
+		// consume the caller's whole timeout. A guess at the creator is
+		// a probe too, paid from the locate budget. A freshly confirmed
 		// location gets the full remainder.
 		attempt := time.Until(deadline)
-		if !loc.Fresh {
-			if probe := attempt / 2; probe < attempt {
-				attempt = probe
-			}
-			if attempt > time.Second {
-				attempt = time.Second
-			}
+		var sent time.Time
+		switch {
+		case loc.Guess:
+			attempt = min(attempt, ltimeout/2)
+			sent = time.Now()
+		case !loc.Fresh:
+			attempt = min(attempt/2, time.Second)
 		}
 		// The stale-tolerance flag travels with the request so the
 		// serving node knows whether a checkpoint shadow qualifies;
@@ -254,10 +258,14 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 			req.Flags &^= msg.FlagAllowReplica
 		}
 		rep, err := k.invokeRemote(loc.Node, corr, trace, req, attempt)
-		if err != nil {
-			// The hinted node may be stale or down; drop the hint and
-			// retry through location.
+		if err != nil || rep.Status == msg.StatusNoSuchObject {
+			// The node is stale, down, or was a wrong guess: drop what
+			// pointed there (for a guess, that rules it out) and retry
+			// through location.
 			k.loc.Forget(id)
+			if loc.Guess {
+				guessSpent += time.Since(sent)
+			}
 			if time.Until(deadline) <= 0 {
 				return Reply{}, ErrTimeout
 			}
@@ -275,11 +283,6 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 				continue
 			}
 			return Reply{}, ErrNoSuchObject
-		}
-		if rep.Status == msg.StatusNoSuchObject {
-			// Stale hint: that node no longer hosts the target.
-			k.loc.Forget(id)
-			continue
 		}
 		k.tel.remoteLat.ObserveSince(start)
 		return replyFrom(rep)

@@ -242,9 +242,9 @@ type Kernel struct {
 	activationMu                          sync.Mutex   // serializes reincarnations
 
 	// testHook, when this package's tests set it (before the kernel
-	// serves anything), runs at the two points where a lifecycle race
-	// window opens, so a test can force the interleaving instead of
-	// hoping for it. Nil otherwise: one load on the dispatch path.
+	// serves anything), runs at the points where a lifecycle race window
+	// opens, so a test can force the interleaving instead of hoping for
+	// it. Nil otherwise: one load on the dispatch path.
 	testHook func(at hookPoint, o *Object)
 }
 
@@ -258,6 +258,9 @@ const (
 	// hookEvictClaimed: evictUntil has claimed its victim; nothing is
 	// released yet.
 	hookEvictClaimed
+	// hookInstallGap: install's eviction has made room and install has
+	// not yet re-taken k.mu to claim it.
+	hookInstallGap
 )
 
 // New assembles a kernel from its substrates. types is typically
@@ -591,6 +594,9 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 // install registers an active object, charging its representation
 // against the node's memory budget. Once it is in the active table
 // invocations can reach it: an incarnation has no process of its own.
+// Eviction runs without k.mu, so a concurrent Create, ship or growing
+// Update can take the room it made before install claims it; install
+// then evicts again, and fails only when nothing is left to evict.
 func (k *Kernel) install(obj *Object) error {
 	size := int64(repSize(obj))
 	k.mu.Lock()
@@ -598,10 +604,16 @@ func (k *Kernel) install(obj *Object) error {
 		k.mu.Unlock()
 		return ErrClosed
 	}
-	if k.cfg.MemoryBytes > 0 && k.memInUse+size > k.cfg.MemoryBytes && k.cfg.EvictOnPressure {
+	for k.cfg.EvictOnPressure && k.cfg.MemoryBytes > 0 && k.memInUse+size > k.cfg.MemoryBytes {
 		k.mu.Unlock()
-		k.evictUntil(k.cfg.MemoryBytes - size)
+		made := k.evictUntil(k.cfg.MemoryBytes - size)
+		if k.testHook != nil {
+			k.testHook(hookInstallGap, obj)
+		}
 		k.mu.Lock()
+		if !made {
+			break
+		}
 	}
 	if k.cfg.MemoryBytes > 0 && k.memInUse+size > k.cfg.MemoryBytes {
 		k.mu.Unlock()

@@ -70,14 +70,12 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err != nil || len(rest) != 0 {
 		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
 	}
-	// Decode builds the representation through the mutators, so it comes
-	// back all dirty; it is in fact exactly what the record holds. Marked
-	// clean here — before the Reincarnate hook, so that a hook that
-	// writes a segment is seen — the incarnation can be passivated again
-	// without a checkpoint until something changes it. A promoted backup
-	// record does not qualify: the home's record must be written without
-	// the backup marker, or a restart would take it for a backup again.
-	rep.MarkClean()
+	// The decoded representation is clean — exactly what the record
+	// holds — so the incarnation can be passivated again without a
+	// checkpoint until something changes it, a Reincarnate hook that
+	// writes a segment included. A promoted backup record does not
+	// qualify: the home's record must be written without the backup
+	// marker, or a restart would take it for a backup again.
 	obj := k.newObject(id, tt, rep, rec.Version, rec.Frozen)
 	obj.epoch = normEpoch(rec.Epoch)
 	if !rec.Backup {
@@ -843,12 +841,12 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 }
 
 // evictUntil passivates least-recently-invoked idle objects until the
-// node's memory use drops to the target. Only quiescent objects (no
-// running, suspended or queued invocations, not replicas, not mid-move)
-// are eligible; their active state is released — after a checkpoint if
-// anything changed since the last — to be reincarnated transparently on
-// the next invocation.
-func (k *Kernel) evictUntil(target int64) {
+// node's memory use drops to the target, and reports whether it did.
+// Only quiescent objects (no running, suspended or queued invocations,
+// not replicas, not mid-move) are eligible; their active state is
+// released — after a checkpoint if anything changed since the last — to
+// be reincarnated transparently on the next invocation.
+func (k *Kernel) evictUntil(target int64) bool {
 	if target < 0 {
 		target = 0
 	}
@@ -856,7 +854,7 @@ func (k *Kernel) evictUntil(target int64) {
 		k.mu.Lock()
 		if k.memInUse <= target {
 			k.mu.Unlock()
-			return
+			return true
 		}
 		// Choose the least-recently-invoked quiescent candidate.
 		var victim *Object
@@ -875,7 +873,7 @@ func (k *Kernel) evictUntil(target int64) {
 		}
 		k.mu.Unlock()
 		if victim == nil {
-			return // nothing evictable; let the caller fail
+			return false // nothing evictable; let the caller fail
 		}
 		// The scan let go of the victim's monitor, so a call may have
 		// reached it since; the claim checks again, and a victim that is
@@ -889,7 +887,7 @@ func (k *Kernel) evictUntil(target int64) {
 		if err := victim.passivateClaimed(); err != nil {
 			// Checkpoint failed (e.g. media failure): stop evicting
 			// rather than spin.
-			return
+			return false
 		}
 		k.stEvictions.Add(1)
 	}

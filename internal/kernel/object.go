@@ -83,11 +83,11 @@ type Object struct {
 	sched       sync.Mutex
 	cs          coordState
 	state       objState
-	movedTo     uint32     // valid once state becomes stMoving->moved
-	passive     bool       // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
-	running     int        // handler processes currently executing
-	lastInvoked int64      // monotonic tick of the last admitted invocation
-	drained     *sync.Cond // on sched
+	movedTo     uint32    // valid once state becomes stMoving->moved
+	passive     bool      // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
+	running     int       // handler processes currently executing
+	lastInvoked int64     // monotonic tick of the last admitted invocation
+	drained     sync.Cond // on sched
 
 	charged atomic.Int64 // bytes charged to the node's memory budget
 
@@ -104,8 +104,8 @@ type Object struct {
 	down chan struct{} // closed when active state is destroyed
 
 	semMu sync.Mutex
-	sems  map[string]*Semaphore
-	ports map[string]*Port
+	sems  map[string]*Semaphore // made by the first Semaphore
+	ports map[string]*Port      // made by the first Port
 
 	behaviors sync.WaitGroup
 }
@@ -119,11 +119,9 @@ func (k *Kernel) newObject(id edenid.ID, tt *typeTable, rep *segment.Representat
 		version: version,
 		frozen:  frozen,
 		down:    make(chan struct{}),
-		sems:    make(map[string]*Semaphore),
-		ports:   make(map[string]*Port),
 	}
 	o.cs = coordState{o: o, classes: make([]classState, len(tt.classes))}
-	o.drained = sync.NewCond(&o.sched)
+	o.drained.L = &o.sched
 	return o
 }
 
@@ -218,6 +216,9 @@ func (o *Object) Semaphore(name string, initial int) *Semaphore {
 		return s
 	}
 	s := newSemaphore(initial, initial+64, o.down)
+	if o.sems == nil {
+		o.sems = make(map[string]*Semaphore)
+	}
 	o.sems[name] = s
 	return s
 }
@@ -231,6 +232,9 @@ func (o *Object) Port(name string, capacity int) *Port {
 		return p
 	}
 	p := newPort(capacity, o.down, o.k.tel.portWait)
+	if o.ports == nil {
+		o.ports = make(map[string]*Port)
+	}
 	o.ports[name] = p
 	return p
 }
@@ -260,6 +264,7 @@ const maxWriteBatch = 16
 type classState struct {
 	running int
 	q       [3][]*callCtx
+	first   [3][1]*callCtx // each queue's first backing array, so that an incarnation's first call queues without allocating
 }
 
 // coordState is the coordinator's scheduling state: Eden's "tree of
@@ -335,7 +340,8 @@ func (o *Object) validate(c *callCtx) (msg.InvokeRep, bool) {
 // caller holds o.sched and has seen the incarnation not down.
 func (cs *coordState) arrive(c *callCtx) {
 	o := cs.o
-	q := &cs.classes[c.op.class].q[c.op.mode]
+	cl := &cs.classes[c.op.class]
+	q := &cl.q[c.op.mode]
 	if len(*q) >= o.k.cfg.AdmissionQueue {
 		// The queue sheds at the door rather than growing without
 		// bound, matching the transport's bounded send queues. Counted
@@ -347,6 +353,9 @@ func (cs *coordState) arrive(c *callCtx) {
 	cs.seq++
 	c.queued = true
 	o.k.tel.admissionDepth.Add(1)
+	if *q == nil {
+		*q = cl.first[c.op.mode][:0]
+	}
 	*q = append(*q, c)
 	cs.schedule()
 }

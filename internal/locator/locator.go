@@ -3,12 +3,22 @@
 // invocation, [determines] the node on which the target object resides
 // and [forwards] the invocation message to that object".
 //
-// Each node's Locator keeps a hint cache mapping object names to the
-// node believed to host them (plus the set of nodes holding frozen
-// replicas). A cache miss triggers the broadcast location protocol:
-// a LocateReq goes to all nodes, and every node hosting the object (or
-// a replica) answers. Hints are also learned opportunistically — from
-// move notifications and from invocation replies — and invalidated
+// An object's name "may indicate where the object was created", and
+// most objects never leave the node that created them. So the first
+// guess for a name nothing is known about is its creating node: Lookup
+// answers it without a frame, marked Guess, and the invoker sends the
+// invocation straight there. A creator that forwarded the object
+// bounces the call to its new home; one that holds nothing says so, and
+// only then does the invoker ask the locator again, which now runs the
+// broadcast location protocol: a LocateReq goes to all nodes, and every
+// node hosting the object (or a replica) answers. The name is a guess,
+// never an authority.
+//
+// Each node's Locator therefore caches only the exceptions: the node
+// believed to host an object that lives away from its creator, the set
+// of nodes holding frozen replicas, and the objects for which the guess
+// proved wrong and is ruled out. Hints are learned from broadcast
+// answers, move notifications and forwarding bounces, and invalidated
 // when they prove wrong, so the cache self-repairs under object
 // mobility.
 package locator
@@ -52,6 +62,9 @@ type SendFunc func(env msg.Envelope) error
 type Stats struct {
 	// Hits counts lookups satisfied from the hint cache.
 	Hits int64
+	// Guesses counts lookups answered with the object's creating node
+	// because nothing was cached.
+	Guesses int64
 	// Misses counts lookups that had to broadcast.
 	Misses int64
 	// Broadcasts counts LocateReq frames sent.
@@ -71,11 +84,18 @@ type Location struct {
 	// itself (a broadcast answer or the local host check), false when
 	// it came from the hint cache and may be stale.
 	Fresh bool
+	// Guess is true when nothing was cached and Node is the creating
+	// node named in the object's ID: unconfirmed, and the caller reports
+	// a wrong guess with Forget.
+	Guess bool
 }
 
+// hintEntry is what is known about one object beyond its name. An
+// object at its creating node has no entry unless it has replicas.
 type hintEntry struct {
 	home     uint32
 	hasHome  bool
+	noGuess  bool // a guess at the creator proved wrong, or some later hint did
 	replicas map[uint32]bool
 }
 
@@ -100,6 +120,7 @@ type Locator struct {
 	closed  bool
 
 	hits          atomic.Int64
+	guesses       atomic.Int64
 	misses        atomic.Int64
 	broadcasts    atomic.Int64
 	invalidations atomic.Int64
@@ -129,6 +150,7 @@ func New(node uint32, send SendFunc, check HostCheck) *Locator {
 func (l *Locator) Stats() Stats {
 	return Stats{
 		Hits:          l.hits.Load(),
+		Guesses:       l.guesses.Load(),
 		Misses:        l.misses.Load(),
 		Broadcasts:    l.broadcasts.Load(),
 		Invalidations: l.invalidations.Load(),
@@ -136,36 +158,73 @@ func (l *Locator) Stats() Stats {
 }
 
 // Learn installs a location hint. Replica hints accumulate; home
-// hints replace the previous home.
+// hints replace the previous home. A home at the object's creating node
+// is what a lookup guesses anyway, so learning one stores nothing: it
+// discards the cached home and the mark that ruled the guess out.
 //
 //edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Learn(id edenid.ID, node uint32, replica bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if replica {
+		e := l.entry(id)
+		if e.replicas == nil {
+			e.replicas = make(map[uint32]bool)
+		}
+		e.replicas[node] = true
+		return
+	}
+	l.setHome(id, node)
+}
+
+// entry returns the object's hint entry, making an empty one if there
+// is none. Caller holds l.mu.
+func (l *Locator) entry(id edenid.ID) *hintEntry {
 	e := l.hints[id]
 	if e == nil {
-		e = &hintEntry{replicas: make(map[uint32]bool)}
+		e = &hintEntry{}
 		l.hints[id] = e
 	}
-	if replica {
-		e.replicas[node] = true
-	} else {
-		e.home = node
-		e.hasHome = true
+	return e
+}
+
+// setHome records the object's home: as a hint when it is away from its
+// creator, as the absence of one when it is at its creator. Caller holds
+// l.mu.
+func (l *Locator) setHome(id edenid.ID, home uint32) {
+	if home != id.Node() {
+		e := l.entry(id)
+		e.home, e.hasHome = home, true
+		return
+	}
+	e := l.hints[id]
+	if e == nil {
+		return
+	}
+	e.home, e.hasHome, e.noGuess = 0, false, false
+	if len(e.replicas) == 0 {
+		delete(l.hints, id)
 	}
 }
 
-// Forget discards every hint for the object (e.g. after the hint
-// proved wrong or the object was destroyed).
+// Forget discards what a lookup of the object would answer, after it
+// proved wrong or the object was destroyed: the cached home and replicas,
+// and the guess at its creating node. The guess stays ruled out until a
+// hint places the object at its creator again (Learn), so one invocation
+// never tries a wrong guess twice.
 //
 //edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Forget(id edenid.ID) {
 	l.mu.Lock()
-	if _, ok := l.hints[id]; ok {
-		delete(l.hints, id)
+	defer l.mu.Unlock()
+	if e := l.hints[id]; e != nil && (e.hasHome || len(e.replicas) > 0) {
 		l.invalidations.Add(1)
 	}
-	l.mu.Unlock()
+	if id.Node() == l.node {
+		delete(l.hints, id) // never guessed
+		return
+	}
+	l.hints[id] = &hintEntry{noGuess: true}
 }
 
 // DropReplica discards only the replica hint naming the given node.
@@ -189,35 +248,33 @@ func (l *Locator) DropReplica(id edenid.ID, node uint32) {
 func (l *Locator) SetReplicas(id edenid.ID, home uint32, sites []uint32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.hints[id]
-	if e == nil {
-		e = &hintEntry{replicas: make(map[uint32]bool)}
-		l.hints[id] = e
-	}
-	e.home = home
-	e.hasHome = true
+	e := l.entry(id)
 	if len(e.replicas) > 0 {
-		e.replicas = make(map[uint32]bool, len(sites))
+		e.replicas = nil
 		l.invalidations.Add(1)
 	}
 	for _, s := range sites {
 		if s != home {
+			if e.replicas == nil {
+				e.replicas = make(map[uint32]bool, len(sites))
+			}
 			e.replicas[s] = true
 		}
 	}
+	l.setHome(id, home)
 }
 
-// cached returns a cached location. When wantHome is true only the
-// home qualifies; otherwise a replica (preferring the local node, then
-// a random replica) is acceptable, and the home serves as fallback.
+// cached returns what the hint cache says. When wantHome is true only the
+// home qualifies; otherwise a replica (preferring the local node, then a
+// random replica) is acceptable, and the home serves as fallback. With
+// no home cached and the guess not ruled out, the answer is the creating
+// node — unless that is this node, which the local host check already
+// asked.
 func (l *Locator) cached(id edenid.ID, wantHome bool) (Location, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.hints[id]
-	if e == nil {
-		return Location{}, false
-	}
-	if !wantHome {
+	if e != nil && !wantHome {
 		if e.replicas[l.node] {
 			return Location{Node: l.node, Replica: true}, true
 		}
@@ -232,14 +289,18 @@ func (l *Locator) cached(id edenid.ID, wantHome bool) (Location, bool) {
 			}
 		}
 	}
-	if e.hasHome {
+	switch {
+	case e != nil && e.hasHome:
 		return Location{Node: e.home}, true
+	case e != nil && e.noGuess, id.Node() == l.node:
+		return Location{}, false
 	}
-	return Location{}, false
+	return Location{Node: id.Node(), Guess: true}, true
 }
 
-// Lookup resolves the object's home node, consulting the hint cache
-// and falling back to the broadcast protocol. A zero timeout uses
+// Lookup resolves the object's home node, consulting the hint cache,
+// then guessing the creating node, and falling back to the broadcast
+// protocol once the guess is ruled out. A zero timeout uses
 // DefaultTimeout.
 //
 //edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
@@ -279,7 +340,11 @@ func (l *Locator) lookup(id edenid.ID, wantHome, recover bool, timeout time.Dura
 		return Location{Node: l.node, Replica: !home, Fresh: true}, nil
 	}
 	if loc, ok := l.cached(id, wantHome); ok {
-		l.hits.Add(1)
+		if loc.Guess {
+			l.guesses.Add(1)
+		} else {
+			l.hits.Add(1)
+		}
 		return loc, nil
 	}
 	l.misses.Add(1)

@@ -456,3 +456,93 @@ func TestHandleReplyWaiterBufferFull(t *testing.T) {
 		t.Errorf("waiter buffer disturbed: len=%d cap=%d", len(w.ch), cap(w.ch))
 	}
 }
+
+// created2 names objects created on node 2, so that node 1 has a
+// creator to guess.
+var created2 = edenid.NewGenerator(2)
+
+// TestLookupGuessesCreator: with nothing cached, a lookup answers the
+// name's creating node as a guess, without a frame; the creator itself
+// never guesses its own node.
+func TestLookupGuessesCreator(t *testing.T) {
+	f := newFixture(t, 1, 2, 3)
+	id := created2.Next()
+	f.host(2, id)
+	for i := 1; i <= 2; i++ {
+		loc, err := f.locs[1].Lookup(id, 0)
+		if err != nil || loc != (Location{Node: 2, Guess: true}) {
+			t.Fatalf("lookup %d = %+v, %v; want a guess at node 2", i, loc, err)
+		}
+	}
+	if st := f.locs[1].Stats(); st.Guesses != 2 || st.Hits != 0 || st.Broadcasts != 0 {
+		t.Errorf("stats = %+v, want two guesses and no broadcast", st)
+	}
+	f.unhost(2, id)
+	if _, err := f.locs[2].Lookup(id, 50*time.Millisecond); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the creator's own lookup: %v, want a broadcast that finds nothing", err)
+	}
+}
+
+// TestCreatorHomeIsNotCached: the cache holds exceptions only. Learning
+// that an object is at its creator, from a move or a broadcast answer,
+// leaves no entry; learning that it is elsewhere does, until it is back.
+func TestCreatorHomeIsNotCached(t *testing.T) {
+	f := newFixture(t, 1, 2, 3)
+	id := created2.Next()
+	l := f.locs[1]
+	entries := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.hints)
+	}
+	l.Learn(id, 2, false)
+	if n := entries(); n != 0 {
+		t.Errorf("home at the creator: %d entries, want 0", n)
+	}
+	l.Learn(id, 3, false)
+	if loc, _ := l.Lookup(id, 0); loc.Node != 3 || loc.Guess {
+		t.Errorf("moved object: lookup = %+v, want the cached home at node 3", loc)
+	}
+	l.Learn(id, 2, false)
+	if n := entries(); n != 0 {
+		t.Errorf("back at the creator: %d entries, want 0", n)
+	}
+	f.host(2, id)
+	l.Forget(id) // rule the guess out, so that the lookup broadcasts
+	if loc, err := l.Lookup(id, 0); err != nil || loc.Node != 2 || !loc.Fresh {
+		t.Fatalf("broadcast lookup = %+v, %v", loc, err)
+	}
+	if n := entries(); n != 0 {
+		t.Errorf("after the creator answered a broadcast: %d entries, want 0", n)
+	}
+}
+
+// TestForgetRulesOutGuess: a guess that proved wrong is not made again
+// — not even after the broadcast's answer proves wrong in its turn — until
+// a hint places the object back at its creator.
+func TestForgetRulesOutGuess(t *testing.T) {
+	f := newFixture(t, 1, 2, 3, 4)
+	id := created2.Next()
+	f.host(3, id)
+	l := f.locs[1]
+	if loc, _ := l.Lookup(id, 0); !loc.Guess {
+		t.Fatalf("first lookup = %+v, want the guess", loc)
+	}
+	l.Forget(id)
+	if loc, err := l.Lookup(id, 0); err != nil || loc.Node != 3 || loc.Guess {
+		t.Fatalf("after a wrong guess: %+v, %v; want a broadcast finding node 3", loc, err)
+	}
+	f.unhost(3, id)
+	f.host(4, id)
+	l.Forget(id)
+	if loc, err := l.Lookup(id, 0); err != nil || loc.Node != 4 || loc.Guess {
+		t.Fatalf("after a stale hint: %+v, %v; want a broadcast finding node 4", loc, err)
+	}
+	if st := l.Stats(); st.Guesses != 1 || st.Broadcasts != 2 {
+		t.Errorf("stats = %+v, want one guess and two broadcasts", st)
+	}
+	l.Learn(id, 2, false)
+	if loc, _ := l.Lookup(id, 0); !loc.Guess {
+		t.Errorf("object back at its creator: lookup = %+v, want the guess again", loc)
+	}
+}

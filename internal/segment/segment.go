@@ -312,71 +312,138 @@ func (s *Segment) bodyLen() int {
 
 // Decode parses a representation from the front of src, returning it
 // and the remaining bytes. Any structural damage — truncation, a bad
-// magic number, a failed checksum — yields ErrBadEncoding.
+// magic number, names out of order, an unknown kind, a malformed
+// capability list, a failed checksum — yields ErrBadEncoding, and is
+// found before anything is built; so an encoding Decode accepts is the
+// one Encode writes for its result.
+//
+// The caller hands src over. The result's data segments are slices of
+// it, capacity-clipped, so src must not be written afterwards; every
+// other method copies as before, so nothing the representation does
+// writes to it either. The result is clean: it is exactly what src holds.
 func Decode(src []byte) (*Representation, []byte, error) {
-	orig := src
+	nsegs, nameBytes, end, err := check(src)
+	if err != nil {
+		return nil, src, err
+	}
+	// One allocation each for the representation, its table, its
+	// segments and all their names; capability lists are the only others.
+	r := &Representation{segs: make(map[string]*Segment, nsegs)}
+	segs := make([]Segment, nsegs)
+	var names strings.Builder
+	names.Grow(nameBytes)
+	b := src[8:end]
+	for range segs {
+		name, _, _, rest, _ := segmentAt(b)
+		names.Write(name)
+		b = rest
+	}
+	all, at := names.String(), 0
+	b = src[8:end]
+	for i := range segs {
+		name, kind, body, rest, _ := segmentAt(b)
+		s := &segs[i]
+		s.kind = kind
+		if kind == Data {
+			s.data = body[:len(body):len(body)]
+		} else if n := len(body) / capability.EncodedSize; n > 0 {
+			s.caps = make(capability.List, n)
+			for j := range s.caps {
+				s.caps[j], _, _ = capability.Decode(body[4+j*capability.EncodedSize:])
+			}
+		}
+		r.segs[all[at:at+len(name)]] = s
+		at += len(name)
+		b = rest
+	}
+	return r, src[end+4:], nil
+}
+
+// check verifies an encoding at the front of src without building
+// anything. It returns the segment count, the total length of the
+// names and where the checksum starts.
+func check(src []byte) (nsegs, nameBytes, end int, err error) {
 	if len(src) < 8 {
-		return nil, orig, fmt.Errorf("%w: truncated header", ErrBadEncoding)
+		return 0, 0, 0, fmt.Errorf("%w: truncated header", ErrBadEncoding)
 	}
 	if binary.BigEndian.Uint32(src) != encMagic {
-		return nil, orig, fmt.Errorf("%w: bad magic", ErrBadEncoding)
+		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrBadEncoding)
 	}
-	nsegs := int(binary.BigEndian.Uint32(src[4:]))
-	body := src[8:]
-	consumed := 8
-	r := New()
-	for i := 0; i < nsegs; i++ {
-		if len(body) < 2 {
-			return nil, orig, fmt.Errorf("%w: truncated name length", ErrBadEncoding)
+	n := binary.BigEndian.Uint32(src[4:])
+	b := src[8:]
+	var prev []byte
+	for i := uint32(0); i < n; i++ {
+		name, kind, body, rest, ok := segmentAt(b)
+		if !ok {
+			return 0, 0, 0, fmt.Errorf("%w: truncated segment %d", ErrBadEncoding, i)
 		}
-		nameLen := int(binary.BigEndian.Uint16(body))
-		body = body[2:]
-		consumed += 2
-		if len(body) < nameLen+5 {
-			return nil, orig, fmt.Errorf("%w: truncated segment %d", ErrBadEncoding, i)
+		if i > 0 && string(prev) >= string(name) {
+			return 0, 0, 0, fmt.Errorf("%w: segment %q out of order", ErrBadEncoding, name)
 		}
-		name := string(body[:nameLen])
-		kind := Kind(body[nameLen])
-		bodyLen := int(binary.BigEndian.Uint32(body[nameLen+1:]))
-		body = body[nameLen+5:]
-		consumed += nameLen + 5
-		if bodyLen < 0 || len(body) < bodyLen {
-			return nil, orig, fmt.Errorf("%w: truncated body of %q", ErrBadEncoding, name)
-		}
-		seg := body[:bodyLen]
 		switch kind {
 		case Data:
-			r.SetData(name, seg)
 		case Caps:
-			l, rest, err := capability.DecodeList(seg)
-			if err != nil {
-				return nil, orig, fmt.Errorf("%w: segment %q: %v", ErrBadEncoding, name, err)
+			if err := checkCaps(body); err != nil {
+				return 0, 0, 0, fmt.Errorf("%w: segment %q: %v", ErrBadEncoding, name, err)
 			}
-			if len(rest) != 0 {
-				return nil, orig, fmt.Errorf("%w: segment %q has trailing bytes", ErrBadEncoding, name)
-			}
-			r.SetCaps(name, l)
 		default:
-			return nil, orig, fmt.Errorf("%w: segment %q has unknown kind %d", ErrBadEncoding, name, kind)
+			return 0, 0, 0, fmt.Errorf("%w: segment %q has unknown kind %d", ErrBadEncoding, name, kind)
 		}
-		body = body[bodyLen:]
-		consumed += bodyLen
+		prev, nameBytes = name, nameBytes+len(name)
+		b = rest
 	}
+	if len(b) < 4 {
+		return 0, 0, 0, fmt.Errorf("%w: truncated checksum", ErrBadEncoding)
+	}
+	end = len(src) - len(b)
+	if crc32.ChecksumIEEE(src[:end]) != binary.BigEndian.Uint32(b) {
+		return 0, 0, 0, fmt.Errorf("%w: checksum mismatch", ErrBadEncoding)
+	}
+	return int(n), nameBytes, end, nil
+}
+
+// segmentAt splits the segment at the front of b into its parts and
+// what follows it. ok is false when b ends before the segment does.
+func segmentAt(b []byte) (name []byte, kind Kind, body, rest []byte, ok bool) {
+	if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b))+1+4 {
+		return nil, 0, nil, nil, false
+	}
+	nameLen := int(binary.BigEndian.Uint16(b))
+	name = b[2 : 2+nameLen]
+	kind = Kind(b[2+nameLen])
+	bodyLen := int(binary.BigEndian.Uint32(b[2+nameLen+1:]))
+	rest = b[2+nameLen+1+4:]
+	if bodyLen < 0 || len(rest) < bodyLen {
+		return nil, 0, nil, nil, false
+	}
+	return name, kind, rest[:bodyLen], rest[bodyLen:], true
+}
+
+// checkCaps verifies an encoded capability list that must fill body
+// exactly.
+func checkCaps(body []byte) error {
 	if len(body) < 4 {
-		return nil, orig, fmt.Errorf("%w: truncated checksum", ErrBadEncoding)
+		return fmt.Errorf("%w: truncated list header", capability.ErrBadCapability)
 	}
-	want := binary.BigEndian.Uint32(body)
-	if got := crc32.ChecksumIEEE(orig[:consumed]); got != want {
-		return nil, orig, fmt.Errorf("%w: checksum mismatch", ErrBadEncoding)
+	n := int(binary.BigEndian.Uint32(body))
+	if (len(body)-4)%capability.EncodedSize != 0 || n != (len(body)-4)/capability.EncodedSize {
+		return fmt.Errorf("%w: list of %d in %d bytes", capability.ErrBadCapability, n, len(body)-4)
 	}
-	return r, body[4:], nil
+	for rest := body[4:]; len(rest) > 0; {
+		var err error
+		if _, rest, err = capability.Decode(rest); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- dirty tracking (incremental checkpoint support) ----
 //
-// A Representation records which segments changed since the last
-// MarkClean, so the checkpoint machinery can ship only the delta to a
-// remote checksite that already holds the previous version.
+// A Representation records which segments changed since it was made or
+// decoded, or since the last TakeDirty, so the checkpoint machinery can
+// ship only the delta to a remote checksite that already holds the
+// previous version.
 
 // markDirty notes a change to the named segment.
 func (r *Representation) markDirty(name string, deleted bool) {
@@ -389,26 +456,12 @@ func (r *Representation) markDirty(name string, deleted bool) {
 }
 
 // Dirty returns the names of segments changed (set) and removed
-// (deleted) since the last MarkClean, each sorted.
-func (r *Representation) Dirty() (changed, removed []string) {
-	for name, present := range r.dirty {
-		if present {
-			changed = append(changed, name)
-		} else {
-			removed = append(removed, name)
-		}
-	}
-	sort.Strings(changed)
-	sort.Strings(removed)
-	return changed, removed
-}
+// (deleted) since the representation was last clean, each sorted.
+func (r *Representation) Dirty() (changed, removed []string) { return DirtyFromTaken(r.dirty) }
 
-// HasDirty reports whether any change was recorded since MarkClean.
+// HasDirty reports whether any change was recorded since the
+// representation was last clean.
 func (r *Representation) HasDirty() bool { return len(r.dirty) > 0 }
-
-// MarkClean forgets the recorded changes (after a successful full or
-// incremental checkpoint).
-func (r *Representation) MarkClean() { r.dirty = nil }
 
 // TakeDirty removes and returns the change-tracking state, leaving the
 // representation clean. If the checkpoint consuming the changes fails,

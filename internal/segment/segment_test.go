@@ -2,7 +2,9 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
@@ -380,4 +382,99 @@ func TestQuickDecodeCorruptedValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkDecoded asserts what Decode promises of an input it accepts: its
+// data segments lie inside the consumed input (each capacity-clipped),
+// the result is clean, and encoding it gives the consumed input back
+// byte for byte. It reports whether src decoded at all.
+func checkDecoded(t *testing.T, src []byte) bool {
+	t.Helper()
+	pristine := append([]byte(nil), src...)
+	r, rest, err := Decode(src)
+	if err != nil {
+		return false
+	}
+	used := len(src) - len(rest)
+	if r.HasDirty() {
+		t.Errorf("decoded representation has dirty segments %v", r.dirty)
+	}
+	if enc := r.Encode(nil); !bytes.Equal(enc, pristine[:used]) {
+		t.Errorf("Encode(Decode(x)) = %x, want %x", enc, pristine[:used])
+	}
+	for name, s := range r.segs {
+		if s.kind != Data || len(s.data) == 0 {
+			continue
+		}
+		if cap(s.data) != len(s.data) {
+			t.Errorf("segment %q: cap %d, len %d", name, cap(s.data), len(s.data))
+		}
+		// Flip the segment's first byte through the segment: exactly one
+		// byte of the input, inside what Decode consumed, must change.
+		s.data[0] ^= 0xff
+		changed := -1
+		for i := range src {
+			if src[i] != pristine[i] {
+				changed = i
+				break
+			}
+		}
+		s.data[0] ^= 0xff
+		if changed < 0 || changed >= used {
+			t.Errorf("segment %q does not lie inside the consumed input (changed byte %d of %d)", name, changed, used)
+		}
+	}
+	return true
+}
+
+// TestDecodeAliasesInput: a decoded representation's data is the input's
+// own bytes, it comes back clean, and it re-encodes to the input.
+func TestDecodeAliasesInput(t *testing.T) {
+	full := sampleRep().Encode(nil)
+	partial := sampleRep().EncodePartial([]string{"state"}, nil)
+	for _, src := range [][]byte{full, append(full, 1, 2, 3), partial, New().Encode(nil)} {
+		if !checkDecoded(t, src) {
+			t.Errorf("Decode rejected %x", src)
+		}
+	}
+}
+
+// rawEncoding lays segments out in the wire format in the order given,
+// with a correct checksum — including orders Encode never writes.
+func rawEncoding(names ...string) []byte {
+	b := binary.BigEndian.AppendUint32(nil, encMagic)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(names)))
+	for _, name := range names {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(name)))
+		b = append(b, name...)
+		b = append(b, byte(Data))
+		b = binary.BigEndian.AppendUint32(b, 1)
+		b = append(b, name[0])
+	}
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestDecodeRejectsNonCanonical: an encoding whose names are out of
+// order or repeated is one Encode never writes, so Decode refuses it —
+// whatever it accepts re-encodes to itself.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	if !checkDecoded(t, rawEncoding("a", "b")) {
+		t.Fatal("Decode rejected a canonical encoding")
+	}
+	for _, names := range [][]string{{"b", "a"}, {"a", "a"}} {
+		if _, _, err := Decode(rawEncoding(names...)); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("names %q: err = %v, want ErrBadEncoding", names, err)
+		}
+	}
+}
+
+// FuzzDecode holds Decode to its promises on arbitrary input: it never
+// panics, and what it accepts is aliased, clean and canonical.
+func FuzzDecode(f *testing.F) {
+	f.Add(sampleRep().Encode(nil))
+	f.Add(sampleRep().EncodePartial([]string{"refs"}, nil))
+	f.Add(New().Encode(nil))
+	f.Add(rawEncoding("a", "b"))
+	f.Add([]byte("EdR1"))
+	f.Fuzz(func(t *testing.T, src []byte) { checkDecoded(t, src) })
 }

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eden/internal/edenid"
@@ -63,13 +65,13 @@ func TestMemoryStatDuringFailure(t *testing.T) {
 
 // diskState reads every record file under dir in full, the way the
 // store did before it kept a directory.
-func diskState(t *testing.T, dir string) map[edenid.ID]Meta {
+func diskState(t *testing.T, dir string) map[edenid.ID]dirEntry {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := make(map[edenid.ID]Meta)
+	disk := make(map[edenid.ID]dirEntry)
 	for _, e := range entries {
 		if filepath.Ext(e.Name()) != recExt {
 			continue
@@ -82,7 +84,7 @@ func diskState(t *testing.T, dir string) map[edenid.ID]Meta {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		disk[rec.Object] = rec.Meta()
+		disk[rec.Object] = dirEntry{meta: rec.Meta(), size: len(b)}
 	}
 	return disk
 }
@@ -346,5 +348,64 @@ func TestFilePathOneAllocation(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = f.path(id, recExt) }); n > 1 {
 		t.Errorf("path costs %.0f allocations, want 1", n)
+	}
+}
+
+// TestFileGetReadsTheRecordOnce: the directory holds each record file's
+// length — from Put, and from the open pass — and Get reads the file in
+// one read into one buffer of that length, which it hands over whole: no
+// fstat, no buffer grown past the record. A file whose length is not the
+// directory's — truncated or extended behind the store's back — is a
+// media failure, not a record.
+func TestFileGetReadsTheRecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	f, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sampleRec(1)
+	rec.TypeName = strings.Repeat("t", 100) // past the open pass's first read
+	if err := f.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	path := f.path(rec.Object, recExt)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reopen := range []bool{false, true} {
+		if reopen {
+			if f, err = NewFile(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e, _ := f.entry(rec.Object); int64(e.size) != info.Size() {
+			t.Errorf("reopen=%v: directory length %d, file %d", reopen, e.size, info.Size())
+		}
+		got, err := f.Get(rec.Object)
+		if err != nil || !bytes.Equal(got.Rep, rec.Rep) || got.TypeName != rec.TypeName {
+			t.Fatalf("reopen=%v: Get = %+v, %v", reopen, got, err)
+		}
+		if cap(got.Rep) != len(got.Rep) {
+			t.Errorf("reopen=%v: Rep has cap %d, len %d", reopen, cap(got.Rep), len(got.Rep))
+		}
+	}
+	// The path, the open (its name and its file), the buffer, the type
+	// name: 6. os.ReadFile paid a seventh for its fstat, and sized its
+	// buffer at no less than 512 bytes, whatever the record's length.
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = f.Get(rec.Object) }); allocs > 6 {
+		t.Errorf("%.0f allocs per Get, want at most 6", allocs)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"truncated": whole[:len(whole)-1], "extended": append(whole, 0)} {
+		if err := writeRaw(path, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Get(rec.Object); !errors.Is(err, ErrFailed) {
+			t.Errorf("%s record file: Get err = %v, want ErrFailed", name, err)
+		}
 	}
 }

@@ -18,6 +18,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -127,7 +128,8 @@ type Store interface {
 	// Put installs a checkpoint atomically. It fails with ErrStale if
 	// rec.Version is not greater than the stored version.
 	Put(rec Record) error
-	// Get returns the most recent checkpoint for the object.
+	// Get returns the most recent checkpoint for the object. The
+	// caller owns the result: nothing else refers to its Rep.
 	Get(id edenid.ID) (Record, error)
 	// Stat reports whether Get would find a checkpoint for the object,
 	// and that record's metadata, without reading the representation. A
@@ -311,13 +313,19 @@ type File struct {
 	// fsync.
 	mu sync.Mutex
 
-	// recs is the store directory: the metadata of every record Get
-	// would find. It equals the durable state — built from the record
-	// headers when the store is opened, changed only after the Rename or
-	// Remove that changes the disk, under mu — and has its own lock so
-	// that Stat never waits behind a Put's fsync.
+	// recs is the store directory: the metadata and file length of every
+	// record Get would find. It equals the durable state — built from the
+	// front of each record file when the store is opened, changed only
+	// after the Rename or Remove that changes the disk, under mu — and
+	// has its own lock so that Stat never waits behind a Put's fsync.
 	dirMu sync.Mutex
-	recs  map[edenid.ID]Meta
+	recs  map[edenid.ID]dirEntry
+}
+
+// dirEntry is what the directory knows about one record file.
+type dirEntry struct {
+	meta Meta
+	size int // the file's length, so that Get reads it in one go
 }
 
 var _ Store = (*File)(nil)
@@ -344,10 +352,15 @@ const (
 // magic | id | version(8) | epoch(8) | flags(1) | home(4).
 const headerLen = len(fileMagic) + edenid.Size + 8 + 8 + 1 + 4
 
+// frontLen is how much of a record file the open pass reads: the header
+// and both lengths, for a type name of up to 64 bytes.
+const frontLen = headerLen + 4 + 64 + 4
+
 // NewFile opens (creating if needed) a file-backed store rooted at dir.
-// It reads the header of every record there — never a representation —
-// to build the store directory, and removes the temp files a crash
-// between CreateTemp and Rename left behind.
+// It reads the front of every record there — the header, the type name
+// and the representation's length, never the representation — to build
+// the store directory, and removes the temp files a crash between
+// CreateTemp and Rename left behind.
 func NewFile(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -356,7 +369,7 @@ func NewFile(dir string) (*File, error) {
 	if !os.IsPathSeparator(prefix[len(prefix)-1]) { // all but the root
 		prefix += string(filepath.Separator)
 	}
-	f := &File{prefix: prefix, recs: make(map[edenid.ID]Meta)}
+	f := &File{prefix: prefix, recs: make(map[edenid.ID]dirEntry)}
 	d, err := os.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -366,7 +379,7 @@ func NewFile(dir string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var hdr [headerLen]byte
+	var front [frontLen]byte
 	for _, name := range names {
 		if strings.HasPrefix(name, recTmp) || strings.HasPrefix(name, intentTmp) {
 			os.Remove(f.prefix + name) // best effort: a survivor costs the next open a directory entry, nothing else
@@ -378,8 +391,8 @@ func NewFile(dir string) (*File, error) {
 		}
 		// A file whose header does not parse, or names another object,
 		// is not a record Get would return.
-		if meta, ok := readHeader(f.prefix+name, hdr[:], id); ok {
-			f.recs[id] = meta
+		if e, ok := readFront(f.prefix+name, front[:], id); ok {
+			f.recs[id] = e
 		}
 	}
 	return f, nil
@@ -398,20 +411,35 @@ func recordName(name string) (edenid.ID, bool) {
 	return id, id.Valid()
 }
 
-// readHeader reads the fixed header of the record file at path into buf
-// and returns its metadata if it is a record of id.
-func readHeader(path string, buf []byte, id edenid.ID) (Meta, bool) {
+// readFront reads the front of the record file at path into buf and
+// returns its directory entry if it is a record of id. The length it
+// records is the one the file's own lengths add up to.
+func readFront(path string, buf []byte, id edenid.ID) (dirEntry, bool) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return Meta{}, false
+		return dirEntry{}, false
 	}
-	_, err = io.ReadFull(fh, buf)
-	fh.Close()
-	if err != nil {
-		return Meta{}, false
+	defer fh.Close()
+	n, err := io.ReadFull(fh, buf)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return dirEntry{}, false
 	}
-	rec, _, err := decodeHeader(buf)
-	return rec.Meta(), err == nil && rec.Object == id
+	rec, b, err := decodeHeader(buf[:n])
+	if err != nil || rec.Object != id || len(b) < 4 {
+		return dirEntry{}, false
+	}
+	tl := int64(binary.BigEndian.Uint32(b))
+	var rl [4]byte
+	if int64(len(b)) >= 4+tl+4 {
+		copy(rl[:], b[4+tl:])
+	} else if _, err := fh.ReadAt(rl[:], int64(headerLen)+4+tl); err != nil {
+		return dirEntry{}, false
+	}
+	size := int64(headerLen) + 4 + tl + 4 + int64(binary.BigEndian.Uint32(rl[:]))
+	if size != int64(int(size)) {
+		return dirEntry{}, false
+	}
+	return dirEntry{meta: rec.Meta(), size: int(size)}, true
 }
 
 // path names the file holding id's record (ext recExt) or move intent
@@ -540,11 +568,12 @@ func (f *File) Put(rec Record) error {
 	if prev, ok := f.Stat(rec.Object); ok && rec.Version <= prev.Version {
 		return fmt.Errorf("%w: have v%d, got v%d", ErrStale, prev.Version, rec.Version)
 	}
-	if err := f.writeAtomic(f.path(rec.Object, recExt), recTmp, encodeRecord(rec)); err != nil {
+	b := encodeRecord(rec)
+	if err := f.writeAtomic(f.path(rec.Object, recExt), recTmp, b); err != nil {
 		return err
 	}
 	f.dirMu.Lock()
-	f.recs[rec.Object] = rec.Meta()
+	f.recs[rec.Object] = dirEntry{meta: rec.Meta(), size: len(b)}
 	f.dirMu.Unlock()
 	return nil
 }
@@ -553,27 +582,47 @@ func (f *File) Put(rec Record) error {
 //
 //edenvet:ignore capleak implements Store, which is below the capability layer
 func (f *File) Stat(id edenid.ID) (Meta, bool) {
+	e, ok := f.entry(id)
+	return e.meta, ok
+}
+
+// entry looks id up in the directory.
+func (f *File) entry(id edenid.ID) (dirEntry, bool) {
 	f.dirMu.Lock()
 	defer f.dirMu.Unlock()
-	m, ok := f.recs[id]
-	return m, ok
+	e, ok := f.recs[id]
+	return e, ok
 }
 
 // Get implements Store. A record the directory does not list is a miss
-// without a file operation.
+// without a file operation; one it lists is read in one read into one
+// buffer of the length the directory records. The buffer has a byte to
+// spare, so a file longer than that fills it, and one shorter ends the
+// read early: either is not the record the directory describes.
 //
 //edenvet:ignore capleak implements Store, which is below the capability layer
 func (f *File) Get(id edenid.ID) (Record, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.Stat(id); !ok {
+	e, ok := f.entry(id)
+	if !ok {
 		return Record{}, &notFound{id: id}
 	}
-	b, err := os.ReadFile(f.path(id, recExt))
+	fh, err := os.Open(f.path(id, recExt))
 	if err != nil {
 		return Record{}, fmt.Errorf("store: %w", err)
 	}
-	rec, err := decodeRecord(b)
+	b := make([]byte, e.size+1)
+	n, err := io.ReadAtLeast(fh, b, e.size)
+	fh.Close()
+	switch {
+	case err == nil && n == e.size:
+	case err == nil, err == io.EOF, err == io.ErrUnexpectedEOF:
+		return Record{}, fmt.Errorf("%w: record file of %v is not %d bytes long", ErrFailed, id, e.size)
+	default:
+		return Record{}, fmt.Errorf("store: %w", err)
+	}
+	rec, err := decodeRecord(b[:n:n])
 	if err != nil {
 		return Record{}, err
 	}

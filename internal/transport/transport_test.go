@@ -517,7 +517,16 @@ func TestTCPBatchHistogram(t *testing.T) {
 	}
 	wg.Wait()
 	cb.wait(t, n, 5*time.Second)
-	snap := reg.Snapshot()
+	// flush records a batch only once its Write has returned, and the
+	// receiver may hold every frame before that: wait, boundedly, for the
+	// last batch's sample.
+	var snap telemetry.Snapshot
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		snap = reg.Snapshot()
+		if snap.Counters[metricSendFrames] >= n || time.Now().After(deadline) {
+			break
+		}
+	}
 	h, ok := snap.Histograms[metricBatchFrames]
 	if !ok || h.Count < 1 {
 		t.Fatalf("batch histogram empty: %+v", h)
