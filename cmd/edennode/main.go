@@ -113,10 +113,12 @@ func main() {
 
 	var st store.Store
 	if *storeDir != "" {
-		st, err = store.NewFile(*storeDir)
+		f, err := store.NewFile(*storeDir)
 		if err != nil {
 			fatal("store: %v", err)
 		}
+		defer f.Close() // after the kernel's: waits for any batch in flight
+		st = f
 	}
 	if *faultFail > 0 || *faultDelay > 0 || *faultTorn > 0 || *faultSyncLie {
 		if st == nil {

@@ -43,7 +43,8 @@ func runCapLeak(pass *Pass) {
 
 // checkCapLeakFunc flags exported functions and methods whose
 // signature mentions an edenid type. Methods on unexported receivers
-// are skipped: they are not reachable API.
+// are skipped: they are not reachable API. So are methods judged at an
+// interface they implement (judgedAtInterface).
 func checkCapLeakFunc(pass *Pass, d *ast.FuncDecl) {
 	if !d.Name.IsExported() {
 		return
@@ -57,7 +58,7 @@ func checkCapLeakFunc(pass *Pass, d *ast.FuncDecl) {
 	if !ok {
 		return
 	}
-	if hit, leaked := namedFromPkg(obj.Type(), "internal/edenid", 0); leaked {
+	if hit, leaked := namedFromPkg(obj.Type(), "internal/edenid", 0); leaked && !judgedAtInterface(pass, obj) {
 		pass.Reportf(d.Name.Pos(),
 			"exported %s %q leaks raw object name %s in its signature; accept or return a capability instead",
 			funcKind(d), d.Name.Name, typeString(hit))
@@ -113,6 +114,45 @@ func checkCapLeakType(pass *Pass, ts *ast.TypeSpec) {
 				ts.Name.Name, typeString(hit))
 		}
 	}
+}
+
+// judgedAtInterface reports whether method fn has the name and an
+// identical signature of an explicit method of an exported interface
+// that its receiver type implements, declared in this package or one it
+// imports (the two exempt packages aside). Such a method is judged once,
+// at the interface, where capleak reports it: a suppression there covers
+// every implementation, and a finding there is not repeated at each.
+func judgedAtInterface(pass *Pass, fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if _, isPtr := recv.(*types.Pointer); !isPtr {
+		recv = types.NewPointer(recv) // *T's method set holds T's
+	}
+	for _, pkg := range append([]*types.Package{pass.Pkg}, pass.Pkg.Imports()...) {
+		if pathHasSuffix(pkg.Path(), "internal/edenid") || pathHasSuffix(pkg.Path(), "internal/capability") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok || !types.Implements(recv, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumExplicitMethods(); i++ {
+				if m := iface.ExplicitMethod(i); m.Name() == fn.Name() && types.Identical(m.Type(), sig) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func receiverBaseName(recv *ast.FieldList) string {

@@ -13,7 +13,7 @@
 //     modeling a congested or degrading device;
 //   - torn writes: a Put reports success but leaves a corrupt record,
 //     modeling an interrupted in-place write (what the file store's
-//     temp-and-rename discipline exists to prevent);
+//     checksummed log frames exist to catch);
 //   - fsync lies: a Put is acknowledged but retained only in a
 //     volatile overlay, modeling a device (or filesystem) that
 //     acknowledges sync before data is durable. The process sees its
@@ -324,8 +324,6 @@ func tearBytes(b []byte) []byte {
 // Get implements store.Store: the overlay (unsynced but acknowledged
 // writes, visible to the writing process as they would be through a
 // page cache) shadows the inner store.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
 func (s *Store) Get(id edenid.ID) (store.Record, error) {
 	d := s.draw("get", id)
 	if d.delay > 0 {
@@ -334,15 +332,13 @@ func (s *Store) Get(id edenid.ID) (store.Record, error) {
 	if d.fail {
 		return store.Record{}, ErrInjected
 	}
-	return s.Peek(id)
+	return s.peek(id)
 }
 
-// Peek reads like Get but consumes no schedule draw and injects no
-// fault — the harness's own invariant checks use it so verification
-// cannot perturb (or be perturbed by) the schedule.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
-func (s *Store) Peek(id edenid.ID) (store.Record, error) {
+// peek reads like Get but consumes no schedule draw and injects no
+// fault, so a check made through it cannot perturb (or be perturbed by)
+// the schedule.
+func (s *Store) peek(id edenid.ID) (store.Record, error) {
 	s.mu.Lock()
 	o, ok := s.unsynced[id]
 	s.mu.Unlock()
@@ -360,10 +356,8 @@ func (s *Store) Peek(id edenid.ID) (store.Record, error) {
 // Stat implements store.Store over the same merged view as Get: an
 // unsynced record or tombstone shadows the inner store, and a torn
 // record answers as the medium holds it. It asks about the store rather
-// than reading the medium, so like Peek it consumes no schedule draw
+// than reading the medium, so like peek it consumes no schedule draw
 // and injects no fault.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
 func (s *Store) Stat(id edenid.ID) (store.Meta, bool) {
 	s.mu.Lock()
 	o, ok := s.unsynced[id]
@@ -377,8 +371,6 @@ func (s *Store) Stat(id edenid.ID) (store.Meta, bool) {
 // Delete implements store.Store. Under SyncLie the deletion is itself
 // unsynced: a tombstone shadows the inner record until Sync, and a
 // crash resurrects it.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
 func (s *Store) Delete(id edenid.ID) error {
 	d := s.draw("delete", id)
 	if d.delay > 0 {
@@ -401,8 +393,6 @@ func (s *Store) Delete(id edenid.ID) error {
 }
 
 // List implements store.Store, merging overlay and inner views.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
 func (s *Store) List() ([]edenid.ID, error) {
 	d := s.draw("list", edenid.ID{})
 	if d.delay > 0 {
@@ -440,9 +430,9 @@ func (s *Store) List() ([]edenid.ID, error) {
 // get fail and delay injection only: the torn and sync-lie modes hold
 // their overlay keyed by object ID, which a move intent shares with the
 // object's checkpoint record, so modeling them here would corrupt the
-// checkpoint overlay. The file store writes intents with the same
-// temp-and-rename discipline as checkpoints, so torn intents are not a
-// failure mode it admits anyway.
+// checkpoint overlay. The file store writes intents as checksummed log
+// frames, as it does checkpoints, so a torn intent is a torn tail it
+// cuts off, never one it reads back.
 func (s *Store) PutIntent(it store.MoveIntent) error {
 	d := s.draw("put-intent", it.Object)
 	if d.delay > 0 {
@@ -455,8 +445,6 @@ func (s *Store) PutIntent(it store.MoveIntent) error {
 }
 
 // DeleteIntent implements store.Store under the fault schedule.
-//
-//edenvet:ignore capleak implements Store, which is below the capability layer
 func (s *Store) DeleteIntent(id edenid.ID) error {
 	d := s.draw("delete-intent", id)
 	if d.delay > 0 {

@@ -258,11 +258,11 @@ func TestDelayInjection(t *testing.T) {
 func TestPeekConsumesNoSchedule(t *testing.T) {
 	fs := Wrap(store.NewMemory(), Config{Seed: 11, FailProb: 1})
 	id := gen.Next()
-	if _, err := fs.Peek(id); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("Peek = %v, want ErrNotFound even with FailProb=1", err)
+	if _, err := fs.peek(id); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("peek = %v, want ErrNotFound even with FailProb=1", err)
 	}
 	if fs.Ops() != 0 {
-		t.Fatalf("Peek consumed a schedule slot (ops=%d)", fs.Ops())
+		t.Fatalf("peek consumed a schedule slot (ops=%d)", fs.Ops())
 	}
 }
 
@@ -290,11 +290,11 @@ func TestPassThroughWhenZero(t *testing.T) {
 	}
 }
 
-// agree asserts Stat and Get (through Peek, which draws nothing) give
+// agree asserts Stat and Get (through peek, which draws nothing) give
 // the same answer about id: the kernel asks Stat where it used to Get.
 func agree(t *testing.T, fs *Store, id edenid.ID, when string) {
 	t.Helper()
-	got, gerr := fs.Peek(id)
+	got, gerr := fs.peek(id)
 	meta, ok := fs.Stat(id)
 	if ok != (gerr == nil) {
 		t.Errorf("%s: Stat found=%v, Get err=%v", when, ok, gerr)

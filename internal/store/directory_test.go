@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"eden/internal/edenid"
 )
 
 // ---- Stat, on both stores ----
@@ -63,49 +61,6 @@ func TestMemoryStatDuringFailure(t *testing.T) {
 
 // ---- the file store's directory ----
 
-// diskState reads every record file under dir in full, the way the
-// store did before it kept a directory.
-func diskState(t *testing.T, dir string) map[edenid.ID]dirEntry {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := make(map[edenid.ID]dirEntry)
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != recExt {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := decodeRecord(b)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		disk[rec.Object] = dirEntry{meta: rec.Meta(), size: len(b)}
-	}
-	return disk
-}
-
-// checkDirectory asserts the invariant: the directory is exactly the
-// durable state.
-func checkDirectory(t *testing.T, f *File, dir, when string) {
-	t.Helper()
-	disk := diskState(t, dir)
-	f.dirMu.Lock()
-	defer f.dirMu.Unlock()
-	if len(f.recs) != len(disk) {
-		t.Errorf("%s: directory lists %d records, disk holds %d", when, len(f.recs), len(disk))
-	}
-	for id, want := range disk {
-		if got, ok := f.recs[id]; !ok || got != want {
-			t.Errorf("%s: directory says %+v (%v) for %v, disk says %+v", when, got, ok, id, want)
-		}
-	}
-}
-
 func TestFileDirectoryEqualsDisk(t *testing.T) {
 	dir := t.TempDir()
 	f, err := NewFile(dir)
@@ -125,9 +80,13 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
+	intent := MoveIntent{Object: recs[5].Object, Dest: 3, Epoch: 2}
+	if err := f.PutIntent(intent); err != nil {
+		t.Fatal(err)
+	}
 	checkDirectory(t, f, dir, "after Puts")
 
-	// Opened on a populated directory, backup markers and homes included.
+	// Opened on a populated log, backup markers and homes included.
 	f, err = NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +100,8 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 		t.Errorf("List after open: %d ids, %v", len(ids), err)
 	}
 
-	// A newer version, a rejected stale one, a promotion, a deletion.
+	// A newer version, a rejected stale one, a promotion, a deletion, a
+	// deletion of nothing, the intent's deletion.
 	up := recs[0]
 	up.Version = 9
 	if err := f.Put(up); err != nil {
@@ -160,6 +120,19 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 	if err := f.Delete(recs[3].Object); err != nil {
 		t.Fatal(err)
 	}
+	before := f.head().size
+	if err := f.Delete(gen.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DeleteIntent(gen.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if f.head().size != before {
+		t.Error("deleting what is absent wrote to the log")
+	}
+	if err := f.DeleteIntent(intent.Object); err != nil {
+		t.Fatal(err)
+	}
 	checkDirectory(t, f, dir, "after Put, stale Put, Delete")
 	if got, _ := f.Stat(recs[2].Object); got.Version != 3 {
 		t.Errorf("rejected stale Put left Stat at v%d, want 3", got.Version)
@@ -174,19 +147,28 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 		t.Errorf("Get of deleted record: %v", err)
 	}
 
+	// After a deletion, any version may be put again; replay keeps log
+	// order, not version order.
+	again := recs[3]
+	again.Version = 1
+	if err := f.Put(again); err != nil {
+		t.Fatal(err)
+	}
 	f, err = NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkDirectory(t, f, dir, "after reopen")
+	if got, _ := f.Stat(again.Object); got.Version != 1 {
+		t.Errorf("re-put record after reopen at v%d, want 1", got.Version)
+	}
 }
 
-// TestFileFailedPutLeavesDirectory: the directory changes only after the
-// Rename. A Put that fails earlier — here because the directory is
-// briefly gone, so CreateTemp fails — leaves it at the old version, and
-// so in step with the disk.
+// TestFileFailedPutLeavesDirectory: a batch whose fsync fails is cut off
+// the log, every Put in it fails, and the directory is unchanged; the
+// next Put appends where the log ended before.
 func TestFileFailedPutLeavesDirectory(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
+	dir := t.TempDir()
 	f, err := NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -195,168 +177,89 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	away := dir + ".away"
-	if err := os.Rename(dir, away); err != nil {
-		t.Fatal(err)
-	}
+	end := f.head().size
+	injected := errors.New("injected fsync failure")
+	f.hooks.sync = func() error { return injected }
 	next := rec
 	next.Version = 2
-	if err := f.Put(next); err == nil {
-		t.Fatal("Put into a missing directory succeeded")
+	if err := f.Put(next); !errors.Is(err, injected) {
+		t.Fatalf("Put with a failing fsync: %v", err)
 	}
-	if err := f.Put(sampleRec(1)); err == nil {
-		t.Fatal("first Put into a missing directory succeeded")
+	other := sampleRec(1)
+	if err := f.Put(other); !errors.Is(err, injected) {
+		t.Fatalf("first Put with a failing fsync: %v", err)
 	}
-	if err := os.Rename(away, dir); err != nil {
-		t.Fatal(err)
+	if err := f.Delete(rec.Object); !errors.Is(err, injected) {
+		t.Fatalf("Delete with a failing fsync: %v", err)
 	}
+	f.hooks.sync = nil
 	if got, ok := f.Stat(rec.Object); !ok || got.Version != 1 {
 		t.Errorf("Stat after failed Put = %+v, %v; want v1", got, ok)
 	}
+	if _, ok := f.Stat(other.Object); ok {
+		t.Error("a failed Put entered the directory")
+	}
+	if info, err := os.Stat(f.segmentPath(f.head().num)); err != nil || info.Size() != end {
+		t.Errorf("segment after failed Puts: %v, %v; want %d bytes", info.Size(), err, end)
+	}
 	checkDirectory(t, f, dir, "after failed Puts")
 	if err := f.Put(next); err != nil {
-		t.Errorf("Put after the failure: %v", err)
+		t.Fatalf("Put after the failure: %v", err)
 	}
+	if at := f.recs[next.Object].loc; at.off != end {
+		t.Errorf("Put after the failure landed at %d, want the clean tail %d", at.off, end)
+	}
+	if f, err = NewFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkDirectory(t, f, dir, "after reopen")
 }
 
-// TestFileFailedRenameLeavesDirectory: the same at the last step — the
-// record's name is taken by a directory, so the Rename itself fails. No
-// entry appears and no temp file is left.
-func TestFileFailedRenameLeavesDirectory(t *testing.T) {
+// TestFileFailedCutRefusesWrites: a failed batch that cannot be cut off
+// leaves the log's end unknown, so the store takes no more writes; reads
+// of what was durable before go on. A reopen finds whatever reached the
+// disk: the failed Put's outcome is unknown, as a failed fsync's is.
+func TestFileFailedCutRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
 	f, err := NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.segSize = 1 // every batch seals its segment
 	rec := sampleRec(1)
-	squatter := f.path(rec.Object, recExt)
-	if err := os.MkdirAll(filepath.Join(squatter, "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Put(rec); err == nil {
-		t.Fatal("Put over a directory succeeded")
-	}
-	if _, ok := f.Stat(rec.Object); ok {
-		t.Error("failed Put entered the directory")
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Errorf("%d entries after failed Put, want the squatter alone", len(entries))
-	}
-}
-
-// TestFileOpenRemovesOrphanTemps: a crash between CreateTemp and Rename
-// leaves a temp file nothing else would ever remove; opening the store
-// does, and touches nothing else.
-func TestFileOpenRemovesOrphanTemps(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sampleRec(2)
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	intent := MoveIntent{Object: rec.Object, Dest: 4, Epoch: 2}
-	if err := f.PutIntent(intent); err != nil {
+	f.hooks.sync = func() error {
+		f.head().fh.Close() // and so the cut fails too
+		return errors.New("injected fsync failure")
+	}
+	if err := f.Put(sampleRec(1)); err == nil {
+		t.Fatal("Put with a failing fsync succeeded")
+	}
+	f.hooks.sync = nil
+	if err := f.Put(sampleRec(1)); !errors.Is(err, ErrFailed) {
+		t.Errorf("Put after a failed cut: %v, want ErrFailed", err)
+	}
+	if err := f.PutIntent(MoveIntent{Object: rec.Object, Dest: 2, Epoch: 2}); !errors.Is(err, ErrFailed) {
+		t.Errorf("PutIntent after a failed cut: %v, want ErrFailed", err)
+	}
+	if got, err := f.Get(rec.Object); err != nil || !bytes.Equal(got.Rep, rec.Rep) {
+		t.Errorf("Get after a failed cut: %v", err)
+	}
+	if f, err = NewFile(dir); err != nil {
 		t.Fatal(err)
 	}
-	half := encodeRecord(sampleRec(3))
-	orphans := []string{recTmp + "1234567", intentTmp + "7654321"}
-	for _, name := range orphans {
-		if err := writeRaw(filepath.Join(dir, name), half[:len(half)/2]); err != nil {
-			t.Fatal(err)
-		}
+	if _, ok := f.Stat(rec.Object); !ok {
+		t.Error("acknowledged record lost")
 	}
-	if err := writeFile(t, dir, "README"); err != nil { // not ours: stays
-		t.Fatal(err)
-	}
-
-	f, err = NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range orphans {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("orphan %s survived the open: %v", name, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "README")); err != nil {
-		t.Errorf("foreign file removed: %v", err)
-	}
-	checkDirectory(t, f, dir, "after open")
-	got, err := f.Get(rec.Object)
-	if err != nil || got.Version != 2 || string(got.Rep) != string(rec.Rep) {
-		t.Errorf("record after open: %+v, %v", got, err)
-	}
-	its, err := f.ListIntents()
-	if err != nil || len(its) != 1 || its[0] != intent {
-		t.Errorf("intents after open: %v, %v", its, err)
-	}
+	checkDirectory(t, f, dir, "after reopen")
 }
 
-// TestFileOpenSkipsUnreadableHeaders: a file that is not a record of the
-// object its name claims is not in the directory, as Get would not
-// return it.
-func TestFileOpenSkipsUnreadableHeaders(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, other := sampleRec(1), sampleRec(1)
-	if err := f.Put(good); err != nil {
-		t.Fatal(err)
-	}
-	junk, misnamed := gen.Next(), gen.Next()
-	if err := writeRaw(f.path(junk, recExt), []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRaw(f.path(misnamed, recExt), encodeRecord(other)); err != nil {
-		t.Fatal(err)
-	}
-	f, err = NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []edenid.ID{junk, misnamed, other.Object} {
-		if _, ok := f.Stat(id); ok {
-			t.Errorf("Stat lists %v", id)
-		}
-		if _, err := f.Get(id); err == nil {
-			t.Errorf("Get returns %v", id)
-		}
-	}
-	if ids, _ := f.List(); len(ids) != 1 || ids[0] != good.Object {
-		t.Errorf("List = %v, want the one good record", ids)
-	}
-}
-
-// TestFilePathOneAllocation pins the file name's form and its cost.
-func TestFilePathOneAllocation(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir + string(filepath.Separator)) // a trailing separator changes nothing
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := gen.Next()
-	for _, ext := range []string{recExt, intentExt} {
-		if got, want := f.path(id, ext), filepath.Join(dir, fmt.Sprintf("%032x%s", id[:], ext)); got != want {
-			t.Errorf("path = %q, want %q", got, want)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = f.path(id, recExt) }); n > 1 {
-		t.Errorf("path costs %.0f allocations, want 1", n)
-	}
-}
-
-// TestFileGetReadsTheRecordOnce: the directory holds each record file's
-// length — from Put, and from the open pass — and Get reads the file in
-// one read into one buffer of that length, which it hands over whole: no
-// fstat, no buffer grown past the record. A file whose length is not the
-// directory's — truncated or extended behind the store's back — is a
-// media failure, not a record.
+// TestFileGetReadsTheRecordOnce: the directory holds each record's frame
+// — from Put, and from the open pass — and Get reads exactly that frame
+// in one read into one buffer, which it hands over whole. A frame damaged
+// or cut short behind the store's back is a media failure, not a record.
 func TestFileGetReadsTheRecordOnce(t *testing.T) {
 	dir := t.TempDir()
 	f, err := NewFile(dir)
@@ -364,11 +267,11 @@ func TestFileGetReadsTheRecordOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sampleRec(1)
-	rec.TypeName = strings.Repeat("t", 100) // past the open pass's first read
+	rec.TypeName = strings.Repeat("t", 100)
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	path := f.path(rec.Object, recExt)
+	path := f.segmentPath(f.head().num)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -379,8 +282,8 @@ func TestFileGetReadsTheRecordOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if e, _ := f.entry(rec.Object); int64(e.size) != info.Size() {
-			t.Errorf("reopen=%v: directory length %d, file %d", reopen, e.size, info.Size())
+		if e := f.recs[rec.Object]; e.off != 0 || int64(e.size) != info.Size() {
+			t.Errorf("reopen=%v: directory says %d bytes at %d, the log holds %d", reopen, e.size, e.off, info.Size())
 		}
 		got, err := f.Get(rec.Object)
 		if err != nil || !bytes.Equal(got.Rep, rec.Rep) || got.TypeName != rec.TypeName {
@@ -390,22 +293,41 @@ func TestFileGetReadsTheRecordOnce(t *testing.T) {
 			t.Errorf("reopen=%v: Rep has cap %d, len %d", reopen, cap(got.Rep), len(got.Rep))
 		}
 	}
-	// The path, the open (its name and its file), the buffer, the type
-	// name: 6. os.ReadFile paid a seventh for its fstat, and sized its
-	// buffer at no less than 512 bytes, whatever the record's length.
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = f.Get(rec.Object) }); allocs > 6 {
-		t.Errorf("%.0f allocs per Get, want at most 6", allocs)
+	// The buffer and the type name. The one-file layout paid 6: the path,
+	// the open's file and name, the buffer, the type name.
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = f.Get(rec.Object) }); allocs > 2 {
+		t.Errorf("%.0f allocs per Get, want at most 2", allocs)
 	}
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string][]byte{"truncated": whole[:len(whole)-1], "extended": append(whole, 0)} {
+	flipped := append([]byte(nil), whole...)
+	flipped[len(flipped)-1] ^= 0xFF
+	for name, b := range map[string][]byte{"damaged": flipped, "cut short": whole[:len(whole)-1]} {
 		if err := writeRaw(path, b); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Get(rec.Object); !errors.Is(err, ErrFailed) {
-			t.Errorf("%s record file: Get err = %v, want ErrFailed", name, err)
+			t.Errorf("%s record: Get err = %v, want ErrFailed", name, err)
+		}
+	}
+}
+
+// TestFileRefusesOldLayout: a directory holding a record or intent file
+// of the one-file-per-record layout is refused, naming the file, rather
+// than opened as an empty log.
+func TestFileRefusesOldLayout(t *testing.T) {
+	for _, name := range []string{fmt.Sprintf("%032x.ckp", gen.Next()), fmt.Sprintf("%032x.mvi", gen.Next())} {
+		dir := t.TempDir()
+		if err := writeFile(t, dir, name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewFile(dir); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("open over %s: %v, want a refusal naming it", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, segmentName(1))); !os.IsNotExist(err) {
+			t.Errorf("refused open over %s began a log: %v", name, err)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -119,29 +117,30 @@ func TestIntentSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestIntentCorruptFileFailsScan: an intent damaged in a sealed segment
+// fails the open pass, so boot-time recovery never silently drops an
+// in-doubt move.
 func TestIntentCorruptFileFailsScan(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.segSize = 1 // every batch seals its segment
 	it := MoveIntent{Object: gen.Next(), Dest: 4, Epoch: 2}
 	if err := fs.PutIntent(it); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := fs.Put(sampleRec(1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".mvi" {
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte("garbage"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	at := fs.intents[it.Object].loc
+	if at.seg == fs.head().num {
+		t.Fatal("the intent's segment is not sealed")
 	}
-	if _, err := fs.ListIntents(); !errors.Is(err, ErrFailed) {
-		t.Fatalf("ListIntents over corrupt file: %v, want ErrFailed", err)
+	flipByte(t, fs.segmentPath(at.seg), at.off+int64(at.size)-1)
+	if _, err := NewFile(dir); !errors.Is(err, ErrFailed) {
+		t.Fatalf("open over a damaged intent: %v, want ErrFailed", err)
 	}
 }
 
@@ -164,15 +163,16 @@ func TestRecordEpochRoundTrip(t *testing.T) {
 
 func TestIntentCodecRoundTrip(t *testing.T) {
 	it := MoveIntent{Object: gen.Next(), Dest: 0xdeadbeef, Epoch: 1<<40 + 7}
-	got, err := decodeIntent(encodeIntent(it))
+	b := appendIntent(nil, it)
+	got, err := decodeIntent(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != it {
 		t.Fatalf("codec round trip: %+v, want %+v", got, it)
 	}
-	for cut := 0; cut < len(encodeIntent(it)); cut++ {
-		if _, err := decodeIntent(encodeIntent(it)[:cut]); err == nil {
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := decodeIntent(b[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}

@@ -32,6 +32,7 @@ func forEachStore(t *testing.T, f func(t *testing.T, s Store)) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { fs.Close() })
 		f(t, fs)
 	})
 }
@@ -248,24 +249,32 @@ func TestFileIgnoresForeignFiles(t *testing.T) {
 	if err := fs.Put(sampleRec(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Junk that List must skip.
-	for _, name := range []string{"README", "zz.ckp", "ckp-leftover-tmp"} {
+	// Junk that neither List nor the open pass may take for the log.
+	for _, name := range []string{"README", "ckp-leftover-tmp", "0000000001.log.bak", "segment.log"} {
 		if err := writeFile(t, dir, name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ids, err := fs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
-		t.Errorf("List = %d ids, want 1", len(ids))
+	for _, reopen := range []bool{false, true} {
+		if reopen {
+			var err error
+			if fs, err = NewFile(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 1 {
+			t.Errorf("reopen=%v: List = %d ids, want 1", reopen, len(ids))
+		}
 	}
 }
 
 func TestRecordCodecRejectsDamage(t *testing.T) {
 	rec := sampleRec(3)
-	buf := encodeRecord(rec)
+	buf := appendRecord(nil, rec)
 	if _, err := decodeRecord(buf); err != nil {
 		t.Fatalf("decode of intact record: %v", err)
 	}
@@ -306,7 +315,7 @@ func TestQuickDecodeRecordNeverPanics(t *testing.T) {
 
 // And with a valid record corrupted at one position.
 func TestQuickDecodeRecordCorrupted(t *testing.T) {
-	base := encodeRecord(sampleRec(5))
+	base := appendRecord(nil, sampleRec(5))
 	f := func(pos uint16, val byte) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -159,26 +159,26 @@ func (s *System) AddNodeWithConfig(name string, nc NodeConfig) (*Node, error) {
 	num := s.nextID
 	s.mu.Unlock()
 
-	var st store.Store
-	var err error
+	n := &Node{sys: s, num: num, name: name, nc: nc}
 	switch {
 	case nc.Store != nil:
-		st = nc.Store
+		n.st = nc.Store
 	case nc.StoreDir != "":
-		st, err = store.NewFile(nc.StoreDir)
+		f, err := store.NewFile(nc.StoreDir)
 		if err != nil {
 			return nil, err
 		}
+		n.st, n.file = f, f
 	default:
-		st = store.NewMemory()
+		n.st = store.NewMemory()
 	}
-	n := &Node{sys: s, num: num, name: name, nc: nc, st: st}
 	if s.cfg.Telemetry {
 		// One registry per node, surviving Crash/Restart so counters
 		// span the node's whole history.
 		n.tel = telemetry.New()
 	}
 	if err := s.boot(n); err != nil {
+		n.closeFile()
 		return nil, err
 	}
 	s.mu.Lock()
@@ -263,7 +263,8 @@ func (s *System) NetworkTelemetry() *telemetry.Registry { return s.netTel }
 // phases).
 func (s *System) ResetNetworkStats() { s.mesh.ResetStats() }
 
-// Close shuts down every node and the network.
+// Close shuts down every node and the network, and closes the file
+// stores the system opened.
 func (s *System) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -284,6 +285,7 @@ func (s *System) Close() error {
 		if k != nil {
 			_ = k.Close()
 		}
+		n.closeFile()
 	}
 	return s.mesh.Close()
 }
@@ -296,6 +298,7 @@ type Node struct {
 	name string
 	nc   NodeConfig
 	st   store.Store
+	file *store.File         // st, when the node opened it from NodeConfig.StoreDir
 	tel  *telemetry.Registry // nil unless SystemConfig.Telemetry
 
 	mu   sync.Mutex
@@ -346,6 +349,14 @@ func (n *Node) Crash() {
 		d.DropUnsynced()
 	}
 	n.sys.mesh.Detach(n.num)
+}
+
+// closeFile closes the file store the node opened, if any. Crash and
+// Restart keep it open: it is the store that survives them.
+func (n *Node) closeFile() {
+	if n.file != nil {
+		_ = n.file.Close() // shutting down: nothing is left to write
+	}
 }
 
 // Restart reboots a crashed node with its surviving long-term store.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"eden/internal/efs"
+	"eden/internal/store"
 )
 
 func testSystem(t *testing.T, n int) (*System, []*Node) {
@@ -277,6 +278,11 @@ func TestFileBackedNodeStore(t *testing.T) {
 	rep, err := n.Invoke(cap, "get", nil, nil, nil)
 	if err != nil || rep.Data[0] != 1 {
 		t.Errorf("after file-backed restart: %v %v", rep, err)
+	}
+	// Crash and Restart kept the store the node opened; Close closes it.
+	sys.Close()
+	if _, err := n.file.List(); !errors.Is(err, store.ErrClosed) {
+		t.Errorf("node store after System.Close: %v, want ErrClosed", err)
 	}
 }
 
