@@ -243,12 +243,13 @@ func isNamedPtr(t types.Type, pkgSuffix, name string) bool {
 // repPureMethods are segment.Representation methods that neither
 // mutate the representation nor return a live internal reference
 // (Data/Caps/Clone/Encode all copy; CopyData copies into the caller's
-// buffer).
+// buffer). MarkClean is left out on purpose: moving the clean mark
+// changes what the next checkpoint ships, so it fails closed.
 var repPureMethods = map[string]bool{
 	"Data": true, "CopyData": true, "Caps": true, "Has": true, "Names": true,
 	"NumSegments": true, "Size": true, "Capabilities": true,
 	"Clone": true, "Equal": true, "Encode": true, "EncodePartial": true,
-	"Dirty": true, "HasDirty": true,
+	"Dirty": true, "HasDirty": true, "Stamp": true,
 }
 
 // objectMethodEffect classifies kernel.Object methods as seen from a

@@ -45,7 +45,7 @@ func runLockHold(pass *Pass) {
 
 type lockHolder struct {
 	pass *Pass
-	// held maps the lock expression's source text ("k.mu", "o.semMu")
+	// held maps the lock expression's source text ("k.mu", "o.sched")
 	// to the position of the acquisition currently in force.
 	held map[string]token.Pos
 }

@@ -172,13 +172,13 @@ func register(tm *kernel.TypeManager) {
 	})
 
 	// Representation methods absent from the pure table fail closed:
-	// taking the dirty set is a mutation even from under a view.
+	// moving the clean mark is a mutation even from under a view.
 	tm.Op(kernel.Operation{
-		Name:     "bad-takedirty",
+		Name:     "bad-markclean",
 		ReadOnly: true,
 		Handler: func(c *kernel.Call) {
 			c.Self().View(func(r *segment.Representation) {
-				_ = r.TakeDirty() // want "calls (*segment.Representation).TakeDirty"
+				r.MarkClean(r.Stamp()) // want "calls (*segment.Representation).MarkClean"
 			})
 		},
 	})

@@ -219,7 +219,7 @@ func TestEFSAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
 	}
-	const readCeiling, commitCeiling = 3, 15
+	const readCeiling, commitCeiling = 3, 10
 	ks := testSys(t, 1)
 	c := NewClient(ks[1], Optimistic)
 	f, _ := c.CreateFile()

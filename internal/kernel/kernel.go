@@ -12,7 +12,6 @@ import (
 	"eden/internal/locator"
 	"eden/internal/msg"
 	"eden/internal/rights"
-	"eden/internal/segment"
 	"eden/internal/store"
 	"eden/internal/telemetry"
 	"eden/internal/transport"
@@ -206,6 +205,9 @@ type Kernel struct {
 	boot     time.Time                       // kernel start, the lastShip stand-in for unseen objects
 	memInUse int64
 	closed   bool
+	// relieving is set while the one asynchronous eviction run (relieve)
+	// is under way: a burst of growing Updates starts one run, not one each.
+	relieving bool
 
 	// resolveMu serializes move-intent resolutions (movetxn.go) so two
 	// touches of the same in-doubt object run one probe, not two.
@@ -261,6 +263,9 @@ const (
 	// hookInstallGap: install's eviction has made room and install has
 	// not yet re-taken k.mu to claim it.
 	hookInstallGap
+	// hookRelief: an asynchronous eviction run (relieve) has started and
+	// evicted nothing yet; the object is nil.
+	hookRelief
 )
 
 // New assembles a kernel from its substrates. types is typically
@@ -573,7 +578,7 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	k.mu.Unlock()
 
 	id := k.gen.Next()
-	obj := k.newObject(id, tt, segment.New(), 0, false)
+	obj := k.newObject(id, tt, 0, false)
 	obj.epoch = 1 // first residency; every committed move increments it
 	if tt.tm.Init != nil {
 		if err := tt.tm.Init(obj); err != nil {
@@ -659,13 +664,42 @@ func (k *Kernel) recharge(obj *Object, newSize int64) {
 		k.memInUse = 0
 	}
 	k.tel.memBytes.Set(k.memInUse)
-	over := k.cfg.MemoryBytes > 0 && k.cfg.EvictOnPressure && k.memInUse > k.cfg.MemoryBytes
-	budget := k.cfg.MemoryBytes
+	start := k.overBudgetLocked() && !k.relieving
+	if start {
+		k.relieving = true
+	}
 	k.mu.Unlock()
-	if over {
+	if start {
 		// Asynchronous relief: the mutating handler keeps running;
 		// idle objects are paged out in the background.
-		go k.evictUntil(budget)
+		go k.relieve()
+	}
+}
+
+// overBudgetLocked reports whether the node evicts on pressure and is
+// over its budget. The caller holds k.mu.
+func (k *Kernel) overBudgetLocked() bool {
+	return k.cfg.MemoryBytes > 0 && k.cfg.EvictOnPressure && k.memInUse > k.cfg.MemoryBytes
+}
+
+// relieve is the node's one asynchronous eviction run: it evicts until
+// the node is within budget, then looks again before it exits, so growth
+// that arrived while it ran — whose Updates found it running and started
+// no run of their own — is relieved too. It stops when nothing is left
+// to evict; the next growing Update starts a new run.
+func (k *Kernel) relieve() {
+	if k.testHook != nil {
+		k.testHook(hookRelief, nil)
+	}
+	for {
+		made := k.evictUntil(k.cfg.MemoryBytes)
+		k.mu.Lock()
+		if !made || !k.overBudgetLocked() {
+			k.relieving = false
+			k.mu.Unlock()
+			return
+		}
+		k.mu.Unlock()
 	}
 }
 

@@ -66,17 +66,16 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, rest, err := segment.Decode(rec.Rep)
-	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
-	}
 	// The decoded representation is clean — exactly what the record
 	// holds — so the incarnation can be passivated again without a
 	// checkpoint until something changes it, a Reincarnate hook that
 	// writes a segment included. A promoted backup record does not
 	// qualify: the home's record must be written without the backup
 	// marker, or a restart would take it for a backup again.
-	obj := k.newObject(id, tt, rep, rec.Version, rec.Frozen)
+	obj := k.newObject(id, tt, rec.Version, rec.Frozen)
+	if err := decodeWhole(&obj.rep, rec.Rep); err != nil {
+		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
+	}
 	obj.epoch = normEpoch(rec.Epoch)
 	if !rec.Backup {
 		obj.saved, obj.savedFrozen = rec.Version, rec.Frozen
@@ -120,17 +119,18 @@ func (o *Object) Checkpoint() error {
 	}
 	o.version++
 	ver := o.version
+	// The snapshot holds every change up to stamp; once it is durable
+	// the clean mark rises to it. A failed checkpoint changes nothing, so
+	// nothing has to be put back. Only a remote checksite can use the
+	// changes since the mark, as the delta of an incremental shipment.
+	stamp := o.rep.Stamp()
 	encoded := o.rep.Encode(nil)
 	frozen := o.frozen
-	// Taking the dirty set leaves the representation clean; on failure
-	// it is merged back so nothing is lost. Only a remote checksite can
-	// use it, as the delta of an incremental shipment.
-	taken := o.rep.TakeDirty()
 	var partial []byte
 	var removed []string
 	if policy.hasRemote(o.k.cfg.Node) {
 		var changed []string
-		changed, removed = segment.DirtyFromTaken(taken)
+		changed, removed = o.rep.Dirty()
 		partial = o.rep.EncodePartial(changed, nil)
 	}
 	o.mu.Unlock()
@@ -140,27 +140,33 @@ func (o *Object) Checkpoint() error {
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
 	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, policy, encoded, partial, removed)
-	if err == nil {
-		// Crash boundary: the checkpoint is durable but the caller has
-		// not learned of it — a kill here loses the acknowledgment,
-		// never the data.
-		killpoint.Hit(killpoint.CheckpointPostSync)
-		if local {
-			o.mu.Lock()
-			if ver > o.saved { // a concurrent later checkpoint may have finished first
-				o.saved, o.savedFrozen = ver, frozen
-			}
-			o.mu.Unlock()
-		}
-		o.k.tel.ckptLat.ObserveSince(start)
-		o.k.tel.ckptBytes.Add(int64(len(encoded)))
-		o.k.stCkpt.Add(1)
-		o.k.stCkptBytes.Add(int64(len(encoded)))
-		return nil
+	if err != nil {
+		return err
 	}
+	// Crash boundary: the checkpoint is durable but the caller has not
+	// learned of it — a kill here loses the acknowledgment, never the
+	// data.
+	killpoint.Hit(killpoint.CheckpointPostSync)
 	o.mu.Lock()
-	o.rep.RestoreDirty(taken)
+	o.rep.MarkClean(stamp)
+	if local && ver > o.saved { // a concurrent later checkpoint may have finished first
+		o.saved, o.savedFrozen = ver, frozen
+	}
 	o.mu.Unlock()
+	o.k.tel.ckptLat.ObserveSince(start)
+	o.k.tel.ckptBytes.Add(int64(len(encoded)))
+	o.k.stCkpt.Add(1)
+	o.k.stCkptBytes.Add(int64(len(encoded)))
+	return nil
+}
+
+// decodeWhole decodes into r an encoding that must fill src exactly: a
+// record's or a shipment's representation. Data segments alias src.
+func decodeWhole(r *segment.Representation, src []byte) error {
+	rest, err := segment.DecodeInto(r, src)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d bytes after the representation", segment.ErrBadEncoding, len(rest))
+	}
 	return err
 }
 
@@ -440,8 +446,14 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	o.movedTo = movedTo
 	passive := o.passive
 	queued, parked := o.cs.drain()
+	// The short-term state goes with the transition: a semaphore or port
+	// asked for later is made on a closed channel.
+	down := o.down
+	o.sems, o.ports = nil, nil
 	o.sched.Unlock()
-	close(o.down) // once: only the transition to stDown gets here
+	if down != nil {
+		close(down) // once: only the transition to stDown gets here
+	}
 	for _, c := range queued {
 		o.unqueue(c)
 		c.finish(downReply(movedTo, passive))
@@ -683,16 +695,15 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			if baseRec.Version != ship.Base {
 				return fmt.Errorf("kernel: incremental checkpoint base v%d, have v%d", ship.Base, baseRec.Version)
 			}
-			baseRep, rest, err := segment.Decode(baseRec.Rep)
-			if err != nil || len(rest) != 0 {
+			var base, delta segment.Representation
+			if err := decodeWhole(&base, baseRec.Rep); err != nil {
 				return fmt.Errorf("kernel: corrupt base checkpoint: %v", err)
 			}
-			delta, rest, err := segment.Decode(ship.Rep)
-			if err != nil || len(rest) != 0 {
+			if err := decodeWhole(&delta, ship.Rep); err != nil {
 				return fmt.Errorf("kernel: corrupt checkpoint delta: %v", err)
 			}
-			baseRep.Merge(delta, ship.Removed)
-			repBytes = baseRep.Encode(nil)
+			base.Merge(&delta, ship.Removed)
+			repBytes = base.Encode(nil)
 		}
 		rec := store.Record{Object: ship.Object, TypeName: ship.TypeName, Version: ship.Version,
 			Epoch: ship.Epoch, Frozen: ship.Frozen, Backup: true, Home: from, Rep: repBytes}
@@ -732,11 +743,10 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil {
 			return err
 		}
-		rep, rest, err := segment.Decode(ship.Rep)
-		if err != nil || len(rest) != 0 {
+		obj := k.newObject(ship.Object, tt, ship.Version, true)
+		if err := decodeWhole(&obj.rep, ship.Rep); err != nil {
 			return fmt.Errorf("kernel: corrupt replica representation: %v", err)
 		}
-		obj := k.newObject(ship.Object, tt, rep, ship.Version, true)
 		obj.epoch = normEpoch(ship.Epoch)
 		obj.replica = true
 		obj.home = from
@@ -765,11 +775,10 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil {
 			return err
 		}
-		rep, rest, err := segment.Decode(ship.Rep)
-		if err != nil || len(rest) != 0 {
+		obj := k.newObject(ship.Object, tt, ship.Version, ship.Frozen)
+		if err := decodeWhole(&obj.rep, ship.Rep); err != nil {
 			return fmt.Errorf("kernel: corrupt moved representation: %v", err)
 		}
-		obj := k.newObject(ship.Object, tt, rep, ship.Version, ship.Frozen)
 		obj.epoch = newEpoch
 		// A move transports the representation but not short-term state
 		// (processes cannot cross machines); the reincarnation

@@ -48,9 +48,10 @@ type Object struct {
 
 	// mu is a reader/writer lock on the representation: View calls
 	// from the bounded reader pool share it, while Update and
-	// Checkpoint's snapshot exclude everything.
+	// Checkpoint's snapshot exclude everything. The representation is
+	// held by value, so a record decodes straight into the object.
 	mu      sync.RWMutex
-	rep     *segment.Representation
+	rep     segment.Representation
 	version uint64 // checkpoint version counter
 	frozen  bool
 	// saved and savedFrozen are the version and frozen flag of the local
@@ -71,15 +72,17 @@ type Object struct {
 	// sched is the coordinator: a monitor, not a process. It guards the
 	// object's whole schedule — class queues and counts (cs), lifecycle
 	// state (Move, Crash, Passivate), the running-process count their
-	// quiesce waits on, and the recency eviction reads. An invoker
-	// enqueues and schedules its own call in one critical section, a
-	// finishing process settles its exit and schedules its successors in
-	// another, and nothing that can block — a handler, a Reincarnate
-	// hook, a send that might wait — ever runs inside one. sched is
-	// separate from mu so calls are admitted while readers sit inside
-	// View holding mu: with a single RWMutex, one blocked reader would
-	// stall every arrival's write-lock acquisition — and, since a waiting
-	// writer blocks new RLocks, serialize the whole pool.
+	// quiesce waits on, and the recency eviction reads — and the
+	// short-term state made on demand: the down channel and the
+	// semaphore and port tables. An invoker enqueues and schedules its
+	// own call in one critical section, a finishing process settles its
+	// exit and schedules its successors in another, and nothing that can
+	// block — a handler, a Reincarnate hook, a send that might wait —
+	// ever runs inside one. sched is separate from mu so calls are
+	// admitted while readers sit inside View holding mu: with a single
+	// RWMutex, one blocked reader would stall every arrival's write-lock
+	// acquisition — and, since a waiting writer blocks new RLocks,
+	// serialize the whole pool.
 	sched       sync.Mutex
 	cs          coordState
 	state       objState
@@ -88,6 +91,10 @@ type Object struct {
 	running     int       // handler processes currently executing
 	lastInvoked int64     // monotonic tick of the last admitted invocation
 	drained     sync.Cond // on sched
+
+	down  chan struct{}         // closed when active state is destroyed; made by the first downLocked
+	sems  map[string]*Semaphore // made by the first Semaphore
+	ports map[string]*Port      // made by the first Port
 
 	charged atomic.Int64 // bytes charged to the node's memory budget
 
@@ -101,28 +108,41 @@ type Object struct {
 	shadow  bool
 	home    uint32
 
-	down chan struct{} // closed when active state is destroyed
-
-	semMu sync.Mutex
-	sems  map[string]*Semaphore // made by the first Semaphore
-	ports map[string]*Port      // made by the first Port
-
 	behaviors sync.WaitGroup
 }
 
-func (k *Kernel) newObject(id edenid.ID, tt *typeTable, rep *segment.Representation, version uint64, frozen bool) *Object {
+// newObject makes an incarnation with an empty representation: Create
+// fills it through the type's Init hook, and the paths that incarnate a
+// record decode the record into it (decodeWhole).
+func (k *Kernel) newObject(id edenid.ID, tt *typeTable, version uint64, frozen bool) *Object {
 	o := &Object{
 		k:       k,
 		id:      id,
 		table:   tt,
-		rep:     rep,
 		version: version,
 		frozen:  frozen,
-		down:    make(chan struct{}),
 	}
-	o.cs = coordState{o: o, classes: make([]classState, len(tt.classes))}
+	o.cs.o = o
+	if n := len(tt.classes); n <= len(o.cs.inline) {
+		o.cs.classes = o.cs.inline[:n]
+	} else {
+		o.cs.classes = make([]classState, n)
+	}
 	o.drained.L = &o.sched
 	return o
+}
+
+// downLocked returns the channel closed when the active state is
+// destroyed, making it on first use: most incarnations never wait on
+// one. Made after teardown, it is made closed. The caller holds o.sched.
+func (o *Object) downLocked() chan struct{} {
+	if o.down == nil {
+		o.down = make(chan struct{})
+		if o.state == stDown {
+			close(o.down)
+		}
+	}
+	return o.down
 }
 
 // ID returns the object's unique name.
@@ -183,7 +203,7 @@ func (o *Object) SelfCapability(rts rights.Set) capability.Capability {
 func (o *Object) View(fn func(r *segment.Representation)) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	fn(o.rep)
+	fn(&o.rep)
 }
 
 // Update runs fn with write access to the representation, serialized
@@ -199,7 +219,7 @@ func (o *Object) Update(fn func(r *segment.Representation) error) error {
 		o.mu.Unlock()
 		return ErrFrozen
 	}
-	err := fn(o.rep)
+	err := fn(&o.rep)
 	newSize := int64(o.rep.Size())
 	o.mu.Unlock()
 	o.k.recharge(o, newSize)
@@ -210,12 +230,12 @@ func (o *Object) Update(fn func(r *segment.Representation) error) error {
 // initial value on first use. Semaphores are short-term state: they
 // die with the incarnation.
 func (o *Object) Semaphore(name string, initial int) *Semaphore {
-	o.semMu.Lock()
-	defer o.semMu.Unlock()
+	o.sched.Lock()
+	defer o.sched.Unlock()
 	if s, ok := o.sems[name]; ok {
 		return s
 	}
-	s := newSemaphore(initial, initial+64, o.down)
+	s := newSemaphore(initial, initial+64, o.downLocked())
 	if o.sems == nil {
 		o.sems = make(map[string]*Semaphore)
 	}
@@ -226,12 +246,12 @@ func (o *Object) Semaphore(name string, initial int) *Semaphore {
 // Port returns the named message port, creating it with the given
 // capacity on first use.
 func (o *Object) Port(name string, capacity int) *Port {
-	o.semMu.Lock()
-	defer o.semMu.Unlock()
+	o.sched.Lock()
+	defer o.sched.Unlock()
 	if p, ok := o.ports[name]; ok {
 		return p
 	}
-	p := newPort(capacity, o.down, o.k.tel.portWait)
+	p := newPort(capacity, o.downLocked(), o.k.tel.portWait)
 	if o.ports == nil {
 		o.ports = make(map[string]*Port)
 	}
@@ -245,10 +265,13 @@ func (o *Object) Port(name string, capacity int) *Port {
 // communication mechanisms". The function must return promptly after
 // stop is closed; passivation and crash wait for all behaviors.
 func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
+	o.sched.Lock()
+	stop := o.downLocked()
+	o.sched.Unlock()
 	o.behaviors.Add(1)
 	go func() {
 		defer o.behaviors.Done()
-		fn(o.down)
+		fn(stop)
 	}()
 }
 
@@ -286,9 +309,10 @@ type classState struct {
 // finishing, a writer yielding or re-acquiring, a move aborting.
 type coordState struct {
 	o       *Object
-	classes []classState // parallel to o.table.classes
-	active  [3]int       // executing processes per access mode; a yielded writer is not counted
-	seq     uint64       // arrival stamp of the next queued call
+	classes []classState  // parallel to o.table.classes
+	inline  [2]classState // classes' storage when the type has at most two, as EFS's file has
+	active  [3]int        // executing processes per access mode; a yielded writer is not counted
+	seq     uint64        // arrival stamp of the next queued call
 	// resumeQ holds suspended writers awaiting re-acquisition, each
 	// parked on its own capacity-1 grant: true once exclusivity is held
 	// again, false if the incarnation moved away or was destroyed
@@ -857,10 +881,6 @@ func (o *Object) Describe() Anatomy {
 	}
 	sort.Strings(a.Operations)
 
-	o.sched.Lock()
-	a.Running = o.running
-	o.sched.Unlock()
-
 	o.mu.RLock()
 	a.Version = o.version
 	a.Frozen = o.frozen
@@ -876,14 +896,15 @@ func (o *Object) Describe() Anatomy {
 	}
 	o.mu.RUnlock()
 
-	o.semMu.Lock()
+	o.sched.Lock()
+	a.Running = o.running
 	for name := range o.sems {
 		a.Semaphores = append(a.Semaphores, name)
 	}
 	for name := range o.ports {
 		a.Ports = append(a.Ports, name)
 	}
-	o.semMu.Unlock()
+	o.sched.Unlock()
 	sort.Strings(a.Semaphores)
 	sort.Strings(a.Ports)
 	return a

@@ -3,7 +3,6 @@ package kernel
 import (
 	"eden/internal/edenid"
 	"eden/internal/msg"
-	"eden/internal/segment"
 )
 
 // This file implements checkpoint-serving read replicas: a checksite
@@ -75,16 +74,15 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 		k.tel.replicaMiss.Inc()
 		return nil
 	}
-	rep, rest, err := segment.Decode(rec.Rep)
-	if err != nil || len(rest) != 0 {
-		k.tel.replicaMiss.Inc()
-		return nil
-	}
 	// The shadow is constructed frozen: it is a snapshot, and freezing
 	// makes even a mis-registered mutating handler fail at Update.
 	// validate's replica gate refuses anything not AccessRead before
 	// that can matter.
-	obj := k.newObject(id, tt, rep, rec.Version, true)
+	obj := k.newObject(id, tt, rec.Version, true)
+	if decodeWhole(&obj.rep, rec.Rep) != nil {
+		k.tel.replicaMiss.Inc()
+		return nil
+	}
 	obj.epoch = normEpoch(rec.Epoch)
 	obj.replica = true
 	obj.shadow = true

@@ -391,3 +391,54 @@ func TestSubprocessPanicContained(t *testing.T) {
 		t.Errorf("after child panic: %v %q", err, rep.Data)
 	}
 }
+
+// TestShortTermStateReleasedAtTeardown: a semaphore, a port and a
+// behavior waiting on an incarnation are released promptly when it is
+// torn down, whether they were made before the teardown — the down
+// channel is made by the first of them — or after it, when they are made
+// on a channel already closed.
+func TestShortTermStateReleasedAtTeardown(t *testing.T) {
+	teardowns := map[string]func(*Object) error{
+		"Crash":     func(o *Object) error { o.Crash(); return nil },
+		"Passivate": (*Object).Passivate,
+	}
+	for name, teardown := range teardowns {
+		for _, after := range []bool{false, true} {
+			obj, _ := mkObject(t)
+			if after {
+				if err := teardown(obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			released := make(chan string, 3)
+			sem := obj.Semaphore("s", 0)
+			go func() {
+				if errors.Is(sem.P(), ErrObjectDown) {
+					released <- "semaphore"
+				}
+			}()
+			port := obj.Port("p", 1)
+			go func() {
+				if _, err := port.Receive(0); errors.Is(err, ErrObjectDown) {
+					released <- "port"
+				}
+			}()
+			obj.SpawnBehavior(func(stop <-chan struct{}) {
+				<-stop
+				released <- "behavior"
+			})
+			if !after {
+				if err := teardown(obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				select {
+				case <-released:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s, made after it %v: %d of 3 released", name, after, i)
+				}
+			}
+		}
+	}
+}

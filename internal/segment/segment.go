@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"strings"
 
 	"eden/internal/capability"
@@ -60,11 +59,15 @@ var (
 	ErrNoSegment = errors.New("segment: no such segment")
 )
 
-// Segment is one named piece of an object's long-term state.
+// Segment is one named piece of an object's long-term state. A segment
+// whose kind is zero is a tombstone: the name was deleted, and the
+// deletion is a change a delta checkpoint has yet to carry.
 type Segment struct {
-	kind Kind
-	data []byte          // kind == Data
-	caps capability.List // kind == Caps
+	name  string
+	kind  Kind
+	stamp uint64          // the change that last set or deleted it; 0 if none since it was decoded or merged in
+	data  []byte          // kind == Data
+	caps  capability.List // kind == Caps
 }
 
 // Kind returns the segment's kind.
@@ -79,51 +82,122 @@ func (s *Segment) Len() int {
 	return len(s.data)
 }
 
-// Representation is the complete long-term state of one object: a
-// mapping from segment names to segments. The zero value is an empty
+func (s *Segment) live() bool { return s.kind != 0 }
+
+// Representation is the complete long-term state of one object: its
+// segments, in one array sorted by name. The zero value is an empty
 // representation ready to use. A Representation is not safe for
 // concurrent mutation; in Eden the owning object's coordinator
 // serializes access.
+//
+// Every change — SetData, SetCaps, Delete — takes the next stamp from a
+// counter and stamps its segment with it; a deletion leaves a stamped
+// tombstone. The clean mark is the newest stamp a durable copy is known
+// to hold, so "changed since the last checkpoint" is a comparison, and
+// a checkpoint that fails has nothing to put back.
 type Representation struct {
-	segs  map[string]*Segment
-	dirty map[string]bool // segment-level change tracking; see Dirty
+	segs  []Segment // sorted by name, tombstones included
+	stamp uint64    // the newest change's stamp
+	clean uint64    // the clean mark
 }
 
 // New returns an empty representation.
-func New() *Representation {
-	return &Representation{segs: make(map[string]*Segment)}
+func New() *Representation { return new(Representation) }
+
+// find returns the index of the named entry, live or tombstone, or the
+// index at which it would be inserted. The search is written out, not
+// sort.Find with a closure, so that name does not escape: a name the
+// caller builds in a stack buffer stays there.
+func (r *Representation) find(name string) (int, bool) {
+	lo, hi := 0, len(r.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.segs[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.segs) && r.segs[lo].name == name
 }
 
-func (r *Representation) init() {
-	if r.segs == nil {
-		r.segs = make(map[string]*Segment)
+// lookup returns the named segment, or nil when it does not exist.
+func (r *Representation) lookup(name string) *Segment {
+	if i, ok := r.find(name); ok && r.segs[i].live() {
+		return &r.segs[i]
 	}
+	return nil
+}
+
+// slot returns the named entry, inserting an empty one in order when
+// there is none. Names that arrive in order append.
+func (r *Representation) slot(name string) *Segment {
+	i, ok := r.find(name)
+	if !ok {
+		r.segs = slices.Insert(r.segs, i, Segment{name: name})
+	}
+	return &r.segs[i]
+}
+
+// change sets s's contents and stamps it with the next change.
+func (r *Representation) change(s *Segment, kind Kind, data []byte, caps capability.List) {
+	r.stamp++
+	s.kind, s.data, s.caps, s.stamp = kind, data, caps, r.stamp
 }
 
 // SetData installs (or replaces) the named data segment with a copy of
 // b. Passing nil b installs an empty data segment.
 func (r *Representation) SetData(name string, b []byte) {
-	r.init()
-	r.segs[name] = &Segment{kind: Data, data: append([]byte(nil), b...)}
-	r.markDirty(name, false)
+	r.change(r.slot(name), Data, append([]byte(nil), b...), nil)
 }
 
 // SetCaps installs (or replaces) the named capability segment with a
 // copy of l.
 func (r *Representation) SetCaps(name string, l capability.List) {
-	r.init()
-	r.segs[name] = &Segment{kind: Caps, caps: l.Clone()}
-	r.markDirty(name, false)
+	r.change(r.slot(name), Caps, nil, l.Clone())
+}
+
+// get returns the named segment, which must be of kind k. Its error
+// holds a clone of name, so name does not escape.
+func (r *Representation) get(name string, k Kind) (*Segment, error) {
+	s := r.lookup(name)
+	if s == nil {
+		return nil, &lookupError{name: strings.Clone(name), want: k}
+	}
+	if s.kind != k {
+		return nil, &lookupError{name: strings.Clone(name), has: s.kind, want: k}
+	}
+	return s, nil
+}
+
+// lookupError reports a segment that is missing or of the wrong kind. A
+// miss is routine — a type's first Update reads a segment it has yet to
+// set — so the message is formatted only when it is read.
+type lookupError struct {
+	name      string
+	has, want Kind // has is zero when there is no such segment
+}
+
+func (e *lookupError) Error() string {
+	if e.has == 0 {
+		return fmt.Sprintf("%v: %q", ErrNoSegment, e.name)
+	}
+	return fmt.Sprintf("%v: %q is %v, not %v", ErrKind, e.name, e.has, e.want)
+}
+
+// Unwrap returns ErrNoSegment or ErrKind.
+func (e *lookupError) Unwrap() error {
+	if e.has == 0 {
+		return ErrNoSegment
+	}
+	return ErrKind
 }
 
 // Data returns a copy of the named data segment's bytes.
 func (r *Representation) Data(name string) ([]byte, error) {
-	s, ok := r.segs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSegment, name)
-	}
-	if s.kind != Data {
-		return nil, fmt.Errorf("%w: %q is %v, not data", ErrKind, name, s.kind)
+	s, err := r.get(name, Data)
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), s.data...), nil
 }
@@ -133,14 +207,9 @@ func (r *Representation) Data(name string) ([]byte, error) {
 // copied, so a caller that does not know the length asks with a nil dst
 // and sizes its buffer from the answer.
 func (r *Representation) CopyData(dst []byte, name string) (n int, err error) {
-	// The errors quote a clone, so name does not escape: a name the
-	// caller builds in a stack buffer stays there.
-	s, ok := r.segs[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSegment, strings.Clone(name))
-	}
-	if s.kind != Data {
-		return 0, fmt.Errorf("%w: %q is %v, not data", ErrKind, strings.Clone(name), s.kind)
+	s, err := r.get(name, Data)
+	if err != nil {
+		return 0, err
 	}
 	copy(dst, s.data)
 	return len(s.data), nil
@@ -148,80 +217,78 @@ func (r *Representation) CopyData(dst []byte, name string) (n int, err error) {
 
 // Caps returns a copy of the named capability segment's list.
 func (r *Representation) Caps(name string) (capability.List, error) {
-	s, ok := r.segs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSegment, name)
-	}
-	if s.kind != Caps {
-		return nil, fmt.Errorf("%w: %q is %v, not caps", ErrKind, name, s.kind)
+	s, err := r.get(name, Caps)
+	if err != nil {
+		return nil, err
 	}
 	return s.caps.Clone(), nil
 }
 
 // Delete removes the named segment if present.
 func (r *Representation) Delete(name string) {
-	if _, ok := r.segs[name]; ok {
-		delete(r.segs, name)
-		r.markDirty(name, true)
+	if s := r.lookup(name); s != nil {
+		r.change(s, 0, nil, nil)
 	}
 }
 
 // Has reports whether the named segment exists.
-func (r *Representation) Has(name string) bool {
-	_, ok := r.segs[name]
-	return ok
-}
+func (r *Representation) Has(name string) bool { return r.lookup(name) != nil }
 
 // Names returns the segment names in sorted order.
 func (r *Representation) Names() []string {
 	names := make([]string, 0, len(r.segs))
-	for n := range r.segs {
-		names = append(names, n)
+	for i := range r.segs {
+		if r.segs[i].live() {
+			names = append(names, r.segs[i].name)
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
 // NumSegments returns the number of segments in the representation.
-func (r *Representation) NumSegments() int { return len(r.segs) }
+func (r *Representation) NumSegments() int {
+	n := 0
+	for i := range r.segs {
+		if r.segs[i].live() {
+			n++
+		}
+	}
+	return n
+}
 
 // Size returns the total payload size: bytes of data plus encoded bytes
 // of capabilities. It is the quantity the node's virtual memory budget
 // accounts for.
 func (r *Representation) Size() int {
 	total := 0
-	for _, s := range r.segs {
-		if s.kind == Data {
-			total += len(s.data)
-		} else {
-			total += len(s.caps) * capability.EncodedSize
-		}
+	for i := range r.segs {
+		total += len(r.segs[i].data) + len(r.segs[i].caps)*capability.EncodedSize
 	}
 	return total
 }
 
 // Capabilities returns every capability reachable from the
-// representation, across all capability segments. The kernel uses this
-// to discover inter-object references (e.g. for location prefetch).
+// representation, across all capability segments in name order. The
+// kernel uses this to discover inter-object references (e.g. for
+// location prefetch).
 func (r *Representation) Capabilities() capability.List {
 	var out capability.List
-	for _, name := range r.Names() {
-		if s := r.segs[name]; s.kind == Caps {
-			out = append(out, s.caps...)
-		}
+	for i := range r.segs {
+		out = append(out, r.segs[i].caps...)
 	}
 	return out
 }
 
-// Clone returns a deep copy of the representation. Checkpointing
-// clones so the object may keep mutating while the snapshot is written.
+// Clone returns a deep copy of the representation, in which every
+// segment counts as changed.
 func (r *Representation) Clone() *Representation {
 	out := New()
-	for name, s := range r.segs {
-		if s.kind == Data {
-			out.SetData(name, s.data)
-		} else {
-			out.SetCaps(name, s.caps)
+	for i := range r.segs {
+		switch s := &r.segs[i]; s.kind {
+		case Data:
+			out.SetData(s.name, s.data)
+		case Caps:
+			out.SetCaps(s.name, s.caps)
 		}
 	}
 	return out
@@ -230,31 +297,22 @@ func (r *Representation) Clone() *Representation {
 // Equal reports whether two representations have identical segment
 // names, kinds and contents.
 func (r *Representation) Equal(o *Representation) bool {
-	if len(r.segs) != len(o.segs) {
-		return false
-	}
-	for name, s := range r.segs {
-		t, ok := o.segs[name]
-		if !ok || s.kind != t.kind {
+	i, j := r.nextLive(0), o.nextLive(0)
+	for ; i < len(r.segs) && j < len(o.segs); i, j = r.nextLive(i+1), o.nextLive(j+1) {
+		s, t := &r.segs[i], &o.segs[j]
+		if s.name != t.name || s.kind != t.kind || string(s.data) != string(t.data) || !slices.Equal(s.caps, t.caps) {
 			return false
 		}
-		switch s.kind {
-		case Data:
-			if string(s.data) != string(t.data) {
-				return false
-			}
-		case Caps:
-			if len(s.caps) != len(t.caps) {
-				return false
-			}
-			for i := range s.caps {
-				if s.caps[i] != t.caps[i] {
-					return false
-				}
-			}
-		}
 	}
-	return true
+	return i == len(r.segs) && j == len(o.segs)
+}
+
+// nextLive returns the index of the first live segment at or after i.
+func (r *Representation) nextLive(i int) int {
+	for i < len(r.segs) && !r.segs[i].live() {
+		i++
+	}
+	return i
 }
 
 // Encoding format:
@@ -270,25 +328,31 @@ const encMagic = 0x45645231 // "EdR1"
 
 // Encode appends the deterministic binary form of the representation
 // (including its trailing checksum) to dst.
-func (r *Representation) Encode(dst []byte) []byte { return r.encode(dst, r.Names()) }
+func (r *Representation) Encode(dst []byte) []byte { return r.encode(dst, (*Segment).live) }
 
-// encode appends the encoding of the named segments, which must be
-// present, sorted and distinct, growing dst once to the exact size.
-func (r *Representation) encode(dst []byte, names []string) []byte {
-	size := 12 // magic, count, checksum
-	for _, name := range names {
-		size += 2 + len(name) + 1 + 4 + r.segs[name].bodyLen()
+// encode appends the encoding of the segments keep selects, growing dst
+// once to the exact size. keep selects live segments only.
+func (r *Representation) encode(dst []byte, keep func(*Segment) bool) []byte {
+	size, n := 12, 0 // magic, count, checksum
+	for i := range r.segs {
+		if s := &r.segs[i]; keep(s) {
+			size += 2 + len(s.name) + 1 + 4 + s.bodyLen()
+			n++
+		}
 	}
 	if cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
 	}
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, encMagic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
-	for _, name := range names {
-		s := r.segs[name]
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
-		dst = append(dst, name...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	for i := range r.segs {
+		s := &r.segs[i]
+		if !keep(s) {
+			continue
+		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s.name)))
+		dst = append(dst, s.name...)
 		dst = append(dst, byte(s.kind))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(s.bodyLen()))
 		if s.kind == Data {
@@ -322,13 +386,34 @@ func (s *Segment) bodyLen() int {
 // other method copies as before, so nothing the representation does
 // writes to it either. The result is clean: it is exactly what src holds.
 func Decode(src []byte) (*Representation, []byte, error) {
+	segs, rest, err := decode(src)
+	if err != nil {
+		return nil, src, err
+	}
+	return &Representation{segs: segs}, rest, nil
+}
+
+// DecodeInto is Decode into a representation the caller owns, such as
+// one inside the object that will hold it: on success r is replaced by
+// the decoded representation, and on failure it is left as it was. It
+// allocates the segment array and one string holding every name;
+// capability lists are the only others.
+func DecodeInto(r *Representation, src []byte) ([]byte, error) {
+	segs, rest, err := decode(src)
+	if err != nil {
+		return src, err
+	}
+	*r = Representation{segs: segs}
+	return rest, nil
+}
+
+// decode checks the encoding at the front of src and then builds its
+// segments.
+func decode(src []byte) ([]Segment, []byte, error) {
 	nsegs, nameBytes, end, err := check(src)
 	if err != nil {
 		return nil, src, err
 	}
-	// One allocation each for the representation, its table, its
-	// segments and all their names; capability lists are the only others.
-	r := &Representation{segs: make(map[string]*Segment, nsegs)}
 	segs := make([]Segment, nsegs)
 	var names strings.Builder
 	names.Grow(nameBytes)
@@ -343,7 +428,7 @@ func Decode(src []byte) (*Representation, []byte, error) {
 	for i := range segs {
 		name, kind, body, rest, _ := segmentAt(b)
 		s := &segs[i]
-		s.kind = kind
+		s.name, s.kind = all[at:at+len(name)], kind
 		if kind == Data {
 			s.data = body[:len(body):len(body)]
 		} else if n := len(body) / capability.EncodedSize; n > 0 {
@@ -352,11 +437,10 @@ func Decode(src []byte) (*Representation, []byte, error) {
 				s.caps[j], _, _ = capability.Decode(body[4+j*capability.EncodedSize:])
 			}
 		}
-		r.segs[all[at:at+len(name)]] = s
 		at += len(name)
 		b = rest
 	}
-	return r, src[end+4:], nil
+	return segs, src[end+4:], nil
 }
 
 // check verifies an encoding at the front of src without building
@@ -438,100 +522,80 @@ func checkCaps(body []byte) error {
 	return nil
 }
 
-// ---- dirty tracking (incremental checkpoint support) ----
+// ---- change tracking (incremental checkpoint support) ----
 //
-// A Representation records which segments changed since it was made or
-// decoded, or since the last TakeDirty, so the checkpoint machinery can
-// ship only the delta to a remote checksite that already holds the
-// previous version.
+// The checkpoint machinery ships only the delta to a remote checksite
+// that already holds the previous version: the segments changed and
+// removed since the clean mark. A checkpoint reads Stamp when it takes
+// its snapshot and, once that snapshot is durable, raises the mark to
+// it with MarkClean; changes made meanwhile stay above the mark.
 
-// markDirty notes a change to the named segment.
-func (r *Representation) markDirty(name string, deleted bool) {
-	if r.dirty == nil {
-		r.dirty = make(map[string]bool)
-	}
-	// dirty[name] = true means "present and changed"; false means
-	// "deleted". The latest change wins.
-	r.dirty[name] = !deleted
-}
+// Stamp returns the newest change's stamp: what a checkpoint taking its
+// snapshot now will hand to MarkClean once the snapshot is durable.
+func (r *Representation) Stamp() uint64 { return r.stamp }
+
+// HasDirty reports whether anything changed since the clean mark.
+func (r *Representation) HasDirty() bool { return r.stamp > r.clean }
 
 // Dirty returns the names of segments changed (set) and removed
-// (deleted) since the representation was last clean, each sorted.
-func (r *Representation) Dirty() (changed, removed []string) { return DirtyFromTaken(r.dirty) }
-
-// HasDirty reports whether any change was recorded since the
-// representation was last clean.
-func (r *Representation) HasDirty() bool { return len(r.dirty) > 0 }
-
-// TakeDirty removes and returns the change-tracking state, leaving the
-// representation clean. If the checkpoint consuming the changes fails,
-// RestoreDirty merges them back; changes recorded in between are
-// preserved either way.
-func (r *Representation) TakeDirty() map[string]bool {
-	d := r.dirty
-	r.dirty = nil
-	return d
-}
-
-// RestoreDirty merges previously taken change-tracking state back in
-// (newer marks win).
-func (r *Representation) RestoreDirty(taken map[string]bool) {
-	if len(taken) == 0 {
-		return
-	}
-	if r.dirty == nil {
-		r.dirty = make(map[string]bool, len(taken))
-	}
-	for name, present := range taken {
-		if _, newer := r.dirty[name]; !newer {
-			r.dirty[name] = present
+// (deleted) since the clean mark, each sorted.
+func (r *Representation) Dirty() (changed, removed []string) {
+	for i := range r.segs {
+		if s := &r.segs[i]; s.stamp > r.clean {
+			if s.live() {
+				changed = append(changed, s.name)
+			} else {
+				removed = append(removed, s.name)
+			}
 		}
 	}
-}
-
-// DirtyFromTaken splits taken change state into changed and removed
-// name lists, sorted.
-func DirtyFromTaken(taken map[string]bool) (changed, removed []string) {
-	for name, present := range taken {
-		if present {
-			changed = append(changed, name)
-		} else {
-			removed = append(removed, name)
-		}
-	}
-	sort.Strings(changed)
-	sort.Strings(removed)
 	return changed, removed
 }
 
-// EncodePartial encodes only the named segments, in the same wire
-// format as Encode; names absent from the representation are skipped.
-// Decoding a partial encoding yields a sub-representation that Merge
-// applies onto a base.
-func (r *Representation) EncodePartial(names []string, dst []byte) []byte {
-	present := make([]string, 0, len(names))
-	for _, name := range names {
-		if _, ok := r.segs[name]; ok {
-			present = append(present, name)
-		}
+// MarkClean records that a durable copy holds every change stamped up
+// to stamp, a value Stamp returned. The mark only rises: a checkpoint
+// that finishes after a later one leaves it where the later one put it.
+// Tombstones at or below the mark are dropped.
+func (r *Representation) MarkClean(stamp uint64) {
+	if stamp > r.clean {
+		r.clean = stamp
+		r.sweep()
 	}
-	slices.Sort(present)
-	return r.encode(dst, slices.Compact(present))
+}
+
+// sweep drops the tombstones the clean mark covers.
+func (r *Representation) sweep() {
+	r.segs = slices.DeleteFunc(r.segs, func(s Segment) bool { return !s.live() && s.stamp <= r.clean })
+}
+
+// EncodePartial encodes only the named segments, in the same wire
+// format as Encode; names absent from the representation are skipped,
+// and names may repeat or come in any order. Decoding a partial
+// encoding yields a sub-representation that Merge applies onto a base.
+func (r *Representation) EncodePartial(names []string, dst []byte) []byte {
+	return r.encode(dst, func(s *Segment) bool { return s.live() && slices.Contains(names, s.name) })
 }
 
 // Merge applies a partial representation onto r: every segment in
 // partial replaces (or adds to) r's, and every name in removed is
-// deleted. Merge does not touch r's dirty tracking.
+// deleted. Merge changes contents, not change tracking: a name keeps
+// its stamp, and a new one has none.
 func (r *Representation) Merge(partial *Representation, removed []string) {
-	r.init()
-	for name, s := range partial.segs {
-		if s.kind == Data {
-			r.segs[name] = &Segment{kind: Data, data: append([]byte(nil), s.data...)}
-		} else {
-			r.segs[name] = &Segment{kind: Caps, caps: s.caps.Clone()}
+	for i := range partial.segs {
+		p := &partial.segs[i]
+		switch p.kind {
+		case Data:
+			s := r.slot(p.name)
+			s.kind, s.data, s.caps = Data, append([]byte(nil), p.data...), nil
+		case Caps:
+			s := r.slot(p.name)
+			s.kind, s.data, s.caps = Caps, nil, p.caps.Clone()
 		}
 	}
 	for _, name := range removed {
-		delete(r.segs, name)
+		if s := r.lookup(name); s != nil {
+			s.kind, s.data, s.caps = 0, nil, nil
+		}
 	}
+	r.sweep()
 }

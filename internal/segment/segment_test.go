@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -70,8 +75,8 @@ func TestSetGetCaps(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	r := sampleRep()
-	if _, err := r.Caps("state"); !errors.Is(err, ErrKind) {
-		t.Errorf("Caps on data segment: err = %v, want ErrKind", err)
+	if _, err := r.Caps("state"); !errors.Is(err, ErrKind) || err.Error() != `segment: wrong segment kind: "state" is data, not caps` {
+		t.Errorf("Caps on data segment: err = %v, want ErrKind naming both kinds", err)
 	}
 	if _, err := r.Data("refs"); !errors.Is(err, ErrKind) {
 		t.Errorf("Data on caps segment: err = %v, want ErrKind", err)
@@ -80,8 +85,8 @@ func TestKindMismatch(t *testing.T) {
 
 func TestNoSuchSegment(t *testing.T) {
 	r := New()
-	if _, err := r.Data("missing"); !errors.Is(err, ErrNoSegment) {
-		t.Errorf("err = %v, want ErrNoSegment", err)
+	if _, err := r.Data("missing"); !errors.Is(err, ErrNoSegment) || err.Error() != `segment: no such segment: "missing"` {
+		t.Errorf("err = %v, want ErrNoSegment naming the segment", err)
 	}
 	if _, err := r.Caps("missing"); !errors.Is(err, ErrNoSegment) {
 		t.Errorf("err = %v, want ErrNoSegment", err)
@@ -280,14 +285,15 @@ func TestEncodeSizesOnce(t *testing.T) {
 
 // TestEncodePartialMergesOntoBase: a partial encoding of some changed
 // segments, merged onto the old state with the removed ones, is the new
-// state. Names may be absent, repeated or unsorted.
+// state. Names may be absent (never there, or deleted), repeated or
+// unsorted.
 func TestEncodePartialMergesOntoBase(t *testing.T) {
 	base := sampleRep()
 	r := base.Clone()
 	r.SetData("state", []byte("changed"))
 	r.SetData("new", []byte("added"))
 	r.Delete("empty")
-	sub, rest, err := Decode(r.EncodePartial([]string{"state", "new", "gone", "state"}, nil))
+	sub, rest, err := Decode(r.EncodePartial([]string{"state", "new", "gone", "state", "empty"}, nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("Decode partial: %v, %d bytes left", err, len(rest))
 	}
@@ -385,29 +391,51 @@ func TestQuickDecodeCorruptedValid(t *testing.T) {
 }
 
 // checkDecoded asserts what Decode promises of an input it accepts: its
-// data segments lie inside the consumed input (each capacity-clipped),
-// the result is clean, and encoding it gives the consumed input back
-// byte for byte. It reports whether src decoded at all.
+// segments are strictly sorted, its data segments lie inside the consumed
+// input (each capacity-clipped), the result is clean, encoding it gives
+// the consumed input back byte for byte, and DecodeInto a used
+// representation gives the same result. Of an input Decode refuses,
+// DecodeInto leaves its representation as it was. It reports whether src
+// decoded at all.
 func checkDecoded(t *testing.T, src []byte) bool {
 	t.Helper()
 	pristine := append([]byte(nil), src...)
 	r, rest, err := Decode(src)
 	if err != nil {
+		kept := sampleRep()
+		before := *kept
+		if _, err := DecodeInto(kept, src); err == nil || !reflect.DeepEqual(*kept, before) {
+			t.Errorf("DecodeInto of what Decode refused: %v, representation changed: %v", err, !reflect.DeepEqual(*kept, before))
+		}
 		return false
 	}
 	used := len(src) - len(rest)
 	if r.HasDirty() {
-		t.Errorf("decoded representation has dirty segments %v", r.dirty)
+		changed, removed := r.Dirty()
+		t.Errorf("decoded representation has changed %v and removed %v", changed, removed)
 	}
 	if enc := r.Encode(nil); !bytes.Equal(enc, pristine[:used]) {
 		t.Errorf("Encode(Decode(x)) = %x, want %x", enc, pristine[:used])
 	}
-	for name, s := range r.segs {
+	for i := 1; i < len(r.segs); i++ {
+		if r.segs[i-1].name >= r.segs[i].name {
+			t.Errorf("segments %q and %q out of order", r.segs[i-1].name, r.segs[i].name)
+		}
+	}
+	// Decoding into a representation that already holds something
+	// replaces all of it, change tracking included.
+	reused := sampleRep()
+	reused.Delete("state")
+	if rest2, err := DecodeInto(reused, src); err != nil || len(rest2) != len(rest) || !reflect.DeepEqual(reused, r) {
+		t.Errorf("DecodeInto a used representation = %+v (%d left, %v), Decode = %+v", reused, len(rest2), err, r)
+	}
+	for i := range r.segs {
+		s := &r.segs[i]
 		if s.kind != Data || len(s.data) == 0 {
 			continue
 		}
 		if cap(s.data) != len(s.data) {
-			t.Errorf("segment %q: cap %d, len %d", name, cap(s.data), len(s.data))
+			t.Errorf("segment %q: cap %d, len %d", s.name, cap(s.data), len(s.data))
 		}
 		// Flip the segment's first byte through the segment: exactly one
 		// byte of the input, inside what Decode consumed, must change.
@@ -421,7 +449,7 @@ func checkDecoded(t *testing.T, src []byte) bool {
 		}
 		s.data[0] ^= 0xff
 		if changed < 0 || changed >= used {
-			t.Errorf("segment %q does not lie inside the consumed input (changed byte %d of %d)", name, changed, used)
+			t.Errorf("segment %q does not lie inside the consumed input (changed byte %d of %d)", s.name, changed, used)
 		}
 	}
 	return true
@@ -469,7 +497,8 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 }
 
 // FuzzDecode holds Decode to its promises on arbitrary input: it never
-// panics, and what it accepts is aliased, clean and canonical.
+// panics, and what it accepts is sorted, aliased, clean and canonical,
+// and decodes the same into a used representation.
 func FuzzDecode(f *testing.F) {
 	f.Add(sampleRep().Encode(nil))
 	f.Add(sampleRep().EncodePartial([]string{"refs"}, nil))
@@ -477,4 +506,194 @@ func FuzzDecode(f *testing.F) {
 	f.Add(rawEncoding("a", "b"))
 	f.Add([]byte("EdR1"))
 	f.Fuzz(func(t *testing.T, src []byte) { checkDecoded(t, src) })
+}
+
+// TestLookupDoesNotAllocate: a lookup by a name built in a stack buffer
+// allocates nothing beyond the copy it returns.
+func TestLookupDoesNotAllocate(t *testing.T) {
+	r := sampleRep()
+	for i := 0; i < 100; i++ {
+		r.SetData(fmt.Sprintf("s%03d", i), []byte{byte(i)})
+	}
+	var buf [16]byte
+	n := copy(buf[:], "state")
+	dst := make([]byte, 64)
+	var ok bool
+	lookups := map[string]func(){
+		"Has":      func() { ok = r.Has(string(buf[:n])) && !r.Has(string(buf[:n-1])) },
+		"CopyData": func() { m, err := r.CopyData(dst, string(buf[:n])); ok = err == nil && m > 0 },
+		"Data":     func() { b, err := r.Data(string(buf[:n])); ok = err == nil && len(b) > 0 },
+	}
+	for what, fn := range lookups {
+		want := 0.0
+		if what == "Data" {
+			want = 1 // the copy
+		}
+		if got := testing.AllocsPerRun(100, fn); got != want || !ok {
+			t.Errorf("%s: %.0f allocs (want %.0f), found %v", what, got, want, ok)
+		}
+	}
+}
+
+// modelRep is the plain-map model TestRepresentationModel checks a
+// Representation against: the segments, and the stamp of each name's
+// last change.
+type modelRep struct {
+	segs         map[string]*Segment
+	stamps       map[string]uint64
+	stamp, clean uint64
+}
+
+func (m *modelRep) change(name string, s *Segment) {
+	m.stamp++
+	m.stamps[name] = m.stamp
+	if s == nil {
+		delete(m.segs, name)
+	} else {
+		m.segs[name] = s
+	}
+}
+
+// names returns the model's segment names, sorted.
+func (m *modelRep) names() []string {
+	out := []string{}
+	for name := range m.segs {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// dirty is Dirty by the model's definition: a name whose last change is
+// newer than the clean mark, present or not.
+func (m *modelRep) dirty() (changed, removed []string) {
+	for name, st := range m.stamps {
+		if st <= m.clean {
+			continue
+		}
+		if _, ok := m.segs[name]; ok {
+			changed = append(changed, name)
+		} else {
+			removed = append(removed, name)
+		}
+	}
+	sort.Strings(changed)
+	sort.Strings(removed)
+	return changed, removed
+}
+
+// encode lays the model out in the wire format by hand.
+func (m *modelRep) encode() []byte {
+	names := m.names()
+	b := binary.BigEndian.AppendUint32(nil, encMagic)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(names)))
+	for _, name := range names {
+		s := m.segs[name]
+		b = binary.BigEndian.AppendUint16(b, uint16(len(name)))
+		b = append(b, name...)
+		b = append(b, byte(s.kind))
+		if s.kind == Data {
+			b = binary.BigEndian.AppendUint32(b, uint32(len(s.data)))
+			b = append(b, s.data...)
+		} else {
+			b = binary.BigEndian.AppendUint32(b, uint32(4+len(s.caps)*capability.EncodedSize))
+			b = capability.EncodeList(b, s.caps)
+		}
+	}
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestRepresentationModel runs random sequences of SetData, SetCaps,
+// Delete, Merge, Stamp and MarkClean against the model, checking after
+// every step the names, each name's presence and bytes, the encoding and
+// the changed and removed sets.
+func TestRepresentationModel(t *testing.T) {
+	universe := []string{"a", "b", "c", "d", "e", "f"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var r Representation
+		m := &modelRep{segs: map[string]*Segment{}, stamps: map[string]uint64{}}
+		var snaps []uint64
+		pick := func() string { return universe[rng.Intn(len(universe))] }
+		for step := 0; step < 400; step++ {
+			var op string
+			switch x := rng.Intn(10); {
+			case x < 3:
+				name, b := pick(), []byte{byte(rng.Intn(256)), byte(step)}
+				op = fmt.Sprintf("SetData(%s)", name)
+				r.SetData(name, b)
+				m.change(name, &Segment{kind: Data, data: b})
+			case x < 4:
+				name, l := pick(), capability.List{capability.New(gen.Next(), rights.Invoke)}
+				op = fmt.Sprintf("SetCaps(%s)", name)
+				r.SetCaps(name, l)
+				m.change(name, &Segment{kind: Caps, caps: l})
+			case x < 6:
+				name := pick()
+				op = fmt.Sprintf("Delete(%s)", name)
+				r.Delete(name)
+				if _, ok := m.segs[name]; ok {
+					m.change(name, nil)
+				}
+			case x < 7:
+				var p Representation
+				var removed []string
+				for _, name := range universe {
+					switch rng.Intn(4) {
+					case 0:
+						p.SetData(name, []byte{byte(step), 'm'})
+					case 1:
+						removed = append(removed, name)
+					}
+				}
+				op = fmt.Sprintf("Merge(%v, %v)", p.Names(), removed)
+				r.Merge(&p, removed)
+				for _, name := range p.Names() {
+					b, _ := p.Data(name)
+					m.segs[name] = &Segment{kind: Data, data: b}
+				}
+				for _, name := range removed {
+					delete(m.segs, name)
+				}
+			case x < 8:
+				op = "Stamp"
+				if got := r.Stamp(); got != m.stamp {
+					t.Fatalf("seed %d step %d: Stamp = %d, model %d", seed, step, got, m.stamp)
+				}
+				snaps = append(snaps, r.Stamp())
+			default:
+				if len(snaps) == 0 {
+					continue
+				}
+				s := snaps[rng.Intn(len(snaps))] // not always the newest: a mark never falls
+				op = fmt.Sprintf("MarkClean(%d)", s)
+				r.MarkClean(s)
+				m.clean = max(m.clean, s)
+			}
+			where := fmt.Sprintf("seed %d step %d, after %s", seed, step, op)
+			if got, want := r.Names(), m.names(); !slices.Equal(got, want) {
+				t.Fatalf("%s: Names = %v, model %v", where, got, want)
+			}
+			for _, name := range universe {
+				s, ok := m.segs[name]
+				if r.Has(name) != ok {
+					t.Fatalf("%s: Has(%s) = %v, model %v", where, name, !ok, ok)
+				}
+				if b, err := r.Data(name); ok && s.kind == Data && (err != nil || !bytes.Equal(b, s.data)) {
+					t.Fatalf("%s: Data(%s) = %x, %v; model %x", where, name, b, err, s.data)
+				}
+			}
+			if got, want := r.Encode(nil), m.encode(); !bytes.Equal(got, want) {
+				t.Fatalf("%s: Encode differs from the model's", where)
+			}
+			changed, removed := r.Dirty()
+			wantChanged, wantRemoved := m.dirty()
+			if !slices.Equal(changed, wantChanged) || !slices.Equal(removed, wantRemoved) {
+				t.Fatalf("%s: Dirty = %v, %v; model %v, %v", where, changed, removed, wantChanged, wantRemoved)
+			}
+			if r.HasDirty() != (m.stamp > m.clean) || r.HasDirty() != (len(changed)+len(removed) > 0) {
+				t.Fatalf("%s: HasDirty = %v with changed %v, removed %v", where, r.HasDirty(), changed, removed)
+			}
+		}
+	}
 }

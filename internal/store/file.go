@@ -52,6 +52,57 @@ type File struct {
 	recs    map[edenid.ID]dirEntry
 	intents map[edenid.ID]intentEntry
 	segs    []*segFile // oldest first; the last, the head, is the one appended to; nil once closed
+
+	types typeNames // the type names Get has returned
+}
+
+// typeNames interns the type names of records read back: a node holds
+// objects of a few types, so Get returns a name it has returned before
+// instead of allocating it again. The table is copied on write, so a
+// lookup takes no lock; it holds each distinct name read once. It is a
+// slice, not a map: a scan of a few names costs less than a map lookup,
+// and keeps the frames Get adds to a serving goroutine's stack small.
+type typeNames struct {
+	mu    sync.Mutex
+	names atomic.Pointer[[]string]
+}
+
+// intern returns string(b), without the allocation when b is a name
+// returned before.
+func (t *typeNames) intern(b []byte) string {
+	if s, ok := t.lookup(b); ok {
+		return s
+	}
+	return t.add(b)
+}
+
+// lookup returns the table's copy of b.
+func (t *typeNames) lookup(b []byte) (string, bool) {
+	if p := t.names.Load(); p != nil {
+		for _, s := range *p {
+			if s == string(b) {
+				return s, true
+			}
+		}
+	}
+	return "", false
+}
+
+// add copies b into the table, unless another Get added it first.
+func (t *typeNames) add(b []byte) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.lookup(b); ok {
+		return s
+	}
+	s := string(b)
+	var next []string
+	if p := t.names.Load(); p != nil {
+		next = append(next, *p...)
+	}
+	next = append(next, s)
+	t.names.Store(&next)
+	return s
 }
 
 // hooks are the points at which this package's tests stop or fail the
@@ -770,7 +821,7 @@ func (f *File) Get(id edenid.ID) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: the record of %v: %v", ErrFailed, id, err)
 	}
-	rec, err := decodeRecord(body[1:])
+	rec, err := decodeRecord(body[1:], &f.types)
 	if err != nil {
 		return Record{}, err
 	}
@@ -913,8 +964,9 @@ func decodeHeader(b []byte) (Record, []byte, error) {
 	return rec, b[21:], nil
 }
 
-// decodeRecord parses one record. The result's Rep aliases b.
-func decodeRecord(b []byte) (Record, error) {
+// decodeRecord parses one record. The result's Rep aliases b, and its
+// type name comes from types.
+func decodeRecord(b []byte, types *typeNames) (Record, error) {
 	rec, b, err := decodeHeader(b)
 	if err != nil {
 		return rec, err
@@ -927,14 +979,13 @@ func decodeRecord(b []byte) (Record, error) {
 	if tl < 0 || len(b) < tl+4 {
 		return rec, fmt.Errorf("%w: truncated type name", ErrFailed)
 	}
-	rec.TypeName = string(b[:tl])
-	b = b[tl:]
+	name, b := b[:tl], b[tl:]
 	rl := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
 	if rl < 0 || len(b) != rl {
 		return rec, fmt.Errorf("%w: representation length mismatch", ErrFailed)
 	}
-	rec.Rep = b
+	rec.TypeName, rec.Rep = types.intern(name), b
 	return rec, nil
 }
 

@@ -144,7 +144,7 @@ func replayLog(t *testing.T, dir string) (map[edenid.ID]Meta, map[edenid.ID]Move
 			kind, body := frame[0], frame[1:]
 			switch kind {
 			case kindRecord:
-				rec, err := decodeRecord(body)
+				rec, err := decodeRecord(body, new(typeNames))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

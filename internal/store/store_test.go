@@ -275,17 +275,17 @@ func TestFileIgnoresForeignFiles(t *testing.T) {
 func TestRecordCodecRejectsDamage(t *testing.T) {
 	rec := sampleRec(3)
 	buf := appendRecord(nil, rec)
-	if _, err := decodeRecord(buf); err != nil {
+	if _, err := decodeRecord(buf, new(typeNames)); err != nil {
 		t.Fatalf("decode of intact record: %v", err)
 	}
 	for _, n := range []int{0, 4, 10, len(buf) - 1} {
-		if _, err := decodeRecord(buf[:n]); err == nil {
+		if _, err := decodeRecord(buf[:n], new(typeNames)); err == nil {
 			t.Errorf("accepted truncation to %d bytes", n)
 		}
 	}
 	bad := append([]byte(nil), buf...)
 	bad[0] ^= 0xFF
-	if _, err := decodeRecord(bad); err == nil {
+	if _, err := decodeRecord(bad, new(typeNames)); err == nil {
 		t.Error("accepted bad magic")
 	}
 }
@@ -305,7 +305,7 @@ func TestQuickDecodeRecordNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = decodeRecord(b)
+		_, _ = decodeRecord(b, new(typeNames))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -325,7 +325,7 @@ func TestQuickDecodeRecordCorrupted(t *testing.T) {
 		}()
 		buf := append([]byte(nil), base...)
 		buf[int(pos)%len(buf)] = val
-		_, _ = decodeRecord(buf)
+		_, _ = decodeRecord(buf, new(typeNames))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
