@@ -96,14 +96,25 @@ func (f *ackFloor) ack(value, version uint64) {
 	}
 }
 
-func (f *ackFloor) observe(value, version uint64) error {
+// acked returns the floor as it stands: a read sent after this returns
+// must observe at least this value and version.
+func (f *ackFloor) acked() (value, version uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if value < f.value {
-		return fmt.Errorf("lost acknowledged writes: observed value %d < acked floor %d", value, f.value)
+	return f.value, f.version
+}
+
+// observe checks a post-restart observation against the floor acked
+// returned before the observing read was sent. Acks recorded since may
+// be of writes the read preceded, so they do not count against it.
+func (f *ackFloor) observe(floorValue, floorVersion, value, version uint64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if value < floorValue {
+		return fmt.Errorf("lost acknowledged writes: observed value %d < acked floor %d", value, floorValue)
 	}
-	if version < f.version {
-		return fmt.Errorf("lost acknowledged checkpoint: observed version %d < acked floor %d", version, f.version)
+	if version < floorVersion {
+		return fmt.Errorf("lost acknowledged checkpoint: observed version %d < acked floor %d", version, floorVersion)
 	}
 	if version < f.observedVersion {
 		return fmt.Errorf("version ran backwards across restart: %d after %d", version, f.observedVersion)
@@ -217,11 +228,12 @@ func TestCrashLoopInProcess(t *testing.T) {
 		// subject to injected store faults) comes through.
 		obsDeadline := time.Now().Add(10 * time.Second)
 		for {
+			floorValue, floorVersion := floor.acked()
 			rep, err := client.Invoke(cap, "stat", nil, nil, &InvokeOptions{Timeout: time.Second})
 			if err == nil {
 				v := binary.BigEndian.Uint64(rep.Data[:8])
 				ver := binary.BigEndian.Uint64(rep.Data[8:])
-				if oerr := floor.observe(v, ver); oerr != nil {
+				if oerr := floor.observe(floorValue, floorVersion, v, ver); oerr != nil {
 					t.Fatalf("cycle %d (seed %d): %v", cycle, seed, oerr)
 				}
 				break
@@ -304,10 +316,11 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 	// intact would mean the injection (or Crash) stopped working.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		floorValue, floorVersion := floor.acked()
 		rep, err := client.Invoke(cap, "stat", nil, nil, &InvokeOptions{Timeout: time.Second})
 		if err == nil {
 			v := binary.BigEndian.Uint64(rep.Data[:8])
-			if oerr := floor.observe(v, binary.BigEndian.Uint64(rep.Data[8:])); oerr == nil {
+			if oerr := floor.observe(floorValue, floorVersion, v, binary.BigEndian.Uint64(rep.Data[8:])); oerr == nil {
 				t.Fatalf("acked writes survived a sync-lie crash (value %d): fault injection is not working", v)
 			}
 			t.Logf("loss detected: observed value %d below acked floor %d", v, 3)

@@ -20,7 +20,9 @@
 // call trees must be bracketed by killpoint crossings so the crash
 // harness can schedule kills around them (killpointcover), and a field
 // accessed through sync/atomic must never also be touched by plain
-// load/store (atomicmix).
+// load/store (atomicmix). A tenth, returngives, holds handlers to the
+// reply-ownership rule: a slice given to Call.Return is the reply, so it
+// is not written afterwards and is never package-level state.
 //
 // Everything here is built on go/ast, go/parser, go/token and go/types
 // only, so the suite builds in an offline environment with a bare
@@ -59,6 +61,7 @@ func All() []*Analyzer {
 		AccessPurity,
 		KillpointCover,
 		AtomicMix,
+		ReturnGives,
 	}
 }
 

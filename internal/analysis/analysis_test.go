@@ -69,6 +69,7 @@ func TestFixtures(t *testing.T) {
 		{"accesspurity", AccessPurity},
 		{"killpointcover", KillpointCover},
 		{"atomicmix", AtomicMix},
+		{"returngives", ReturnGives},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -10,11 +10,11 @@ import (
 // rights, and dispatching of processes to invocations" must verify
 // rights before it dispatches. Concretely: inside the kernel package,
 // any function that hands an invocation to a handler — calling a value
-// of the Handler type, or enqueueing a call context into an object's
-// inbox — must first reach a rights check on the way there: a call
-// into the rights machinery (rights.Set/Capability Has/HasAny or any
-// internal/rights function), or a use of the ErrRights/StatusRights
-// outcome.
+// of the Handler type, or queueing a call at an object's scheduler
+// (coordState.arrive, the one enqueue site) — must first reach a rights
+// check on the way there: a call into the rights machinery
+// (rights.Set/Capability Has/HasAny or any internal/rights function),
+// or a use of the ErrRights/StatusRights outcome.
 //
 // The check is per-function and source-ordered: a rights check that
 // lives only in a caller does not discharge the dispatching function,
@@ -61,12 +61,11 @@ func checkRightsGateFunc(pass *Pass, fd *ast.FuncDecl) {
 			if isHandlerCall(pass.Info, nn) {
 				dispatches = append(dispatches, dispatch{nn, "calls an operation handler"})
 			}
+			if isArriveCall(pass.Info, nn) {
+				dispatches = append(dispatches, dispatch{nn, "queues a call at the object's scheduler"})
+			}
 			if isRightsCheck(pass.Info, nn) {
 				checks = append(checks, nn)
-			}
-		case *ast.SendStmt:
-			if isCallCtxSend(pass.Info, nn) {
-				dispatches = append(dispatches, dispatch{nn, "enqueues a call for the coordinator"})
 			}
 		case *ast.Ident:
 			if nn.Name == "ErrRights" || nn.Name == "StatusRights" {
@@ -122,18 +121,15 @@ func isHandlerCall(info *types.Info, call *ast.CallExpr) bool {
 	return isSig
 }
 
-// isCallCtxSend reports whether the statement sends a *callCtx into a
-// channel (an object's inbox).
-func isCallCtxSend(info *types.Info, send *ast.SendStmt) bool {
-	tv, ok := info.Types[send.Chan]
-	if !ok {
+// isArriveCall reports whether the call queues an invocation at an
+// object's scheduler: the arrive method of coordState.
+func isArriveCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "arrive" {
 		return false
 	}
-	ch, ok := types.Unalias(tv.Type).Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	return namedTypeName(ch.Elem()) == "callCtx"
+	tv, ok := info.Types[sel.X]
+	return ok && namedTypeName(tv.Type) == "coordState"
 }
 
 // isRightsCheck reports whether the call is rights-verification

@@ -1,5 +1,6 @@
 // Package kernel exercises the rightsgate analyzer: a function that
-// hands an invocation to a Handler must reach a rights check first.
+// hands an invocation to a Handler, or queues it at an object's
+// scheduler, must reach a rights check first.
 // The package is named kernel because the analyzer only audits the
 // kernel's coordinator code.
 package kernel
@@ -28,4 +29,25 @@ func dispatchChecked(have, need Set, op operation) {
 
 func dispatchUnchecked(op operation) {
 	op.h(2) // want "without a preceding rights check"
+}
+
+// coordState is an object's scheduler; arrive queues a call there.
+type coordState struct{ q []int }
+
+func (cs *coordState) arrive(c int) { cs.q = append(cs.q, c) }
+
+type object struct {
+	cs coordState
+}
+
+// arriveChecked verifies rights before queueing and does not fire.
+func arriveChecked(have, need Set, o *object) {
+	if !have.Has(need) {
+		return
+	}
+	o.cs.arrive(3)
+}
+
+func arriveUnchecked(o *object) {
+	o.cs.arrive(4) // want "queues a call at the object's scheduler without a preceding rights check"
 }

@@ -148,11 +148,12 @@ func TestAsyncWriterCrashSoak(t *testing.T) {
 
 		// No acknowledged async completion may be lost, and versions
 		// stay monotonic across reincarnation.
+		floor := model.Snapshot()
 		value, version, err := pollStat(ck, full, 20*time.Second)
 		if err != nil {
 			breach(cycle, err.Error(), prevTail+"\n--- restarted node ---\n"+p.Tail(4000))
 		}
-		if oerr := model.Observe(value, version); oerr != nil {
+		if oerr := model.Observe(floor, value, version); oerr != nil {
 			breach(cycle, oerr.Error(), prevTail+"\n--- restarted node ---\n"+p.Tail(4000))
 		}
 	}

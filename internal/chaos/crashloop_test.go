@@ -184,11 +184,12 @@ func TestCrashLoopSIGKILL(t *testing.T) {
 
 		// Invariant 1+2: no lost acknowledged writes, monotonic
 		// versions across reincarnation.
+		floor := model.Snapshot()
 		value, version, err := pollStat(ck, full, 20*time.Second)
 		if err != nil {
 			breach(cycle, err.Error(), prevTail+"\n--- restarted node ---\n"+p.Tail(4000))
 		}
-		if oerr := model.Observe(value, version); oerr != nil {
+		if oerr := model.Observe(floor, value, version); oerr != nil {
 			breach(cycle, oerr.Error(), prevTail+"\n--- restarted node ---\n"+p.Tail(4000))
 		}
 
@@ -284,7 +285,7 @@ func TestSyncLieLosesAckedWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oerr := model.Observe(v, ver); oerr != nil {
+		if oerr := model.Observe(model.Snapshot(), v, ver); oerr != nil {
 			reason = oerr.Error()
 		}
 	} else {

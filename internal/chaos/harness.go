@@ -261,16 +261,19 @@ func (m *Model) Ack(value, version uint64) {
 	}
 }
 
-// Observe checks one post-restart observation against the model and
-// folds it in. A non-nil error is an invariant breach.
-func (m *Model) Observe(value, version uint64) error {
+// Observe checks one post-restart observation against floor, the
+// model's Snapshot from before the observing read was sent, and folds
+// it in. Only writes acknowledged by then must be visible: traffic that
+// keeps running may ack a write the read preceded. A non-nil error is
+// an invariant breach.
+func (m *Model) Observe(floor ModelState, value, version uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if value < m.s.AckedValue {
-		return fmt.Errorf("lost acknowledged writes: observed value %d < acked floor %d", value, m.s.AckedValue)
+	if value < floor.AckedValue {
+		return fmt.Errorf("lost acknowledged writes: observed value %d < acked floor %d", value, floor.AckedValue)
 	}
-	if version < m.s.AckedVersion {
-		return fmt.Errorf("lost acknowledged checkpoint: observed version %d < acked floor %d", version, m.s.AckedVersion)
+	if version < floor.AckedVersion {
+		return fmt.Errorf("lost acknowledged checkpoint: observed version %d < acked floor %d", version, floor.AckedVersion)
 	}
 	if version < m.s.ObservedVersion {
 		return fmt.Errorf("version ran backwards across restart: %d after %d", version, m.s.ObservedVersion)

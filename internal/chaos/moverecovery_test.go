@@ -150,11 +150,12 @@ func startArmedMove(t *testing.T, bin string, point killpoint.Point, seed int64,
 func (f *moveFixture) verifyResolved(t *testing.T, r1 *Proc, forward bool) {
 	t.Helper()
 	// Invariant 1: acked-write floors hold across the resolved move.
+	floor := f.model.Snapshot()
 	value, version, err := pollStat(f.ck, f.full, 20*time.Second)
 	if err != nil {
 		f.breach(err.Error(), "--- restarted source ---\n"+r1.Tail(4000)+"\n--- destination ---\n"+f.p2.Tail(4000))
 	}
-	if oerr := f.model.Observe(value, version); oerr != nil {
+	if oerr := f.model.Observe(floor, value, version); oerr != nil {
 		f.breach(oerr.Error(), "--- restarted source ---\n"+r1.Tail(4000))
 	}
 	// Writes keep landing on the one live incarnation.

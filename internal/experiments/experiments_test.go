@@ -87,9 +87,12 @@ func TestE1Shape(t *testing.T) {
 			t.Errorf("row %d: remote (%v) not meaningfully above local (%v)", row, remote, local)
 		}
 	}
-	// The remote/local ratio must shrink as payloads grow.
-	if first, last := cell(t, tab, 0, 3), cell(t, tab, len(tab.Rows)-1, 3); last >= first {
-		t.Errorf("remote/local ratio did not shrink with payload: %v -> %v", first, last)
+	// Local is size-insensitive: nothing on the local path copies the
+	// payload — the request is the invoker's slice and the echo's Return
+	// gives it straight back — so 64 KiB costs what 64 B does, give or
+	// take scheduling noise.
+	if first, last := cell(t, tab, 0, 1), cell(t, tab, len(tab.Rows)-1, 1); last > 2*first+3 {
+		t.Errorf("local latency grew with payload: %v µs -> %v µs", first, last)
 	}
 }
 

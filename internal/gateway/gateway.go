@@ -33,8 +33,10 @@ import (
 )
 
 // ForeignOp is one operation of the foreign service: it receives the
-// request bytes and returns the response bytes. Errors are reported to
-// the invoker as application failures.
+// request bytes and returns the response bytes, which become the
+// invoker's reply as they are (kernel.Call.Return): the op must not
+// modify them, or hand them to anyone else, afterwards. Errors are
+// reported to the invoker as application failures.
 type ForeignOp func(data []byte) ([]byte, error)
 
 // Spec describes one gateway type.

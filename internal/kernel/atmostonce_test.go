@@ -13,7 +13,9 @@ import (
 // onceRig is node 2 serving crafted request frames "from" node 9, a
 // bare mesh endpoint that collects the reply frames. The type has a
 // state-changing operation, which can be held inside its handler, and a
-// read-only one; both count their executions.
+// read-only one; both count their executions. A third, "keep", changes
+// nothing but is not declared ReadOnly: it returns the first 8 bytes of
+// its request, a slice of the frame the request arrived in.
 type onceRig struct {
 	*sys
 	k         *Kernel
@@ -42,6 +44,9 @@ func newOnceRig(t *testing.T) *onceRig {
 	tm.Op(Operation{Name: "peek", ReadOnly: true, Handler: func(c *Call) {
 		c.Return(u64(uint64(r.peeks.Add(1))))
 	}})
+	tm.Op(Operation{Name: "keep", Access: AccessWrite, Handler: func(c *Call) {
+		c.Return(c.Data[:min(8, len(c.Data))])
+	}})
 	mustRegister(t, r.reg, tm)
 	var err error
 	if r.cp, err = r.k.Create("once", nil); err != nil {
@@ -65,7 +70,12 @@ func newOnceRig(t *testing.T) *onceRig {
 
 // frame is the request an invoker on node 9 would send for corr.
 func (r *onceRig) frame(op string, corr uint64) msg.Envelope {
-	req := msg.InvokeReq{Target: r.cp, Operation: op, TimeoutNanos: int64(5 * time.Second)}
+	return r.frameData(op, corr, nil)
+}
+
+// frameData is frame with data parameters.
+func (r *onceRig) frameData(op string, corr uint64, data []byte) msg.Envelope {
+	req := msg.InvokeReq{Target: r.cp, Operation: op, Data: data, TimeoutNanos: int64(5 * time.Second)}
 	return msg.Envelope{Kind: msg.KindInvokeReq, From: 9, To: 2, Corr: corr, Payload: req.Encode(nil)}
 }
 
@@ -107,6 +117,18 @@ func (r *onceRig) tableSize() int {
 	r.k.served.mu.Lock()
 	defer r.k.served.mu.Unlock()
 	return len(r.k.served.idx)
+}
+
+// recorded is the reply the table keeps for node 9's call corr.
+func (r *onceRig) recorded(t *testing.T, corr uint64) msg.InvokeRep {
+	t.Helper()
+	r.k.served.mu.Lock()
+	defer r.k.served.mu.Unlock()
+	n, ok := r.k.served.idx[servedKey{from: 9, corr: corr}]
+	if !ok {
+		t.Fatalf("call %d holds no slot", corr)
+	}
+	return r.k.served.ring[n%servedCacheSize].rep
 }
 
 // TestAtMostOnceTable is the specification of remote at-most-once
@@ -242,5 +264,28 @@ func TestBouncedCallDoesNotAgeOutItsExecution(t *testing.T) {
 	}
 	if got := r.bumps.Load(); got != servedCacheSize {
 		t.Errorf("%d executions, want %d", got, servedCacheSize)
+	}
+}
+
+// TestAtMostOnceKeepsRightSizedReplies: Return keeps the slice it is
+// given, so a handler that returns 8 bytes of a 64 KiB request gives the
+// kernel a slice of the whole receive frame. The table may keep the
+// reply for the next servedCacheSize calls; it must keep those 8 bytes,
+// not the frame behind them.
+func TestAtMostOnceKeepsRightSizedReplies(t *testing.T) {
+	r := newOnceRig(t)
+	body := make([]byte, 64<<10)
+	copy(body, "8 bytes!")
+	env := r.frameData("keep", 400, body)
+	r.k.serveInvoke(env)
+	if rep := r.answers(t, 1, 400)[0]; string(rep.Data) != "8 bytes!" {
+		t.Fatalf("reply = %q", rep.Data)
+	}
+	if kept := r.recorded(t, 400).Data; cap(kept) > 2*8+64 {
+		t.Errorf("the table keeps the 8-byte reply in a %d-byte array", cap(kept))
+	}
+	r.k.serveInvoke(env)
+	if rep := r.answers(t, 1, 400)[0]; string(rep.Data) != "8 bytes!" {
+		t.Errorf("retransmission answered %q", rep.Data)
 	}
 }

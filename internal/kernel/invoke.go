@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,6 +18,8 @@ import (
 type Reply struct {
 	// Data carries the data results. From another node they are the bytes
 	// inside the frame the reply arrived in, which nothing else refers to.
+	// From a local call they are the very slice the handler gave Return —
+	// the invoker's own request bytes, if the handler returned Call.Data.
 	Data []byte
 	// Caps carries the capability results.
 	Caps capability.List
@@ -110,7 +113,13 @@ func (t *servedTable) begin(key servedKey) (n uint64, rep msg.InvokeRep) {
 // end settles call n with its outcome. A call that met a moved or
 // passivated incarnation never ran: its slot is freed, so that the retry
 // — which may find the object elsewhere by then — is not answered here.
+// The slot keeps a copy of reply data that sits in a much larger array —
+// a handler that returned a few bytes of its request would otherwise
+// pin the whole receive frame for as long as the slot lives.
 func (t *servedTable) end(n uint64, rep msg.InvokeRep) {
+	if cap(rep.Data) > 2*len(rep.Data)+64 {
+		rep.Data = bytes.Clone(rep.Data)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &t.ring[n%servedCacheSize]

@@ -650,7 +650,7 @@ func (c *callCtx) runProcess() {
 		defer func() {
 			if r := recover(); r != nil {
 				call.status = msg.StatusError
-				call.replyData = []byte(fmt.Sprintf("operation %q panicked: %v", c.name, r))
+				call.replyData = fmt.Appendf(nil, "operation %q panicked: %v", c.name, r)
 			}
 		}()
 		op.Handler(call)
@@ -683,6 +683,11 @@ func (o *Object) waitDrainedLocked() {
 // kernel ("the major user-kernel interface"). It is part of the
 // invocation's pooled call frame: a handler must not use it, or hand it
 // to anything that uses it, after returning.
+//
+// Return gives: the slices a handler passes to Return and ReturnCaps
+// become the reply itself, not a copy of it, so the handler must not
+// modify them afterwards, and must not pass a buffer anything else
+// still writes or hands out.
 type Call struct {
 	k    *Kernel
 	self *Object
@@ -691,7 +696,8 @@ type Call struct {
 	Operation string
 	// Data carries the data parameters: the invoker's own slice for a
 	// local call; for a call from another node, the bytes inside the frame
-	// it arrived in, which belongs to this call alone.
+	// it arrived in, which belongs to this call alone. A handler that
+	// returns Data on a local call hands the invoker its own bytes back.
 	Data []byte
 	// Caps carries the capability parameters.
 	Caps capability.List
@@ -720,21 +726,26 @@ func (c *Call) Self() *Object { return c.self }
 // creation from within a handler.
 func (c *Call) Kernel() *Kernel { return c.k }
 
-// Return sets the invocation's data result.
+// Return sets the invocation's data result. It keeps data, uncopied: on
+// a local call it becomes the invoker's Reply.Data, and on a call from
+// another node the reply is encoded from it. The handler gives the bytes
+// away and must not modify them afterwards; nothing in the kernel does.
 func (c *Call) Return(data []byte) {
-	c.replyData = append([]byte(nil), data...)
+	c.replyData = data
 }
 
-// ReturnCaps sets the invocation's capability results.
+// ReturnCaps sets the invocation's capability results. Like Return it
+// keeps the list it is given: ReturnCaps(a, b) builds a fresh one, and a
+// handler that passes its own list with ReturnCaps(l...) gives it away.
 func (c *Call) ReturnCaps(caps ...capability.Capability) {
-	c.replyCaps = append(capability.List(nil), caps...)
+	c.replyCaps = caps
 }
 
 // Fail marks the invocation failed with an application-level message;
 // the invoker receives ErrInvocationFailed wrapping the message.
 func (c *Call) Fail(format string, args ...interface{}) {
 	c.status = msg.StatusError
-	c.replyData = []byte(fmt.Sprintf(format, args...))
+	c.replyData = fmt.Appendf(nil, format, args...)
 }
 
 // Invoke performs a nested invocation from inside this operation's
