@@ -11,7 +11,7 @@ import (
 // rights before it dispatches. Concretely: inside the kernel package,
 // any function that hands an invocation to a handler — calling a value
 // of the Handler type, or queueing a call at an object's scheduler
-// (coordState.arrive, the one enqueue site) — must first reach a rights
+// (Object.arrive, the one enqueue site) — must first reach a rights
 // check on the way there: a call into the rights machinery
 // (rights.Set/Capability Has/HasAny or any internal/rights function),
 // or a use of the ErrRights/StatusRights outcome.
@@ -122,14 +122,14 @@ func isHandlerCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isArriveCall reports whether the call queues an invocation at an
-// object's scheduler: the arrive method of coordState.
+// object's scheduler: the arrive method of Object.
 func isArriveCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "arrive" {
 		return false
 	}
 	tv, ok := info.Types[sel.X]
-	return ok && namedTypeName(tv.Type) == "coordState"
+	return ok && namedTypeName(tv.Type) == "Object"
 }
 
 // isRightsCheck reports whether the call is rights-verification

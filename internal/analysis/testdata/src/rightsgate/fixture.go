@@ -31,23 +31,19 @@ func dispatchUnchecked(op operation) {
 	op.h(2) // want "without a preceding rights check"
 }
 
-// coordState is an object's scheduler; arrive queues a call there.
-type coordState struct{ q []int }
+// Object is an active object; arrive queues a call at its scheduler.
+type Object struct{ q []int }
 
-func (cs *coordState) arrive(c int) { cs.q = append(cs.q, c) }
-
-type object struct {
-	cs coordState
-}
+func (o *Object) arrive(c int) { o.q = append(o.q, c) }
 
 // arriveChecked verifies rights before queueing and does not fire.
-func arriveChecked(have, need Set, o *object) {
+func arriveChecked(have, need Set, o *Object) {
 	if !have.Has(need) {
 		return
 	}
-	o.cs.arrive(3)
+	o.arrive(3)
 }
 
-func arriveUnchecked(o *object) {
-	o.cs.arrive(4) // want "queues a call at the object's scheduler without a preceding rights check"
+func arriveUnchecked(o *Object) {
+	o.arrive(4) // want "queues a call at the object's scheduler without a preceding rights check"
 }

@@ -11,6 +11,7 @@
 package edenid
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,17 +103,7 @@ func (id ID) String() string {
 
 // Compare orders IDs lexicographically by their encoded form, giving a
 // total order that sorts first by creating node, then by creation time.
-func Compare(a, b ID) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+func Compare(a, b ID) int { return bytes.Compare(a[:], b[:]) }
 
 // Encode appends the wire form of the ID to dst and returns the
 // extended slice.

@@ -29,7 +29,7 @@ package faultstore
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -422,7 +422,7 @@ func (s *Store) List() ([]edenid.ID, error) {
 	for id := range merged {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, edenid.Compare)
 	return out, nil
 }
 

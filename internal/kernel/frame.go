@@ -33,7 +33,11 @@ type callCtx struct {
 	op   *boundOp // what name resolved to; set by validate
 	// seq is the call's arrival order at the object: admission is FIFO
 	// within a class queue, and across classes the older head goes first.
-	seq  uint64
+	seq uint64
+	// next threads the class queue the call waits in (classState): the
+	// call behind it, or the head when it is the tail. nil once the call
+	// has left the queue. Guarded by o.sched.
+	next *callCtx
 	data []byte
 	caps capability.List
 	rts  rights.Set
@@ -95,7 +99,7 @@ func (c *callCtx) recycle() {
 	case <-c.reply:
 	default:
 	}
-	c.name, c.op, c.data, c.caps, c.o = "", nil, nil, nil, nil
+	c.name, c.op, c.next, c.data, c.caps, c.o = "", nil, nil, nil, nil, nil
 	c.queued, c.vproc = false, false
 	c.call = Call{}
 	c.k, c.env = nil, msg.Envelope{}

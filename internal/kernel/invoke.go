@@ -347,6 +347,7 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 		replica = k.replicas[id]
 	}
 	_, isBackup := k.backups[id]
+	rescan := k.scanErr != nil
 	k.mu.Unlock()
 
 	var shadowServe bool
@@ -366,6 +367,17 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 		obj = replica
 		shadowServe = replica.shadow
 	default:
+		// Whether a local record is a backup, or in doubt, is the boot
+		// scan's to say: one that failed runs again before the record is
+		// served, and while it still fails the call is refused.
+		if rescan {
+			if _, here := k.store.Stat(id); here {
+				if err := k.bootScan(); err != nil {
+					return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(err.Error())}, true, nil
+				}
+				return k.tryLocalOnce(req, allowReplica, origin, deadline)
+			}
+		}
 		// A pending move intent puts the local record in doubt: a
 		// committed move this node never finished may have superseded
 		// it. Resolve the transaction first (movetxn.go); serving the
@@ -521,7 +533,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		obj.sched.Unlock()
 		c.finish(k.retryAfterDown(obj, moved, passive))
 	} else {
-		obj.cs.arrive(c)
+		obj.arrive(c)
 		obj.sched.Unlock()
 	}
 	rep, ok := c.await(remaining)

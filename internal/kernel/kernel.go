@@ -203,6 +203,7 @@ type Kernel struct {
 	lastShip map[edenid.ID]time.Time         // last accepted checkpoint ship (home heartbeat)
 	intents  map[edenid.ID]store.MoveIntent  // durable move intents (boot-scanned + live)
 	boot     time.Time                       // kernel start, the lastShip stand-in for unseen objects
+	scanErr  error                           // why the boot scan failed; nil once one has succeeded (bootScan)
 	memInUse int64
 	closed   bool
 	// relieving is set while the one asynchronous eviction run (relieve)
@@ -331,35 +332,75 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	// restarted node's fresh ids from colliding with its previous
 	// incarnation's entries (which would replay stale replies).
 	k.corr.Store(uint64(time.Now().UnixNano()))
-	// Rebuild the backup registry from durable records. Without this a
-	// restarted checksite cannot tell backups it holds for other homes
-	// from its own checkpoints, and would answer locate queries as
-	// those objects' home while the real home is alive. The record's
-	// version is the last checkpoint this site acked before it went
-	// down, so it re-anchors the replica serving floor too. The store's
-	// directory answers; no representation is read.
-	if ids, err := st.List(); err == nil {
-		for _, id := range ids {
-			if m, ok := st.Stat(id); ok && m.Backup {
-				k.backups[id] = m.Home
-				k.minServe[id] = m.Version
-			}
-		}
-	}
-	// Load move intents that survived a crash: each marks an in-flight
-	// move transaction whose outcome is unknown until the destination is
-	// probed. Resolution is lazy (first touch — see movetxn.go), because
-	// at construction time no peer is reachable yet; until resolved the
-	// object is refused service rather than served from a record the
-	// committed move may have superseded.
-	if its, err := st.ListIntents(); err == nil {
-		for _, it := range its {
-			k.intents[it.Object] = it
-		}
-	}
+	k.scanErr = errNotScanned
+	_ = k.bootScan() // a failure is remembered, and retried on first need
 	k.loc = locator.New(cfg.Node, tr.Send, k.hostCheck)
 	tr.SetHandler(k.handleFrame)
 	return k
+}
+
+// errNotScanned is the boot scan's state before its first attempt.
+var errNotScanned = errors.New("kernel: store not scanned yet")
+
+// bootScan reads from the store what decides whether a local record may
+// be served as this node's own, and registers it; nothing is registered
+// unless the whole scan succeeds. A failed scan is remembered (scanErr)
+// and re-run before the next passive activation or hostCheck answer that
+// a local record would decide: until one succeeds, no local record is
+// served as this node's own. Once one has succeeded, calls do nothing.
+//
+// Backups: without them a restarted checksite cannot tell the records it
+// holds for other homes from its own checkpoints, and would reincarnate
+// one, or answer locate queries as its home, while the real home is
+// alive. A backup record's version is the last checkpoint this site
+// acked before it went down, so it re-anchors the replica serving floor
+// too. The store's directory answers; no representation is read.
+//
+// Move intents that survived a crash: each marks an in-flight move
+// transaction whose outcome is unknown until the destination is probed.
+// Resolution is lazy (first touch — see movetxn.go), because at
+// construction time no peer is reachable yet; until resolved the object
+// is refused service rather than served from a record the committed move
+// may have superseded.
+func (k *Kernel) bootScan() error {
+	k.mu.Lock()
+	done := k.scanErr == nil
+	k.mu.Unlock()
+	if done {
+		return nil
+	}
+	ids, err := k.store.List()
+	var its []store.MoveIntent
+	if err == nil {
+		its, err = k.store.ListIntents()
+	}
+	backups := make(map[edenid.ID]store.Meta)
+	for _, id := range ids {
+		if m, ok := k.store.Stat(id); ok && m.Backup {
+			backups[id] = m
+		}
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	switch {
+	case k.scanErr == nil:
+		return nil // a racing scan succeeded meanwhile
+	case err != nil:
+		k.scanErr = fmt.Errorf("kernel: boot scan of node %d's store: %w", k.cfg.Node, err)
+		return k.scanErr
+	}
+	k.scanErr = nil
+	for id, m := range backups {
+		if _, live := k.active[id]; live {
+			continue // moved in while the scan was failing: its own home now
+		}
+		k.backups[id] = m.Home
+		k.minServe[id] = max(k.minServe[id], m.Version)
+	}
+	for _, it := range its {
+		k.intents[it.Object] = it
+	}
+	return nil
 }
 
 // Node returns the node number.
@@ -443,7 +484,18 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	}
 	_, isBackup := k.backups[id]
 	it, inDoubt := k.intents[id]
+	rescan := k.scanErr != nil
 	k.mu.Unlock()
+	if rescan {
+		// A record here is a backup or in doubt only as far as the boot
+		// scan knows: answer from a scan that succeeded, or not as home.
+		if _, here := k.store.Stat(id); here {
+			if k.bootScan() != nil {
+				return false, false
+			}
+			return k.hostCheck(id, recover)
+		}
+	}
 	// An unresolved move transaction: the local record may already be
 	// superseded by the destination's installation, so this node must
 	// not answer as home (or advertise the record) until the intent

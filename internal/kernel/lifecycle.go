@@ -30,6 +30,11 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if o, ok := k.lookupActive(id); ok {
 		return o, nil // lost a benign race with another activation
 	}
+	// Until a boot scan has succeeded, no record here is known not to be
+	// a backup or in doubt.
+	if err := k.bootScan(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCrashed, err)
+	}
 	// A record held as a backup for another node's object must not be
 	// activated here while that home may be alive — that would create
 	// a second incarnation. The failure-recovery protocol (locator
@@ -362,12 +367,11 @@ var errBusy = errors.New("kernel: object busy")
 // in, or waiting for the incarnation. A writer suspended in a nested
 // invoke has left running but keeps its class slot. Caller holds o.sched.
 func (o *Object) quiescentLocked() bool {
-	if o.running != 0 || len(o.cs.resumeQ) != 0 {
+	if o.running != 0 || o.parked() {
 		return false
 	}
-	for i := range o.cs.classes {
-		cl := &o.cs.classes[i]
-		if cl.running != 0 || len(cl.q[AccessShared])+len(cl.q[AccessRead])+len(cl.q[AccessWrite]) != 0 {
+	for _, cl := range o.rows() {
+		if cl.running != 0 || cl.tail != [3]*callCtx{} {
 			return false
 		}
 	}
@@ -445,18 +449,26 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	o.state = stDown
 	o.movedTo = movedTo
 	passive := o.passive
-	queued, parked := o.cs.drain()
+	queued, parked := o.drain()
 	// The short-term state goes with the transition: a semaphore or port
-	// asked for later is made on a closed channel.
-	down := o.down
-	o.sems, o.ports = nil, nil
+	// asked for later is made on a closed channel. An incarnation that
+	// never made any has nothing to close or wait for.
+	st := o.short
+	var down chan struct{}
+	if st != nil {
+		down = st.down
+		st.sems, st.ports = nil, nil
+	}
 	o.sched.Unlock()
 	if down != nil {
 		close(down) // once: only the transition to stDown gets here
 	}
-	for _, c := range queued {
+	for c := queued; c != nil; {
+		next := c.next
+		c.next = nil
 		o.unqueue(c)
 		c.finish(downReply(movedTo, passive))
+		c = next
 	}
 	// Suspended writers parked for re-acquisition observe the terminal
 	// state: their Call.Invoke returns the lifecycle error instead of
@@ -464,7 +476,9 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	for _, grant := range parked {
 		grant <- false
 	}
-	o.behaviors.Wait()
+	if st != nil {
+		st.behaviors.Wait()
+	}
 }
 
 // Freeze makes the representation immutable: "When an object is frozen

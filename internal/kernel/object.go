@@ -41,6 +41,9 @@ const (
 // of control)". The representation is long-term state; everything
 // else here — class queues, semaphores, ports, behaviors —
 // is short-term state that "is never written to long-term storage".
+// Short-term state exists only while something runs or waits, so an
+// idle incarnation carries only its counts and empty queues: the rest
+// is one block made on first use (shortTerm).
 type Object struct {
 	k     *Kernel
 	id    edenid.ID
@@ -53,14 +56,12 @@ type Object struct {
 	mu      sync.RWMutex
 	rep     segment.Representation
 	version uint64 // checkpoint version counter
-	frozen  bool
 	// saved and savedFrozen are the version and frozen flag of the local
 	// home record this incarnation is known to match — the one it was
 	// decoded from, or that its latest fully successful Checkpoint wrote.
 	// saved is zero when there is none (never checkpointed, shipped in,
 	// promoted from a backup record, or checkpointing elsewhere).
-	saved       uint64
-	savedFrozen bool
+	saved uint64
 
 	// epoch is the object's residency epoch: set before the incarnation
 	// is published (Create, activate, acceptShip) and immutable for its
@@ -73,41 +74,58 @@ type Object struct {
 	// object's whole schedule — class queues and counts (cs), lifecycle
 	// state (Move, Crash, Passivate), the running-process count their
 	// quiesce waits on, and the recency eviction reads — and the
-	// short-term state made on demand: the down channel and the
-	// semaphore and port tables. An invoker enqueues and schedules its
-	// own call in one critical section, a finishing process settles its
-	// exit and schedules its successors in another, and nothing that can
-	// block — a handler, a Reincarnate hook, a send that might wait —
-	// ever runs inside one. sched is separate from mu so calls are
-	// admitted while readers sit inside View holding mu: with a single
-	// RWMutex, one blocked reader would stall every arrival's write-lock
-	// acquisition — and, since a waiting writer blocks new RLocks,
-	// serialize the whole pool.
+	// short-term state made on demand (short). An invoker enqueues and
+	// schedules its own call in one critical section, a finishing process
+	// settles its exit and schedules its successors in another, and
+	// nothing that can block — a handler, a Reincarnate hook, a send that
+	// might wait — ever runs inside one. sched is separate from mu so
+	// calls are admitted while readers sit inside View holding mu: with a
+	// single RWMutex, one blocked reader would stall every arrival's
+	// write-lock acquisition — and, since a waiting writer blocks new
+	// RLocks, serialize the whole pool.
 	sched       sync.Mutex
 	cs          coordState
-	state       objState
-	movedTo     uint32    // valid once state becomes stMoving->moved
-	passive     bool      // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
-	running     int       // handler processes currently executing
-	lastInvoked int64     // monotonic tick of the last admitted invocation
-	drained     sync.Cond // on sched
-
-	down  chan struct{}         // closed when active state is destroyed; made by the first downLocked
-	sems  map[string]*Semaphore // made by the first Semaphore
-	ports map[string]*Port      // made by the first Port
+	lastInvoked int64      // monotonic tick of the last admitted invocation
+	short       *shortTerm // made by the first use that needs it (shortLocked)
 
 	charged atomic.Int64 // bytes charged to the node's memory budget
 
+	movedTo uint32 // valid once state becomes stMoving->moved
+	// home names the object's true home node when this incarnation is a
+	// replica (below).
+	home    uint32
+	running int32 // handler processes currently executing
+	state   objState
+
+	// The flags. frozen and savedFrozen are mu's; passive is sched's.
+	frozen      bool
+	savedFrozen bool
+	passive     bool // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
 	// replica marks an incarnation serving for a remote home: a frozen
 	// replica cached here, or (shadow) a read-only reincarnation of the
-	// home's last checkpoint. home names the object's true home node.
-	// A shadow's version is fixed at construction — it never
-	// checkpoints — so the field may be read without mu once the
-	// shadow is published.
+	// home's last checkpoint. A shadow's version is fixed at construction
+	// — it never checkpoints — so the field may be read without mu once
+	// the shadow is published.
 	replica bool
 	shadow  bool
-	home    uint32
+}
 
+// shortTerm is the short-term state an incarnation makes only when
+// something needs it, under o.sched: a semaphore, port or behavior
+// (which all need down), a writer parked to re-acquire exclusivity, or a
+// quiesce that must wait for running processes. An incarnation that only
+// serves calls never makes one; teardown treats a nil block as nothing
+// to wake, close or wait for.
+type shortTerm struct {
+	down  chan struct{}         // closed when active state is destroyed; made by the first downLocked
+	sems  map[string]*Semaphore // made by the first Semaphore
+	ports map[string]*Port      // made by the first Port
+	// resumeQ holds suspended writers awaiting re-acquisition, each
+	// parked on its own capacity-1 grant: true once exclusivity is held
+	// again, false if the incarnation moved away or was destroyed
+	// meanwhile.
+	resumeQ   []chan bool
+	drained   sync.Cond // on o.sched: the last process out wakes a waiting quiesce
 	behaviors sync.WaitGroup
 }
 
@@ -122,27 +140,36 @@ func (k *Kernel) newObject(id edenid.ID, tt *typeTable, version uint64, frozen b
 		version: version,
 		frozen:  frozen,
 	}
-	o.cs.o = o
-	if n := len(tt.classes); n <= len(o.cs.inline) {
-		o.cs.classes = o.cs.inline[:n]
-	} else {
-		o.cs.classes = make([]classState, n)
+	if n := len(tt.classes); n > len(o.cs.inline) {
+		rows := make([]classState, n)
+		o.cs.more = &rows
 	}
-	o.drained.L = &o.sched
 	return o
+}
+
+// shortLocked returns the incarnation's short-term state, making it on
+// first use. The caller holds o.sched.
+func (o *Object) shortLocked() *shortTerm {
+	if o.short == nil {
+		st := &shortTerm{}
+		st.drained.L = &o.sched
+		o.short = st
+	}
+	return o.short
 }
 
 // downLocked returns the channel closed when the active state is
 // destroyed, making it on first use: most incarnations never wait on
 // one. Made after teardown, it is made closed. The caller holds o.sched.
 func (o *Object) downLocked() chan struct{} {
-	if o.down == nil {
-		o.down = make(chan struct{})
+	st := o.shortLocked()
+	if st.down == nil {
+		st.down = make(chan struct{})
 		if o.state == stDown {
-			close(o.down)
+			close(st.down)
 		}
 	}
-	return o.down
+	return st.down
 }
 
 // ID returns the object's unique name.
@@ -232,14 +259,15 @@ func (o *Object) Update(fn func(r *segment.Representation) error) error {
 func (o *Object) Semaphore(name string, initial int) *Semaphore {
 	o.sched.Lock()
 	defer o.sched.Unlock()
-	if s, ok := o.sems[name]; ok {
+	st := o.shortLocked()
+	if s, ok := st.sems[name]; ok {
 		return s
 	}
 	s := newSemaphore(initial, initial+64, o.downLocked())
-	if o.sems == nil {
-		o.sems = make(map[string]*Semaphore)
+	if st.sems == nil {
+		st.sems = make(map[string]*Semaphore)
 	}
-	o.sems[name] = s
+	st.sems[name] = s
 	return s
 }
 
@@ -248,14 +276,15 @@ func (o *Object) Semaphore(name string, initial int) *Semaphore {
 func (o *Object) Port(name string, capacity int) *Port {
 	o.sched.Lock()
 	defer o.sched.Unlock()
-	if p, ok := o.ports[name]; ok {
+	st := o.shortLocked()
+	if p, ok := st.ports[name]; ok {
 		return p
 	}
 	p := newPort(capacity, o.downLocked(), o.k.tel.portWait)
-	if o.ports == nil {
-		o.ports = make(map[string]*Port)
+	if st.ports == nil {
+		st.ports = make(map[string]*Port)
 	}
-	o.ports[name] = p
+	st.ports[name] = p
 	return p
 }
 
@@ -267,10 +296,13 @@ func (o *Object) Port(name string, capacity int) *Port {
 func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 	o.sched.Lock()
 	stop := o.downLocked()
+	st := o.short
+	// Counted inside the monitor, so a teardown either waits for the
+	// behavior or closed stop before it started.
+	st.behaviors.Add(1)
 	o.sched.Unlock()
-	o.behaviors.Add(1)
 	go func() {
-		defer o.behaviors.Done()
+		defer st.behaviors.Done()
 		fn(stop)
 	}()
 }
@@ -283,11 +315,49 @@ const maxWriteBatch = 16
 // unit of synchronization. running counts the class's executing
 // processes against its limit, whatever their access mode; the queue is
 // split by mode (indexed by Access) so that writer preference is a
-// choice between queues rather than a search through one.
+// choice between queues rather than a search through one. Each queue is
+// a circular FIFO threaded through the queued frames' next field: it
+// keeps only its tail, whose next is the head, so queueing never
+// allocates. n counts each queue against Config.AdmissionQueue.
 type classState struct {
-	running int
-	q       [3][]*callCtx
-	first   [3][1]*callCtx // each queue's first backing array, so that an incarnation's first call queues without allocating
+	running int32
+	n       [3]int32
+	tail    [3]*callCtx
+}
+
+// push appends c to the mode's queue.
+func (cl *classState) push(mode Access, c *callCtx) {
+	if t := cl.tail[mode]; t == nil {
+		c.next = c
+	} else {
+		c.next, t.next = t.next, c
+	}
+	cl.tail[mode] = c
+	cl.n[mode]++
+}
+
+// head returns the first call in the mode's queue, nil when it is empty.
+func (cl *classState) head(mode Access) *callCtx {
+	if t := cl.tail[mode]; t != nil {
+		return t.next
+	}
+	return nil
+}
+
+// unlink takes c, whose predecessor in the mode's queue is prev, out of
+// the queue, and clears its next.
+func (cl *classState) unlink(mode Access, prev, c *callCtx) {
+	switch {
+	case c == prev: // the only call queued
+		cl.tail[mode] = nil
+	case c == cl.tail[mode]:
+		prev.next = c.next
+		cl.tail[mode] = prev
+	default:
+		prev.next = c.next
+	}
+	c.next = nil
+	cl.n[mode]--
 }
 
 // coordState is the coordinator's scheduling state: Eden's "tree of
@@ -298,26 +368,35 @@ type classState struct {
 // nothing; read processes fan out to a bounded pool; a write process
 // excludes readers and writers, in arrival order and with preference
 // over queued readers. Two policies pipeline the write mode: writers
-// suspended in a nested invoke release exclusivity into resumeQ and
-// re-acquire with priority over everything queued, and a consecutive
-// run of queued calls to one Commutes operation is batched into a
-// single exclusive admission. The coordinator — "kernel code responsible
-// for maintenance of the object, reception of invocation requests ...,
-// verification of rights, and dispatching of processes to invocations" —
-// is this state and the methods below, run under o.sched by whichever
-// goroutine has an event to report: an invoker arriving, a process
-// finishing, a writer yielding or re-acquiring, a move aborting.
+// suspended in a nested invoke release exclusivity into the short-term
+// resumeQ and re-acquire with priority over everything queued, and a
+// consecutive run of queued calls to one Commutes operation is batched
+// into a single exclusive admission. The coordinator — "kernel code
+// responsible for maintenance of the object, reception of invocation
+// requests ..., verification of rights, and dispatching of processes to
+// invocations" — is this state and the Object methods below, run under
+// o.sched by whichever goroutine has an event to report: an invoker
+// arriving, a process finishing, a writer yielding or re-acquiring, a
+// move aborting.
 type coordState struct {
-	o       *Object
-	classes []classState  // parallel to o.table.classes
-	inline  [2]classState // classes' storage when the type has at most two, as EFS's file has
-	active  [3]int        // executing processes per access mode; a yielded writer is not counted
-	seq     uint64        // arrival stamp of the next queued call
-	// resumeQ holds suspended writers awaiting re-acquisition, each
-	// parked on its own capacity-1 grant: true once exclusivity is held
-	// again, false if the incarnation moved away or was destroyed
-	// meanwhile.
-	resumeQ []chan bool
+	seq    uint64        // arrival stamp of the next queued call
+	inline [2]classState // the class rows of a type with at most two classes, as EFS's file has
+	more   *[]classState // the class rows of a type with more
+	active [3]int32      // executing processes per access mode; a yielded writer is not counted
+}
+
+// rows returns the incarnation's class rows, parallel to o.table.classes.
+func (o *Object) rows() []classState {
+	if o.cs.more != nil {
+		return *o.cs.more
+	}
+	return o.cs.inline[:len(o.table.classes)]
+}
+
+// parked reports whether a suspended writer waits to re-acquire
+// exclusivity. The caller holds o.sched.
+func (o *Object) parked() bool {
+	return o.short != nil && len(o.short.resumeQ) > 0
 }
 
 // validate resolves one call's operation and verifies it may run here —
@@ -362,26 +441,21 @@ func (o *Object) validate(c *callCtx) (msg.InvokeRep, bool) {
 // arrive appends one validated call to its class's queue — the one way
 // into the schedule, whatever the access mode — and schedules. The
 // caller holds o.sched and has seen the incarnation not down.
-func (cs *coordState) arrive(c *callCtx) {
-	o := cs.o
-	cl := &cs.classes[c.op.class]
-	q := &cl.q[c.op.mode]
-	if len(*q) >= o.k.cfg.AdmissionQueue {
+func (o *Object) arrive(c *callCtx) {
+	cl := &o.rows()[c.op.class]
+	if int(cl.n[c.op.mode]) >= o.k.cfg.AdmissionQueue {
 		// The queue sheds at the door rather than growing without
 		// bound, matching the transport's bounded send queues. Counted
 		// apart from deadline expiry (kernel.admission.shed).
 		o.shed(c, o.k.tel.queueFull)
 		return
 	}
-	c.seq = cs.seq
-	cs.seq++
+	c.seq = o.cs.seq
+	o.cs.seq++
 	c.queued = true
 	o.k.tel.admissionDepth.Add(1)
-	if *q == nil {
-		*q = cl.first[c.op.mode][:0]
-	}
-	*q = append(*q, c)
-	cs.schedule()
+	cl.push(c.op.mode, c)
+	o.schedule()
 }
 
 // complete settles one finished process against its class, its mode and
@@ -389,15 +463,15 @@ func (cs *coordState) arrive(c *callCtx) {
 // and never re-acquired already released its exclusivity and left the
 // running count when it yielded — settling either again would free them
 // twice; its class slot it kept throughout.
-func (cs *coordState) complete(op *boundOp, holding bool) {
-	cs.classes[op.class].running--
+func (o *Object) complete(op *boundOp, holding bool) {
+	o.rows()[op.class].running--
 	if holding || op.mode != AccessWrite {
-		cs.active[op.mode]--
+		o.cs.active[op.mode]--
 	}
 	if holding {
-		cs.o.leave()
+		o.leave()
 	}
-	cs.schedule()
+	o.schedule()
 }
 
 // schedule is the one drain loop. Expired calls are shed first — they
@@ -407,9 +481,9 @@ func (cs *coordState) complete(op *boundOp, holding bool) {
 // exclusion relation allows: writers before readers, so that a pending
 // writer waits only for running readers to drain while queued readers
 // stay queued behind it. The caller holds o.sched.
-func (cs *coordState) schedule() {
-	cs.shedExpired()
-	if cs.o.state != stActive {
+func (o *Object) schedule() {
+	o.shedExpired()
+	if o.state != stActive {
 		// Moving or passivating: nothing may start against a
 		// representation about to ship or be released, nor resume into
 		// one. Either may still fail, so queued calls and parked writers
@@ -418,18 +492,19 @@ func (cs *coordState) schedule() {
 		// record. Down: teardown has drained everything.
 		return
 	}
-	for len(cs.resumeQ) > 0 && cs.active[AccessWrite] == 0 && cs.active[AccessRead] == 0 {
-		cs.resumeQ[0] <- true // capacity 1, one verdict per request: never waits
-		cs.resumeQ = cs.resumeQ[1:]
-		cs.o.enter()
-		cs.active[AccessWrite]++
+	for o.parked() && o.cs.active[AccessWrite] == 0 && o.cs.active[AccessRead] == 0 {
+		st := o.short
+		st.resumeQ[0] <- true // capacity 1, one verdict per request: never waits
+		st.resumeQ = st.resumeQ[1:]
+		o.enter()
+		o.cs.active[AccessWrite]++
 	}
 	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
-		for cl := cs.oldest(mode); cl != nil && cs.admits(mode); cl = cs.oldest(mode) {
-			op := cl.q[mode][0].op
-			cs.admit(cl, mode)
+		for cl := o.oldest(mode); cl != nil && o.admits(mode); cl = o.oldest(mode) {
+			op := cl.head(mode).op
+			o.admit(cl, mode)
 			if op.Commutes {
-				cs.batchCommuting(cl, op)
+				o.batchCommuting(cl, op)
 			}
 		}
 	}
@@ -439,16 +514,16 @@ func (cs *coordState) schedule() {
 // mode may start beside those executing. A parked re-acquisition waits
 // for the object to go idle, so nothing that would keep it busy starts
 // ahead of it.
-func (cs *coordState) admits(mode Access) bool {
-	idle := len(cs.resumeQ) == 0 && cs.active[AccessWrite] == 0
+func (o *Object) admits(mode Access) bool {
+	idle := !o.parked() && o.cs.active[AccessWrite] == 0
 	switch mode {
 	case AccessWrite:
-		return idle && cs.active[AccessRead] == 0
+		return idle && o.cs.active[AccessRead] == 0
 	case AccessRead:
 		// Writer preference yields only to a writer that could take the
 		// slot: one whose class is full cannot, and holding readers back
 		// for it would idle the object.
-		return idle && cs.active[AccessRead] < cs.o.k.cfg.ReaderPool && cs.oldest(AccessWrite) == nil
+		return idle && int(o.cs.active[AccessRead]) < o.k.cfg.ReaderPool && o.oldest(AccessWrite) == nil
 	}
 	return true
 }
@@ -457,14 +532,15 @@ func (cs *coordState) admits(mode Access) bool {
 // arrived head among classes with room under their limit — nil when no
 // queued call of the mode can start. A limit of one yields mutual
 // exclusion among the class's operations.
-func (cs *coordState) oldest(mode Access) *classState {
+func (o *Object) oldest(mode Access) *classState {
 	var best *classState
-	for i := range cs.classes {
-		cl := &cs.classes[i]
-		if limit := cs.o.table.classes[i].limit; len(cl.q[mode]) == 0 || (limit > 0 && cl.running >= limit) {
+	rows := o.rows()
+	for i := range rows {
+		cl := &rows[i]
+		if limit := o.table.classes[i].limit; cl.tail[mode] == nil || (limit > 0 && int(cl.running) >= limit) {
 			continue
 		}
-		if best == nil || cl.q[mode][0].seq < best.q[mode][0].seq {
+		if best == nil || cl.head(mode).seq < best.head(mode).seq {
 			best = cl
 		}
 	}
@@ -476,18 +552,13 @@ func (cs *coordState) oldest(mode Access) *classState {
 // assigned the invocation" — charging the class, the mode and the
 // quiesce count. The object side's share of the frame passes from the
 // queue to the process.
-func (cs *coordState) admit(cl *classState, mode Access) {
-	q := cl.q[mode]
-	c := q[0]
-	q[0] = nil
-	if q = q[1:]; len(q) == 0 {
-		q = cl.q[mode][:0] // drained: rewind onto the backing array, so an idle queue costs no allocation per call
-	}
-	cl.q[mode] = q
-	cs.o.unqueue(c)
-	cs.o.enter()
+func (o *Object) admit(cl *classState, mode Access) {
+	c := cl.head(mode)
+	cl.unlink(mode, cl.tail[mode], c)
+	o.unqueue(c)
+	o.enter()
 	cl.running++
-	cs.active[mode]++
+	o.cs.active[mode]++
 	go c.run()
 }
 
@@ -498,52 +569,65 @@ func (cs *coordState) admit(cl *classState, mode Access) {
 // handler latencies overlap. The run stops at the first queued call
 // for a different operation (order toward non-commuting work is
 // preserved), at the batch bound or at the class limit.
-func (cs *coordState) batchCommuting(cl *classState, op *boundOp) {
-	for cs.active[AccessWrite] < maxWriteBatch && cs.oldest(AccessWrite) == cl && cl.q[AccessWrite][0].op == op {
-		cs.admit(cl, AccessWrite)
-		cs.o.k.tel.writeBatched.Inc()
+func (o *Object) batchCommuting(cl *classState, op *boundOp) {
+	for o.cs.active[AccessWrite] < maxWriteBatch && o.oldest(AccessWrite) == cl && cl.head(AccessWrite).op == op {
+		o.admit(cl, AccessWrite)
+		o.k.tel.writeBatched.Inc()
 	}
 }
 
 // shedExpired is the one deadline pass: it drops queued calls whose
-// caller deadline has passed. The caller has already given up, so
-// dispatching a process for the call would only burn a virtual
-// processor on a reply nobody reads.
-func (cs *coordState) shedExpired() {
+// caller deadline has passed, from wherever they sit in their queue. The
+// caller has already given up, so dispatching a process for the call
+// would only burn a virtual processor on a reply nobody reads.
+func (o *Object) shedExpired() {
 	var now time.Time
-	for i := range cs.classes {
-		for mode, q := range cs.classes[i].q {
-			if len(q) == 0 {
+	rows := o.rows()
+	for i := range rows {
+		cl := &rows[i]
+		for mode := range cl.tail {
+			if cl.tail[mode] == nil {
 				continue
 			}
 			if now.IsZero() {
 				now = time.Now()
 			}
-			kept := q[:0]
-			for _, c := range q {
-				if now.After(c.deadline) {
-					cs.o.shed(c, cs.o.k.tel.admissionShed)
+			// Once round the ring from the head; prev trails c.
+			prev := cl.tail[mode]
+			for n := cl.n[mode]; n > 0; n-- {
+				c := prev.next
+				if !now.After(c.deadline) {
+					prev = c
 					continue
 				}
-				kept = append(kept, c)
+				cl.unlink(Access(mode), prev, c)
+				o.shed(c, o.k.tel.admissionShed)
 			}
-			clear(q[len(kept):]) // shed entries must not linger reachable
-			cs.classes[i].q[mode] = kept
 		}
 	}
 }
 
 // drain empties the schedule at teardown, handing back every queued
-// call and every parked writer for destroyActiveState to answer once it
-// has left the monitor.
-func (cs *coordState) drain() (queued []*callCtx, parked []chan bool) {
-	for i := range cs.classes {
-		for mode, q := range cs.classes[i].q {
-			queued = append(queued, q...)
-			cs.classes[i].q[mode] = nil
+// call, chained through next, and every parked writer for
+// destroyActiveState to answer once it has left the monitor.
+func (o *Object) drain() (queued *callCtx, parked []chan bool) {
+	rows := o.rows()
+	for i := range rows {
+		cl := &rows[i]
+		for mode, t := range cl.tail {
+			if t == nil {
+				continue
+			}
+			// Open the ring at its tail onto the chain so far.
+			head := t.next
+			t.next = queued
+			queued = head
+			cl.tail[mode], cl.n[mode] = nil, 0
 		}
 	}
-	parked, cs.resumeQ = cs.resumeQ, nil
+	if st := o.short; st != nil {
+		parked, st.resumeQ = st.resumeQ, nil
+	}
 	return queued, parked
 }
 
@@ -568,8 +652,8 @@ func (o *Object) enter() {
 // move's quiesce. The caller holds o.sched.
 func (o *Object) leave() {
 	o.running--
-	if o.running == 0 {
-		o.drained.Broadcast()
+	if o.running == 0 && o.short != nil {
+		o.short.drained.Broadcast()
 	}
 }
 
@@ -582,7 +666,7 @@ func (o *Object) resumeService() {
 	if o.state == stMoving || o.state == stPassivating {
 		o.state = stActive
 	}
-	o.cs.schedule()
+	o.schedule()
 	o.sched.Unlock()
 }
 
@@ -658,7 +742,7 @@ func (c *callCtx) runProcess() {
 	o.k.tel.serveConc.Add(-1)
 
 	o.sched.Lock()
-	o.cs.complete(op, call.holding)
+	o.complete(op, call.holding)
 	// A crash that happened while the handler ran destroys its result:
 	// the invoker sees the crash, not a reply from a dead incarnation.
 	crashed := o.state == stDown && o.movedTo == 0
@@ -670,11 +754,12 @@ func (c *callCtx) runProcess() {
 	c.finish(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
 }
 
-// waitDrained blocks until no handler processes are running. Caller
-// must hold o.sched.
+// waitDrainedLocked blocks until no handler processes are running. Only
+// a quiesce that must actually wait makes the short-term state it waits
+// on. Caller must hold o.sched.
 func (o *Object) waitDrainedLocked() {
 	for o.running > 0 {
-		o.drained.Wait()
+		o.shortLocked().drained.Wait()
 	}
 }
 
@@ -796,7 +881,7 @@ func (c *Call) yieldExclusivity() {
 	o.leave()
 	o.cs.active[AccessWrite]--
 	o.k.tel.writerYield.Inc()
-	o.cs.schedule()
+	o.schedule()
 	o.sched.Unlock()
 }
 
@@ -811,8 +896,9 @@ func (c *Call) reacquireExclusivity() error {
 		o.sched.Unlock()
 		return c.lostExclusivity()
 	}
-	o.cs.resumeQ = append(o.cs.resumeQ, grant)
-	o.cs.schedule()
+	st := o.shortLocked()
+	st.resumeQ = append(st.resumeQ, grant)
+	o.schedule()
 	o.sched.Unlock()
 	if !<-grant {
 		return c.lostExclusivity()
@@ -908,12 +994,14 @@ func (o *Object) Describe() Anatomy {
 	o.mu.RUnlock()
 
 	o.sched.Lock()
-	a.Running = o.running
-	for name := range o.sems {
-		a.Semaphores = append(a.Semaphores, name)
-	}
-	for name := range o.ports {
-		a.Ports = append(a.Ports, name)
+	a.Running = int(o.running)
+	if st := o.short; st != nil {
+		for name := range st.sems {
+			a.Semaphores = append(a.Semaphores, name)
+		}
+		for name := range st.ports {
+			a.Ports = append(a.Ports, name)
+		}
 	}
 	o.sched.Unlock()
 	sort.Strings(a.Semaphores)

@@ -316,7 +316,7 @@ type classSpec struct {
 // happens to the Operation in between.
 type boundOp struct {
 	*Operation
-	class int32 // index into typeTable.classes and coordState.classes
+	class int32 // index into typeTable.classes and the incarnation's class rows (Object.rows)
 	mode  Access
 }
 

@@ -472,3 +472,56 @@ func TestBackupRegistrySurvivesRestart(t *testing.T) {
 		t.Errorf("home read after restart = %d, want 3", got)
 	}
 }
+
+// TestFailedBootScanIsRetried: a checksite that restarts while its store
+// fails the boot scan must not take the backups it holds for their home.
+// While the scan fails, nothing here is served as the object's home;
+// once the store heals, the first touch re-runs the scan and the record
+// is a backup again. Skipping the failed scan instead reincarnated the
+// backup as a second home beside the live one.
+func TestFailedBootScanIsRetried(t *testing.T) {
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", &CreateOptions{
+		Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+
+	s.crashNode(2)
+	media := errors.New("media offline")
+	s.stores[2].FailWith(media)
+	k2 := s.addNodeCfg(2, nil)
+	id := cap.ID()
+	if home, _ := k2.hostCheck(id, true); home {
+		t.Error("scan failing: the checksite claims to be the home")
+	}
+	if _, err := k2.Object(id); !errors.Is(err, ErrCrashed) || !errors.Is(err, media) {
+		t.Errorf("scan failing: Object = %v, want ErrCrashed carrying the scan error", err)
+	}
+	// A call from the checksite still reaches the live home.
+	mustInvoke(t, k2, cap, "inc", nil)
+	if _, active := k2.lookupActive(id); active {
+		t.Fatal("scan failing: the backup was activated")
+	}
+
+	s.stores[2].FailWith(nil)
+	// The first touch after healing re-runs the scan: the record is a
+	// backup, so the call goes to the home and nothing activates here.
+	mustInvoke(t, k2, cap, "inc", nil)
+	if _, active := k2.lookupActive(id); active {
+		t.Fatal("store healed: the backup was activated as a second home")
+	}
+	if home, _ := k2.hostCheck(id, false); home {
+		t.Error("store healed: the checksite claims to be the home")
+	}
+	if _, err := k2.Object(id); !errors.Is(err, ErrNoCheckpoint) {
+		t.Errorf("store healed: Object = %v, want the backup refused (ErrNoCheckpoint)", err)
+	}
+	if got := counterValue(t, s.ks[1], cap, false); got != 3 {
+		t.Errorf("home counter = %d, want 3 (every inc ran at the home)", got)
+	}
+}

@@ -843,7 +843,7 @@ func (f *File) List() ([]edenid.ID, error) {
 		out = append(out, id)
 	}
 	f.dirMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, edenid.Compare)
 	return out, nil
 }
 
@@ -861,7 +861,7 @@ func (f *File) ListIntents() ([]MoveIntent, error) {
 		out = append(out, e.it)
 	}
 	f.dirMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i].Object, out[j].Object) < 0 })
+	slices.SortFunc(out, compareIntents)
 	return out, nil
 }
 

@@ -20,7 +20,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"eden/internal/edenid"
@@ -237,7 +237,7 @@ func (m *Memory) List() ([]edenid.ID, error) {
 	for id := range m.recs {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, edenid.Compare)
 	return out, nil
 }
 
@@ -277,9 +277,13 @@ func (m *Memory) ListIntents() ([]MoveIntent, error) {
 	for _, it := range m.intents {
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return edenid.Compare(out[i].Object, out[j].Object) < 0 })
+	slices.SortFunc(out, compareIntents)
 	return out, nil
 }
+
+// compareIntents orders move intents by object, as ListIntents returns
+// them.
+func compareIntents(a, b MoveIntent) int { return edenid.Compare(a.Object, b.Object) }
 
 // Len returns the number of checkpointed objects.
 func (m *Memory) Len() int {
