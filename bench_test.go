@@ -1,7 +1,8 @@
-// Benchmarks mirroring the experiment suite E1–E10 (see DESIGN.md and
-// EXPERIMENTS.md). Each experiment has a testing.B counterpart here so
-// `go test -bench` regenerates the evaluation's raw numbers; the
-// formatted tables come from cmd/edenbench.
+// Per-mechanism Go benchmarks: one testing.B per kernel mechanism —
+// invocation, classes, checkpoint and reincarnation, frozen replicas,
+// mobility, location, recovery, EFS, dispatch depth and single-level
+// memory — so `go test -bench . -benchmem` prices each one in time and
+// allocations. The end-to-end benchmark is benchmark/ (DESIGN.md §4).
 package eden_test
 
 import (
@@ -12,7 +13,6 @@ import (
 
 	"eden"
 	"eden/internal/efs"
-	"eden/internal/ether"
 	"eden/internal/kernel"
 	"eden/internal/transport"
 )
@@ -51,7 +51,7 @@ func benchSystem(b *testing.B, n int) (*eden.System, []*eden.Node) {
 	return sys, nodes
 }
 
-// ---- E1: invocation latency ----
+// ---- invocation latency ----
 
 func benchInvoke(b *testing.B, remote bool, payload int) {
 	_, nodes := benchSystem(b, 2)
@@ -150,7 +150,7 @@ func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
 	}
 }
 
-// ---- E2: invocation classes ----
+// ---- invocation classes ----
 
 func benchClassLimit(b *testing.B, limit int) {
 	sys, nodes := benchSystem(b, 1)
@@ -181,7 +181,7 @@ func BenchmarkClassLimit1(b *testing.B)         { benchClassLimit(b, 1) }
 func BenchmarkClassLimit4(b *testing.B)         { benchClassLimit(b, 4) }
 func BenchmarkClassLimitUnlimited(b *testing.B) { benchClassLimit(b, 0) }
 
-// ---- E3: checkpoint and reincarnation ----
+// ---- checkpoint and reincarnation ----
 
 func benchCheckpoint(b *testing.B, size int) {
 	_, nodes := benchSystem(b, 1)
@@ -235,7 +235,7 @@ func BenchmarkReincarnate(b *testing.B) {
 	}
 }
 
-// ---- E4: frozen replicas ----
+// ---- frozen replicas ----
 
 func benchFrozenReplica(b *testing.B, replicated bool) {
 	_, nodes := benchSystem(b, 2)
@@ -271,7 +271,7 @@ func benchFrozenReplica(b *testing.B, replicated bool) {
 func BenchmarkFrozenReadRemoteHome(b *testing.B)   { benchFrozenReplica(b, false) }
 func BenchmarkFrozenReadLocalReplica(b *testing.B) { benchFrozenReplica(b, true) }
 
-// ---- E5: mobility ----
+// ---- mobility ----
 
 func BenchmarkMove64KB(b *testing.B) {
 	_, nodes := benchSystem(b, 2)
@@ -297,26 +297,7 @@ func BenchmarkMove64KB(b *testing.B) {
 	}
 }
 
-// ---- E6: Ethernet simulator ----
-
-func benchEthernet(b *testing.B, load float64) {
-	cfg := ether.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := ether.SweepLoad(cfg, 16, 8000, []float64{load}, 500*time.Millisecond, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pts[0].Utilization < 0 {
-			b.Fatal("impossible utilization")
-		}
-	}
-}
-
-func BenchmarkEthernetLoad50(b *testing.B)  { benchEthernet(b, 0.5) }
-func BenchmarkEthernetLoad150(b *testing.B) { benchEthernet(b, 1.5) }
-
-// ---- E7: location ----
+// ---- location ----
 
 func BenchmarkLocateCold(b *testing.B) {
 	_, nodes := benchSystem(b, 3)
@@ -355,7 +336,7 @@ func BenchmarkLocateWarm(b *testing.B) {
 	}
 }
 
-// ---- E8: recovery ----
+// ---- recovery ----
 
 func BenchmarkRecoveryFromChecksite(b *testing.B) {
 	// Each iteration: crash a home node and recover its object at the
@@ -388,7 +369,7 @@ func BenchmarkRecoveryFromChecksite(b *testing.B) {
 	}
 }
 
-// ---- E9: EFS ----
+// ---- EFS ----
 
 // efsBenchHistory is how many versions a commit benchmark puts in one
 // file before starting a fresh one: a commit checkpoints the file's
@@ -491,7 +472,7 @@ func BenchmarkEFSContendedHotFile(b *testing.B) {
 	}
 }
 
-// ---- E10: dispatch depth ----
+// ---- dispatch depth ----
 
 func benchDispatchDepth(b *testing.B, depth int) {
 	sys, nodes := benchSystem(b, 1)
@@ -524,7 +505,7 @@ func BenchmarkDispatchDepth0(b *testing.B) { benchDispatchDepth(b, 0) }
 func BenchmarkDispatchDepth4(b *testing.B) { benchDispatchDepth(b, 4) }
 func BenchmarkDispatchDepth8(b *testing.B) { benchDispatchDepth(b, 8) }
 
-// ---- E11: single-level memory ----
+// ---- single-level memory ----
 
 // benchPagedInvoke reads round-robin over objects of which the memory
 // budget holds the given fraction, on a memory store or (storeDir set)

@@ -143,7 +143,8 @@ const (
 	// bounded per-object reader pool and run concurrently.
 	AccessRead = kernel.AccessRead
 	// AccessWrite marks the operation mutating; its process runs
-	// exclusively, with writer preference over queued readers.
+	// exclusively, with writer preference over queued readers, and holds
+	// the object across any nested invoke it makes.
 	AccessWrite = kernel.AccessWrite
 )
 

@@ -62,8 +62,7 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 	opName := "?"
 	access := -1 // unset
 	readOnly := false
-	commutes := false
-	var accessExpr, commutesExpr, handler ast.Expr
+	var accessExpr, handler ast.Expr
 
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
@@ -90,11 +89,6 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 			if v := constValue(pass.Info, kv.Value); v != nil && v.Kind() == constant.Bool {
 				readOnly = constant.BoolVal(v)
 			}
-		case "Commutes":
-			commutesExpr = kv.Value
-			if v := constValue(pass.Info, kv.Value); v != nil && v.Kind() == constant.Bool {
-				commutes = constant.BoolVal(v)
-			}
 		case "Handler":
 			handler = kv.Value
 		}
@@ -105,17 +99,6 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 	if readOnly && access == accessWriteVal {
 		pass.Reportf(accessExpr.Pos(),
 			"operation %q declares ReadOnly: true but Access: AccessWrite; a read-only writer is a contradiction", opName)
-		return
-	}
-	// Commutativity only means something for exclusive writers: the
-	// coordinator batches a queued run of a Commutes operation into one
-	// exclusive admission. Readers already run concurrently and shared
-	// operations schedule outside the reader/writer queues, so the
-	// declaration there is a mistake the kernel rejects at
-	// registration; this is its static mirror.
-	if commutes && access != accessWriteVal {
-		pass.Reportf(commutesExpr.Pos(),
-			"operation %q declares Commutes without Access: AccessWrite; only exclusive writers are batched", opName)
 		return
 	}
 	if access != accessReadVal && !readOnly {

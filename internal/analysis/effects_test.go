@@ -137,8 +137,8 @@ func use(fn func()) {
 }
 
 // TestKernelMethodTablesComplete guards the fail-closed contract: every
-// method of segment.Representation and kernel.Object must be listed in
-// exactly one purity table (Representation's mutating set is implicit:
+// method of segment.Representation, kernel.Object and kernel.Call must be
+// listed in exactly one purity table (Representation's mutating set is implicit:
 // anything unlisted). A new kernel method that is genuinely read-only
 // gets added to a table here deliberately; until then accesspurity
 // treats it as mutating.
@@ -177,25 +177,33 @@ func TestKernelMethodTablesComplete(t *testing.T) {
 			}
 		}
 	}
-	// Object must be fully classified (pure, mutating, or one of the
-	// specially-analyzed accessors) — an unclassified method is treated
-	// as mutating by walkKernelMethod, which is safe but should be a
-	// decision, not an accident.
+	// Object and Call must be fully classified (in a table, or one of the
+	// specially-analyzed accessors). An unclassified Object method is
+	// treated as mutating by walkKernelMethod, which is safe but should
+	// be a decision, not an accident; Self is Call's one accessor.
 	kernelPkg, err := loader.Import("eden/internal/kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	objType := kernelPkg.Scope().Lookup("Object").Type().(*types.Named)
-	special := map[string]bool{"View": true, "SpawnBehavior": true}
-	for i := 0; i < objType.NumMethods(); i++ {
-		m := objType.Method(i)
-		if !m.Exported() {
-			continue
-		}
-		if !objectPureMethods[m.Name()] && !objectMutatingMethods[m.Name()] && !special[m.Name()] {
-			t.Errorf("kernel.Object.%s is in no purity table; accesspurity will treat it as mutating — classify it deliberately", m.Name())
+	classified := func(typeName string, special map[string]bool, tables ...map[string]bool) {
+		t.Helper()
+		named := kernelPkg.Scope().Lookup(typeName).Type().(*types.Named)
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			if !m.Exported() || special[m.Name()] {
+				continue
+			}
+			listed := false
+			for _, table := range tables {
+				listed = listed || table[m.Name()]
+			}
+			if !listed {
+				t.Errorf("kernel.%s.%s is in no purity table; classify it deliberately", typeName, m.Name())
+			}
 		}
 	}
+	classified("Object", map[string]bool{"View": true, "SpawnBehavior": true}, objectPureMethods, objectMutatingMethods)
+	classified("Call", map[string]bool{"Self": true}, callPureMethods)
 	check("segment", "Representation", repPureMethods)
 	check("kernel", "Object", objectPureMethods, objectMutatingMethods)
 	check("kernel", "Call", callPureMethods)

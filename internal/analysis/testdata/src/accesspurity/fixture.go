@@ -54,33 +54,6 @@ func register(tm *kernel.TypeManager) {
 		Handler:  func(c *kernel.Call) {},
 	})
 
-	// Commutes only means something for exclusive writers: the
-	// coordinator batches queued commuting writers into one exclusive
-	// admission. On a reader the declaration is a category error.
-	tm.Op(kernel.Operation{
-		Name:     "commute-read",
-		Access:   kernel.AccessRead,
-		Commutes: true, // want "declares Commutes without Access: AccessWrite"
-		Handler:  func(c *kernel.Call) {},
-	})
-
-	// AccessShared (the zero value) with Commutes is the same mistake.
-	tm.Op(kernel.Operation{
-		Name:     "commute-shared",
-		Commutes: true, // want "declares Commutes without Access: AccessWrite"
-		Handler:  func(c *kernel.Call) {},
-	})
-
-	// A commuting writer is the intended shape; nothing fires.
-	tm.Op(kernel.Operation{
-		Name:     "commute-ok",
-		Access:   kernel.AccessWrite,
-		Commutes: true,
-		Handler: func(c *kernel.Call) {
-			_ = c.Self().Update(func(r *segment.Representation) error { return nil })
-		},
-	})
-
 	// The mutation hides one call deep in a package-local helper.
 	tm.Op(kernel.Operation{
 		Name:   "bad-helper",

@@ -108,7 +108,7 @@ func DefaultConfig(node uint32, name string) Config {
 	}
 }
 
-// Stats counts kernel activity, for the experiment suite.
+// Stats counts kernel activity, for tests, benchmarks and operators.
 type Stats struct {
 	// LocalInvokes counts invocations satisfied without the network.
 	LocalInvokes int64
@@ -415,7 +415,7 @@ func (k *Kernel) Config() Config { return k.cfg }
 // Types returns the type registry the kernel dispatches against.
 func (k *Kernel) Types() *Registry { return k.types }
 
-// Locator exposes the node's location service (used by experiments to
+// Locator exposes the node's location service (used by the benchmark to
 // read cache statistics).
 func (k *Kernel) Locator() *locator.Locator { return k.loc }
 
@@ -450,7 +450,7 @@ func (k *Kernel) MemoryInUse() int64 {
 // ActiveObjects returns the IDs of objects with active incarnations on
 // this node (excluding replicas).
 //
-//edenvet:ignore capleak introspection for experiments and figures; the names confer no rights without a capability
+//edenvet:ignore capleak introspection for tests, benchmarks and figures; the names confer no rights without a capability
 func (k *Kernel) ActiveObjects() []edenid.ID {
 	k.mu.Lock()
 	defer k.mu.Unlock()

@@ -341,7 +341,7 @@ func (o *Object) Passivate() error {
 
 // claimPassivation is the one transition active → passivating. With
 // ifIdle it is refused unless the incarnation is quiescent — nothing
-// running, suspended or queued — checked in the critical section that
+// running or queued — checked in the critical section that
 // makes the transition, so no call can slip in between: whatever arrives
 // later queues behind the claim.
 func (o *Object) claimPassivation(ifIdle bool) error {
@@ -363,15 +363,15 @@ func (o *Object) claimPassivation(ifIdle bool) error {
 // or, for an eviction's, one that a call reached after it was chosen.
 var errBusy = errors.New("kernel: object busy")
 
-// quiescentLocked reports whether nothing is executing against, suspended
-// in, or waiting for the incarnation. A writer suspended in a nested
-// invoke has left running but keeps its class slot. Caller holds o.sched.
+// quiescentLocked reports whether nothing is executing against or
+// waiting for the incarnation: every admitted process counts in running
+// until it settles. Caller holds o.sched.
 func (o *Object) quiescentLocked() bool {
-	if o.running != 0 || o.parked() {
+	if o.running != 0 {
 		return false
 	}
 	for _, cl := range o.rows() {
-		if cl.running != 0 || cl.tail != [3]*callCtx{} {
+		if cl.tail != [3]*callCtx{} {
 			return false
 		}
 	}
@@ -436,8 +436,8 @@ func (k *Kernel) removeActive(o *Object) {
 }
 
 // destroyActiveState tears down the incarnation's short-term state:
-// stops dispatch, answers everything queued or parked so no invoker
-// hangs until its timeout, waits out behaviors. movedTo, when non-zero,
+// stops dispatch, answers everything queued so no invoker hangs until
+// its timeout, waits out behaviors. movedTo, when non-zero,
 // makes queued invocations bounce to the new home instead of reporting
 // a crash; those queued behind a passivation go back to resolution.
 func (o *Object) destroyActiveState(movedTo uint32) {
@@ -449,7 +449,7 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	o.state = stDown
 	o.movedTo = movedTo
 	passive := o.passive
-	queued, parked := o.drain()
+	queued := o.drain()
 	// The short-term state goes with the transition: a semaphore or port
 	// asked for later is made on a closed channel. An incarnation that
 	// never made any has nothing to close or wait for.
@@ -469,12 +469,6 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 		o.unqueue(c)
 		c.finish(downReply(movedTo, passive))
 		c = next
-	}
-	// Suspended writers parked for re-acquisition observe the terminal
-	// state: their Call.Invoke returns the lifecycle error instead of
-	// resuming into a shipped or destroyed representation.
-	for _, grant := range parked {
-		grant <- false
 	}
 	if st != nil {
 		st.behaviors.Wait()
@@ -865,7 +859,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 
 // evictUntil passivates least-recently-invoked idle objects until the
 // node's memory use drops to the target, and reports whether it did.
-// Only quiescent objects (no running, suspended or queued invocations,
+// Only quiescent objects (no running or queued invocations,
 // not replicas, not mid-move) are eligible; their active state is
 // released — after a checkpoint if anything changed since the last — to
 // be reincarnated transparently on the next invocation.

@@ -164,6 +164,48 @@ func TestRemoteChecksiteRecovery(t *testing.T) {
 	}
 }
 
+// TestHomeCrashSurvivalByChecksite: whether an object outlives its home
+// node depends on where its checkpoint is. With none it is lost; with a
+// local one it is unavailable while the node is down; a remote or
+// replicated checksite reincarnates it, checkpointed state intact.
+func TestHomeCrashSurvivalByChecksite(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		level    Reliability
+		ckpt     bool
+		survives bool
+	}{
+		{"no checkpoint", RelLocal, false, false},
+		{"local checkpoint", RelLocal, true, false},
+		{"remote checksite", RelRemote, true, true},
+		{"replicated checksite", RelReplicated, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys(t, 1, 2, 3)
+			mustRegister(t, s.reg, counterType(nil))
+			cap, _ := s.ks[1].Create("counter", nil)
+			obj, _ := s.ks[1].Object(cap.ID())
+			if tc.level != RelLocal {
+				if err := obj.SetChecksite(tc.level, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustInvoke(t, s.ks[1], cap, "inc", nil)
+			if tc.ckpt {
+				mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+			}
+			s.crashNode(1)
+			rep, err := s.ks[2].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+			if survived := err == nil; survived != tc.survives {
+				t.Fatalf("survived = %v (err %v), want %v", survived, err, tc.survives)
+			}
+			if tc.survives && fromU64(rep.Data) != 1 {
+				t.Errorf("recovered state = %d, want the checkpointed 1", fromU64(rep.Data))
+			}
+		})
+	}
+}
+
 func TestReplicatedChecksite(t *testing.T) {
 	s := newSys(t, 1, 2, 3)
 	mustRegister(t, s.reg, counterType(nil))

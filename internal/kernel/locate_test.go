@@ -116,7 +116,7 @@ func TestCreatorWithoutRecordCostsOneBroadcast(t *testing.T) {
 // TestDetachedCreatorRecoversWithinBudget: the creator is the home and
 // has failed; a checksite holds the object's checkpoint. The guess at the
 // dead creator is charged to the locate budget, so failure recovery
-// still completes inside the budget of the E8 experiment (a 3 s call,
+// still completes inside the budget of a survival test (a 3 s call,
 // 2 s locate timeout), as it did when the first touch broadcast.
 func TestDetachedCreatorRecoversWithinBudget(t *testing.T) {
 	if testing.Short() {

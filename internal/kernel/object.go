@@ -112,20 +112,14 @@ type Object struct {
 
 // shortTerm is the short-term state an incarnation makes only when
 // something needs it, under o.sched: a semaphore, port or behavior
-// (which all need down), a writer parked to re-acquire exclusivity, or a
-// quiesce that must wait for running processes. An incarnation that only
-// serves calls never makes one; teardown treats a nil block as nothing
-// to wake, close or wait for.
+// (which all need down), or a quiesce that must wait for running
+// processes. An incarnation that only serves calls never makes one;
+// teardown treats a nil block as nothing to close or wait for.
 type shortTerm struct {
-	down  chan struct{}         // closed when active state is destroyed; made by the first downLocked
-	sems  map[string]*Semaphore // made by the first Semaphore
-	ports map[string]*Port      // made by the first Port
-	// resumeQ holds suspended writers awaiting re-acquisition, each
-	// parked on its own capacity-1 grant: true once exclusivity is held
-	// again, false if the incarnation moved away or was destroyed
-	// meanwhile.
-	resumeQ   []chan bool
-	drained   sync.Cond // on o.sched: the last process out wakes a waiting quiesce
+	down      chan struct{}         // closed when active state is destroyed; made by the first downLocked
+	sems      map[string]*Semaphore // made by the first Semaphore
+	ports     map[string]*Port      // made by the first Port
+	drained   sync.Cond             // on o.sched: the last process out wakes a waiting quiesce
 	behaviors sync.WaitGroup
 }
 
@@ -307,10 +301,6 @@ func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 	}()
 }
 
-// maxWriteBatch bounds how many commuting writers share one exclusive
-// admission — the write-side analogue of the reader pool.
-const maxWriteBatch = 16
-
 // classState is one invocation class of one incarnation: the paper's
 // unit of synchronization. running counts the class's executing
 // processes against its limit, whatever their access mode; the queue is
@@ -367,22 +357,18 @@ func (cl *classState) unlink(mode Access, prev, c *callCtx) {
 // class has room and its mode admits it: shared processes exclude
 // nothing; read processes fan out to a bounded pool; a write process
 // excludes readers and writers, in arrival order and with preference
-// over queued readers. Two policies pipeline the write mode: writers
-// suspended in a nested invoke release exclusivity into the short-term
-// resumeQ and re-acquire with priority over everything queued, and a
-// consecutive run of queued calls to one Commutes operation is batched
-// into a single exclusive admission. The coordinator — "kernel code
-// responsible for maintenance of the object, reception of invocation
-// requests ..., verification of rights, and dispatching of processes to
-// invocations" — is this state and the Object methods below, run under
-// o.sched by whichever goroutine has an event to report: an invoker
-// arriving, a process finishing, a writer yielding or re-acquiring, a
-// move aborting.
+// over queued readers, and holds that exclusivity until it returns,
+// across any nested invoke. The coordinator — "kernel code responsible
+// for maintenance of the object, reception of invocation requests ...,
+// verification of rights, and dispatching of processes to invocations"
+// — is this state and the Object methods below, run under o.sched by
+// whichever goroutine has an event to report: an invoker arriving, a
+// process finishing, a move aborting.
 type coordState struct {
 	seq    uint64        // arrival stamp of the next queued call
 	inline [2]classState // the class rows of a type with at most two classes, as EFS's file has
 	more   *[]classState // the class rows of a type with more
-	active [3]int32      // executing processes per access mode; a yielded writer is not counted
+	active [3]int32      // executing processes per access mode
 }
 
 // rows returns the incarnation's class rows, parallel to o.table.classes.
@@ -391,12 +377,6 @@ func (o *Object) rows() []classState {
 		return *o.cs.more
 	}
 	return o.cs.inline[:len(o.table.classes)]
-}
-
-// parked reports whether a suspended writer waits to re-acquire
-// exclusivity. The caller holds o.sched.
-func (o *Object) parked() bool {
-	return o.short != nil && len(o.short.resumeQ) > 0
 }
 
 // validate resolves one call's operation and verifies it may run here —
@@ -459,63 +439,42 @@ func (o *Object) arrive(c *callCtx) {
 }
 
 // complete settles one finished process against its class, its mode and
-// the quiesce count, and schedules its successors. A writer that yielded
-// and never re-acquired already released its exclusivity and left the
-// running count when it yielded — settling either again would free them
-// twice; its class slot it kept throughout.
-func (o *Object) complete(op *boundOp, holding bool) {
+// the quiesce count, and schedules its successors.
+func (o *Object) complete(op *boundOp) {
 	o.rows()[op.class].running--
-	if holding || op.mode != AccessWrite {
-		o.cs.active[op.mode]--
-	}
-	if holding {
-		o.leave()
-	}
+	o.cs.active[op.mode]--
+	o.leave()
 	o.schedule()
 }
 
 // schedule is the one drain loop. Expired calls are shed first — they
-// cost a queue slot, never a process. Suspended writers then re-acquire
-// exclusivity (they hold partially applied work and predate everything
-// queued). After that each mode admits, oldest head first, while the
-// exclusion relation allows: writers before readers, so that a pending
-// writer waits only for running readers to drain while queued readers
-// stay queued behind it. The caller holds o.sched.
+// cost a queue slot, never a process. After that each mode admits,
+// oldest head first, while the exclusion relation allows: writers before
+// readers, so that a pending writer waits only for running readers to
+// drain while queued readers stay queued behind it. The caller holds
+// o.sched.
 func (o *Object) schedule() {
 	o.shedExpired()
 	if o.state != stActive {
 		// Moving or passivating: nothing may start against a
-		// representation about to ship or be released, nor resume into
-		// one. Either may still fail, so queued calls and parked writers
-		// wait for the outcome — resumeService schedules them,
-		// destroyActiveState sends them on to the new home or the passive
-		// record. Down: teardown has drained everything.
+		// representation about to ship or be released. Either may still
+		// fail, so queued calls wait for the outcome — resumeService
+		// schedules them, destroyActiveState sends them on to the new
+		// home or the passive record. Down: teardown has drained
+		// everything.
 		return
-	}
-	for o.parked() && o.cs.active[AccessWrite] == 0 && o.cs.active[AccessRead] == 0 {
-		st := o.short
-		st.resumeQ[0] <- true // capacity 1, one verdict per request: never waits
-		st.resumeQ = st.resumeQ[1:]
-		o.enter()
-		o.cs.active[AccessWrite]++
 	}
 	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
 		for cl := o.oldest(mode); cl != nil && o.admits(mode); cl = o.oldest(mode) {
-			op := cl.head(mode).op
 			o.admit(cl, mode)
-			if op.Commutes {
-				o.batchCommuting(cl, op)
-			}
 		}
 	}
 }
 
 // admits is the exclusion relation: whether one more process of the
-// mode may start beside those executing. A parked re-acquisition waits
-// for the object to go idle, so nothing that would keep it busy starts
-// ahead of it.
+// mode may start beside those executing.
 func (o *Object) admits(mode Access) bool {
-	idle := !o.parked() && o.cs.active[AccessWrite] == 0
+	idle := o.cs.active[AccessWrite] == 0
 	switch mode {
 	case AccessWrite:
 		return idle && o.cs.active[AccessRead] == 0
@@ -562,20 +521,6 @@ func (o *Object) admit(cl *classState, mode Access) {
 	go c.run()
 }
 
-// batchCommuting extends a freshly granted exclusive admission to the
-// consecutive run of queued calls for the same Commutes operation:
-// their effects commute by declaration, so running them concurrently
-// preserves writer exclusivity toward everything else while their
-// handler latencies overlap. The run stops at the first queued call
-// for a different operation (order toward non-commuting work is
-// preserved), at the batch bound or at the class limit.
-func (o *Object) batchCommuting(cl *classState, op *boundOp) {
-	for o.cs.active[AccessWrite] < maxWriteBatch && o.oldest(AccessWrite) == cl && cl.head(AccessWrite).op == op {
-		o.admit(cl, AccessWrite)
-		o.k.tel.writeBatched.Inc()
-	}
-}
-
 // shedExpired is the one deadline pass: it drops queued calls whose
 // caller deadline has passed, from wherever they sit in their queue. The
 // caller has already given up, so dispatching a process for the call
@@ -608,9 +553,9 @@ func (o *Object) shedExpired() {
 }
 
 // drain empties the schedule at teardown, handing back every queued
-// call, chained through next, and every parked writer for
-// destroyActiveState to answer once it has left the monitor.
-func (o *Object) drain() (queued *callCtx, parked []chan bool) {
+// call, chained through next, for destroyActiveState to answer once it
+// has left the monitor.
+func (o *Object) drain() (queued *callCtx) {
 	rows := o.rows()
 	for i := range rows {
 		cl := &rows[i]
@@ -625,10 +570,7 @@ func (o *Object) drain() (queued *callCtx, parked []chan bool) {
 			cl.tail[mode], cl.n[mode] = nil, 0
 		}
 	}
-	if st := o.short; st != nil {
-		parked, st.resumeQ = st.resumeQ, nil
-	}
-	return queued, parked
+	return queued
 }
 
 // shed rejects one call with StatusTimeout before it costs a process,
@@ -658,9 +600,9 @@ func (o *Object) leave() {
 }
 
 // resumeService ends an aborted move or a failed passivation: the object
-// serves here again, and the calls and parked writers that waited out
-// the attempt are scheduled instead of timing out against a silent
-// queue (any whose caller deadline passed meanwhile are shed).
+// serves here again, and the calls that waited out the attempt are
+// scheduled instead of timing out against a silent queue (any whose
+// caller deadline passed meanwhile are shed).
 func (o *Object) resumeService() {
 	o.sched.Lock()
 	if o.state == stMoving || o.state == stPassivating {
@@ -727,8 +669,6 @@ func (c *callCtx) runProcess() {
 		Caps:      c.caps,
 		Rights:    c.rts,
 		status:    msg.StatusOK,
-		access:    op.mode,
-		holding:   true,
 	}
 	func() {
 		defer func() {
@@ -742,7 +682,7 @@ func (c *callCtx) runProcess() {
 	o.k.tel.serveConc.Add(-1)
 
 	o.sched.Lock()
-	o.complete(op, call.holding)
+	o.complete(op)
 	// A crash that happened while the handler ran destroys its result:
 	// the invoker sees the crash, not a reply from a dead incarnation.
 	crashed := o.state == stDown && o.movedTo == 0
@@ -793,22 +733,15 @@ type Call struct {
 	status    msg.Status
 	replyData []byte
 	replyCaps capability.List
-
-	// access is the process's access mode; holding reports
-	// whether the process currently counts in o.running and (for a
-	// writer) holds its exclusive slot. Only the handler goroutine
-	// touches holding after dispatch: a writer clears it across the
-	// yield window of a nested Call.Invoke and restores it on
-	// re-acquisition.
-	access  Access
-	holding bool
 }
 
 // Self returns the object executing the operation.
 func (c *Call) Self() *Object { return c.self }
 
 // Kernel returns the local kernel, for nested invocations and object
-// creation from within a handler.
+// creation from within a handler. A nested invoke holds the process's
+// place in the object's schedule across the wait: a writer stays
+// exclusive until its handler returns.
 func (c *Call) Kernel() *Kernel { return c.k }
 
 // Return sets the invocation's data result. It keeps data, uncopied: on
@@ -831,93 +764,6 @@ func (c *Call) ReturnCaps(caps ...capability.Capability) {
 func (c *Call) Fail(format string, args ...interface{}) {
 	c.status = msg.StatusError
 	c.replyData = fmt.Appendf(nil, format, args...)
-}
-
-// Invoke performs a nested invocation from inside this operation's
-// process. For an AccessWrite process the object's exclusivity is
-// released across the wait — the scheduler may admit readers, other
-// writers, a checkpoint, a passivation, even a move — and re-acquired
-// before the handler resumes, so a writer blocked on another object
-// no longer holds its home object idle end-to-end. Re-acquisition
-// fails (wrapping ErrMoving or ErrCrashed) when the incarnation moved
-// away or was destroyed while the writer was suspended; the handler
-// must then return without touching the representation — its local
-// copy is shipped or gone, and any mutation would be silently lost.
-// Mutations applied before the yield travel with a move and are
-// captured by a checkpoint taken during the window, so handlers that
-// need all-or-nothing effects should mutate only after the nested
-// invoke returns. Read and shared processes delegate to Kernel.Invoke
-// unchanged, as does Call.Kernel().Invoke for writers that must hold
-// exclusivity across the wait.
-func (c *Call) Invoke(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) (Reply, error) {
-	if c.access != AccessWrite || !c.holding {
-		return c.k.Invoke(target, operation, data, caps, opts)
-	}
-	c.yieldExclusivity()
-	rep, err := c.k.Invoke(target, operation, data, caps, opts)
-	if rerr := c.reacquireExclusivity(); rerr != nil {
-		return Reply{}, rerr
-	}
-	return rep, err
-}
-
-// InvokeAsync starts a nested invocation through the node's async
-// dispatcher without suspending the process; exclusivity is retained,
-// since nothing blocks. A writer that wants to overlap the wait with
-// other work can fire here, mutate, and collect with Pending.Wait —
-// but Wait itself holds exclusivity; use Call.Invoke where the wait
-// should release the object.
-func (c *Call) InvokeAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) *Pending {
-	return c.k.InvokeAsync(target, operation, data, caps, opts)
-}
-
-// yieldExclusivity releases a writer's exclusive slot: the process
-// leaves the running count (so a move's or passivation's quiesce can
-// proceed) and frees the admission for whatever is queued.
-func (c *Call) yieldExclusivity() {
-	o := c.self
-	c.holding = false
-	o.sched.Lock()
-	o.leave()
-	o.cs.active[AccessWrite]--
-	o.k.tel.writerYield.Inc()
-	o.schedule()
-	o.sched.Unlock()
-}
-
-// reacquireExclusivity parks the writer until the object is idle again
-// and lifecycle state permits resumption. Every parked writer gets a
-// verdict: schedule grants, teardown's drain refuses.
-func (c *Call) reacquireExclusivity() error {
-	o := c.self
-	grant := make(chan bool, 1)
-	o.sched.Lock()
-	if o.state == stDown {
-		o.sched.Unlock()
-		return c.lostExclusivity()
-	}
-	st := o.shortLocked()
-	st.resumeQ = append(st.resumeQ, grant)
-	o.schedule()
-	o.sched.Unlock()
-	if !<-grant {
-		return c.lostExclusivity()
-	}
-	c.holding = true
-	return nil
-}
-
-// lostExclusivity names the lifecycle state that ended a suspended
-// writer's incarnation mid-invoke.
-func (c *Call) lostExclusivity() error {
-	o := c.self
-	o.sched.Lock()
-	moved := o.movedTo
-	o.sched.Unlock()
-	if moved != 0 {
-		return fmt.Errorf("%w: object moved to node %d during nested invoke", ErrMoving, moved)
-	}
-	return fmt.Errorf("%w: incarnation destroyed during nested invoke", ErrCrashed)
 }
 
 // SegmentInfo describes one representation segment in an anatomy dump.

@@ -50,10 +50,8 @@ const (
 	// AccessWrite declares the operation mutating. Its process runs
 	// exclusively: pending readers drain first, queued readers wait
 	// behind it (writer preference), and writers execute one at a time
-	// in arrival order — except that a consecutive run of queued
-	// invocations of one Commutes operation shares a single exclusive
-	// admission, and a writer suspended in Call.Invoke releases its
-	// exclusivity across the nested wait.
+	// in arrival order. A writer holds its exclusivity until it returns,
+	// across any nested invoke it makes.
 	AccessWrite
 )
 
@@ -99,14 +97,6 @@ type Operation struct {
 	// ReadOnly marks operations that do not mutate the representation;
 	// only these may be served by a frozen replica on another node.
 	ReadOnly bool
-	// Commutes declares that concurrent executions of this operation
-	// on one object commute — any interleaving of their effects yields
-	// the same representation. The coordinator batches a consecutive
-	// run of queued invocations of a commuting operation into one
-	// exclusive admission and runs them concurrently. Only legal with
-	// AccessWrite: readers already run concurrently, and shared
-	// operations hold no exclusivity to batch.
-	Commutes bool
 	// Handler is the operation body.
 	Handler Handler
 }
@@ -178,13 +168,6 @@ func (t *TypeManager) Op(op Operation) *TypeManager {
 	} else if op.Access == AccessRead {
 		op.ReadOnly = true
 	}
-	// Commutativity is a property of concurrent mutations; on anything
-	// but an exclusive writer the declaration is meaningless and most
-	// likely a mistake, so it is rejected like the ReadOnly/AccessWrite
-	// contradiction. (The accesspurity analyzer mirrors this check.)
-	if op.Commutes && op.Access != AccessWrite {
-		panic(fmt.Sprintf("kernel: operation %q on type %q declares Commutes without AccessWrite", op.Name, t.Name))
-	}
 	t.Operations[op.Name] = &op
 	return t
 }
@@ -235,9 +218,6 @@ func (r *Registry) Register(t *TypeManager) error {
 			op.Access = AccessRead
 		} else if op.Access == AccessRead {
 			op.ReadOnly = true
-		}
-		if op.Commutes && op.Access != AccessWrite {
-			return fmt.Errorf("kernel: operation %q on type %q declares Commutes without AccessWrite", name, t.Name)
 		}
 		// A served request's operation name then decodes to this string,
 		// not to a new one per frame.

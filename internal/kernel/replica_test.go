@@ -108,6 +108,118 @@ func TestReplicaServesCheckpointReads(t *testing.T) {
 	}
 }
 
+// TestReplicaReadsProceedWhileHomeIsHeld counts what replica serving buys
+// instead of timing it. With a writer holding the home, reads that
+// tolerate a checkpoint's staleness still complete on the checksites,
+// several at once on each, and none reaches the home; a read that
+// demands the home waits behind the writer.
+func TestReplicaReadsProceedWhileHomeIsHeld(t *testing.T) {
+	s := replicaSys(t)
+	held := make(chan struct{})
+	release := make(chan struct{})
+	// A meet is one checksite's barrier: full closes once want reads are
+	// inside handlers on its node at the same time, and a read leaves only
+	// after that.
+	type meet struct {
+		mu   sync.Mutex
+		in   int
+		full chan struct{}
+	}
+	meets := map[uint32]*meet{2: {full: make(chan struct{})}, 3: {full: make(chan struct{})}}
+	want := min(4, s.ks[2].cfg.ReaderPool, s.ks[3].cfg.ReaderPool)
+	abort := make(chan struct{})
+	t.Cleanup(func() { close(abort) }) // runs before the kernels close
+	tm := NewType("heldread")
+	tm.Op(Operation{Name: "hold", Access: AccessWrite, Handler: func(c *Call) {
+		close(held)
+		<-release
+	}})
+	tm.Op(Operation{Name: "read", Access: AccessRead, Handler: func(c *Call) {
+		m := meets[c.Self().Node()]
+		if m == nil {
+			c.Fail("read ran on node %d, not on a checksite", c.Self().Node())
+			return
+		}
+		m.mu.Lock()
+		m.in++
+		select {
+		case <-m.full:
+		default:
+			if m.in >= want {
+				close(m.full)
+			}
+		}
+		m.mu.Unlock()
+		select {
+		case <-m.full:
+		case <-abort:
+		}
+		m.mu.Lock()
+		m.in--
+		m.mu.Unlock()
+	}})
+	mustRegister(t, s.reg, tm)
+	cap, err := s.ks[1].Create("heldread", &CreateOptions{
+		Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2, 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := s.ks[1].Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	holdDone := make(chan error, 1)
+	go func() {
+		_, err := s.ks[1].Invoke(cap, "hold", nil, nil, &InvokeOptions{Timeout: 10 * time.Second})
+		holdDone <- err
+	}()
+	select {
+	case <-held:
+	case err := <-holdDone:
+		t.Fatalf("hold returned without holding the home: %v", err)
+	}
+	defer func() {
+		close(release)
+		if err := <-holdDone; err != nil {
+			t.Errorf("hold: %v", err)
+		}
+	}()
+
+	servedBefore := s.ks[1].Stats().ServedInvokes
+	const reads = 8
+	errs := make(chan error, reads)
+	for i := 0; i < reads; i++ {
+		k := s.ks[uint32(2+i%2)]
+		go func() {
+			_, err := k.Invoke(cap, "read", nil, nil, &InvokeOptions{AllowReplica: true, Timeout: 5 * time.Second})
+			errs <- err
+		}()
+	}
+	for i := 0; i < reads; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("replica read with the home held: %v", err)
+		}
+	}
+	for n, m := range meets {
+		select {
+		case <-m.full:
+		default:
+			t.Errorf("node %d never ran %d replica reads at once", n, want)
+		}
+	}
+	if d := s.ks[1].Stats().ServedInvokes - servedBefore; d != 0 {
+		t.Errorf("home served %d invocations during replica reads, want 0", d)
+	}
+	if _, err := s.ks[1].Invoke(cap, "read", nil, nil, &InvokeOptions{Timeout: 150 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
+		t.Errorf("home-only read while the writer holds: err = %v, want ErrTimeout", err)
+	}
+}
+
 // TestReplicaStalenessBound pins the acceptance invariant: after a
 // write's checkpoint has been acknowledged (the "checkpoint" invoke
 // returned), no replica read observes an older version — the checksite

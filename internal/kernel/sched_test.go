@@ -2,17 +2,20 @@ package kernel
 
 // Tests for the reader/writer coordinator and deadline-aware
 // admission: access-class normalization, concurrent read fan-out, the
-// reader-pool bound, writer exclusivity and preference, deadline
-// shedding, virtual-processor exhaustion accounting, and the
-// reader/writer/checkpoint consistency stress.
+// reader-pool bound, writer exclusivity and preference, a writer's hold
+// across a nested invoke, deadline shedding, virtual-processor
+// exhaustion accounting, and the reader/writer/checkpoint consistency
+// stress.
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"eden/internal/capability"
 	"eden/internal/segment"
 	"eden/internal/store"
 	"eden/internal/telemetry"
@@ -374,6 +377,86 @@ func TestWriterPreference(t *testing.T) {
 		if ev == "read:late" && i < lastWrite {
 			t.Errorf("late reader ran before queued writer (no writer preference): %v", events)
 		}
+	}
+}
+
+// TestWriterHoldBlocksReaders specifies what a writer's nested invoke
+// does to its own object: nothing. The writer stays exclusive across the
+// wait, so a reader with a short budget times out instead of being
+// admitted, and the mutations on both sides of the nested call land
+// together.
+func TestWriterHoldBlocksReaders(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	gate := NewType("gate")
+	gate.Op(Operation{Name: "hold", Handler: func(c *Call) { <-release }})
+	set := func(c *Call, key string) error {
+		return c.Self().Update(func(r *segment.Representation) error {
+			r.SetData(key, []byte{1})
+			return nil
+		})
+	}
+	front := NewType("front")
+	front.Op(Operation{Name: "relay", Access: AccessWrite, Handler: func(c *Call) {
+		if err := set(c, "pre"); err != nil {
+			c.Fail("set pre: %v", err)
+			return
+		}
+		close(entered)
+		if _, err := c.Kernel().Invoke(c.Caps[0], "hold", nil, nil, nil); err != nil {
+			c.Fail("nested invoke: %v", err)
+			return
+		}
+		if err := set(c, "done"); err != nil {
+			c.Fail("set done: %v", err)
+		}
+	}})
+	front.Op(Operation{Name: "peek", Access: AccessRead, Handler: func(c *Call) {
+		out := make([]byte, 2)
+		c.Self().View(func(r *segment.Representation) {
+			for i, key := range []string{"pre", "done"} {
+				if b, err := r.Data(key); err == nil && len(b) == 1 {
+					out[i] = b[0]
+				}
+			}
+		})
+		c.Return(out)
+	}})
+	k, reg, _ := newSchedKernel(t, nil)
+	mustRegister(t, reg, gate, front)
+	gateCap, err := k.Create("gate", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontCap, err := k.Create("front", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayDone := make(chan error, 1)
+	go func() {
+		_, err := k.Invoke(frontCap, "relay", nil, capability.List{gateCap}, nil)
+		relayDone <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-relayDone:
+		t.Fatalf("relay returned before its nested invoke: %v", err)
+	}
+
+	if _, err := k.Invoke(frontCap, "peek", nil, nil, &InvokeOptions{Timeout: 150 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("reader while writer holds: err = %v, want ErrTimeout", err)
+	}
+
+	close(release)
+	if err := <-relayDone; err != nil {
+		t.Fatalf("relay: %v", err)
+	}
+	rep, err := k.Invoke(frontCap, "peek", nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rep.Data, []byte{1, 1}) {
+		t.Errorf("state (pre, done) = %v, want [1 1]", rep.Data)
 	}
 }
 

@@ -42,9 +42,6 @@ type kernelTel struct {
 	asyncQueueWait *telemetry.Histogram // table wait before a worker picks the entry up
 	asyncPortFull  *telemetry.Counter   // port completions that found the port full
 
-	writerYield  *telemetry.Counter // writers that released exclusivity across a nested invoke
-	writeBatched *telemetry.Counter // commuting writers co-admitted into an open batch
-
 	replicaHit        *telemetry.Counter   // reads served from a checkpoint shadow
 	replicaMiss       *telemetry.Counter   // stale-tolerant reads this checksite could not serve
 	replicaStale      *telemetry.Counter   // refusals because the record sat below the invalidation floor
@@ -76,8 +73,6 @@ const (
 	metricAsyncPending  = "kernel.async.pending"
 	metricAsyncWait     = "kernel.async.queue.wait"
 	metricAsyncPortFull = "kernel.async.port.full"
-	metricWriterYield   = "kernel.write.yield"
-	metricWriteBatched  = "kernel.write.batched"
 
 	metricReplicaHit        = "kernel.replica.hit"
 	metricReplicaMiss       = "kernel.replica.miss"
@@ -113,8 +108,6 @@ func newKernelTel(reg *telemetry.Registry) kernelTel {
 		asyncPending:   reg.Gauge(metricAsyncPending),
 		asyncQueueWait: reg.Histogram(metricAsyncWait),
 		asyncPortFull:  reg.Counter(metricAsyncPortFull),
-		writerYield:    reg.Counter(metricWriterYield),
-		writeBatched:   reg.Counter(metricWriteBatched),
 
 		replicaHit:        reg.Counter(metricReplicaHit),
 		replicaMiss:       reg.Counter(metricReplicaMiss),

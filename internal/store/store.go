@@ -12,7 +12,7 @@
 // are atomic per record: a reader either sees the previous checkpoint
 // or the new one, never a torn mixture — which is exactly the guarantee
 // reincarnation needs. Two implementations are provided: an in-memory
-// store (with injectable media failure, for the experiment suite) and a
+// store (with injectable media failure, for the tests) and a
 // file-backed store that survives process restarts as an append-only
 // log (file.go).
 package store
@@ -148,7 +148,7 @@ type Store interface {
 }
 
 // Memory is an in-memory Store with injectable failure, used by tests
-// and the failure-injection experiments. The zero value is ready to
+// and the failure-injection harnesses. The zero value is ready to
 // use.
 type Memory struct {
 	mu      sync.RWMutex

@@ -248,7 +248,7 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 }
 
 // Snapshot is a point-in-time copy of every instrument in a Registry,
-// the unit the HTTP endpoint serves and edenbench serializes.
+// the unit the HTTP endpoint serves and the benchmark's layer report reads.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`

@@ -2,7 +2,7 @@
 // nodes.
 //
 // Two implementations are provided behind one interface: an in-process
-// Mesh, used by the test and experiment suites, which supports
+// Mesh, used by the tests and the benchmark, which supports
 // injectable latency, loss, partitions and per-link traffic counters;
 // and a TCP transport (tcp.go) for running a real multi-process Eden
 // over the network. Both carry msg.Envelope frames and support the
@@ -167,13 +167,6 @@ func (m *Mesh) Stats() Stats {
 		Bytes:   m.bytes.Load(),
 		Dropped: m.dropped.Load(),
 	}
-}
-
-// ResetStats zeroes the traffic counters (between experiment phases).
-func (m *Mesh) ResetStats() {
-	m.frames.Store(0)
-	m.bytes.Store(0)
-	m.dropped.Store(0)
 }
 
 // Attach creates an endpoint for the given node number.

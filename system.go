@@ -243,13 +243,6 @@ func (s *System) Partition(a, b *Node) { s.mesh.Partition(a.num, b.num) }
 // Heal restores the link between two nodes.
 func (s *System) Heal(a, b *Node) { s.mesh.Heal(a.num, b.num) }
 
-// SetLoss sets the network's independent frame-loss probability.
-func (s *System) SetLoss(p float64) { s.mesh.SetLoss(p) }
-
-// SetLatency installs a per-link latency function (nil for immediate
-// delivery).
-func (s *System) SetLatency(f func(from, to uint32) time.Duration) { s.mesh.SetLatency(f) }
-
 // NetworkStats reports cumulative frame/byte/drop counters for the
 // in-process network.
 func (s *System) NetworkStats() transport.Stats { return s.mesh.Stats() }
@@ -258,10 +251,6 @@ func (s *System) NetworkStats() transport.Stats { return s.mesh.Stats() }
 // byte, drop and queue-depth instruments), or nil when the system was
 // built without SystemConfig.Telemetry.
 func (s *System) NetworkTelemetry() *telemetry.Registry { return s.netTel }
-
-// ResetNetworkStats zeroes the network counters (between experiment
-// phases).
-func (s *System) ResetNetworkStats() { s.mesh.ResetStats() }
 
 // Close shuts down every node and the network, and closes the file
 // stores the system opened.
