@@ -42,8 +42,8 @@ var KillpointCover = &Analyzer{
 // sender's move killpoints. resolveIntent is a root of its own —
 // move-transaction recovery commits and rolls back outside any live
 // move, so its intent mutations cannot ride on moveObject's
-// bracketing. (resolvePendingIntent is a thin delegate and is covered
-// through resolveIntent's own stream.)
+// bracketing. The commit both share (commitMove) is no root: each
+// caller brackets it with killpoints of its own.
 var lifecycleRoots = map[string]bool{
 	"Checkpoint":    true,
 	"Passivate":     true,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"eden/internal/edenid"
 	"eden/internal/killpoint"
 	"eden/internal/store"
 )
@@ -19,8 +20,30 @@ func injectIntent(k *Kernel, it store.MoveIntent) {
 		panic(err)
 	}
 	k.mu.Lock()
-	k.intents[it.Object] = it
+	k.intents[it.Object] = &moveIntent{MoveIntent: it}
 	k.mu.Unlock()
+}
+
+// pendingIntent reports the move intent k holds for id, if any.
+func (k *Kernel) pendingIntent(id edenid.ID) (store.MoveIntent, bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if mi := k.intents[id]; mi != nil {
+		return mi.MoveIntent, true
+	}
+	return store.MoveIntent{}, false
+}
+
+// resolvePendingIntent resolves id's move intent the way an activation
+// does; moveRolledBack when none is pending.
+func (k *Kernel) resolvePendingIntent(id edenid.ID) (moveOutcome, error) {
+	k.mu.Lock()
+	mi := k.intents[id]
+	k.mu.Unlock()
+	if mi == nil {
+		return moveRolledBack, nil
+	}
+	return k.settle(mi, time.Now().Add(k.cfg.DefaultTimeout))
 }
 
 // TestKillpointSweep drives every lifecycle path that carries a crash

@@ -346,8 +346,6 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 	if allowReplica {
 		replica = k.replicas[id]
 	}
-	_, isBackup := k.backups[id]
-	rescan := k.scanErr != nil
 	k.mu.Unlock()
 
 	var shadowServe bool
@@ -365,73 +363,42 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 		return msg.InvokeRep{}, false, nil
 	case replica != nil:
 		obj = replica
-		shadowServe = replica.shadow
 	default:
-		// Whether a local record is a backup, or in doubt, is the boot
-		// scan's to say: one that failed runs again before the record is
-		// served, and while it still fails the call is refused.
-		if rescan {
-			if _, here := k.store.Stat(id); here {
-				if err := k.bootScan(); err != nil {
-					return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(err.Error())}, true, nil
-				}
-				return k.tryLocalOnce(req, allowReplica, origin, deadline)
-			}
-		}
-		// A pending move intent puts the local record in doubt: a
-		// committed move this node never finished may have superseded
-		// it. Resolve the transaction first (movetxn.go); serving the
-		// record while unresolved could execute at a stale epoch.
-		if _, pending := k.pendingIntent(id); pending {
-			outcome, rerr := k.resolvePendingIntent(id)
-			switch outcome {
-			case moveRolledForward:
-				if origin != nil {
-					k.mu.Lock()
-					dest, isNowFwd := k.forwards[id]
-					k.mu.Unlock()
-					if isNowFwd {
-						return movedReply(dest), true, nil
-					}
-					return msg.InvokeRep{Status: msg.StatusNoSuchObject}, true, nil
-				}
-				// Locally originated: chase through the locator, which
-				// the resolution just refreshed.
-				return msg.InvokeRep{}, false, nil
-			case moveRolledBack:
-				// The move never happened; fall through to the normal
-				// passive path below.
-			default:
-				reason := "kernel: move in doubt"
-				if rerr != nil {
-					reason = rerr.Error()
-				}
-				// Refusing service is the safe side: the destination may
-				// be serving acked writes behind a partition.
-				return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(reason)}, true, nil
-			}
-		}
-		// Passive here? Only if our store holds the object's home
-		// record (not a backup held for another node). The store answers
-		// from its directory: on a node that never held the object this
-		// is a map miss, and where it is held the record is read once,
-		// by activate.
-		if _, here := k.store.Stat(id); !here || isBackup {
-			// A backup record may still serve a stale-tolerant read as
-			// a checkpoint shadow when this node is a checksite.
-			if isBackup && allowReplica && k.cfg.ReplicaServe {
-				if sh := k.replicaShadow(id); sh != nil {
-					obj = sh
-					shadowServe = true
-					break
-				}
-			}
+		// Passive here? The store answers from its directory: on a node
+		// that never held the object this is a map miss, and a record
+		// judged our own is read once, by reincarnate.
+		switch v := k.judgeRecord(id); v.role {
+		case noRecord:
 			return msg.InvokeRep{}, false, nil
-		}
-		var aerr error
-		obj, aerr = k.activate(id)
-		if aerr != nil {
-			return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(aerr.Error())}, true, nil
+		case backupRecord:
+			// A backup may serve a stale-tolerant read as a shadow.
+			if allowReplica && k.cfg.ReplicaServe {
+				obj = k.replicaShadow(id)
+			}
+			if obj == nil {
+				return msg.InvokeRep{}, false, nil
+			}
+			shadowServe = true
+		case inDoubt:
+			// A move this node never finished may have superseded the
+			// record: resolve it first, waiting no longer than the call
+			// may. Refusing service meanwhile is the safe side, as it is
+			// while the boot scan fails (no intent then).
+			err := v.err
+			if v.intent != nil {
+				var outcome moveOutcome
+				if outcome, err = k.settle(v.intent, deadline); outcome != moveUnresolved {
+					// Rolled forward: the forwarding pointer answers now.
+					// Rolled back: the record is this node's again.
+					return k.tryLocalOnce(req, allowReplica, origin, deadline)
+				}
+			}
+			return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(err.Error())}, true, nil
+		default:
+			var aerr error
+			if obj, aerr = k.reincarnate(id); aerr != nil {
+				return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(aerr.Error())}, true, nil
+			}
 		}
 	}
 	var start time.Time
@@ -531,7 +498,12 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		// side's one disposal of the call happens here.
 		moved, passive := obj.movedTo, obj.passive
 		obj.sched.Unlock()
-		c.finish(k.retryAfterDown(obj, moved, passive))
+		if moved == 0 { // not retired toward a home: it may have moved since
+			k.mu.Lock()
+			moved = k.forwards[obj.id]
+			k.mu.Unlock()
+		}
+		c.finish(downReply(moved, passive))
 	} else {
 		obj.arrive(c)
 		obj.sched.Unlock()
@@ -546,20 +518,6 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 	}
 	k.tel.dispatchLat.ObserveSince(start)
 	return rep, nil
-}
-
-// retryAfterDown resolves a dispatch race where the incarnation died
-// between lookup and arrival: the object may have moved, passivated,
-// or crashed. moved and passive are the incarnation's: one retired
-// toward a live home (a move, or a shadow superseded by a fresher
-// checkpoint) records the destination, one passivated says so.
-func (k *Kernel) retryAfterDown(obj *Object, moved uint32, passive bool) msg.InvokeRep {
-	if moved == 0 {
-		k.mu.Lock()
-		moved = k.forwards[obj.id]
-		k.mu.Unlock()
-	}
-	return downReply(moved, passive)
 }
 
 // roundTrip sends one request envelope and waits for the reply envelope

@@ -141,6 +141,21 @@ type checksitePolicy struct {
 	sites []uint32 // remote checksites (for RelRemote/RelReplicated)
 }
 
+// siteState is the home's side of an object's checkpoints: where they
+// go, and the version each remote site acknowledged last.
+type siteState struct {
+	policy checksitePolicy
+	acked  map[uint32]uint64 // incremental bases; the ex-checksites Destroy must reach
+}
+
+// backup is this node's role as a checksite for another node's object.
+type backup struct {
+	home     uint32    // the object's home node
+	floor    uint64    // the serving floor: no shadow below it (floorDisabled after a move)
+	lastShip time.Time // the last accepted ship (the home's heartbeat), or the boot
+	shadow   *Object   // the shadow serving stale-tolerant reads (replica.go), if made
+}
+
 // Reliability is the paper's per-object reliability level: "an object
 // may specify, through the checksite primitive, which node is
 // responsible for maintaining its long-term storage, and what level of
@@ -182,27 +197,21 @@ type Kernel struct {
 	store store.Store
 	tel   kernelTel
 
+	// mu guards the books: a map per role an object can have here.
 	mu       sync.Mutex
-	active   map[edenid.ID]*Object
-	replicas map[edenid.ID]*Object
-	forwards map[edenid.ID]uint32 // moved-away objects -> new home
-	sites    map[edenid.ID]checksitePolicy
-	shipped  map[edenid.ID]map[uint32]uint64 // checkpoint version last acked per remote site
-	backups  map[edenid.ID]uint32            // records held for other nodes' objects -> home node
-	minServe map[edenid.ID]uint64            // replica serving floor: no shadow below this version
-	lastShip map[edenid.ID]time.Time         // last accepted checkpoint ship (home heartbeat)
-	intents  map[edenid.ID]store.MoveIntent  // durable move intents (boot-scanned + live)
-	boot     time.Time                       // kernel start, the lastShip stand-in for unseen objects
-	scanErr  error                           // why the boot scan failed; nil once one has succeeded (bootScan)
+	active   map[edenid.ID]*Object     // incarnations homed here
+	replicas map[edenid.ID]*Object     // frozen replicas cached here (Replicate)
+	forwards map[edenid.ID]uint32      // moved-away objects -> new home
+	sites    map[edenid.ID]*siteState  // checkpoint policies of objects homed here
+	backups  map[edenid.ID]*backup     // records held for other nodes' objects
+	intents  map[edenid.ID]*moveIntent // durable move intents (boot-scanned + live)
+	boot     time.Time                 // kernel start, the heartbeat of backups no ship has reached
+	scanErr  error                     // why the boot scan failed; nil once one has succeeded (bootScan)
 	memInUse int64
 	closed   bool
 	// relieving is set while the one asynchronous eviction run (relieve)
 	// is under way: a burst of growing Updates starts one run, not one each.
 	relieving bool
-
-	// resolveMu serializes move-intent resolutions (movetxn.go) so two
-	// touches of the same in-doubt object run one probe, not two.
-	resolveMu sync.Mutex
 
 	pendMu sync.Mutex
 	pend   map[uint64]*callCtx // correlation id -> the frame awaiting that reply (roundTrip)
@@ -301,12 +310,9 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		active:   make(map[edenid.ID]*Object),
 		replicas: make(map[edenid.ID]*Object),
 		forwards: make(map[edenid.ID]uint32),
-		sites:    make(map[edenid.ID]checksitePolicy),
-		shipped:  make(map[edenid.ID]map[uint32]uint64),
-		backups:  make(map[edenid.ID]uint32),
-		minServe: make(map[edenid.ID]uint64),
-		lastShip: make(map[edenid.ID]time.Time),
-		intents:  make(map[edenid.ID]store.MoveIntent),
+		sites:    make(map[edenid.ID]*siteState),
+		backups:  make(map[edenid.ID]*backup),
+		intents:  make(map[edenid.ID]*moveIntent),
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
 		served:   servedTable{idx: make(map[servedKey]uint64)},
@@ -334,9 +340,9 @@ var errNotScanned = errors.New("kernel: store not scanned yet")
 // bootScan reads from the store what decides whether a local record may
 // be served as this node's own, and registers it; nothing is registered
 // unless the whole scan succeeds. A failed scan is remembered (scanErr)
-// and re-run before the next passive activation or hostCheck answer that
-// a local record would decide: until one succeeds, no local record is
-// served as this node's own. Once one has succeeded, calls do nothing.
+// and re-run when a record here is next judged (judgeRecord): until one
+// succeeds, no local record is served as this node's own. Once one has
+// succeeded, calls do nothing.
 //
 // Backups: without them a restarted checksite cannot tell the records it
 // holds for other homes from its own checkpoints, and would reincarnate
@@ -383,13 +389,69 @@ func (k *Kernel) bootScan() error {
 		if _, live := k.active[id]; live {
 			continue // moved in while the scan was failing: its own home now
 		}
-		k.backups[id] = m.Home
-		k.minServe[id] = max(k.minServe[id], m.Version)
+		if b := k.backups[id]; b != nil {
+			b.home, b.floor = m.Home, max(b.floor, m.Version)
+		} else {
+			k.backups[id] = &backup{home: m.Home, floor: m.Version, lastShip: k.boot}
+		}
 	}
 	for _, it := range its {
-		k.intents[it.Object] = it
+		if k.intents[it.Object] == nil {
+			k.intents[it.Object] = &moveIntent{MoveIntent: it}
+		}
 	}
 	return nil
+}
+
+// recordRole is judgeRecord's verdict on a record this node may hold.
+type recordRole uint8
+
+const (
+	noRecord     recordRole = iota // nothing here to serve as the object
+	ownRecord                      // the home record: this node may reincarnate it
+	backupRecord                   // held as a checksite for another home
+	inDoubt                        // a move intent, or a failed boot scan, forbids serving it
+)
+
+// verdict is judgeRecord's answer: aboveFloor says a shadow may be made
+// of a backup; err is a failed boot scan's, a doubt with no intent.
+type verdict struct {
+	role       recordRole
+	aboveFloor bool
+	intent     *moveIntent
+	err        error
+}
+
+// judgeRecord decides whether id's record in this node's store is the
+// node's to serve — the one reader of the boot scan, the backup registry
+// and the intents for that. Resolving an intent is the caller's choice.
+func (k *Kernel) judgeRecord(id edenid.ID) verdict {
+	var v verdict
+	var floor uint64
+	k.mu.Lock()
+	scanErr := k.scanErr
+	mi := k.intents[id]
+	if b := k.backups[id]; b != nil {
+		v.role, floor = backupRecord, b.floor
+	}
+	k.mu.Unlock()
+	rec, here := k.store.Stat(id)
+	if scanErr != nil && here {
+		if err := k.bootScan(); err != nil {
+			return verdict{role: inDoubt, err: err}
+		}
+		return k.judgeRecord(id)
+	}
+	switch {
+	case mi != nil:
+		return verdict{role: inDoubt, intent: mi}
+	case !here:
+		return verdict{role: noRecord, err: scanErr}
+	case v.role == backupRecord:
+		v.aboveFloor = rec.Version >= floor
+		return v
+	}
+	return verdict{role: ownRecord}
 }
 
 // Node returns the node number.
@@ -458,76 +520,57 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 		return true, false
 	}
 	_, isReplica := k.replicas[id]
-	floor := k.minServe[id]
-	if _, movedAway := k.forwards[id]; movedAway {
-		k.mu.Unlock()
+	_, movedAway := k.forwards[id]
+	k.mu.Unlock()
+	if movedAway {
 		return false, isReplica
 	}
-	_, isBackup := k.backups[id]
-	it, inDoubt := k.intents[id]
-	rescan := k.scanErr != nil
-	k.mu.Unlock()
-	if rescan {
-		// A record here is a backup or in doubt only as far as the boot
-		// scan knows: answer from a scan that succeeded, or not as home.
-		if _, here := k.store.Stat(id); here {
-			if k.bootScan() != nil {
-				return false, false
-			}
-			return k.hostCheck(id, recover)
+	switch v := k.judgeRecord(id); v.role {
+	case ownRecord:
+		return true, isReplica // a passive object is homed where its checkpoint lives
+	case inDoubt:
+		// The destination may have installed the object: answer nothing
+		// until the intent resolves, off the locator's callback path.
+		if v.intent != nil {
+			k.settle(v.intent, time.Time{})
 		}
-	}
-	// An unresolved move transaction: the local record may already be
-	// superseded by the destination's installation, so this node must
-	// not answer as home (or advertise the record) until the intent
-	// resolves. Resolution probes the network, so it runs off the
-	// locator's callback path.
-	if inDoubt {
-		go func() { _, _ = k.resolveIntent(it) }()
 		return false, false
-	}
-	// A passive object is homed where its checkpoint lives — unless
-	// that record is a backup held for another node, in which case it
-	// only counts during recovery.
-	if rec, ok := k.store.Stat(id); ok {
-		if !isBackup {
+	case backupRecord:
+		if recover && k.promote(id) {
 			return true, isReplica
 		}
-		if recover {
-			// Claiming the object during failure recovery promotes the
-			// backup: this node is now the home and will reincarnate
-			// the object on the next invocation. RecoverGrace fences
-			// the claim: checkpoint ships double as home heartbeats,
-			// so a recent ship (or a recent boot — ship times are not
-			// persisted) means the home is likely alive and the
-			// "failure" was a transient locate timeout. Promoting then
-			// would split the object between a live home and this
-			// node; refuse, and fall through to advertise the record
-			// as a replica instead.
-			k.mu.Lock()
-			fresh := false
-			if g := k.cfg.RecoverGrace; g > 0 {
-				hb, seen := k.lastShip[id]
-				if !seen {
-					hb = k.boot
-				}
-				fresh = time.Since(hb) < g
-			}
-			if !fresh {
-				delete(k.backups, id)
-				k.mu.Unlock()
-				return true, isReplica
-			}
-			k.mu.Unlock()
-		}
-		// A checksite backup above the invalidation floor is servable
-		// as a checkpoint shadow; advertise it so stale-tolerant reads
-		// are steered here.
-		if k.cfg.ReplicaServe && rec.Version >= floor {
-			isReplica = true
-		}
+		// A backup above the invalidation floor is servable as a
+		// checkpoint shadow; advertise it to stale-tolerant reads.
+		return false, isReplica || k.cfg.ReplicaServe && v.aboveFloor
 	}
 	return false, isReplica
+}
+
+// promote claims a backed-up object for this node during failure
+// recovery, unless a checkpoint ship (or a boot: ship times are not
+// persisted) within RecoverGrace says the home is likely alive and the
+// "failure" a transient locate timeout: promoting would split the object.
+func (k *Kernel) promote(id edenid.ID) bool {
+	k.mu.Lock()
+	if b := k.backups[id]; b != nil && time.Since(b.lastShip) < k.cfg.RecoverGrace {
+		k.mu.Unlock()
+		return false
+	}
+	sh := k.dropBackupLocked(id)
+	k.mu.Unlock()
+	retire(sh, k.cfg.Node)
+	return true
+}
+
+// dropBackupLocked ends this node's backup role for id and returns the
+// entry's shadow, for the caller to retire once it lets go of k.mu.
+func (k *Kernel) dropBackupLocked(id edenid.ID) *Object {
+	b := k.backups[id]
+	if b == nil {
+		return nil
+	}
+	delete(k.backups, id)
+	return b.shadow
 }
 
 // send transmits one frame whose payload is in a pooled buffer, and
@@ -620,7 +663,7 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	}
 	if opts != nil && opts.Checksite != nil {
 		k.mu.Lock()
-		k.sites[id] = checksitePolicy{level: opts.Checksite.Level, sites: append([]uint32(nil), opts.Checksite.Sites...)}
+		k.sites[id] = &siteState{policy: checksitePolicy{level: opts.Checksite.Level, sites: append([]uint32(nil), opts.Checksite.Sites...)}}
 		k.mu.Unlock()
 	}
 	if err := k.install(obj); err != nil {
@@ -661,9 +704,8 @@ func (k *Kernel) install(obj *Object) error {
 		return fmt.Errorf("kernel: node %d out of virtual memory (%d + %d > %d)",
 			k.cfg.Node, k.memInUse, size, k.cfg.MemoryBytes)
 	}
-	if prev, dup := k.active[obj.id]; dup {
+	if _, dup := k.active[obj.id]; dup {
 		k.mu.Unlock()
-		_ = prev
 		return fmt.Errorf("kernel: object %v already active", obj.id)
 	}
 	k.active[obj.id] = obj
@@ -671,13 +713,32 @@ func (k *Kernel) install(obj *Object) error {
 	// not the least: without the stamp the next activation's eviction
 	// would pick it, unserved, ahead of every object that ever ran.
 	obj.lastInvoked = k.tick.Add(1)
-	obj.charged.Store(size)
-	k.memInUse += size
-	delete(k.forwards, obj.id)
+	k.chargeLocked(obj, size)
 	k.tel.activeObjects.Add(1)
-	k.tel.memBytes.Set(k.memInUse)
+	// An object homed here forwards nowhere and is nobody's backup here.
+	delete(k.forwards, obj.id)
+	sh := k.dropBackupLocked(obj.id)
 	k.mu.Unlock()
+	retire(sh, k.cfg.Node)
 	return nil
+}
+
+// chargeLocked sets o's charge against the node's memory budget to size.
+// The caller holds k.mu.
+func (k *Kernel) chargeLocked(o *Object, size int64) {
+	k.memInUse = max(k.memInUse+size-o.charged.Swap(size), 0)
+	k.tel.memBytes.Set(k.memInUse)
+}
+
+// unchargeLocked takes o, if active, out of the active table and the
+// memory budget. The caller holds k.mu.
+func (k *Kernel) unchargeLocked(o *Object) {
+	if k.active[o.id] != o {
+		return
+	}
+	delete(k.active, o.id)
+	k.chargeLocked(o, 0)
+	k.tel.activeObjects.Add(-1)
 }
 
 // recharge adjusts the memory budget after an object's representation
@@ -685,21 +746,12 @@ func (k *Kernel) install(obj *Object) error {
 // configured to evict. Only objects currently charged (installed)
 // are adjusted; replicas and mid-ship copies carry no charge.
 func (k *Kernel) recharge(obj *Object, newSize int64) {
-	if obj.replica {
-		return
-	}
 	k.mu.Lock()
-	if _, active := k.active[obj.id]; !active {
+	if k.active[obj.id] != obj {
 		k.mu.Unlock()
 		return
 	}
-	delta := newSize - obj.charged.Load()
-	obj.charged.Store(newSize)
-	k.memInUse += delta
-	if k.memInUse < 0 {
-		k.memInUse = 0
-	}
-	k.tel.memBytes.Set(k.memInUse)
+	k.chargeLocked(obj, newSize)
 	start := k.overBudgetLocked() && !k.relieving
 	if start {
 		k.relieving = true
@@ -783,6 +835,11 @@ func (k *Kernel) Close() error {
 	for _, o := range k.replicas {
 		objs = append(objs, o)
 	}
+	for _, b := range k.backups {
+		if b.shadow != nil {
+			objs = append(objs, b.shadow)
+		}
+	}
 	k.active = make(map[edenid.ID]*Object)
 	k.replicas = make(map[edenid.ID]*Object)
 	k.memInUse = 0
@@ -841,9 +898,12 @@ func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	k.mu.Lock()
 	obj, active := k.active[id]
 	fwd, hasFwd := k.forwards[id]
-	_, replica := k.replicas[id]
-	_, backup := k.backups[id]
+	b, backup := k.backups[id]
+	replica := k.replicas[id] != nil || backup && b.shadow != nil
 	it, intent := k.intents[id]
+	if !intent {
+		it = &moveIntent{}
+	}
 	k.mu.Unlock()
 	var epoch uint64
 	if active {

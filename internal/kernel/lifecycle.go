@@ -19,51 +19,44 @@ import (
 // checkpoint, crash, reincarnation, checksite, freeze/replicate and
 // move.
 
-// activate reincarnates a passive object from this node's store: "When
-// a passive object is 'reincarnated' into an active one, the kernel
-// creates a new coordinator process for the object. The coordinator
-// will block the invocation while it attempts to execute the object's
-// reincarnation condition handler." Here the coordinator is a monitor
-// (Object.sched) and the blocking is activationMu's: the handler runs
-// before the incarnation is installed, so no call can reach it.
+// activate reincarnates a passive object from this node's store if the
+// record there is its own (judgeRecord). A backup is refused — recovery
+// promotes it first — and a move in doubt is resolved first, for no
+// longer than DefaultTimeout and outside activationMu, so that a probe
+// stalls no other reincarnation on the node.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
+	v := k.judgeRecord(id)
+	if v.err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCrashed, v.err)
+	}
+	switch v.role {
+	case noRecord:
+		return nil, fmt.Errorf("%w: no record of %v here", ErrNoCheckpoint, id)
+	case backupRecord:
+		return nil, fmt.Errorf("%w: %v is a checksite backup (home may be alive)", ErrNoCheckpoint, id)
+	case inDoubt:
+		switch outcome, err := k.settle(v.intent, time.Now().Add(k.cfg.DefaultTimeout)); outcome {
+		case moveRolledForward:
+			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
+		case moveUnresolved:
+			return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
+		}
+	}
+	return k.reincarnate(id)
+}
+
+// reincarnate makes an incarnation from a record its caller judged this
+// node's own: "When a passive object is 'reincarnated' into an active
+// one, the kernel creates a new coordinator process for the object. The
+// coordinator will block the invocation while it attempts to execute the
+// object's reincarnation condition handler." Here the coordinator is a
+// monitor (Object.sched) and the blocking is activationMu's: the handler
+// runs before the incarnation is installed, so no call can reach it.
+func (k *Kernel) reincarnate(id edenid.ID) (*Object, error) {
 	k.activationMu.Lock()
 	defer k.activationMu.Unlock()
 	if o, ok := k.lookupActive(id); ok {
 		return o, nil // lost a benign race with another activation
-	}
-	// Until a boot scan has succeeded, no record here is known not to be
-	// a backup or in doubt.
-	if err := k.bootScan(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCrashed, err)
-	}
-	// A record held as a backup for another node's object must not be
-	// activated here while that home may be alive — that would create
-	// a second incarnation. The failure-recovery protocol (locator
-	// Recover → hostCheck) promotes the backup first, clearing the
-	// flag, after which activation is legitimate.
-	k.mu.Lock()
-	_, isBackup := k.backups[id]
-	k.mu.Unlock()
-	if isBackup {
-		return nil, fmt.Errorf("%w: %v is a checksite backup (home may be alive)", ErrNoCheckpoint, id)
-	}
-	// A pending move intent means the local record may be superseded by
-	// a committed move this node never finished: resolve the transaction
-	// before reincarnating from it (movetxn.go's decision table).
-	if _, pending := k.pendingIntent(id); pending {
-		outcome, rerr := k.resolvePendingIntent(id)
-		switch outcome {
-		case moveRolledForward:
-			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
-		case moveRolledBack:
-			// The move never installed; reincarnate here as usual.
-		default:
-			if rerr == nil {
-				rerr = fmt.Errorf("kernel: move of %v unresolved", id)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, rerr)
-		}
 	}
 	rec, err := k.store.Get(id)
 	if err != nil {
@@ -103,10 +96,6 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	if err := k.install(obj); err != nil {
 		return nil, err
 	}
-	k.mu.Lock()
-	delete(k.backups, id) // we are now this object's home
-	delete(k.lastShip, id)
-	k.mu.Unlock()
 	k.stReinc.Add(1)
 	return obj, nil
 }
@@ -183,9 +172,14 @@ func (o *Object) SetChecksite(level Reliability, sites ...uint32) error {
 	if (level == RelRemote || level == RelReplicated) && len(sites) == 0 {
 		return fmt.Errorf("kernel: reliability %v needs at least one remote site", level)
 	}
+	policy := checksitePolicy{level: level, sites: append([]uint32(nil), sites...)}
 	k := o.k
 	k.mu.Lock()
-	k.sites[o.id] = checksitePolicy{level: level, sites: append([]uint32(nil), sites...)}
+	if s := k.sites[o.id]; s != nil {
+		s.policy = policy // the acked versions stay: Destroy must reach those sites
+	} else {
+		k.sites[o.id] = &siteState{policy: policy}
+	}
 	k.mu.Unlock()
 	return nil
 }
@@ -196,7 +190,10 @@ func (o *Object) SetChecksite(level Reliability, sites ...uint32) error {
 func (k *Kernel) checksite(id edenid.ID) checksitePolicy {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.sites[id] // the zero policy is RelLocal
+	if s := k.sites[id]; s != nil {
+		return s.policy
+	}
+	return checksitePolicy{} // RelLocal
 }
 
 // hasRemote reports whether the policy names a checksite other than
@@ -272,14 +269,14 @@ func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint6
 // preceding version, with transparent fallback to the full
 // representation.
 func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, removed []string, ver uint64) error {
+	var base uint64
 	k.mu.Lock()
-	base, haveBase := uint64(0), false
-	if m := k.shipped[full.Object]; m != nil {
-		base, haveBase = m[site], m[site] > 0
+	if s := k.sites[full.Object]; s != nil {
+		base = s.acked[site]
 	}
 	k.mu.Unlock()
 
-	if haveBase && base == ver-1 {
+	if base > 0 && base == ver-1 {
 		inc := full
 		inc.Partial = true
 		inc.Base = base
@@ -300,15 +297,16 @@ func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, remo
 	return nil
 }
 
-// recordShipped notes the checkpoint version a site has acknowledged.
+// recordShipped notes the checkpoint version a site has acknowledged, if
+// the object is still on this node's books.
 func (k *Kernel) recordShipped(id edenid.ID, site uint32, ver uint64) {
 	k.mu.Lock()
-	m := k.shipped[id]
-	if m == nil {
-		m = make(map[uint32]uint64)
-		k.shipped[id] = m
+	if s := k.sites[id]; s != nil {
+		if s.acked == nil {
+			s.acked = make(map[uint32]uint64)
+		}
+		s.acked[site] = ver
 	}
-	m[site] = ver
 	k.mu.Unlock()
 }
 
@@ -408,17 +406,16 @@ func (o *Object) Destroy() error {
 	k := o.k
 	k.mu.Lock()
 	var sites []uint32
-	if policy := k.sites[o.id]; policy.level == RelRemote || policy.level == RelReplicated {
-		sites = append(sites, policy.sites...)
-	}
-	for site := range k.shipped[o.id] {
-		sites = append(sites, site)
+	if s := k.sites[o.id]; s != nil {
+		if s.policy.level == RelRemote || s.policy.level == RelReplicated {
+			sites = append(sites, s.policy.sites...)
+		}
+		for site := range s.acked {
+			sites = append(sites, site)
+		}
 	}
 	delete(k.sites, o.id)
-	delete(k.shipped, o.id)
 	delete(k.forwards, o.id)
-	delete(k.minServe, o.id)
-	delete(k.lastShip, o.id)
 	k.mu.Unlock()
 	k.loc.Forget(o.id)
 	err := k.store.Delete(o.id)
@@ -448,21 +445,18 @@ func (o *Object) Destroy() error {
 	return err
 }
 
-// removeActive unregisters an object from the active table and the
-// memory budget (using the recorded charge, which tracks growth).
+// removeActive takes an incarnation out of the node's books: a home's,
+// and its charge, out of the active table, a replica's or shadow's out
+// of the table that holds it.
 func (k *Kernel) removeActive(o *Object) {
 	k.mu.Lock()
-	if _, ok := k.active[o.id]; ok {
-		delete(k.active, o.id)
-		k.memInUse -= o.charged.Load()
-		o.charged.Store(0)
-		if k.memInUse < 0 {
-			k.memInUse = 0
-		}
-		k.tel.activeObjects.Add(-1)
-		k.tel.memBytes.Set(k.memInUse)
+	if !o.replica {
+		k.unchargeLocked(o)
+	} else if k.replicas[o.id] == o {
+		delete(k.replicas, o.id)
+	} else if b := k.backups[o.id]; b != nil && b.shadow == o {
+		b.shadow = nil
 	}
-	delete(k.replicas, o.id)
 	k.mu.Unlock()
 }
 
@@ -611,7 +605,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 		return fmt.Errorf("kernel: move to node %d: intent: %w", to, err)
 	}
 	k.mu.Lock()
-	k.intents[o.id] = intent
+	k.intents[o.id] = &moveIntent{MoveIntent: intent}
 	k.mu.Unlock()
 	// Crash boundary: the intent is durable but the representation has
 	// not left the node — recovery must probe the destination, find
@@ -642,39 +636,8 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	killpoint.Hit(killpoint.MovePreCommit)
 
 	// Commit: we are no longer the home; leave a forwarding pointer.
-	k.mu.Lock()
-	delete(k.active, o.id)
-	k.memInUse -= o.charged.Load()
-	o.charged.Store(0)
-	if k.memInUse < 0 {
-		k.memInUse = 0
-	}
-	k.tel.activeObjects.Add(-1)
-	k.tel.memBytes.Set(k.memInUse)
-	k.forwards[o.id] = to
-	delete(k.sites, o.id)
-	delete(k.intents, o.id)
-	// The incremental-checkpoint base tracking must not survive the
-	// move: changes made at other homes are invisible to this node's
-	// dirty tracking, so a base recorded here would let a future
-	// incremental delta (after the object moves back) silently omit
-	// them — including deletions, which a merge cannot infer.
-	delete(k.shipped, o.id)
-	k.mu.Unlock()
-	// The stale local checkpoint would otherwise make this node claim
-	// to be home again after a restart.
-	_ = k.store.Delete(o.id)
-	// The commit point: once the intent is durably gone, no future
-	// incarnation of this node will question the move.
-	_ = k.store.DeleteIntent(o.id)
-	k.loc.Forget(o.id)
-	k.loc.Learn(o.id, to, false)
+	k.commitMove(o.id, o, to, ver)
 	k.stMoves.Add(1)
-	// The checksite policy does not travel with the move, so the new
-	// home will not refresh this home's checksites; the move broadcast
-	// disables their serving floors until a checkpoint from the new
-	// home arrives (see handleInvalidate).
-	k.broadcastInvalidate(o.id, ver, true, to, nil)
 	o.destroyActiveState(to)
 	// Crash boundary: the move is fully committed — a kill here must
 	// find the object serving at its new home.
@@ -749,13 +712,18 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err := k.store.Put(rec); err != nil && !errors.Is(err, store.ErrStale) {
 			return err
 		}
-		var retire *Object
+		var old *Object
 		k.mu.Lock()
 		if _, isHome := k.active[ship.Object]; !isHome {
-			k.backups[ship.Object] = from
+			b := k.backups[ship.Object]
+			if b == nil {
+				b = &backup{}
+				k.backups[ship.Object] = b
+			}
+			b.home = from
 			// The ship is also a home heartbeat: it fences recovery
-			// promotion for Config.RecoverGrace (see hostCheck).
-			k.lastShip[ship.Object] = time.Now()
+			// promotion for Config.RecoverGrace (see promote).
+			b.lastShip = time.Now()
 			// The ack we are about to send is the durability anchor of
 			// the staleness bound: once the home sees it, the writer's
 			// invocation may reply, and no read here may then serve an
@@ -763,18 +731,15 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			// before any reader can observe the new version) keeps that
 			// ordering; a floor disabled by a move re-enables, since the
 			// shipper has proven itself this object's live home.
-			if f := k.minServe[ship.Object]; f == floorDisabled || f < ship.Version {
-				k.minServe[ship.Object] = ship.Version
+			if b.floor == floorDisabled || b.floor < ship.Version {
+				b.floor = ship.Version
 			}
-			if old := k.replicas[ship.Object]; old != nil && old.shadow && old.version < ship.Version {
-				delete(k.replicas, ship.Object)
-				retire = old
+			if sh := b.shadow; sh != nil && sh.version < ship.Version {
+				old, b.shadow = sh, nil
 			}
 		}
 		k.mu.Unlock()
-		if retire != nil {
-			go retire.destroyActiveState(from)
-		}
+		retire(old, from)
 		return nil
 
 	case msg.ShipReplica:
@@ -806,7 +771,13 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		// retransmitted ship, or a source resolving a move this node has
 		// since moved past). Executing it would fork the object's
 		// history; refuse it instead.
-		if cur, ok := k.lookupActive(ship.Object); ok && cur.epoch >= newEpoch {
+		k.mu.Lock()
+		cur, live := k.active[ship.Object]
+		if !live {
+			delete(k.sites, ship.Object) // stale acked versions: see commitMove
+		}
+		k.mu.Unlock()
+		if live && cur.epoch >= newEpoch {
 			return fmt.Errorf("kernel: stale move of %v at epoch %d, already hosting epoch %d",
 				ship.Object, newEpoch, cur.epoch)
 		}
@@ -845,14 +816,6 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 				return fmt.Errorf("kernel: move checkpoint handoff: %w", err)
 			}
 		}
-		k.mu.Lock()
-		delete(k.backups, ship.Object)
-		delete(k.lastShip, ship.Object)
-		// Any base tracking left from an earlier residency here is
-		// stale for the same reason the old home's is (see
-		// moveObject): the first checkpoint after arrival ships full.
-		delete(k.shipped, ship.Object)
-		k.mu.Unlock()
 		return nil
 
 	case msg.ShipDestroy:
@@ -868,19 +831,9 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			}
 		}
 		k.mu.Lock()
-		shadow := k.replicas[ship.Object]
-		if shadow != nil && shadow.shadow {
-			delete(k.replicas, ship.Object)
-		} else {
-			shadow = nil
-		}
-		delete(k.backups, ship.Object)
-		delete(k.minServe, ship.Object)
-		delete(k.lastShip, ship.Object)
+		shadow := k.dropBackupLocked(ship.Object)
 		k.mu.Unlock()
-		if shadow != nil {
-			shadow.destroyActiveState(0)
-		}
+		retire(shadow, 0)
 		return nil
 
 	case msg.ShipMoveProbe:
@@ -918,8 +871,8 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 
 // evictUntil passivates least-recently-invoked idle objects until the
 // node's memory use drops to the target, and reports whether it did.
-// Only quiescent objects (no running or queued invocations,
-// not replicas, not mid-move) are eligible; their active state is
+// Only quiescent objects (no running or queued invocations, not
+// mid-move) are eligible; their active state is
 // released — after a checkpoint if anything changed since the last — to
 // be reincarnated transparently on the next invocation.
 func (k *Kernel) evictUntil(target int64) bool {
@@ -937,7 +890,7 @@ func (k *Kernel) evictUntil(target int64) bool {
 		var oldest int64
 		for _, o := range k.active {
 			o.sched.Lock()
-			eligible := o.state == stActive && !o.replica && o.quiescentLocked()
+			eligible := o.state == stActive && o.quiescentLocked()
 			last := o.lastInvoked
 			o.sched.Unlock()
 			if !eligible {

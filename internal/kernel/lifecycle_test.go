@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -468,14 +469,6 @@ func TestDestroyReachesRemoteChecksites(t *testing.T) {
 	if n := s.ks[3].Stats().Reincarnations; n != 0 {
 		t.Errorf("node 3 reincarnated the destroyed object %d times", n)
 	}
-	k := s.ks[1]
-	k.mu.Lock()
-	_, shipped := k.shipped[cap.ID()]
-	_, sites := k.sites[cap.ID()]
-	k.mu.Unlock()
-	if shipped || sites {
-		t.Errorf("Destroy left bookkeeping behind: shipped=%v sites=%v", shipped, sites)
-	}
 }
 
 // TestDestroyNamesSilentChecksites: a checksite that cannot acknowledge
@@ -542,6 +535,173 @@ func TestDestroyReachesExChecksites(t *testing.T) {
 	}
 }
 
+// held names the kernel's per-object maps that hold any entry.
+func held(k *Kernel) string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	var names []string
+	for _, m := range []struct {
+		name string
+		n    int
+	}{
+		{"active", len(k.active)},
+		{"replicas", len(k.replicas)},
+		{"forwards", len(k.forwards)},
+		{"sites", len(k.sites)},
+		{"backups", len(k.backups)},
+		{"intents", len(k.intents)},
+	} {
+		if m.n > 0 {
+			names = append(names, m.name)
+		}
+	}
+	return strings.Join(names, " ")
+}
+
+// TestLeavingTheBooksLeavesNothingBehind: every way an object leaves a
+// node's books — or one of its roles there — deletes all it held: a
+// forwarding pointer stays after a move, nothing after a destroy, and a
+// checksite that becomes the home keeps only the incarnation. Each row
+// runs on a system of its own, so every entry a node holds is the
+// object's.
+func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
+	replicated := &CreateOptions{Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}}}
+	// shadowed makes a counter homed on node 1 whose checkpoint node 2
+	// holds and serves as a shadow.
+	shadowed := func(t *testing.T) (*sys, capability.Capability) {
+		s := replicaSys(t)
+		cap, err := s.ks[1].Create("counter", replicated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustInvoke(t, s.ks[1], cap, "inc", nil)
+		mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+		if got := counterValue(t, s.ks[2], cap, true); got != 1 {
+			t.Fatalf("shadow read = %d, want 1", got)
+		}
+		return s, cap
+	}
+	move := func(t *testing.T, k *Kernel, cap capability.Capability, to uint32) {
+		obj, err := k.Object(cap.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-obj.Move(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T) *sys
+		want map[uint32]string // node -> the maps left holding an entry
+	}{
+		{
+			name: "Destroy at a home with a current checksite and an ex-checksite",
+			run: func(t *testing.T) *sys {
+				s := newSys(t, 1, 2, 3)
+				mustRegister(t, s.reg, counterType(nil))
+				cap, _ := s.ks[1].Create("counter", nil)
+				obj, _ := s.ks[1].Object(cap.ID())
+				for _, site := range []uint32{3, 2} {
+					if err := obj.SetChecksite(RelRemote, site); err != nil {
+						t.Fatal(err)
+					}
+					mustInvoke(t, s.ks[1], cap, "inc", nil)
+					mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+				}
+				if err := obj.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			},
+			want: map[uint32]string{1: "", 2: "", 3: ""},
+		},
+		{
+			name: "ShipDestroy at a checksite holding a shadow",
+			run: func(t *testing.T) *sys {
+				s, cap := shadowed(t)
+				obj, _ := s.ks[1].Object(cap.ID())
+				if err := obj.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			},
+			want: map[uint32]string{1: "", 2: ""},
+		},
+		{
+			name: "a committed move, at the source",
+			run: func(t *testing.T) *sys {
+				s, cap := shadowed(t)
+				move(t, s.ks[1], cap, 3)
+				return s
+			},
+			want: map[uint32]string{1: "forwards", 3: "active"},
+		},
+		{
+			name: "a roll-forward by recovery",
+			run: func(t *testing.T) *sys {
+				s := newSys(t, 1, 2)
+				mustRegister(t, s.reg, counterType(nil))
+				cap, _ := s.ks[1].Create("counter", nil)
+				mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+				rec, err := s.stores[1].Get(cap.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				move(t, s.ks[1], cap, 2)
+				s.crashNode(1)
+				plantMoveDebris(t, s.stores[1], rec, store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
+				mustInvoke(t, s.restartNode(1), cap, "get", nil)
+				return s
+			},
+			want: map[uint32]string{1: "forwards"},
+		},
+		{
+			name: "ShipMove acceptance at a checksite holding a shadow",
+			run: func(t *testing.T) *sys {
+				s, cap := shadowed(t)
+				move(t, s.ks[1], cap, 2)
+				return s
+			},
+			want: map[uint32]string{1: "forwards", 2: "active"},
+		},
+		{
+			name: "promotion followed by activation",
+			run: func(t *testing.T) *sys {
+				s, cap := shadowed(t)
+				s.crashNode(1)
+				if _, err := s.ks[2].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second}); err != nil {
+					t.Fatalf("home read after the home died: %v", err)
+				}
+				return s
+			},
+			want: map[uint32]string{2: "active"},
+		},
+		{
+			name: "a Create whose install fails",
+			run: func(t *testing.T) *sys {
+				s := newSys(t)
+				s.addNodeCfg(1, func(c *Config) { c.MemoryBytes = 1 })
+				mustRegister(t, s.reg, counterType(nil))
+				if _, err := s.ks[1].Create("counter", replicated); err == nil {
+					t.Fatal("create past the memory budget succeeded")
+				}
+				return s
+			},
+			want: map[uint32]string{1: ""},
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.run(t)
+			for n, want := range row.want {
+				if got := held(s.ks[n]); got != want {
+					t.Errorf("node %d holds entries in [%s], want [%s]", n, got, want)
+				}
+			}
+		})
+	}
+}
+
 // ---- node resources ----
 
 func TestMemoryBudgetRejectsActivation(t *testing.T) {
@@ -575,12 +735,6 @@ func TestMemoryBudgetRejectsActivation(t *testing.T) {
 	}
 	if _, err := k.Create("big", &CreateOptions{Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}}}); err == nil {
 		t.Fatal("third create exceeded the memory budget but succeeded")
-	}
-	k.mu.Lock()
-	leaked := len(k.sites)
-	k.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("a failed create left %d checksite policies behind", leaked)
 	}
 	if memInUse(k) > cfg.MemoryBytes {
 		t.Errorf("memory in use = %d exceeds budget", memInUse(k))

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"eden/internal/edenid"
 	"eden/internal/killpoint"
@@ -40,7 +41,8 @@ import (
 // may have installed the object and served acked writes, so serving
 // the stale local record here would fork history. Resolution is lazy —
 // triggered by the first touch (invoke, activation, locate query)
-// rather than eagerly at boot, when peers may not be connected yet.
+// rather than eagerly at boot, when peers may not be connected yet —
+// one resolution at a time, however many touches find the move in doubt.
 
 // errProbeNotInstalled is acceptShip's answer to a ShipMoveProbe for an
 // object this node does not host at the probed epoch. serveShip maps it
@@ -64,6 +66,20 @@ const (
 	moveRolledBack
 )
 
+// moveIntent is a durable move intent and its one resolution: done, made
+// under k.mu by the first touch (settle), closes with outcome and err
+// final. An intent left in doubt is replaced for the next touch.
+type moveIntent struct {
+	store.MoveIntent
+	done    chan struct{}
+	outcome moveOutcome
+	err     error
+}
+
+// probeAttempts is how many probes a resolution sends, one at a time and
+// each waiting its share of DefaultTimeout, to see a partition heal.
+const probeAttempts = 4
+
 // normEpoch maps the zero epoch (records and ships written before
 // epochs existed) to the first epoch.
 func normEpoch(e uint64) uint64 {
@@ -73,45 +89,49 @@ func normEpoch(e uint64) uint64 {
 	return e
 }
 
-// pendingIntent reports the durable move intent for id, if one exists.
-func (k *Kernel) pendingIntent(id edenid.ID) (store.MoveIntent, bool) {
+// settle starts mi's resolution unless it is under way, and waits for it
+// until deadline (a past one: not at all); after that the move is in doubt.
+func (k *Kernel) settle(mi *moveIntent, deadline time.Time) (moveOutcome, error) {
 	k.mu.Lock()
-	defer k.mu.Unlock()
-	it, ok := k.intents[id]
-	return it, ok
-}
-
-// resolvePendingIntent resolves id's pending move intent if one exists;
-// it reports moveRolledBack when nothing is pending (the object is
-// unambiguously local, as far as intents are concerned).
-func (k *Kernel) resolvePendingIntent(id edenid.ID) (moveOutcome, error) {
-	it, ok := k.pendingIntent(id)
-	if !ok {
-		return moveRolledBack, nil
+	if mi.done == nil {
+		mi.done = make(chan struct{})
+		go func() {
+			mi.outcome, mi.err = k.resolveIntent(mi)
+			k.mu.Lock()
+			if k.intents[mi.Object] == mi {
+				k.intents[mi.Object] = &moveIntent{MoveIntent: mi.MoveIntent}
+			}
+			k.mu.Unlock()
+			close(mi.done)
+		}()
 	}
-	return k.resolveIntent(it)
+	done := mi.done
+	k.mu.Unlock()
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-done:
+		return mi.outcome, mi.err
+	case <-t.C:
+		return moveUnresolved, fmt.Errorf("kernel: move of %v to node %d in doubt: %w", mi.Object, mi.Dest, ErrTimeout)
+	}
 }
 
 // resolveIntent drives one crashed move transaction to a verdict by
-// probing the destination's residency epoch. Idempotent and safe to
-// race: resolutions serialize on resolveMu, and a losing racer re-reads
-// the winner's verdict from the forwarding table.
-func (k *Kernel) resolveIntent(it store.MoveIntent) (moveOutcome, error) {
-	k.resolveMu.Lock()
-	defer k.resolveMu.Unlock()
-	id := it.Object
-
+// probing the destination's residency epoch. Only settle runs it, one
+// run per intent at a time; a run that finds the intent settled
+// meanwhile reads the verdict back from the forwarding table.
+func (k *Kernel) resolveIntent(mi *moveIntent) (moveOutcome, error) {
+	id := mi.Object
 	k.mu.Lock()
-	_, stillPending := k.intents[id]
+	pending := k.intents[id] == mi
 	_, isActive := k.active[id]
+	fwd, isFwd := k.forwards[id]
 	k.mu.Unlock()
-	if !stillPending {
-		// A racing resolution (or the live move's own commit) settled
-		// the intent while we waited; read its verdict back.
-		k.mu.Lock()
-		fwd, isFwd := k.forwards[id]
-		k.mu.Unlock()
-		if isFwd && fwd == it.Dest {
+	if !pending {
+		// An earlier resolution, or the live move's own commit or abort,
+		// settled the intent; read its verdict back.
+		if isFwd && fwd == mi.Dest {
 			return moveRolledForward, nil
 		}
 		return moveRolledBack, nil
@@ -119,7 +139,7 @@ func (k *Kernel) resolveIntent(it store.MoveIntent) (moveOutcome, error) {
 	if isActive {
 		// A live move transaction owns this intent (moveObject wrote it
 		// and is still running); recovery must not race the commit.
-		return moveUnresolved, nil
+		return moveUnresolved, fmt.Errorf("kernel: move of %v to node %d in flight", id, mi.Dest)
 	}
 
 	// Crash boundary: recovery holds the intent but has resolved
@@ -127,8 +147,14 @@ func (k *Kernel) resolveIntent(it store.MoveIntent) (moveOutcome, error) {
 	// incarnation to resolve.
 	killpoint.Hit(killpoint.MoveResolve)
 
-	probe := msg.Ship{Purpose: msg.ShipMoveProbe, Object: id, Epoch: it.Epoch}
-	err := k.shipAndWait(it.Dest, probe, k.cfg.DefaultTimeout)
+	probe := msg.Ship{Purpose: msg.ShipMoveProbe, Object: id, Epoch: mi.Epoch}
+	var err error
+	for range probeAttempts {
+		err = k.shipAndWait(mi.Dest, probe, k.cfg.DefaultTimeout/probeAttempts)
+		if !errors.Is(err, ErrTimeout) {
+			break
+		}
+	}
 	if err != nil && errors.Is(err, ErrNoSuchObject) {
 		// The destination answered and does not hold the object: the
 		// shipment never installed, so the move rolls back and the
@@ -149,7 +175,7 @@ func (k *Kernel) resolveIntent(it store.MoveIntent) (moveOutcome, error) {
 		// Unreachable destination: it may be serving the object (and
 		// acked writes) behind a partition, so the local record cannot
 		// be trusted. Stay in doubt; the next touch retries.
-		return moveUnresolved, fmt.Errorf("kernel: move of %v to node %d in doubt: %w", id, it.Dest, err)
+		return moveUnresolved, fmt.Errorf("kernel: move of %v to node %d in doubt: %w", id, mi.Dest, err)
 	}
 
 	// The destination holds the object at (or beyond) the intent epoch:
@@ -158,29 +184,40 @@ func (k *Kernel) resolveIntent(it store.MoveIntent) (moveOutcome, error) {
 	// Crash boundary: verdict reached, nothing released — a kill here
 	// re-resolves to the same verdict.
 	killpoint.Hit(killpoint.MoveResolveCommit)
-	k.mu.Lock()
-	k.forwards[id] = it.Dest
-	delete(k.sites, id)
-	delete(k.shipped, id)
-	k.mu.Unlock()
-	_ = k.store.Delete(id)
-	if derr := k.store.DeleteIntent(id); derr != nil {
-		// The forwarding pointer is set for this incarnation and the
-		// surviving intent re-resolves to the same verdict next boot.
-		k.stMoveResolveFwd.Add(1)
-		return moveRolledForward, nil
-	}
-	k.mu.Lock()
-	delete(k.intents, id)
-	k.mu.Unlock()
-	k.loc.Forget(id)
-	k.loc.Learn(id, it.Dest, false)
 	// Version 0: a move invalidate retires shadows and re-steers the
 	// locator regardless of version (see handleInvalidate).
-	k.broadcastInvalidate(id, 0, true, it.Dest, nil)
+	k.commitMove(id, nil, mi.Dest, 0)
 	k.stMoveResolveFwd.Add(1)
 	// Crash boundary: the recovered move is fully committed — a kill
 	// here must find the object serving at the destination only.
 	killpoint.Hit(killpoint.MovePostCommit)
 	return moveRolledForward, nil
+}
+
+// commitMove is the source half of a move's commit: o is the leaving
+// incarnation, nil when recovery rolls a move forward. The acked versions
+// go with the policy: kept as incremental bases for a return, they would
+// omit changes — deletions too — made at other homes.
+func (k *Kernel) commitMove(id edenid.ID, o *Object, to uint32, ver uint64) {
+	k.mu.Lock()
+	if o != nil {
+		k.unchargeLocked(o)
+	}
+	k.forwards[id] = to
+	delete(k.sites, id)
+	delete(k.intents, id)
+	k.mu.Unlock()
+	// The stale local checkpoint would otherwise make this node claim to
+	// be home again after a restart.
+	_ = k.store.Delete(id)
+	// The commit point: once the intent is durably gone, no future
+	// incarnation of this node will question the move (if the delete
+	// fails, the next boot re-resolves to the same verdict).
+	_ = k.store.DeleteIntent(id)
+	k.loc.Forget(id)
+	k.loc.Learn(id, to, false)
+	// The new home will not refresh this home's checksites; the move
+	// invalidate disables their serving floors until a checkpoint from
+	// the new home arrives (see handleInvalidate).
+	k.broadcastInvalidate(id, ver, true, to, nil)
 }

@@ -11,11 +11,13 @@ package kernel
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"eden/internal/msg"
 	"eden/internal/store"
+	"eden/internal/transport"
 )
 
 // plantMoveDebris re-creates the post-crash store state of a move
@@ -407,6 +409,86 @@ func TestMoveRecoveryInvalidatesReplicaShadow(t *testing.T) {
 	for _, v := range s.ks[2].Replicas() {
 		if v.Object == cap.ID() && !v.Disabled {
 			t.Errorf("checksite serving floor not disabled after the move: %+v", v)
+		}
+	}
+}
+
+// probeLog is a transport that notes when each move-recovery probe is
+// sent.
+type probeLog struct {
+	transport.Transport
+	mu    sync.Mutex
+	sent  []time.Time
+	first chan struct{} // closed by the first probe
+}
+
+func (p *probeLog) Send(env msg.Envelope) error {
+	if env.Kind == msg.KindShip {
+		if ship, err := msg.DecodeShip(env.Payload); err == nil && ship.Purpose == msg.ShipMoveProbe {
+			p.mu.Lock()
+			p.sent = append(p.sent, time.Now())
+			if len(p.sent) == 1 {
+				close(p.first)
+			}
+			p.mu.Unlock()
+		}
+	}
+	return p.Transport.Send(env)
+}
+
+// TestInDoubtTouchesShareOneProbe: however many locate queries find a
+// move in doubt, one resolution runs, one probe out at a time, and an
+// invocation waits for it no longer than its own deadline. Each query
+// used to queue a full-timeout probe of its own, and the invocation
+// waited behind all of them.
+func TestInDoubtTouchesShareOneProbe(t *testing.T) {
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+
+	s.crashNode(1)
+	if err := s.stores[1].PutIntent(store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.mesh.Partition(1, 2)
+	ep, err := s.mesh.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := &probeLog{Transport: ep, first: make(chan struct{})}
+	cfg := DefaultConfig(1, "node-1")
+	cfg.DefaultTimeout = 750 * time.Millisecond
+	k1 := New(cfg, probes, s.reg, s.stores[1])
+	k1.loc.DefaultTimeout = 250 * time.Millisecond
+	s.ks[1] = k1
+	t.Cleanup(func() { k1.Close() })
+
+	for range 10 {
+		k1.hostCheck(cap.ID(), false) // as ten locate queries would
+	}
+	<-probes.first // a resolution is under way
+	start := time.Now()
+	_, err = k1.Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: time.Second})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrCrashed) && !errors.Is(err, ErrTimeout) {
+		t.Errorf("in-doubt invoke: err = %v, want ErrCrashed or ErrTimeout", err)
+	}
+	if elapsed > 1250*time.Millisecond {
+		t.Errorf("in-doubt invoke returned after %v, past its 1 s deadline", elapsed)
+	}
+	// Each probe is lost to the partition; the next may go only once the
+	// last has been waited out.
+	probes.mu.Lock()
+	sent := append([]time.Time(nil), probes.sent...)
+	probes.mu.Unlock()
+	for i := 1; i < len(sent); i++ {
+		if gap := sent[i].Sub(sent[i-1]); gap < cfg.DefaultTimeout/probeAttempts-20*time.Millisecond {
+			t.Errorf("probes %d and %d went %v apart: two in flight at once", i, i+1, gap)
 		}
 	}
 }

@@ -102,12 +102,12 @@ type Object struct {
 	savedFrozen bool
 	passive     bool // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
 	// replica marks an incarnation serving for a remote home: a frozen
-	// replica cached here, or (shadow) a read-only reincarnation of the
-	// home's last checkpoint. A shadow's version is fixed at construction
-	// — it never checkpoints — so the field may be read without mu once
-	// the shadow is published.
+	// replica cached here (Kernel.replicas), or a shadow — a read-only
+	// reincarnation of the home's last checkpoint held for a backup
+	// (Kernel.backups). A replica's version is fixed at construction — it
+	// never checkpoints — so the field may be read without mu once the
+	// replica is published.
 	replica bool
-	shadow  bool
 }
 
 // shortTerm is the short-term state an incarnation makes only when

@@ -334,7 +334,7 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 					r.t.Fatal(err)
 				}
 				r.k.mu.Lock()
-				r.k.backups[id] = 7
+				r.k.backups[id] = &backup{home: 7}
 				r.k.mu.Unlock()
 				if home, _ := r.k.hostCheck(id, true); !home {
 					r.t.Fatal("recovery did not promote the backup")

@@ -23,11 +23,19 @@ import (
 // nodes outside that handshake — lagging checksites, ex-checksites,
 // and every node's locator hint cache.
 
-// floorDisabled is the minServe sentinel meaning "do not serve any
+// floorDisabled is the serving-floor sentinel meaning "do not serve any
 // shadow of this object": set when the object's home moves (the new
 // home does not ship checkpoints here, so no local record can be
 // trusted as current), cleared by the next accepted checkpoint ship.
 const floorDisabled = ^uint64(0)
+
+// retire tears a shadow that left the books down in the background;
+// calls queued at it bounce to home, or report a crash when home is 0.
+func retire(shadow *Object, home uint32) {
+	if shadow != nil {
+		go shadow.destroyActiveState(home)
+	}
+}
 
 // replicaShadow returns a servable checkpoint shadow for id, creating
 // one from the local backup record if necessary. It returns nil when
@@ -35,26 +43,24 @@ const floorDisabled = ^uint64(0)
 // serving floor, or the floor disabled by a move — counting the reason
 // under kernel.replica.stale_serve or kernel.replica.miss.
 func (k *Kernel) replicaShadow(id edenid.ID) *Object {
+	var floor uint64
+	var cached *Object
 	k.mu.Lock()
-	if k.closed {
-		k.mu.Unlock()
-		return nil
+	b := k.backups[id]
+	if b != nil {
+		floor, cached = b.floor, b.shadow
 	}
-	home, isBackup := k.backups[id]
-	floor := k.minServe[id]
-	cached := k.replicas[id]
 	k.mu.Unlock()
-	if !isBackup {
+	switch {
+	case b == nil:
 		k.tel.replicaMiss.Inc()
 		return nil
-	}
-	if floor == floorDisabled {
+	case floor == floorDisabled:
 		k.tel.replicaStale.Inc()
 		return nil
-	}
-	// A shadow's version is fixed at construction, so the plain field
-	// read is safe once the shadow is published (see Object.shadow).
-	if cached != nil && (!cached.shadow || cached.version >= floor) {
+	case cached != nil && cached.version >= floor:
+		// A shadow's version is fixed at construction, so the plain field
+		// read is safe once the shadow is published (see Object.replica).
 		return cached
 	}
 
@@ -85,31 +91,27 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	}
 	obj.epoch = normEpoch(rec.Epoch)
 	obj.replica = true
-	obj.shadow = true
-	obj.home = home
 
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
 		return nil
 	}
-	// Re-validate under the lock: an invalidation or a fresher ship may
-	// have raced the reincarnation.
-	if f := k.minServe[id]; f == floorDisabled || rec.Version < f {
+	// Re-validate under the lock: an invalidation, a fresher ship or the
+	// end of the backup role may have raced the reincarnation.
+	if b = k.backups[id]; b == nil || b.floor == floorDisabled || rec.Version < b.floor {
 		k.mu.Unlock()
 		k.tel.replicaStale.Inc()
 		return nil
 	}
-	old := k.replicas[id]
-	if old != nil && (!old.shadow || old.version >= rec.Version) {
+	old := b.shadow
+	if old != nil && old.version >= rec.Version {
 		k.mu.Unlock()
 		return old // lost a benign race; serve the winner
 	}
-	k.replicas[id] = obj
+	obj.home, b.shadow = b.home, obj
 	k.mu.Unlock()
-	if old != nil {
-		go old.destroyActiveState(home)
-	}
+	retire(old, obj.home)
 	k.stReplicas.Add(1)
 	return obj
 }
@@ -140,16 +142,16 @@ func (k *Kernel) Replicas() []ReplicaStatus {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	out := make([]ReplicaStatus, 0, len(k.backups))
-	for id, home := range k.backups {
-		st := ReplicaStatus{Object: id, Home: home}
-		if f := k.minServe[id]; f == floorDisabled {
+	for id, b := range k.backups {
+		st := ReplicaStatus{Object: id, Home: b.home}
+		if b.floor == floorDisabled {
 			st.Disabled = true
 		} else {
-			st.Floor = f
+			st.Floor = b.floor
 		}
-		if sh := k.replicas[id]; sh != nil && sh.shadow {
+		if b.shadow != nil {
 			st.Shadow = true
-			st.Version = sh.version
+			st.Version = b.shadow.version
 		}
 		out = append(out, st)
 	}
@@ -167,44 +169,32 @@ func (k *Kernel) handleInvalidate(env msg.Envelope) {
 	}
 	k.tel.replicaInvalidate.Inc()
 	id := iv.Object
-	if iv.Move {
-		var retire *Object
-		k.mu.Lock()
-		if _, isBackup := k.backups[id]; isBackup {
+	var old *Object
+	k.mu.Lock()
+	if b := k.backups[id]; b != nil {
+		switch {
+		case iv.Move:
 			// The new home does not ship checkpoints to the old home's
 			// checksites, so this record only grows staler; refuse to
 			// serve until a checkpoint from the new home arrives.
-			k.minServe[id] = floorDisabled
+			b.floor = floorDisabled
+			old, b.shadow = b.shadow, nil
+		case b.floor == floorDisabled || b.floor < iv.Version:
+			b.floor = iv.Version
 		}
-		if sh := k.replicas[id]; sh != nil && sh.shadow {
-			delete(k.replicas, id)
-			retire = sh
+		if sh := b.shadow; sh != nil && sh.version < iv.Version {
+			old, b.shadow = sh, nil
 		}
-		k.mu.Unlock()
-		if retire != nil {
-			go retire.destroyActiveState(iv.Home)
-		}
+	}
+	k.mu.Unlock()
+	// Queued and racing calls bounce to the home rather than reporting a
+	// crash; the next stale-tolerant read reincarnates a fresh shadow
+	// from the new record.
+	retire(old, iv.Home)
+	if iv.Move {
 		k.loc.Forget(id)
 		k.loc.Learn(id, iv.Home, false)
 		return
-	}
-	var retire *Object
-	k.mu.Lock()
-	if _, isBackup := k.backups[id]; isBackup {
-		if f := k.minServe[id]; f == floorDisabled || f < iv.Version {
-			k.minServe[id] = iv.Version
-		}
-	}
-	if sh := k.replicas[id]; sh != nil && sh.shadow && sh.version < iv.Version {
-		delete(k.replicas, id)
-		retire = sh
-	}
-	k.mu.Unlock()
-	if retire != nil {
-		// Queued and racing calls bounce to the home rather than
-		// reporting a crash; the next stale-tolerant read reincarnates
-		// a fresh shadow from the new record.
-		go retire.destroyActiveState(iv.Home)
 	}
 	k.loc.SetReplicas(id, iv.Home, iv.Sites)
 }

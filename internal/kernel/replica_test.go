@@ -616,3 +616,50 @@ func TestFailedBootScanIsRetried(t *testing.T) {
 		t.Errorf("home counter = %d, want 3 (every inc ran at the home)", got)
 	}
 }
+
+// TestPromotedChecksiteRetiresItsShadow: a checksite that failure
+// recovery promotes to home stops serving its checkpoint shadow. Kept
+// past the promotion, the shadow outlived the object's next move: the
+// node, now only a forwarder, advertised itself as a replica and sent
+// every stale-tolerant read to itself, to be bounced on.
+func TestPromotedChecksiteRetiresItsShadow(t *testing.T) {
+	s := replicaSys(t)
+	cap, err := s.ks[1].Create("counter", &CreateOptions{
+		Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	if got := counterValue(t, s.ks[2], cap, true); got != 1 {
+		t.Fatalf("shadow read = %d, want 1", got)
+	}
+	s.crashNode(1)
+	// A home read promotes node 2's backup and activates the counter.
+	if _, err := s.ks[2].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second}); err != nil {
+		t.Fatalf("home read after the home died: %v", err)
+	}
+	obj, err := s.ks[2].Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-obj.Move(3); err != nil {
+		t.Fatal(err)
+	}
+
+	if home, replica := s.ks[2].hostCheck(cap.ID(), false); home || replica {
+		t.Errorf("hostCheck = (%v, %v) after the object moved on, want (false, false)", home, replica)
+	}
+	before := s.ks[2].Stats()
+	if got := counterValue(t, s.ks[2], cap, true); got != 1 {
+		t.Errorf("stale-tolerant read = %d, want 1", got)
+	}
+	after := s.ks[2].Stats()
+	if d := after.MovedChases - before.MovedChases; d != 0 {
+		t.Errorf("the read chased %d bounces, want 0", d)
+	}
+	if d := after.ServedInvokes - before.ServedInvokes; d != 0 {
+		t.Errorf("node 2 served %d invocations to itself, want 0", d)
+	}
+}
