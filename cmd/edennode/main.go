@@ -38,7 +38,6 @@ import (
 	"eden/internal/capability"
 	"eden/internal/editor"
 	"eden/internal/efs"
-	"eden/internal/faultstore"
 	"eden/internal/kernel"
 	"eden/internal/killpoint"
 	"eden/internal/naming"
@@ -58,8 +57,13 @@ func main() {
 	metrics := flag.String("metrics", "", "serve telemetry over HTTP on this address (e.g. 127.0.0.1:9100); empty disables")
 	replicas := flag.Bool("replicas", false, "serve stale-tolerant reads from checkpoint shadows of objects this node backs up")
 	recoverGrace := flag.Duration("recover-grace", 10*time.Second, "refuse failure-recovery promotion of a backed-up object while its home shipped a checkpoint (or this node booted) within this window; 0 promotes immediately")
-	faultSyncLie := flag.Bool("fault-sync-lie", false, "acknowledge store writes before they are durable; a crash loses them")
+	faultSyncLie := flag.Bool("fault-sync-lie", false, "open -store through a fault layer whose fsyncs make nothing durable; a kill loses what they acknowledged")
 	flag.Parse()
+	if *faultSyncLie && *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "-fault-sync-lie needs -store: it lies about the log's fsyncs")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// A crash harness plants a deterministic death through the
 	// environment; an unarmed process pays one atomic load per
@@ -96,22 +100,17 @@ func main() {
 
 	var st store.Store
 	if *storeDir != "" {
-		f, err := store.NewFile(*storeDir)
+		open := store.NewFile
+		if *faultSyncLie {
+			open = store.NewFaults(store.FaultConfig{SyncLie: true, Telemetry: tel}).Open
+			fmt.Println("fault layer armed under the log: sync-lie=true")
+		}
+		f, err := open(*storeDir)
 		if err != nil {
 			fatal("store: %v", err)
 		}
 		defer f.Close() // after the kernel's: waits for any batch in flight
 		st = f
-	}
-	if *faultSyncLie {
-		if st == nil {
-			st = store.NewMemory()
-		}
-		st = faultstore.Wrap(st, faultstore.Config{
-			SyncLie:   true,
-			Telemetry: tel,
-		})
-		fmt.Println("faultstore armed: sync-lie=true")
 	}
 
 	reg := kernel.NewRegistry()

@@ -1,11 +1,13 @@
 package eden
 
 // In-process crash loops: the whitebox complement to the blackbox
-// harness in internal/chaos. The node's long-term store is a
-// fault-injecting wrapper (internal/faultstore) plugged in through
-// NodeConfig.Store, the "process" dies via Node.Crash, and the whole
-// loop runs in one address space — so the race detector watches every
-// cycle, which the subprocess harness cannot offer.
+// harness in internal/chaos. The node keeps its log in a directory
+// through a fault layer (store.Faults), the "process" dies via
+// Node.Crash — which tears what the layer held unsynced — and every
+// Restart reopens the log, so each cycle runs the open pass's replay and
+// torn-tail cut-off. The whole loop runs in one address space, so the
+// race detector watches every cycle, which the subprocess harness cannot
+// offer.
 
 import (
 	"encoding/binary"
@@ -13,12 +15,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"eden/internal/faultstore"
 	"eden/internal/kernel"
 	"eden/internal/store"
 )
@@ -96,6 +98,22 @@ func (f *ackFloor) ack(value, version uint64) {
 	}
 }
 
+// waitAck waits for the next acknowledgement.
+func (f *ackFloor) waitAck(timeout time.Duration) error {
+	f.mu.Lock()
+	from := f.acks
+	f.mu.Unlock()
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		f.mu.Lock()
+		n := f.acks
+		f.mu.Unlock()
+		if n > from {
+			return nil
+		}
+	}
+	return fmt.Errorf("no write acknowledged in %v", timeout)
+}
+
 // acked returns the floor as it stands: a read sent after this returns
 // must observe at least this value and version.
 func (f *ackFloor) acked() (value, version uint64) {
@@ -134,23 +152,30 @@ func allowedCrashLoopErr(err error) bool {
 		errors.Is(err, kernel.ErrClosed)
 }
 
-// TestCrashLoopInProcess crash-loops a node whose store injects failed
-// and delayed I/O — faults the checkpoint contract must tolerate by
-// failing invocations cleanly, never by losing acknowledged state.
-// Traffic runs concurrently throughout, so under -race this also
-// audits the kill/recover paths for data races.
+// faultyNode adds a node to sys that keeps its log in a fresh directory
+// through a fault layer with cfg's schedule.
+func faultyNode(t *testing.T, sys *System, cfg store.FaultConfig) (*Node, *store.Faults) {
+	t.Helper()
+	fl := store.NewFaults(cfg)
+	n, err := sys.addNode("faulty", NodeConfig{StoreDir: t.TempDir()}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, fl
+}
+
+// TestCrashLoopInProcess crash-loops a node whose log fails and stalls
+// reads, writes and fsyncs — faults the checkpoint contract must
+// tolerate by failing invocations cleanly, never by losing acknowledged
+// state — and whose crashes tear the batch in flight. Traffic runs
+// concurrently throughout, so under -race this also audits the
+// kill/recover paths for data races.
 func TestCrashLoopInProcess(t *testing.T) {
 	seed := int64(20260808)
 	if s := os.Getenv("EDEN_CHAOS_SEED"); s != "" {
 		fmt.Sscanf(s, "%d", &seed)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	fs := faultstore.Wrap(store.NewMemory(), faultstore.Config{
-		Seed:      seed,
-		FailProb:  0.05,
-		DelayProb: 0.05,
-		MaxDelay:  2 * time.Millisecond,
-	})
 	sys, err := NewSystem(SystemConfig{
 		DefaultTimeout: 2 * time.Second,
 		LocateTimeout:  300 * time.Millisecond,
@@ -159,10 +184,12 @@ func TestCrashLoopInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	faulty, err := sys.AddNodeWithConfig("faulty", NodeConfig{Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty, fl := faultyNode(t, sys, store.FaultConfig{
+		Seed:      seed,
+		FailProb:  0.05,
+		DelayProb: 0.5,
+		MaxDelay:  5 * time.Millisecond,
+	})
 	client, err := sys.AddNode("client")
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +229,7 @@ func TestCrashLoopInProcess(t *testing.T) {
 					return
 				default:
 				}
-				rep, err := client.Invoke(cap, "incdur", nil, nil, &InvokeOptions{Timeout: 500 * time.Millisecond})
+				rep, err := client.Invoke(cap, "incdur", nil, nil, &InvokeOptions{Timeout: 250 * time.Millisecond})
 				if err != nil {
 					if !allowedCrashLoopErr(err) {
 						undefined.CompareAndSwap(nil, err)
@@ -219,7 +246,12 @@ func TestCrashLoopInProcess(t *testing.T) {
 		cycles = 25
 	}
 	for cycle := 1; cycle <= cycles; cycle++ {
-		time.Sleep(time.Duration(20+rng.Intn(50)) * time.Millisecond)
+		// Crash under load: once a write gets through to this incarnation,
+		// after a seeded while — most likely inside a batch, stalled.
+		if err := floor.waitAck(10 * time.Second); err != nil {
+			t.Fatalf("cycle %d (seed %d): %v", cycle, seed, err)
+		}
+		time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
 		faulty.Crash()
 		if err := faulty.Restart(); err != nil {
 			t.Fatalf("cycle %d: restart: %v", cycle, err)
@@ -250,23 +282,22 @@ func TestCrashLoopInProcess(t *testing.T) {
 	if e := undefined.Load(); e != nil {
 		t.Fatalf("traffic saw an undefined error (seed %d): %v", seed, e)
 	}
-	c := fs.Counters()
-	if fs.Ops() == 0 {
-		t.Fatal("fault schedule never consulted: the injected store is not wired in")
+	c := fl.Counters()
+	if c.Ops == 0 {
+		t.Fatal("fault schedule never consulted: the fault layer is not under the node's log")
 	}
 	floor.mu.Lock()
-	t.Logf("seed %d: survived %d crash cycles, %d acked writes (floor value=%d version=%d); injected faults: fail=%d delay=%d over %d store ops",
-		seed, cycles, floor.acks, floor.value, floor.version, c.Fail, c.Delay, fs.Ops())
+	t.Logf("seed %d: survived %d crash cycles, %d acked writes (floor value=%d version=%d); injected faults: fail=%d delay=%d over %d segment calls, %d torn and %d dropped tails",
+		seed, cycles, floor.acks, floor.value, floor.version, c.Fail, c.Delay, c.Ops, c.Torn, c.Dropped)
 	floor.mu.Unlock()
 }
 
-// TestCrashSyncLieInProcess is the in-process negative control: a store
-// that acknowledges checkpoints before they are durable must lose them
-// when the node power-fails (Node.Crash drops the volatile overlay),
+// TestCrashSyncLieInProcess is the in-process negative control: a log
+// whose fsyncs acknowledge checkpoints before they are durable must lose
+// them when the node power-fails (Node.Crash tears what the layer held),
 // and the floor checks must catch the loss. It also pins the
 // System-level contract that Crash loses unsynced state.
 func TestCrashSyncLieInProcess(t *testing.T) {
-	fs := faultstore.Wrap(store.NewMemory(), faultstore.Config{Seed: 4242, SyncLie: true})
 	sys, err := NewSystem(SystemConfig{
 		DefaultTimeout: 2 * time.Second,
 		LocateTimeout:  300 * time.Millisecond,
@@ -275,10 +306,7 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	faulty, err := sys.AddNodeWithConfig("faulty", NodeConfig{Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty, fl := faultyNode(t, sys, store.FaultConfig{Seed: 4242, SyncLie: true})
 	client, err := sys.AddNode("client")
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +327,13 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 		}
 		floor.ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
 	}
-	if fs.UnsyncedLen() == 0 {
-		t.Fatal("sync-lie store has nothing unsynced after three acknowledged checkpoints")
+	if c := fl.Counters(); c.SyncLie < 3 {
+		t.Fatalf("%d lying fsyncs behind three acknowledged checkpoints", c.SyncLie)
 	}
 
-	faulty.Crash() // the overlay dies with the power
-	if c := fs.Counters(); c.Dropped == 0 {
-		t.Fatal("Crash did not drop the unsynced overlay")
+	faulty.Crash() // what the layer held dies with the power
+	if c := fl.Counters(); c.Dropped+c.Torn == 0 {
+		t.Fatal("Crash lost nothing the layer held")
 	}
 	if err := faulty.Restart(); err != nil {
 		t.Fatal(err)
@@ -334,5 +362,112 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 			t.Fatalf("undefined post-crash error: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// logBytes sums the lengths of the log segments in dir.
+func logBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, name := range names {
+		info, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// TestCrashFencesTheDeadIncarnation: a handler still running when its
+// node crashes checkpoints through the dead incarnation's log, which
+// Crash closed, so the Put fails with ErrClosed and nothing of it is
+// seen after Restart, which reopens the log. Over an honest layer the
+// acknowledged write survives exactly; over a lying one the crash tears
+// the held tail, and the restart's scan cuts the torn frame off.
+func TestCrashFencesTheDeadIncarnation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  store.FaultConfig
+	}{
+		{"honest", store.FaultConfig{}},
+		{"sync-lie", store.FaultConfig{Seed: 1, SyncLie: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(SystemConfig{DefaultTimeout: 2 * time.Second, LocateTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			entered, release := make(chan struct{}), make(chan struct{})
+			late := make(chan error, 1)
+			tm := durableCounterType()
+			tm.Op(Operation{
+				Name:  "late",
+				Class: "write",
+				Handler: func(c *Call) {
+					close(entered)
+					<-release
+					err := c.Self().Update(func(r *Representation) error {
+						r.SetData("n", binary.BigEndian.AppendUint64(nil, 1000))
+						return nil
+					})
+					if err == nil {
+						err = c.Self().Checkpoint()
+					}
+					late <- err
+					c.Return(nil)
+				},
+			})
+			if err := sys.RegisterType(tm); err != nil {
+				t.Fatal(err)
+			}
+			faulty, fl := faultyNode(t, sys, tc.cfg)
+			cap, err := faulty.CreateObject("chaos.durable")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := faulty.Invoke(cap, "incdur", nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			faulty.InvokeAsync(cap, "late", nil, nil, nil)
+			<-entered
+			faulty.Crash()
+			crashed := logBytes(t, faulty.nc.StoreDir)
+			close(release)
+			if err := <-late; !errors.Is(err, store.ErrClosed) {
+				t.Fatalf("the dead incarnation's checkpoint: %v, want store.ErrClosed", err)
+			}
+			if err := faulty.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			c := fl.Counters()
+			rep, err := faulty.Invoke(cap, "stat", nil, nil, nil)
+			if tc.cfg.SyncLie {
+				if c.Torn != 1 {
+					t.Fatalf("counters %+v: seed %d no longer tears the held tail", c, tc.cfg.Seed)
+				}
+				if reopened := logBytes(t, faulty.nc.StoreDir); reopened >= crashed {
+					t.Errorf("the log holds %d bytes after the restart, %d after the crash: the torn frame was not cut off", reopened, crashed)
+				}
+				if err == nil && binary.BigEndian.Uint64(rep.Data) != 0 {
+					t.Errorf("value %d after a crash under lying fsyncs, want 0 or no object", binary.BigEndian.Uint64(rep.Data))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Torn+c.Dropped != 0 {
+				t.Errorf("the crash tore a batch nobody was writing: %+v", c)
+			}
+			if v := binary.BigEndian.Uint64(rep.Data); v != 1 {
+				t.Errorf("value %d after the restart, want the acknowledged 1", v)
+			}
+		})
 	}
 }

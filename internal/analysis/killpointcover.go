@@ -196,8 +196,7 @@ func (kp *kpWalker) scan(n ast.Node, events *[]kpEvent) {
 
 // storeMutation reports whether the call mutates long-term storage: a
 // Put or Delete — or a move-intent write/erase, the durable halves of
-// the move transaction — whose callee is declared in a store package
-// (the store interface or the fault-injecting wrapper).
+// the move transaction — whose callee is declared in the store package.
 func storeMutation(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -214,7 +213,7 @@ func storeMutation(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	path := fn.Pkg().Path()
-	if !pathHasSuffix(path, "internal/store") && !pathHasSuffix(path, "internal/faultstore") {
+	if !pathHasSuffix(path, "internal/store") {
 		return "", false
 	}
 	return "store." + name, true

@@ -254,13 +254,13 @@ func TestSyncLieLosesAckedWrites(t *testing.T) {
 	lying.Args = []string{"-fault-sync-lie"}
 
 	p := StartNode(t, bin, lying)
-	p.Expect(t, regexp.MustCompile(`faultstore armed: sync-lie=true`), 10*time.Second)
+	p.Expect(t, regexp.MustCompile(`fault layer armed under the log: sync-lie=true`), 10*time.Second)
 	p.Expect(t, reListening, 10*time.Second)
 	p.Send("create counter")
 	capHex := p.Expect(t, reCap, 10*time.Second)
 
-	// Three acknowledged "durable" writes — every one a lie held only
-	// in the volatile overlay.
+	// Three acknowledged "durable" writes — every one a lie, held only
+	// in the fault layer's memory.
 	model := &Model{}
 	for i := uint64(1); i <= 3; i++ {
 		p.Send("invoke " + capHex + " incdur")
@@ -272,7 +272,7 @@ func TestSyncLieLosesAckedWrites(t *testing.T) {
 		model.Ack(v, ver)
 	}
 
-	p.Kill(t) // the lie comes due: the overlay dies with the process
+	p.Kill(t) // the lie comes due: what the layer held dies with the process
 
 	r := StartNode(t, bin, honest)
 	r.Expect(t, reListening, 10*time.Second)

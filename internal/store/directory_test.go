@@ -169,17 +169,14 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 // next Put appends where the log ended before.
 func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, fl := openFaulty(t, dir)
 	rec := sampleRec(1)
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)
 	}
 	end := f.head().size
 	injected := errors.New("injected fsync failure")
-	f.hooks.sync = func() error { return injected }
+	failOn(fl, injected, "sync")
 	next := rec
 	next.Version = 2
 	if err := f.Put(next); !errors.Is(err, injected) {
@@ -192,7 +189,7 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if err := f.Delete(rec.Object); !errors.Is(err, injected) {
 		t.Fatalf("Delete with a failing fsync: %v", err)
 	}
-	f.hooks.sync = nil
+	fl.trigger = nil
 	if got, ok := f.Stat(rec.Object); !ok || got.Version != 1 {
 		t.Errorf("Stat after failed Put = %+v, %v; want v1", got, ok)
 	}
@@ -209,7 +206,8 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if at := f.recs[next.Object].loc; at.off != end {
 		t.Errorf("Put after the failure landed at %d, want the clean tail %d", at.off, end)
 	}
-	if f, err = NewFile(dir); err != nil {
+	f, err := NewFile(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkDirectory(t, f, dir, "after reopen")
@@ -221,23 +219,17 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 // disk: the failed Put's outcome is unknown, as a failed fsync's is.
 func TestFileFailedCutRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, fl := openFaulty(t, dir)
 	f.segSize = 1 // every batch seals its segment
 	rec := sampleRec(1)
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	f.hooks.sync = func() error {
-		f.head().fh.Close() // and so the cut fails too
-		return errors.New("injected fsync failure")
-	}
+	failOn(fl, errors.New("injected failure"), "sync", "truncate") // the cut fails too
 	if err := f.Put(sampleRec(1)); err == nil {
 		t.Fatal("Put with a failing fsync succeeded")
 	}
-	f.hooks.sync = nil
+	fl.trigger = nil
 	if err := f.Put(sampleRec(1)); !errors.Is(err, ErrFailed) {
 		t.Errorf("Put after a failed cut: %v, want ErrFailed", err)
 	}
@@ -247,7 +239,8 @@ func TestFileFailedCutRefusesWrites(t *testing.T) {
 	if got, err := f.Get(rec.Object); err != nil || !bytes.Equal(got.Rep, rec.Rep) {
 		t.Errorf("Get after a failed cut: %v", err)
 	}
-	if f, err = NewFile(dir); err != nil {
+	f, err := NewFile(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f.Stat(rec.Object); !ok {

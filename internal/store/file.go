@@ -26,6 +26,7 @@ import (
 // a writer holds across I/O. One process owns the directory at a time.
 type File struct {
 	dir     string
+	fs      fsys  // the I/O seam: the operating system, or a fault layer
 	segSize int64 // a head segment this long is sealed: segmentSize, except in tests
 
 	// The write side. mu guards the queue of frames waiting for a batch,
@@ -43,7 +44,6 @@ type File struct {
 	broken   error // set when a failed batch could not be cut off the log; fails every later write
 	closed   bool
 	fsyncs   atomic.Int64
-	hooks    hooks
 
 	// The read side. dirMu guards the directory (recs, intents) and the
 	// segment list. Writers hold it only to look a version up or to
@@ -105,21 +105,10 @@ func (t *typeNames) add(b []byte) string {
 	return s
 }
 
-// hooks are the points at which this package's tests stop or fail the
-// log. Both are nil outside them.
-type hooks struct {
-	// sync runs before every fsync of a segment; an error fails it.
-	sync func() error
-	// compacted runs when a compaction's copies are durable and the
-	// segment they came from is not yet removed; an error stops the
-	// compaction there.
-	compacted func() error
-}
-
 // segFile is one numbered segment file of the log.
 type segFile struct {
 	num  uint32
-	fh   *os.File
+	fh   segIO
 	size int64 // bytes of whole frames
 	live int64 // bytes of the frames the directory points at
 	// refs counts the log's own reference and every Get reading the
@@ -222,16 +211,14 @@ const intentMagic = "EDENMVI1"
 // with ErrFailed. A directory that still holds a record or intent file of
 // the one-file-per-record layout is refused, so that a store never opens
 // silently empty.
-func NewFile(dir string) (*File, error) {
+func NewFile(dir string) (*File, error) { return openFile(dir, osFS{}) }
+
+// openFile is NewFile with fs under the log.
+func openFile(dir string, fs fsys) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	names, err := d.Readdirnames(-1)
-	d.Close()
+	names, err := fs.list(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -247,6 +234,7 @@ func NewFile(dir string) (*File, error) {
 	slices.Sort(nums)
 	f := &File{
 		dir:      dir,
+		fs:       fs,
 		segSize:  segmentSize,
 		inflight: make(map[frameKey]*pending),
 		recs:     make(map[edenid.ID]dirEntry),
@@ -292,23 +280,15 @@ func (f *File) segmentPath(num uint32) string { return filepath.Join(f.dir, segm
 // writing, and what follows its last intact frame is cut off.
 func (f *File) load(num uint32, last bool, br *bufio.Reader) error {
 	path := f.segmentPath(num)
-	flag := os.O_RDONLY
-	if last {
-		flag = os.O_RDWR
-	}
-	fh, err := os.OpenFile(path, flag, 0)
+	fh, size, err := f.fs.open(path, last)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s := &segFile{num: num, fh: fh}
 	s.refs.Store(1)
 	f.segs = append(f.segs, s)
-	info, err := fh.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	br.Reset(fh)
-	bad, err := f.replay(s, br, info.Size())
+	bad, err := f.replay(s, br, size)
 	if err != nil || bad == "" {
 		return err
 	}
@@ -432,36 +412,20 @@ func (f *File) head() *segFile { return f.segs[len(f.segs)-1] }
 // durable.
 func (f *File) newSegment(num uint32) error {
 	path := f.segmentPath(num)
-	fh, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	fh, err := f.fs.create(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := syncDir(f.dir); err != nil {
+	if err := f.fs.syncDir(f.dir); err != nil {
 		fh.Close()
-		os.Remove(path)
-		return err
+		f.fs.remove(path)
+		return fmt.Errorf("store: %w", err)
 	}
 	s := &segFile{num: num, fh: fh}
 	s.refs.Store(1)
 	f.dirMu.Lock()
 	f.segs = append(f.segs, s)
 	f.dirMu.Unlock()
-	return nil
-}
-
-// syncDir makes the creation or removal of a name in dir durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
@@ -648,11 +612,6 @@ func (f *File) write(s *segFile, b []byte) error {
 }
 
 func (f *File) sync(s *segFile) error {
-	if f.hooks.sync != nil {
-		if err := f.hooks.sync(); err != nil {
-			return err
-		}
-	}
 	f.fsyncs.Add(1)
 	return s.fh.Sync()
 }
@@ -731,11 +690,6 @@ func (f *File) compactOldest() error {
 			return err
 		}
 	}
-	if f.hooks.compacted != nil {
-		if err := f.hooks.compacted(); err != nil {
-			return err
-		}
-	}
 	f.dirMu.Lock()
 	for _, m := range moves {
 		if m.k.intent {
@@ -751,10 +705,11 @@ func (f *File) compactOldest() error {
 	}
 	f.segs = slices.Delete(f.segs, 0, 1)
 	f.dirMu.Unlock()
-	err := os.Remove(f.segmentPath(old.num))
+	err := f.fs.remove(f.segmentPath(old.num))
 	if err == nil {
-		err = syncDir(f.dir)
-	} else {
+		err = f.fs.syncDir(f.dir)
+	}
+	if err != nil {
 		err = fmt.Errorf("store: %w", err)
 	}
 	old.release() // a Get still reading it closes it
@@ -867,8 +822,8 @@ func (f *File) ListIntents() ([]MoveIntent, error) {
 
 // Close waits for the batches already queued, then closes the segment
 // files, each once no Get is reading it. Every later call fails — Stat
-// with a miss, the rest with ErrClosed. A node's Crash and Restart keep
-// its store open: whoever opened a File closes it.
+// with a miss, the rest with ErrClosed. A node's Crash closes its log,
+// Restart opens it anew, and System.Close closes the one open then.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -64,6 +65,28 @@ func segmentFiles(t *testing.T, dir string) []string {
 	return names
 }
 
+// openFaulty opens the log in dir through a fault layer that injects
+// nothing, for a test to arm the layer's trigger.
+func openFaulty(t testing.TB, dir string) (*File, *Faults) {
+	t.Helper()
+	fl := NewFaults(FaultConfig{})
+	f, err := fl.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, fl
+}
+
+// failOn fails every call through fl named in ops with err.
+func failOn(fl *Faults, err error, ops ...string) {
+	fl.trigger = func(op string) error {
+		if slices.Contains(ops, op) {
+			return err
+		}
+		return nil
+	}
+}
+
 // gate holds the first fsync of a store until released, so that a test
 // can line up what queues behind the batch being written. entered is
 // closed when that fsync is reached.
@@ -71,11 +94,13 @@ type gate struct {
 	entered, release chan struct{}
 }
 
+// holdFirstSync arms the gate on f, which was opened through a fault
+// layer.
 func holdFirstSync(f *File) *gate {
 	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
 	var first atomic.Bool
-	f.hooks.sync = func() error {
-		if first.CompareAndSwap(false, true) {
+	f.fs.(*faultView).fl.trigger = func(op string) error {
+		if op == "sync" && first.CompareAndSwap(false, true) {
 			close(g.entered)
 			<-g.release
 		}
@@ -108,7 +133,7 @@ func waitQueued(t *testing.T, f *File, n int) {
 func putBatch(t *testing.T, f *File, blocker Record, recs []Record) {
 	t.Helper()
 	g := holdFirstSync(f)
-	defer func() { f.hooks.sync = nil }()
+	defer func() { f.fs.(*faultView).fl.trigger = nil }()
 	errs := make(chan error, len(recs)+1)
 	go func() { errs <- f.Put(blocker) }()
 	<-g.entered

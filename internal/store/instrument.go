@@ -128,19 +128,3 @@ func (i *instrumented) ListIntents() ([]MoveIntent, error) {
 	}
 	return its, err
 }
-
-// Unwrap exposes the underlying store, for tests and callers that
-// need implementation-specific methods (Memory.FailWith and friends).
-func (i *instrumented) Unwrap() Store { return i.s }
-
-// Unwrap peels instrumentation off a store, returning the underlying
-// implementation (or s itself if it is not wrapped).
-func Unwrap(s Store) Store {
-	for {
-		w, ok := s.(interface{ Unwrap() Store })
-		if !ok {
-			return s
-		}
-		s = w.Unwrap()
-	}
-}

@@ -68,10 +68,7 @@ func TestFileTornTail(t *testing.T) {
 // is lost, and no frame appears without every frame before it.
 func TestFileGroupCommitDurablePrefix(t *testing.T) {
 	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := openFaulty(t, dir)
 	acked := []Record{sampleRec(1), sampleRec(1)}
 	for _, rec := range acked {
 		if err := f.Put(rec); err != nil {
@@ -178,13 +175,11 @@ func segmentPathIn(dir string, num uint32) string { return filepath.Join(dir, se
 
 // compactable builds a log whose first segment is mostly dead: many
 // versions of a, one of b, c put and deleted, and an intent. The next Put
-// of the returned store seals that segment and compacts it.
-func compactable(t *testing.T, dir string) *File {
+// of the returned store seals that segment and compacts it. The store is
+// opened through the returned fault layer.
+func compactable(t *testing.T, dir string) (*File, *Faults) {
 	t.Helper()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, fl := openFaulty(t, dir)
 	a, b, c := sampleRec(1), sampleRec(1), sampleRec(1)
 	for _, rec := range []Record{a, b, c} {
 		if err := f.Put(rec); err != nil {
@@ -206,7 +201,7 @@ func compactable(t *testing.T, dir string) *File {
 		t.Fatal(err)
 	}
 	f.segSize = f.head().size + 1
-	return f
+	return f, fl
 }
 
 // snapshot is a store's answer to every question about its records and
@@ -238,9 +233,12 @@ func snapshot(t *testing.T, f *File) string {
 // the segment goes; the directory, reopened or not, says what it said.
 func TestFileCompaction(t *testing.T) {
 	dir := t.TempDir()
-	f := compactable(t, dir)
+	f, fl := compactable(t, dir)
 	var want string
-	f.hooks.compacted = func() error {
+	fl.trigger = func(op string) error {
+		if op != "remove" {
+			return nil
+		}
 		if segs := segmentFiles(t, dir); len(segs) != 2 {
 			t.Errorf("%d segment files mid-compaction, want 2", len(segs))
 		}
@@ -272,11 +270,16 @@ func TestFileCompaction(t *testing.T) {
 // TestFileCrashMidCompaction: a crash after the copies are durable but
 // before the old segment is removed leaves both; reopen gives the same
 // directory as before the compaction, and the next one finishes the job.
+// A running store whose compaction failed before it repointed the
+// directory is only longer, and its next seal compacts again.
 func TestFileCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
-	f := compactable(t, dir)
+	f, fl := compactable(t, dir)
 	var crashed, want string
-	f.hooks.compacted = func() error {
+	fl.trigger = func(op string) error {
+		if op != "remove" {
+			return nil
+		}
 		crashed, want = copyLog(t, dir, -1), snapshot(t, f)
 		return errors.New("crash")
 	}
@@ -297,8 +300,40 @@ func TestFileCrashMidCompaction(t *testing.T) {
 		t.Errorf("reopened mid-compaction:\n%s\nwant\n%s", got, want)
 	}
 	checkDirectory(t, g, crashed, "reopened mid-compaction")
-	// The stopped store is only longer; its next seal compacts again.
-	f.hooks.compacted = nil
+	// The reopened log is only longer; its next seal compacts again.
+	g.segSize = g.head().size + 1
+	if err := g.Put(sampleRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if g.segs[0].num == 1 {
+		t.Error("the next seal left the first segment")
+	}
+	checkDirectory(t, g, crashed, "after the next seal")
+
+	// The compaction's fsync, the second of the Put, fails: the copies
+	// are cut off and the directory still points at the first segment.
+	dir = t.TempDir()
+	f, fl = compactable(t, dir)
+	syncs := 0
+	fl.trigger = func(op string) error {
+		if op == "sync" {
+			if syncs++; syncs == 2 {
+				return errors.New("fsync failed")
+			}
+		}
+		return nil
+	}
+	if err := f.Put(sampleRec(1)); err != nil {
+		t.Fatalf("the Put whose batch filled the segment: %v", err)
+	}
+	if syncs < 2 {
+		t.Fatal("no compaction ran")
+	}
+	if f.segs[0].num != 1 {
+		t.Fatal("a compaction whose fsync failed dropped the first segment")
+	}
+	checkDirectory(t, f, dir, "after the failed compaction")
+	fl.trigger = nil
 	f.segSize = f.head().size + 1
 	if err := f.Put(sampleRec(1)); err != nil {
 		t.Fatal(err)
@@ -374,10 +409,7 @@ func TestFileCompactionUnderLoad(t *testing.T) {
 // the next: eight Puts, the first held in its fsync, cost two.
 func TestFileGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := openFaulty(t, dir)
 	g := holdFirstSync(f)
 	recs := make([]Record, 8)
 	errs := make(chan error, len(recs))
@@ -397,7 +429,8 @@ func TestFileGroupCommit(t *testing.T) {
 		t.Errorf("%d fsyncs for %d Puts, want 2", n, len(recs))
 	}
 	f.Close()
-	if f, err = NewFile(dir); err != nil {
+	f, err := NewFile(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
@@ -411,10 +444,7 @@ func TestFileGroupCommit(t *testing.T) {
 // version accepted into the log, batches still being written included,
 // so log order stays version order for each object.
 func TestFileStaleAgainstFramesInFlight(t *testing.T) {
-	f, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := openFaulty(t, t.TempDir())
 	rec := sampleRec(1)
 	g := holdFirstSync(f)
 	errs := make(chan error, 4)
@@ -448,10 +478,7 @@ func TestFileStaleAgainstFramesInFlight(t *testing.T) {
 // TestFileGetNotBlockedByWriter: a Put held in its fsync holds nothing a
 // reader needs.
 func TestFileGetNotBlockedByWriter(t *testing.T) {
-	f, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := openFaulty(t, t.TempDir())
 	rec := sampleRec(1)
 	if err := f.Put(rec); err != nil {
 		t.Fatal(err)

@@ -87,16 +87,11 @@ type NodeConfig struct {
 	// MemoryBytes is the virtual memory budget for active
 	// representations (0 = unbounded).
 	MemoryBytes int64
-	// StoreDir, when non-empty, backs the node's long-term storage
-	// with files under this directory (surviving process restarts);
-	// empty uses an in-memory store that survives node crashes within
-	// the process.
+	// StoreDir, when non-empty, keeps the node's long-term storage as
+	// a log in this directory (surviving process restarts), which Crash
+	// closes and Restart reopens; empty uses an in-memory store that
+	// survives node crashes within the process.
 	StoreDir string
-	// Store, when non-nil, is used directly as the node's long-term
-	// storage, overriding StoreDir — the injection point for
-	// fault-schedule wrappers (internal/faultstore) in crash tests.
-	// Like any node store it survives Crash/Restart.
-	Store store.Store
 	// EvictOnPressure makes the node transparently passivate idle
 	// objects when MemoryBytes would be exceeded, instead of failing
 	// activations — the full single-level-memory behavior.
@@ -111,6 +106,12 @@ func (s *System) AddNode(name string) (*Node, error) {
 
 // AddNodeWithConfig creates a node with explicit resources.
 func (s *System) AddNodeWithConfig(name string, nc NodeConfig) (*Node, error) {
+	return s.addNode(name, nc, nil)
+}
+
+// addNode creates a node whose log, if it keeps one, is opened through
+// faults when that is not nil: the crash tests' way in.
+func (s *System) addNode(name string, nc NodeConfig, faults *store.Faults) (*Node, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -120,18 +121,9 @@ func (s *System) AddNodeWithConfig(name string, nc NodeConfig) (*Node, error) {
 	num := s.nextID
 	s.mu.Unlock()
 
-	n := &Node{sys: s, num: num, name: name, nc: nc}
-	switch {
-	case nc.Store != nil:
-		n.st = nc.Store
-	case nc.StoreDir != "":
-		f, err := store.NewFile(nc.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		n.st, n.file = f, f
-	default:
-		n.st = store.NewMemory()
+	n := &Node{sys: s, num: num, name: name, nc: nc, faults: faults}
+	if err := n.openStore(); err != nil {
+		return nil, err
 	}
 	if s.cfg.Telemetry {
 		// One registry per node, surviving Crash/Restart so counters
@@ -237,13 +229,14 @@ func (s *System) Close() error {
 // Node is one Eden node machine: a kernel plus its long-term store,
 // attached to the system's network.
 type Node struct {
-	sys  *System
-	num  uint32
-	name string
-	nc   NodeConfig
-	st   store.Store
-	file *store.File         // st, when the node opened it from NodeConfig.StoreDir
-	tel  *telemetry.Registry // nil unless SystemConfig.Telemetry
+	sys    *System
+	num    uint32
+	name   string
+	nc     NodeConfig
+	st     store.Store
+	file   *store.File         // st, when the node keeps its log in NodeConfig.StoreDir
+	faults *store.Faults       // the fault layer under file, in crash tests
+	tel    *telemetry.Registry // nil unless SystemConfig.Telemetry
 
 	mu   sync.Mutex
 	k    *kernel.Kernel
@@ -278,10 +271,14 @@ func (n *Node) Down() bool {
 }
 
 // Crash power-fails the node: all active object state is lost; the
-// long-term store survives for Restart — except writes a lying store
-// acknowledged without making durable (internal/faultstore's sync-lie
-// overlay), which a power failure loses by definition.
+// long-term store survives for Restart. The fault layer under the node's
+// log, if any, first tears what it held unsynced, as a power failure
+// does; then the log is closed, so that nothing the dead incarnation
+// still runs can write to it.
 func (n *Node) Crash() {
+	if n.faults != nil {
+		n.faults.Crash()
+	}
 	n.mu.Lock()
 	k := n.k
 	n.down = true
@@ -289,26 +286,52 @@ func (n *Node) Crash() {
 	if k != nil {
 		_ = k.Close()
 	}
-	if d, ok := n.st.(interface{ DropUnsynced() int }); ok {
-		d.DropUnsynced()
-	}
+	n.closeFile()
 	n.sys.mesh.Detach(n.num)
 }
 
-// closeFile closes the file store the node opened, if any. Crash and
-// Restart keep it open: it is the store that survives them.
+// openStore opens the node's long-term store: its log, through its fault
+// layer if it has one, or else, once, memory.
+func (n *Node) openStore() error {
+	if n.nc.StoreDir == "" {
+		if n.st == nil {
+			n.st = store.NewMemory()
+		}
+		return nil
+	}
+	open := store.NewFile
+	if n.faults != nil {
+		open = n.faults.Open
+	}
+	f, err := open(n.nc.StoreDir)
+	if err != nil {
+		return err
+	}
+	n.st, n.file = f, f
+	return nil
+}
+
+// closeFile closes the node's log, if it keeps one.
 func (n *Node) closeFile() {
 	if n.file != nil {
-		_ = n.file.Close() // shutting down: nothing is left to write
+		_ = n.file.Close() // nothing is left to write, or a crash lost it
 	}
 }
 
-// Restart reboots a crashed node with its surviving long-term store.
+// Restart reboots a crashed node with its surviving long-term store,
+// reopening its log.
 func (n *Node) Restart() error {
 	if !n.Down() {
 		return fmt.Errorf("eden: node %d is not down", n.num)
 	}
-	return n.sys.boot(n)
+	if err := n.openStore(); err != nil {
+		return err
+	}
+	if err := n.sys.boot(n); err != nil {
+		n.closeFile()
+		return err
+	}
+	return nil
 }
 
 // CreateObject instantiates a new object of the named type on this

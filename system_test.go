@@ -279,7 +279,8 @@ func TestFileBackedNodeStore(t *testing.T) {
 	if err != nil || rep.Data[0] != 1 {
 		t.Errorf("after file-backed restart: %v %v", rep, err)
 	}
-	// Crash and Restart kept the store the node opened; Close closes it.
+	// Crash closed the node's log and Restart reopened it; Close closes
+	// the one open now.
 	sys.Close()
 	if _, err := n.file.List(); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("node store after System.Close: %v, want ErrClosed", err)
