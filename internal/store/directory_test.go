@@ -203,7 +203,7 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if err := f.Put(next); err != nil {
 		t.Fatalf("Put after the failure: %v", err)
 	}
-	if at := f.recs[next.Object].loc; at.off != end {
+	if at := recordAt(t, f, next.Object); at.off != end {
 		t.Errorf("Put after the failure landed at %d, want the clean tail %d", at.off, end)
 	}
 	f, err := NewFile(dir)
@@ -275,7 +275,7 @@ func TestFileGetReadsTheRecordOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if e := f.recs[rec.Object]; e.off != 0 || int64(e.size) != info.Size() {
+		if e := recordAt(t, f, rec.Object); e.off != 0 || int64(e.size) != info.Size() {
 			t.Errorf("reopen=%v: directory says %d bytes at %d, the log holds %d", reopen, e.size, e.off, info.Size())
 		}
 		got, err := f.Get(rec.Object)

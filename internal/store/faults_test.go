@@ -266,7 +266,7 @@ func TestFaultsCrashTearsTail(t *testing.T) {
 		if err := g.Put(next); err != nil {
 			t.Fatal(err)
 		}
-		if at := g.recs[next.Object].off; at != end {
+		if at := recordAt(t, g, next.Object).off; at != end {
 			t.Errorf("seed %d: next Put at %d, want the clean tail %d", seed, at, end)
 		}
 		g.Close()

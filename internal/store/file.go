@@ -20,7 +20,9 @@ import (
 
 // File is a Store kept as an append-only log in one directory: numbered
 // segment files holding CRC-checked frames, and in memory the directory
-// of where each object's newest record lies. A write is group-committed
+// of where each object's newest record and intent lie — two flat tables
+// keyed by id (idTable), about 70 B of heap for each record, which is
+// what a passive object costs its home node. A write is group-committed
 // — the frames queued while one batch is being made durable go out
 // together, in one write and one fsync — and a reader takes no lock that
 // a writer holds across I/O. One process owns the directory at a time.
@@ -49,8 +51,8 @@ type File struct {
 	// segment list. Writers hold it only to look a version up or to
 	// publish what is already durable, never across I/O.
 	dirMu   sync.RWMutex
-	recs    map[edenid.ID]dirEntry
-	intents map[edenid.ID]intentEntry
+	recs    idTable[dirEntry]
+	intents idTable[intentEntry]
 	segs    []*segFile // oldest first; the last, the head, is the one appended to; nil once closed
 
 	types typeNames // the type names Get has returned
@@ -237,8 +239,6 @@ func openFile(dir string, fs fsys) (*File, error) {
 		fs:       fs,
 		segSize:  segmentSize,
 		inflight: make(map[frameKey]*pending),
-		recs:     make(map[edenid.ID]dirEntry),
-		intents:  make(map[edenid.ID]intentEntry),
 	}
 	f.turn.L = &f.mu
 	if len(nums) == 0 {
@@ -378,27 +378,28 @@ func decodeFrame(kind byte, body []byte) (pending, error) {
 // the bytes of whatever p replaces from the live count to the dead.
 // Caller holds dirMu for writing, or is NewFile.
 func (f *File) install(p *pending) {
+	var old loc
+	var had bool
 	switch p.kind {
-	case kindRecord, kindRecordGone:
-		if old, ok := f.recs[p.id]; ok {
-			f.segment(old.seg).live -= int64(old.size)
-		}
-		if p.kind == kindRecordGone {
-			delete(f.recs, p.id)
-			return
-		}
-		f.recs[p.id] = dirEntry{meta: p.rec.Meta(), loc: p.at}
-	case kindIntent, kindIntentGone:
-		if old, ok := f.intents[p.id]; ok {
-			f.segment(old.seg).live -= int64(old.size)
-		}
-		if p.kind == kindIntentGone {
-			delete(f.intents, p.id)
-			return
-		}
-		f.intents[p.id] = intentEntry{it: p.it, loc: p.at}
+	case kindRecord:
+		e, ok := f.recs.put(p.id, dirEntry{meta: p.rec.Meta(), loc: p.at})
+		old, had = e.loc, ok
+	case kindRecordGone:
+		e, ok := f.recs.delete(p.id)
+		old, had = e.loc, ok
+	case kindIntent:
+		e, ok := f.intents.put(p.id, intentEntry{it: p.it, loc: p.at})
+		old, had = e.loc, ok
+	case kindIntentGone:
+		e, ok := f.intents.delete(p.id)
+		old, had = e.loc, ok
 	}
-	f.segment(p.at.seg).live += int64(p.at.size)
+	if had {
+		f.segment(old.seg).live -= int64(old.size)
+	}
+	if p.kind == kindRecord || p.kind == kindIntent {
+		f.segment(p.at.seg).live += int64(p.at.size)
+	}
 }
 
 // segment returns segment num, which the log holds. Caller holds dirMu
@@ -507,10 +508,10 @@ func (f *File) admit(p *pending) (bool, error) {
 	} else {
 		f.dirMu.RLock()
 		if k.intent {
-			_, present = f.intents[k.id]
+			_, present = f.intents.get(k.id)
 		} else {
 			var e dirEntry
-			e, present = f.recs[k.id]
+			e, present = f.recs.get(k.id)
 			version = e.meta.Version
 		}
 		f.dirMu.RUnlock()
@@ -656,14 +657,14 @@ func (f *File) compactOldest() error {
 		from, to loc
 	}
 	var moves []move
-	for id, e := range f.recs {
-		if e.seg == old.num {
-			moves = append(moves, move{k: frameKey{id: id}, from: e.loc})
+	for _, e := range f.recs.ents {
+		if e.v.seg == old.num {
+			moves = append(moves, move{k: frameKey{id: e.id}, from: e.v.loc})
 		}
 	}
-	for id, e := range f.intents {
-		if e.seg == old.num {
-			moves = append(moves, move{k: frameKey{id: id, intent: true}, from: e.loc})
+	for _, e := range f.intents.ents {
+		if e.v.seg == old.num {
+			moves = append(moves, move{k: frameKey{id: e.id, intent: true}, from: e.v.loc})
 		}
 	}
 	sort.Slice(moves, func(i, j int) bool { return moves[i].from.off < moves[j].from.off })
@@ -693,13 +694,9 @@ func (f *File) compactOldest() error {
 	f.dirMu.Lock()
 	for _, m := range moves {
 		if m.k.intent {
-			e := f.intents[m.k.id]
-			e.loc = m.to
-			f.intents[m.k.id] = e
+			f.intents.ref(m.k.id).loc = m.to
 		} else {
-			e := f.recs[m.k.id]
-			e.loc = m.to
-			f.recs[m.k.id] = e
+			f.recs.ref(m.k.id).loc = m.to
 		}
 		head.live += int64(m.to.size)
 	}
@@ -735,7 +732,7 @@ func checkFrame(b []byte) ([]byte, error) {
 // Stat implements Store from the directory: no file is touched.
 func (f *File) Stat(id edenid.ID) (Meta, bool) {
 	f.dirMu.RLock()
-	e, ok := f.recs[id]
+	e, ok := f.recs.get(id)
 	f.dirMu.RUnlock()
 	return e.meta, ok
 }
@@ -751,7 +748,7 @@ func (f *File) Get(id edenid.ID) (Record, error) {
 		f.dirMu.RUnlock()
 		return Record{}, ErrClosed
 	}
-	e, ok := f.recs[id]
+	e, ok := f.recs.get(id)
 	var s *segFile
 	if ok {
 		s = f.segment(e.seg)
@@ -793,9 +790,9 @@ func (f *File) List() ([]edenid.ID, error) {
 		f.dirMu.RUnlock()
 		return nil, ErrClosed
 	}
-	out := make([]edenid.ID, 0, len(f.recs))
-	for id := range f.recs {
-		out = append(out, id)
+	out := make([]edenid.ID, 0, len(f.recs.ents))
+	for _, e := range f.recs.ents {
+		out = append(out, e.id)
 	}
 	f.dirMu.RUnlock()
 	slices.SortFunc(out, edenid.Compare)
@@ -811,9 +808,9 @@ func (f *File) ListIntents() ([]MoveIntent, error) {
 		f.dirMu.RUnlock()
 		return nil, ErrClosed
 	}
-	out := make([]MoveIntent, 0, len(f.intents))
-	for _, e := range f.intents {
-		out = append(out, e.it)
+	out := make([]MoveIntent, 0, len(f.intents.ents))
+	for _, e := range f.intents.ents {
+		out = append(out, e.v.it)
 	}
 	f.dirMu.RUnlock()
 	slices.SortFunc(out, compareIntents)
@@ -837,7 +834,7 @@ func (f *File) Close() error {
 	f.mu.Unlock()
 	f.dirMu.Lock()
 	segs := f.segs
-	f.segs, f.recs, f.intents = nil, nil, nil
+	f.segs, f.recs, f.intents = nil, idTable[dirEntry]{}, idTable[intentEntry]{}
 	f.dirMu.Unlock()
 	return closeAll(segs)
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,6 +15,24 @@ import (
 
 // writeRaw writes arbitrary bytes to path for junk-file tests.
 func writeRaw(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
+
+// writeLog writes a log of n records, each of a new object, as one
+// segment in a new directory, and returns the directory and the objects.
+func writeLog(t testing.TB, n int) (string, []edenid.ID) {
+	t.Helper()
+	dir := t.TempDir()
+	var log []byte
+	ids := make([]edenid.ID, n)
+	for i := range ids {
+		rec := sampleRec(1)
+		log = appendFrame(log, &pending{kind: kindRecord, id: rec.Object, rec: rec})
+		ids[i] = rec.Object
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, ids
+}
 
 // flipByte corrupts the byte at off in the file at path, behind the
 // store's back.
@@ -197,23 +214,37 @@ func checkDirectory(t *testing.T, f *File, dir, when string) {
 	t.Helper()
 	recs, its := replayLog(t, dir)
 	f.dirMu.RLock()
-	dirRecs, dirIts := maps.Clone(f.recs), maps.Clone(f.intents)
-	f.dirMu.RUnlock()
-	if len(dirRecs) != len(recs) || len(dirIts) != len(its) {
+	if len(f.recs.ents) != len(recs) || len(f.intents.ents) != len(its) {
 		t.Errorf("%s: directory lists %d records and %d intents, the log %d and %d",
-			when, len(dirRecs), len(dirIts), len(recs), len(its))
+			when, len(f.recs.ents), len(f.intents.ents), len(recs), len(its))
 	}
 	for id, want := range recs {
-		if got, ok := dirRecs[id]; !ok || got.meta != want {
+		if got, ok := f.recs.get(id); !ok || got.meta != want {
 			t.Errorf("%s: directory says %+v (%v) for %v, the log %+v", when, got.meta, ok, id, want)
 		}
+	}
+	for id, want := range its {
+		if got, ok := f.intents.get(id); !ok || got.it != want {
+			t.Errorf("%s: directory holds intent %+v (%v) for %v, the log %+v", when, got.it, ok, id, want)
+		}
+	}
+	f.dirMu.RUnlock()
+	for id, want := range recs {
 		if got, err := f.Get(id); err != nil || got.Meta() != want {
 			t.Errorf("%s: Get(%v) = %+v, %v; want %+v", when, id, got.Meta(), err, want)
 		}
 	}
-	for id, want := range its {
-		if got, ok := dirIts[id]; !ok || got.it != want {
-			t.Errorf("%s: directory holds intent %+v (%v) for %v, the log %+v", when, got.it, ok, id, want)
-		}
+}
+
+// recordAt is where the directory says id's record lies. The test fails
+// if it holds none.
+func recordAt(t *testing.T, f *File, id edenid.ID) loc {
+	t.Helper()
+	f.dirMu.RLock()
+	e, ok := f.recs.get(id)
+	f.dirMu.RUnlock()
+	if !ok {
+		t.Fatalf("the directory holds no record of %v", id)
 	}
+	return e.loc
 }

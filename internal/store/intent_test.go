@@ -134,7 +134,13 @@ func TestIntentCorruptFileFailsScan(t *testing.T) {
 	if err := fs.Put(sampleRec(1)); err != nil {
 		t.Fatal(err)
 	}
-	at := fs.intents[it.Object].loc
+	fs.dirMu.RLock()
+	e, ok := fs.intents.get(it.Object)
+	fs.dirMu.RUnlock()
+	if !ok {
+		t.Fatal("the directory holds no intent")
+	}
+	at := e.loc
 	if at.seg == fs.head().num {
 		t.Fatal("the intent's segment is not sealed")
 	}

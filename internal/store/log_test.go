@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +33,7 @@ func TestFileTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	torn := f.recs[b.Object].loc
+	torn := recordAt(t, f, b.Object)
 	for _, cut := range []int64{torn.off + 3, torn.off + frameHeader, torn.off + int64(torn.size) - 1} {
 		crashed := copyLog(t, dir, cut)
 		g, err := NewFile(crashed)
@@ -51,7 +53,7 @@ func TestFileTornTail(t *testing.T) {
 		if err := g.Put(c); err != nil {
 			t.Fatal(err)
 		}
-		if at := g.recs[c.Object].loc; at.off != torn.off {
+		if at := recordAt(t, g, c.Object); at.off != torn.off {
 			t.Errorf("cut at %d: next Put at %d, want the clean tail %d", cut, at.off, torn.off)
 		}
 		g.Close()
@@ -80,13 +82,13 @@ func TestFileGroupCommitDurablePrefix(t *testing.T) {
 	batch[1].Object = acked[0].Object // a newer version of an acknowledged record
 	putBatch(t, f, blocker, batch)
 	acked = append(acked, blocker)
-	start := f.recs[batch[0].Object].off
-	if f.recs[batch[1].Object].off <= start {
+	start := recordAt(t, f, batch[0].Object).off
+	if recordAt(t, f, batch[1].Object).off <= start {
 		t.Fatal("the batch is not in queue order")
 	}
 	var cuts []int64
 	for _, rec := range batch {
-		at := f.recs[rec.Object].loc
+		at := recordAt(t, f, rec.Object)
 		cuts = append(cuts, at.off, at.off+int64(at.size)/2)
 	}
 	cuts = append(cuts, f.head().size)
@@ -102,7 +104,7 @@ func TestFileGroupCommitDurablePrefix(t *testing.T) {
 			}
 		}
 		for _, rec := range batch {
-			at := f.recs[rec.Object].loc
+			at := recordAt(t, f, rec.Object)
 			got, err := g.Get(rec.Object)
 			switch {
 			case at.off+int64(at.size) <= cut:
@@ -158,7 +160,7 @@ func TestFileSealedSegmentBadFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i == 0 {
-					at = f.recs[rec.Object].loc
+					at = recordAt(t, f, rec.Object)
 				}
 			}
 			f.Close()
@@ -649,6 +651,45 @@ func BenchmarkFilePutParallel(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(f.fsyncs.Load())/float64(b.N), "fsyncs/op")
+}
+
+// BenchmarkFileStat looks objects up in a store of 10⁴ records from
+// parallel goroutines, half of them objects the store does not hold: the
+// directory's read path, which Stat, Get and every Put's staleness check
+// take.
+func BenchmarkFileStat(b *testing.B) {
+	dir, ids := writeLog(b, 10_000)
+	f, err := NewFile(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	keys := make([]edenid.ID, 0, 2*len(ids))
+	for _, id := range ids {
+		if _, ok := f.Stat(id); !ok {
+			b.Fatalf("no record of %v", id)
+		}
+		miss := gen.Next()
+		if _, ok := f.Stat(miss); ok {
+			b.Fatalf("a record of %v, never written", miss)
+		}
+		keys = append(keys, id, miss)
+	}
+	rand.New(rand.NewPCG(1981, 0)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	var start, hits atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i, n := int(start.Add(1))*7919, int64(0)
+		for pb.Next() {
+			if _, ok := f.Stat(keys[i%len(keys)]); ok {
+				n++
+			}
+			i++
+		}
+		hits.Add(n)
+	})
+	b.ReportMetric(float64(hits.Load())/float64(b.N), "hits/op")
 }
 
 // BenchmarkFileOpen opens a log of 10⁴ records: the restart scan.
