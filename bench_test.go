@@ -84,13 +84,11 @@ func BenchmarkInvokeRemote64B(b *testing.B)  { benchInvoke(b, true, 64) }
 func BenchmarkInvokeRemote4KB(b *testing.B)  { benchInvoke(b, true, 4096) }
 func BenchmarkInvokeRemote64KB(b *testing.B) { benchInvoke(b, true, 64*1024) }
 
-// BenchmarkInvokeRemoteAsyncTCP is the shape of benchmark/'s
-// invoke-remote workload as a Go benchmark: two kernels over loopback
-// TCP, 16 asynchronous echoes in flight, payloads of 64 B, 4 KiB and
-// 64 KiB in the ratio 14:5:1. allocs/op is what one remote invocation
-// allocates on both nodes together; B/op shows every copy of a payload
-// that is not into a pooled buffer.
-func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
+// tcpPair builds two kernels over loopback TCP with the echo type
+// registered, and an echo object on the second, which the first has
+// already invoked once with a 64 KiB payload: located, dialled, and the
+// pools filled.
+func tcpPair(b *testing.B) ([2]*kernel.Kernel, eden.Capability) {
 	reg := kernel.NewRegistry()
 	tm := kernel.NewType("bench.echo")
 	tm.Op(kernel.Operation{Name: "echo", Access: kernel.AccessRead, Handler: func(c *kernel.Call) { c.Return(c.Data) }})
@@ -116,6 +114,37 @@ func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := ks[0].Invoke(cp, "echo", make([]byte, 64<<10), nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	return ks, cp
+}
+
+// BenchmarkInvokeRemoteTCP64B is one synchronous 64 B echo between two
+// kernels over loopback TCP: the Mesh-based BenchmarkInvokeRemote64B
+// plus the sockets, and the serve of every request on the serving
+// node's processors.
+func BenchmarkInvokeRemoteTCP64B(b *testing.B) {
+	ks, cp := tcpPair(b)
+	data := make([]byte, 64)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ks[0].Invoke(cp, "echo", data, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInvokeRemoteAsyncTCP is the shape of benchmark/'s
+// invoke-remote workload as a Go benchmark: two kernels over loopback
+// TCP, 16 asynchronous echoes in flight, payloads of 64 B, 4 KiB and
+// 64 KiB in the ratio 14:5:1. allocs/op is what one remote invocation
+// allocates on both nodes together; B/op shows every copy of a payload
+// that is not into a pooled buffer.
+func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
+	ks, cp := tcpPair(b)
 	const inflight = 16
 	size := func(i int) int { // of every 20 ops: one 64 KiB, five 4 KiB, fourteen 64 B
 		switch {
@@ -127,9 +156,6 @@ func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
 		return 64
 	}
 	data := make([]byte, 64<<10)
-	if _, err := ks[0].Invoke(cp, "echo", data, nil, nil); err != nil { // locate, dial, fill the pools
-		b.Fatal(err)
-	}
 	var window [inflight]*kernel.Pending
 	collect := func(i int) {
 		if p := window[i%inflight]; p != nil {
@@ -147,6 +173,39 @@ func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
 	for i := b.N; i < b.N+inflight; i++ {
 		collect(i)
 		window[i%inflight] = nil
+	}
+}
+
+// BenchmarkCreateFirstWrite is the unit of benchmark/'s invoke-local
+// set-up: create an object and write its first 256 B value, which makes
+// its first data segment. Every 1 024 objects (the workload's key count)
+// it moves to a fresh node, outside the timer, so the heap stays that of
+// one set-up.
+func BenchmarkCreateFirstWrite(b *testing.B) {
+	const keys = 1024
+	value := make([]byte, 256)
+	var sys *eden.System
+	var node *eden.Node
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%keys == 0 {
+			b.StopTimer()
+			if sys != nil {
+				sys.Close()
+			}
+			var nodes []*eden.Node
+			sys, nodes = benchSystem(b, 1)
+			node = nodes[0]
+			b.StartTimer()
+		}
+		cap, err := node.CreateObject("bench.echo")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := node.Invoke(cap, "store", value, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

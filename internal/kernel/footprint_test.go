@@ -138,7 +138,7 @@ func newQueueRig(t *testing.T) *queueRig {
 // its invoker's share until answer.
 func (r *queueRig) submit(op, tag string, deadline time.Time) *callCtx {
 	r.t.Helper()
-	c := getFrame()
+	c := r.o.k.getFrame()
 	c.name, c.data, c.rts = op, []byte(tag), rights.All
 	c.o, c.deadline = r.o, deadline
 	if rep, ok := r.o.validate(c); !ok {

@@ -1,7 +1,7 @@
 package kernel
 
 import (
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -12,8 +12,8 @@ import (
 
 // callCtx is one invocation's call frame: the request as the scheduler
 // sees it, the handler's Call, the slot its reply comes back through and
-// the timer its invoker waits against. Frames are pooled, so an
-// uncontended invocation allocates none of them.
+// the timer its invoker waits against. Frames are pooled per kernel, so
+// an uncontended invocation allocates none of them.
 //
 // A frame submitted to an object has two owners. The invoker owns it
 // until it stops waiting — reply or deadline. The object side owns it
@@ -26,8 +26,9 @@ import (
 //
 // A frame waiting for a remote reply (roundTrip) has one owner, the
 // invoker; k.pend is how the reply finds it. A frame carrying an inbound
-// request to its serve goroutine (handleFrame) has one owner at a time:
-// the transport's goroutine until `go c.serve()`, that goroutine after.
+// request (handleFrame) has one owner at a time: the transport's
+// goroutine until it starts the frame's processor, the serve after,
+// which recycles the frame when it returns.
 type callCtx struct {
 	name string   // the operation as invoked
 	op   *boundOp // what name resolved to; set by validate
@@ -57,31 +58,26 @@ type callCtx struct {
 	o    *Object // the incarnation the call was submitted to
 	call Call    // the handler's context; valid until the handler returns
 
-	k   *Kernel      // the serving kernel, for serve
-	env msg.Envelope // the inbound request, for serve
+	k   *Kernel      // the kernel whose pool the frame belongs to; fixed at creation
+	env msg.Envelope // the inbound request, for serveRequest
 
 	reply chan msg.InvokeRep // capacity 1: the outcome, delivered at most once per use
 	// timer is created on the frame's first wait and afterwards only
 	// Reset, and only when the invoker is about to block.
 	timer *time.Timer
-	// run and serve are c.runProcess and c.serveRequest, bound once so
-	// that `go c.run()` and `go c.serve()` allocate nothing.
-	run, serve func()
+	// proc is the frame's processor, started by the first process or
+	// served request the frame carries (start).
+	proc *procHandle
 
 	owners atomic.Int32
 }
 
-// framePool has no New: runProcess recycles into the pool, and a New
-// naming runProcess would be an initialization cycle.
-var framePool sync.Pool
-
-func getFrame() *callCtx {
-	if c, ok := framePool.Get().(*callCtx); ok {
+// getFrame takes a frame from the kernel's pool, or makes one.
+func (k *Kernel) getFrame() *callCtx {
+	if c, ok := k.frames.Get().(*callCtx); ok {
 		return c
 	}
-	c := &callCtx{reply: make(chan msg.InvokeRep, 1)}
-	c.run, c.serve = c.runProcess, c.serveRequest
-	return c
+	return &callCtx{k: k, reply: make(chan msg.InvokeRep, 1)}
 }
 
 // release drops one owner's share; the last owner recycles the frame.
@@ -102,17 +98,145 @@ func (c *callCtx) recycle() {
 	c.name, c.op, c.next, c.data, c.caps, c.o = "", nil, nil, nil, nil, nil
 	c.queued, c.vproc = false, false
 	c.call = Call{}
-	c.k, c.env = nil, msg.Envelope{}
-	framePool.Put(c)
+	c.env = msg.Envelope{}
+	c.k.frames.Put(c)
 }
 
-// serveRequest is the goroutine an inbound invocation request is served
-// on. The frame only carried the request here: it goes back to the pool
-// before the serve, whose dispatch takes one of its own.
+// serveRequest serves the inbound invocation request the frame carries.
+// The frame goes back to the pool only when the serve returns: the
+// serve's own dispatch takes a frame from the pool, and were it this
+// one, it would hand its process to the processor that is running the
+// serve and waiting for that process's reply.
 func (c *callCtx) serveRequest() {
-	k, env := c.k, c.env
+	c.k.serveInvoke(c.env)
 	c.recycle()
-	k.serveInvoke(env)
+}
+
+// exec runs the work the frame was started with: its process when it was
+// submitted to an object, else the inbound request it carries.
+func (c *callCtx) exec() {
+	if c.o != nil {
+		c.runProcess()
+	} else {
+		c.serveRequest()
+	}
+}
+
+// A processor is the goroutine a frame's work runs on — a process
+// (runProcess) or the serve of an inbound request (serveRequest) — and
+// it outlives the work: between uses it parks on its channel with the
+// stack it has grown, where a goroutine started per process would begin
+// at the smallest stack and copy it as the handler grew it. A frame
+// starts its processor with its first such work and keeps it while the
+// frame lives, so the pool that reuses a frame on the CPU that freed it
+// reuses its processor there too, and no lock is shared between callers.
+//
+// The goroutine holds the processor but never the frame or its handle.
+// A frame the pool drops is garbage together with its handle, whose
+// finalizer stops the processor; Close stops every processor of its
+// node (the registry k.procs).
+type processor struct {
+	work chan *callCtx // capacity 1: the frame handed over; nil means stop
+	// state counts the work handed to the processor and not yet finished,
+	// procStopped added once the processor has been told to stop: it
+	// exits when the count falls to zero with the bit set, and a start
+	// that sees the bit runs its work elsewhere.
+	state atomic.Int32
+}
+
+const procStopped = 1 << 30
+
+// procHandle is the frame's hold on its processor. Only the frame
+// references it, so it becomes garbage exactly when the frame does.
+type procHandle struct{ p *processor }
+
+// start runs the frame's work on the frame's processor, first guessing
+// that the processor is parked with nothing to run. Nothing here waits:
+// a frame is handed to its processor at most once per use, so the
+// channel has room.
+func (c *callCtx) start() {
+	if h := c.proc; h != nil {
+		p := h.p
+		for s := int32(0); s&procStopped == 0; s = p.state.Load() {
+			if p.state.CompareAndSwap(s, s+1) {
+				p.work <- c
+				return
+			}
+		}
+	}
+	c.k.startProcessor(c)
+}
+
+// startProcessor gives the frame a processor and hands it the frame's
+// work. On a closed node, whose processors have been stopped, the work
+// runs on a goroutine of its own.
+func (k *Kernel) startProcessor(c *callCtx) {
+	k.procMu.Lock()
+	if k.procs == nil {
+		k.procMu.Unlock()
+		go c.exec()
+		return
+	}
+	p := &processor{work: make(chan *callCtx, 1)}
+	p.state.Store(1) // before Close can see it: the work below is the processor's
+	k.procs[p] = struct{}{}
+	k.procMu.Unlock()
+	c.proc = &procHandle{p}
+	runtime.SetFinalizer(c.proc, func(h *procHandle) { h.p.stop() })
+	p.work <- c
+	go k.runProcessor(p)
+}
+
+// runProcessor is a processor's goroutine: it runs each frame handed to
+// it, until it is told to stop and has nothing left to run. Work that
+// ends the goroutine instead of returning (runtime.Goexit) does not end
+// the processor: a new goroutine takes its channel over.
+func (k *Kernel) runProcessor(p *processor) {
+	var c *callCtx // the work being run, nil between runs
+	defer func() {
+		if c != nil && p.state.Add(-1) != procStopped {
+			go k.runProcessor(p)
+			return
+		}
+		k.procMu.Lock()
+		delete(k.procs, p)
+		k.procMu.Unlock()
+	}()
+	for {
+		if c = <-p.work; c == nil {
+			return
+		}
+		c.exec()
+		c = nil
+		if p.state.Add(-1) == procStopped {
+			return
+		}
+	}
+}
+
+// stop tells the processor to exit once it has finished the work it was
+// handed. A parked processor is woken to exit; a busy one sees the bit
+// when its count falls to zero.
+func (p *processor) stop() {
+	for s := p.state.Load(); s&procStopped == 0; s = p.state.Load() {
+		if p.state.CompareAndSwap(s, s|procStopped) {
+			if s == 0 {
+				p.work <- nil
+			}
+			return
+		}
+	}
+}
+
+// stopProcessors stops every processor of the node; a start after it
+// runs its work on a goroutine of its own.
+func (k *Kernel) stopProcessors() {
+	k.procMu.Lock()
+	for p := range k.procs {
+		p.stop()
+	}
+	k.procs = nil
+	k.procMu.Unlock()
 }
 
 // finish is the object side's one disposal of a submitted call: give

@@ -453,7 +453,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 	}
 	start := k.tel.dispatchLat.Start()
 	timeout := time.Until(deadline)
-	c := getFrame()
+	c := k.getFrame()
 	c.name, c.data, c.caps, c.rts = req.Operation, req.Data, req.Caps, req.Target.Rights()
 	c.o, c.deadline = obj, deadline
 	if rep, ok := obj.validate(c); !ok {
@@ -526,7 +526,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 // removed under pendMu before the frame is recycled, so a reply that
 // arrives after the invoker gave up finds the live frame or nothing.
 func (k *Kernel) roundTrip(env msg.Envelope, payload *msg.Buffer, timeout time.Duration) (msg.InvokeRep, error) {
-	c := getFrame()
+	c := k.getFrame()
 	k.pendMu.Lock()
 	k.pend[env.Corr] = c
 	k.pendMu.Unlock()

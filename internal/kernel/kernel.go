@@ -224,6 +224,14 @@ type Kernel struct {
 
 	vprocs chan struct{} // virtual processor tokens (nil = unbounded)
 
+	// frames is the node's pool of call frames (frame.go); each frame
+	// keeps the processor its work runs on. procs registers every live
+	// processor, so that Close can stop them; it is touched only when a
+	// processor starts or exits, and is nil once the node has closed.
+	frames sync.Pool
+	procMu sync.Mutex
+	procs  map[*processor]struct{}
+
 	// The async dispatcher (async.go): a bounded pending-invocation
 	// table drained by a lazily started worker pool. asyncMu fences
 	// submission against Close's drain so no entry is stranded.
@@ -316,6 +324,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
 		served:   servedTable{idx: make(map[servedKey]uint64)},
+		procs:    make(map[*processor]struct{}),
 	}
 	k.asyncQ = make(chan *Pending, cfg.AsyncPending)
 	k.asyncStop = make(chan struct{})
@@ -587,11 +596,11 @@ func (k *Kernel) handleFrame(env msg.Envelope) {
 	switch env.Kind {
 	case msg.KindInvokeReq:
 		// Serving an invocation can block (class queues, nested
-		// invokes), so it gets its own goroutine, started from a pooled
-		// frame: `go k.serveInvoke(env)` would allocate a closure.
-		c := getFrame()
-		c.k, c.env = k, env
-		go c.serve()
+		// invokes), so it runs on the processor of a pooled frame, not
+		// on the transport's goroutine.
+		c := k.getFrame()
+		c.env = env
+		c.start()
 	case msg.KindInvokeRep:
 		rep, err := msg.DecodeInvokeRep(env.Payload)
 		if err != nil {
@@ -846,6 +855,9 @@ func (k *Kernel) Close() error {
 	k.tel.activeObjects.Set(0)
 	k.tel.memBytes.Set(0)
 	k.mu.Unlock()
+	// From here a process runs on a goroutine of its own, and one that is
+	// running keeps its processor until it returns.
+	k.stopProcessors()
 	for _, o := range objs {
 		o.destroyActiveState(0)
 	}

@@ -503,8 +503,9 @@ func (o *Object) oldest(mode Access) *classState {
 // admit takes the head of the class's queue for the mode and starts
 // its process — "in the normal case, a new process will be created and
 // assigned the invocation" — charging the class, the mode and the
-// quiesce count. The object side's share of the frame passes from the
-// queue to the process.
+// quiesce count. The process runs on the frame's processor, a goroutine
+// that outlives it (frame.go). The object side's share of the frame
+// passes from the queue to the process.
 func (o *Object) admit(cl *classState, mode Access) {
 	c := cl.head(mode)
 	cl.unlink(mode, cl.tail[mode], c)
@@ -512,7 +513,7 @@ func (o *Object) admit(cl *classState, mode Access) {
 	o.enter()
 	cl.running++
 	o.cs.active[mode]++
-	go c.run()
+	c.start()
 }
 
 // shedExpired is the one deadline pass: it drops queued calls whose
@@ -648,7 +649,9 @@ func movedDest(rep msg.InvokeRep) (uint32, bool) {
 // runProcess is one invocation's process: run the handler, settle the
 // exit with the coordinator, reply. Admission already happened, so
 // nothing here waits; the finishing process itself schedules whatever
-// its exit makes room for.
+// its exit makes room for. The exit is settled in a deferred step, so a
+// handler that panics or ends its goroutine (runtime.Goexit) still frees
+// its class and answers its invoker.
 //
 //edenvet:ignore rightsgate validate verifies Invoke plus the operation's declared rights before the call is queued
 func (c *callCtx) runProcess() {
@@ -664,28 +667,32 @@ func (c *callCtx) runProcess() {
 		Rights:    c.rts,
 		status:    msg.StatusOK,
 	}
-	func() {
-		defer func() {
+	returned := false
+	defer func() {
+		if !returned {
+			call.status = msg.StatusError
 			if r := recover(); r != nil {
-				call.status = msg.StatusError
 				call.replyData = fmt.Appendf(nil, "operation %q panicked: %v", c.name, r)
+			} else {
+				call.replyData = fmt.Appendf(nil, "operation %q ended its goroutine", c.name)
 			}
-		}()
-		op.Handler(call)
-	}()
-	o.k.tel.serveConc.Add(-1)
+		}
+		o.k.tel.serveConc.Add(-1)
 
-	o.sched.Lock()
-	o.complete(op)
-	// A crash that happened while the handler ran destroys its result:
-	// the invoker sees the crash, not a reply from a dead incarnation.
-	crashed := o.state == stDown && o.movedTo == 0
-	o.sched.Unlock()
-	if crashed {
-		c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
-		return
-	}
-	c.finish(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
+		o.sched.Lock()
+		o.complete(op)
+		// A crash that happened while the handler ran destroys its result:
+		// the invoker sees the crash, not a reply from a dead incarnation.
+		crashed := o.state == stDown && o.movedTo == 0
+		o.sched.Unlock()
+		if crashed {
+			c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
+			return
+		}
+		c.finish(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
+	}()
+	op.Handler(call)
+	returned = true
 }
 
 // waitDrainedLocked blocks until no handler processes are running. Only
