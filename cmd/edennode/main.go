@@ -369,7 +369,7 @@ func console(k *kernel.Kernel) {
 			for _, c := range rep.Caps {
 				fmt.Printf("  cap %s\n", hex.EncodeToString(c.Encode(nil)))
 			}
-		// ainvoke submits through the async dispatcher and returns the
+		// ainvoke starts an async invocation and returns the
 		// prompt immediately; the completion prints when it arrives.
 		case "ainvoke":
 			if len(fields) < 3 {

@@ -14,15 +14,14 @@
 // On top of those six syntactic checks sits a shared intraprocedural
 // effect engine (effects.go): assignment, &-escape and mutating-method
 // tracking over go/types, with a package-local call graph for one
-// level of interprocedural summary. Three mutation-aware analyzers are
+// level of interprocedural summary. Two mutation-aware analyzers are
 // built on it: operations declared read-only must actually be pure in
-// their representation (accesspurity), store mutations in lifecycle
+// their representation (accesspurity), and store mutations in lifecycle
 // call trees must be bracketed by killpoint crossings so the crash
-// harness can schedule kills around them (killpointcover), and a field
-// accessed through sync/atomic must never also be touched by plain
-// load/store (atomicmix). A tenth, returngives, holds handlers to the
-// reply-ownership rule: a slice given to Call.Return is the reply, so it
-// is not written afterwards and is never package-level state.
+// harness can schedule kills around them (killpointcover). A ninth,
+// returngives, holds handlers to the reply-ownership rule: a slice given
+// to Call.Return is the reply, so it is not written afterwards and is
+// never package-level state.
 //
 // Everything here is built on go/ast, go/parser, go/token and go/types
 // only, so the suite builds in an offline environment with a bare
@@ -60,7 +59,6 @@ func All() []*Analyzer {
 		TelemetryTag,
 		AccessPurity,
 		KillpointCover,
-		AtomicMix,
 		ReturnGives,
 	}
 }

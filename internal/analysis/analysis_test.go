@@ -68,7 +68,6 @@ func TestFixtures(t *testing.T) {
 		{"telemetrytag", TelemetryTag},
 		{"accesspurity", AccessPurity},
 		{"killpointcover", KillpointCover},
-		{"atomicmix", AtomicMix},
 		{"returngives", ReturnGives},
 	}
 	for _, tc := range cases {

@@ -23,7 +23,7 @@ func (k *Kernel) Invoke(op string, data []byte, opts *InvokeOptions) error {
 	return nil
 }
 
-// InvokeAsync submits one invocation to the async dispatcher.
+// InvokeAsync starts one invocation without waiting for it.
 func (k *Kernel) InvokeAsync(op string, data []byte, opts *InvokeOptions) *Pending {
 	_, _, _ = op, data, opts
 	return &Pending{}

@@ -2,12 +2,12 @@ package chaos
 
 // Async-writer crash soak: crash-loop a real edennode while the
 // traffic generator drives it exclusively through the client kernel's
-// bounded async dispatcher. Two invariants on top of the crash-loop
-// floor: every acknowledged async completion must survive the next
-// reincarnation (the acked-write floor, as in TestCrashLoopSIGKILL),
-// and every Pending ever submitted must resolve or fail crisply — an
-// async invocation that silently never completes is a breach even
-// when no data is lost.
+// InvokeAsync. Two invariants on top of the crash-loop floor: every
+// acknowledged async completion must survive the next reincarnation
+// (the acked-write floor, as in TestCrashLoopSIGKILL), and every
+// Pending ever submitted must resolve or fail crisply — an async
+// invocation that silently never completes is a breach even when no
+// data is lost.
 
 import (
 	"errors"

@@ -2,13 +2,14 @@ package kernel
 
 // Asynchronous invocation as a kernel primitive: "asynchronous
 // invocation also will be possible ... through a separate kernel
-// primitive". Instead of the old goroutine-per-call wrapper, every
-// async invocation enters a bounded per-node dispatcher — an
-// admission-controlled pending-invocation table drained by a fixed
-// worker pool. Submissions past the table's capacity are shed at the
-// door with StatusTimeout semantics (kernel.async.shed), exactly like
-// the per-object admission queues and the transport's send queues:
-// the dispatcher rejects early rather than growing without bound.
+// primitive". An async invocation runs on the processor of a pooled
+// call frame (frame.go), the same processors that run processes and
+// served requests, so it competes for them with every other invocation
+// on the node rather than waiting for a pool of its own. Submissions
+// past the node's in-flight cap are shed at the door with
+// StatusTimeout semantics (kernel.async.shed), exactly like the
+// per-object admission queues and the transport's send queues: the
+// node rejects early rather than growing without bound.
 //
 // Every submission resolves a Pending: a promise the caller may wait
 // on, select on, or ignore for fire-and-forget. An object that wants
@@ -26,19 +27,14 @@ import (
 	"eden/internal/telemetry"
 )
 
-// DefaultAsyncPending is the per-node cap on queued async invocations
-// when Config.AsyncPending is zero.
-const DefaultAsyncPending = 1024
-
-// DefaultAsyncWorkers is the async dispatcher's worker-pool size when
-// Config.AsyncWorkers is zero.
-const DefaultAsyncWorkers = 16
+// asyncCap is the per-node cap on async invocations in flight.
+const asyncCap = 1024
 
 // Pending is an asynchronous invocation in flight. The result is
 // sticky: Wait may be called any number of times, from any number of
-// goroutines, and always returns the same outcome. The promise is also
-// the invocation's entry in the dispatcher's table, so a submission
-// costs this one allocation and its done channel.
+// goroutines, and always returns the same outcome. The frame that runs
+// the invocation carries the promise, so a submission costs this one
+// allocation and its done channel.
 type Pending struct {
 	done chan struct{}
 	rep  Reply
@@ -46,13 +42,12 @@ type Pending struct {
 
 	req          msg.InvokeReq
 	allowReplica bool
-	// deadline is fixed at submission: time spent queued in the table
-	// counts against the caller's budget, so a saturated dispatcher
-	// surfaces as timeouts rather than invisible latency.
+	// deadline is fixed at submission: time spent before the invocation
+	// reaches a processor counts against the caller's budget.
 	deadline time.Time
 	trace    uint64
 	sp       telemetry.Span
-	enq      time.Time // queue-wait sample start (zero with telemetry off)
+	enq      time.Time // hand-off sample start (zero with telemetry off)
 }
 
 // Wait blocks until the invocation completes and returns its outcome.
@@ -67,18 +62,12 @@ func (p *Pending) Wait() (Reply, error) {
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // InvokeAsync starts an invocation without suspending the caller; the
-// returned Pending collects the reply. The invocation runs through
-// the node's bounded async dispatcher: if the pending-invocation
-// table is full the submission is shed immediately and the Pending
-// resolves with ErrTimeout (counted under kernel.async.shed).
+// returned Pending collects the reply. The invocation runs on one of
+// the node's processors; if the node already has its cap of async
+// invocations in flight, the submission is shed immediately and the
+// Pending resolves with ErrTimeout (counted under kernel.async.shed).
 // Ignoring the Pending gives fire-and-forget.
 func (k *Kernel) InvokeAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) *Pending {
-	return k.submitAsync(target, operation, data, caps, opts)
-}
-
-// submitAsync validates one async invocation and admits it to the
-// pending-invocation table. A rejection resolves the Pending at once.
-func (k *Kernel) submitAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) *Pending {
 	var o InvokeOptions
 	if opts != nil {
 		o = *opts
@@ -86,8 +75,8 @@ func (k *Kernel) submitAsync(target capability.Capability, operation string, dat
 	if o.Timeout <= 0 {
 		o.Timeout = k.cfg.DefaultTimeout
 	}
-	// The span opens at submission and closes at completion, so queue
-	// wait inside the dispatcher is visible in the trace.
+	// The span opens at submission and closes at completion, so the
+	// hand-off to a processor is visible in the trace.
 	trace := k.tel.reg.NextTraceID(k.cfg.Node)
 	p := &Pending{
 		done: make(chan struct{}),
@@ -112,70 +101,37 @@ func (k *Kernel) submitAsync(target capability.Capability, operation string, dat
 		k.resolve(p, Reply{}, fmt.Errorf("%w: capability lacks invoke right", ErrRights))
 		return p
 	}
-	// Admission under asyncMu so a submission cannot slip into the
-	// table after Close has drained it (the entry would never resolve).
-	k.asyncMu.Lock()
-	if k.asyncClosed {
-		k.asyncMu.Unlock()
-		k.resolve(p, Reply{}, fmt.Errorf("%w: async dispatcher stopped", ErrClosed))
-		return p
-	}
-	select {
-	case k.asyncQ <- p:
-		k.asyncMu.Unlock()
-	default:
-		k.asyncMu.Unlock()
+	if k.asyncInFlight.Add(1) > asyncCap {
+		k.asyncInFlight.Add(-1)
 		k.tel.asyncShed.Inc()
-		k.resolve(p, Reply{}, fmt.Errorf("%w: async dispatcher at capacity (%d pending)", ErrTimeout, cap(k.asyncQ)))
+		k.resolve(p, Reply{}, fmt.Errorf("%w: %d async invocations in flight", ErrTimeout, asyncCap))
 		return p
 	}
 	k.tel.asyncPending.Add(1)
-	k.asyncOnce.Do(k.startAsyncWorkers)
+	c := k.getFrame()
+	c.async = p
+	c.start()
 	return p
 }
 
-// startAsyncWorkers launches the dispatcher's worker pool, lazily on
-// the first submission so the many kernels tests construct pay
-// nothing for the primitive they never use.
-func (k *Kernel) startAsyncWorkers() {
-	for i := 0; i < k.cfg.AsyncWorkers; i++ {
-		go func() {
-			for {
-				select {
-				case <-k.asyncStop:
-					return
-				case p := <-k.asyncQ:
-					k.runAsync(p)
-				}
-			}
-		}()
-	}
-}
-
-// runAsync executes one table entry on a dispatcher worker.
-func (k *Kernel) runAsync(p *Pending) {
+// runAsync runs the async invocation the frame carries. The frame goes
+// back to the pool only when the invocation returns, for the reason
+// serveRequest gives: the invocation draws its own frames from the pool.
+// A closed node answers the invocation with ErrClosed, so every Pending
+// resolves here.
+func (c *callCtx) runAsync() {
+	k, p := c.k, c.async
 	k.tel.asyncQueueWait.ObserveSince(p.enq)
-	if time.Now().After(p.deadline) {
-		// The deadline expired while the entry sat in the table; shed
-		// it like the per-object admission queues shed expired calls.
-		k.tel.asyncShed.Inc()
-		k.finishAsync(p, Reply{}, ErrTimeout)
-		return
-	}
 	rep, err := k.invoke(p.req, p.allowReplica, p.deadline, p.trace)
-	k.finishAsync(p, rep, err)
-}
-
-// finishAsync takes one entry out of the table and resolves it.
-func (k *Kernel) finishAsync(p *Pending, rep Reply, err error) {
+	c.recycle()
+	k.asyncInFlight.Add(-1)
 	k.tel.asyncPending.Add(-1)
 	k.resolve(p, rep, err)
 }
 
 // resolve completes the promise and closes its span; every submission
-// reaches it exactly once, admitted to the table or not. The request is
-// let go, so that a Pending its caller keeps does not pin the
-// parameters.
+// reaches it exactly once, run or not. The request is let go, so that a
+// Pending its caller keeps does not pin the parameters.
 func (k *Kernel) resolve(p *Pending, rep Reply, err error) {
 	if err != nil && errors.Is(err, ErrTimeout) {
 		k.tel.timeouts.Inc()
@@ -184,31 +140,4 @@ func (k *Kernel) resolve(p *Pending, rep Reply, err error) {
 	p.rep, p.err = rep, err
 	close(p.done)
 	p.sp.End(spanStatus(err))
-}
-
-// drainAsync stops the dispatcher at Close: no further submissions
-// are admitted, workers exit, and every entry still queued resolves
-// with ErrClosed so no Pending is left dangling across a shutdown.
-func (k *Kernel) drainAsync() {
-	k.asyncMu.Lock()
-	if k.asyncClosed {
-		k.asyncMu.Unlock()
-		return
-	}
-	k.asyncClosed = true
-	close(k.asyncStop)
-	var stranded []*Pending
-	for {
-		select {
-		case p := <-k.asyncQ:
-			stranded = append(stranded, p)
-			continue
-		default:
-		}
-		break
-	}
-	k.asyncMu.Unlock()
-	for _, p := range stranded {
-		k.finishAsync(p, Reply{}, fmt.Errorf("%w: node closed", ErrClosed))
-	}
 }

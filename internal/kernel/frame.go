@@ -26,9 +26,10 @@ import (
 //
 // A frame waiting for a remote reply (roundTrip) has one owner, the
 // invoker; k.pend is how the reply finds it. A frame carrying an inbound
-// request (handleFrame) has one owner at a time: the transport's
-// goroutine until it starts the frame's processor, the serve after,
-// which recycles the frame when it returns.
+// request (handleFrame) or an async invocation (InvokeAsync) has one
+// owner at a time: its submitter until it starts the frame's processor,
+// the serve or the invocation after, which recycles the frame when it
+// returns.
 type callCtx struct {
 	name string   // the operation as invoked
 	op   *boundOp // what name resolved to; set by validate
@@ -58,15 +59,16 @@ type callCtx struct {
 	o    *Object // the incarnation the call was submitted to
 	call Call    // the handler's context; valid until the handler returns
 
-	k   *Kernel      // the kernel whose pool the frame belongs to; fixed at creation
-	env msg.Envelope // the inbound request, for serveRequest
+	k     *Kernel      // the kernel whose pool the frame belongs to; fixed at creation
+	env   msg.Envelope // the inbound request, for serveRequest
+	async *Pending     // the async invocation, for runAsync
 
 	reply chan msg.InvokeRep // capacity 1: the outcome, delivered at most once per use
 	// timer is created on the frame's first wait and afterwards only
 	// Reset, and only when the invoker is about to block.
 	timer *time.Timer
-	// proc is the frame's processor, started by the first process or
-	// served request the frame carries (start).
+	// proc is the frame's processor, started by the first work the
+	// frame carries (start).
 	proc *procHandle
 
 	owners atomic.Int32
@@ -98,7 +100,7 @@ func (c *callCtx) recycle() {
 	c.name, c.op, c.next, c.data, c.caps, c.o = "", nil, nil, nil, nil, nil
 	c.queued, c.vproc = false, false
 	c.call = Call{}
-	c.env = msg.Envelope{}
+	c.env, c.async = msg.Envelope{}, nil
 	c.k.frames.Put(c)
 }
 
@@ -113,20 +115,25 @@ func (c *callCtx) serveRequest() {
 }
 
 // exec runs the work the frame was started with: its process when it was
-// submitted to an object, else the inbound request it carries.
+// submitted to an object, else the async invocation or the inbound
+// request it carries.
 func (c *callCtx) exec() {
-	if c.o != nil {
+	switch {
+	case c.o != nil:
 		c.runProcess()
-	} else {
+	case c.async != nil:
+		c.runAsync()
+	default:
 		c.serveRequest()
 	}
 }
 
 // A processor is the goroutine a frame's work runs on — a process
-// (runProcess) or the serve of an inbound request (serveRequest) — and
-// it outlives the work: between uses it parks on its channel with the
-// stack it has grown, where a goroutine started per process would begin
-// at the smallest stack and copy it as the handler grew it. A frame
+// (runProcess), an async invocation (runAsync) or the serve of an
+// inbound request (serveRequest) — and it outlives the work: between
+// uses it parks on its channel with the stack it has grown, where a
+// goroutine started per process would begin at the smallest stack and
+// copy it as the handler grew it. A frame
 // starts its processor with its first such work and keeps it while the
 // frame lives, so the pool that reuses a frame on the CPU that freed it
 // reuses its processor there too, and no lock is shared between callers.

@@ -19,7 +19,9 @@ import (
 
 // Config describes one Eden node: the abstraction that "supplies
 // virtual memory to store the segments of active objects and virtual
-// processors to execute invocations".
+// processors to execute invocations". Synchronous, served and async
+// invocations all run on the same processors; InvokeAsync sheds
+// submissions past a fixed cap on async invocations in flight.
 type Config struct {
 	// Node is the node number; it must be unique in the system.
 	Node uint32
@@ -61,16 +63,6 @@ type Config struct {
 	// bounded send queues, the queue rejects early rather than growing
 	// without bound). 0 uses DefaultAdmissionQueue.
 	AdmissionQueue int
-	// AsyncPending caps the node's async dispatcher: how many
-	// InvokeAsync submissions may sit in the pending-invocation table
-	// (queued plus executing) at once.
-	// Submissions past the cap are shed immediately with ErrTimeout
-	// and counted under kernel.async.shed. 0 uses DefaultAsyncPending.
-	AsyncPending int
-	// AsyncWorkers sizes the async dispatcher's worker pool: how many
-	// async invocations execute concurrently per node. 0 uses
-	// DefaultAsyncWorkers.
-	AsyncWorkers int
 	// RecoverGrace fences failure-recovery promotion: a checksite
 	// refuses to claim a backed-up object as its new home while the
 	// object's real home shipped a checkpoint within this window (or
@@ -232,14 +224,9 @@ type Kernel struct {
 	procMu sync.Mutex
 	procs  map[*processor]struct{}
 
-	// The async dispatcher (async.go): a bounded pending-invocation
-	// table drained by a lazily started worker pool. asyncMu fences
-	// submission against Close's drain so no entry is stranded.
-	asyncMu     sync.Mutex
-	asyncQ      chan *Pending
-	asyncStop   chan struct{}
-	asyncClosed bool
-	asyncOnce   sync.Once
+	// asyncInFlight counts the async invocations submitted and not yet
+	// resolved, against asyncCap (async.go).
+	asyncInFlight atomic.Int32
 
 	stLocal, stRemote, stServed, stChases atomic.Int64
 	stReinc, stCkpt, stCkptBytes          atomic.Int64
@@ -296,12 +283,6 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	if cfg.AdmissionQueue <= 0 {
 		cfg.AdmissionQueue = DefaultAdmissionQueue
 	}
-	if cfg.AsyncPending <= 0 {
-		cfg.AsyncPending = DefaultAsyncPending
-	}
-	if cfg.AsyncWorkers <= 0 {
-		cfg.AsyncWorkers = DefaultAsyncWorkers
-	}
 	if st == nil {
 		st = store.NewMemory()
 	}
@@ -326,8 +307,6 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		served:   servedTable{idx: make(map[servedKey]uint64)},
 		procs:    make(map[*processor]struct{}),
 	}
-	k.asyncQ = make(chan *Pending, cfg.AsyncPending)
-	k.asyncStop = make(chan struct{})
 	if cfg.VirtualProcessors > 0 {
 		k.vprocs = make(chan struct{}, cfg.VirtualProcessors)
 	}
@@ -872,9 +851,6 @@ func (k *Kernel) Close() error {
 		delete(k.pend, corr)
 	}
 	k.pendMu.Unlock()
-	// Stop the async dispatcher: every queued submission resolves with
-	// ErrClosed rather than dangling past the node's lifetime.
-	k.drainAsync()
 	return k.tr.Close()
 }
 

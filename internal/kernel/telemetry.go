@@ -37,9 +37,9 @@ type kernelTel struct {
 	queueFull      *telemetry.Counter // calls shed because a per-object queue hit its cap
 	serveConc      *telemetry.Gauge   // invocation processes currently executing
 
-	asyncShed      *telemetry.Counter   // async submissions shed (table full or expired queued)
-	asyncPending   *telemetry.Gauge     // async invocations in the table (queued + executing)
-	asyncQueueWait *telemetry.Histogram // table wait before a worker picks the entry up
+	asyncShed      *telemetry.Counter   // async submissions shed at the in-flight cap
+	asyncPending   *telemetry.Gauge     // async invocations in flight
+	asyncQueueWait *telemetry.Histogram // hand-off from submission to processor
 
 	replicaHit        *telemetry.Counter   // reads served from a checkpoint shadow
 	replicaMiss       *telemetry.Counter   // stale-tolerant reads this checksite could not serve

@@ -347,8 +347,8 @@ func (n *Node) Invoke(target Capability, operation string, data []byte, caps Cap
 }
 
 // InvokeAsync starts an invocation without suspending the caller; it
-// runs through the node's bounded async dispatcher and the returned
-// Pending resolves with the outcome (sticky, so Wait may be repeated).
+// runs on one of the node's processors and the returned Pending
+// resolves with the outcome (sticky, so Wait may be repeated).
 func (n *Node) InvokeAsync(target Capability, operation string, data []byte, caps CapabilityList, opts *InvokeOptions) *Pending {
 	return n.Kernel().InvokeAsync(target, operation, data, caps, opts)
 }
