@@ -38,7 +38,7 @@ func calls(k *Kernel, caller *InvokeOptions) {
 }
 
 // Async submissions fix their deadline at submission time, and that
-// deadline also bounds the wait in the dispatcher queue — so an
+// deadline also bounds the wait in the target's queues — so an
 // invisible budget is at least as bad as on a synchronous call.
 func asyncCalls(k *Kernel, caller *InvokeOptions) {
 	_ = k.InvokeAsync("a", nil, nil)                                  // want "passes nil options"

@@ -41,8 +41,8 @@ func checkTimeoutCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	// InvokeAsync is an invocation site like Invoke: its deadline is
-	// fixed at submission and bounds the dispatcher queue wait too, so
-	// an unbounded one is just as invisible.
+	// fixed at submission and bounds the wait in the target's queues
+	// too, so an unbounded one is just as invisible.
 	switch sel.Sel.Name {
 	case "Invoke", "InvokeAsync":
 	default:

@@ -87,13 +87,14 @@ func TestObjectFootprint(t *testing.T) {
 }
 
 // queueRig is one object of a type with two unlimited classes, "a" and
-// "b", each with a read operation that records its tag ("a" also has a
-// writer, "aw"), and a writer in a third class, "gate", that holds
-// exclusivity until release closes —
-// so every read submitted behind it waits in a class queue, and the
-// rows are those of a type with more than two classes. Calls are
-// submitted to the object's monitor directly, one after another, so
-// their arrival order is the order of submit calls.
+// "b", each with a write operation that records its tag ("a" also has a
+// reader, "ar"), and a writer in a third class, "gate", that holds
+// exclusivity until release closes — so every call submitted behind it
+// waits in a class queue, and the rows are those of a type with more
+// than two classes. Writers run one at a time, so execution order is
+// admission order. Calls are submitted to the object's monitor
+// directly, one after another, so their arrival order is the order of
+// submit calls.
 type queueRig struct {
 	t       *testing.T
 	o       *Object
@@ -107,17 +108,16 @@ type queueRig struct {
 func newQueueRig(t *testing.T) *queueRig {
 	t.Helper()
 	r := &queueRig{t: t, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	// One reader at a time, so execution order is admission order.
-	k, reg, _ := newSchedKernel(t, func(c *Config) { c.ReaderPool = 1 })
+	k, reg, _ := newSchedKernel(t, nil)
 	record := func(c *Call) {
 		r.mu.Lock()
 		r.ran = append(r.ran, string(c.Data))
 		r.mu.Unlock()
 	}
 	tm := NewType("queues")
-	tm.Op(Operation{Name: "a", Class: "a", Access: AccessRead, Handler: record})
-	tm.Op(Operation{Name: "b", Class: "b", Access: AccessRead, Handler: record})
-	tm.Op(Operation{Name: "aw", Class: "a", Access: AccessWrite, Handler: record})
+	tm.Op(Operation{Name: "a", Class: "a", Access: AccessWrite, Handler: record})
+	tm.Op(Operation{Name: "b", Class: "b", Access: AccessWrite, Handler: record})
+	tm.Op(Operation{Name: "ar", Class: "a", Access: AccessRead, Handler: record})
 	tm.Op(Operation{Name: "gate", Class: "gate", Access: AccessWrite, Handler: func(c *Call) {
 		r.entered <- struct{}{}
 		<-r.release
@@ -174,19 +174,19 @@ func (r *queueRig) answer(c *callCtx) msg.Status {
 	return rep.Status
 }
 
-// queued returns the tags waiting in each class's read queue, head
+// queued returns the tags waiting in each class's write queue, head
 // first, by class name, checking each ring's count and links on the way.
 func (r *queueRig) queued() string {
 	r.t.Helper()
 	r.o.sched.Lock()
 	defer r.o.sched.Unlock()
 	out := make(map[string][]string)
-	for i, cl := range r.o.rows() {
+	for i, cl := range r.o.cs.rows(len(r.o.table.classes)) {
 		name := r.o.table.classes[i].name
-		t := cl.tail[AccessRead]
+		t := cl.tail[AccessWrite]
 		if t == nil {
-			if cl.n[AccessRead] != 0 {
-				r.t.Errorf("class %q: empty queue counts %d", name, cl.n[AccessRead])
+			if cl.n[AccessWrite] != 0 {
+				r.t.Errorf("class %q: empty queue counts %d", name, cl.n[AccessWrite])
 			}
 			continue
 		}
@@ -196,8 +196,8 @@ func (r *queueRig) queued() string {
 				break
 			}
 		}
-		if len(out[name]) != int(cl.n[AccessRead]) {
-			r.t.Errorf("class %q: ring holds %d calls, counts %d", name, len(out[name]), cl.n[AccessRead])
+		if len(out[name]) != int(cl.n[AccessWrite]) {
+			r.t.Errorf("class %q: ring holds %d calls, counts %d", name, len(out[name]), cl.n[AccessWrite])
 		}
 	}
 	return fmt.Sprint(out)
@@ -275,13 +275,13 @@ func TestClassQueueIntrusive(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			calls = append(calls,
 				r.submit("a", fmt.Sprint("a", i), later()),
-				r.submit("aw", fmt.Sprint("aw", i), later()),
+				r.submit("ar", fmt.Sprint("ar", i), later()),
 				r.submit("b", fmt.Sprint("b", i), later()))
 		}
 		calls = append(calls, r.submit("gate", "w", later()))
 		r.o.Crash()
 		r.o.sched.Lock()
-		for i, cl := range r.o.rows() {
+		for i, cl := range r.o.cs.rows(len(r.o.table.classes)) {
 			if cl.tail != [3]*callCtx{} || cl.n != [3]int32{} {
 				t.Errorf("class %q still queues %v after teardown", r.o.table.classes[i].name, cl.n)
 			}

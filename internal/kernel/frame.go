@@ -46,11 +46,6 @@ type callCtx struct {
 	// deadline is the caller's absolute time limit; admission sheds the
 	// call instead of dispatching a process once it has passed.
 	deadline time.Time
-	// queued tracks the admission-queue depth gauge: set when the call
-	// joins a class queue, cleared (exactly once, by whichever path takes
-	// it out) when it leaves. Guarded by o.sched until teardown's drain
-	// has taken the call out of the schedule.
-	queued bool
 	// vproc marks a call holding one of the node's virtual processors.
 	// The object side gives it back (finish): a handler that outlives its
 	// invoker's deadline still occupies the processor it runs on.
@@ -98,7 +93,7 @@ func (c *callCtx) recycle() {
 	default:
 	}
 	c.name, c.op, c.next, c.data, c.caps, c.o = "", nil, nil, nil, nil, nil
-	c.queued, c.vproc = false, false
+	c.vproc = false
 	c.call = Call{}
 	c.env, c.async = msg.Envelope{}, nil
 	c.k.frames.Put(c)

@@ -20,8 +20,9 @@ import (
 // Config describes one Eden node: the abstraction that "supplies
 // virtual memory to store the segments of active objects and virtual
 // processors to execute invocations". Synchronous, served and async
-// invocations all run on the same processors; InvokeAsync sheds
-// submissions past a fixed cap on async invocations in flight.
+// invocations all run on the same processors. Its caps are constants:
+// async invocations in flight, and each object's read processes and
+// queued calls (readerCap, queueCap).
 type Config struct {
 	// Node is the node number; it must be unique in the system.
 	Node uint32
@@ -46,23 +47,12 @@ type Config struct {
 	// memory" illusion: users never see the paging, objects
 	// reincarnate on their next invocation.
 	EvictOnPressure bool
-	// ReaderPool bounds how many read-only (AccessRead) invocation
-	// processes may execute concurrently against one object's
-	// representation. 0 uses DefaultReaderPool; 1 serializes reads.
-	// Mutating (AccessWrite) invocations always run exclusively.
-	ReaderPool int
 	// ReplicaServe lets this node serve stale-tolerant AccessRead
 	// invocations of other nodes' mutable objects from checkpoint
 	// records it holds as a checksite: the record is reincarnated into
 	// a read-only shadow, never admitted to the write path, and retired
 	// when an invalidation raises the serving floor past it.
 	ReplicaServe bool
-	// AdmissionQueue caps each of an object's admission queues — one
-	// per invocation class and access mode. Calls arriving past the cap
-	// are shed immediately with StatusTimeout (like the transport's
-	// bounded send queues, the queue rejects early rather than growing
-	// without bound). 0 uses DefaultAdmissionQueue.
-	AdmissionQueue int
 	// RecoverGrace fences failure-recovery promotion: a checksite
 	// refuses to claim a backed-up object as its new home while the
 	// object's real home shipped a checkpoint within this window (or
@@ -265,23 +255,9 @@ const (
 // New assembles a kernel from its substrates. types is typically
 // shared across all kernels of a system (homogeneous nodes); st is the
 // node's long-term store (nil gets an in-memory store).
-// DefaultReaderPool is the per-object bound on concurrently executing
-// read-only invocation processes when Config.ReaderPool is zero.
-const DefaultReaderPool = 8
-
-// DefaultAdmissionQueue is the cap on each admission queue of an object
-// when Config.AdmissionQueue is zero.
-const DefaultAdmissionQueue = 1024
-
 func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *Kernel {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Second
-	}
-	if cfg.ReaderPool <= 0 {
-		cfg.ReaderPool = DefaultReaderPool
-	}
-	if cfg.AdmissionQueue <= 0 {
-		cfg.AdmissionQueue = DefaultAdmissionQueue
 	}
 	if st == nil {
 		st = store.NewMemory()

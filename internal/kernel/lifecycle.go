@@ -364,7 +364,7 @@ func (o *Object) quiescentLocked() bool {
 	if o.running != 0 {
 		return false
 	}
-	for _, cl := range o.rows() {
+	for _, cl := range o.cs.rows(len(o.table.classes)) {
 		if cl.tail != [3]*callCtx{} {
 			return false
 		}
@@ -474,7 +474,7 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	o.state = stDown
 	o.movedTo = movedTo
 	passive := o.passive
-	queued := o.drain()
+	queued := o.cs.drain(o.table.classes)
 	// The short-term state goes with the transition: a semaphore or port
 	// asked for later is made on a closed channel. An incarnation that
 	// never made any has nothing to close or wait for.
@@ -488,13 +488,14 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	if down != nil {
 		close(down) // once: only the transition to stDown gets here
 	}
-	for c := queued; c != nil; {
+	var left int64
+	for c := queued; c != nil; left++ {
 		next := c.next
 		c.next = nil
-		o.unqueue(c)
 		c.finish(downReply(movedTo, passive))
 		c = next
 	}
+	o.k.tel.admissionDepth.Add(-left)
 	if st != nil {
 		st.behaviors.Wait()
 	}

@@ -12,7 +12,6 @@ import (
 	"eden/internal/msg"
 	"eden/internal/rights"
 	"eden/internal/segment"
-	"eden/internal/telemetry"
 )
 
 // objState is the lifecycle state of an active object's in-memory
@@ -304,7 +303,7 @@ func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 // choice between queues rather than a search through one. Each queue is
 // a circular FIFO threaded through the queued frames' next field: it
 // keeps only its tail, whose next is the head, so queueing never
-// allocates. n counts each queue against Config.AdmissionQueue.
+// allocates. n counts each queue against the door's cap.
 type classState struct {
 	running int32
 	n       [3]int32
@@ -357,9 +356,10 @@ func (cl *classState) unlink(mode Access, prev, c *callCtx) {
 // across any nested invoke. The coordinator — "kernel code responsible
 // for maintenance of the object, reception of invocation requests ...,
 // verification of rights, and dispatching of processes to invocations"
-// — is this state and the Object methods below, run under o.sched by
-// whichever goroutine has an event to report: an invoker arriving, a
-// process finishing, a move aborting.
+// — is a policy, the coordState methods below, which decide and do
+// nothing else, and a monitor, the Object methods that carry the
+// decisions out under o.sched, run by whichever goroutine has an event
+// to report: an invoker arriving, a process finishing, a move aborting.
 type coordState struct {
 	seq    uint64        // arrival stamp of the next queued call
 	inline [2]classState // the class rows of a type with at most two classes, as EFS's file has
@@ -367,12 +367,17 @@ type coordState struct {
 	active [3]int32      // executing processes per access mode
 }
 
-// rows returns the incarnation's class rows, parallel to o.table.classes.
-func (o *Object) rows() []classState {
-	if o.cs.more != nil {
-		return *o.cs.more
+// The policy's caps on one object: read processes executing at once,
+// and calls waiting in each of its queues, one per class and access mode.
+const readerCap, queueCap = 8, 1024
+
+// rows returns the class rows of a type with n classes, parallel to its
+// class table.
+func (cs *coordState) rows(n int) []classState {
+	if cs.more != nil {
+		return *cs.more
 	}
-	return o.cs.inline[:len(o.table.classes)]
+	return cs.inline[:n]
 }
 
 // validate resolves one call's operation and verifies it may run here —
@@ -412,71 +417,92 @@ func (o *Object) validate(c *callCtx) (msg.InvokeRep, bool) {
 	return msg.InvokeRep{}, true
 }
 
-// arrive appends one validated call to its class's queue — the one way
-// into the schedule, whatever the access mode — and schedules. The
-// caller holds o.sched and has seen the incarnation not down.
-func (o *Object) arrive(c *callCtx) {
-	cl := &o.rows()[c.op.class]
-	if int(cl.n[c.op.mode]) >= o.k.cfg.AdmissionQueue {
-		// The queue sheds at the door rather than growing without
-		// bound, matching the transport's bounded send queues. Counted
-		// apart from deadline expiry (kernel.admission.shed).
-		o.shed(c, o.k.tel.queueFull)
-		return
-	}
-	c.seq = o.cs.seq
-	o.cs.seq++
-	c.queued = true
-	o.k.tel.admissionDepth.Add(1)
-	cl.push(c.op.mode, c)
-	o.schedule()
-}
-
-// complete settles one finished process against its class, its mode and
-// the quiesce count, and schedules its successors.
-func (o *Object) complete(op *boundOp) {
-	o.rows()[op.class].running--
-	o.cs.active[op.mode]--
-	o.leave()
-	o.schedule()
-}
-
-// schedule is the one drain loop. Expired calls are shed first — they
-// cost a queue slot, never a process. After that each mode admits,
-// oldest head first, while the exclusion relation allows: writers before
-// readers, so that a pending writer waits only for running readers to
-// drain while queued readers stay queued behind it. The caller holds
-// o.sched.
-func (o *Object) schedule() {
-	o.shedExpired()
-	if o.state != stActive {
-		// Moving or passivating: nothing may start against a
-		// representation about to ship or be released. Either may still
-		// fail, so queued calls wait for the outcome — resumeService
-		// schedules them, destroyActiveState sends them on to the new
-		// home or the passive record. Down: teardown has drained
-		// everything.
-		return
-	}
-	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
-		for cl := o.oldest(mode); cl != nil && o.admits(mode); cl = o.oldest(mode) {
-			o.admit(cl, mode)
+// step is one scheduling step. The deadline pass comes first: every
+// queued call whose deadline is before now is shed, from wherever it
+// sits — it has cost a queue slot, never a process, and its caller has
+// given up — so that only live calls hold the door. Then the arrival in,
+// when there is one, meets the door (enqueue). Last, when the object is
+// open, each mode admits, oldest head first, while the exclusion
+// relation allows: writers before readers, so that a pending writer
+// waits only for running readers to drain while queued readers stay
+// queued behind it. shed and start chain their calls through next,
+// start in admission order; refused reports in turned away at the door.
+// now is called only when some queue is non-empty, so an uncontended
+// invoke reads no clock.
+func (cs *coordState) step(classes []classSpec, in *callCtx, maxReaders, maxQueue int, open bool, now func() time.Time) (shed, start *callCtx, refused bool) {
+	var t time.Time
+	rows := cs.rows(len(classes))
+	for i := range rows {
+		cl := &rows[i]
+		for mode := range cl.tail {
+			if cl.tail[mode] == nil {
+				continue
+			}
+			if t.IsZero() {
+				t = now()
+			}
+			// Once round the ring from the head; prev trails c.
+			prev := cl.tail[mode]
+			for n := cl.n[mode]; n > 0; n-- {
+				c := prev.next
+				if !t.After(c.deadline) {
+					prev = c
+					continue
+				}
+				cl.unlink(Access(mode), prev, c)
+				c.next, shed = shed, c
+			}
 		}
 	}
+	refused = in != nil && !cs.enqueue(classes, in, maxQueue)
+	if !open {
+		return shed, nil, refused
+	}
+	last := &start
+	for _, mode := range [...]Access{AccessWrite, AccessRead, AccessShared} {
+		for cl := cs.oldest(classes, mode); cl != nil && cs.admits(classes, mode, maxReaders); cl = cs.oldest(classes, mode) {
+			c := cl.head(mode)
+			cl.unlink(mode, cl.tail[mode], c)
+			cl.running++
+			cs.active[mode]++
+			*last, last = c, &c.next
+		}
+	}
+	return shed, start, refused
+}
+
+// enqueue is the door: it stamps c's arrival and appends it to its
+// class's queue for its mode, unless that queue already holds maxQueue
+// calls.
+func (cs *coordState) enqueue(classes []classSpec, c *callCtx, maxQueue int) bool {
+	cl := &cs.rows(len(classes))[c.op.class]
+	if int(cl.n[c.op.mode]) >= maxQueue {
+		return false
+	}
+	c.seq = cs.seq
+	cs.seq++
+	cl.push(c.op.mode, c)
+	return true
+}
+
+// exit settles one finished process against its class and its mode.
+func (cs *coordState) exit(classes []classSpec, op *boundOp) {
+	cs.rows(len(classes))[op.class].running--
+	cs.active[op.mode]--
 }
 
 // admits is the exclusion relation: whether one more process of the
 // mode may start beside those executing.
-func (o *Object) admits(mode Access) bool {
-	idle := o.cs.active[AccessWrite] == 0
+func (cs *coordState) admits(classes []classSpec, mode Access, maxReaders int) bool {
+	idle := cs.active[AccessWrite] == 0
 	switch mode {
 	case AccessWrite:
-		return idle && o.cs.active[AccessRead] == 0
+		return idle && cs.active[AccessRead] == 0
 	case AccessRead:
 		// Writer preference yields only to a writer that could take the
 		// slot: one whose class is full cannot, and holding readers back
 		// for it would idle the object.
-		return idle && int(o.cs.active[AccessRead]) < o.k.cfg.ReaderPool && o.oldest(AccessWrite) == nil
+		return idle && int(cs.active[AccessRead]) < maxReaders && cs.oldest(classes, AccessWrite) == nil
 	}
 	return true
 }
@@ -485,12 +511,12 @@ func (o *Object) admits(mode Access) bool {
 // arrived head among classes with room under their limit — nil when no
 // queued call of the mode can start. A limit of one yields mutual
 // exclusion among the class's operations.
-func (o *Object) oldest(mode Access) *classState {
+func (cs *coordState) oldest(classes []classSpec, mode Access) *classState {
 	var best *classState
-	rows := o.rows()
+	rows := cs.rows(len(classes))
 	for i := range rows {
 		cl := &rows[i]
-		if limit := o.table.classes[i].limit; cl.tail[mode] == nil || (limit > 0 && int(cl.running) >= limit) {
+		if limit := classes[i].limit; cl.tail[mode] == nil || (limit > 0 && int(cl.running) >= limit) {
 			continue
 		}
 		if best == nil || cl.head(mode).seq < best.head(mode).seq {
@@ -500,58 +526,10 @@ func (o *Object) oldest(mode Access) *classState {
 	return best
 }
 
-// admit takes the head of the class's queue for the mode and starts
-// its process — "in the normal case, a new process will be created and
-// assigned the invocation" — charging the class, the mode and the
-// quiesce count. The process runs on the frame's processor, a goroutine
-// that outlives it (frame.go). The object side's share of the frame
-// passes from the queue to the process.
-func (o *Object) admit(cl *classState, mode Access) {
-	c := cl.head(mode)
-	cl.unlink(mode, cl.tail[mode], c)
-	o.unqueue(c)
-	o.enter()
-	cl.running++
-	o.cs.active[mode]++
-	c.start()
-}
-
-// shedExpired is the one deadline pass: it drops queued calls whose
-// caller deadline has passed, from wherever they sit in their queue. The
-// caller has already given up, so dispatching a process for the call
-// would only burn a virtual processor on a reply nobody reads.
-func (o *Object) shedExpired() {
-	var now time.Time
-	rows := o.rows()
-	for i := range rows {
-		cl := &rows[i]
-		for mode := range cl.tail {
-			if cl.tail[mode] == nil {
-				continue
-			}
-			if now.IsZero() {
-				now = time.Now()
-			}
-			// Once round the ring from the head; prev trails c.
-			prev := cl.tail[mode]
-			for n := cl.n[mode]; n > 0; n-- {
-				c := prev.next
-				if !now.After(c.deadline) {
-					prev = c
-					continue
-				}
-				cl.unlink(Access(mode), prev, c)
-				o.shed(c, o.k.tel.admissionShed)
-			}
-		}
-	}
-}
-
 // drain empties the schedule at teardown, handing back every queued
-// call, chained through next, for destroyActiveState to answer once it
-// has left the monitor.
-func (o *Object) drain() (queued *callCtx) {
-	rows := o.rows()
+// call chained through next.
+func (cs *coordState) drain(classes []classSpec) (queued *callCtx) {
+	rows := cs.rows(len(classes))
 	for i := range rows {
 		cl := &rows[i]
 		for mode, t := range cl.tail {
@@ -568,13 +546,70 @@ func (o *Object) drain() (queued *callCtx) {
 	return queued
 }
 
-// shed rejects one call with StatusTimeout before it costs a process,
-// counting it under why: kernel.admission.shed for an expired deadline,
-// kernel.admission.queue.full for a queue at Config.AdmissionQueue.
-func (o *Object) shed(c *callCtx, why *telemetry.Counter) {
-	o.unqueue(c)
-	why.Inc()
-	c.finish(msg.InvokeRep{Status: msg.StatusTimeout})
+// arrive brings one validated call to the schedule — the one way in,
+// whatever the access mode — and carries out the step it makes. A call
+// refused at the door is shed, counted apart from deadline expiry
+// (kernel.admission.queue.full). The caller holds o.sched and has seen
+// the incarnation not down.
+func (o *Object) arrive(c *callCtx) {
+	shed, start, refused := o.cs.step(o.table.classes, c, readerCap, queueCap, o.state == stActive, time.Now)
+	queued := int64(1)
+	if refused {
+		queued = 0
+		o.k.tel.queueFull.Inc()
+		c.finish(msg.InvokeRep{Status: msg.StatusTimeout})
+	}
+	o.apply(shed, start, queued)
+}
+
+// complete settles one finished process against its class, its mode and
+// the quiesce count, and schedules its successors.
+func (o *Object) complete(op *boundOp) {
+	o.cs.exit(o.table.classes, op)
+	o.leave()
+	o.schedule()
+}
+
+// schedule runs one scheduling step with no arrival and carries it out.
+// Only an active object is open: moving or passivating, nothing may start
+// against a representation about to ship or be released, and queued calls
+// wait for the outcome — resumeService schedules them, destroyActiveState
+// sends them on to the new home or the passive record. The caller holds
+// o.sched.
+func (o *Object) schedule() {
+	shed, start, _ := o.cs.step(o.table.classes, nil, readerCap, queueCap, o.state == stActive, time.Now)
+	o.apply(shed, start, 0)
+}
+
+// apply carries out one step's decisions. A shed call is answered with
+// StatusTimeout (kernel.admission.shed): dispatching a process for it
+// would only burn a virtual processor on a reply nobody reads. A started
+// call gets its process — "in the normal case, a new process will be
+// created and assigned the invocation" — counted against quiesce, on the
+// frame's processor, a goroutine that outlives it (frame.go); the object
+// side's share of the frame passes from the queue to the process. queued
+// counts the step's arrival; the depth gauge moves by it less every call
+// that left the queues. The caller holds o.sched.
+func (o *Object) apply(shed, start *callCtx, queued int64) {
+	for c := shed; c != nil; {
+		next := c.next
+		c.next = nil
+		queued--
+		o.k.tel.admissionShed.Inc()
+		c.finish(msg.InvokeRep{Status: msg.StatusTimeout})
+		c = next
+	}
+	for c := start; c != nil; {
+		next := c.next
+		c.next = nil
+		queued--
+		o.enter()
+		c.start()
+		c = next
+	}
+	if queued != 0 {
+		o.k.tel.admissionDepth.Add(queued)
+	}
 }
 
 // enter counts one more executing process against lifecycle quiesce
@@ -618,15 +653,6 @@ func downReply(movedTo uint32, passive bool) msg.InvokeRep {
 		return msg.InvokeRep{Status: statusPassive}
 	}
 	return msg.InvokeRep{Status: msg.StatusCrashed}
-}
-
-// unqueue settles the call's admission-queue depth charge. Safe to
-// call more than once per call: only the first settles the gauge.
-func (o *Object) unqueue(c *callCtx) {
-	if c.queued {
-		c.queued = false
-		o.k.tel.admissionDepth.Add(-1)
-	}
 }
 
 // movedReply builds the StatusMoved reply carrying the new home node.

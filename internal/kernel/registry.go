@@ -43,7 +43,7 @@ const (
 	// through the monitor machinery (semaphores, ports).
 	AccessShared Access = iota
 	// AccessRead declares the operation read-only. Its processes fan
-	// out to a bounded per-object pool (Config.ReaderPool) and run
+	// out to a per-object pool of eight (readerCap) and run
 	// concurrently against the representation, but never alongside an
 	// AccessWrite process.
 	AccessRead
@@ -270,7 +270,7 @@ type classSpec struct {
 // happens to the Operation in between.
 type boundOp struct {
 	*Operation
-	class int32 // index into typeTable.classes and the incarnation's class rows (Object.rows)
+	class int32 // index into typeTable.classes and the incarnation's class rows (coordState.rows)
 	mode  Access
 }
 

@@ -23,15 +23,18 @@ import (
 	"eden/internal/transport"
 )
 
-// classRig is one object of a type whose only operation, "work", is
-// shared-mode in class "one" with limit 1. work records its tag and
-// the node it ran on; the tag "hold" then blocks until release closes,
-// so everything invoked after it queues behind the class limit.
+// classRig is one object of a type with two operations: "work",
+// shared-mode in class "one" with limit 1, and "write", a writer. Each
+// records its tag and the node it ran on; the tag "hold" then blocks
+// until release closes, so everything invoked after it with the same
+// operation queues behind the class limit or the writer's exclusion.
+// The rig invokes op, "work" unless a row sets it.
 type classRig struct {
 	t       *testing.T
 	ks      map[uint32]*Kernel
 	tel     *telemetry.Registry // of node 1, the object's first home
 	cap     capability.Capability
+	op      string
 	entered chan struct{}
 	release chan struct{}
 
@@ -39,17 +42,18 @@ type classRig struct {
 	ran []string // "tag@node", in execution order
 }
 
-func newClassRig(t *testing.T, tweak func(*Config), nodes ...uint32) *classRig {
+func newClassRig(t *testing.T, nodes ...uint32) *classRig {
 	t.Helper()
 	r := &classRig{
 		t:       t,
 		ks:      make(map[uint32]*Kernel),
+		op:      "work",
 		tel:     telemetry.New(),
 		entered: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
 	tm := NewType("classrig").Limit("one", 1)
-	tm.Op(Operation{Name: "work", Class: "one", Handler: func(c *Call) {
+	work := func(c *Call) {
 		tag := string(c.Data)
 		r.mu.Lock()
 		r.ran = append(r.ran, fmt.Sprintf("%s@%d", tag, c.Self().Node()))
@@ -58,7 +62,9 @@ func newClassRig(t *testing.T, tweak func(*Config), nodes ...uint32) *classRig {
 			r.entered <- struct{}{}
 			<-r.release
 		}
-	}})
+	}
+	tm.Op(Operation{Name: "work", Class: "one", Handler: work})
+	tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: work})
 	reg := NewRegistry()
 	mustRegister(t, reg, tm)
 	mesh := transport.NewMesh(7)
@@ -72,9 +78,6 @@ func newClassRig(t *testing.T, tweak func(*Config), nodes ...uint32) *classRig {
 		if n == 1 {
 			cfg.Telemetry = r.tel
 		}
-		if tweak != nil {
-			tweak(&cfg)
-		}
 		k := New(cfg, ep, reg, store.NewMemory())
 		t.Cleanup(func() { k.Close() })
 		r.ks[n] = k
@@ -86,7 +89,8 @@ func newClassRig(t *testing.T, tweak func(*Config), nodes ...uint32) *classRig {
 	return r
 }
 
-// hold occupies the class's only slot until release closes.
+// hold occupies the class's only slot, or the writer's exclusion, until
+// release closes.
 func (r *classRig) hold() <-chan error {
 	r.t.Helper()
 	done := r.invoke("hold", 10*time.Second)
@@ -98,11 +102,11 @@ func (r *classRig) hold() <-chan error {
 	return done
 }
 
-// invoke starts one work invocation from node 1.
+// invoke starts one invocation of op from node 1.
 func (r *classRig) invoke(tag string, timeout time.Duration) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.ks[1].Invoke(r.cap, "work", []byte(tag), nil, &InvokeOptions{Timeout: timeout})
+		_, err := r.ks[1].Invoke(r.cap, r.op, []byte(tag), nil, &InvokeOptions{Timeout: timeout})
 		done <- err
 	}()
 	return done
@@ -125,6 +129,20 @@ func (r *classRig) queue(n int, timeout time.Duration) []<-chan error {
 	return done
 }
 
+// flood starts n invocations at once and waits until all are charged to
+// the admission gauge; unlike queue, it fixes no order among them.
+func (r *classRig) flood(n int, timeout time.Duration) []<-chan error {
+	r.t.Helper()
+	want := r.tel.Gauge(metricAdmissionDepth).Value() + int64(n)
+	var done []<-chan error
+	for i := 0; i < n; i++ {
+		done = append(done, r.invoke("flood", timeout))
+	}
+	eventually(r.t, func() bool { return r.tel.Gauge(metricAdmissionDepth).Value() == want },
+		"flooded calls charged to the admission-depth gauge")
+	return done
+}
+
 func (r *classRig) executed() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,7 +153,6 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 	for _, row := range []struct {
 		name  string
 		nodes []uint32
-		tweak func(*Config)
 		run   func(t *testing.T, r *classRig)
 	}{
 		{
@@ -172,10 +189,9 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 		{
 			name:  "calls past AdmissionQueue are refused at the door",
 			nodes: []uint32{1},
-			tweak: func(c *Config) { c.AdmissionQueue = 2 },
 			run: func(t *testing.T, r *classRig) {
 				holder := r.hold()
-				queued := r.queue(2, 10*time.Second)
+				queued := r.flood(queueCap, 10*time.Second)
 				for i := 0; i < 3; i++ {
 					if err := <-r.invoke("over", 10*time.Second); !errors.Is(err, ErrTimeout) {
 						t.Errorf("call past the cap: err = %v, want ErrTimeout", err)
@@ -189,6 +205,39 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 					if err := <-done; err != nil {
 						t.Errorf("admitted call: %v", err)
 					}
+				}
+			},
+		},
+		{
+			name:  "a queue of expired calls does not hold the door",
+			nodes: []uint32{1},
+			run: func(t *testing.T, r *classRig) {
+				r.op = "write"
+				holder := r.hold()
+				for _, done := range r.flood(queueCap, 200*time.Millisecond) {
+					if err := <-done; !errors.Is(err, ErrTimeout) {
+						t.Errorf("flooded caller: err = %v, want ErrTimeout", err)
+					}
+				}
+				// The expired calls still fill the write queue: nothing
+				// has run a deadline pass since their callers gave up. The
+				// arrival's own pass must shed them before the door counts.
+				live := r.invoke("live", 2*time.Second)
+				eventually(t, func() bool {
+					return r.tel.Gauge(metricAdmissionDepth).Value() == 1 || r.tel.Counter(metricQueueFull).Value() != 0
+				}, "the live writer reached the door")
+				close(r.release)
+				if err := <-live; err != nil {
+					t.Errorf("live writer behind a queue of expired ones: %v", err)
+				}
+				if err := <-holder; err != nil {
+					t.Errorf("holder: %v", err)
+				}
+				if got := r.tel.Counter(metricQueueFull).Value(); got != 0 {
+					t.Errorf("%s = %d, want 0: expired calls held the door", metricQueueFull, got)
+				}
+				if got := r.tel.Counter(metricAdmissionShed).Value(); got != queueCap {
+					t.Errorf("%s = %d, want %d", metricAdmissionShed, got, queueCap)
 				}
 			},
 		},
@@ -273,7 +322,7 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			row.run(t, newClassRig(t, row.tweak, row.nodes...))
+			row.run(t, newClassRig(t, row.nodes...))
 		})
 	}
 }

@@ -184,9 +184,13 @@ func TestReadersRunConcurrently(t *testing.T) {
 		"serve-concurrency gauge returns to zero")
 }
 
+// TestReaderPoolBound runs readerCap+1 readers that hold their handlers:
+// readerCap run at once and the last waits in the read queue until one
+// of them returns.
 func TestReaderPoolBound(t *testing.T) {
-	k, reg, _ := newSchedKernel(t, func(c *Config) { c.ReaderPool = 2 })
+	k, reg, tel := newSchedKernel(t, nil)
 	var cur, max atomic.Int64
+	release := make(chan struct{})
 	tm := NewType("bounded")
 	tm.Op(Operation{Name: "get", Access: AccessRead, Handler: func(c *Call) {
 		v := cur.Add(1)
@@ -196,7 +200,7 @@ func TestReaderPoolBound(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		<-release
 		cur.Add(-1)
 	}})
 	if err := reg.Register(tm); err != nil {
@@ -207,9 +211,8 @@ func TestReaderPoolBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const callers = 6
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
+	for i := 0; i < readerCap+1; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -218,9 +221,75 @@ func TestReaderPoolBound(t *testing.T) {
 			}
 		}()
 	}
+	eventually(t, func() bool { return cur.Load() == readerCap && tel.Gauge(metricAdmissionDepth).Value() == 1 },
+		"readerCap readers run and one waits")
+	time.Sleep(20 * time.Millisecond)
+	if got := cur.Load(); got != readerCap {
+		t.Errorf("%d readers run, pool bound is %d", got, readerCap)
+	}
+	close(release)
 	wg.Wait()
-	if got := max.Load(); got > 2 {
-		t.Errorf("observed %d concurrent readers, pool bound is 2", got)
+	if got := max.Load(); got != readerCap {
+		t.Errorf("observed %d concurrent readers, pool bound is %d", got, readerCap)
+	}
+}
+
+// TestAdmissionQueueCapSheds parks queueCap readers behind a writer: a
+// reader past the cap is refused at the door at once with StatusTimeout
+// and counted under kernel.admission.queue.full, and the parked ones all
+// run once the writer returns.
+func TestAdmissionQueueCapSheds(t *testing.T) {
+	k, reg, tel := newSchedKernel(t, nil)
+	held, release := make(chan struct{}), make(chan struct{})
+	tm := NewType("gated")
+	tm.Op(Operation{Name: "hold", Access: AccessWrite, Handler: func(c *Call) {
+		close(held)
+		<-release
+	}})
+	tm.Op(Operation{Name: "get", Access: AccessRead, Handler: func(c *Call) {}})
+	mustRegister(t, reg, tm)
+	cp, err := k.Create("gated", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &InvokeOptions{Timeout: 10 * time.Second}
+	holder := make(chan error, 1)
+	go func() {
+		_, err := k.Invoke(cp, "hold", nil, nil, opts)
+		holder <- err
+	}()
+	<-held
+	parked := make(chan error, queueCap)
+	for i := 0; i < queueCap; i++ {
+		go func() {
+			_, err := k.Invoke(cp, "get", nil, nil, opts)
+			parked <- err
+		}()
+	}
+	eventually(t, func() bool { return tel.Gauge(metricAdmissionDepth).Value() == queueCap },
+		"queueCap readers parked behind the writer")
+
+	const over = 8
+	start := time.Now()
+	for i := 0; i < over; i++ {
+		if _, err := k.Invoke(cp, "get", nil, nil, opts); !errors.Is(err, ErrTimeout) {
+			t.Errorf("reader past the cap: err = %v, want ErrTimeout", err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("%d refusals took %v; they should not wait in the queue", over, elapsed)
+	}
+	if got := tel.Counter(metricQueueFull).Value(); got != over {
+		t.Errorf("%s = %d, want %d", metricQueueFull, got, over)
+	}
+	close(release)
+	if err := <-holder; err != nil {
+		t.Errorf("holder: %v", err)
+	}
+	for i := 0; i < queueCap; i++ {
+		if err := <-parked; err != nil {
+			t.Errorf("parked reader: %v", err)
+		}
 	}
 }
 
