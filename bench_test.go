@@ -567,8 +567,8 @@ func BenchmarkDispatchDepth8(b *testing.B) { benchDispatchDepth(b, 8) }
 // ---- single-level memory ----
 
 // benchPagedInvoke reads round-robin over objects of which the memory
-// budget holds the given fraction, on a memory store or (storeDir set)
-// a file store with real fsync. The reads change nothing, so every
+// budget holds the given fraction, on a log in memory or (storeDir set)
+// on disk with real fsync. The reads change nothing, so every
 // eviction after the first round is of a clean object.
 func benchPagedInvoke(b *testing.B, budgetFraction float64, storeDir string) {
 	const objects, objectSize = 8, 8 << 10

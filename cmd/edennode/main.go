@@ -98,20 +98,16 @@ func main() {
 		tel = telemetry.New()
 	}
 
-	var st store.Store
-	if *storeDir != "" {
-		open := store.NewFile
-		if *faultSyncLie {
-			open = store.NewFaults(store.FaultConfig{SyncLie: true, Telemetry: tel}).Open
-			fmt.Println("fault layer armed under the log: sync-lie=true")
-		}
-		f, err := open(*storeDir)
-		if err != nil {
-			fatal("store: %v", err)
-		}
-		defer f.Close() // after the kernel's: waits for any batch in flight
-		st = f
+	open := store.NewFile // an empty -store keeps the log in memory
+	if *faultSyncLie {
+		open = store.NewFaults(store.FaultConfig{SyncLie: true, Telemetry: tel}).Open
+		fmt.Println("fault layer armed under the log: sync-lie=true")
 	}
+	st, err := open(*storeDir)
+	if err != nil {
+		fatal("store: %v", err)
+	}
+	defer st.Close() // after the kernel's: waits for any batch in flight
 
 	reg := kernel.NewRegistry()
 	if err := naming.RegisterType(reg); err != nil {

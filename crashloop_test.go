@@ -365,6 +365,52 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 	}
 }
 
+// TestCrashSyncLieMemoryNode: a node that keeps its log in memory runs
+// over its fault layer as a StoreDir node does. Its crash tears what the
+// lying fsyncs held: the last acknowledged checkpoint is lost, and the
+// restart replays the whole frames the tear left.
+func TestCrashSyncLieMemoryNode(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{DefaultTimeout: 2 * time.Second, LocateTimeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	fl := store.NewFaults(store.FaultConfig{Seed: 1, SyncLie: true}) // a seed whose tear keeps whole frames
+	n, err := sys.addNode("memory", NodeConfig{}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RegisterType(durableCounterType()); err != nil {
+		t.Fatal(err)
+	}
+	cap, err := n.CreateObject("chaos.durable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked = 6
+	for i := 0; i < acked; i++ {
+		if _, err := n.Invoke(cap, "incdur", nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Crash()
+	if c := fl.Counters(); c.SyncLie < acked || c.Torn != 1 {
+		t.Fatalf("counters %+v: want %d lying fsyncs and one torn tail", c, acked)
+	}
+	if err := n.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := n.Invoke(cap, "stat", nil, nil, nil)
+	if err != nil {
+		t.Fatalf("after the restart: %v", err)
+	}
+	v := binary.BigEndian.Uint64(rep.Data[:8])
+	if v == 0 || v >= acked {
+		t.Errorf("after the restart the counter reads %d, want a checkpoint the tear kept, below %d", v, acked)
+	}
+	t.Logf("the tear kept %d of %d acknowledged checkpoints", v, acked)
+}
+
 // logBytes sums the lengths of the log segments in dir.
 func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()

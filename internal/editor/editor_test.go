@@ -8,7 +8,6 @@ import (
 
 	"eden/internal/kernel"
 	"eden/internal/segment"
-	"eden/internal/store"
 	"eden/internal/transport"
 )
 
@@ -28,7 +27,7 @@ func testSys(t *testing.T, nodes ...uint32) (map[uint32]*kernel.Kernel, *kernel.
 		}
 		cfg := kernel.DefaultConfig(n, fmt.Sprintf("node-%d", n))
 		cfg.DefaultTimeout = 2 * time.Second
-		k := kernel.New(cfg, ep, reg, store.NewMemory())
+		k := kernel.New(cfg, ep, reg, nil)
 		k.Locator().DefaultTimeout = 250 * time.Millisecond
 		ks[n] = k
 		t.Cleanup(func() { k.Close() })

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"eden/internal/kernel"
-	"eden/internal/store"
 	"eden/internal/transport"
 )
 
@@ -39,7 +38,7 @@ func testSysWith(t *testing.T, timeout time.Duration, wrap func(transport.Transp
 		}
 		cfg := kernel.DefaultConfig(n, fmt.Sprintf("node-%d", n))
 		cfg.DefaultTimeout = timeout
-		k := kernel.New(cfg, tr, reg, store.NewMemory())
+		k := kernel.New(cfg, tr, reg, nil)
 		k.Locator().DefaultTimeout = 250 * time.Millisecond
 		ks[n] = k
 		t.Cleanup(func() { k.Close() })

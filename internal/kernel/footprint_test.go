@@ -16,7 +16,6 @@ import (
 	"eden/internal/msg"
 	"eden/internal/rights"
 	"eden/internal/segment"
-	"eden/internal/store"
 	"eden/internal/transport"
 )
 
@@ -56,7 +55,7 @@ func TestObjectFootprint(t *testing.T) {
 	mustRegister(t, reg, tm)
 	cfg := DefaultConfig(1, "footprint")
 	cfg.Telemetry = nil
-	k := New(cfg, ep, reg, store.NewMemory())
+	k := New(cfg, ep, reg, nil)
 	defer k.Close()
 	// The first creation builds the type's table; it is not per object.
 	if _, err := k.Create("cell", nil); err != nil {

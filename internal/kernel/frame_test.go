@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"eden/internal/capability"
-	"eden/internal/store"
 	"eden/internal/telemetry"
 	"eden/internal/transport"
 )
@@ -52,7 +51,7 @@ func TestCallFrameRecycle(t *testing.T) {
 		}
 		cfg := DefaultConfig(n, "recycle")
 		cfg.Telemetry = tels[n]
-		ks[n] = New(cfg, ep, reg, store.NewMemory())
+		ks[n] = New(cfg, ep, reg, nil)
 		cp, err := ks[n].Create("echo", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +294,7 @@ func TestProcessorStartRacingCloseIsAnswered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := New(DefaultConfig(1, "close-race"), ep, reg, store.NewMemory())
+			k := New(DefaultConfig(1, "close-race"), ep, reg, nil)
 			cp, err := k.Create("echo", nil)
 			if err != nil {
 				t.Fatal(err)

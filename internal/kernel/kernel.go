@@ -254,13 +254,13 @@ const (
 
 // New assembles a kernel from its substrates. types is typically
 // shared across all kernels of a system (homogeneous nodes); st is the
-// node's long-term store (nil gets an in-memory store).
+// node's long-term store (nil gets a log in process memory).
 func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *Kernel {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Second
 	}
 	if st == nil {
-		st = store.NewMemory()
+		st, _ = store.NewFile("") // a log in memory opens without error
 	}
 	// The kernel observes its store through the instrumenting wrapper;
 	// with telemetry disabled Instrument returns st unchanged.

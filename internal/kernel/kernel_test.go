@@ -18,13 +18,15 @@ import (
 )
 
 // sys is an N-node Eden system over an in-process mesh, with one
-// shared type registry (homogeneous nodes).
+// shared type registry (homogeneous nodes). Each node keeps its log in
+// memory, through a fault layer of its own.
 type sys struct {
 	t      *testing.T
 	mesh   *transport.Mesh
 	reg    *Registry
 	ks     map[uint32]*Kernel
-	stores map[uint32]*store.Memory
+	stores map[uint32]*store.File
+	faults map[uint32]*store.Faults
 }
 
 func newSys(t *testing.T, nodes ...uint32) *sys {
@@ -34,7 +36,8 @@ func newSys(t *testing.T, nodes ...uint32) *sys {
 		mesh:   transport.NewMesh(7),
 		reg:    NewRegistry(),
 		ks:     make(map[uint32]*Kernel),
-		stores: make(map[uint32]*store.Memory),
+		stores: make(map[uint32]*store.File),
+		faults: make(map[uint32]*store.Faults),
 	}
 	t.Cleanup(func() { s.mesh.Close() })
 	for _, n := range nodes {
@@ -43,45 +46,70 @@ func newSys(t *testing.T, nodes ...uint32) *sys {
 	return s
 }
 
-func (s *sys) addNode(n uint32) *Kernel {
+// memLog opens a log in memory through a fault layer of its own, which
+// injects nothing until a test arms it.
+func memLog(t testing.TB) (*store.File, *store.Faults) {
+	t.Helper()
+	fl := store.NewFaults(store.FaultConfig{})
+	f, err := fl.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, fl
+}
+
+func (s *sys) addNode(n uint32) *Kernel { return s.addNodeCfg(n, nil) }
+
+// addNodeCfg is addNode with a config hook, for nodes that serve
+// checkpoint shadows (ReplicaServe), cap admission queues, or carry a
+// telemetry registry the test reads counters from. A node that had a log
+// boots on it.
+func (s *sys) addNodeCfg(n uint32, mod func(*Config)) *Kernel {
+	s.t.Helper()
+	if s.stores[n] == nil {
+		s.stores[n], s.faults[n] = memLog(s.t)
+	}
+	return s.bootNode(n, s.stores[n], mod)
+}
+
+// bootNode boots node n's kernel on st.
+func (s *sys) bootNode(n uint32, st store.Store, mod func(*Config)) *Kernel {
 	s.t.Helper()
 	ep, err := s.mesh.Attach(n)
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	st := store.NewMemory()
 	cfg := DefaultConfig(n, fmt.Sprintf("node-%d", n))
 	cfg.DefaultTimeout = 750 * time.Millisecond
+	if mod != nil {
+		mod(&cfg)
+	}
 	k := New(cfg, ep, s.reg, st)
 	k.loc.DefaultTimeout = 250 * time.Millisecond
 	s.ks[n] = k
-	s.stores[n] = st
 	s.t.Cleanup(func() { k.Close() })
 	return k
 }
 
-// crashNode power-fails a node: active state is gone, its store
-// survives for a later restart.
+// crashNode power-fails a node: active state is gone, and its fault
+// layer tears what the log held unsynced. The log closes with the node
+// and is reopened, replaying what the medium kept, for whatever boots
+// there next.
 func (s *sys) crashNode(n uint32) {
-	s.ks[n].Close()
-	s.mesh.Detach(n)
-}
-
-// restartNode brings a node back with its surviving store.
-func (s *sys) restartNode(n uint32) *Kernel {
 	s.t.Helper()
-	ep, err := s.mesh.Attach(n)
+	s.faults[n].Crash()
+	s.ks[n].Close()
+	s.stores[n].Close()
+	s.mesh.Detach(n)
+	st, err := s.stores[n].Reopen()
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	cfg := DefaultConfig(n, fmt.Sprintf("node-%d", n))
-	cfg.DefaultTimeout = 750 * time.Millisecond
-	k := New(cfg, ep, s.reg, s.stores[n])
-	k.loc.DefaultTimeout = 250 * time.Millisecond
-	s.ks[n] = k
-	s.t.Cleanup(func() { k.Close() })
-	return k
+	s.stores[n] = st
 }
+
+// restartNode brings a node back on its reopened log.
+func (s *sys) restartNode(n uint32) *Kernel { return s.addNode(n) }
 
 // ---- test types ----
 

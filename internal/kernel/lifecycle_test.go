@@ -1069,11 +1069,11 @@ func TestDirtyRestoredOnCheckpointFailure(t *testing.T) {
 
 	// The checksite's medium fails: checkpoint must error and the
 	// dirty set must survive.
-	s.stores[2].FailWith(store.ErrFailed)
+	s.faults[2].FailWith(store.ErrFailed)
 	if err := obj.Checkpoint(); err == nil {
 		t.Fatal("checkpoint succeeded against a failed medium")
 	}
-	s.stores[2].FailWith(nil)
+	s.faults[2].FailWith(nil)
 	if err := obj.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

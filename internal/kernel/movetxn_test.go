@@ -22,7 +22,7 @@ import (
 
 // plantMoveDebris re-creates the post-crash store state of a move
 // coordinator: the pre-move checkpoint record plus the durable intent.
-func plantMoveDebris(t *testing.T, st *store.Memory, rec store.Record, it store.MoveIntent) {
+func plantMoveDebris(t *testing.T, st store.Store, rec store.Record, it store.MoveIntent) {
 	t.Helper()
 	if err := st.Put(rec); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func plantMoveDebris(t *testing.T, st *store.Memory, rec store.Record, it store.
 	}
 }
 
-func wantNoIntents(t *testing.T, st *store.Memory) {
+func wantNoIntents(t *testing.T, st store.Store) {
 	t.Helper()
 	its, err := st.ListIntents()
 	if err != nil {

@@ -23,6 +23,8 @@ import (
 type countingStore struct {
 	store.Store
 	gets, puts, deletes, lists, stats atomic.Int64
+
+	faults *store.Faults // the fault layer under Store
 }
 
 func (c *countingStore) Get(id edenid.ID) (store.Record, error) {
@@ -81,7 +83,8 @@ func countedSys(t *testing.T, tweak func(*Config), nodes ...uint32) (map[uint32]
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		sts[n] = &countingStore{Store: store.NewMemory()}
+		f, fl := memLog(t)
+		sts[n] = &countingStore{Store: f, faults: fl}
 		ks[n] = New(cfg, ep, reg, sts[n])
 		k := ks[n]
 		t.Cleanup(func() { k.Close() })
@@ -177,7 +180,7 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 		t   *testing.T
 		k   *Kernel
 		st  *countingStore
-		mem *store.Memory
+		mem *store.File
 	}
 	// reincarnated returns a fresh incarnation of a counter that was
 	// passivated at value 1, record version 1.
@@ -368,11 +371,11 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 			name: "local Put failed",
 			prepare: func(r *rig) *Object {
 				obj := reincarnated(r)
-				r.mem.FailWith(store.ErrFailed)
+				r.st.faults.FailWith(store.ErrFailed)
 				if err := obj.Checkpoint(); err == nil {
 					r.t.Fatal("checkpoint onto a failed medium succeeded")
 				}
-				r.mem.FailWith(nil)
+				r.st.faults.FailWith(nil)
 				r.st.reset()
 				return obj
 			},
@@ -405,7 +408,7 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			ks, sts, reg := countedSys(t, nil, 1)
 			mustRegister(t, reg, counterType(nil), bootsType())
-			r := &rig{t: t, k: ks[1], st: sts[1], mem: sts[1].Store.(*store.Memory)}
+			r := &rig{t: t, k: ks[1], st: sts[1], mem: sts[1].Store.(*store.File)}
 			obj := row.prepare(r)
 			before, _ := r.mem.Get(obj.id)
 			r.st.reset()
@@ -709,7 +712,7 @@ func TestFailedPassivationResumesService(t *testing.T) {
 		defer obj.sched.Unlock()
 		return !obj.quiescentLocked()
 	}, "the call queues behind the claim")
-	sts[1].Store.(*store.Memory).FailWith(store.ErrFailed)
+	sts[1].faults.FailWith(store.ErrFailed)
 	if err := obj.passivateClaimed(); err == nil {
 		t.Fatal("passivation onto a failed medium succeeded")
 	}
@@ -761,8 +764,8 @@ func TestInstallGapIsRetried(t *testing.T) {
 }
 
 // TestPassiveTouchAllocCeiling pins what touching a passive object costs
-// on a memory store, with the clean passivation that makes it passive
-// again: the store's copy of the record, its decode into the incarnation
+// on a log in memory, with the clean passivation that makes it passive
+// again: the buffer the store reads the record into, its decode into the incarnation
 // (the segment array, their names), the incarnation itself (the object,
 // which holds its representation and class states), and what the call
 // itself costs — the handler's copy of the value, which Return keeps.
@@ -874,12 +877,11 @@ func TestFailedCheckpointChangesNothing(t *testing.T) {
 		changed, removed := obj.rep.Dirty()
 		return fmt.Sprint(changed, removed)
 	}
-	mem := sts[1].Store.(*store.Memory)
-	mem.FailWith(store.ErrFailed)
+	sts[1].faults.FailWith(store.ErrFailed)
 	if err := obj.Checkpoint(); err == nil {
 		t.Fatal("checkpoint onto a failed medium succeeded")
 	}
-	mem.FailWith(nil)
+	sts[1].faults.FailWith(nil)
 	if got := dirty(); got != "[n] []" {
 		t.Errorf("after a failed checkpoint, changed and removed = %s, want [n] []", got)
 	}

@@ -2,41 +2,16 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eden/internal/capability"
+	"eden/internal/edenid"
 	"eden/internal/store"
 	"eden/internal/telemetry"
 )
-
-// addNodeCfg is addNode with a config hook, for nodes that serve
-// checkpoint shadows (ReplicaServe), cap admission queues, or carry a
-// telemetry registry the test reads counters from.
-func (s *sys) addNodeCfg(n uint32, mod func(*Config)) *Kernel {
-	s.t.Helper()
-	ep, err := s.mesh.Attach(n)
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	st := s.stores[n]
-	if st == nil {
-		st = store.NewMemory()
-		s.stores[n] = st
-	}
-	cfg := DefaultConfig(n, fmt.Sprintf("node-%d", n))
-	cfg.DefaultTimeout = 750 * time.Millisecond
-	if mod != nil {
-		mod(&cfg)
-	}
-	k := New(cfg, ep, s.reg, st)
-	k.loc.DefaultTimeout = 250 * time.Millisecond
-	s.ks[n] = k
-	s.t.Cleanup(func() { k.Close() })
-	return k
-}
 
 // replicaSys builds the canonical replica topology: node 1 is the
 // home, nodes 2 and 3 are checkpoint-serving checksites with telemetry
@@ -476,6 +451,36 @@ func TestBackupRegistrySurvivesRestart(t *testing.T) {
 	}
 }
 
+// offlineStore is a store whose medium is offline while err is set: List
+// and Get fail with err, and Stat finds nothing, as Get would not. An open
+// File answers List and Stat from its directory, so no fault under one
+// fails them.
+type offlineStore struct {
+	store.Store
+	err atomic.Pointer[error]
+}
+
+func (s *offlineStore) List() ([]edenid.ID, error) {
+	if err := s.err.Load(); err != nil {
+		return nil, *err
+	}
+	return s.Store.List()
+}
+
+func (s *offlineStore) Get(id edenid.ID) (store.Record, error) {
+	if err := s.err.Load(); err != nil {
+		return store.Record{}, *err
+	}
+	return s.Store.Get(id)
+}
+
+func (s *offlineStore) Stat(id edenid.ID) (store.Meta, bool) {
+	if s.err.Load() != nil {
+		return store.Meta{}, false
+	}
+	return s.Store.Stat(id)
+}
+
 // TestFailedBootScanIsRetried: a checksite that restarts while its store
 // fails the boot scan must not take the backups it holds for their home.
 // While the scan fails, nothing here is served as the object's home;
@@ -496,8 +501,9 @@ func TestFailedBootScanIsRetried(t *testing.T) {
 
 	s.crashNode(2)
 	media := errors.New("media offline")
-	s.stores[2].FailWith(media)
-	k2 := s.addNodeCfg(2, nil)
+	st := &offlineStore{Store: s.stores[2]}
+	st.err.Store(&media)
+	k2 := s.bootNode(2, st, nil)
 	id := cap.ID()
 	if home, _ := k2.hostCheck(id, true); home {
 		t.Error("scan failing: the checksite claims to be the home")
@@ -511,7 +517,7 @@ func TestFailedBootScanIsRetried(t *testing.T) {
 		t.Fatal("scan failing: the backup was activated")
 	}
 
-	s.stores[2].FailWith(nil)
+	st.err.Store(nil)
 	// The first touch after healing re-runs the scan: the record is a
 	// backup, so the call goes to the home and nothing activates here.
 	mustInvoke(t, k2, cap, "inc", nil)

@@ -18,7 +18,6 @@ import (
 
 	"eden/internal/capability"
 	"eden/internal/segment"
-	"eden/internal/store"
 	"eden/internal/telemetry"
 	"eden/internal/transport"
 )
@@ -78,7 +77,7 @@ func newClassRig(t *testing.T, nodes ...uint32) *classRig {
 		if n == 1 {
 			cfg.Telemetry = r.tel
 		}
-		k := New(cfg, ep, reg, store.NewMemory())
+		k := New(cfg, ep, reg, nil)
 		t.Cleanup(func() { k.Close() })
 		r.ks[n] = k
 	}

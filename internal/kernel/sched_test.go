@@ -17,7 +17,6 @@ import (
 
 	"eden/internal/capability"
 	"eden/internal/segment"
-	"eden/internal/store"
 	"eden/internal/telemetry"
 	"eden/internal/transport"
 )
@@ -40,7 +39,7 @@ func newSchedKernel(t *testing.T, tweak func(*Config)) (*Kernel, *Registry, *tel
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	k := New(cfg, ep, reg, store.NewMemory())
+	k := New(cfg, ep, reg, nil)
 	t.Cleanup(func() { k.Close() })
 	return k, reg, tel
 }

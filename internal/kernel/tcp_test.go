@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"eden/internal/store"
 	"eden/internal/transport"
 )
 
@@ -34,7 +33,7 @@ func tcpSys(t *testing.T, n int) (map[uint32]*Kernel, *Registry) {
 	for i, tr := range trs {
 		cfg := DefaultConfig(uint32(i+1), fmt.Sprintf("tcp-node-%d", i+1))
 		cfg.DefaultTimeout = 2 * time.Second
-		k := New(cfg, tr, reg, store.NewMemory())
+		k := New(cfg, tr, reg, nil)
 		k.loc.DefaultTimeout = 500 * time.Millisecond
 		ks[uint32(i+1)] = k
 		t.Cleanup(func() { k.Close() })

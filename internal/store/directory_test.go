@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// ---- Stat, on both stores ----
+// ---- Stat, on both media ----
 
 func TestStatAnswersAsGetWould(t *testing.T) {
 	forEachStore(t, func(t *testing.T, s Store) {
@@ -43,22 +43,6 @@ func TestStatAnswersAsGetWould(t *testing.T) {
 	})
 }
 
-func TestMemoryStatDuringFailure(t *testing.T) {
-	m := NewMemory()
-	rec := sampleRec(1)
-	if err := m.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	m.FailWith(ErrFailed)
-	if _, ok := m.Stat(rec.Object); ok {
-		t.Error("Stat found a record Get cannot return")
-	}
-	m.FailWith(nil)
-	if _, ok := m.Stat(rec.Object); !ok {
-		t.Error("Stat lost the record after the medium healed")
-	}
-}
-
 // ---- the file store's directory ----
 
 func TestFileDirectoryEqualsDisk(t *testing.T) {
@@ -84,14 +68,14 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 	if err := f.PutIntent(intent); err != nil {
 		t.Fatal(err)
 	}
-	checkDirectory(t, f, dir, "after Puts")
+	checkDirectory(t, f, "after Puts")
 
 	// Opened on a populated log, backup markers and homes included.
 	f, err = NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDirectory(t, f, dir, "after open")
+	checkDirectory(t, f, "after open")
 	if got, ok := f.Stat(recs[1].Object); !ok || !got.Backup || got.Home != 11 || got.Version != 2 {
 		t.Errorf("backup record after open: %+v, %v", got, ok)
 	}
@@ -133,7 +117,7 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 	if err := f.DeleteIntent(intent.Object); err != nil {
 		t.Fatal(err)
 	}
-	checkDirectory(t, f, dir, "after Put, stale Put, Delete")
+	checkDirectory(t, f, "after Put, stale Put, Delete")
 	if got, _ := f.Stat(recs[2].Object); got.Version != 3 {
 		t.Errorf("rejected stale Put left Stat at v%d, want 3", got.Version)
 	}
@@ -158,7 +142,7 @@ func TestFileDirectoryEqualsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDirectory(t, f, dir, "after reopen")
+	checkDirectory(t, f, "after reopen")
 	if got, _ := f.Stat(again.Object); got.Version != 1 {
 		t.Errorf("re-put record after reopen at v%d, want 1", got.Version)
 	}
@@ -199,7 +183,7 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if info, err := os.Stat(f.segmentPath(f.head().num)); err != nil || info.Size() != end {
 		t.Errorf("segment after failed Puts: %v, %v; want %d bytes", info.Size(), err, end)
 	}
-	checkDirectory(t, f, dir, "after failed Puts")
+	checkDirectory(t, f, "after failed Puts")
 	if err := f.Put(next); err != nil {
 		t.Fatalf("Put after the failure: %v", err)
 	}
@@ -210,7 +194,7 @@ func TestFileFailedPutLeavesDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDirectory(t, f, dir, "after reopen")
+	checkDirectory(t, f, "after reopen")
 }
 
 // TestFileFailedCutRefusesWrites: a failed batch that cannot be cut off
@@ -246,7 +230,7 @@ func TestFileFailedCutRefusesWrites(t *testing.T) {
 	if _, ok := f.Stat(rec.Object); !ok {
 		t.Error("acknowledged record lost")
 	}
-	checkDirectory(t, f, dir, "after reopen")
+	checkDirectory(t, f, "after reopen")
 }
 
 // TestFileGetReadsTheRecordOnce: the directory holds each record's frame

@@ -12,79 +12,6 @@ import (
 	"eden/internal/telemetry"
 )
 
-// fsys is File's I/O seam: the calls the log makes on its directory.
-// osFS is the operating system; a Faults layer stands in for it in crash
-// tests.
-type fsys interface {
-	list(dir string) ([]string, error)
-	create(path string) (segIO, error)                  // a new file, which must not exist
-	open(path string, write bool) (segIO, int64, error) // and its length
-	remove(path string) error
-	syncDir(dir string) error
-}
-
-// segIO is a segment file as the log uses it. *os.File is one.
-type segIO interface {
-	io.Reader // the open pass's scan
-	io.ReaderAt
-	io.WriterAt
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
-// osFS is the seam's real side.
-type osFS struct{}
-
-func (osFS) list(dir string) ([]string, error) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-	return d.Readdirnames(-1)
-}
-
-func (osFS) create(path string) (segIO, error) {
-	fh, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return fh, nil
-}
-
-func (osFS) open(path string, write bool) (segIO, int64, error) {
-	flag := os.O_RDONLY
-	if write {
-		flag = os.O_RDWR
-	}
-	fh, err := os.OpenFile(path, flag, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	info, err := fh.Stat()
-	if err != nil {
-		fh.Close()
-		return nil, 0, err
-	}
-	return fh, info.Size(), nil
-}
-
-func (osFS) remove(path string) error { return os.Remove(path) }
-
-// syncDir makes the creation or removal of a name in dir durable.
-func (osFS) syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // ErrInjected is what a call the fault layer chose to fail returns. It
 // wraps ErrFailed, so a caller that tolerates a failing medium tolerates
 // an injected failure the same way.
@@ -124,7 +51,7 @@ type FaultCounters struct {
 	Delay   uint64 // calls stalled
 	SyncLie uint64 // fsyncs that made nothing durable
 	Dropped uint64 // held tails a crash lost whole
-	Torn    uint64 // held tails a crash cut short, leaving a prefix on disk
+	Torn    uint64 // held tails a crash cut short, leaving a prefix on the medium
 }
 
 // Faults is a fault layer under the Files opened through it. For each
@@ -133,9 +60,10 @@ type FaultCounters struct {
 // and syncs, a lying one keeps them held. It fails and stalls reads,
 // writes and fsyncs on a seeded schedule, and Crash tears every held
 // tail. A process killed outright loses what is held the same way, so
-// one layer models both an in-process crash and a SIGKILL. Directory
-// calls pass through to the operating system unfaulted, but a File
-// opened before a crash can no longer create, open or remove a segment.
+// one layer models both an in-process crash and a SIGKILL. The layer runs
+// over the medium its Files were opened on, the disk or memory. Directory
+// calls pass through to it unfaulted, but a File opened before a crash can
+// no longer create, open or remove a segment.
 type Faults struct {
 	cfg FaultConfig
 	// trigger, set only by this package's tests, runs before every read,
@@ -146,7 +74,9 @@ type Faults struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	counts FaultCounters
+	fail   error       // what FailWith armed; nil when healed
 	segs   []*heldFile // the segments of the Files opened since the last crash, oldest first
+	mem    []*memFS    // the in-memory media of the Files opened through the layer
 	epoch  uint64      // the crashes so far
 
 	cFail, cDelay, cLie, cDropped, cTorn *telemetry.Counter
@@ -171,20 +101,41 @@ func NewFaults(cfg FaultConfig) *Faults {
 	}
 }
 
-// Open opens the log in dir, as NewFile does, with the layer under it.
+// Open opens the log in dir, as NewFile does, with the layer under it. An
+// empty dir keeps the log in memory, on a medium of its own that Crash
+// power-fails too.
 func (fl *Faults) Open(dir string) (*File, error) {
+	return openFile(dir, fl.view(medium(dir)))
+}
+
+// view is the layer over m as a File opened now sees it.
+func (fl *Faults) view(m fsys) *faultView {
 	fl.mu.Lock()
-	v := &faultView{fl: fl, epoch: fl.epoch}
+	defer fl.mu.Unlock()
+	if mem, ok := m.(*memFS); ok && !slices.Contains(fl.mem, mem) {
+		fl.mem = append(fl.mem, mem)
+	}
+	return &faultView{fsys: m, fl: fl, epoch: fl.epoch}
+}
+
+// FailWith makes every read, write and fsync of a segment through the
+// layer fail with err until FailWith(nil) heals it. Cutting a failed write
+// back still succeeds, so the log ends where it did and takes writes again
+// once healed.
+func (fl *Faults) FailWith(err error) {
+	fl.mu.Lock()
+	fl.fail = err
 	fl.mu.Unlock()
-	return openFile(dir, v)
 }
 
 // Crash is a power failure under every File opened through the layer:
 // each segment's held tail is lost whole or torn, with a seeded prefix of
-// it, never all, reaching the disk; and every later call on those
+// it, never all, reaching the medium; and every later call on those
 // segments fails, as a dead process's call never returns, as does every
-// creation, opening or removal of a segment by those Files. A File opened
-// through the layer afterwards reads what the disk kept.
+// creation, opening or removal of a segment by those Files. An in-memory
+// medium also loses what was written without an fsync before its File
+// closed. A File opened through the layer afterwards reads what the medium
+// kept.
 func (fl *Faults) Crash() {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
@@ -203,13 +154,18 @@ func (fl *Faults) Crash() {
 			} else {
 				fl.counts.Torn++
 				fl.cTorn.Inc()
-				_, _ = h.fh.WriteAt(h.held[:keep], h.base) // a crash reports to no one
+				// A crash reports to no one.
+				_, _ = h.fh.WriteAt(h.held[:keep], h.base)
+				_ = h.fh.Sync()
 			}
 		}
 		h.dead, h.held = true, nil
 		_ = h.fh.Close() // nor does anyone learn how the close went
 	}
 	fl.segs = nil
+	for _, m := range fl.mem {
+		m.powerFail()
+	}
 }
 
 // Counters snapshots the layer's tallies.
@@ -227,17 +183,22 @@ func (fl *Faults) trip(op string) error {
 	return nil
 }
 
-// inject trips the trigger, then draws op's slice of the schedule: two
-// numbers, and a third when a stall is drawn, so that the schedule
-// depends only on the seed, the configuration and the order of calls. A
-// layer that neither fails nor stalls draws nothing, so its crashes tear
-// the same way however many calls came first.
+// inject trips the trigger, fails op if FailWith armed the layer, and
+// otherwise draws op's slice of the schedule: two numbers, and a third
+// when a stall is drawn, so that the schedule depends only on the seed,
+// the configuration and the order of calls. A layer that neither fails
+// nor stalls draws nothing, so its crashes tear the same way however
+// many calls came first.
 func (fl *Faults) inject(op string) error {
 	if err := fl.trip(op); err != nil {
 		return err
 	}
 	fl.mu.Lock()
 	fl.counts.Ops++
+	if err := fl.fail; err != nil {
+		fl.mu.Unlock()
+		return err
+	}
 	if fl.cfg.FailProb <= 0 && fl.cfg.DelayProb <= 0 {
 		fl.mu.Unlock()
 		return nil
@@ -264,7 +225,7 @@ func (fl *Faults) inject(op string) error {
 // faultView is the layer as one File sees it: the File opened in epoch,
 // which dies with the epoch's crash.
 type faultView struct {
-	osFS  // list and syncDir, which change nothing a crash could lose
+	fsys  // the medium; mkdirAll, list and syncDir change nothing a crash could lose
 	fl    *Faults
 	epoch uint64
 }
@@ -282,31 +243,25 @@ func (v *faultView) live() error {
 	return nil
 }
 
-func (v *faultView) create(path string) (segIO, error) {
-	if err := v.fl.trip("create"); err != nil {
-		return nil, err
+// open registers the segment it opens, size bytes long on the medium, as
+// one the layer holds.
+func (v *faultView) open(path string, flag int) (segIO, int64, error) {
+	if flag&os.O_CREATE != 0 {
+		if err := v.fl.trip("create"); err != nil {
+			return nil, 0, err
+		}
 	}
-	if err := v.live(); err != nil {
-		return nil, err
-	}
-	defer v.fl.mu.Unlock()
-	fh, err := osFS{}.create(path)
-	if err != nil {
-		return nil, err
-	}
-	return v.fl.hold(fh, 0), nil
-}
-
-func (v *faultView) open(path string, write bool) (segIO, int64, error) {
 	if err := v.live(); err != nil {
 		return nil, 0, err
 	}
 	defer v.fl.mu.Unlock()
-	fh, size, err := osFS{}.open(path, write)
+	fh, size, err := v.fsys.open(path, flag)
 	if err != nil {
 		return nil, 0, err
 	}
-	return v.fl.hold(fh, size), size, nil
+	h := &heldFile{fl: v.fl, fh: fh, base: size}
+	v.fl.segs = append(v.fl.segs, h)
+	return h, size, nil
 }
 
 func (v *faultView) remove(path string) error {
@@ -317,30 +272,30 @@ func (v *faultView) remove(path string) error {
 		return err
 	}
 	defer v.fl.mu.Unlock()
-	return os.Remove(path)
+	return v.fsys.remove(path)
 }
 
-// hold registers fh, size bytes long on disk, as a segment of the layer.
-// Caller holds fl.mu.
-func (fl *Faults) hold(fh segIO, size int64) *heldFile {
-	h := &heldFile{fl: fl, fh: fh, base: size}
-	fl.segs = append(fl.segs, h)
-	return h
-}
-
-// heldFile is a segment under the fault layer: the disk file up to base,
+// heldFile is a segment under the fault layer: the medium's file up to base,
 // then what is held. The layer's mu guards it.
 type heldFile struct {
 	fl   *Faults
-	fh   segIO  // the file on disk
-	base int64  // where what is held begins; the disk holds at least this much
-	held []byte // written since the last honest fsync, from base on
-	pos  int64  // Read's offset
-	dead bool   // closed, or killed by Crash
+	fh   segIO    // the file on the medium
+	base int64    // where what is held begins; the medium holds at least this much
+	held memBytes // written since the last honest fsync, from base on
+	dead bool     // closed, or killed by Crash
 }
 
-// readAt reads the segment as its writer sees it. Caller holds fl.mu.
-func (h *heldFile) readAt(b []byte, off int64) (int, error) {
+// Read serves the open pass's scan, unfaulted: it reads the medium, since
+// the scan runs before anything is held.
+func (h *heldFile) Read(b []byte) (int, error) { return h.fh.Read(b) }
+
+// ReadAt reads the segment as its writer sees it.
+func (h *heldFile) ReadAt(b []byte, off int64) (int, error) {
+	if err := h.fl.inject("read"); err != nil {
+		return 0, err
+	}
+	h.fl.mu.Lock()
+	defer h.fl.mu.Unlock()
 	if h.dead {
 		return 0, errCrashed
 	}
@@ -351,31 +306,13 @@ func (h *heldFile) readAt(b []byte, off int64) (int, error) {
 			return n, err
 		}
 	}
-	if at := off + int64(n) - h.base; n < len(b) && at < int64(len(h.held)) {
-		n += copy(b[n:], h.held[at:])
+	if n < len(b) {
+		n += h.held.readAt(b[n:], off+int64(n)-h.base)
 	}
 	if n < len(b) {
 		return n, io.EOF
 	}
 	return n, nil
-}
-
-// Read serves the open pass's scan, unfaulted.
-func (h *heldFile) Read(b []byte) (int, error) {
-	h.fl.mu.Lock()
-	defer h.fl.mu.Unlock()
-	n, err := h.readAt(b, h.pos)
-	h.pos += int64(n)
-	return n, err
-}
-
-func (h *heldFile) ReadAt(b []byte, off int64) (int, error) {
-	if err := h.fl.inject("read"); err != nil {
-		return 0, err
-	}
-	h.fl.mu.Lock()
-	defer h.fl.mu.Unlock()
-	return h.readAt(b, off)
 }
 
 // WriteAt holds b.
@@ -390,32 +327,19 @@ func (h *heldFile) WriteAt(b []byte, off int64) (int, error) {
 	}
 	if off < h.base {
 		// The log writes only past what it made durable, but one that
-		// failed to cut a torn tail would not; the disk then keeps what
-		// b overwrites until an fsync, as a disk does.
+		// failed to cut a torn tail would not; the medium then keeps
+		// what b overwrites until an fsync, as a disk does.
 		under := make([]byte, h.base-off)
 		if _, err := h.fh.ReadAt(under, off); err != nil {
 			return 0, err
 		}
 		h.held, h.base = append(under, h.held...), off
 	}
-	h.resize(max(off+int64(len(b)), h.base+int64(len(h.held))))
-	copy(h.held[off-h.base:], b)
+	h.held.writeAt(b, off-h.base)
 	return len(b), nil
 }
 
-// resize makes what is held end at size, which is at least base, with
-// zeros where it grows. Caller holds fl.mu.
-func (h *heldFile) resize(size int64) {
-	n, old := int(size-h.base), len(h.held)
-	if n <= old {
-		h.held = h.held[:n]
-		return
-	}
-	h.held = slices.Grow(h.held, n-old)[:n]
-	clear(h.held[old:])
-}
-
-// Truncate cuts what is held, or below base the disk file itself.
+// Truncate cuts what is held, or below base the medium's file itself.
 func (h *heldFile) Truncate(size int64) error {
 	if err := h.fl.trip("truncate"); err != nil {
 		return err
@@ -426,10 +350,10 @@ func (h *heldFile) Truncate(size int64) error {
 		return errCrashed
 	}
 	if size >= h.base {
-		h.resize(size)
+		h.held.resize(size - h.base)
 		return nil
 	}
-	h.held, h.base = h.held[:0], size
+	h.held, h.base = nil, size
 	return h.fh.Truncate(size)
 }
 
@@ -453,12 +377,12 @@ func (h *heldFile) Sync() error {
 		return err
 	}
 	h.base += int64(len(h.held))
-	h.held = h.held[:0]
+	h.held.resize(0)
 	return h.fh.Sync()
 }
 
-// Close hands what is held to the operating system unsynced, as closing
-// a file does. A segment Crash killed is closed already.
+// Close hands what is held to the medium unsynced, as closing a file
+// does. A segment Crash killed is closed already.
 func (h *heldFile) Close() error {
 	fl := h.fl
 	fl.mu.Lock()

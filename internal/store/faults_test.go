@@ -194,7 +194,7 @@ func TestFaultsSyncLie(t *testing.T) {
 	if _, ok := g.Stat(recs[len(recs)-1].Object); ok {
 		t.Error("the last acknowledged record survived a crash under lying fsyncs")
 	}
-	checkDirectory(t, g, dir, "after the crash")
+	checkDirectory(t, g, "after the crash")
 	last := sampleRec(1)
 	if err := g.Put(last); err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestFaultsCrashFencesDeadFile(t *testing.T) {
 	if _, ok := g.Stat(late.Object); ok {
 		t.Error("the crashed File's Put survived")
 	}
-	checkDirectory(t, g, dir, "after the crash")
+	checkDirectory(t, g, "after the crash")
 }
 
 // loopRec is version v of object id in the crash loop: its length and
@@ -327,14 +327,20 @@ func loopRec(id edenid.ID, v uint64) Record {
 }
 
 // TestFaultsCrashLoop crash-loops a log of small segments under
-// concurrent writers: each cycle the layer dies inside a seeded fsync,
-// and the reopened log must hold every acknowledged record whole and
-// replay to its own directory. Segments seal and compact across cycles,
-// so a torn tail the reopen left in place ends up inside a sealed one.
+// concurrent writers, on each medium: each cycle the layer dies inside a
+// seeded fsync, and the reopened log must hold every acknowledged record
+// whole and replay to its own directory. Segments seal and compact across
+// cycles, so a torn tail the reopen left in place ends up inside a sealed
+// one.
 func TestFaultsCrashLoop(t *testing.T) {
+	for _, m := range []struct{ name, dir string }{{"disk", t.TempDir()}, {"memory", ""}} {
+		t.Run(m.name, func(t *testing.T) { crashLoop(t, m.dir) })
+	}
+}
+
+func crashLoop(t *testing.T, dir string) {
 	const seed, cycles, writers, perWriter = 31, 40, 3, 4
 	rng := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
 	fl := NewFaults(FaultConfig{Seed: seed, DelayProb: 0.2, MaxDelay: 200 * time.Microsecond})
 	ids := make([]edenid.ID, writers*perWriter)
 	for i := range ids {
@@ -343,8 +349,8 @@ func TestFaultsCrashLoop(t *testing.T) {
 	next := make([]uint64, len(ids)) // the last version written; each writer owns its ids'
 	var mu sync.Mutex
 	acked := make([]uint64, len(ids))
+	f, err := fl.Open(dir)
 	for cycle := 1; ; cycle++ {
-		f, err := fl.Open(dir)
 		if err != nil {
 			t.Fatalf("cycle %d (seed %d): reopen: %v", cycle, seed, err)
 		}
@@ -358,7 +364,7 @@ func TestFaultsCrashLoop(t *testing.T) {
 				t.Fatalf("cycle %d (seed %d): acknowledged v%d reads v%d, %v", cycle, seed, acked[i], got.Version, err)
 			}
 		}
-		checkDirectory(t, f, dir, fmt.Sprintf("cycle %d (seed %d)", cycle, seed))
+		checkDirectory(t, f, fmt.Sprintf("cycle %d (seed %d)", cycle, seed))
 		if cycle > cycles {
 			f.Close()
 			break
@@ -385,10 +391,93 @@ func TestFaultsCrashLoop(t *testing.T) {
 		fl.trigger = nil
 		fl.Crash() // if the writers finished first, nothing is held
 		f.Close()
+		f, err = f.Reopen()
 	}
 	c := fl.Counters()
 	t.Logf("seed %d: %d cycles, %d torn and %d dropped tails, %d stalls", seed, cycles, c.Torn, c.Dropped, c.Delay)
 	if c.Torn == 0 || c.Dropped == 0 {
 		t.Errorf("the loop tore %d tails and dropped %d: it no longer crashes inside a batch", c.Torn, c.Dropped)
 	}
+}
+
+// TestFaultsFailWith: while FailWith arms the layer, Put and Get fail
+// with a media failure; once healed, the File is not broken, and both
+// succeed again on the log the failure left.
+func TestFaultsFailWith(t *testing.T) {
+	for _, m := range []struct{ name, dir string }{{"disk", t.TempDir()}, {"memory", ""}} {
+		t.Run(m.name, func(t *testing.T) {
+			fl := NewFaults(FaultConfig{})
+			f, err := fl.Open(m.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rec := sampleRec(1)
+			if err := f.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+			fl.FailWith(ErrFailed)
+			if err := f.Put(sampleRec(1)); !errors.Is(err, ErrFailed) {
+				t.Errorf("Put while armed: %v, want ErrFailed", err)
+			}
+			if _, err := f.Get(rec.Object); !errors.Is(err, ErrFailed) {
+				t.Errorf("Get while armed: %v, want ErrFailed", err)
+			}
+			fl.FailWith(nil)
+			f.mu.Lock()
+			broken := f.broken
+			f.mu.Unlock()
+			if broken != nil {
+				t.Fatalf("healed File is broken: %v", broken)
+			}
+			next := sampleRec(1)
+			if err := f.Put(next); err != nil {
+				t.Errorf("Put after heal: %v", err)
+			}
+			for _, id := range []edenid.ID{rec.Object, next.Object} {
+				if _, err := f.Get(id); err != nil {
+					t.Errorf("Get after heal: %v", err)
+				}
+			}
+			checkDirectory(t, f, "after heal")
+		})
+	}
+}
+
+// TestFaultsMemoryCrashIsExact: on the in-memory medium a crash loses
+// every byte no fsync covered, even those a File handed over when it
+// closed, and keeps every byte one did.
+func TestFaultsMemoryCrashIsExact(t *testing.T) {
+	fl := NewFaults(FaultConfig{})
+	f, err := fl.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := sampleRec(1)
+	if err := f.Put(kept); err != nil {
+		t.Fatal(err)
+	}
+	fl.mu.Lock()
+	fl.cfg.SyncLie = true
+	fl.mu.Unlock()
+	lost := sampleRec(1)
+	if err := f.Put(lost); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil { // hands the lied write over unsynced
+		t.Fatal(err)
+	}
+	fl.Crash()
+	g, err := f.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, ok := g.Stat(kept.Object); !ok {
+		t.Error("the crash lost a record an fsync covered")
+	}
+	if _, ok := g.Stat(lost.Object); ok {
+		t.Error("a record no fsync covered survived the crash")
+	}
+	checkDirectory(t, g, "after the crash")
 }

@@ -28,7 +28,7 @@ import (
 // a writer holds across I/O. One process owns the directory at a time.
 type File struct {
 	dir     string
-	fs      fsys  // the I/O seam: the operating system, or a fault layer
+	fs      fsys  // the I/O seam: the operating system, memory, or a fault layer over either
 	segSize int64 // a head segment this long is sealed: segmentSize, except in tests
 
 	// The write side. mu guards the queue of frames waiting for a batch,
@@ -212,12 +212,33 @@ const intentMagic = "EDENMVI1"
 // ever acknowledged. In a sealed segment it is damage, and NewFile fails
 // with ErrFailed. A directory that still holds a record or intent file of
 // the one-file-per-record layout is refused, so that a store never opens
-// silently empty.
-func NewFile(dir string) (*File, error) { return openFile(dir, osFS{}) }
+// silently empty. An empty dir keeps the log in process memory, on a
+// medium of its own that survives Close for Reopen to replay.
+func NewFile(dir string) (*File, error) { return openFile(dir, medium(dir)) }
+
+// medium is where the log in dir lives: the disk, or memory when dir is
+// empty.
+func medium(dir string) fsys {
+	if dir == "" {
+		return &memFS{files: make(map[string]*memFile)}
+	}
+	return osFS{}
+}
+
+// Reopen opens f's log anew on the medium f was opened on, through the
+// same fault layer if any, as a restarted node does: it reads and replays
+// what the medium kept. f may be closed.
+func (f *File) Reopen() (*File, error) {
+	fs := f.fs
+	if v, ok := fs.(*faultView); ok {
+		fs = v.fl.view(v.fsys)
+	}
+	return openFile(f.dir, fs)
+}
 
 // openFile is NewFile with fs under the log.
 func openFile(dir string, fs fsys) (*File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	names, err := fs.list(dir)
@@ -280,7 +301,11 @@ func (f *File) segmentPath(num uint32) string { return filepath.Join(f.dir, segm
 // writing, and what follows its last intact frame is cut off.
 func (f *File) load(num uint32, last bool, br *bufio.Reader) error {
 	path := f.segmentPath(num)
-	fh, size, err := f.fs.open(path, last)
+	flag := os.O_RDONLY
+	if last {
+		flag = os.O_RDWR
+	}
+	fh, size, err := f.fs.open(path, flag)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -413,7 +438,7 @@ func (f *File) head() *segFile { return f.segs[len(f.segs)-1] }
 // durable.
 func (f *File) newSegment(num uint32) error {
 	path := f.segmentPath(num)
-	fh, err := f.fs.create(path)
+	fh, _, err := f.fs.open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -813,7 +838,7 @@ func (f *File) ListIntents() ([]MoveIntent, error) {
 		out = append(out, e.v.it)
 	}
 	f.dirMu.RUnlock()
-	slices.SortFunc(out, compareIntents)
+	slices.SortFunc(out, func(a, b MoveIntent) int { return edenid.Compare(a.Object, b.Object) })
 	return out, nil
 }
 

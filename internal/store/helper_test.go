@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -166,35 +167,67 @@ func putBatch(t *testing.T, f *File, blocker Record, recs []Record) {
 	}
 }
 
-// replayLog reads every segment in dir as a reader with no directory
-// would — frame by frame, checksums and all, the last frame of each
-// object winning — and returns each record's metadata and each intent.
-func replayLog(t *testing.T, dir string) (map[edenid.ID]Meta, map[edenid.ID]MoveIntent) {
+// segmentBytes reads the segments of f's log, oldest first, from the
+// medium under any fault layer: what the medium holds, not what a layer
+// holds unsynced.
+func segmentBytes(t testing.TB, f *File) [][]byte {
 	t.Helper()
-	recs, its := make(map[edenid.ID]Meta), make(map[edenid.ID]MoveIntent)
-	for _, name := range segmentFiles(t, dir) {
-		b, err := os.ReadFile(name)
+	fs := f.fs
+	if v, ok := fs.(*faultView); ok {
+		fs = v.fsys
+	}
+	names, err := fs.list(f.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nums []uint32
+	for _, name := range names {
+		if n, ok := segmentNum(name); ok {
+			nums = append(nums, n)
+		}
+	}
+	slices.Sort(nums)
+	segs := make([][]byte, len(nums))
+	for i, num := range nums {
+		fh, size, err := fs.open(f.segmentPath(num), os.O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
+		segs[i] = make([]byte, size)
+		_, err = fh.ReadAt(segs[i], 0)
+		fh.Close()
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+	}
+	return segs
+}
+
+// replayLog reads every segment of f's log as a reader with no directory
+// would — frame by frame, checksums and all, the last frame of each
+// object winning — and returns each record's metadata and each intent.
+func replayLog(t testing.TB, f *File) (map[edenid.ID]Meta, map[edenid.ID]MoveIntent) {
+	t.Helper()
+	recs, its := make(map[edenid.ID]Meta), make(map[edenid.ID]MoveIntent)
+	for i, b := range segmentBytes(t, f) {
 		for len(b) > 0 {
 			n := frameHeader + int(binary.BigEndian.Uint32(b))
-			frame, err := checkFrame(b[:n])
+			frame, err := checkFrame(b[:min(n, len(b))])
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("segment %d: %v", i+1, err)
 			}
 			kind, body := frame[0], frame[1:]
 			switch kind {
 			case kindRecord:
-				rec, err := decodeRecord(body, new(typeNames))
+				rec, _, err := decodeHeader(body)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("segment %d: %v", i+1, err)
 				}
 				recs[rec.Object] = rec.Meta()
 			case kindIntent:
 				it, err := decodeIntent(body)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("segment %d: %v", i+1, err)
 				}
 				its[it.Object] = it
 			case kindRecordGone:
@@ -210,10 +243,22 @@ func replayLog(t *testing.T, dir string) (map[edenid.ID]Meta, map[edenid.ID]Move
 
 // checkDirectory asserts the invariant: the directory is exactly what a
 // replay of the log gives, and every entry points at its record.
-func checkDirectory(t *testing.T, f *File, dir, when string) {
+func checkDirectory(t testing.TB, f *File, when string) {
 	t.Helper()
-	recs, its := replayLog(t, dir)
+	for id, want := range checkReplay(t, f, when) {
+		if got, err := f.Get(id); err != nil || got.Meta() != want {
+			t.Errorf("%s: Get(%v) = %+v, %v; want %+v", when, id, got.Meta(), err, want)
+		}
+	}
+}
+
+// checkReplay asserts that the directory is exactly what a replay of the
+// log gives, and returns the records' metadata.
+func checkReplay(t testing.TB, f *File, when string) map[edenid.ID]Meta {
+	t.Helper()
+	recs, its := replayLog(t, f)
 	f.dirMu.RLock()
+	defer f.dirMu.RUnlock()
 	if len(f.recs.ents) != len(recs) || len(f.intents.ents) != len(its) {
 		t.Errorf("%s: directory lists %d records and %d intents, the log %d and %d",
 			when, len(f.recs.ents), len(f.intents.ents), len(recs), len(its))
@@ -228,12 +273,7 @@ func checkDirectory(t *testing.T, f *File, dir, when string) {
 			t.Errorf("%s: directory holds intent %+v (%v) for %v, the log %+v", when, got.it, ok, id, want)
 		}
 	}
-	f.dirMu.RUnlock()
-	for id, want := range recs {
-		if got, err := f.Get(id); err != nil || got.Meta() != want {
-			t.Errorf("%s: Get(%v) = %+v, %v; want %+v", when, id, got.Meta(), err, want)
-		}
-	}
+	return recs
 }
 
 // recordAt is where the directory says id's record lies. The test fails

@@ -60,7 +60,7 @@ func TestFileTornTail(t *testing.T) {
 		if g, err = NewFile(crashed); err != nil {
 			t.Fatal(err)
 		}
-		checkDirectory(t, g, crashed, fmt.Sprintf("cut at %d, reopened", cut))
+		checkDirectory(t, g, fmt.Sprintf("cut at %d, reopened", cut))
 		g.Close()
 	}
 }
@@ -119,7 +119,7 @@ func TestFileGroupCommitDurablePrefix(t *testing.T) {
 				t.Errorf("cut at %d: cut frame of v%d survived: v%d, %v", cut, rec.Version, got.Version, err)
 			}
 		}
-		checkDirectory(t, g, crashed, fmt.Sprintf("cut at %d", cut))
+		checkDirectory(t, g, fmt.Sprintf("cut at %d", cut))
 		g.Close()
 	}
 }
@@ -259,7 +259,7 @@ func TestFileCompaction(t *testing.T) {
 	if head := f.head(); head.size != head.live {
 		t.Errorf("compacted head holds %d bytes, %d of them live", head.size, head.live)
 	}
-	checkDirectory(t, f, dir, "after compaction")
+	checkDirectory(t, f, "after compaction")
 	g, err := NewFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestFileCrashMidCompaction(t *testing.T) {
 	if got := snapshot(t, g); got != want {
 		t.Errorf("reopened mid-compaction:\n%s\nwant\n%s", got, want)
 	}
-	checkDirectory(t, g, crashed, "reopened mid-compaction")
+	checkDirectory(t, g, "reopened mid-compaction")
 	// The reopened log is only longer; its next seal compacts again.
 	g.segSize = g.head().size + 1
 	if err := g.Put(sampleRec(1)); err != nil {
@@ -310,7 +310,7 @@ func TestFileCrashMidCompaction(t *testing.T) {
 	if g.segs[0].num == 1 {
 		t.Error("the next seal left the first segment")
 	}
-	checkDirectory(t, g, crashed, "after the next seal")
+	checkDirectory(t, g, "after the next seal")
 
 	// The compaction's fsync, the second of the Put, fails: the copies
 	// are cut off and the directory still points at the first segment.
@@ -334,7 +334,7 @@ func TestFileCrashMidCompaction(t *testing.T) {
 	if f.segs[0].num != 1 {
 		t.Fatal("a compaction whose fsync failed dropped the first segment")
 	}
-	checkDirectory(t, f, dir, "after the failed compaction")
+	checkDirectory(t, f, "after the failed compaction")
 	fl.trigger = nil
 	f.segSize = f.head().size + 1
 	if err := f.Put(sampleRec(1)); err != nil {
@@ -343,7 +343,7 @@ func TestFileCrashMidCompaction(t *testing.T) {
 	if f.segs[0].num == 1 {
 		t.Error("the next seal left the first segment")
 	}
-	checkDirectory(t, f, dir, "after the next seal")
+	checkDirectory(t, f, "after the next seal")
 }
 
 // TestFileCompactionUnderLoad: Gets, Stats and Puts from several
@@ -402,7 +402,7 @@ func TestFileCompactionUnderLoad(t *testing.T) {
 	if n := len(segmentFiles(t, dir)); n > 4 {
 		t.Errorf("%d segments hold %d live records", n, writers)
 	}
-	checkDirectory(t, f, dir, "after the load")
+	checkDirectory(t, f, "after the load")
 }
 
 // ---- group commit ----

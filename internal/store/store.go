@@ -11,17 +11,16 @@
 // A Store maps object names to versioned checkpoint records. Writes
 // are atomic per record: a reader either sees the previous checkpoint
 // or the new one, never a torn mixture — which is exactly the guarantee
-// reincarnation needs. Two implementations are provided: an in-memory
-// store (with injectable media failure, for the tests) and a
-// file-backed store that survives process restarts as an append-only
-// log (file.go).
+// reincarnation needs. File is the one implementation: an append-only log
+// (file.go) on a medium behind an I/O seam (medium.go), which is a
+// directory on disk that survives process restarts, or process memory. A
+// fault layer (faults.go) can sit between the log and either medium, to
+// fail, stall, lie about fsyncs and tear tails at a crash.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"eden/internal/edenid"
 )
@@ -147,147 +146,9 @@ type Store interface {
 	ListIntents() ([]MoveIntent, error)
 }
 
-// Memory is an in-memory Store with injectable failure, used by tests
-// and the failure-injection harnesses. The zero value is ready to
-// use.
-type Memory struct {
-	mu      sync.RWMutex
-	recs    map[edenid.ID]Record
-	intents map[edenid.ID]MoveIntent
-	fail    error // when non-nil, every operation fails with this
-}
+// Memory is File. The name stays only because benchmark/ names it.
+type Memory = File
 
-var _ Store = (*Memory)(nil)
-
-// NewMemory returns an empty in-memory store.
-func NewMemory() *Memory { return &Memory{recs: make(map[edenid.ID]Record)} }
-
-// FailWith makes every subsequent operation fail with err (pass nil to
-// heal the medium).
-func (m *Memory) FailWith(err error) {
-	m.mu.Lock()
-	m.fail = err
-	m.mu.Unlock()
-}
-
-// Put implements Store.
-func (m *Memory) Put(rec Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fail != nil {
-		return m.fail
-	}
-	if m.recs == nil {
-		m.recs = make(map[edenid.ID]Record)
-	}
-	if prev, ok := m.recs[rec.Object]; ok && rec.Version <= prev.Version {
-		return fmt.Errorf("%w: have v%d, got v%d", ErrStale, prev.Version, rec.Version)
-	}
-	rec.Rep = append([]byte(nil), rec.Rep...)
-	m.recs[rec.Object] = rec
-	return nil
-}
-
-// Get implements Store.
-func (m *Memory) Get(id edenid.ID) (Record, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.fail != nil {
-		return Record{}, m.fail
-	}
-	rec, ok := m.recs[id]
-	if !ok {
-		return Record{}, &notFound{id: id}
-	}
-	rec.Rep = append([]byte(nil), rec.Rep...)
-	return rec, nil
-}
-
-// Stat implements Store. A failing medium has no records to report, as
-// its Get has none to return.
-func (m *Memory) Stat(id edenid.ID) (Meta, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	rec, ok := m.recs[id]
-	if m.fail != nil || !ok {
-		return Meta{}, false
-	}
-	return rec.Meta(), true
-}
-
-// Delete implements Store.
-func (m *Memory) Delete(id edenid.ID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fail != nil {
-		return m.fail
-	}
-	delete(m.recs, id)
-	return nil
-}
-
-// List implements Store.
-func (m *Memory) List() ([]edenid.ID, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.fail != nil {
-		return nil, m.fail
-	}
-	out := make([]edenid.ID, 0, len(m.recs))
-	for id := range m.recs {
-		out = append(out, id)
-	}
-	slices.SortFunc(out, edenid.Compare)
-	return out, nil
-}
-
-// PutIntent implements Store.
-func (m *Memory) PutIntent(it MoveIntent) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fail != nil {
-		return m.fail
-	}
-	if m.intents == nil {
-		m.intents = make(map[edenid.ID]MoveIntent)
-	}
-	m.intents[it.Object] = it
-	return nil
-}
-
-// DeleteIntent implements Store.
-func (m *Memory) DeleteIntent(id edenid.ID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fail != nil {
-		return m.fail
-	}
-	delete(m.intents, id)
-	return nil
-}
-
-// ListIntents implements Store.
-func (m *Memory) ListIntents() ([]MoveIntent, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.fail != nil {
-		return nil, m.fail
-	}
-	out := make([]MoveIntent, 0, len(m.intents))
-	for _, it := range m.intents {
-		out = append(out, it)
-	}
-	slices.SortFunc(out, compareIntents)
-	return out, nil
-}
-
-// compareIntents orders move intents by object, as ListIntents returns
-// them.
-func compareIntents(a, b MoveIntent) int { return edenid.Compare(a.Object, b.Object) }
-
-// Len returns the number of checkpointed objects.
-func (m *Memory) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.recs)
-}
+// NewMemory returns a File in memory, as NewFile("") does. It stays only
+// because benchmark/ calls it.
+func NewMemory() *File { f, _ := NewFile(""); return f } // a log in memory opens without error

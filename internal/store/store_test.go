@@ -23,18 +23,19 @@ func sampleRec(version uint64) Record {
 	}
 }
 
-// storeUnderTest runs the same conformance suite against both
-// implementations.
+// forEachStore runs the same conformance suite against the log on both
+// media: memory, and a directory on disk.
 func forEachStore(t *testing.T, f func(t *testing.T, s Store)) {
-	t.Run("memory", func(t *testing.T) { f(t, NewMemory()) })
-	t.Run("file", func(t *testing.T) {
-		fs, err := NewFile(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { fs.Close() })
-		f(t, fs)
-	})
+	for _, m := range []struct{ name, dir string }{{"memory", ""}, {"file", t.TempDir()}} {
+		t.Run(m.name, func(t *testing.T) {
+			fs, err := NewFile(m.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			f(t, fs)
+		})
+	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -178,41 +179,6 @@ func TestConcurrentPutsDistinctObjects(t *testing.T) {
 			t.Errorf("List returned %d ids, want 160", len(ids))
 		}
 	})
-}
-
-func TestMemoryFailureInjection(t *testing.T) {
-	m := NewMemory()
-	rec := sampleRec(1)
-	if err := m.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	m.FailWith(ErrFailed)
-	if err := m.Put(sampleRec(1)); !errors.Is(err, ErrFailed) {
-		t.Errorf("Put during failure: %v", err)
-	}
-	if _, err := m.Get(rec.Object); !errors.Is(err, ErrFailed) {
-		t.Errorf("Get during failure: %v", err)
-	}
-	if _, err := m.List(); !errors.Is(err, ErrFailed) {
-		t.Errorf("List during failure: %v", err)
-	}
-	if err := m.Delete(rec.Object); !errors.Is(err, ErrFailed) {
-		t.Errorf("Delete during failure: %v", err)
-	}
-	m.FailWith(nil)
-	if _, err := m.Get(rec.Object); err != nil {
-		t.Errorf("Get after heal: %v", err)
-	}
-}
-
-func TestMemoryZeroValueUsable(t *testing.T) {
-	var m Memory
-	if err := m.Put(sampleRec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d", m.Len())
-	}
 }
 
 func TestFileSurvivesReopen(t *testing.T) {

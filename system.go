@@ -88,9 +88,10 @@ type NodeConfig struct {
 	// representations (0 = unbounded).
 	MemoryBytes int64
 	// StoreDir, when non-empty, keeps the node's long-term storage as
-	// a log in this directory (surviving process restarts), which Crash
-	// closes and Restart reopens; empty uses an in-memory store that
-	// survives node crashes within the process.
+	// a log in this directory, which survives process restarts; empty
+	// keeps the log in process memory, which survives node crashes within
+	// the process. Either way Crash closes the log and Restart reopens
+	// it, replaying what it kept.
 	StoreDir string
 	// EvictOnPressure makes the node transparently passivate idle
 	// objects when MemoryBytes would be exceeded, instead of failing
@@ -109,8 +110,8 @@ func (s *System) AddNodeWithConfig(name string, nc NodeConfig) (*Node, error) {
 	return s.addNode(name, nc, nil)
 }
 
-// addNode creates a node whose log, if it keeps one, is opened through
-// faults when that is not nil: the crash tests' way in.
+// addNode creates a node whose log is opened through faults when that is
+// not nil: the crash tests' way in.
 func (s *System) addNode(name string, nc NodeConfig, faults *store.Faults) (*Node, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -121,17 +122,22 @@ func (s *System) addNode(name string, nc NodeConfig, faults *store.Faults) (*Nod
 	num := s.nextID
 	s.mu.Unlock()
 
-	n := &Node{sys: s, num: num, name: name, nc: nc, faults: faults}
-	if err := n.openStore(); err != nil {
+	open := store.NewFile
+	if faults != nil {
+		open = faults.Open
+	}
+	file, err := open(nc.StoreDir)
+	if err != nil {
 		return nil, err
 	}
+	n := &Node{sys: s, num: num, name: name, nc: nc, file: file, faults: faults}
 	if s.cfg.Telemetry {
 		// One registry per node, surviving Crash/Restart so counters
 		// span the node's whole history.
 		n.tel = telemetry.New()
 	}
 	if err := s.boot(n); err != nil {
-		n.closeFile()
+		_ = file.Close()
 		return nil, err
 	}
 	s.mu.Lock()
@@ -153,7 +159,7 @@ func (s *System) boot(n *Node) error {
 	if s.cfg.DefaultTimeout > 0 {
 		cfg.DefaultTimeout = s.cfg.DefaultTimeout
 	}
-	k := kernel.New(cfg, ep, s.reg, n.st)
+	k := kernel.New(cfg, ep, s.reg, n.file)
 	if s.cfg.LocateTimeout > 0 {
 		k.Locator().DefaultTimeout = s.cfg.LocateTimeout
 	}
@@ -221,7 +227,7 @@ func (s *System) Close() error {
 		if k != nil {
 			_ = k.Close()
 		}
-		n.closeFile()
+		_ = n.file.Close() // nothing is left to write, or a crash lost it
 	}
 	return s.mesh.Close()
 }
@@ -233,8 +239,7 @@ type Node struct {
 	num    uint32
 	name   string
 	nc     NodeConfig
-	st     store.Store
-	file   *store.File         // st, when the node keeps its log in NodeConfig.StoreDir
+	file   *store.File         // the node's log
 	faults *store.Faults       // the fault layer under file, in crash tests
 	tel    *telemetry.Registry // nil unless SystemConfig.Telemetry
 
@@ -286,36 +291,8 @@ func (n *Node) Crash() {
 	if k != nil {
 		_ = k.Close()
 	}
-	n.closeFile()
+	_ = n.file.Close()
 	n.sys.mesh.Detach(n.num)
-}
-
-// openStore opens the node's long-term store: its log, through its fault
-// layer if it has one, or else, once, memory.
-func (n *Node) openStore() error {
-	if n.nc.StoreDir == "" {
-		if n.st == nil {
-			n.st = store.NewMemory()
-		}
-		return nil
-	}
-	open := store.NewFile
-	if n.faults != nil {
-		open = n.faults.Open
-	}
-	f, err := open(n.nc.StoreDir)
-	if err != nil {
-		return err
-	}
-	n.st, n.file = f, f
-	return nil
-}
-
-// closeFile closes the node's log, if it keeps one.
-func (n *Node) closeFile() {
-	if n.file != nil {
-		_ = n.file.Close() // nothing is left to write, or a crash lost it
-	}
 }
 
 // Restart reboots a crashed node with its surviving long-term store,
@@ -324,11 +301,13 @@ func (n *Node) Restart() error {
 	if !n.Down() {
 		return fmt.Errorf("eden: node %d is not down", n.num)
 	}
-	if err := n.openStore(); err != nil {
+	f, err := n.file.Reopen()
+	if err != nil {
 		return err
 	}
+	n.file = f
 	if err := n.sys.boot(n); err != nil {
-		n.closeFile()
+		_ = n.file.Close()
 		return err
 	}
 	return nil
