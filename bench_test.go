@@ -7,6 +7,8 @@ package eden_test
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +135,73 @@ func BenchmarkInvokeRemoteTCP64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ks[0].Invoke(cp, "echo", data, nil, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoopbackFloor64B is the floor under BenchmarkInvokeRemoteTCP64B
+// on the same host: a 64-byte request and its 64-byte echo over one
+// loopback TCP connection, with the standard library alone. Each side
+// has one reader goroutine that hands what it read over a channel — to
+// the echoing goroutine on the server, to the benchmark loop on the
+// client — the fewest hand-offs a transport with a reader per connection
+// can have. InvokeRemoteTCP64B over this is the remote path's overhead
+// above the wire, as a ratio measured in one process.
+func BenchmarkLoopbackFloor64B(b *testing.B) {
+	type frame [64]byte
+	// readFrames hands every frame read from c to ch, until c fails.
+	readFrames := func(c net.Conn, ch chan<- frame) {
+		defer close(ch)
+		var f frame
+		for {
+			if _, err := io.ReadFull(c, f[:]); err != nil {
+				return
+			}
+			ch <- f
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		reqs := make(chan frame)
+		go readFrames(c, reqs)
+		var f frame // one array for every echo: Write's argument escapes
+		for f = range reqs {
+			if _, err := c.Write(f[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		<-served
+	}()
+	reps := make(chan frame)
+	go readFrames(c, reps)
+	var req frame
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Write(req[:]); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := <-reps; !ok {
+			b.Fatal("the echo connection closed")
 		}
 	}
 }

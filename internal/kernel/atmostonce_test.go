@@ -1,13 +1,19 @@
 package kernel
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"eden/internal/capability"
+	"eden/internal/edenid"
 	"eden/internal/msg"
+	"eden/internal/rights"
 )
 
 // onceRig is node 2 serving crafted request frames "from" node 9, a
@@ -116,7 +122,7 @@ func (r *onceRig) quiet(t *testing.T) {
 func (r *onceRig) tableSize() int {
 	r.k.served.mu.Lock()
 	defer r.k.served.mu.Unlock()
-	return len(r.k.served.idx)
+	return r.k.served.indexed()
 }
 
 // recorded is the reply the table keeps for node 9's call corr.
@@ -124,11 +130,25 @@ func (r *onceRig) recorded(t *testing.T, corr uint64) msg.InvokeRep {
 	t.Helper()
 	r.k.served.mu.Lock()
 	defer r.k.served.mu.Unlock()
-	n, ok := r.k.served.idx[servedKey{from: 9, corr: corr}]
-	if !ok {
+	i := -1
+	if r.k.served.ring != nil {
+		i = r.k.served.lookup(servedKey{from: 9, corr: corr})
+	}
+	if i < 0 {
 		t.Fatalf("call %d holds no slot", corr)
 	}
-	return r.k.served.ring[n%servedCacheSize].rep
+	return r.k.served.ring[r.k.served.idx[i]-1].reply()
+}
+
+// indexed counts the table's index entries.
+func (t *servedTable) indexed() int {
+	n := 0
+	for _, e := range t.idx {
+		if e != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAtMostOnceTable is the specification of remote at-most-once
@@ -287,5 +307,169 @@ func TestAtMostOnceKeepsRightSizedReplies(t *testing.T) {
 	r.k.serveInvoke(env)
 	if rep := r.answers(t, 1, 400)[0]; string(rep.Data) != "8 bytes!" {
 		t.Errorf("retransmission answered %q", rep.Data)
+	}
+}
+
+// mapServedTable is the at-most-once table as it was when a map indexed
+// its ring: the reference TestServedTableMatchesModel holds servedTable
+// to. It keeps no lock and no copy of reply data; the test needs
+// neither.
+type mapServedTable struct {
+	n    uint64
+	idx  map[servedKey]uint64
+	ring []mapServedSlot
+}
+
+type mapServedSlot struct {
+	n   uint64
+	key servedKey
+	rep msg.InvokeRep
+}
+
+func (t *mapServedTable) begin(key servedKey) (uint64, msg.InvokeRep) {
+	if n, dup := t.idx[key]; dup {
+		return 0, t.ring[n%servedCacheSize].rep
+	}
+	if t.ring == nil {
+		t.idx = make(map[servedKey]uint64)
+		t.ring = make([]mapServedSlot, servedCacheSize)
+	}
+	t.n++
+	s := &t.ring[t.n%servedCacheSize]
+	if s.n != 0 {
+		delete(t.idx, s.key)
+	}
+	*s = mapServedSlot{n: t.n, key: key, rep: msg.InvokeRep{Status: statusDuplicate}}
+	t.idx[key] = t.n
+	return t.n, msg.InvokeRep{}
+}
+
+func (t *mapServedTable) end(n uint64, rep msg.InvokeRep) {
+	s := &t.ring[n%servedCacheSize]
+	switch {
+	case s.n != n:
+	case rep.Status == msg.StatusMoved || rep.Status == statusPassive:
+		delete(t.idx, s.key)
+		*s = mapServedSlot{}
+	default:
+		s.rep = rep
+	}
+}
+
+func sameReply(a, b msg.InvokeRep) bool {
+	return a.Status == b.Status && bytes.Equal(a.Data, b.Data) && slices.Equal(a.Caps, b.Caps)
+}
+
+// TestServedTableMatchesModel drives servedTable and the map-indexed
+// table it replaced through one seeded sequence of begin and end calls
+// and compares every answer, and now and then the whole table. The
+// sequence has new calls from three senders, retransmissions of calls
+// still executing, settled, evicted or freed, calls settled out of
+// order and some only after the ring came round, outcomes that are kept
+// (StatusOK, StatusError, with and without capabilities) and outcomes
+// that free their slot (StatusMoved, passive), and it runs past
+// 3 × servedCacheSize admissions.
+func TestServedTableMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 1981))
+	var got servedTable
+	var want mapServedTable
+	type call struct {
+		n   uint64
+		key servedKey
+	}
+	var (
+		running []call      // begun and not yet ended
+		seen    []servedKey // every key begun, oldest first
+		corrs   [3]uint64
+		caps    = capability.List{capability.New(edenid.New(9, 1, 1), rights.All)}
+		met     = make(map[string]int) // how often each case came up
+	)
+	begin := func(key servedKey, again bool) {
+		n, rep := got.begin(key)
+		wn, wrep := want.begin(key)
+		if n != wn || !sameReply(rep, wrep) {
+			t.Fatalf("begin(%v) after %d admissions = %d, %+v; the model says %d, %+v", key, want.n, n, rep, wn, wrep)
+		}
+		switch {
+		case n == 0 && rep.Status == statusDuplicate:
+			met["retransmission dropped while running"]++
+		case n == 0:
+			met["retransmission replayed"]++
+		case again:
+			met["retransmission of a forgotten call admitted"]++
+		}
+		if n != 0 {
+			running = append(running, call{n, key})
+			seen = append(seen, key)
+		}
+	}
+	compare := func() {
+		t.Helper()
+		if g, w := got.indexed(), len(want.idx); g != w {
+			t.Fatalf("after %d admissions the index holds %d entries, the model %d", want.n, g, w)
+		}
+		for key, n := range want.idx {
+			i := got.lookup(key)
+			if i < 0 {
+				t.Fatalf("after %d admissions call %v (slot of call %d) cannot be found", want.n, key, n)
+			}
+			if pos := int(got.idx[i] - 1); pos != int(n%servedCacheSize) {
+				t.Fatalf("call %v is indexed at ring position %d, the model's is %d", key, pos, n%servedCacheSize)
+			}
+			if rep, wrep := got.ring[n%servedCacheSize].reply(), want.ring[n%servedCacheSize].rep; !sameReply(rep, wrep) {
+				t.Fatalf("call %v keeps %+v, the model %+v", key, rep, wrep)
+			}
+		}
+	}
+	for step := 0; want.n <= 3*servedCacheSize+servedCacheSize/2; step++ {
+		switch r := rng.IntN(100); {
+		case r < 45 || len(running) == 0: // a new call
+			from := rng.IntN(len(corrs))
+			corrs[from] += 1 + uint64(rng.IntN(3))
+			begin(servedKey{from: uint32(from + 1), corr: corrs[from]}, false)
+		case r < 70: // a retransmission
+			var key servedKey
+			if rng.IntN(4) == 0 {
+				key = running[rng.IntN(len(running))].key
+			} else {
+				key = seen[max(0, len(seen)-1-rng.IntN(servedCacheSize+servedCacheSize/2))]
+			}
+			begin(key, true)
+		default: // a running call ends, most recent ones likelier
+			i := len(running) - 1 - rng.IntN(min(len(running), 1+rng.IntN(64)))
+			if rng.IntN(200) == 0 {
+				i = 0 // and now and then one that may have outlived its slot
+			}
+			c := running[i]
+			running = slices.Delete(running, i, i+1)
+			var rep msg.InvokeRep
+			switch o := rng.IntN(20); {
+			case o < 3:
+				rep.Status = msg.StatusMoved
+			case o < 6:
+				rep.Status = statusPassive
+			case o < 8:
+				rep = msg.InvokeRep{Status: msg.StatusError, Data: []byte("failed")}
+			case o < 10:
+				rep = msg.InvokeRep{Status: msg.StatusOK, Caps: caps}
+			default:
+				rep = msg.InvokeRep{Status: msg.StatusOK, Data: binary.BigEndian.AppendUint64(nil, c.n)}
+			}
+			if want.ring[c.n%servedCacheSize].n != c.n {
+				met["a call settled after the ring came round"]++
+			} else if rep.Status == msg.StatusMoved || rep.Status == statusPassive {
+				met["a slot freed"]++
+			}
+			got.end(c.n, rep)
+			want.end(c.n, rep)
+		}
+		if step%512 == 0 {
+			compare()
+		}
+	}
+	compare()
+	t.Logf("%d admissions: %v", want.n, met)
+	if len(met) != 5 {
+		t.Errorf("the sequence missed a case: %v", met)
 	}
 }

@@ -85,6 +85,39 @@ func TestObjectFootprint(t *testing.T) {
 	}
 }
 
+// TestServedTableFootprint pins what a node's at-most-once table costs
+// once full: a ring of servedCacheSize 72-byte slots (288 KiB) and an
+// index of 2 × servedCacheSize uint16 ring positions (16 KiB), 304 KiB
+// in all. Slots of 80 bytes and a map[servedKey]uint64 over them took
+// 496 KiB. Replies carry no data here: what a kept reply holds is the
+// handler's, not the table's.
+func TestServedTableFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what an allocation costs")
+	}
+	var tb servedTable
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the second would otherwise free sync.Pool's victims inside the window
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for corr := uint64(1); corr <= servedCacheSize; corr++ {
+		n, _ := tb.begin(servedKey{from: 2, corr: corr})
+		tb.end(n, msg.InvokeRep{Status: msg.StatusOK})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := tb.indexed(); got != servedCacheSize {
+		t.Fatalf("the table holds %d calls, want %d", got, servedCacheSize)
+	}
+	runtime.KeepAlive(&tb)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d B of heap for %d remembered calls (%d B each)", grown, servedCacheSize, grown/servedCacheSize)
+	const bound = 320 << 10
+	if grown > bound {
+		t.Errorf("a full table holds %d B of heap, want at most %d", grown, bound)
+	}
+}
+
 // queueRig is one object of a type with two unlimited classes, "a" and
 // "b", each with a write operation that records its tag ("a" also has a
 // reader, "ar"), and a writer in a third class, "gate", that holds

@@ -60,10 +60,25 @@ const statusDuplicate msg.Status = 0xfe
 // recent state-changing remote invocations a node remembers.
 const servedCacheSize = 4096
 
+// servedIndexSize is the length of a servedTable's index: twice the
+// ring, so that a probe meets an empty entry within a few steps.
+const servedIndexSize = 2 * servedCacheSize
+
+// An index entry, a ring position plus one, fits in a uint16.
+const _ uint16 = servedCacheSize
+
 // servedKey identifies one logical remote invocation.
 type servedKey struct {
 	from uint32
 	corr uint64
+}
+
+// home is the index entry where a probe for the key starts: the high
+// half of a multiplicative hash, so that one sender's consecutive corrs
+// scatter.
+func (k servedKey) home() int {
+	h := (k.corr ^ uint64(k.from)<<40) * 0x9e3779b97f4a7c15
+	return int((h >> 32) % servedIndexSize)
 }
 
 // servedTable makes remote execution at-most-once where that means
@@ -73,20 +88,36 @@ type servedKey struct {
 // reply afterwards. An AccessRead operation cannot change state (DESIGN §6)
 // and any replica may serve it (§7), so it may run twice: it takes no
 // slot and its reply is retained nowhere. Slots are values in a ring:
-// call n occupies ring[n%servedCacheSize] and evicts what was there. idx
-// holds exactly the occupied slots' keys — a freed slot is zeroed — so
-// an eviction removes the one entry its slot wrote.
+// call n occupies ring[n%servedCacheSize] and evicts what was there.
+// idx is an open-addressed hash index over the occupied slots: each entry
+// is 0 (empty) or one more than a ring position, a key's entry is found
+// by probing forward from its home, and a removal shifts back the
+// entries behind it rather than leaving a tombstone, so a probe ends at
+// the first empty entry. A freed slot is zeroed and unindexed, so idx
+// holds exactly the occupied slots.
 type servedTable struct {
 	mu   sync.Mutex
-	n    uint64               // calls admitted so far
-	idx  map[servedKey]uint64 // logical invocation -> the n of its slot
-	ring []servedSlot         // made by the first call that needs it
+	n    uint64       // calls admitted so far
+	ring []servedSlot // made, with idx, by the first call that needs them
+	idx  []uint16
 }
 
+// servedSlot is one remembered call and the outcome to replay, which is
+// statusDuplicate until there is one. The key and the reply are spread
+// over its fields so that they pack into 72 bytes.
 type servedSlot struct {
-	n   uint64 // the call occupying the slot; 0 when free
-	key servedKey
-	rep msg.InvokeRep // the outcome to replay; statusDuplicate until there is one
+	n      uint64 // the call occupying the slot; 0 when free
+	corr   uint64
+	from   uint32
+	status msg.Status
+	data   []byte
+	caps   capability.List
+}
+
+func (s *servedSlot) key() servedKey { return servedKey{from: s.from, corr: s.corr} }
+
+func (s *servedSlot) reply() msg.InvokeRep {
+	return msg.InvokeRep{Status: s.status, Data: s.data, Caps: s.caps}
 }
 
 // begin admits one call. n != 0: first sight of it — execute, then end(n).
@@ -94,19 +125,25 @@ type servedSlot struct {
 func (t *servedTable) begin(key servedKey) (n uint64, rep msg.InvokeRep) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n, dup := t.idx[key]; dup {
-		return 0, t.ring[n%servedCacheSize].rep
-	}
 	if t.ring == nil {
 		t.ring = make([]servedSlot, servedCacheSize)
+		t.idx = make([]uint16, servedIndexSize)
+	}
+	if i := t.lookup(key); i >= 0 {
+		return 0, t.ring[t.idx[i]-1].reply()
 	}
 	t.n++
-	s := &t.ring[t.n%servedCacheSize]
+	pos := t.n % servedCacheSize
+	s := &t.ring[pos]
 	if s.n != 0 {
-		delete(t.idx, s.key)
+		t.unindex(t.lookup(s.key()))
 	}
-	*s = servedSlot{n: t.n, key: key, rep: msg.InvokeRep{Status: statusDuplicate}}
-	t.idx[key] = t.n
+	*s = servedSlot{n: t.n, corr: key.corr, from: key.from, status: statusDuplicate}
+	i := key.home()
+	for t.idx[i] != 0 {
+		i = (i + 1) % servedIndexSize
+	}
+	t.idx[i] = uint16(pos + 1)
 	return t.n, msg.InvokeRep{}
 }
 
@@ -126,11 +163,44 @@ func (t *servedTable) end(n uint64, rep msg.InvokeRep) {
 	switch {
 	case s.n != n: // the ring came round while the call ran
 	case rep.Status == msg.StatusMoved || rep.Status == statusPassive:
-		delete(t.idx, s.key)
+		t.unindex(t.lookup(s.key()))
 		*s = servedSlot{}
 	default:
-		s.rep = rep
+		s.status, s.data, s.caps = rep.Status, rep.Data, rep.Caps
 	}
+}
+
+// lookup returns the index entry of key's slot, or -1. The index is at
+// most half full, so the probe meets an empty entry.
+func (t *servedTable) lookup(key servedKey) int {
+	for i := key.home(); ; i = (i + 1) % servedIndexSize {
+		e := t.idx[i]
+		if e == 0 {
+			return -1
+		}
+		if s := &t.ring[e-1]; s.corr == key.corr && s.from == key.from {
+			return i
+		}
+	}
+}
+
+// unindex empties index entry i. Every later entry of its probe run
+// whose home is not between the hole and itself would become
+// unreachable, so it moves back into the hole, which moves to where it
+// was.
+func (t *servedTable) unindex(i int) {
+	for j := i; ; {
+		j = (j + 1) % servedIndexSize
+		e := t.idx[j]
+		if e == 0 {
+			break
+		}
+		home := t.ring[e-1].key().home()
+		if (j-home+servedIndexSize)%servedIndexSize >= (j-i+servedIndexSize)%servedIndexSize {
+			t.idx[i], i = e, j
+		}
+	}
+	t.idx[i] = 0
 }
 
 // Invoke performs a synchronous invocation: "parameters are passed and

@@ -280,7 +280,6 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		intents:  make(map[edenid.ID]*moveIntent),
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
-		served:   servedTable{idx: make(map[servedKey]uint64)},
 		procs:    make(map[*processor]struct{}),
 	}
 	if cfg.VirtualProcessors > 0 {

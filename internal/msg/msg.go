@@ -125,68 +125,85 @@ func EncodeEnvelope(dst []byte, e Envelope) []byte {
 	return append(dst, e.Payload...)
 }
 
-// Buffer is a pooled encoding buffer. A sender borrows one with
-// GetBuffer, sizes it with Grow, appends a payload (Encode) or a whole
-// frame (EncodeEnvelope plus any transport framing), and returns it with
-// Free once nobody reads the bytes any more: a payload when Send
-// returns, a frame when it is on the wire. The struct wraps the slice so
-// the pool traffics in a stable pointer rather than re-boxing a slice
-// header on every Put.
+// Buffer is a pooled encoding buffer. A sender gets one from Encode,
+// holding a payload or a whole frame (a transport's framing around
+// EncodeEnvelope) in the smallest size class that fits it, or an empty
+// one from GetBuffer, and returns it with Free once nobody reads the
+// bytes any more: a payload when Send returns, a frame when it is on
+// the wire. The struct wraps the slice so the pool traffics in a stable
+// pointer rather than re-boxing a slice header on every Put.
 type Buffer struct {
 	// B is the buffer's contents; append to it freely.
 	B []byte
 }
 
-// maxPooledBuffer caps the backing arrays kept in the pool: one huge
-// Ship frame must not pin megabytes inside the pool forever. A frame
-// carrying a 64 KiB payload, with every header around it, still fits.
+// maxPooledBuffer is the largest class: a frame carrying a 64 KiB
+// payload, with every header around it, fits; nothing larger is pooled,
+// so one huge Ship frame does not pin megabytes inside a pool forever.
 const maxPooledBuffer = 64<<10 + 1<<10
 
-var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
+// bufferClasses are the pools, smallest first. Each class is a
+// power-of-two payload plus 1 KiB for the headers around it: the 5 KiB
+// class holds every request and reply up to a 4 KiB page of data, and
+// maxPooledBuffer the largest frame. A buffer is made at its class's
+// capacity and goes back to the largest class it covers, so a 64-byte
+// message never holds a 64 KiB array that an earlier frame grew it to,
+// and a pool keeps what is in flight, not its high-water mark. Each
+// class is a sync.Pool, which the collector empties and which then
+// allocates its per-processor queues anew, so a third class cost more
+// allocations than the memory it saved.
+var bufferClasses = [...]struct {
+	size int
+	pool sync.Pool
+}{{size: 4<<10 + 1<<10}, {size: maxPooledBuffer}}
 
-// GetBuffer returns an empty pooled buffer.
-func GetBuffer() *Buffer {
-	b := bufferPool.Get().(*Buffer)
-	b.B = b.B[:0]
-	return b
-}
+// GetBuffer returns an empty buffer of the smallest class.
+func GetBuffer() *Buffer { return borrow(0) }
 
-// Grow makes room for n more bytes and returns b.B, so that appending
-// an encoding whose Size is n allocates at most once and never doubles.
-// The backing array is made to the exact size: append would round it up
-// to an allocator size class, past maxPooledBuffer for the largest
-// frames the pool is meant to keep.
-func (b *Buffer) Grow(n int) []byte {
-	if need := len(b.B) + n; need > cap(b.B) {
-		grown := make([]byte, len(b.B), need)
-		copy(grown, b.B)
-		b.B = grown
+// borrow returns an empty buffer of the smallest class that holds n
+// bytes, or an unpooled one of exactly n bytes when none does.
+func borrow(n int) *Buffer {
+	for i := range bufferClasses {
+		c := &bufferClasses[i]
+		if n > c.size {
+			continue
+		}
+		if b, _ := c.pool.Get().(*Buffer); b != nil {
+			b.B = b.B[:0]
+			return b
+		}
+		return &Buffer{B: make([]byte, 0, c.size)}
 	}
-	return b.B
+	return &Buffer{B: make([]byte, 0, n)}
 }
 
 // Encode returns a pooled buffer holding the wire form of one payload,
-// grown once to its exact size. It is generic rather than taking an
-// interface so that a request or reply passed by value is not boxed.
+// taken from the smallest class its Size fits. It is generic rather
+// than taking an interface so that a request or reply passed by value
+// is not boxed.
 func Encode[P interface {
 	Size() int
 	Encode(dst []byte) []byte
 }](p P) *Buffer {
-	b := GetBuffer()
-	b.B = p.Encode(b.Grow(p.Size()))
+	b := borrow(p.Size())
+	b.B = p.Encode(b.B)
 	return b
 }
 
-// Free returns the buffer to the pool. The caller must not touch b (or
-// its bytes) afterwards.
+// Free returns the buffer to the largest class its capacity covers; a
+// buffer smaller than the smallest class or larger than maxPooledBuffer
+// is left to the collector. The caller must not touch b (or its bytes)
+// afterwards.
 func (b *Buffer) Free() {
-	if b == nil {
+	if b == nil || cap(b.B) > maxPooledBuffer {
 		return
 	}
-	if cap(b.B) > maxPooledBuffer {
-		b.B = nil
+	for i := len(bufferClasses) - 1; i >= 0; i-- {
+		if c := &bufferClasses[i]; cap(b.B) >= c.size {
+			c.pool.Put(b)
+			return
+		}
 	}
-	bufferPool.Put(b)
 }
 
 // DecodeEnvelope parses one envelope from the front of src, returning

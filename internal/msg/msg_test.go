@@ -370,11 +370,11 @@ func TestLengthPrefixesAreChecked(t *testing.T) {
 	}
 }
 
-// TestEncodeSizesOnce: Encode grows a pooled buffer to the payload's
-// exact Size — one allocation at most, no doubling, no rounding up to an
-// allocator size class — so a buffer made for the largest frame the pool
-// is meant to keep, a 64 KiB payload with every header around it, is
-// kept.
+// TestEncodeSizesOnce: Encode takes a buffer of the smallest class
+// that holds the payload's Size and encodes into it without growing it,
+// and the largest class, maxPooledBuffer, holds the largest frame the
+// pools are meant to keep — a 64 KiB payload with every header around
+// it — so Free keeps that frame's buffer.
 func TestEncodeSizesOnce(t *testing.T) {
 	req := InvokeReq{Target: capability.New(gen.Next(), rights.All), Operation: "echo", Data: make([]byte, 64<<10)}
 	b := Encode(req)
@@ -382,13 +382,66 @@ func TestEncodeSizesOnce(t *testing.T) {
 	if len(b.B) != req.Size() {
 		t.Fatalf("encoded %d bytes, Size %d", len(b.B), req.Size())
 	}
-	var frame Buffer
-	need := 4 + Envelope{Payload: b.B}.Size()
-	if frame.Grow(need); cap(frame.B) != need {
-		t.Errorf("Grow(%d) made cap %d", need, cap(frame.B))
+	if cap(b.B) != maxPooledBuffer {
+		t.Errorf("a %d-byte encoding is in a %d-byte buffer, want the %d-byte class", len(b.B), cap(b.B), maxPooledBuffer)
 	}
-	if need > maxPooledBuffer {
+	if need := 4 + (Envelope{Payload: b.B}).Size(); need > maxPooledBuffer {
 		t.Errorf("a 64 KiB echo's frame is %d bytes, over the pool's %d: Free would drop it", need, maxPooledBuffer)
+	}
+}
+
+// TestBufferClasses: a buffer is borrowed from the smallest class that
+// holds what is encoded into it and goes back to the class its
+// capacity covers, so a small message never gets an array a large frame
+// grew; a buffer past maxPooledBuffer is never pooled. The pools are
+// sync.Pools, which may drop anything, so every check is of what a
+// borrow must never return.
+func TestBufferClasses(t *testing.T) {
+	// classOf is the index of the class a capacity belongs to, or -1.
+	classOf := func(c int) int {
+		for i := len(bufferClasses) - 1; i >= 0; i-- {
+			if c >= bufferClasses[i].size {
+				return i
+			}
+		}
+		return -1
+	}
+	echo := func(n int) *Buffer {
+		return Encode(InvokeReq{Target: capability.New(gen.Next(), rights.All), Operation: "echo", Data: make([]byte, n)})
+	}
+	for _, n := range []int{0, 64, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+		b := echo(n)
+		want := 0
+		for want < len(bufferClasses)-1 && len(b.B) > bufferClasses[want].size {
+			want++
+		}
+		if got := classOf(cap(b.B)); got != want {
+			t.Errorf("a %d-byte encoding got a %d-byte buffer, class %d; want class %d", len(b.B), cap(b.B), got, want)
+		}
+		b.Free()
+	}
+
+	echo(64 << 10).Free()
+	small := echo(64)
+	if cap(small.B) >= bufferClasses[1].size {
+		t.Errorf("after a 64 KiB encoding was freed, a 64 B one got a %d-byte buffer, over the small class", cap(small.B))
+	}
+	small.Free()
+
+	huge := GetBuffer()
+	huge.B = append(huge.B, make([]byte, maxPooledBuffer+1)...)
+	huge.Free()
+	for i := range bufferClasses {
+		for range 4 {
+			b := borrow(bufferClasses[i].size)
+			if b == huge {
+				t.Fatalf("a buffer grown to %d bytes, past maxPooledBuffer, came back from class %d", cap(huge.B), i)
+			}
+			defer b.Free()
+		}
+	}
+	if b := borrow(maxPooledBuffer + 1); cap(b.B) != maxPooledBuffer+1 {
+		t.Errorf("a borrow past every class got %d bytes, want exactly %d", cap(b.B), maxPooledBuffer+1)
 	}
 }
 

@@ -230,14 +230,23 @@ func (t *TCP) peerList() []*tcpPeer {
 	return out
 }
 
-// encodeFrame renders env (length prefix + envelope) into a pooled
-// buffer, sized before anything is appended.
+// wireFrame is an envelope as it goes on the wire: length prefix, then
+// the envelope.
+type wireFrame struct{ env msg.Envelope }
+
+// Size is the frame's length, prefix included.
+func (f wireFrame) Size() int { return 4 + f.env.Size() }
+
+// Encode appends the frame to dst.
+func (f wireFrame) Encode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(f.env.Size()))
+	return msg.EncodeEnvelope(dst, f.env)
+}
+
+// encodeFrame renders env into a pooled buffer of the smallest class
+// that holds the whole frame.
 func encodeFrame(env msg.Envelope) outFrame {
-	b := msg.GetBuffer()
-	n := env.Size()
-	b.B = binary.BigEndian.AppendUint32(b.Grow(4+n), uint32(n))
-	b.B = msg.EncodeEnvelope(b.B, env)
-	return outFrame{buf: b, payload: len(env.Payload)}
+	return outFrame{buf: msg.Encode(wireFrame{env}), payload: len(env.Payload)}
 }
 
 // enqueue puts one frame on the peer's queue, applying the
