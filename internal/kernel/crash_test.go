@@ -110,6 +110,15 @@ func TestKillpointSweep(t *testing.T) {
 		t.Fatalf("resolvePendingIntent = %v, %v; want rolled forward", outcome, err) // move.resolve-commit
 	}
 
+	// A home restarted with a remote checksite claims its record again.
+	capC, err := s.ks[1].Create("counter", &CreateOptions{Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], capC, "checkpoint", nil)
+	s.crashNode(1)
+	mustInvoke(t, s.restartNode(1), capC, "get", nil) // claim.granted
+
 	for _, p := range killpoint.Points() {
 		if killpoint.Hits(p) == 0 {
 			t.Errorf("killpoint %q never fired during the lifecycle sweep (%s)", p, killpoint.String())

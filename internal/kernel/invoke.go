@@ -450,11 +450,18 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 			}
 			shadowServe = true
 		case inDoubt:
-			// A move this node never finished may have superseded the
-			// record: resolve it first, waiting no longer than the call
-			// may. Refusing service meanwhile is the safe side, as it is
-			// while the boot scan fails (no intent then).
+			// A move this node never finished, or a checksite's claim while
+			// this node was down, may have superseded the record: resolve
+			// it first, waiting no longer than the call may. Refusing
+			// service meanwhile is the safe side, as it is while the boot
+			// scan fails (no intent then).
 			err := v.err
+			if v.claim {
+				if k.claim(id, deadline) {
+					return k.tryLocalOnce(req, allowReplica, origin, deadline)
+				}
+				err = fmt.Errorf("kernel: claim of %v in doubt", id)
+			}
 			if v.intent != nil {
 				var outcome moveOutcome
 				if outcome, err = k.settle(v.intent, deadline); outcome != moveUnresolved {

@@ -3,12 +3,14 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
+	"eden/internal/killpoint"
 	"eden/internal/locator"
 	"eden/internal/msg"
 	"eden/internal/rights"
@@ -123,21 +125,6 @@ type checksitePolicy struct {
 	sites []uint32 // remote checksites (for RelRemote/RelReplicated)
 }
 
-// siteState is the home's side of an object's checkpoints: where they
-// go, and the version each remote site acknowledged last.
-type siteState struct {
-	policy checksitePolicy
-	acked  map[uint32]uint64 // incremental bases; the ex-checksites Destroy must reach
-}
-
-// backup is this node's role as a checksite for another node's object.
-type backup struct {
-	home     uint32    // the object's home node
-	floor    uint64    // the serving floor: no shadow below it (floorDisabled after a move)
-	lastShip time.Time // the last accepted ship (the home's heartbeat), or the boot
-	shadow   *Object   // the shadow serving stale-tolerant reads (replica.go), if made
-}
-
 // Reliability is the paper's per-object reliability level: "an object
 // may specify, through the checksite primitive, which node is
 // responsible for maintaining its long-term storage, and what level of
@@ -184,8 +171,7 @@ type Kernel struct {
 	active   map[edenid.ID]*Object     // incarnations homed here
 	replicas map[edenid.ID]*Object     // frozen replicas cached here (Replicate)
 	forwards map[edenid.ID]uint32      // moved-away objects -> new home
-	sites    map[edenid.ID]*siteState  // checkpoint policies of objects homed here
-	backups  map[edenid.ID]*backup     // records held for other nodes' objects
+	roles    map[edenid.ID]*role       // checkpoint policies of objects homed here, backups of others' (role.go)
 	intents  map[edenid.ID]*moveIntent // durable move intents (boot-scanned + live)
 	boot     time.Time                 // kernel start, the heartbeat of backups no ship has reached
 	scanErr  error                     // why the boot scan failed; nil once one has succeeded (bootScan)
@@ -198,6 +184,10 @@ type Kernel struct {
 	pendMu sync.Mutex
 	pend   map[uint64]*callCtx // correlation id -> the frame awaiting that reply (roundTrip)
 	corr   atomic.Uint64
+
+	// lanes serve checkpoint ships, claims and destroys in the order each
+	// sender sent them, off the transport's dispatch goroutine.
+	lanes [shipLanes]shipLane
 
 	// served deduplicates retransmitted requests for operations that may
 	// change state, so a retry after a lost reply does not execute one
@@ -275,8 +265,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		active:   make(map[edenid.ID]*Object),
 		replicas: make(map[edenid.ID]*Object),
 		forwards: make(map[edenid.ID]uint32),
-		sites:    make(map[edenid.ID]*siteState),
-		backups:  make(map[edenid.ID]*backup),
+		roles:    make(map[edenid.ID]*role),
 		intents:  make(map[edenid.ID]*moveIntent),
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
@@ -312,7 +301,10 @@ var errNotScanned = errors.New("kernel: store not scanned yet")
 // one, or answer locate queries as its home, while the real home is
 // alive. A backup record's version is the last checkpoint this site
 // acked before it went down, so it re-anchors the replica serving floor
-// too. The store's directory answers; no representation is read.
+// too. Records of this node's own that name other checksites: the object
+// may have been claimed by one of them while this node was down, so it
+// is claimed again before it is served (role.go). The store's directory
+// answers; no representation is read.
 //
 // Move intents that survived a crash: each marks an in-flight move
 // transaction whose outcome is unknown until the destination is probed.
@@ -332,10 +324,10 @@ func (k *Kernel) bootScan() error {
 	if err == nil {
 		its, err = k.store.ListIntents()
 	}
-	backups := make(map[edenid.ID]store.Meta)
+	roles := make(map[edenid.ID]store.Meta)
 	for _, id := range ids {
-		if m, ok := k.store.Stat(id); ok && m.Backup {
-			backups[id] = m
+		if m, ok := k.store.Stat(id); ok && (m.Backup || m.Sited) {
+			roles[id] = m
 		}
 	}
 	k.mu.Lock()
@@ -348,15 +340,11 @@ func (k *Kernel) bootScan() error {
 		return k.scanErr
 	}
 	k.scanErr = nil
-	for id, m := range backups {
+	for id, m := range roles {
 		if _, live := k.active[id]; live {
 			continue // moved in while the scan was failing: its own home now
 		}
-		if b := k.backups[id]; b != nil {
-			b.home, b.floor = m.Home, max(b.floor, m.Version)
-		} else {
-			k.backups[id] = &backup{home: m.Home, floor: m.Version, lastShip: k.boot}
-		}
+		k.stepRoleLocked(id, bootEvent(m), nil)
 	}
 	for _, it := range its {
 		if k.intents[it.Object] == nil {
@@ -366,6 +354,113 @@ func (k *Kernel) bootScan() error {
 	return nil
 }
 
+// bootEvent is the policy's event for a record the boot scan found.
+func bootEvent(m store.Meta) roleEvent {
+	return roleEvent{kind: evBoot, record: true, rec: m}
+}
+
+// stepRoleLocked applies ev to id's role: the entry stays while the state
+// holds anything. It returns the new state and the effects, appended to
+// fx, for the caller to carry out once it lets go of k.mu. Caller holds
+// k.mu.
+func (k *Kernel) stepRoleLocked(id edenid.ID, ev roleEvent, fx []roleEffect) (roleState, []roleEffect) {
+	ev.self = k.cfg.Node
+	r := k.roles[id]
+	var s roleState
+	if r != nil {
+		s = r.roleState
+	}
+	s, fx = roleStep(s, ev, fx)
+	switch {
+	case s.held() && r == nil:
+		k.roles[id] = &role{roleState: s, lastShip: k.boot}
+	case s.held():
+		r.roleState = s
+	case r != nil:
+		delete(k.roles, id)
+	}
+	return s, fx
+}
+
+// roleIO is what one step's effects write and send: rec for fxPut; ship
+// for fxShip, fxClaim and fxDestroy, with the delta of an incremental
+// checkpoint (fxShip with a base), each answer awaited for timeout.
+type roleIO struct {
+	rec     store.Record
+	ship    msg.Ship
+	partial []byte
+	removed []string
+	timeout time.Duration
+}
+
+// roleOutcome is what applying one step's effects came to.
+type roleOutcome struct {
+	refused bool     // the step refused its event: the error returned is the refusal
+	wrote   bool     // fxPut wrote rec (a stale Put is tolerated, and writes nothing)
+	sites   []uint32 // the sites shipped to, in the effects' order
+	acks    []error  // each one's answer
+}
+
+// applyRole is the monitor's one place for the role's effects: it carries
+// out fx, a step of id's role, in order, once the caller has let go of
+// k.mu. A refusal comes alone and is returned as it is. A store effect
+// that fails skips the store effects and retirements after it, and its
+// error is returned. The ships go out last, all at once, whatever the
+// store did.
+func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleOutcome, err error) {
+	ships := false
+	for _, e := range fx {
+		switch {
+		case e.kind == fxRefuse:
+			return roleOutcome{refused: true}, e.err
+		case e.ships():
+			ships = true
+		case err != nil:
+		case e.kind == fxPut:
+			if err = k.store.Put(io.rec); err == nil {
+				out.wrote = true
+			} else if errors.Is(err, store.ErrStale) {
+				err = nil
+			}
+		case e.kind == fxDelete:
+			err = k.store.Delete(id)
+		case e.kind == fxRetire:
+			retire(e.shadow, e.site)
+		}
+	}
+	if ships {
+		out.sites, out.acks = k.shipAll(fx, io.ship, io.partial, io.removed, io.timeout)
+	}
+	return out, err
+}
+
+// shipAll sends ship to the site of every ship effect in fx at once and
+// returns each one's answer, so that a silent site costs one timeout
+// however many there are.
+func (k *Kernel) shipAll(fx []roleEffect, ship msg.Ship, partial []byte, removed []string, timeout time.Duration) ([]uint32, []error) {
+	var sites []uint32
+	var wg sync.WaitGroup
+	acks := make([]error, len(fx))
+	for _, e := range fx {
+		if !e.ships() {
+			continue
+		}
+		i := len(sites)
+		sites = append(sites, e.site)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e.kind == fxShip {
+				acks[i] = k.shipCheckpoint(e.site, ship, partial, removed, e.base, timeout)
+			} else {
+				acks[i] = k.shipAndWait(e.site, ship, timeout)
+			}
+		}()
+	}
+	wg.Wait()
+	return sites, acks[:len(sites)]
+}
+
 // recordRole is judgeRecord's verdict on a record this node may hold.
 type recordRole uint8
 
@@ -373,29 +468,32 @@ const (
 	noRecord     recordRole = iota // nothing here to serve as the object
 	ownRecord                      // the home record: this node may reincarnate it
 	backupRecord                   // held as a checksite for another home
-	inDoubt                        // a move intent, or a failed boot scan, forbids serving it
+	inDoubt                        // a move intent, a claim, or a failed boot scan forbids serving it
 )
 
 // verdict is judgeRecord's answer: aboveFloor says a shadow may be made
-// of a backup; err is a failed boot scan's, a doubt with no intent.
+// of a backup; claim says the record must be claimed first; err is a
+// failed boot scan's, a doubt with no intent or claim.
 type verdict struct {
 	role       recordRole
 	aboveFloor bool
+	claim      bool
 	intent     *moveIntent
 	err        error
 }
 
 // judgeRecord decides whether id's record in this node's store is the
-// node's to serve — the one reader of the boot scan, the backup registry
-// and the intents for that. Resolving an intent is the caller's choice.
+// node's to serve — the one reader of the boot scan, the role table and
+// the intents for that, by the policy's judgeRole. Resolving an intent or
+// a claim is the caller's choice.
 func (k *Kernel) judgeRecord(id edenid.ID) verdict {
-	var v verdict
-	var floor uint64
+	var rs roleState
+	var held bool
 	k.mu.Lock()
 	scanErr := k.scanErr
 	mi := k.intents[id]
-	if b := k.backups[id]; b != nil {
-		v.role, floor = backupRecord, b.floor
+	if r := k.roles[id]; r != nil {
+		rs, held = r.roleState, true
 	}
 	k.mu.Unlock()
 	rec, here := k.store.Stat(id)
@@ -405,16 +503,14 @@ func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 		}
 		return k.judgeRecord(id)
 	}
-	switch {
-	case mi != nil:
-		return verdict{role: inDoubt, intent: mi}
-	case !here:
-		return verdict{role: noRecord, err: scanErr}
-	case v.role == backupRecord:
-		v.aboveFloor = rec.Version >= floor
-		return v
+	v := judgeRole(scanErr == nil, mi != nil, rs, held, here, rec)
+	switch v.role {
+	case inDoubt:
+		v.intent = mi
+	case noRecord:
+		v.err = scanErr
 	}
-	return verdict{role: ownRecord}
+	return v
 }
 
 // Node returns the node number.
@@ -492,14 +588,24 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	case ownRecord:
 		return true, isReplica // a passive object is homed where its checkpoint lives
 	case inDoubt:
-		// The destination may have installed the object: answer nothing
-		// until the intent resolves, off the locator's callback path.
-		if v.intent != nil {
+		switch {
+		case v.intent != nil:
+			// The destination may have installed the object: answer
+			// nothing until the intent resolves, off the locator's
+			// callback path.
 			k.settle(v.intent, time.Time{})
+		case v.claim && recover:
+			return k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)), isReplica
+		case v.claim:
+			go k.claim(id, time.Now().Add(k.cfg.DefaultTimeout))
 		}
 		return false, false
 	case backupRecord:
-		if recover && k.promote(id) {
+		// Failure recovery: claim the object, unless a checkpoint ship
+		// (or a boot: ship times are not persisted) within RecoverGrace
+		// says the home is likely alive and the "failure" a transient
+		// locate timeout — promoting would split the object.
+		if recover && k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)) {
 			return true, isReplica
 		}
 		// A backup above the invalidation floor is servable as a
@@ -509,31 +615,101 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	return false, isReplica
 }
 
-// promote claims a backed-up object for this node during failure
-// recovery, unless a checkpoint ship (or a boot: ship times are not
-// persisted) within RecoverGrace says the home is likely alive and the
-// "failure" a transient locate timeout: promoting would split the object.
-func (k *Kernel) promote(id edenid.ID) bool {
-	k.mu.Lock()
-	if b := k.backups[id]; b != nil && time.Since(b.lastShip) < k.cfg.RecoverGrace {
-		k.mu.Unlock()
+// claim claims id's record for this node (role.go) and reports whether
+// the node now serves the object as its home. It waits for the other
+// checksites' answers no longer than deadline. A claim already in flight,
+// or refused because the home shipped within RecoverGrace, is not waited
+// for.
+func (k *Kernel) claim(id edenid.ID, deadline time.Time) bool {
+	rec, err := k.store.Get(id)
+	if err != nil {
 		return false
 	}
-	sh := k.dropBackupLocked(id)
+	var buf [4]roleEffect
+	k.mu.Lock()
+	if _, live := k.active[id]; live || k.closed {
+		k.mu.Unlock()
+		return live
+	}
+	var prev claimPhase
+	fresh := false
+	if r := k.roles[id]; r != nil {
+		prev = r.phase
+		fresh = r.home != 0 && time.Since(r.lastShip) < k.cfg.RecoverGrace
+	}
+	s, fx := k.stepRoleLocked(id, roleEvent{kind: evClaim, fresh: fresh, policy: policyOf(rec.Policy), ex: rec.Ex}, buf[:0])
 	k.mu.Unlock()
-	retire(sh, k.cfg.Node)
-	return true
+	if prev == claimRunning || s.home != 0 && s.phase != claimRunning {
+		return false
+	}
+	if s.phase == claimRunning {
+		ship := msg.Ship{Purpose: msg.ShipCheckpoint, Claim: true, Object: id, TypeName: rec.TypeName,
+			Frozen: rec.Frozen, Version: rec.Version + 1, Epoch: normEpoch(rec.Epoch) + 1, Policy: rec.Policy, Rep: rec.Rep}
+		// The claim's only effects are its ships.
+		_, acks := k.shipAll(fx, ship, nil, nil, time.Until(deadline))
+		granted, superseded := true, false
+		for _, ack := range acks {
+			granted = granted && ack == nil
+			superseded = superseded || errors.Is(ack, ErrNoSuchObject)
+		}
+		k.mu.Lock()
+		s, fx = k.stepRoleLocked(id, roleEvent{kind: evClaimDone, granted: granted, superseded: superseded}, buf[:0])
+		k.mu.Unlock()
+	}
+	// The home record, one version and one epoch on: written only once
+	// every sibling holds it, and what makes this node the home across a
+	// restart.
+	rec.Version, rec.Epoch = rec.Version+1, normEpoch(rec.Epoch)+1
+	rec.Backup, rec.Home, rec.Policy = false, 0, s.durable()
+	if slices.ContainsFunc(fx, func(e roleEffect) bool { return e.kind == fxPut }) {
+		// Crash boundary: every sibling holds the claimant's record,
+		// and the claimant's own is still the one it claimed.
+		killpoint.Hit(killpoint.ClaimGranted)
+	}
+	out, err := k.applyRole(id, fx, &roleIO{rec: rec})
+	return err == nil && out.wrote
 }
 
-// dropBackupLocked ends this node's backup role for id and returns the
-// entry's shadow, for the caller to retire once it lets go of k.mu.
-func (k *Kernel) dropBackupLocked(id edenid.ID) *Object {
-	b := k.backups[id]
-	if b == nil {
-		return nil
+// shipLanes is the number of ship lanes; senders share them by node
+// number.
+const shipLanes = 8
+
+// shipLane is a queue of shipments served one at a time, in arrival
+// order, by a goroutine that runs while the queue holds any.
+type shipLane struct {
+	mu      sync.Mutex
+	queue   []msg.Envelope
+	running bool
+}
+
+// push queues env for serve, and starts the lane's goroutine if it is
+// idle.
+func (l *shipLane) push(env msg.Envelope, serve func(msg.Envelope)) {
+	l.mu.Lock()
+	l.queue = append(l.queue, env)
+	idle := !l.running
+	l.running = true
+	l.mu.Unlock()
+	if idle {
+		go l.drain(serve)
 	}
-	delete(k.backups, id)
-	return b.shadow
+}
+
+// drain serves the queue until it is empty.
+func (l *shipLane) drain(serve func(msg.Envelope)) {
+	for {
+		l.mu.Lock()
+		if len(l.queue) == 0 {
+			l.queue, l.running = nil, false
+			l.mu.Unlock()
+			return
+		}
+		env := l.queue[0]
+		l.queue[0] = msg.Envelope{}
+		l.queue = l.queue[1:]
+		l.mu.Unlock()
+		serve(env)
+	}
 }
 
 // send transmits one frame whose payload is in a pooled buffer, and
@@ -576,7 +752,15 @@ func (k *Kernel) handleFrame(env msg.Envelope) {
 	case msg.KindLocateRep:
 		k.loc.HandleReply(env)
 	case msg.KindShip:
-		go k.serveShip(env)
+		// Checkpoint ships, claims and destroys are served in the order
+		// their sender sent them, so that a destroy cannot overtake the
+		// ships before it (role.go), but not here: they wait on the
+		// store. A move, a probe or a replica needs no order.
+		if len(env.Payload) > 0 && (msg.ShipPurpose(env.Payload[0]) == msg.ShipCheckpoint || msg.ShipPurpose(env.Payload[0]) == msg.ShipDestroy) {
+			k.lanes[env.From%shipLanes].push(env, k.serveShip)
+		} else {
+			go k.serveShip(env)
+		}
 	case msg.KindInvalidate:
 		k.handleInvalidate(env)
 	case msg.KindHello:
@@ -609,6 +793,12 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	if err != nil {
 		return capability.Capability{}, err
 	}
+	var policy checksitePolicy
+	if opts != nil && opts.Checksite != nil {
+		if policy, err = newPolicy(opts.Checksite.Level, opts.Checksite.Sites); err != nil {
+			return capability.Capability{}, err
+		}
+	}
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
@@ -624,14 +814,14 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 			return capability.Capability{}, fmt.Errorf("kernel: init of %q: %w", typeName, err)
 		}
 	}
-	if opts != nil && opts.Checksite != nil {
+	if policy.level != RelLocal {
 		k.mu.Lock()
-		k.sites[id] = &siteState{policy: checksitePolicy{level: opts.Checksite.Level, sites: append([]uint32(nil), opts.Checksite.Sites...)}}
+		k.stepRoleLocked(id, roleEvent{kind: evPolicy, policy: policy}, nil)
 		k.mu.Unlock()
 	}
 	if err := k.install(obj); err != nil {
 		k.mu.Lock()
-		delete(k.sites, id)
+		delete(k.roles, id)
 		k.mu.Unlock()
 		return capability.Capability{}, err
 	}
@@ -678,11 +868,10 @@ func (k *Kernel) install(obj *Object) error {
 	obj.lastInvoked = k.tick.Add(1)
 	k.chargeLocked(obj, size)
 	k.tel.activeObjects.Add(1)
-	// An object homed here forwards nowhere and is nobody's backup here.
+	// An object homed here forwards nowhere. Its role here is the home's
+	// already: a move, a claim or a Create made it so (role.go).
 	delete(k.forwards, obj.id)
-	sh := k.dropBackupLocked(obj.id)
 	k.mu.Unlock()
-	retire(sh, k.cfg.Node)
 	return nil
 }
 
@@ -798,9 +987,9 @@ func (k *Kernel) Close() error {
 	for _, o := range k.replicas {
 		objs = append(objs, o)
 	}
-	for _, b := range k.backups {
-		if b.shadow != nil {
-			objs = append(objs, b.shadow)
+	for _, r := range k.roles {
+		if r.shadow != nil {
+			objs = append(objs, r.shadow)
 		}
 	}
 	k.active = make(map[edenid.ID]*Object)
@@ -861,8 +1050,9 @@ func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	k.mu.Lock()
 	obj, active := k.active[id]
 	fwd, hasFwd := k.forwards[id]
-	b, backup := k.backups[id]
-	replica := k.replicas[id] != nil || backup && b.shadow != nil
+	r := k.roles[id]
+	backup := r != nil && r.home != 0
+	replica := k.replicas[id] != nil || backup && r.shadow != nil
 	it, intent := k.intents[id]
 	if !intent {
 		it = &moveIntent{}

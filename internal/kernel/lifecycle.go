@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"eden/internal/edenid"
@@ -21,9 +20,10 @@ import (
 
 // activate reincarnates a passive object from this node's store if the
 // record there is its own (judgeRecord). A backup is refused — recovery
-// promotes it first — and a move in doubt is resolved first, for no
-// longer than DefaultTimeout and outside activationMu, so that a probe
-// stalls no other reincarnation on the node.
+// promotes it first — and a move in doubt, or a claim to make, is
+// resolved first, for no longer than DefaultTimeout and outside
+// activationMu, so that a probe stalls no other reincarnation on the
+// node.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	v := k.judgeRecord(id)
 	if v.err != nil {
@@ -35,6 +35,12 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	case backupRecord:
 		return nil, fmt.Errorf("%w: %v is a checksite backup (home may be alive)", ErrNoCheckpoint, id)
 	case inDoubt:
+		if v.claim {
+			if !k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)) {
+				return nil, fmt.Errorf("%w: the claim of %v is in doubt", ErrNoCheckpoint, id)
+			}
+			return k.activate(id)
+		}
 		switch outcome, err := k.settle(v.intent, time.Now().Add(k.cfg.DefaultTimeout)); outcome {
 		case moveRolledForward:
 			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
@@ -107,7 +113,7 @@ func (k *Kernel) reincarnate(id edenid.ID) (*Object, error) {
 // representation atomically with respect to Update, so any moment
 // between handler mutations is consistent.
 func (o *Object) Checkpoint() error {
-	policy := o.k.checksite(o.id)
+	remote := o.k.roleOf(o.id).policy.hasRemote(o.k.cfg.Node)
 	o.mu.Lock()
 	if o.replica {
 		o.mu.Unlock()
@@ -124,7 +130,7 @@ func (o *Object) Checkpoint() error {
 	frozen := o.frozen
 	var partial []byte
 	var removed []string
-	if policy.hasRemote(o.k.cfg.Node) {
+	if remote {
 		var changed []string
 		changed, removed = o.rep.Dirty()
 		partial = o.rep.EncodePartial(changed, nil)
@@ -135,7 +141,7 @@ func (o *Object) Checkpoint() error {
 	// durable — a kill here must recover to the previous checkpoint.
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
-	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, policy, encoded, partial, removed)
+	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
 	if err != nil {
 		return err
 	}
@@ -167,33 +173,42 @@ func decodeWhole(r *segment.Representation, src []byte) error {
 }
 
 // SetChecksite selects "which node is responsible for maintaining its
-// long-term storage, and what level of reliability is required".
+// long-term storage, and what level of reliability is required". The
+// policy is written with the next checkpoint; a site it drops stays an
+// ex-checksite, which Destroy reaches.
 func (o *Object) SetChecksite(level Reliability, sites ...uint32) error {
-	if (level == RelRemote || level == RelReplicated) && len(sites) == 0 {
-		return fmt.Errorf("kernel: reliability %v needs at least one remote site", level)
+	policy, err := newPolicy(level, sites)
+	if err != nil {
+		return err
 	}
-	policy := checksitePolicy{level: level, sites: append([]uint32(nil), sites...)}
 	k := o.k
 	k.mu.Lock()
-	if s := k.sites[o.id]; s != nil {
-		s.policy = policy // the acked versions stay: Destroy must reach those sites
-	} else {
-		k.sites[o.id] = &siteState{policy: policy}
-	}
+	k.stepRoleLocked(o.id, roleEvent{kind: evPolicy, policy: policy}, nil)
 	k.mu.Unlock()
 	return nil
 }
 
-// checksite snapshots an object's checkpoint policy; RelLocal when none
-// was set. The sites slice is never mutated in place, so the snapshot
-// may be read after the lock is dropped.
-func (k *Kernel) checksite(id edenid.ID) checksitePolicy {
+// newPolicy checks a checksite policy a caller chose, and copies it.
+func newPolicy(level Reliability, sites []uint32) (checksitePolicy, error) {
+	if (level == RelRemote || level == RelReplicated) && len(sites) == 0 {
+		return checksitePolicy{}, fmt.Errorf("kernel: reliability %v needs at least one remote site", level)
+	}
+	if len(sites) > store.MaxSites {
+		return checksitePolicy{}, fmt.Errorf("kernel: %d checksites, more than a record holds (%d)", len(sites), store.MaxSites)
+	}
+	return checksitePolicy{level: level, sites: slices.Clone(sites)}, nil
+}
+
+// roleOf snapshots an object's role; the zero state (RelLocal, no
+// backup) when it has none. Its slices are never written in place, so
+// the snapshot may be read after the lock is dropped.
+func (k *Kernel) roleOf(id edenid.ID) roleState {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if s := k.sites[id]; s != nil {
-		return s.policy
+	if r := k.roles[id]; r != nil {
+		return r.roleState
 	}
-	return checksitePolicy{} // RelLocal
+	return roleState{}
 }
 
 // hasRemote reports whether the policy names a checksite other than
@@ -210,90 +225,68 @@ func (p checksitePolicy) hasRemote(self uint32) bool {
 	return false
 }
 
-// writeCheckpoint persists one checkpoint per the policy snapshot its
-// caller took. "Different reliability levels may cause different
-// actions when a checkpoint is issued." Remote checksites holding the
-// immediately preceding version receive only the changed segments (an
-// incremental checkpoint, partial and removed); anything else — a
-// lagging or fresh site, or a site that rejects the delta — receives the
-// full representation. local reports that this node's store now holds
+// writeCheckpoint persists one checkpoint where the object's role says
+// (roleStep), and the policy and the ex-checksites go with it, in the
+// record and in every ship. "Different reliability levels may cause
+// different actions when a checkpoint is issued." Remote checksites
+// holding the immediately preceding version receive only the changed
+// segments (an incremental checkpoint, partial and removed, when the
+// caller encoded them); anything else — a lagging or fresh site, or a
+// site that rejects the delta — receives the full representation. local
+// reports that this node's store now holds
 // exactly this version as the home record (a stale Put is tolerated but
 // leaves something else there).
-func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, policy checksitePolicy, encoded, partial []byte, removed []string) (local bool, err error) {
-	rec := store.Record{Object: id, TypeName: typeName, Version: ver, Epoch: epoch, Frozen: frozen, Rep: encoded}
-	full := msg.Ship{Purpose: msg.ShipCheckpoint, Object: id, TypeName: typeName, Frozen: frozen, Version: ver, Epoch: epoch, Rep: encoded}
-
-	var firstErr error
-	writeLocal := policy.level == RelLocal || policy.level == RelReplicated
-	var remote []uint32
-	if policy.level == RelRemote || policy.level == RelReplicated {
-		for _, site := range policy.sites {
-			if site == k.cfg.Node {
-				writeLocal = true // this node named as its own checksite
-			} else {
-				remote = append(remote, site)
-			}
-		}
-	}
-	if writeLocal {
-		switch perr := k.store.Put(rec); {
-		case perr == nil:
-			local = true
-		case !errors.Is(perr, store.ErrStale):
-			firstErr = perr
-		}
-	}
+func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded, partial []byte, removed []string) (local bool, err error) {
+	var buf [4]roleEffect
+	k.mu.Lock()
+	role, fx := k.stepRoleLocked(id, roleEvent{kind: evCheckpoint, version: ver}, buf[:0])
+	k.mu.Unlock()
+	policy := role.durable()
+	out, err := k.applyRole(id, fx, &roleIO{
+		rec:     store.Record{Object: id, TypeName: typeName, Version: ver, Epoch: epoch, Frozen: frozen, Policy: policy, Rep: encoded},
+		ship:    msg.Ship{Purpose: msg.ShipCheckpoint, Object: id, TypeName: typeName, Frozen: frozen, Version: ver, Epoch: epoch, Policy: policy, Rep: encoded},
+		partial: partial, removed: removed, timeout: k.cfg.DefaultTimeout})
 	var acked []uint32
-	for _, site := range remote {
-		if err := k.shipCheckpoint(site, full, partial, removed, ver); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kernel: checkpoint to site %d: %w", site, err)
-			}
-			continue
+	for i, ack := range out.acks {
+		if ack == nil {
+			acked = append(acked, out.sites[i])
+		} else if err == nil {
+			err = fmt.Errorf("kernel: checkpoint to site %d: %w", out.sites[i], ack)
 		}
-		acked = append(acked, site)
 	}
 	// Every acked site already raised its serving floor to ver when
 	// it acknowledged the ship; the broadcast retires shadows on
-	// lagging and ex-checksites and steers stale-tolerant readers
-	// at the sites that can serve this version. Local-only policies
-	// never broadcast — no remote site serves them.
+	// non-acked checksites and tells every node's locator which sites
+	// now hold ver.
 	if len(acked) > 0 {
 		k.broadcastInvalidate(id, ver, false, k.cfg.Node, acked)
 	}
-	return local, firstErr
+	return out.wrote, err
 }
 
-// shipCheckpoint delivers one checkpoint to a remote site, preferring
-// an incremental shipment when the site holds the immediately
-// preceding version, with transparent fallback to the full
-// representation.
-func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, removed []string, ver uint64) error {
-	var base uint64
-	k.mu.Lock()
-	if s := k.sites[full.Object]; s != nil {
-		base = s.acked[site]
-	}
-	k.mu.Unlock()
-
-	if base > 0 && base == ver-1 {
+// shipCheckpoint delivers one checkpoint to a remote site: incremental
+// from base when the policy found the site holding the immediately
+// preceding version and the delta was encoded, with transparent
+// fallback to the full representation.
+func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, removed []string, base uint64, timeout time.Duration) error {
+	if base > 0 && partial != nil {
 		inc := full
 		inc.Partial = true
 		inc.Base = base
 		inc.Removed = removed
 		inc.Rep = partial
-		if err := k.shipAndWait(site, inc, k.cfg.DefaultTimeout); err == nil {
-			k.recordShipped(full.Object, site, ver)
+		if err := k.shipAndWait(site, inc, timeout); err == nil {
+			k.recordShipped(full.Object, site, full.Version)
 			k.stCkptIncr.Add(1)
 			return nil
 		}
-		// Any failure (base mismatch at the receiver, timeout, media
-		// error) falls back to a full shipment.
+		// The site lacks or rejected the base: fall back to a full
+		// checkpoint.
 	}
-	if err := k.shipAndWait(site, full, k.cfg.DefaultTimeout); err != nil {
+	if err := k.shipAndWait(site, full, timeout); err != nil {
 		return err
 	}
-	k.recordShipped(full.Object, site, ver)
+	k.recordShipped(full.Object, site, full.Version)
 	return nil
 }
 
@@ -301,11 +294,8 @@ func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, remo
 // the object is still on this node's books.
 func (k *Kernel) recordShipped(id edenid.ID, site uint32, ver uint64) {
 	k.mu.Lock()
-	if s := k.sites[id]; s != nil {
-		if s.acked == nil {
-			s.acked = make(map[uint32]uint64)
-		}
-		s.acked[site] = ver
+	if k.roles[id] != nil {
+		k.stepRoleLocked(id, roleEvent{kind: evAcked, from: site, version: ver}, nil)
 	}
 	k.mu.Unlock()
 }
@@ -393,50 +383,28 @@ func (o *Object) passivateClaimed() error {
 }
 
 // Destroy crashes the object and deletes its long-term state, here and
-// at every remote site that may hold a backup of it: the current
-// checksites and any ex-checksite that acknowledged a checkpoint — a
-// backup left behind would be promoted by failure recovery and bring
-// the object back. The deletions go out in parallel, so a silent site
-// costs one DefaultTimeout however many there are. Outstanding
-// capabilities dangle and report ErrNoSuchObject. A site that does not
-// acknowledge the deletion is named in the error.
+// at every remote site that may hold a record of it: the current
+// checksites and every ex-checksite (role.go) — a record left behind
+// would be promoted by failure recovery and bring the object back. The
+// deletions go out in parallel, so a silent site costs one
+// DefaultTimeout however many there are. Outstanding capabilities
+// dangle and report ErrNoSuchObject. A site that does not acknowledge
+// the deletion is named in the error.
 func (o *Object) Destroy() error {
 	o.k.removeActive(o)
 	o.destroyActiveState(0)
 	k := o.k
 	k.mu.Lock()
-	var sites []uint32
-	if s := k.sites[o.id]; s != nil {
-		if s.policy.level == RelRemote || s.policy.level == RelReplicated {
-			sites = append(sites, s.policy.sites...)
-		}
-		for site := range s.acked {
-			sites = append(sites, site)
-		}
-	}
-	delete(k.sites, o.id)
+	_, fx := k.stepRoleLocked(o.id, roleEvent{kind: evDestroy}, nil)
 	delete(k.forwards, o.id)
 	k.mu.Unlock()
 	k.loc.Forget(o.id)
-	err := k.store.Delete(o.id)
-	slices.Sort(sites)
-	sites = slices.Compact(sites)
-	sites = slices.DeleteFunc(sites, func(site uint32) bool { return site == k.cfg.Node })
-	ship := msg.Ship{Purpose: msg.ShipDestroy, Object: o.id}
-	acks := make([]error, len(sites))
-	var wg sync.WaitGroup
-	for i, site := range sites {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			acks[i] = k.shipAndWait(site, ship, k.cfg.DefaultTimeout)
-		}()
-	}
-	wg.Wait()
+	out, err := k.applyRole(o.id, fx, &roleIO{ship: msg.Ship{Purpose: msg.ShipDestroy, Object: o.id, Epoch: o.epoch},
+		timeout: k.cfg.DefaultTimeout})
 	var missed []uint32
-	for i, ack := range acks {
+	for i, ack := range out.acks {
 		if ack != nil {
-			missed = append(missed, sites[i])
+			missed = append(missed, out.sites[i])
 		}
 	}
 	if len(missed) > 0 && err == nil {
@@ -454,8 +422,8 @@ func (k *Kernel) removeActive(o *Object) {
 		k.unchargeLocked(o)
 	} else if k.replicas[o.id] == o {
 		delete(k.replicas, o.id)
-	} else if b := k.backups[o.id]; b != nil && b.shadow == o {
-		b.shadow = nil
+	} else if r := k.roles[o.id]; r != nil && r.shadow == o {
+		r.shadow = nil
 	}
 	k.mu.Unlock()
 }
@@ -594,7 +562,11 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	// deletion). A crash at any boundary leaves recovery a deterministic
 	// verdict — see movetxn.go's decision table.
 	newEpoch := o.epoch + 1
-	ship := msg.Ship{Purpose: msg.ShipMove, Object: o.id, TypeName: o.table.tm.Name, Frozen: frozen, Version: ver, Epoch: newEpoch, Rep: encoded}
+	// The checksite policy travels with the object: the new home
+	// checkpoints where this one did, and its Destroy reaches them.
+	role := k.roleOf(o.id)
+	ship := msg.Ship{Purpose: msg.ShipMove, Object: o.id, TypeName: o.table.tm.Name, Frozen: frozen, Version: ver, Epoch: newEpoch,
+		Policy: role.durable(), Rep: encoded}
 	// Crash boundary: the object is quiesced and encoded but nothing
 	// about the move is durable — a kill here must reincarnate it at
 	// this home, as if the move was never attempted.
@@ -663,9 +635,10 @@ func (k *Kernel) serveShip(env msg.Envelope) {
 	if err != nil {
 		ack = msg.InvokeRep{Status: msg.StatusError, Data: []byte(err.Error())}
 	} else if err := k.acceptShip(env.From, ship); err != nil {
-		if errors.Is(err, errProbeNotInstalled) {
-			// A definite "not here" answer to a move-recovery probe; the
-			// prober distinguishes it from transport failure.
+		if errors.Is(err, errProbeNotInstalled) || errors.Is(err, errSuperseded) {
+			// A definite "not here" answer to a move-recovery probe, or
+			// "not yours" to a claim; the sender distinguishes it from
+			// transport failure.
 			ack = msg.InvokeRep{Status: msg.StatusNoSuchObject}
 		} else {
 			ack = msg.InvokeRep{Status: msg.StatusError, Data: []byte(err.Error())}
@@ -685,7 +658,8 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 	switch ship.Purpose {
 	case msg.ShipCheckpoint:
 		// We are acting as a remote checksite: hold the record as a
-		// backup, to be served only during failure recovery.
+		// backup, to be served only during failure recovery — or, for a
+		// claim, grant the sender the object (role.go).
 		repBytes := ship.Rep
 		if ship.Partial {
 			// Incremental: merge the delta onto the base version we
@@ -708,40 +682,45 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			base.Merge(&delta, ship.Removed)
 			repBytes = base.Encode(nil)
 		}
-		rec := store.Record{Object: ship.Object, TypeName: ship.TypeName, Version: ship.Version,
-			Epoch: ship.Epoch, Frozen: ship.Frozen, Backup: true, Home: from, Rep: repBytes}
-		if err := k.store.Put(rec); err != nil && !errors.Is(err, store.ErrStale) {
-			return err
-		}
-		var old *Object
+		m, here := k.store.Stat(ship.Object)
+		own := k.judgeRecord(ship.Object).role == ownRecord
+		var buf [4]roleEffect
 		k.mu.Lock()
-		if _, isHome := k.active[ship.Object]; !isHome {
-			b := k.backups[ship.Object]
-			if b == nil {
-				b = &backup{}
-				k.backups[ship.Object] = b
-			}
-			b.home = from
+		cur, live := k.active[ship.Object]
+		var prev *role
+		if r := k.roles[ship.Object]; r != nil {
+			saved := *r
+			prev = &saved
+		}
+		ev := roleEvent{kind: evShip, from: from, version: ship.Version, epoch: normEpoch(ship.Epoch),
+			policy: policyOf(ship.Policy), ex: ship.Ex, claim: ship.Claim, serving: live || own, record: here, rec: m,
+			fresh: prev != nil && prev.home != 0 && time.Since(prev.lastShip) < k.cfg.RecoverGrace}
+		if live {
+			ev.rec.Epoch = cur.epoch
+		}
+		s, fx := k.stepRoleLocked(ship.Object, ev, buf[:0])
+		if r := k.roles[ship.Object]; r != nil && r.home == from && !slices.ContainsFunc(fx, roleEffect.refuses) {
 			// The ship is also a home heartbeat: it fences recovery
-			// promotion for Config.RecoverGrace (see promote).
-			b.lastShip = time.Now()
-			// The ack we are about to send is the durability anchor of
-			// the staleness bound: once the home sees it, the writer's
-			// invocation may reply, and no read here may then serve an
-			// older version. Raising the floor before the ack (and
-			// before any reader can observe the new version) keeps that
-			// ordering; a floor disabled by a move re-enables, since the
-			// shipper has proven itself this object's live home.
-			if b.floor == floorDisabled || b.floor < ship.Version {
-				b.floor = ship.Version
-			}
-			if sh := b.shadow; sh != nil && sh.version < ship.Version {
-				old, b.shadow = sh, nil
-			}
+			// claims for Config.RecoverGrace.
+			r.lastShip = time.Now()
 		}
 		k.mu.Unlock()
-		retire(old, from)
-		return nil
+		out, err := k.applyRole(ship.Object, fx, &roleIO{rec: store.Record{Object: ship.Object, TypeName: ship.TypeName,
+			Version: ship.Version, Epoch: ship.Epoch, Frozen: ship.Frozen, Backup: true, Home: from, Policy: ship.Policy, Rep: repBytes}})
+		if err != nil && !out.refused {
+			// The record did not reach the store: no ack, and the step is
+			// undone, unless a later event has changed the entry since.
+			k.mu.Lock()
+			if r := k.roles[ship.Object]; r != nil && r.roleState.same(s) {
+				if prev != nil {
+					*r = *prev
+				} else {
+					delete(k.roles, ship.Object)
+				}
+			}
+			k.mu.Unlock()
+		}
+		return err
 
 	case msg.ShipReplica:
 		tt, err := k.types.table(ship.TypeName)
@@ -774,9 +753,6 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		// history; refuse it instead.
 		k.mu.Lock()
 		cur, live := k.active[ship.Object]
-		if !live {
-			delete(k.sites, ship.Object) // stale acked versions: see commitMove
-		}
 		k.mu.Unlock()
 		if live && cur.epoch >= newEpoch {
 			return fmt.Errorf("kernel: stale move of %v at epoch %d, already hosting epoch %d",
@@ -804,38 +780,40 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err := k.install(obj); err != nil {
 			return err
 		}
+		// The object's role here is now the home's, with the policy it
+		// brought; a backup held here for the old home ends.
+		m, _ := k.store.Stat(ship.Object)
+		var buf [4]roleEffect
+		k.mu.Lock()
+		_, fx := k.stepRoleLocked(ship.Object, roleEvent{kind: evMoveIn, version: ship.Version, record: m.Version > 0, rec: m,
+			policy: policyOf(ship.Policy), ex: ship.Ex}, buf[:0])
+		k.mu.Unlock()
 		// Checkpoint durability travels with the object: the old home
 		// deletes its record (it is no longer this object's home), so
 		// an object that has ever checkpointed re-establishes a record
 		// here — otherwise a post-move crash would lose state the
 		// checkpoint promised to preserve. An object that never
 		// checkpointed stays volatile, as before.
-		if ship.Version > 0 {
-			rec := store.Record{Object: ship.Object, TypeName: ship.TypeName,
-				Version: ship.Version, Epoch: newEpoch, Frozen: ship.Frozen, Rep: ship.Rep}
-			if err := k.store.Put(rec); err != nil && !errors.Is(err, store.ErrStale) {
-				return fmt.Errorf("kernel: move checkpoint handoff: %w", err)
-			}
+		if _, err := k.applyRole(ship.Object, fx, &roleIO{rec: store.Record{Object: ship.Object, TypeName: ship.TypeName,
+			Version: ship.Version, Epoch: newEpoch, Frozen: ship.Frozen, Policy: ship.Policy, Rep: ship.Rep}}); err != nil {
+			return fmt.Errorf("kernel: move checkpoint handoff: %w", err)
 		}
 		return nil
 
 	case msg.ShipDestroy:
-		// The home destroyed the object: drop the backup held for it. Only
-		// the home a backup names may destroy it; a record this node is
-		// home for, or holds for another node, is not the sender's.
-		if rec, ok := k.store.Stat(ship.Object); ok {
-			if !rec.Backup || rec.Home != from {
-				return fmt.Errorf("kernel: %v is not a backup held for node %d", ship.Object, from)
-			}
-			if err := k.store.Delete(ship.Object); err != nil {
-				return err
-			}
-		}
+		// The home destroyed the object: drop the record held for it.
+		m, here := k.store.Stat(ship.Object)
+		var buf [4]roleEffect
 		k.mu.Lock()
-		shadow := k.dropBackupLocked(ship.Object)
+		_, live := k.active[ship.Object]
+		_, fx := k.stepRoleLocked(ship.Object, roleEvent{kind: evDestroyShip, from: from, epoch: normEpoch(ship.Epoch),
+			serving: live, record: here, rec: m}, buf[:0])
 		k.mu.Unlock()
-		retire(shadow, 0)
-		return nil
+		out, err := k.applyRole(ship.Object, fx, nil)
+		if out.refused {
+			return fmt.Errorf("%w: %v, for node %d", err, ship.Object, from)
+		}
+		return err
 
 	case msg.ShipMoveProbe:
 		// Move recovery asking: does this node host the object at (or

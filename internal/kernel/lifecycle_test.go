@@ -222,7 +222,7 @@ func TestReplicatedChecksite(t *testing.T) {
 			t.Errorf("replicated checkpoint missing at node %d: %v", n, err)
 		}
 	}
-	if p := s.ks[1].checksite(obj.id); p.level != RelReplicated || len(p.sites) != 2 {
+	if p := s.ks[1].roleOf(obj.id).policy; p.level != RelReplicated || len(p.sites) != 2 {
 		t.Errorf("checksite = %v %v", p.level, p.sites)
 	}
 }
@@ -535,10 +535,23 @@ func TestDestroyReachesExChecksites(t *testing.T) {
 	}
 }
 
-// held names the kernel's per-object maps that hold any entry.
+// held names the kernel's per-object maps that hold any entry; the role
+// table's entries are named by what they hold: a home's policy, a
+// backup, a shadow.
 func held(k *Kernel) string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	var policies, backups, shadows int
+	for _, r := range k.roles {
+		if r.home == 0 {
+			policies++
+		} else {
+			backups++
+		}
+		if r.shadow != nil {
+			shadows++
+		}
+	}
 	var names []string
 	for _, m := range []struct {
 		name string
@@ -547,8 +560,9 @@ func held(k *Kernel) string {
 		{"active", len(k.active)},
 		{"replicas", len(k.replicas)},
 		{"forwards", len(k.forwards)},
-		{"sites", len(k.sites)},
-		{"backups", len(k.backups)},
+		{"policy", policies},
+		{"backup", backups},
+		{"shadow", shadows},
 		{"intents", len(k.intents)},
 	} {
 		if m.n > 0 {
@@ -561,7 +575,8 @@ func held(k *Kernel) string {
 // TestLeavingTheBooksLeavesNothingBehind: every way an object leaves a
 // node's books — or one of its roles there — deletes all it held: a
 // forwarding pointer stays after a move, nothing after a destroy, and a
-// checksite that becomes the home keeps only the incarnation. Each row
+// checksite that becomes the home keeps only the incarnation and the
+// policy, which travels with the object. Each row
 // runs on a system of its own, so every entry a node holds is the
 // object's.
 func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
@@ -633,9 +648,12 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 			run: func(t *testing.T) *sys {
 				s, cap := shadowed(t)
 				move(t, s.ks[1], cap, 3)
+				eventually(t, func() bool { return held(s.ks[2]) == "backup" }, "the move's invalidation to retire node 2's shadow")
 				return s
 			},
-			want: map[uint32]string{1: "forwards", 3: "active"},
+			// The policy moved with the object: node 2 stays its checksite,
+			// its shadow retired by the move.
+			want: map[uint32]string{1: "forwards", 2: "backup", 3: "active policy"},
 		},
 		{
 			name: "a roll-forward by recovery",
@@ -663,7 +681,7 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 				move(t, s.ks[1], cap, 2)
 				return s
 			},
-			want: map[uint32]string{1: "forwards", 2: "active"},
+			want: map[uint32]string{1: "forwards", 2: "active policy"},
 		},
 		{
 			name: "promotion followed by activation",
@@ -675,7 +693,7 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 				}
 				return s
 			},
-			want: map[uint32]string{2: "active"},
+			want: map[uint32]string{2: "active policy"},
 		},
 		{
 			name: "a Create whose install fails",

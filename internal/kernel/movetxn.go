@@ -195,16 +195,17 @@ func (k *Kernel) resolveIntent(mi *moveIntent) (moveOutcome, error) {
 }
 
 // commitMove is the source half of a move's commit: o is the leaving
-// incarnation, nil when recovery rolls a move forward. The acked versions
-// go with the policy: kept as incremental bases for a return, they would
-// omit changes — deletions too — made at other homes.
+// incarnation, nil when recovery rolls a move forward. The policy went
+// with the ship; the acked versions end here: kept as incremental bases
+// for a return, they would omit changes — deletions too — made at other
+// homes.
 func (k *Kernel) commitMove(id edenid.ID, o *Object, to uint32, ver uint64) {
 	k.mu.Lock()
 	if o != nil {
 		k.unchargeLocked(o)
 	}
 	k.forwards[id] = to
-	delete(k.sites, id)
+	k.stepRoleLocked(id, roleEvent{kind: evMoveOut}, nil)
 	delete(k.intents, id)
 	k.mu.Unlock()
 	// The stale local checkpoint would otherwise make this node claim to

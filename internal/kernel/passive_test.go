@@ -337,7 +337,7 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 					r.t.Fatal(err)
 				}
 				r.k.mu.Lock()
-				r.k.backups[id] = &backup{home: 7}
+				r.k.stepRoleLocked(id, bootEvent(ship.Meta()), nil)
 				r.k.mu.Unlock()
 				if home, _ := r.k.hostCheck(id, true); !home {
 					r.t.Fatal("recovery did not promote the backup")
@@ -348,21 +348,23 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 				}
 				return obj
 			},
-			puts: 1,
+			// The claim wrote the home record, one version on, before the
+			// incarnation was made: it is clean.
+			puts: 0,
 			after: func(r *rig, id edenid.ID, before, rec store.Record) {
-				if rec.Backup || rec.Version != 4 {
-					r.t.Errorf("record backup=%v v%d, want a home record at v4", rec.Backup, rec.Version)
+				if rec.Backup || rec.Version != 4 || rec.Epoch != 2 {
+					r.t.Errorf("record backup=%v v%d e%d, want a home record at v4 e2", rec.Backup, rec.Version, rec.Epoch)
 				}
 				if got := counter(r, id); got != 5 {
 					r.t.Errorf("next incarnation sees %d, want 5", got)
 				}
-				// A restart rebuilds k.backups from the records' markers.
+				// A restart rebuilds k.roles from the records' markers.
 				mesh := transport.NewMesh(7)
 				defer mesh.Close()
 				ep, _ := mesh.Attach(1)
 				k2 := New(DefaultConfig(1, "restarted"), ep, r.k.types, r.mem)
 				defer k2.Close()
-				if _, isBackup := k2.backups[id]; isBackup {
+				if role := k2.roles[id]; role != nil && role.home != 0 {
 					r.t.Error("restart took the promoted object's record for a backup")
 				}
 			},

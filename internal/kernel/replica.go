@@ -46,13 +46,14 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	var floor uint64
 	var cached *Object
 	k.mu.Lock()
-	b := k.backups[id]
-	if b != nil {
-		floor, cached = b.floor, b.shadow
+	r := k.roles[id]
+	backup := r != nil && r.home != 0
+	if backup {
+		floor, cached = r.floor, r.shadow
 	}
 	k.mu.Unlock()
 	switch {
-	case b == nil:
+	case !backup:
 		k.tel.replicaMiss.Inc()
 		return nil
 	case floor == floorDisabled:
@@ -99,21 +100,20 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	}
 	// Re-validate under the lock: an invalidation, a fresher ship or the
 	// end of the backup role may have raced the reincarnation.
-	if b = k.backups[id]; b == nil || b.floor == floorDisabled || rec.Version < b.floor {
-		k.mu.Unlock()
+	if r := k.roles[id]; r != nil {
+		obj.home = r.home // before the shadow is published
+	}
+	var buf [2]roleEffect
+	s, fx := k.stepRoleLocked(id, roleEvent{kind: evShadow, shadow: obj}, buf[:0])
+	k.mu.Unlock()
+	if out, _ := k.applyRole(id, fx, nil); out.refused {
 		k.tel.replicaStale.Inc()
 		return nil
 	}
-	old := b.shadow
-	if old != nil && old.version >= rec.Version {
-		k.mu.Unlock()
-		return old // lost a benign race; serve the winner
+	if s.shadow == obj {
+		k.stReplicas.Add(1)
 	}
-	obj.home, b.shadow = b.home, obj
-	k.mu.Unlock()
-	retire(old, obj.home)
-	k.stReplicas.Add(1)
-	return obj
+	return s.shadow // the winner of a benign race, if this one lost it
 }
 
 // ReplicaStatus describes this node's serving state for one object it
@@ -141,17 +141,20 @@ type ReplicaStatus struct {
 func (k *Kernel) Replicas() []ReplicaStatus {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]ReplicaStatus, 0, len(k.backups))
-	for id, b := range k.backups {
-		st := ReplicaStatus{Object: id, Home: b.home}
-		if b.floor == floorDisabled {
+	out := make([]ReplicaStatus, 0, len(k.roles))
+	for id, r := range k.roles {
+		if r.home == 0 {
+			continue // homed here
+		}
+		st := ReplicaStatus{Object: id, Home: r.home}
+		if r.floor == floorDisabled {
 			st.Disabled = true
 		} else {
-			st.Floor = b.floor
+			st.Floor = r.floor
 		}
-		if b.shadow != nil {
+		if r.shadow != nil {
 			st.Shadow = true
-			st.Version = b.shadow.version
+			st.Version = r.shadow.version
 		}
 		out = append(out, st)
 	}
@@ -169,28 +172,14 @@ func (k *Kernel) handleInvalidate(env msg.Envelope) {
 	}
 	k.tel.replicaInvalidate.Inc()
 	id := iv.Object
-	var old *Object
+	var buf [2]roleEffect
 	k.mu.Lock()
-	if b := k.backups[id]; b != nil {
-		switch {
-		case iv.Move:
-			// The new home does not ship checkpoints to the old home's
-			// checksites, so this record only grows staler; refuse to
-			// serve until a checkpoint from the new home arrives.
-			b.floor = floorDisabled
-			old, b.shadow = b.shadow, nil
-		case b.floor == floorDisabled || b.floor < iv.Version:
-			b.floor = iv.Version
-		}
-		if sh := b.shadow; sh != nil && sh.version < iv.Version {
-			old, b.shadow = sh, nil
-		}
-	}
+	_, fx := k.stepRoleLocked(id, roleEvent{kind: evInvalidate, from: iv.Home, version: iv.Version, move: iv.Move}, buf[:0])
 	k.mu.Unlock()
 	// Queued and racing calls bounce to the home rather than reporting a
 	// crash; the next stale-tolerant read reincarnates a fresh shadow
 	// from the new record.
-	retire(old, iv.Home)
+	k.applyRole(id, fx, nil)
 	if iv.Move {
 		k.loc.Forget(id)
 		k.loc.Learn(id, iv.Home, false)

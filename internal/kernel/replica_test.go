@@ -379,7 +379,8 @@ func TestRecoverGraceFencesPromotion(t *testing.T) {
 		t.Error("refused promotion should still advertise the replica")
 	}
 	s.ks[2].mu.Lock()
-	_, stillBackup := s.ks[2].backups[cap.ID()]
+	r := s.ks[2].roles[cap.ID()]
+	stillBackup := r != nil && r.home != 0
 	s.ks[2].mu.Unlock()
 	if !stillBackup {
 		t.Fatal("refused promotion deleted the backup registration")

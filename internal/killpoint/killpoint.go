@@ -72,6 +72,10 @@ const (
 	// ReincarnatePreInstall fires after a checkpoint has been read and
 	// decoded but before the reincarnated object is installed.
 	ReincarnatePreInstall Point = "reincarnate.pre-install"
+	// ClaimGranted fires after every other checksite granted a claim but
+	// before the claimant writes its home record: a kill here must leave
+	// the claim to be made again, and granted again.
+	ClaimGranted Point = "claim.granted"
 )
 
 // Points lists every point the kernel compiles in, in lifecycle order.
@@ -81,7 +85,7 @@ func Points() []Point {
 		PassivatePreRelease,
 		MovePreShip, MoveIntentDurable, MovePreCommit, MovePostCommit,
 		MoveResolve, MoveResolveCommit, MoveResolveRollback,
-		ReincarnatePreInstall,
+		ReincarnatePreInstall, ClaimGranted,
 	}
 }
 

@@ -122,7 +122,7 @@ func TestCountersAndString(t *testing.T) {
 }
 
 func TestPointsRegistered(t *testing.T) {
-	if len(Points()) != 11 {
+	if len(Points()) != 12 {
 		t.Fatalf("Points() = %v", Points())
 	}
 	seen := make(map[Point]bool)

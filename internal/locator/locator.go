@@ -400,12 +400,24 @@ func (l *Locator) broadcast(id edenid.ID, wantHome, recover bool, timeout time.D
 }
 
 // HandleRequest processes an inbound LocateReq: if the local node
-// hosts the object (or a replica), it answers the requester directly.
+// hosts the object (or a replica), it answers the requester directly. A
+// recovery request is answered from a goroutine of its own, because the
+// check may claim the object, which waits for other nodes' answers — and
+// those arrive through the caller's frame handler.
 func (l *Locator) HandleRequest(env msg.Envelope) {
 	req, err := msg.DecodeLocateReq(env.Payload)
 	if err != nil {
 		return
 	}
+	if req.Recover {
+		go l.answer(env, req)
+		return
+	}
+	l.answer(env, req)
+}
+
+// answer answers one locate request if the local node can serve it.
+func (l *Locator) answer(env msg.Envelope, req msg.LocateReq) {
 	home, replica := l.check(req.Object, req.Recover)
 	if !home && !replica {
 		return

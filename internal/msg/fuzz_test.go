@@ -8,6 +8,7 @@ import (
 	"eden/internal/capability"
 	"eden/internal/edenid"
 	"eden/internal/rights"
+	"eden/internal/store"
 )
 
 // The fuzz targets below all check the same properties: any input the
@@ -228,6 +229,16 @@ func FuzzDecodeShip(f *testing.F) {
 	}.Encode(nil))
 	f.Add(Ship{
 		Purpose: ShipMoveProbe, Object: edenid.NewGenerator(9).Next(), Epoch: 5,
+	}.Encode(nil))
+	f.Add(Ship{
+		Purpose: ShipCheckpoint, Object: edenid.NewGenerator(9).Next(),
+		TypeName: "counter", Version: 4, Epoch: 2, Claim: true,
+		Policy: store.Policy{Level: 1, Sites: []uint32{3, 4}}, Rep: []byte("rep"),
+	}.Encode(nil))
+	f.Add(Ship{
+		Purpose: ShipMove, Object: edenid.NewGenerator(9).Next(),
+		TypeName: "counter", Version: 2, Epoch: 3,
+		Policy: store.Policy{Level: 2, Sites: []uint32{3}, Ex: []uint32{2, 5}}, Rep: []byte{1},
 	}.Encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = withSlack(data)

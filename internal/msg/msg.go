@@ -26,6 +26,7 @@ import (
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
+	"eden/internal/store"
 )
 
 // Version is the protocol version carried in every envelope. Peers
@@ -638,6 +639,13 @@ type Ship struct {
 	Base uint64
 	// Removed lists segment names deleted since Base.
 	Removed []string
+	// Policy is the object's checksite policy: a checkpoint ship carries
+	// it for the checksite's record, a move for the new home.
+	store.Policy
+	// Claim marks a checkpoint ship that claims the object for its
+	// sender, at Epoch: a checksite promoting itself, or a restarted
+	// home, asking every other checksite to grant before it serves.
+	Claim bool
 }
 
 // Size is the length of the shipment's wire form.
@@ -646,7 +654,7 @@ func (s Ship) Size() int {
 	for _, name := range s.Removed {
 		n += 4 + len(name)
 	}
-	return n
+	return n + s.Policy.Len()
 }
 
 // Encode appends the wire form of the shipment to dst.
@@ -661,6 +669,12 @@ func (s Ship) Encode(dst []byte) []byte {
 	if s.Partial {
 		flags |= 2
 	}
+	if s.Sited() {
+		flags |= 4
+	}
+	if s.Claim {
+		flags |= 8
+	}
 	dst = append(dst, flags)
 	dst = binary.BigEndian.AppendUint64(dst, s.Version)
 	dst = binary.BigEndian.AppendUint64(dst, s.Base)
@@ -669,6 +683,7 @@ func (s Ship) Encode(dst []byte) []byte {
 	for _, name := range s.Removed {
 		dst = appendString(dst, name)
 	}
+	dst = s.Policy.Append(dst)
 	return appendBytes(dst, s.Rep)
 }
 
@@ -694,6 +709,8 @@ func DecodeShip(src []byte) (Ship, error) {
 	}
 	s.Frozen = src[0]&1 != 0
 	s.Partial = src[0]&2 != 0
+	sited := src[0]&4 != 0
+	s.Claim = src[0]&8 != 0
 	s.Version = binary.BigEndian.Uint64(src[1:9])
 	s.Base = binary.BigEndian.Uint64(src[9:17])
 	s.Epoch = binary.BigEndian.Uint64(src[17:25])
@@ -708,6 +725,11 @@ func DecodeShip(src []byte) (Ship, error) {
 			return s, err
 		}
 		s.Removed = append(s.Removed, name)
+	}
+	if sited {
+		if s.Policy, src, err = store.DecodePolicy(src); err != nil {
+			return s, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
 	}
 	if s.Rep, src, err = takeBytes(src); err != nil {
 		return s, err

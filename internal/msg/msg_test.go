@@ -2,13 +2,16 @@ package msg
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
 	"eden/internal/rights"
+	"eden/internal/store"
 )
 
 var gen = edenid.NewGenerator(1)
@@ -186,6 +189,34 @@ func TestShipRoundTrip(t *testing.T) {
 	if got.Purpose != s.Purpose || got.Object != s.Object || got.TypeName != s.TypeName ||
 		got.Frozen != s.Frozen || got.Version != s.Version || string(got.Rep) != string(s.Rep) {
 		t.Errorf("round trip changed shipment:\n%+v\n%+v", s, got)
+	}
+}
+
+// TestShipLayoutWithoutPolicy pins the wire form of shipments that carry
+// no checksite policy — every shipment of a local-policy object — to the
+// bytes they had before ships could carry one.
+func TestShipLayoutWithoutPolicy(t *testing.T) {
+	id := edenid.New(3, 0x0102030405060708, 9)
+	for _, c := range []struct {
+		ship Ship
+		want string
+	}{
+		{Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Version: 7, Epoch: 2, Rep: []byte("rep")},
+			"010000000301020304050607080000093200000007636f756e746572000000000000000007000000000000000000000000000000020000000000000003726570"},
+		{Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Frozen: true, Partial: true, Base: 6, Removed: []string{"gone"}, Version: 7, Epoch: 2, Rep: []byte("rep")},
+			"010000000301020304050607080000093200000007636f756e746572030000000000000007000000000000000600000000000000020000000100000004676f6e6500000003726570"},
+		{Ship{Purpose: ShipDestroy, Object: id},
+			"050000000301020304050607080000093200000000000000000000000000000000000000000000000000000000000000000000000000"},
+	} {
+		if got := hex.EncodeToString(c.ship.Encode(nil)); got != c.want {
+			t.Errorf("%v ship encodes as\n%s, want\n%s", c.ship.Purpose, got, c.want)
+		}
+	}
+	sited := Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Version: 7, Epoch: 2,
+		Claim: true, Policy: store.Policy{Level: 2, Sites: []uint32{3, 4}, Ex: []uint32{5}}, Rep: []byte("rep")}
+	got, err := DecodeShip(sited.Encode(nil))
+	if err != nil || !reflect.DeepEqual(got, sited) {
+		t.Errorf("a sited claim round-trips as %+v, %v", got, err)
 	}
 }
 

@@ -868,7 +868,7 @@ func (f *File) Close() error {
 func frameLen(p *pending) int {
 	switch p.kind {
 	case kindRecord:
-		return frameHeader + recordOverhead + len(p.rec.TypeName) + len(p.rec.Rep)
+		return frameHeader + recordOverhead + p.rec.Policy.Len() + len(p.rec.TypeName) + len(p.rec.Rep)
 	case kindIntent:
 		return frameHeader + intentLen
 	}
@@ -893,9 +893,11 @@ func appendFrame(dst []byte, p *pending) []byte {
 }
 
 // appendRecord lays a record out as:
-// magic | id | version(8) | epoch(8) | flags(1) | home(4) | typeLen(4) type | repLen(4) rep
-// where flags bit 0 is Frozen and bit 1 is Backup; recordOverhead is all
-// but the type name and the representation.
+// magic | id | version(8) | epoch(8) | flags(1) | home(4) [policy] | typeLen(4) type | repLen(4) rep
+// where flags bit 0 is Frozen, bit 1 is Backup and bit 2 says the
+// checksite policy follows home, laid out as Policy.Append does.
+// recordOverhead is all but the policy, the type name and the
+// representation.
 const recordOverhead = len(fileMagic) + edenid.Size + 8 + 8 + 1 + 4 + 4 + 4
 
 func appendRecord(dst []byte, rec Record) []byte {
@@ -910,16 +912,21 @@ func appendRecord(dst []byte, rec Record) []byte {
 	if rec.Backup {
 		flags |= 2
 	}
+	if rec.Sited() {
+		flags |= 4
+	}
 	dst = append(dst, flags)
 	dst = binary.BigEndian.AppendUint32(dst, rec.Home)
+	dst = rec.Policy.Append(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.TypeName)))
 	dst = append(dst, rec.TypeName...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Rep)))
 	return append(dst, rec.Rep...)
 }
 
-// decodeHeader parses the fixed header at the front of b into a record
-// without type name or representation, returning what follows it.
+// decodeHeader parses the header at the front of b, the checksite policy
+// included, into a record without type name or representation, returning
+// what follows it.
 func decodeHeader(b []byte) (Record, []byte, error) {
 	var rec Record
 	if len(b) < len(fileMagic) || string(b[:len(fileMagic)]) != fileMagic {
@@ -938,7 +945,14 @@ func decodeHeader(b []byte) (Record, []byte, error) {
 	rec.Frozen = b[16]&1 != 0
 	rec.Backup = b[16]&2 != 0
 	rec.Home = binary.BigEndian.Uint32(b[17:])
-	return rec, b[21:], nil
+	if b[16]&4 == 0 {
+		return rec, b[21:], nil
+	}
+	rec.Policy, b, err = DecodePolicy(b[21:])
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrFailed, err)
+	}
+	return rec, b, err
 }
 
 // decodeRecord parses one record. The result's Rep aliases b, and its

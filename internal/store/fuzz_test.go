@@ -71,8 +71,8 @@ func joinSegments(segs [][]byte) []byte {
 	return append(in, segs[len(segs)-1]...)
 }
 
-// crashSeeds are the crash matrix's logs as fuzz inputs: a log of records,
-// intents and tombstones over sealed and compacted segments, whole; its
+// crashSeeds are the crash matrix's logs as fuzz inputs: a log of records
+// (one with a checksite policy), intents and tombstones over sealed and compacted segments, whole; its
 // last segment torn inside each frame's header and body; and its first
 // segment, sealed, with a byte flipped and cut one byte short.
 func crashSeeds(tb testing.TB) [][]byte {
@@ -83,6 +83,8 @@ func crashSeeds(tb testing.TB) [][]byte {
 	defer f.Close()
 	f.segSize = 300 // three segments, the first compacted away and renumbered
 	a, b, c := sampleRec(1), sampleRec(1), sampleRec(1)
+	// A backup that carries its object's checksite policy.
+	b.Backup, b.Home, b.Level, b.Sites, b.Ex = true, 4, 2, []uint32{3, 5}, []uint32{2}
 	for _, rec := range []Record{a, b, c} {
 		if err := f.Put(rec); err != nil {
 			tb.Fatal(err)

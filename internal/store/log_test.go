@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,7 @@ func TestFileTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := sampleRec(1), sampleRec(1)
+	a.Level, a.Sites, a.Ex = 1, []uint32{3, 4}, []uint32{2} // the record before the tear carries a policy
 	for _, rec := range []Record{a, b} {
 		if err := f.Put(rec); err != nil {
 			t.Fatal(err)
@@ -43,8 +45,9 @@ func TestFileTornTail(t *testing.T) {
 		if _, ok := g.Stat(b.Object); ok {
 			t.Errorf("cut at %d: the torn record survived", cut)
 		}
-		if got, err := g.Get(a.Object); err != nil || !bytes.Equal(got.Rep, a.Rep) {
-			t.Errorf("cut at %d: the record before the tear: %v", cut, err)
+		if got, err := g.Get(a.Object); err != nil || !bytes.Equal(got.Rep, a.Rep) ||
+			got.Level != a.Level || !slices.Equal(got.Sites, a.Sites) || !slices.Equal(got.Ex, a.Ex) {
+			t.Errorf("cut at %d: the record before the tear: %+v, %v", cut, got, err)
 		}
 		if info, err := os.Stat(g.segmentPath(1)); err != nil || info.Size() != torn.off {
 			t.Errorf("cut at %d: segment is %d bytes after open, want %d", cut, info.Size(), torn.off)

@@ -19,6 +19,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -77,6 +78,11 @@ type Record struct {
 	Backup bool
 	// Home is the shipping node for a backup record (zero otherwise).
 	Home uint32
+	// Policy is the object's checksite policy as of this checkpoint. It
+	// is written with the state, so a restarted, promoted or moved-to
+	// home knows where its checkpoints go and which nodes a destroy must
+	// reach.
+	Policy
 	// Rep is the encoded representation (segment wire form).
 	Rep []byte
 }
@@ -105,14 +111,90 @@ type Meta struct {
 	// Version and Epoch are the record's checkpoint version and
 	// residency epoch.
 	Version, Epoch uint64
-	// Backup and Home are the record's backup marker and shipping node.
-	Backup bool
-	Home   uint32
+	// Backup and Home are the record's backup marker and shipping node;
+	// Sited says the record carries a checksite policy (Record.Sited).
+	Backup, Sited bool
+	Home          uint32
 }
 
 // Meta returns the record's metadata.
 func (rec Record) Meta() Meta {
-	return Meta{Version: rec.Version, Epoch: rec.Epoch, Backup: rec.Backup, Home: rec.Home}
+	return Meta{Version: rec.Version, Epoch: rec.Epoch, Backup: rec.Backup, Home: rec.Home, Sited: rec.Sited()}
+}
+
+// Policy is an object's checksite policy as records and shipments lay
+// it out: its reliability level, its checksites, and the ex-checksites
+// that may still hold a record of it. The zero Policy, a local-only
+// object's, takes no bytes, so a record or shipment without one is laid
+// out as before policies were written.
+type Policy struct {
+	Level     uint8
+	Sites, Ex []uint32
+}
+
+// MaxSites bounds each of a policy's node lists: the layout counts them
+// in 16 bits.
+const MaxSites = 1<<16 - 1
+
+// Sited reports whether the policy is not the zero one.
+func (p Policy) Sited() bool { return p.Level != 0 || len(p.Sites) > 0 || len(p.Ex) > 0 }
+
+// Len is the length of the policy's layout: level(1) | n(2) site(4)×n |
+// m(2) ex(4)×m, or nothing for the zero policy.
+func (p Policy) Len() int {
+	if !p.Sited() {
+		return 0
+	}
+	return 1 + 2 + 4*len(p.Sites) + 2 + 4*len(p.Ex)
+}
+
+// Append appends the policy's layout to dst. Lists longer than MaxSites
+// are the caller's error; the kernel refuses them when a policy is set.
+func (p Policy) Append(dst []byte) []byte {
+	if !p.Sited() {
+		return dst
+	}
+	dst = append(dst, p.Level)
+	for _, nodes := range [2][]uint32{p.Sites, p.Ex} {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(nodes)))
+		for _, n := range nodes {
+			dst = binary.BigEndian.AppendUint32(dst, n)
+		}
+	}
+	return dst
+}
+
+// errBadPolicy is a policy layout that cannot be decoded; each reader
+// wraps it in its own damage error.
+var errBadPolicy = errors.New("bad checksite policy")
+
+// DecodePolicy parses the layout of a policy that is not the zero one at
+// the front of b, and returns what follows it. A layout that decodes to
+// the zero policy is damage: Append writes nothing then.
+func DecodePolicy(b []byte) (Policy, []byte, error) {
+	var p Policy
+	if len(b) < 1 {
+		return p, nil, fmt.Errorf("%w: truncated", errBadPolicy)
+	}
+	p.Level, b = b[0], b[1:]
+	for _, nodes := range [2]*[]uint32{&p.Sites, &p.Ex} {
+		if len(b) < 2 {
+			return p, nil, fmt.Errorf("%w: truncated", errBadPolicy)
+		}
+		n := int(binary.BigEndian.Uint16(b))
+		if b = b[2:]; len(b) < 4*n {
+			return p, nil, fmt.Errorf("%w: truncated", errBadPolicy)
+		}
+		*nodes = make([]uint32, n)
+		for i := range *nodes {
+			(*nodes)[i] = binary.BigEndian.Uint32(b[4*i:])
+		}
+		b = b[4*n:]
+	}
+	if !p.Sited() {
+		return p, nil, fmt.Errorf("%w: empty", errBadPolicy)
+	}
+	return p, b, nil
 }
 
 // Store is the long-term storage interface the kernel checkpoints

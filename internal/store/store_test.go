@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/hex"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -296,5 +298,48 @@ func TestQuickDecodeRecordCorrupted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordLayoutWithoutPolicy pins the frame of a record that carries no
+// checksite policy — every record of a local-policy object — to the bytes
+// it had before records could carry one, and checks that a policy
+// round-trips.
+func TestRecordLayoutWithoutPolicy(t *testing.T) {
+	id := edenid.New(3, 0x0102030405060708, 9)
+	for _, c := range []struct {
+		rec  Record
+		want string
+	}{
+		{Record{Object: id, TypeName: "counter", Version: 7, Epoch: 2, Rep: []byte("rep")},
+			"0000003f651bd9f4014544454e434b50330000000301020304050607080000093200000000000000070000000000000002000000000000000007636f756e74657200000003726570"},
+		{Record{Object: id, TypeName: "counter", Version: 7, Epoch: 2, Frozen: true, Backup: true, Home: 4, Rep: []byte("rep")},
+			"0000003f145a17c2014544454e434b50330000000301020304050607080000093200000000000000070000000000000002030000000400000007636f756e74657200000003726570"},
+	} {
+		p := &pending{kind: kindRecord, id: id, rec: c.rec}
+		frame := appendFrame(nil, p)
+		if got := hex.EncodeToString(frame); got != c.want {
+			t.Errorf("record encodes as\n%s, want\n%s", got, c.want)
+		}
+		if len(frame) != frameLen(p) {
+			t.Errorf("frame of %d bytes, frameLen %d", len(frame), frameLen(p))
+		}
+	}
+	sited := Record{Object: id, TypeName: "counter", Version: 7, Epoch: 2, Backup: true, Home: 4,
+		Policy: Policy{Level: 2, Sites: []uint32{3, 4}, Ex: []uint32{5}}, Rep: []byte("rep")}
+	p := &pending{kind: kindRecord, id: id, rec: sited}
+	frame := appendFrame(nil, p)
+	if len(frame) != frameLen(p) {
+		t.Errorf("sited frame of %d bytes, frameLen %d", len(frame), frameLen(p))
+	}
+	body, err := checkFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types typeNames
+	got, err := decodeRecord(body[1:], &types)
+	if err != nil || got.Level != 2 || !slices.Equal(got.Sites, sited.Sites) || !slices.Equal(got.Ex, sited.Ex) ||
+		!got.Meta().Sited || got.Home != 4 || string(got.Rep) != "rep" {
+		t.Errorf("a sited record decodes as %+v, %v", got, err)
 	}
 }
