@@ -14,13 +14,13 @@ import (
 )
 
 // injectIntent plants a move intent on k the way a crash would leave
-// it: durable in the store and loaded into the boot-scan map.
+// it: durable in the store and in the role table as a boot scan puts it.
 func injectIntent(k *Kernel, it store.MoveIntent) {
 	if err := k.store.PutIntent(it); err != nil {
 		panic(err)
 	}
 	k.mu.Lock()
-	k.intents[it.Object] = &moveIntent{MoveIntent: it}
+	k.stepRoleLocked(it.Object, roleEvent{kind: evBoot, from: it.Dest, epoch: it.Epoch}, nil)
 	k.mu.Unlock()
 }
 
@@ -28,22 +28,21 @@ func injectIntent(k *Kernel, it store.MoveIntent) {
 func (k *Kernel) pendingIntent(id edenid.ID) (store.MoveIntent, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if mi := k.intents[id]; mi != nil {
-		return mi.MoveIntent, true
+	if r := k.roles[id]; r != nil && r.intent.node != 0 {
+		return store.MoveIntent{Object: id, Dest: r.intent.node, Epoch: r.intent.epoch}, true
 	}
 	return store.MoveIntent{}, false
 }
 
-// resolvePendingIntent resolves id's move intent the way an activation
-// does; moveRolledBack when none is pending.
-func (k *Kernel) resolvePendingIntent(id edenid.ID) (moveOutcome, error) {
+// resolvePendingIntent settles id's move intent the way an activation
+// does, and reports whether the move rolled forward: whether k now
+// forwards the object.
+func (k *Kernel) resolvePendingIntent(id edenid.ID) (forwarded bool, err error) {
+	err = k.settle(id, time.Now().Add(k.cfg.DefaultTimeout))
 	k.mu.Lock()
-	mi := k.intents[id]
-	k.mu.Unlock()
-	if mi == nil {
-		return moveRolledBack, nil
-	}
-	return k.settle(mi, time.Now().Add(k.cfg.DefaultTimeout))
+	defer k.mu.Unlock()
+	r := k.roles[id]
+	return r != nil && r.fwd.node != 0, err
 }
 
 // TestKillpointSweep drives every lifecycle path that carries a crash
@@ -106,8 +105,8 @@ func TestKillpointSweep(t *testing.T) {
 	// (node 2) holds the object at the intent epoch, so resolution rolls
 	// forward.
 	injectIntent(s.ks[1], store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
-	if outcome, err := s.ks[1].resolvePendingIntent(cap.ID()); outcome != moveRolledForward {
-		t.Fatalf("resolvePendingIntent = %v, %v; want rolled forward", outcome, err) // move.resolve-commit
+	if forwarded, err := s.ks[1].resolvePendingIntent(cap.ID()); !forwarded {
+		t.Fatalf("resolvePendingIntent = %v, %v; want rolled forward", forwarded, err) // move.resolve-commit
 	}
 
 	// A home restarted with a remote checksite claims its record again.

@@ -411,7 +411,10 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 		return msg.InvokeRep{}, true, ErrClosed
 	}
 	obj, isActive := k.active[id]
-	fwd, isFwd := k.forwards[id]
+	var fwd uint32
+	if r := k.roles[id]; r != nil {
+		fwd = r.fwd.node
+	}
 	var replica *Object
 	if allowReplica {
 		replica = k.replicas[id]
@@ -421,7 +424,7 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 	var shadowServe bool
 	switch {
 	case isActive:
-	case isFwd:
+	case fwd != 0:
 		if origin != nil {
 			return movedReply(fwd), true, nil
 		}
@@ -451,22 +454,13 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 			shadowServe = true
 		case inDoubt:
 			// A move this node never finished, or a checksite's claim while
-			// this node was down, may have superseded the record: resolve
-			// it first, waiting no longer than the call may. Refusing
-			// service meanwhile is the safe side, as it is while the boot
-			// scan fails (no intent then).
+			// this node was down, may have superseded the record: settle
+			// it first, waiting no longer than the call may, and look
+			// again. Refusing service meanwhile is the safe side, as it is
+			// while the boot scan fails (v.err).
 			err := v.err
-			if v.claim {
-				if k.claim(id, deadline) {
-					return k.tryLocalOnce(req, allowReplica, origin, deadline)
-				}
-				err = fmt.Errorf("kernel: claim of %v in doubt", id)
-			}
-			if v.intent != nil {
-				var outcome moveOutcome
-				if outcome, err = k.settle(v.intent, deadline); outcome != moveUnresolved {
-					// Rolled forward: the forwarding pointer answers now.
-					// Rolled back: the record is this node's again.
+			if err == nil {
+				if err = k.settle(id, deadline); err == nil {
 					return k.tryLocalOnce(req, allowReplica, origin, deadline)
 				}
 			}
@@ -577,7 +571,9 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		obj.sched.Unlock()
 		if moved == 0 { // not retired toward a home: it may have moved since
 			k.mu.Lock()
-			moved = k.forwards[obj.id]
+			if r := k.roles[obj.id]; r != nil {
+				moved = r.fwd.node
+			}
 			k.mu.Unlock()
 		}
 		c.finish(downReply(moved, passive))

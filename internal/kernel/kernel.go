@@ -166,15 +166,13 @@ type Kernel struct {
 	store store.Store
 	tel   kernelTel
 
-	// mu guards the books: a map per role an object can have here.
+	// mu guards the books: a map per kind of entry an object can have here.
 	mu       sync.Mutex
-	active   map[edenid.ID]*Object     // incarnations homed here
-	replicas map[edenid.ID]*Object     // frozen replicas cached here (Replicate)
-	forwards map[edenid.ID]uint32      // moved-away objects -> new home
-	roles    map[edenid.ID]*role       // checkpoint policies of objects homed here, backups of others' (role.go)
-	intents  map[edenid.ID]*moveIntent // durable move intents (boot-scanned + live)
-	boot     time.Time                 // kernel start, the heartbeat of backups no ship has reached
-	scanErr  error                     // why the boot scan failed; nil once one has succeeded (bootScan)
+	active   map[edenid.ID]*Object // incarnations homed here
+	replicas map[edenid.ID]*Object // frozen replicas cached here (Replicate)
+	roles    map[edenid.ID]*role   // policies, backups, claims, move intents and forwards (role.go)
+	boot     time.Time             // kernel start, the heartbeat of backups no ship has reached
+	scanErr  error                 // why the boot scan failed; nil once one has succeeded (bootScan)
 	memInUse int64
 	closed   bool
 	// relieving is set while the one asynchronous eviction run (relieve)
@@ -264,9 +262,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		tel:      newKernelTel(cfg.Telemetry),
 		active:   make(map[edenid.ID]*Object),
 		replicas: make(map[edenid.ID]*Object),
-		forwards: make(map[edenid.ID]uint32),
 		roles:    make(map[edenid.ID]*role),
-		intents:  make(map[edenid.ID]*moveIntent),
 		boot:     time.Now(),
 		pend:     make(map[uint64]*callCtx),
 		procs:    make(map[*processor]struct{}),
@@ -324,11 +320,16 @@ func (k *Kernel) bootScan() error {
 	if err == nil {
 		its, err = k.store.ListIntents()
 	}
-	roles := make(map[edenid.ID]store.Meta)
+	roles := make(map[edenid.ID]roleEvent)
 	for _, id := range ids {
 		if m, ok := k.store.Stat(id); ok && (m.Backup || m.Sited) {
-			roles[id] = m
+			roles[id] = bootEvent(m)
 		}
+	}
+	for _, it := range its {
+		ev := roles[it.Object]
+		ev.kind, ev.from, ev.epoch = evBoot, it.Dest, it.Epoch
+		roles[it.Object] = ev
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -340,16 +341,11 @@ func (k *Kernel) bootScan() error {
 		return k.scanErr
 	}
 	k.scanErr = nil
-	for id, m := range roles {
+	for id, ev := range roles {
 		if _, live := k.active[id]; live {
 			continue // moved in while the scan was failing: its own home now
 		}
-		k.stepRoleLocked(id, bootEvent(m), nil)
-	}
-	for _, it := range its {
-		if k.intents[it.Object] == nil {
-			k.intents[it.Object] = &moveIntent{MoveIntent: it}
-		}
+		k.stepRoleLocked(id, ev, nil)
 	}
 	return nil
 }
@@ -405,8 +401,10 @@ type roleOutcome struct {
 // out fx, a step of id's role, in order, once the caller has let go of
 // k.mu. A refusal comes alone and is returned as it is. A store effect
 // that fails skips the store effects and retirements after it, and its
-// error is returned. The ships go out last, all at once, whatever the
-// store did.
+// error is returned; an intent's deletion is stepped as evMoveCommitted
+// once durable, else (failed or skipped) as evIntentKept. The ships go out
+// last, all at once, whatever the store did; a probe is the settlement's
+// (runSettlement).
 func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleOutcome, err error) {
 	ships := false
 	for _, e := range fx {
@@ -415,6 +413,17 @@ func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleO
 			return roleOutcome{refused: true}, e.err
 		case e.ships():
 			ships = true
+		case e.kind == fxDeleteIntent:
+			ev := roleEvent{kind: evIntentKept}
+			if err == nil {
+				if err = k.store.DeleteIntent(id); err == nil {
+					ev.kind = evMoveCommitted
+					ev.rec, ev.record = k.store.Stat(id)
+				}
+			}
+			k.mu.Lock()
+			k.stepRoleLocked(id, ev, nil)
+			k.mu.Unlock()
 		case err != nil:
 		case e.kind == fxPut:
 			if err = k.store.Put(io.rec); err == nil {
@@ -472,26 +481,22 @@ const (
 )
 
 // verdict is judgeRecord's answer: aboveFloor says a shadow may be made
-// of a backup; claim says the record must be claimed first; err is a
-// failed boot scan's, a doubt with no intent or claim.
+// of a backup; err is a failed boot scan's, a doubt no settlement ends.
 type verdict struct {
 	role       recordRole
 	aboveFloor bool
-	claim      bool
-	intent     *moveIntent
 	err        error
 }
 
 // judgeRecord decides whether id's record in this node's store is the
-// node's to serve — the one reader of the boot scan, the role table and
-// the intents for that, by the policy's judgeRole. Resolving an intent or
-// a claim is the caller's choice.
+// node's to serve — the one reader of the boot scan and the role table
+// for that, by the policy's judgeRole. Settling a doubt is the caller's
+// choice.
 func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 	var rs roleState
 	var held bool
 	k.mu.Lock()
 	scanErr := k.scanErr
-	mi := k.intents[id]
 	if r := k.roles[id]; r != nil {
 		rs, held = r.roleState, true
 	}
@@ -503,11 +508,8 @@ func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 		}
 		return k.judgeRecord(id)
 	}
-	v := judgeRole(scanErr == nil, mi != nil, rs, held, here, rec)
-	switch v.role {
-	case inDoubt:
-		v.intent = mi
-	case noRecord:
+	v := judgeRole(scanErr == nil, rs, held, here, rec)
+	if v.role == noRecord {
 		v.err = scanErr
 	}
 	return v
@@ -567,7 +569,8 @@ func (k *Kernel) ActiveObjects() []edenid.ID {
 // home (active here, passive-with-checkpoint here, or — during
 // recovery — backed up here), or can it serve reads — from a cached
 // frozen replica, or (with ReplicaServe) from a checkpoint record held
-// as a checksite backup?
+// as a checksite backup? A doubt here is settled, off the locator's
+// callback path unless in recovery.
 func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	k.mu.Lock()
 	if k.closed {
@@ -579,25 +582,22 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 		return true, false
 	}
 	_, isReplica := k.replicas[id]
-	_, movedAway := k.forwards[id]
+	r := k.roles[id]
+	movedAway := r != nil && r.fwd.node != 0
 	k.mu.Unlock()
 	if movedAway {
 		return false, isReplica
+	}
+	var deadline time.Time
+	if recover {
+		deadline = time.Now().Add(k.cfg.DefaultTimeout)
 	}
 	switch v := k.judgeRecord(id); v.role {
 	case ownRecord:
 		return true, isReplica // a passive object is homed where its checkpoint lives
 	case inDoubt:
-		switch {
-		case v.intent != nil:
-			// The destination may have installed the object: answer
-			// nothing until the intent resolves, off the locator's
-			// callback path.
-			k.settle(v.intent, time.Time{})
-		case v.claim && recover:
-			return k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)), isReplica
-		case v.claim:
-			go k.claim(id, time.Now().Add(k.cfg.DefaultTimeout))
+		if v.err == nil && k.settle(id, deadline) == nil {
+			return k.hostCheck(id, false)
 		}
 		return false, false
 	case backupRecord:
@@ -605,8 +605,8 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 		// (or a boot: ship times are not persisted) within RecoverGrace
 		// says the home is likely alive and the "failure" a transient
 		// locate timeout — promoting would split the object.
-		if recover && k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)) {
-			return true, isReplica
+		if recover && k.settle(id, deadline) == nil {
+			return k.hostCheck(id, false)
 		}
 		// A backup above the invalidation floor is servable as a
 		// checkpoint shadow; advertise it to stale-tolerant reads.
@@ -615,45 +615,85 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	return false, isReplica
 }
 
-// claim claims id's record for this node (role.go) and reports whether
-// the node now serves the object as its home. It waits for the other
-// checksites' answers no longer than deadline. A claim already in flight,
-// or refused because the home shipped within RecoverGrace, is not waited
-// for.
-func (k *Kernel) claim(id edenid.ID, deadline time.Time) bool {
-	rec, err := k.store.Get(id)
-	if err != nil {
-		return false
-	}
+// settle settles id's doubt here — a move intent to probe, or a record to
+// claim (role.go) — and waits for it no longer than deadline (a past one:
+// not at all). One settlement runs per object at a time; a touch that
+// finds one under way joins it. It returns nil once no doubt is left, and
+// the caller judges the record again.
+func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
+	var rec store.Record
+	err := errNoRecord // until read: only a claim, which may start now, takes the record
 	var buf [4]roleEffect
 	k.mu.Lock()
+	if r := k.roles[id]; r != nil && r.settled == nil && r.intent.node == 0 {
+		k.mu.Unlock()
+		rec, err = k.store.Get(id)
+		k.mu.Lock()
+	}
 	if _, live := k.active[id]; live || k.closed {
 		k.mu.Unlock()
-		return live
+		if !live {
+			return ErrClosed
+		}
+		return nil
 	}
-	var prev claimPhase
-	fresh := false
-	if r := k.roles[id]; r != nil {
-		prev = r.phase
-		fresh = r.home != 0 && time.Since(r.lastShip) < k.cfg.RecoverGrace
+	r := k.roles[id]
+	var done chan struct{}
+	if r != nil {
+		done = r.settled
 	}
-	s, fx := k.stepRoleLocked(id, roleEvent{kind: evClaim, fresh: fresh, policy: policyOf(rec.Policy), ex: rec.Ex}, buf[:0])
+	if done == nil {
+		fresh := r != nil && r.home != 0 && time.Since(r.lastShip) < k.cfg.RecoverGrace
+		s, fx := k.stepRoleLocked(id, roleEvent{kind: evSettle, fresh: fresh, record: err == nil, policy: policyOf(rec.Policy), ex: rec.Ex}, buf[:0])
+		if len(fx) > 0 {
+			done = make(chan struct{})
+			if r = k.roles[id]; r != nil {
+				r.settled = done
+			}
+			go k.runSettlement(id, done, s, fx, rec)
+		}
+	}
 	k.mu.Unlock()
-	if prev == claimRunning || s.home != 0 && s.phase != claimRunning {
-		return false
+	if done != nil {
+		select {
+		case <-done:
+		case <-time.After(time.Until(deadline)):
+			return fmt.Errorf("kernel: %v in doubt here: %w", id, ErrTimeout)
+		}
 	}
-	if s.phase == claimRunning {
+	if k.judgeRecord(id).role == inDoubt {
+		return fmt.Errorf("kernel: %v in doubt here", id)
+	}
+	return nil
+}
+
+// runSettlement carries out a settlement that s and fx started — a probe
+// of s's intent, or a claim of rec — and closes done once its outcome is
+// applied.
+func (k *Kernel) runSettlement(id edenid.ID, done chan struct{}, s roleState, fx []roleEffect, rec store.Record) {
+	defer func() {
+		k.mu.Lock()
+		if r := k.roles[id]; r != nil && r.settled == done {
+			r.settled = nil
+		}
+		k.mu.Unlock()
+		close(done)
+	}()
+	if s.intent.node != 0 {
+		k.resolveIntent(id, s.intent)
+		return
+	}
+	if slices.ContainsFunc(fx, roleEffect.ships) {
 		ship := msg.Ship{Purpose: msg.ShipCheckpoint, Claim: true, Object: id, TypeName: rec.TypeName,
 			Frozen: rec.Frozen, Version: rec.Version + 1, Epoch: normEpoch(rec.Epoch) + 1, Policy: rec.Policy, Rep: rec.Rep}
-		// The claim's only effects are its ships.
-		_, acks := k.shipAll(fx, ship, nil, nil, time.Until(deadline))
+		_, acks := k.shipAll(fx, ship, nil, nil, k.cfg.DefaultTimeout)
 		granted, superseded := true, false
 		for _, ack := range acks {
 			granted = granted && ack == nil
 			superseded = superseded || errors.Is(ack, ErrNoSuchObject)
 		}
 		k.mu.Lock()
-		s, fx = k.stepRoleLocked(id, roleEvent{kind: evClaimDone, granted: granted, superseded: superseded}, buf[:0])
+		s, fx = k.stepRoleLocked(id, roleEvent{kind: evClaimDone, granted: granted, superseded: superseded}, nil)
 		k.mu.Unlock()
 	}
 	// The home record, one version and one epoch on: written only once
@@ -666,8 +706,7 @@ func (k *Kernel) claim(id edenid.ID, deadline time.Time) bool {
 		// and the claimant's own is still the one it claimed.
 		killpoint.Hit(killpoint.ClaimGranted)
 	}
-	out, err := k.applyRole(id, fx, &roleIO{rec: rec})
-	return err == nil && out.wrote
+	_, _ = k.applyRole(id, fx, &roleIO{rec: rec}) // a record not written is claimed again by the next touch
 }
 
 // shipLanes is the number of ship lanes; senders share them by node
@@ -868,9 +907,6 @@ func (k *Kernel) install(obj *Object) error {
 	obj.lastInvoked = k.tick.Add(1)
 	k.chargeLocked(obj, size)
 	k.tel.activeObjects.Add(1)
-	// An object homed here forwards nowhere. Its role here is the home's
-	// already: a move, a claim or a Create made it so (role.go).
-	delete(k.forwards, obj.id)
 	k.mu.Unlock()
 	return nil
 }
@@ -1049,14 +1085,12 @@ func errFromStatus(st msg.Status, data []byte) error {
 func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	k.mu.Lock()
 	obj, active := k.active[id]
-	fwd, hasFwd := k.forwards[id]
-	r := k.roles[id]
-	backup := r != nil && r.home != 0
-	replica := k.replicas[id] != nil || backup && r.shadow != nil
-	it, intent := k.intents[id]
-	if !intent {
-		it = &moveIntent{}
+	var rs roleState
+	if r := k.roles[id]; r != nil {
+		rs = r.roleState
 	}
+	backup := rs.home != 0
+	replica := k.replicas[id] != nil || backup && rs.shadow != nil
 	k.mu.Unlock()
 	var epoch uint64
 	if active {
@@ -1071,5 +1105,5 @@ func (k *Kernel) DebugObjectState(id edenid.ID) string {
 		}
 	}
 	return fmt.Sprintf("active=%v epoch=%d fwd=%v(%d) replica=%v backup=%v intent=%v(%d@%d) store=%s",
-		active, epoch, hasFwd, fwd, replica, backup, intent, it.Dest, it.Epoch, stored)
+		active, epoch, rs.fwd.node != 0, rs.fwd.node, replica, backup, rs.intent.node != 0, rs.intent.node, rs.intent.epoch, stored)
 }

@@ -20,8 +20,8 @@ import (
 
 // activate reincarnates a passive object from this node's store if the
 // record there is its own (judgeRecord). A backup is refused — recovery
-// promotes it first — and a move in doubt, or a claim to make, is
-// resolved first, for no longer than DefaultTimeout and outside
+// promotes it first — and a doubt (a move intent to probe, a record to
+// claim) is settled first, for no longer than DefaultTimeout and outside
 // activationMu, so that a probe stalls no other reincarnation on the
 // node.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
@@ -35,18 +35,13 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	case backupRecord:
 		return nil, fmt.Errorf("%w: %v is a checksite backup (home may be alive)", ErrNoCheckpoint, id)
 	case inDoubt:
-		if v.claim {
-			if !k.claim(id, time.Now().Add(k.cfg.DefaultTimeout)) {
-				return nil, fmt.Errorf("%w: the claim of %v is in doubt", ErrNoCheckpoint, id)
-			}
-			return k.activate(id)
-		}
-		switch outcome, err := k.settle(v.intent, time.Now().Add(k.cfg.DefaultTimeout)); outcome {
-		case moveRolledForward:
-			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
-		case moveUnresolved:
+		if err := k.settle(id, time.Now().Add(k.cfg.DefaultTimeout)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
 		}
+		if k.roleOf(id).fwd.node != 0 {
+			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
+		}
+		return k.activate(id)
 	}
 	return k.reincarnate(id)
 }
@@ -396,7 +391,6 @@ func (o *Object) Destroy() error {
 	k := o.k
 	k.mu.Lock()
 	_, fx := k.stepRoleLocked(o.id, roleEvent{kind: evDestroy}, nil)
-	delete(k.forwards, o.id)
 	k.mu.Unlock()
 	k.loc.Forget(o.id)
 	out, err := k.applyRole(o.id, fx, &roleIO{ship: msg.Ship{Purpose: msg.ShipDestroy, Object: o.id, Epoch: o.epoch},
@@ -578,7 +572,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 		return fmt.Errorf("kernel: move to node %d: intent: %w", to, err)
 	}
 	k.mu.Lock()
-	k.intents[o.id] = &moveIntent{MoveIntent: intent}
+	k.stepRoleLocked(o.id, roleEvent{kind: evMoveStart, from: to, epoch: newEpoch}, nil)
 	k.mu.Unlock()
 	// Crash boundary: the intent is durable but the representation has
 	// not left the node — recovery must probe the destination, find
@@ -589,14 +583,11 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 		// outliving a resumed object would put it in doubt at the next
 		// boot for no reason. (If the destination installed but the ack
 		// was lost, this abort and its service resume race the
-		// destination's installation; the stale-epoch fence on ShipMove
-		// and the epoch order bound the damage — see DESIGN.md §6.)
-		aerr := k.store.DeleteIntent(o.id)
+		// destination's installation: TestRolePolicyMoveAckLost.)
 		k.mu.Lock()
-		if aerr == nil {
-			delete(k.intents, o.id)
-		}
+		_, fx := k.stepRoleLocked(o.id, roleEvent{kind: evMoveAborted}, nil)
 		k.mu.Unlock()
+		_, _ = k.applyRole(o.id, fx, nil) // an intent not deleted is probed once the object passivates
 		// The object resumes service here, and calls that queued during
 		// the move are scheduled rather than left to time out.
 		o.resumeService()
@@ -609,7 +600,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	killpoint.Hit(killpoint.MovePreCommit)
 
 	// Commit: we are no longer the home; leave a forwarding pointer.
-	k.commitMove(o.id, o, to, ver)
+	k.commitMove(o.id, o, roleEvent{kind: evMoveAcked, from: to, epoch: newEpoch}, ver)
 	k.stMoves.Add(1)
 	o.destroyActiveState(to)
 	// Crash boundary: the move is fully committed — a kill here must
@@ -682,6 +673,9 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			base.Merge(&delta, ship.Removed)
 			repBytes = base.Encode(nil)
 		}
+		if err := k.bootScan(); err != nil {
+			return err // the record here may be this node's own
+		}
 		m, here := k.store.Stat(ship.Object)
 		own := k.judgeRecord(ship.Object).role == ownRecord
 		var buf [4]roleEffect
@@ -713,7 +707,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 			k.mu.Lock()
 			if r := k.roles[ship.Object]; r != nil && r.roleState.same(s) {
 				if prev != nil {
-					*r = *prev
+					r.roleState, r.lastShip = prev.roleState, prev.lastShip
 				} else {
 					delete(k.roles, ship.Object)
 				}
@@ -751,12 +745,22 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		// retransmitted ship, or a source resolving a move this node has
 		// since moved past). Executing it would fork the object's
 		// history; refuse it instead.
+		if err := k.bootScan(); err != nil {
+			return err // a move intent here may not be scanned yet
+		}
 		k.mu.Lock()
 		cur, live := k.active[ship.Object]
+		r := k.roles[ship.Object]
+		moving := r != nil && r.intent.node != 0
 		k.mu.Unlock()
 		if live && cur.epoch >= newEpoch {
 			return fmt.Errorf("kernel: stale move of %v at epoch %d, already hosting epoch %d",
 				ship.Object, newEpoch, cur.epoch)
+		}
+		if moving {
+			// A move of this node's own, committing or in doubt: its
+			// record may yet go, or be served.
+			return fmt.Errorf("%w: %v has a move intent here", ErrMoving, ship.Object)
 		}
 		tt, err := k.types.table(ship.TypeName)
 		if err != nil {
@@ -816,32 +820,22 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		return err
 
 	case msg.ShipMoveProbe:
-		// Move recovery asking: does this node host the object at (or
-		// beyond) the probed epoch? "Yes" commits the crashed move at
-		// the source; "no" (errProbeNotInstalled → StatusNoSuchObject)
-		// rolls it back. Anything in between — a transport failure —
-		// leaves the source in doubt, so only a positive identification
-		// answers yes.
-		probeEpoch := normEpoch(ship.Epoch)
+		// Move recovery asking whether this node installed the move
+		// (role.go): "yes" commits the crashed move at the source; "no"
+		// (errProbeNotInstalled → StatusNoSuchObject) rolls it back. A
+		// node that cannot tell what it holds does not answer.
+		if err := k.bootScan(); err != nil {
+			return err
+		}
+		m, here := k.store.Stat(ship.Object)
 		k.mu.Lock()
-		cur, isActive := k.active[ship.Object]
-		_, isFwd := k.forwards[ship.Object]
+		if cur, live := k.active[ship.Object]; live {
+			m, here = store.Meta{Epoch: cur.epoch}, true
+		}
+		_, fx := k.stepRoleLocked(ship.Object, roleEvent{kind: evProbe, epoch: normEpoch(ship.Epoch), record: here, rec: m}, nil)
 		k.mu.Unlock()
-		if isActive && cur.epoch >= probeEpoch {
-			return nil
-		}
-		if isFwd {
-			// The object was installed here and has since moved on: from
-			// the prober's point of view this move committed; the chase
-			// protocol will follow the forwarding chain.
-			return nil
-		}
-		if rec, ok := k.store.Stat(ship.Object); ok && !rec.Backup && normEpoch(rec.Epoch) >= probeEpoch {
-			// Passive here at the probed epoch: the move installed and
-			// the object has since checkpointed or passivated.
-			return nil
-		}
-		return fmt.Errorf("%w: %v at epoch %d", errProbeNotInstalled, ship.Object, probeEpoch)
+		_, err := k.applyRole(ship.Object, fx, nil)
+		return err
 
 	default:
 		return fmt.Errorf("kernel: unknown ship purpose %v", ship.Purpose)

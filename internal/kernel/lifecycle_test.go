@@ -536,20 +536,27 @@ func TestDestroyReachesExChecksites(t *testing.T) {
 }
 
 // held names the kernel's per-object maps that hold any entry; the role
-// table's entries are named by what they hold: a home's policy, a
-// backup, a shadow.
+// table's entries are named by what they hold: a forward, a home's
+// policy, a backup, a shadow, a move intent.
 func held(k *Kernel) string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	var policies, backups, shadows int
+	var forwards, policies, backups, shadows, intents int
 	for _, r := range k.roles {
-		if r.home == 0 {
-			policies++
-		} else {
+		switch {
+		case r.home != 0:
 			backups++
+		case r.policy.level != RelLocal || len(r.ex) > 0 || r.phase != settleNone:
+			policies++
+		}
+		if r.fwd.node != 0 {
+			forwards++
 		}
 		if r.shadow != nil {
 			shadows++
+		}
+		if r.intent.node != 0 {
+			intents++
 		}
 	}
 	var names []string
@@ -559,11 +566,11 @@ func held(k *Kernel) string {
 	}{
 		{"active", len(k.active)},
 		{"replicas", len(k.replicas)},
-		{"forwards", len(k.forwards)},
+		{"forwards", forwards},
 		{"policy", policies},
 		{"backup", backups},
 		{"shadow", shadows},
-		{"intents", len(k.intents)},
+		{"intents", intents},
 	} {
 		if m.n > 0 {
 			names = append(names, m.name)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"eden/internal/killpoint"
 	"eden/internal/msg"
 	"eden/internal/store"
 	"eden/internal/transport"
@@ -105,6 +106,39 @@ func TestMoveRecoveryRollsForward(t *testing.T) {
 	}
 	if st := k1.Stats(); st.MoveResolveForwards != 1 {
 		t.Errorf("resolve ran %d times, want 1", st.MoveResolveForwards)
+	}
+}
+
+// TestObjectReportsARollForward: an activation (Kernel.Object) that
+// settles pre-commit debris by rolling the move forward reports the move
+// (ErrNoSuchObject), not a missing record.
+func TestObjectReportsARollForward(t *testing.T) {
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	rec, err := s.stores[1].Get(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := s.ks[1].Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-obj.Move(2); err != nil {
+		t.Fatal(err)
+	}
+	s.crashNode(1)
+	plantMoveDebris(t, s.stores[1], rec, store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
+	k1 := s.restartNode(1)
+	if _, err := k1.Object(cap.ID()); !errors.Is(err, ErrNoSuchObject) {
+		t.Errorf("Object after a roll-forward: err = %v, want ErrNoSuchObject", err)
+	}
+	if st := k1.Stats(); st.MoveResolveForwards != 1 {
+		t.Errorf("MoveResolveForwards = %d, want 1", st.MoveResolveForwards)
 	}
 }
 
@@ -490,5 +524,125 @@ func TestInDoubtTouchesShareOneProbe(t *testing.T) {
 		if gap := sent[i].Sub(sent[i-1]); gap < cfg.DefaultTimeout/probeAttempts-20*time.Millisecond {
 			t.Errorf("probes %d and %d went %v apart: two in flight at once", i, i+1, gap)
 		}
+	}
+}
+
+// TestProbeIgnoresAnOlderForward: a node the object once left keeps a
+// forward from that residency. When the object is moved back to it and
+// the source dies with the move's intent durable and the ship never sent,
+// the probe finds that forward, which is older than the probed epoch: the
+// move did not install, and the source rolls it back. Answering
+// "installed" for any forward made the source forward too, and the two
+// forwards sent every call round a loop.
+func TestProbeIgnoresAnOlderForward(t *testing.T) {
+	s := newSys(t, 1, 2, 3)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	obj, err := s.ks[1].Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-obj.Move(2); err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[2], cap, "inc", nil)
+	mustInvoke(t, s.ks[2], cap, "checkpoint", nil)
+
+	// Node 2 dies moving the object back to node 1: the intent is durable
+	// (epoch 3), the ship never left.
+	s.crashNode(2)
+	if err := s.stores[2].PutIntent(store.MoveIntent{Object: cap.ID(), Dest: 1, Epoch: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.restartNode(2)
+
+	for _, n := range []uint32{2, 3} {
+		rep, err := s.ks[n].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+		if err != nil {
+			t.Fatalf("get at node %d: %v (node 1: %s; node 2: %s)", n, err,
+				s.ks[1].DebugObjectState(cap.ID()), s.ks[2].DebugObjectState(cap.ID()))
+		}
+		if got := fromU64(rep.Data); got != 2 {
+			t.Errorf("get at node %d = %d, want 2", n, got)
+		}
+	}
+	if st := s.ks[2].Stats(); st.MoveResolveRollbacks != 1 || st.MoveResolveForwards != 0 {
+		t.Errorf("resolve stats at node 2 = fwd %d back %d, want 0/1", st.MoveResolveForwards, st.MoveResolveRollbacks)
+	}
+}
+
+// TestFailedIntentDeletionIsSettledLater: when the store fails the
+// intent's deletion, the intent stays, and the object is not served from
+// this node's record until a later probe settles it — after a probe's
+// roll-back, on the next touch; after a live move's abort, which resumes
+// the incarnation, once it passivates. Neither waits for a restart.
+func TestFailedIntentDeletionIsSettledLater(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   killpoint.Point // where node 1's store starts failing
+	}{
+		{"roll-back", killpoint.MoveResolveRollback},
+		{"abort", killpoint.MoveIntentDurable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys(t, 1, 2)
+			mustRegister(t, s.reg, counterType(nil))
+			cap, err := s.ks[1].Create("counter", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustInvoke(t, s.ks[1], cap, "inc", nil)
+			mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+			killpoint.Reset()
+			t.Cleanup(killpoint.Reset)
+			killpoint.Arm(tc.at, 0, func(killpoint.Point) { s.faults[1].FailWith(store.ErrFailed) })
+
+			k1 := s.ks[1]
+			if tc.at == killpoint.MoveResolveRollback {
+				// Node 1 died with the intent durable and the ship unsent.
+				s.crashNode(1)
+				if err := s.stores[1].PutIntent(store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2}); err != nil {
+					t.Fatal(err)
+				}
+				k1 = s.restartNode(1)
+				if _, err := k1.Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: time.Second}); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("get with the intent kept: err = %v, want ErrCrashed", err)
+				}
+			} else {
+				s.mesh.Partition(1, 2)
+				obj, err := k1.Object(cap.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := <-obj.Move(2); err == nil {
+					t.Fatal("move across a partition succeeded")
+				}
+				s.mesh.Heal(1, 2)
+				if got := fromU64(mustInvoke(t, k1, cap, "get", nil).Data); got != 1 {
+					t.Fatalf("get after the abort = %d, want 1", got)
+				}
+				if err := obj.Passivate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, kept := k1.pendingIntent(cap.ID()); !kept {
+				t.Fatal("the intent whose deletion failed is gone")
+			}
+
+			s.faults[1].FailWith(nil)
+			rep, err := k1.Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+			if err != nil {
+				t.Fatalf("get once the store heals: %v (%s)", err, k1.DebugObjectState(cap.ID()))
+			}
+			if got := fromU64(rep.Data); got != 1 {
+				t.Errorf("get once the store heals = %d, want 1", got)
+			}
+			wantNoIntents(t, s.stores[1])
+		})
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"eden/internal/store"
 )
 
-// This file holds the checksite role's policy: what one node is to one
-// object besides its incarnation — the home's checkpoint policy, or a
-// checksite's backup — and one pure transition that decides how that
-// changes. roleStep references no *Kernel, lock, store or clock: it
+// This file holds the role policy: what one node is to one object besides
+// its incarnation — the home's checkpoint policy, a checksite's backup, a
+// claim, a move intent, a forward — and one pure transition that decides
+// how that changes. roleStep references no *Kernel, lock, store or clock: it
 // returns the new state and the effects to carry out, in order. The
 // monitor is stepRoleLocked, which keeps the state in the role table
 // under Kernel.mu, and applyRole, which carries the effects out once the
@@ -33,12 +33,27 @@ import (
 // later epoch or a newer checkpoint, or holds no record of it refuses; so
 // does a claimant with a lower node number, which wins. A claim that
 // cannot reach a sibling stays in doubt, and the next touch claims again.
+//
+// A move is a two-phase transaction ordered by residency epochs: the
+// source's durable intent (destination, epoch) comes before the ship, the
+// destination installs and acks, and the source commits — its record goes,
+// then its intent — and forwards. An intent found at boot is settled as a
+// claim is, one settlement per object at a time: a touch probes the
+// destination at the intent's epoch, and the answer decides.
+//
+//	installed: the object is served or recorded | roll forward: the record
+//	there from that epoch on, or left later     | goes, then the intent
+//	not installed                               | roll back: the intent goes,
+//	                                            | then the object resumes
+//	no answer                                   | in doubt: serve nothing,
+//	                                            | probe on the next touch
 
 // role is one entry of the kernel's role table (Kernel.roles): the
 // policy's state plus what only the monitor keeps.
 type role struct {
 	roleState
-	lastShip time.Time // the last accepted ship (the home's heartbeat), or the boot
+	lastShip time.Time     // the last accepted ship (the home's heartbeat), or the boot
+	settled  chan struct{} // closed when the settlement under way ends; nil when none runs
 }
 
 // roleState is the policy's whole state for one object on one node.
@@ -54,7 +69,15 @@ type roleState struct {
 	epoch   uint64  // backup: the residency epoch the record was shipped at
 	floor   uint64  // backup: the serving floor, no shadow below it (floorDisabled after a move)
 	shadow  *Object // backup: the shadow serving stale-tolerant reads, if made
-	phase   claimPhase
+	phase   settlePhase
+	fwd     residency // the object moved on: where it was installed, and at which epoch
+	intent  residency // a move intent: the destination, and the epoch the move installs at
+}
+
+// residency is a node an object lives at from an epoch on.
+type residency struct {
+	node  uint32
+	epoch uint64
 }
 
 // siteVersion is one remote site's acknowledged checkpoint version.
@@ -63,19 +86,21 @@ type siteVersion struct {
 	version uint64
 }
 
-// claimPhase says whether the node must claim the object before serving it.
-type claimPhase uint8
+// settlePhase says whether the node must settle a doubt before it serves
+// the object: probe its move intent's destination, or claim its record.
+type settlePhase uint8
 
 const (
-	claimNone    claimPhase = iota
-	claimNeeded             // a restarted home: its sited record must be claimed before it serves
-	claimRunning            // a claim is in flight
+	settleNone    settlePhase = iota
+	settleNeeded              // a restarted node: an intent to probe, or a sited record to claim
+	settleRunning             // a probe or a claim is in flight
 )
 
 // held reports whether the state is worth an entry: a backup, a policy
-// other than the default, ex-checksites, or a claim.
+// other than the default, ex-checksites, a settlement, or a move.
 func (s *roleState) held() bool {
-	return s.home != 0 || s.policy.level != RelLocal || len(s.ex) > 0 || s.phase != claimNone
+	return s.home != 0 || s.policy.level != RelLocal || len(s.ex) > 0 || s.phase != settleNone ||
+		s.fwd.node != 0 || s.intent.node != 0
 }
 
 // siblings returns the nodes other than self that may hold a record of
@@ -138,19 +163,25 @@ func policyOf(p store.Policy) checksitePolicy {
 type roleEventKind uint8
 
 const (
-	evPolicy      roleEventKind = iota // Create or SetChecksite chose policy
-	evCheckpoint                       // the home checkpoints version
-	evAcked                            // from acknowledged the checkpoint at version
-	evShip                             // a checkpoint ship (or a claim) from from arrived
-	evInvalidate                       // an invalidation: version acked, or the object moved to from
-	evMoveOut                          // a move committed at its source
-	evMoveIn                           // a move installed here, with policy and ex; backup: a backup record is here
-	evClaim                            // a touch needs this node to serve the object; policy and ex from its record
-	evClaimDone                        // every sibling answered a claim: granted, or superseded
-	evDestroy                          // the home destroys the object
-	evDestroyShip                      // a destroy from from, at epoch, arrived
-	evBoot                             // the boot scan found this node's record
-	evShadow                           // a shadow was made of this node's backup record
+	evPolicy        roleEventKind = iota // Create or SetChecksite chose policy
+	evCheckpoint                         // the home checkpoints version
+	evAcked                              // from acknowledged the checkpoint at version
+	evShip                               // a checkpoint ship (or a claim) from from arrived
+	evInvalidate                         // an invalidation: version acked, or the object moved to from
+	evMoveIn                             // a move installed here, with policy and ex; backup: a backup record is here
+	evSettle                             // a touch needs this node to serve the object; policy and ex from its record
+	evClaimDone                          // every sibling answered a claim: granted, or superseded
+	evDestroy                            // the home destroys the object
+	evDestroyShip                        // a destroy from from, at epoch, arrived
+	evBoot                               // the boot scan found this node's record, and its intent to from at epoch
+	evShadow                             // a shadow was made of this node's backup record
+	evMoveStart                          // a move's intent, to from at epoch, is durable
+	evMoveAcked                          // from installed the move at epoch: the move commits
+	evMoveAborted                        // the move's ship failed: the move rolls back
+	evMoveCommitted                      // the intent's deletion is durable: the move's outcome is final
+	evIntentKept                         // the intent's deletion failed: the intent stays
+	evProbeAnswered                      // the intent's destination answered a probe, or did not
+	evProbe                              // a probe from from, at epoch, arrived
 )
 
 // roleEvent is one input of roleStep. Only the fields its kind names are
@@ -158,9 +189,9 @@ const (
 type roleEvent struct {
 	kind    roleEventKind
 	self    uint32 // this node
-	from    uint32 // the sender: a ship's, a destroy's, a move invalidate's new home
+	from    uint32 // the sender: a ship's, a destroy's; a move invalidate's new home; a move's destination
 	version uint64 // a checkpoint's, ship's or invalidation's version
-	epoch   uint64 // a ship's or destroy's epoch
+	epoch   uint64 // a ship's, destroy's or probe's epoch; the epoch a move installs at
 	policy  checksitePolicy
 	ex      []uint32
 	claim   bool // evShip: the ship claims the object for from
@@ -168,11 +199,15 @@ type roleEvent struct {
 	serving bool // this node serves the object as its home
 	fresh   bool // the backup's heartbeat is within RecoverGrace
 	granted bool // evClaimDone: every sibling granted
+	// evProbeAnswered: the destination answered, and said it installed the
+	// move.
+	answered, installed bool
 	// evClaimDone: a sibling serves the object, or holds it from a later
 	// residency.
 	superseded bool
-	// evShip, evDestroyShip, evMoveIn and evBoot: this node's record, if
-	// it has one (evShip: at the epoch it serves the object at, if it does).
+	// evShip, evDestroyShip, evMoveIn, evBoot, evMoveCommitted and
+	// evProbe: this node's record, if it has one (evShip and evProbe: at
+	// the epoch it serves the object at, if it does).
 	record bool
 	rec    store.Meta
 	shadow *Object // evShadow: the shadow made
@@ -182,13 +217,15 @@ type roleEvent struct {
 type effectKind uint8
 
 const (
-	fxPut     effectKind = iota + 1 // write this node's record: its own on the home's side, else a backup for home
-	fxDelete                        // delete this node's record
-	fxRetire                        // retire shadow; calls queued at it bounce to site (0: report a crash)
-	fxShip                          // ship the checkpoint to site, incremental from base when base is not 0
-	fxClaim                         // ship the claim to site
-	fxDestroy                       // ship a destroy to site
-	fxRefuse                        // answer the event's sender with err
+	fxPut          effectKind = iota + 1 // write this node's record: its own on the home's side, else a backup for home
+	fxDelete                             // delete this node's record
+	fxDeleteIntent                       // delete this node's move intent: evMoveCommitted once it is durable, else evIntentKept
+	fxRetire                             // retire shadow; calls queued at it bounce to site (0: report a crash)
+	fxShip                               // ship the checkpoint to site, incremental from base when base is not 0
+	fxClaim                              // ship the claim to site
+	fxDestroy                            // ship a destroy to site
+	fxProbe                              // probe site, the intent's destination, at the intent's epoch
+	fxRefuse                             // answer the event's sender with err
 )
 
 // roleEffect is one effect, as data.
@@ -232,6 +269,9 @@ var (
 	// errBelowFloor refuses a shadow made of a record the serving floor
 	// has passed.
 	errBelowFloor = errors.New("kernel: the record is below the serving floor")
+	// errProbeNotInstalled answers a probe for a move this node did not
+	// install: the source rolls the move back.
+	errProbeNotInstalled = errors.New("kernel: probed object not installed")
 )
 
 // roleStep is the policy: the state after ev, and the effects to apply, in
@@ -284,13 +324,20 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 	case evShip:
 		var refuse error
 		switch {
-		case ev.serving && ev.claim && normEpoch(ev.rec.Epoch) >= ev.epoch:
-			refuse = errSuperseded // this node became the home after the claimant's record
+		case s.intent.node != 0:
+			refuse = ErrMoving // the record here is about to go, or to be settled
+		case ev.serving && ev.claim && normEpoch(ev.rec.Epoch)+1 >= ev.epoch:
+			// This node became the home at or after the epoch of the
+			// claimant's record: a move's destination that restarted finds
+			// its record claimed by a checksite that missed the move.
+			refuse = errSuperseded
 		case ev.serving:
 			refuse = errHomeHere
 		case s.home != 0 && ev.epoch < s.epoch:
 			refuse = errSuperseded
 		case !ev.claim:
+		case s.fwd.epoch >= ev.epoch:
+			refuse = errSuperseded // moved on from here after the claimant's residency
 		case !ev.record:
 			// Nothing here to vouch for: the object was destroyed or
 			// moved on from here, or never reached this node. A grant
@@ -300,7 +347,7 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			refuse = errSuperseded // granted to another claimant at this epoch
 		case ev.rec.Version >= ev.version && !(s.home == ev.from && s.epoch == ev.epoch):
 			refuse = errNewer
-		case s.phase == claimRunning && ev.self < ev.from:
+		case s.phase == settleRunning && ev.self < ev.from:
 			refuse = errClaimLost
 		case s.home != 0 && s.home != ev.from && ev.fresh:
 			refuse = errHomeAlive
@@ -316,7 +363,7 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			s.floor = ev.version
 		}
 		s.home, s.epoch, s.policy, s.ex, s.shipped = ev.from, ev.epoch, ev.policy, ev.ex, nil
-		s.phase = claimNone // a live home, or a winning claim, ends this node's claim
+		s.phase = settleNone // a live home, or a winning claim, ends this node's claim
 		// The record goes first: the ack that follows is the durability
 		// anchor of the staleness bound, and for a claim the grant.
 		fx = append(fx, roleEffect{kind: fxPut})
@@ -340,27 +387,31 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			fx = s.retireBelow(ev.version, ev.from, fx)
 		}
 
-	case evMoveOut:
-		s = roleState{}
-
 	case evMoveIn:
 		fx = s.retireBelow(floorDisabled, ev.self, fx) // calls queued at the shadow find the object here
 		s = roleState{policy: ev.policy, ex: ev.ex, shipped: ev.policy.seeded(ev.self)}
 		if ev.version > 0 {
-			if ev.rec.Backup {
-				// A backup here at the moved version would refuse the home
-				// record as stale: it goes first. A crash between the two
-				// loses no acknowledged move, since the ack comes after.
+			if ev.rec.Backup || ev.rec.Version >= ev.version {
+				// A backup here, or a record of an earlier residency here at
+				// the moved version, would refuse the home record as stale:
+				// it goes first. A crash between the two loses no
+				// acknowledged move, since the ack comes after.
 				fx = append(fx, roleEffect{kind: fxDelete})
 			}
 			fx = append(fx, roleEffect{kind: fxPut})
 		}
 
-	case evClaim:
-		if s.phase == claimRunning || s.home != 0 && ev.fresh {
-			break
+	case evSettle:
+		switch {
+		case s.phase == settleRunning, s.home != 0 && ev.fresh:
+			return s, fx
+		case s.intent.node != 0 && s.phase == settleNeeded:
+			s.phase = settleRunning
+			return s, append(fx, roleEffect{kind: fxProbe, site: s.intent.node})
+		case s.intent.node != 0, !ev.record:
+			return s, fx // a live move owns the intent, or there is nothing to claim
 		}
-		s.policy, s.ex, s.phase = ev.policy, ev.ex, claimRunning
+		s.policy, s.ex, s.phase = ev.policy, ev.ex, settleRunning
 		sibs := s.siblings(ev.self)
 		if len(sibs) == 0 {
 			return roleStep(s, roleEvent{kind: evClaimDone, self: ev.self, granted: true}, fx)
@@ -370,7 +421,7 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		}
 
 	case evClaimDone:
-		if s.phase != claimRunning {
+		if s.phase != settleRunning || s.intent.node != 0 {
 			break // a live home's ship, or a winning claim, ended it
 		}
 		switch {
@@ -385,14 +436,14 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			s = roleState{policy: s.policy, ex: s.ex, shipped: s.policy.seeded(ev.self)}
 			fx = append(fx, roleEffect{kind: fxPut})
 		case s.home != 0:
-			s.phase = claimNone
+			s.phase = settleNone
 		case ev.superseded:
 			// A restarted home whose object lives on elsewhere: its
 			// record is history.
 			s = roleState{}
 			fx = append(fx, roleEffect{kind: fxDelete})
 		default:
-			s.phase = claimNeeded
+			s.phase = settleNeeded
 		}
 
 	case evDestroy:
@@ -416,13 +467,15 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 
 	case evBoot:
 		switch {
+		case ev.from != 0:
+			s.intent, s.phase = residency{ev.from, ev.epoch}, settleNeeded
 		case ev.rec.Backup:
 			s.home, s.epoch = ev.rec.Home, normEpoch(ev.rec.Epoch)
 			if s.floor != floorDisabled {
 				s.floor = max(s.floor, ev.rec.Version)
 			}
-		case ev.rec.Sited && s.home == 0 && s.phase == claimNone:
-			s.phase = claimNeeded
+		case ev.rec.Sited && s.home == 0 && s.phase == settleNone:
+			s.phase = settleNeeded
 		}
 
 	case evShadow:
@@ -437,30 +490,86 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			}
 			s.shadow = ev.shadow
 		}
+
+	case evMoveStart:
+		s.intent, s.phase = residency{ev.from, ev.epoch}, settleNone // a live move owns the intent
+
+	case evMoveAcked:
+		s, fx = commit(residency{ev.from, ev.epoch}, fx)
+
+	case evMoveAborted:
+		fx = append(fx, roleEffect{kind: fxDeleteIntent})
+
+	case evProbeAnswered:
+		switch {
+		case s.phase != settleRunning || s.intent.node == 0:
+		case !ev.answered:
+			s.phase = settleNeeded // in doubt: the next touch probes again
+		case ev.installed:
+			s, fx = commit(s.intent, fx)
+		default:
+			// Never installed: the object resumes here once the intent's
+			// deletion is durable.
+			fx = append(fx, roleEffect{kind: fxDeleteIntent})
+		}
+
+	case evMoveCommitted:
+		switch {
+		case s.intent.node == 0:
+		case s.phase != settleNone && ev.record && ev.rec.Sited && !ev.rec.Backup:
+			s.intent, s.phase = residency{}, settleNeeded // a restarted home claims its record next
+		default:
+			s.intent, s.phase = residency{}, settleNone
+		}
+
+	case evIntentKept:
+		// A roll-back's or a live abort's intent is settled by a probe,
+		// on the next touch that finds the object not served here, as
+		// after a boot. A commit's forward answers without one.
+		if s.intent.node != 0 && s.fwd.node == 0 {
+			s.phase = settleNeeded
+		}
+
+	case evProbe:
+		// Installed here: the object is served or recorded here from the
+		// probed epoch on, or moved on from here (or is moving) at a later
+		// epoch. A forward from an earlier residency says nothing of this
+		// move.
+		if !(ev.record && !ev.rec.Backup && normEpoch(ev.rec.Epoch) >= ev.epoch || s.fwd.epoch >= ev.epoch || s.intent.epoch > ev.epoch) {
+			fx = append(fx, roleEffect{kind: fxRefuse, err: errProbeNotInstalled})
+		}
 	}
 	return s, fx
 }
 
+// commit is a move's commit at its source: the node forwards to it. The
+// record goes before the intent, so that a crash between the two leaves
+// an intent to settle, never a record this node would serve as its own.
+func commit(to residency, fx []roleEffect) (roleState, []roleEffect) {
+	return roleState{fwd: to, intent: to}, append(fx, roleEffect{kind: fxDelete}, roleEffect{kind: fxDeleteIntent})
+}
+
 // judgeRole is the policy's verdict on this node's record of an object:
-// scanned says a boot scan has succeeded, moving that a move intent for
-// the object is unresolved, s (when held) the object's role here, and
-// here and m the record.
-func judgeRole(scanned, moving bool, s roleState, held, here bool, m store.Meta) verdict {
+// scanned says a boot scan has succeeded, s (when held) the object's role
+// here, and here and m the record.
+func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict {
 	switch {
 	case !scanned && here:
 		// Until a scan succeeds this node cannot tell a backup from its
 		// own record.
 		return verdict{role: inDoubt}
-	case moving:
-		return verdict{role: inDoubt}
+	case held && s.fwd.node != 0:
+		return verdict{role: noRecord} // moved on: the forward answers
+	case held && s.intent.node != 0:
+		return verdict{role: inDoubt} // a move to settle, or under way
 	case !here:
 		return verdict{role: noRecord}
 	case held && s.home != 0:
 		return verdict{role: backupRecord, aboveFloor: m.Version >= s.floor}
-	case held && (s.phase != claimNone || m.Backup):
+	case held && (s.phase != settleNone || m.Backup):
 		// A claim to make or to finish (granted, its home record not
 		// written yet).
-		return verdict{role: inDoubt, claim: true}
+		return verdict{role: inDoubt}
 	}
 	return verdict{role: ownRecord}
 }
@@ -468,7 +577,8 @@ func judgeRole(scanned, moving bool, s roleState, held, here bool, m store.Meta)
 // same reports whether s and t agree on all but their policy: whether a
 // later step has changed the state a step left.
 func (s *roleState) same(t roleState) bool {
-	return s.home == t.home && s.epoch == t.epoch && s.floor == t.floor && s.shadow == t.shadow && s.phase == t.phase
+	return s.home == t.home && s.epoch == t.epoch && s.floor == t.floor && s.shadow == t.shadow && s.phase == t.phase &&
+		s.fwd == t.fwd && s.intent == t.intent
 }
 
 // shippedTo returns the index of site in the shipped list, or -1.

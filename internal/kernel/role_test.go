@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"eden/internal/edenid"
 	"eden/internal/msg"
 	"eden/internal/store"
 )
@@ -203,6 +204,13 @@ func TestFailedGrantIsUndone(t *testing.T) {
 	if m, _ := s.stores[3].Stat(cap.ID()); m.Version != 2 || m.Home != 1 {
 		t.Errorf("the checksite holds v%d for node %d, want v2 for node 1", m.Version, m.Home)
 	}
+}
+
+// claim settles id's record at k the way failure recovery does, and
+// reports whether k now serves the object as its home.
+func (k *Kernel) claim(id edenid.ID, deadline time.Time) bool {
+	_ = k.settle(id, deadline)
+	return k.judgeRecord(id).role == ownRecord
 }
 
 // TestChecksitePolicyBounded: a policy with more checksites than a
