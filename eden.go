@@ -53,8 +53,6 @@ type (
 	// ID is an object's system-wide unique-for-all-time name. It is
 	// exported as diagnostic vocabulary (logging, figures, store keys);
 	// every operation that exercises authority takes a Capability.
-	//
-	//edenvet:ignore capleak diagnostic vocabulary only; the invocation API accepts capabilities exclusively
 	ID = edenid.ID
 	// TypeManager defines a type: its operations, invocation classes
 	// and lifecycle hooks.

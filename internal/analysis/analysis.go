@@ -1,27 +1,24 @@
 // Package analysis is edenvet's analyzer framework: a minimal,
 // dependency-free substitute for golang.org/x/tools/go/analysis.
 //
-// The suite enforces the Eden paper's discipline invariants — the rules
-// that are conventions in the prose but must be machine-checked in a
-// growing codebase: capabilities are the only sanctioned object
-// reference (capleak), the target's side checks rights before any
-// handler runs (rightsgate), kernel mutexes are never held across
-// blocking operations (lockhold), errors crossing the kernel boundary
-// wrap the sentinel taxonomy (sentinelwrap), every invocation carries
-// a bounded timeout (timeoutprop), and every deadline-bearing kernel
-// or transport entry point records a latency sample (telemetrytag).
+// The suite machine-checks the parts of the Eden paper's discipline
+// that no test of the program would notice breaking. Four syntactic
+// checks: a raw name never becomes an object handle except through a
+// capability (capleak), kernel mutexes are never held across blocking
+// operations (lockhold), errors crossing the kernel boundary wrap the
+// sentinel taxonomy (sentinelwrap), and every invocation carries a
+// bounded timeout (timeoutprop).
 //
-// On top of those six syntactic checks sits a shared intraprocedural
-// effect engine (effects.go): assignment, &-escape and mutating-method
-// tracking over go/types, with a package-local call graph for one
-// level of interprocedural summary. Two mutation-aware analyzers are
-// built on it: operations declared read-only must actually be pure in
-// their representation (accesspurity), and store mutations in lifecycle
-// call trees must be bracketed by killpoint crossings so the crash
-// harness can schedule kills around them (killpointcover). A ninth,
-// returngives, holds handlers to the reply-ownership rule: a slice given
-// to Call.Return is the reply, so it is not written afterwards and is
-// never package-level state.
+// Two more are built on a shared intraprocedural effect engine
+// (effects.go): assignment, &-escape and mutating-method tracking over
+// go/types, with a package-local call graph for one level of
+// interprocedural summary. Operations declared read-only must actually
+// be pure in their representation (accesspurity), and store mutations in
+// lifecycle call trees must be bracketed by killpoint crossings so the
+// crash harness can schedule kills around them (killpointcover). A
+// seventh, returngives, holds handlers to the reply-ownership rule: a
+// slice given to Call.Return is the reply, so it is not written
+// afterwards and is never package-level state.
 //
 // Everything here is built on go/ast, go/parser, go/token and go/types
 // only, so the suite builds in an offline environment with a bare
@@ -52,11 +49,9 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		CapLeak,
-		RightsGate,
 		LockHold,
 		SentinelWrap,
 		TimeoutProp,
-		TelemetryTag,
 		AccessPurity,
 		KillpointCover,
 		ReturnGives,
@@ -139,8 +134,7 @@ func pathHasSuffix(path, suffix string) bool {
 // namedFromPkg reports whether t is (or contains, through composite
 // type structure) a named type declared in a package whose import path
 // ends in pkgSuffix. It does not descend into other packages' named
-// types: a locator-defined struct that embeds an ID is the locator's
-// own finding, in its own package.
+// types.
 func namedFromPkg(t types.Type, pkgSuffix string, depth int) (types.Type, bool) {
 	if t == nil || depth > 12 {
 		return nil, false

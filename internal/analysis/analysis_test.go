@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -50,38 +51,49 @@ func wantComments(t *testing.T, pkg *Package) map[int]string {
 	return wants
 }
 
-// TestFixtures runs each analyzer over its fixture package and checks
-// the active findings against the // want comments: every expectation
-// must be met, nothing beyond the expectations may fire, fixture
-// suppressions must be well-formed, must absorb their finding (pinning
-// false-positive behavior), and must not be stale.
+// TestFixtures runs each analyzer of the suite over its fixture package,
+// testdata/src/<name>, and checks the active findings against the // want
+// comments: every expectation must be met, nothing beyond the
+// expectations may fire, fixture suppressions must be well-formed, must
+// absorb their finding (pinning false-positive behavior), and must not be
+// stale. An analyzer without a fixture fails, and so does a fixture
+// directory that belongs to no analyzer (suppress aside, which
+// TestSuppressions runs against the whole suite).
 func TestFixtures(t *testing.T) {
-	cases := []struct {
-		dir      string
-		analyzer *Analyzer
-	}{
-		{"capleak", CapLeak},
-		{"rightsgate", RightsGate},
-		{"lockhold", LockHold},
-		{"sentinelwrap", SentinelWrap},
-		{"timeoutprop", TimeoutProp},
-		{"telemetrytag", TelemetryTag},
-		{"accesspurity", AccessPurity},
-		{"killpointcover", KillpointCover},
-		{"returngives", ReturnGives},
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
-			pkg := loadFixture(t, tc.dir)
+	fixtures := map[string]bool{}
+	for _, d := range dirs {
+		if d.IsDir() && d.Name() != "suppress" {
+			fixtures[d.Name()] = true
+		}
+	}
+	for _, a := range All() {
+		if !fixtures[a.Name] {
+			t.Errorf("analyzer %s has no fixture testdata/src/%s", a.Name, a.Name)
+		}
+		delete(fixtures, a.Name)
+	}
+	for dir := range fixtures {
+		t.Errorf("fixture testdata/src/%s belongs to no analyzer", dir)
+	}
+	if t.Failed() {
+		return
+	}
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
+			pkg := loadFixture(t, a.Name)
 			wants := wantComments(t, pkg)
 			if len(wants) == 0 {
-				t.Fatalf("fixture %s declares no expectations", tc.dir)
+				t.Fatalf("fixture %s declares no expectations", a.Name)
 			}
 			sups, bad := CollectSuppressions(pkg)
 			for _, d := range bad {
 				t.Errorf("malformed fixture suppression: %s", d)
 			}
-			diags, _, stale := ApplySuppressions(Run(pkg, []*Analyzer{tc.analyzer}), sups)
+			diags, _, stale := ApplySuppressions(Run(pkg, []*Analyzer{a}), sups)
 			for _, s := range stale {
 				t.Errorf("stale fixture suppression at %s: %s %s", s.Pos, s.Analyzer, s.Reason)
 			}

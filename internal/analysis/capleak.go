@@ -2,162 +2,112 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// CapLeak enforces the paper's naming discipline: "Eden objects refer
-// to one another by means of capabilities, which contain both unique
-// names and access rights." A raw edenid unique name in an exported
-// signature or exported struct field is a reference that bypasses the
-// rights machinery — anyone holding the ID can address the object with
-// no record of what they may do to it. Only internal/edenid itself and
-// internal/capability (which seals IDs behind rights) may traffic in
-// bare IDs; every other package must expose capabilities.
+// CapLeak enforces the paper's naming discipline where it matters:
+// "Eden objects refer to one another by means of capabilities, which
+// contain both unique names and access rights." A raw edenid unique
+// name is only a name — returning one, logging one, or carrying one in
+// a diagnostics field grants nothing. Authority is conferred where a
+// name is turned into something that can act on an object: an exported
+// function or method, or an exported interface's method, that takes a
+// raw name and hands back an object handle (a capability, or a pointer
+// to a named type with methods, such as *kernel.Object). That is the
+// boundary capleak judges: such an entry point lets anyone holding a
+// name reach the object with no record of what they may do to it.
+//
+// The packages below the capability layer traffic in names by design
+// and are exempt: edenid and capability themselves, the store (records
+// keyed by name), msg (wire frames) and the locator (location is about
+// names, not rights).
 var CapLeak = &Analyzer{
 	Name: "capleak",
-	Doc:  "exported API must not leak raw edenid unique names; capabilities are the only sanctioned object reference",
+	Doc:  "an exported function that turns a raw edenid name into an object handle bypasses capabilities, the only sanctioned source of authority",
 	Run:  runCapLeak,
 }
 
+// capLeakExempt are the packages below the capability layer.
+var capLeakExempt = []string{"internal/edenid", "internal/capability", "internal/store", "internal/msg", "internal/locator"}
+
 func runCapLeak(pass *Pass) {
-	if pathHasSuffix(pass.PkgPath, "internal/edenid") || pathHasSuffix(pass.PkgPath, "internal/capability") {
-		return
+	for _, p := range capLeakExempt {
+		if pathHasSuffix(pass.PkgPath, p) {
+			return
+		}
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				checkCapLeakFunc(pass, d)
+				if !d.Name.IsExported() || !exportedRecv(d.Recv) {
+					continue
+				}
+				if fn, ok := pass.Info.Defs[d.Name].(*types.Func); ok {
+					checkNameToHandle(pass, d.Name.Pos(), d.Name.Name, fn.Type().(*types.Signature))
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !ts.Name.IsExported() {
+					if !ok || !ts.Name.IsExported() || ts.Assign.IsValid() {
 						continue
 					}
-					checkCapLeakType(pass, ts)
+					iface, ok := pass.Info.Defs[ts.Name].Type().Underlying().(*types.Interface)
+					if !ok {
+						continue
+					}
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						if m := iface.ExplicitMethod(i); m.Exported() {
+							checkNameToHandle(pass, m.Pos(), ts.Name.Name+"."+m.Name(), m.Type().(*types.Signature))
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// checkCapLeakFunc flags exported functions and methods whose
-// signature mentions an edenid type. Methods on unexported receivers
-// are skipped: they are not reachable API. So are methods judged at an
-// interface they implement (judgedAtInterface).
-func checkCapLeakFunc(pass *Pass, d *ast.FuncDecl) {
-	if !d.Name.IsExported() {
+// checkNameToHandle reports sig if it takes a raw name and returns an
+// object handle.
+func checkNameToHandle(pass *Pass, pos token.Pos, name string, sig *types.Signature) {
+	var id types.Type
+	for i := 0; i < sig.Params().Len() && id == nil; i++ {
+		id, _ = namedFromPkg(sig.Params().At(i).Type(), "internal/edenid", 0)
+	}
+	if id == nil {
 		return
 	}
-	if d.Recv != nil {
-		if base := receiverBaseName(d.Recv); base != "" && !ast.IsExported(base) {
+	for i := 0; i < sig.Results().Len(); i++ {
+		if r := sig.Results().At(i).Type(); isObjectHandle(r) {
+			pass.Reportf(pos,
+				"exported %s turns raw object name %s into %s; take a capability, so the rights travel with the name",
+				name, typeString(id), typeString(r))
 			return
 		}
 	}
-	obj, ok := pass.Info.Defs[d.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	if hit, leaked := namedFromPkg(obj.Type(), "internal/edenid", 0); leaked && !judgedAtInterface(pass, obj) {
-		pass.Reportf(d.Name.Pos(),
-			"exported %s %q leaks raw object name %s in its signature; accept or return a capability instead",
-			funcKind(d), d.Name.Name, typeString(hit))
-	}
 }
 
-// checkCapLeakType flags exported struct fields, interface methods,
-// aliases and named types whose exported surface mentions an edenid
-// type.
-func checkCapLeakType(pass *Pass, ts *ast.TypeSpec) {
-	obj, ok := pass.Info.Defs[ts.Name]
+// isObjectHandle reports whether t can act on an object: a capability
+// (or a composite of them), or a pointer to a named type with methods.
+func isObjectHandle(t types.Type) bool {
+	if _, ok := namedFromPkg(t, "internal/capability", 0); ok {
+		return true
+	}
+	p, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
-		return
-	}
-	t := obj.Type()
-	if ts.Assign.IsValid() { // type alias
-		if hit, leaked := namedFromPkg(t, "internal/edenid", 0); leaked {
-			pass.Reportf(ts.Name.Pos(),
-				"exported alias %q re-exports raw object name %s; alias the capability type instead",
-				ts.Name.Name, typeString(hit))
-		}
-		return
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			fld := u.Field(i)
-			if !fld.Exported() {
-				continue
-			}
-			if hit, leaked := namedFromPkg(fld.Type(), "internal/edenid", 0); leaked {
-				pass.Reportf(fld.Pos(),
-					"exported field %s.%s leaks raw object name %s; store a capability instead",
-					ts.Name.Name, fld.Name(), typeString(hit))
-			}
-		}
-	case *types.Interface:
-		for i := 0; i < u.NumExplicitMethods(); i++ {
-			m := u.ExplicitMethod(i)
-			if !m.Exported() {
-				continue
-			}
-			if hit, leaked := namedFromPkg(m.Type(), "internal/edenid", 0); leaked {
-				pass.Reportf(m.Pos(),
-					"exported interface method %s.%s leaks raw object name %s; accept or return a capability instead",
-					ts.Name.Name, m.Name(), typeString(hit))
-			}
-		}
-	case *types.Signature:
-		if hit, leaked := namedFromPkg(u, "internal/edenid", 0); leaked {
-			pass.Reportf(ts.Name.Pos(),
-				"exported function type %q leaks raw object name %s in its signature; use a capability instead",
-				ts.Name.Name, typeString(hit))
-		}
-	}
-}
-
-// judgedAtInterface reports whether method fn has the name and an
-// identical signature of an explicit method of an exported interface
-// that its receiver type implements, declared in this package or one it
-// imports (the two exempt packages aside). Such a method is judged once,
-// at the interface, where capleak reports it: a suppression there covers
-// every implementation, and a finding there is not repeated at each.
-func judgedAtInterface(pass *Pass, fn *types.Func) bool {
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
 		return false
 	}
-	recv := sig.Recv().Type()
-	if _, isPtr := recv.(*types.Pointer); !isPtr {
-		recv = types.NewPointer(recv) // *T's method set holds T's
-	}
-	for _, pkg := range append([]*types.Package{pass.Pkg}, pass.Pkg.Imports()...) {
-		if pathHasSuffix(pkg.Path(), "internal/edenid") || pathHasSuffix(pkg.Path(), "internal/capability") {
-			continue
-		}
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() {
-				continue
-			}
-			iface, ok := tn.Type().Underlying().(*types.Interface)
-			if !ok || !types.Implements(recv, iface) {
-				continue
-			}
-			for i := 0; i < iface.NumExplicitMethods(); i++ {
-				if m := iface.ExplicitMethod(i); m.Name() == fn.Name() && types.Identical(m.Type(), sig) {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	_, named := types.Unalias(p.Elem()).(*types.Named)
+	return named && types.NewMethodSet(p).Len() > 0
 }
 
-func receiverBaseName(recv *ast.FieldList) string {
+// exportedRecv reports whether a method's receiver type is exported (a
+// plain function has none and counts as exported): methods of an
+// unexported type are not reachable API.
+func exportedRecv(recv *ast.FieldList) bool {
 	if recv == nil || len(recv.List) == 0 {
-		return ""
+		return true
 	}
 	t := recv.List[0].Type
 	for {
@@ -167,16 +117,9 @@ func receiverBaseName(recv *ast.FieldList) string {
 		case *ast.IndexExpr:
 			t = tt.X
 		case *ast.Ident:
-			return tt.Name
+			return tt.IsExported()
 		default:
-			return ""
+			return true
 		}
 	}
-}
-
-func funcKind(d *ast.FuncDecl) string {
-	if d.Recv != nil {
-		return "method"
-	}
-	return "function"
 }

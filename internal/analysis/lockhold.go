@@ -317,3 +317,19 @@ func exprKey(e ast.Expr) string {
 	}
 	return buf.String()
 }
+
+// immediatelyInvoked collects the function literals that are called on
+// the spot (`func() { ... }()`): their bodies execute synchronously as
+// part of the enclosing function.
+func immediatelyInvoked(body ast.Node) map[*ast.FuncLit]bool {
+	iife := make(map[*ast.FuncLit]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if lit, ok := call.Fun.(*ast.FuncLit); ok {
+				iife[lit] = true
+			}
+		}
+		return true
+	})
+	return iife
+}

@@ -14,10 +14,10 @@ package analysis
 //     buffer would become every caller's reply.
 //
 // The check is per function that takes a *kernel.Call, source-ordered
-// and branch-insensitive, like rightsgate. Slices are tracked by the
-// variable (and selector path) they are rooted in; a local bound to a
-// slice of another (`b := out[:]`, `x := append(b[:0], …)`) joins its
-// alias class wherever in the function the binding is. A Return followed
+// and branch-insensitive. Slices are tracked by the variable (and
+// selector path) they are rooted in; a local bound to a slice of
+// another (`b := out[:]`, `x := append(b[:0], …)`) joins its alias class
+// wherever in the function the binding is. A Return followed
 // in its own block by a `return` of the checked function reaches no
 // further, so an early exit does not make the code after it suspect.
 

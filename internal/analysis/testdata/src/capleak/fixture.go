@@ -1,61 +1,58 @@
-// Package capleak exercises the capleak analyzer: raw edenid names in
-// exported API fire; unexported or capability-shaped API does not, and a
-// method that implements an interface is judged once, at the interface.
+// Package capleak exercises the capleak analyzer: an exported entry
+// point that turns a raw edenid name into an object handle fires; a name
+// that is only reported, or unexported API, does not.
 package capleak
 
-import "eden/internal/edenid"
+import (
+	"eden/internal/capability"
+	"eden/internal/edenid"
+)
 
-// Locate returns where the object named id lives.
-func Locate(id edenid.ID) uint32 { return 0 } // want "leaks raw object name"
+// Object is a handle that can act on an object.
+type Object struct{ id edenid.ID }
 
-// Record pairs an object with its placement.
+// ID reports the object's name: a returned name grants nothing.
+func (o *Object) ID() edenid.ID { return o.id }
+
+// Open hands back a handle for a bare name.
+func Open(id edenid.ID) (*Object, error) { return &Object{id}, nil } // want "turns raw object name edenid.ID into *capleak.Object"
+
+// Mint confers rights on whoever holds a name.
+func Mint(ids []edenid.ID) capability.List { return nil } // want "into capability.List"
+
+// Host resolves names for its callers.
+type Host struct{}
+
+// Resolve is a method that hands back a handle for a bare name.
+func (h *Host) Resolve(id edenid.ID) *Object { return nil } // want "exported Resolve turns raw object name"
+
+// Opener is an interface whose method hands back a handle for a name.
+type Opener interface {
+	Open(id edenid.ID) *Object // want "exported Opener.Open turns"
+}
+
+// Record carries a name as data; a field is not flagged.
 type Record struct {
-	Object edenid.ID // want "leaks raw object name"
+	Object edenid.ID
 	Node   uint32
 }
 
-// locate is unexported, so it is not reachable API and does not fire.
-func locate(id edenid.ID) uint32 { _ = id; return 0 }
+// Report is a snapshot value: it cannot act on the object.
+type Report struct{ Version uint64 }
 
-// Placement exposes only opaque data and does not fire.
-type Placement struct {
-	Key  string
-	Node uint32
-}
+// Describe reports on a named object without handing back a handle.
+func Describe(id edenid.ID) (Report, string) { return Report{}, "" }
 
-// Directory is judged and suppressed at its declaration.
-//
-//edenvet:ignore capleak fixture: a suppressed interface covers the methods that implement it
-type Directory interface {
-	Lookup(id edenid.ID) uint32
-}
+// Locate returns where a named object lives.
+func Locate(id edenid.ID) uint32 { return 0 }
 
-// Table implements Directory.
-type Table struct{}
+// Name re-exports the raw name type; an alias confers nothing.
+type Name = edenid.ID
 
-// Lookup implements Directory, so it is judged there: not reported.
-func (t *Table) Lookup(id edenid.ID) uint32 { return 0 }
+// open is unexported, so it is not reachable API and does not fire.
+func open(id edenid.ID) *Object { return &Object{id} }
 
-// Finder is judged at its declaration and reported there.
-type Finder interface {
-	Find(id edenid.ID) bool // want "leaks raw object name"
-}
+// host is unexported: its methods are not reachable API.
+type host struct{}
 
-// Finders implements Finder.
-type Finders struct{}
-
-// Find implements Finder, whose finding is not repeated here.
-func (Finders) Find(id edenid.ID) bool { return false }
-
-// Index has a Lookup of its own signature, so implements no Directory.
-type Index struct{}
-
-// Lookup shares only a name with Directory.Lookup and is reported.
-func (x *Index) Lookup(id edenid.ID, hint int) uint32 { return 0 } // want "leaks raw object name"
-
-// table is unexported: its methods are not reachable API, whether or not
-// they implement an interface.
-type table struct{}
-
-func (t *table) Lookup(id edenid.ID) uint32          { return 0 }
-func (t *table) Probe(id edenid.ID, hint int) uint32 { return 0 }
+func (h *host) Resolve(id edenid.ID) *Object { return nil }

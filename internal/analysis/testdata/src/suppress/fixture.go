@@ -5,10 +5,16 @@ package suppress
 
 import "eden/internal/edenid"
 
+// Handle can act on an object.
+type Handle struct{}
+
+// Close releases the handle.
+func (h *Handle) Close() {}
+
 // Leak deliberately violates capleak; the directive below absorbs it.
 //
 //edenvet:ignore capleak fixture demonstrates a reviewed exception
-func Leak(id edenid.ID) bool { _ = id; return false }
+func Leak(id edenid.ID) *Handle { _ = id; return nil }
 
 // fine has nothing to suppress, so its directive is stale.
 //

@@ -513,20 +513,14 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 // processor wait and the reply wait share it, so a call can never
 // consume more than its caller's time limit. origin is nil for a local call.
 func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, origin *servedKey) (rep msg.InvokeRep, _ error) {
-	// The serving side verifies rights before admitting the call: a
-	// request that arrived over the wire carries whatever capability
-	// the sender claims, and the target's node — not the sender — is
-	// the authority. validate checks per-operation rights below; this
-	// gate rejects capabilities lacking Invoke outright.
-	if !req.Target.Has(rights.Invoke) {
-		k.tel.rightsDenied.Inc()
-		return msg.InvokeRep{Status: msg.StatusRights, Data: []byte("capability lacks invoke right")}, nil
-	}
 	start := k.tel.dispatchLat.Start()
 	timeout := time.Until(deadline)
 	c := k.getFrame()
 	c.name, c.data, c.caps, c.rts = req.Operation, req.Data, req.Caps, req.Target.Rights()
 	c.o, c.deadline = obj, deadline
+	// validate is the serving side's one rights gate: a request from the
+	// wire carries whatever capability its sender claims, and the
+	// target's node, not the sender, is the authority.
 	if rep, ok := obj.validate(c); !ok {
 		c.recycle()
 		return rep, nil

@@ -553,8 +553,6 @@ func (k *Kernel) Stats() Stats {
 
 // ActiveObjects returns the IDs of objects with active incarnations on
 // this node (excluding replicas).
-//
-//edenvet:ignore capleak introspection for tests, benchmarks and figures; the names confer no rights without a capability
 func (k *Kernel) ActiveObjects() []edenid.ID {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -1080,8 +1078,6 @@ func errFromStatus(st msg.Status, data []byte) error {
 
 // DebugObjectState reports this kernel's bookkeeping for one object —
 // test and console diagnostics only.
-//
-//edenvet:ignore capleak diagnostics-only view keyed by name; it grants nothing
 func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	k.mu.Lock()
 	obj, active := k.active[id]

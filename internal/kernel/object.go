@@ -166,8 +166,6 @@ func (o *Object) downLocked() chan struct{} {
 }
 
 // ID returns the object's unique name.
-//
-//edenvet:ignore capleak the kernel implements the capability layer; type managers mint capabilities from this name via SelfCapability
 func (o *Object) ID() edenid.ID { return o.id }
 
 // TypeName returns the name of the object's type manager.
@@ -678,8 +676,6 @@ func movedDest(rep msg.InvokeRep) (uint32, bool) {
 // its exit makes room for. The exit is settled in a deferred step, so a
 // handler that panics or ends its goroutine (runtime.Goexit) still frees
 // its class and answers its invoker.
-//
-//edenvet:ignore rightsgate validate verifies Invoke plus the operation's declared rights before the call is queued
 func (c *callCtx) runProcess() {
 	o, op := c.o, c.op
 	o.k.tel.serveConc.Add(1)
@@ -808,8 +804,6 @@ type SegmentInfo struct {
 // short-term state.
 type Anatomy struct {
 	// Name is the object's unique name.
-	//
-	//edenvet:ignore capleak anatomy dumps reproduce the paper's Figure 4, which shows the raw unique name; no authority is conferred
 	Name edenid.ID
 	// TypeName identifies the type manager.
 	TypeName string

@@ -121,7 +121,6 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 // served (checkpoint versions this site has acked), and whether a
 // materialized shadow is currently live.
 type ReplicaStatus struct {
-	//edenvet:ignore capleak operator diagnostics view (edennode /replicas) identifies records by name, like an anatomy dump; no authority is conferred
 	Object edenid.ID `json:"object"`
 	Home   uint32    `json:"home"`
 	// Floor is the minimum checkpoint version this node may serve.

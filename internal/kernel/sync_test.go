@@ -144,6 +144,38 @@ func TestPortReceiveTimeout(t *testing.T) {
 	}
 }
 
+// TestPortReceiveRecordsWait checks that a Receive on a node with
+// telemetry records its wait in kernel.sync.port.wait, both when a
+// message arrives and when the timeout expires.
+func TestPortReceiveRecordsWait(t *testing.T) {
+	k, reg, tel := newSchedKernel(t, nil)
+	tm := NewType("bare")
+	tm.Op(Operation{Name: "noop", Handler: func(c *Call) {}})
+	mustRegister(t, reg, tm)
+	cap, err := k.Create("bare", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := k.Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := obj.Port("mbox", 1)
+	waits := tel.Histogram(metricPortWait)
+	if err := p.Send([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Receive(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Receive(time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if n := waits.Snapshot().Count; n != 2 {
+		t.Errorf("%s count = %d after two receives, want 2", metricPortWait, n)
+	}
+}
+
 func TestPortBackpressure(t *testing.T) {
 	obj, _ := mkObject(t)
 	p := obj.Port("mbox", 1)

@@ -50,8 +50,6 @@ var (
 // is true the caller is running the failure-recovery protocol: a node
 // holding only a checkpoint backup (a remote checksite) should then
 // claim the object as home so it can be reincarnated there.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 type HostCheck func(id edenid.ID, recover bool) (home, replica bool)
 
 // SendFunc transmits one frame; the kernel supplies its transport's
@@ -161,8 +159,6 @@ func (l *Locator) Stats() Stats {
 // hints replace the previous home. A home at the object's creating node
 // is what a lookup guesses anyway, so learning one stores nothing: it
 // discards the cached home and the mark that ruled the guess out.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Learn(id edenid.ID, node uint32, replica bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -212,8 +208,6 @@ func (l *Locator) setHome(id edenid.ID, home uint32) {
 // and the guess at its creating node. The guess stays ruled out until a
 // hint places the object at its creator again (Learn), so one invocation
 // never tries a wrong guess twice.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Forget(id edenid.ID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -232,8 +226,6 @@ func (l *Locator) Forget(id edenid.ID) {
 // checksite list, so merging (Learn) would resurrect retired sites;
 // replacement is what keeps a move from leaving the old home's
 // checksites in the cache — the dual-home hazard.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) SetReplicas(id edenid.ID, home uint32, sites []uint32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -291,8 +283,6 @@ func (l *Locator) cached(id edenid.ID, wantHome bool) (Location, bool) {
 // then guessing the creating node, and falling back to the broadcast
 // protocol once the guess is ruled out. A zero timeout uses
 // DefaultTimeout.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Lookup(id edenid.ID, timeout time.Duration) (Location, error) {
 	return l.lookup(id, true, false, timeout)
 }
@@ -301,8 +291,6 @@ func (l *Locator) Lookup(id edenid.ID, timeout time.Duration) (Location, error) 
 // hint cache and asks every node — including nodes holding only a
 // checkpoint backup — to claim the object, so that after its home node
 // fails the object can reincarnate at a checksite.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) Recover(id edenid.ID, timeout time.Duration) (Location, error) {
 	l.Forget(id)
 	// The recovering node may itself hold the checkpoint backup; a
@@ -317,8 +305,6 @@ func (l *Locator) Recover(id edenid.ID, timeout time.Duration) (Location, error)
 // LookupAny resolves any node able to serve the object — its home or a
 // frozen replica. Read-only invocation paths use this to exploit
 // cached replicas.
-//
-//edenvet:ignore capleak the location service operates below the capability layer on pure names; rights play no part in location
 func (l *Locator) LookupAny(id edenid.ID, timeout time.Duration) (Location, error) {
 	return l.lookup(id, false, false, timeout)
 }

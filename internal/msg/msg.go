@@ -485,8 +485,6 @@ func DecodeInvokeRep(src []byte) (InvokeRep, error) {
 }
 
 // LocateReq is the payload of KindLocateReq.
-//
-//edenvet:ignore capleak wire frames carry raw names by design; rights travel only inside encoded capabilities
 type LocateReq struct {
 	// Object is the name being located.
 	Object edenid.ID
@@ -523,8 +521,6 @@ func DecodeLocateReq(src []byte) (LocateReq, error) {
 
 // LocateRep is the payload of KindLocateRep. Only nodes that host (or
 // hold a frozen replica of) the object answer.
-//
-//edenvet:ignore capleak wire frames carry raw names by design; rights travel only inside encoded capabilities
 type LocateRep struct {
 	// Object echoes the queried name.
 	Object edenid.ID
@@ -606,8 +602,6 @@ func (p ShipPurpose) String() string {
 
 // Ship is the payload of KindShip: an object's identity, type, flags
 // and encoded representation in transit between kernels.
-//
-//edenvet:ignore capleak wire frames carry raw names by design; rights travel only inside encoded capabilities
 type Ship struct {
 	// Purpose says what the receiver should do with the payload.
 	Purpose ShipPurpose
@@ -746,8 +740,6 @@ func DecodeShip(src []byte) (Ship, error) {
 // after a move (Move true) it retires every shadow outright — the
 // sites list then names the new home's checksites, so caches can be
 // refreshed rather than merely dropped.
-//
-//edenvet:ignore capleak wire frames carry raw names by design; rights travel only inside encoded capabilities
 type Invalidate struct {
 	// Object is the object whose checkpoint state changed.
 	Object edenid.ID

@@ -51,8 +51,6 @@ func (e *notFound) Unwrap() error { return ErrNotFound }
 
 // Record is one checkpoint: an object's identity, its type, and its
 // encoded representation at some version.
-//
-//edenvet:ignore capleak the store sits below the capability layer: checkpoints are keyed by unique name, and holding a record confers no invocation rights
 type Record struct {
 	// Object names the checkpointed object.
 	Object edenid.ID
@@ -92,8 +90,6 @@ type Record struct {
 // the node, and deletes it when the move commits or aborts. An intent
 // that survives a crash marks the transaction in doubt; recovery
 // probes Dest's epoch and resolves to exactly one home.
-//
-//edenvet:ignore capleak the store sits below the capability layer: intents are keyed by unique name and confer no invocation rights
 type MoveIntent struct {
 	// Object is the object mid-move.
 	Object edenid.ID
@@ -199,8 +195,6 @@ func DecodePolicy(b []byte) (Policy, []byte, error) {
 
 // Store is the long-term storage interface the kernel checkpoints
 // against. Implementations must be safe for concurrent use.
-//
-//edenvet:ignore capleak the store sits below the capability layer: checkpoints are keyed by unique name, and holding a record confers no invocation rights
 type Store interface {
 	// Put installs a checkpoint atomically. It fails with ErrStale if
 	// rec.Version is not greater than the stored version.
