@@ -18,7 +18,8 @@
 // crash harness can schedule kills around them (killpointcover). A
 // seventh, returngives, holds handlers to the reply-ownership rule: a
 // slice given to Call.Return is the reply, so it is not written
-// afterwards and is never package-level state.
+// afterwards and is never package-level state, and a buffer
+// Call.ReturnBuffer lends does not outlive the handler.
 //
 // Everything here is built on go/ast, go/parser, go/token and go/types
 // only, so the suite builds in an offline environment with a bare

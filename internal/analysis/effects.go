@@ -273,7 +273,7 @@ var objectMutatingMethods = map[string]bool{
 // reach the kernel, never the representation. Self propagates the
 // taint (its result is the tracked object).
 var callPureMethods = map[string]bool{
-	"Return": true, "ReturnCaps": true, "Fail": true, "Kernel": true,
+	"Return": true, "ReturnBuffer": true, "ReturnCaps": true, "Fail": true, "Kernel": true,
 	"Subprocess": true, // the literal argument is analyzed inline
 }
 

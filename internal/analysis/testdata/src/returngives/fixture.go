@@ -16,6 +16,12 @@ var shared = make([]byte, 8)
 // table holds one buffer per slot, all package-level.
 var table [4][]byte
 
+// held and cache are package-level places a lent buffer must not reach.
+var (
+	held  struct{ keep []byte }
+	cache = map[string][]byte{}
+)
+
 func register(tm *kernel.TypeManager) {
 	tm.Op(kernel.Operation{Name: "index-after", Handler: func(c *kernel.Call) {
 		b := make([]byte, 8)
@@ -84,6 +90,78 @@ func register(tm *kernel.TypeManager) {
 	}})
 
 	tm.Op(kernel.Operation{Name: "named", Handler: named})
+
+	// A buffer ReturnBuffer lends must not outlive the handler.
+	var last []byte
+	tm.Op(kernel.Operation{Name: "lent-field", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		held.keep = out // want "stores out in held.keep, a buffer ReturnBuffer lent"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-map", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(16)
+		cache[c.Operation] = out[8:] // want "stores out[8:] in cache[c.Operation]"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-enclosing", Handler: func(c *kernel.Call) {
+		view := c.ReturnBuffer(8)[2:]
+		last = view // want "stores view in last"
+	}})
+	tm.Op(kernel.Operation{Name: "last", Handler: func(c *kernel.Call) { c.Return(append([]byte(nil), last...)) }})
+
+	ch := make(chan []byte, 1)
+	tm.Op(kernel.Operation{Name: "lent-send", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		ch <- out // want "sends out on a channel"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-send-direct", Handler: func(c *kernel.Call) {
+		ch <- c.ReturnBuffer(8) // want "sends c.ReturnBuffer(8) on a channel"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-subprocess", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		<-c.Subprocess(func() {
+			out[0] = 1 // want "captures out in a Subprocess"
+			out[1] = 2
+		})
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-behavior", Handler: func(c *kernel.Call) {
+		var out []byte
+		c.Self().View(func(r *segment.Representation) {
+			out = c.ReturnBuffer(8)
+		})
+		c.Self().SpawnBehavior(func(stop <-chan struct{}) {
+			<-stop
+			out[0] = 1 // want "captures out in a behavior"
+		})
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-go", Handler: func(c *kernel.Call) {
+		view := c.ReturnBuffer(8)[4:]
+		go func() {
+			_ = view // want "captures view in a go statement"
+		}()
+	}})
+
+	// What a lent buffer allows: filling it, inside callbacks too.
+	tm.Op(kernel.Operation{Name: "lent-filled", Handler: func(c *kernel.Call) {
+		var out []byte
+		c.Self().View(func(r *segment.Representation) {
+			out = c.ReturnBuffer(8 + len(c.Data))
+			binary.BigEndian.PutUint64(out, 7)
+			copy(out[8:], c.Data)
+		})
+		out[0] = 1
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-subprocess-elsewhere", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		data := c.Data
+		<-c.Subprocess(func() { ch <- data })
+		out[0] = 1
+	}})
 
 	// What the rule allows.
 	tm.Op(kernel.Operation{Name: "local-array", Handler: func(c *kernel.Call) {

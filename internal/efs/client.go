@@ -165,8 +165,11 @@ type Tx struct {
 	c *Client
 	// tid is minted on first need — a Locking write, or a commit of
 	// several files; an optimistic one-file transaction has none.
-	tid    []byte
-	writes []txWrite
+	tid []byte
+	// first is the first file written and rest the others, so that a
+	// one-file transaction grows no slice.
+	first txWrite
+	rest  []txWrite
 	// held are the files sent a lock or a prepare under tid: each may
 	// hold the lock or pending state, whether or not its reply came,
 	// until an abort or a commit step reaches it.
@@ -177,7 +180,10 @@ type Tx struct {
 type txWrite struct {
 	file capability.Capability
 	base uint64
-	data []byte
+	// prop is the write as prepare and commit-one take it, tidLen(4) tid
+	// | base(8) | content, laid out behind the tid the transaction had
+	// when the write was buffered: the one copy of the content it makes.
+	prop []byte
 }
 
 // Begin starts a transaction.
@@ -231,14 +237,35 @@ func (t *Tx) Write(file capability.Capability, base uint64, data []byte) error {
 	}
 	t.c.tel.writes.Inc()
 	// Replace an earlier buffered write of the same file.
-	for i := range t.writes {
-		if t.writes[i].file.ID() == file.ID() {
-			t.writes[i].data = append([]byte(nil), data...)
+	for i := range t.writes() {
+		if w := t.write(i); w.file.ID() == file.ID() {
+			w.prop = t.propose(w.base, data)
 			return nil
 		}
 	}
-	t.writes = append(t.writes, txWrite{file: file, base: base, data: append([]byte(nil), data...)})
+	w := txWrite{file: file, base: base, prop: t.propose(base, data)}
+	if t.first.prop == nil {
+		t.first = w
+	} else {
+		t.rest = append(t.rest, w)
+	}
 	return nil
+}
+
+// writes is the number of files the transaction writes.
+func (t *Tx) writes() int {
+	if t.first.prop == nil {
+		return 0
+	}
+	return 1 + len(t.rest)
+}
+
+// write returns the transaction's i'th write.
+func (t *Tx) write(i int) *txWrite {
+	if i == 0 {
+		return &t.first
+	}
+	return &t.rest[i-1]
 }
 
 // WriteLatest buffers new content on top of whatever version is
@@ -268,10 +295,10 @@ func (t *Tx) Commit() error {
 	t.done = true
 	start := t.c.tel.commitLat.Start()
 	var err error
-	switch len(t.writes) {
+	switch t.writes() {
 	case 0:
 	case 1:
-		w := t.writes[0]
+		w := t.first
 		if _, err = t.c.k.Invoke(w.file, "commit-one", t.proposal(w), nil, t.c.opts); err != nil {
 			return t.refused("commit", err)
 		}
@@ -283,30 +310,43 @@ func (t *Tx) Commit() error {
 		err = t.commitAll()
 	}
 	t.release()
-	if len(t.writes) > 0 {
+	if t.writes() > 0 {
 		t.c.tel.commitLat.ObserveSince(start)
 	}
 	t.c.tel.commits.Inc()
 	return err
 }
 
-// proposal encodes w as prepare and commit-one take it: tidLen(4) tid |
-// base(8) | content.
-func (t *Tx) proposal(w txWrite) []byte {
-	req := make([]byte, 0, 12+len(t.tid)+len(w.data))
+// propose lays content out on base as prepare and commit-one take it,
+// tidLen(4) tid | base(8) | content, behind the transaction's tid so far
+// (none in an optimistic transaction until it commits several files).
+func (t *Tx) propose(base uint64, content []byte) []byte {
+	req := make([]byte, 0, 12+len(t.tid)+len(content))
 	req = binary.BigEndian.AppendUint32(req, uint32(len(t.tid)))
 	req = append(req, t.tid...)
-	req = binary.BigEndian.AppendUint64(req, w.base)
-	return append(req, w.data...)
+	req = binary.BigEndian.AppendUint64(req, base)
+	return append(req, content...)
+}
+
+// proposal returns w as prepare and commit-one take it: the layout made
+// when it was buffered, or, when the tid was minted since, its content
+// laid out anew behind the tid.
+func (t *Tx) proposal(w txWrite) []byte {
+	n := int(binary.BigEndian.Uint32(w.prop))
+	if string(w.prop[4:4+n]) == string(t.tid) {
+		return w.prop
+	}
+	return t.propose(w.base, w.prop[4+n+8:])
 }
 
 // prepareAll is phase one: every file votes, and each may hold the
 // transaction's lock from the moment its prepare is sent.
 func (t *Tx) prepareAll() error {
 	t.id()
-	for _, w := range t.writes {
+	for i := range t.writes() {
+		w := t.write(i)
 		t.hold(w.file)
-		if _, err := t.c.k.Invoke(w.file, "prepare", t.proposal(w), nil, t.c.opts); err != nil {
+		if _, err := t.c.k.Invoke(w.file, "prepare", t.proposal(*w), nil, t.c.opts); err != nil {
 			return err
 		}
 	}
@@ -319,7 +359,8 @@ func (t *Tx) prepareAll() error {
 // a transaction the other files committed.
 func (t *Tx) commitAll() error {
 	var firstErr error
-	for _, w := range t.writes {
+	for i := range t.writes() {
+		w := t.write(i)
 		t.settle(w.file)
 		if _, err := t.c.k.Invoke(w.file, "commit", t.tid, nil, t.c.opts); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("efs: commit phase two: %w", err)

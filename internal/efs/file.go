@@ -182,13 +182,14 @@ func RegisterType(reg *kernel.Registry) error {
 
 // opRead returns version(8) | content. Request data: version(8),
 // where absent or 0 means latest. Reading version 0 of an empty file
-// returns version 0 with empty content.
+// returns version 0 with empty content. The reply is copied out of the
+// version once, into the buffer ReturnBuffer lends: for a read from
+// another node, the frame the reply is sent in.
 func opRead(c *kernel.Call) {
 	var want uint64
 	if len(c.Data) == 8 {
 		want = binary.BigEndian.Uint64(c.Data)
 	}
-	var out []byte
 	var fail error
 	c.Self().View(func(r *segment.Representation) {
 		v := want
@@ -196,7 +197,7 @@ func opRead(c *kernel.Call) {
 			v = readMeta(r).latest
 		}
 		if v == 0 {
-			out = u64b(0)
+			c.ReturnBuffer(8) // version 0, no content
 			return
 		}
 		name := verSeg(v)
@@ -205,15 +206,13 @@ func opRead(c *kernel.Call) {
 			fail = fmt.Errorf("%w: %d", ErrNoVersion, v)
 			return
 		}
-		out = make([]byte, 8+n)
+		out := c.ReturnBuffer(8 + n)
 		binary.BigEndian.PutUint64(out, v)
 		_, _ = r.CopyData(out[8:], name)
 	})
 	if fail != nil {
 		c.Fail("%v", fail)
-		return
 	}
-	c.Return(out)
 }
 
 // opHistory returns latest(8) | count(8): versions are 1..latest,

@@ -1,0 +1,144 @@
+package efs
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"eden/internal/msg"
+	"eden/internal/transport"
+)
+
+// replyTap is a node's transport with its inbound handler exposed and
+// its invocation replies checked instead of sent: a test hands the node
+// a request frame as a transport would and waits for the reply, with
+// nothing but the serve on the path.
+type replyTap struct {
+	transport.Transport
+	h     transport.Handler
+	reply chan int // each reply's data length; -1 for a reply that is not OK
+}
+
+func (r *replyTap) SetHandler(h transport.Handler) {
+	r.h = h
+	r.Transport.SetHandler(h)
+}
+
+func (r *replyTap) Send(env msg.Envelope) error {
+	if env.Kind != msg.KindInvokeRep {
+		return r.Transport.Send(env)
+	}
+	n := -1
+	if rep, err := msg.DecodeInvokeRep(env.Payload); err == nil && rep.Status == msg.StatusOK {
+		n = len(rep.Data)
+	}
+	r.reply <- n
+	return nil
+}
+
+// TestServedReadAllocCeiling pins what serving a read of a 1 KiB
+// version for another node allocates on the serving node: 1 object, the
+// request frame the transport read it into. opRead writes the reply
+// into the pooled frame it is sent in (Call.ReturnBuffer), so the reply
+// costs neither an allocation nor a copy; it was 2 while opRead built
+// an exact-size reply that serveInvoke then encoded.
+func TestServedReadAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
+	}
+	const ceiling = 1
+	tap := &replyTap{reply: make(chan int, 1)}
+	ks := testSysWith(t, 2*time.Second, func(tr transport.Transport) transport.Transport {
+		if tr.Node() != 2 {
+			return tr
+		}
+		tap.Transport = tr
+		return tap
+	}, 1, 2)
+	c := NewClient(ks[2], Optimistic)
+	f, err := c.CreateFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := c.Begin()
+	if err := tx.Write(f, 0, bytes.Repeat([]byte("v"), 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	req := msg.InvokeReq{Target: f, Operation: "read", TimeoutNanos: int64(2 * time.Second)}.Encode(nil)
+	serve := func() {
+		env := msg.Envelope{Kind: msg.KindInvokeReq, From: 1, To: 2, Corr: 1, Payload: append([]byte(nil), req...)}
+		tap.h(env)
+		if n := <-tap.reply; n != 8+1<<10 {
+			t.Fatalf("served read replied %d bytes of data, want %d", n, 8+1<<10)
+		}
+	}
+	serve() // the processor and the pools are warm
+	if got := testing.AllocsPerRun(1000, serve); got > ceiling {
+		t.Errorf("serving a 1 KiB read for another node: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestConcurrentRemoteReadsGetTheirOwnBytes: readers on one node read
+// files homed on another at once, each committing new versions of its
+// own file between reads, so the serving node writes many replies into
+// pooled frames and frees them while others are in flight. Every read
+// returns exactly the version its reader committed last, of its own
+// file. Files of 64 B to 64 KiB reach both buffer classes and the
+// unpooled frame beyond them.
+func TestConcurrentRemoteReadsGetTheirOwnBytes(t *testing.T) {
+	ks := testSys(t, 1, 2)
+	home := NewClient(ks[2], Optimistic)
+	c := NewClient(ks[1], Optimistic)
+	sizes := []int{64, 1 << 10, 4 << 10, 5 << 10, 64 << 10, 70 << 10}
+	const rounds = 20
+	var wg sync.WaitGroup
+	errs := make(chan error, len(sizes))
+	for g, size := range sizes {
+		f, err := home.CreateFile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			value := make([]byte, size)
+			for ver := uint64(1); ver <= rounds; ver++ {
+				for i := range value {
+					value[i] = byte(g*31 + int(ver)*7 + i)
+				}
+				binary.BigEndian.PutUint64(value, uint64(g)<<32|ver)
+				tx := c.Begin()
+				if err := tx.Write(f, ver-1, value); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- err
+					return
+				}
+				for range 3 {
+					got, v, err := c.Read(f)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if v != ver || !bytes.Equal(got, value) {
+						errs <- fmt.Errorf("reader %d: read version %d (%d bytes), want its own version %d (%d bytes)", g, v, len(got), ver, len(value))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -21,13 +21,16 @@ import (
 // state-changing operation, which can be held inside its handler, and a
 // read-only one; both count their executions. A third, "keep", changes
 // nothing but is not declared AccessRead: it returns the first 8 bytes of
-// its request, a slice of the frame the request arrived in.
+// its request, a slice of the frame the request arrived in. A fourth,
+// "build", is a state-changing operation that writes its reply with
+// ReturnBuffer: its execution count, then its request.
 type onceRig struct {
 	*sys
 	k         *Kernel
 	cp        capability.Capability
 	bumps     atomic.Int64  // executions of "bump"
 	peeks     atomic.Int64  // executions of "peek"
+	builds    atomic.Int64  // executions of "build"
 	hold      chan struct{} // non-nil: "bump" announces itself on entered, then waits here
 	entered   chan struct{}
 	mu        sync.Mutex
@@ -52,6 +55,11 @@ func newOnceRig(t *testing.T) *onceRig {
 	}})
 	tm.Op(Operation{Name: "keep", Access: AccessWrite, Handler: func(c *Call) {
 		c.Return(c.Data[:min(8, len(c.Data))])
+	}})
+	tm.Op(Operation{Name: "build", Access: AccessWrite, Handler: func(c *Call) {
+		out := c.ReturnBuffer(8 + len(c.Data))
+		binary.BigEndian.PutUint64(out, uint64(r.builds.Add(1)))
+		copy(out[8:], c.Data)
 	}})
 	mustRegister(t, r.reg, tm)
 	var err error

@@ -50,6 +50,10 @@ type callCtx struct {
 	// The object side gives it back (finish): a handler that outlives its
 	// invoker's deadline still occupies the processor it runs on.
 	vproc bool
+	// inPlace marks a call from another node to an AccessRead operation,
+	// whose handler may write its reply into the frame it leaves in
+	// (Call.ReturnBuffer).
+	inPlace bool
 
 	o    *Object // the incarnation the call was submitted to
 	call Call    // the handler's context; valid until the handler returns
@@ -93,7 +97,7 @@ func (c *callCtx) recycle() {
 	default:
 	}
 	c.name, c.op, c.next, c.data, c.caps, c.o = "", nil, nil, nil, nil, nil
-	c.vproc = false
+	c.vproc, c.inPlace = false, false
 	c.call = Call{}
 	c.env, c.async = msg.Envelope{}, nil
 	c.k.frames.Put(c)

@@ -73,6 +73,17 @@ type servedKey struct {
 	corr uint64
 }
 
+// inbound is a call that arrived from another node, as serveInvoke
+// hands it down to dispatch: the logical invocation, and the way back
+// for a reply written in place.
+type inbound struct {
+	key servedKey
+	// frame is the pooled buffer the handler wrote its reply into
+	// (Call.ReturnBuffer), already in its wire form; serveInvoke sends
+	// and frees it. nil when the reply is to be encoded.
+	frame *msg.Buffer
+}
+
 // home is the index entry where a probe for the key starts: the high
 // half of a multiplicative hash, so that one sender's consecutive corrs
 // scatter.
@@ -391,7 +402,7 @@ func replyFrom(rep msg.InvokeRep) (Reply, error) {
 // never ran, and the object's state is in the local record: it goes
 // round again (at most maxReresolve times) and lands on the passive
 // record, or on the incarnation a racing call made from it.
-func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica bool, origin *servedKey, deadline time.Time) (msg.InvokeRep, bool, error) {
+func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica bool, origin *inbound, deadline time.Time) (msg.InvokeRep, bool, error) {
 	for round := 0; ; round++ {
 		rep, served, err := k.tryLocalOnce(req, allowReplica, origin, deadline)
 		if rep.Status != statusPassive {
@@ -403,7 +414,7 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica bool, origin *servedKe
 	}
 }
 
-func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *servedKey, deadline time.Time) (msg.InvokeRep, bool, error) {
+func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbound, deadline time.Time) (msg.InvokeRep, bool, error) {
 	id := req.Target.ID()
 	k.mu.Lock()
 	if k.closed {
@@ -512,7 +523,7 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *serv
 // One absolute deadline covers the whole dispatch — the virtual-
 // processor wait and the reply wait share it, so a call can never
 // consume more than its caller's time limit. origin is nil for a local call.
-func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, origin *servedKey) (rep msg.InvokeRep, _ error) {
+func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, origin *inbound) (rep msg.InvokeRep, _ error) {
 	start := k.tel.dispatchLat.Start()
 	timeout := time.Until(deadline)
 	c := k.getFrame()
@@ -528,7 +539,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 	// The operation is known and the call has cost nothing yet: the one
 	// place to decide whether a retransmission of it may run again.
 	if origin != nil && c.op.mode != AccessRead {
-		n, answer := k.served.begin(*origin)
+		n, answer := k.served.begin(origin.key)
 		if n == 0 {
 			c.recycle()
 			return answer, nil
@@ -556,6 +567,9 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		}
 		c.vproc = true
 	}
+	// A read's reply is retained nowhere, so one from another node may
+	// be written into the frame it leaves in.
+	c.inPlace = origin != nil && c.op.mode == AccessRead
 	c.owners.Store(2) // the invoker's share and the object side's
 	obj.sched.Lock()
 	if obj.state == stDown {
@@ -576,6 +590,11 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		obj.sched.Unlock()
 	}
 	rep, ok := c.await(remaining)
+	if ok && origin != nil {
+		// The process wrote the frame before finishing, and the frame is
+		// not recycled before this share is released.
+		origin.frame = c.call.frame
+	}
 	c.release()
 	if !ok {
 		// "The invoker wishes to be notified if the invocation is not
@@ -646,7 +665,7 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	// trace id; together they split a remote invocation's latency into
 	// service time (here) and everything else (wire + location).
 	sp := k.tel.reg.StartSpan("serve", env.Trace, k.cfg.Node)
-	origin := servedKey{from: env.From, corr: env.Corr}
+	origin := inbound{key: servedKey{from: env.From, corr: env.Corr}}
 	rep, served, derr := k.tryLocal(req, req.AllowReplica(), &origin, time.Now().Add(timeout))
 	if derr != nil {
 		rep = msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(derr.Error())}
@@ -660,5 +679,9 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	k.stServed.Add(1)
 	k.tel.invServed.Inc()
 	sp.End(rep.Status.String())
-	_ = k.send(msg.Envelope{Kind: msg.KindInvokeRep, To: env.From, Corr: env.Corr, Trace: env.Trace}, msg.Encode(rep))
+	payload := origin.frame // the reply as the handler wrote it in place
+	if payload == nil {
+		payload = msg.Encode(rep)
+	}
+	_ = k.send(msg.Envelope{Kind: msg.KindInvokeRep, To: env.From, Corr: env.Corr, Trace: env.Trace}, payload)
 }

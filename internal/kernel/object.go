@@ -688,6 +688,7 @@ func (c *callCtx) runProcess() {
 		Caps:      c.caps,
 		Rights:    c.rts,
 		status:    msg.StatusOK,
+		inPlace:   c.inPlace,
 	}
 	returned := false
 	defer func() {
@@ -707,11 +708,14 @@ func (c *callCtx) runProcess() {
 		// the invoker sees the crash, not a reply from a dead incarnation.
 		crashed := o.state == stDown && o.movedTo == 0
 		o.sched.Unlock()
+		rep := msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps}
 		if crashed {
-			c.finish(msg.InvokeRep{Status: msg.StatusCrashed})
-			return
+			rep = msg.InvokeRep{Status: msg.StatusCrashed}
 		}
-		c.finish(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
+		if rep.Status != msg.StatusOK || len(rep.Caps) != 0 {
+			call.frame = nil // not the reply's wire form: the collector's
+		}
+		c.finish(rep)
 	}()
 	op.Handler(call)
 	returned = true
@@ -735,7 +739,8 @@ func (o *Object) waitDrainedLocked() {
 // Return gives: the slices a handler passes to Return and ReturnCaps
 // become the reply itself, not a copy of it, so the handler must not
 // modify them afterwards, and must not pass a buffer anything else
-// still writes or hands out.
+// still writes or hands out. ReturnBuffer lends instead: the handler
+// fills the bytes it returns and keeps nothing of them.
 type Call struct {
 	k    *Kernel
 	self *Object
@@ -756,6 +761,12 @@ type Call struct {
 	status    msg.Status
 	replyData []byte
 	replyCaps capability.List
+	// inPlace: the call came from another node to an AccessRead
+	// operation, so the at-most-once table keeps no reply of it and
+	// ReturnBuffer may write the reply into the frame it is sent in.
+	inPlace bool
+	// frame is that frame, holding replyData, while it is the reply.
+	frame *msg.Buffer
 }
 
 // Self returns the object executing the operation.
@@ -772,7 +783,27 @@ func (c *Call) Kernel() *Kernel { return c.k }
 // another node the reply is encoded from it. The handler gives the bytes
 // away and must not modify them afterwards; nothing in the kernel does.
 func (c *Call) Return(data []byte) {
-	c.replyData = data
+	c.replyData, c.frame = data, nil
+}
+
+// ReturnBuffer sets the invocation's data result to n zero bytes and
+// returns them, for the handler to fill: a reply of known size is
+// written once, where it is going, instead of being built and given to
+// Return. The handler writes the bytes before it returns and keeps
+// nothing of them: it stores them in no variable that outlives it,
+// sends them on no channel and hands them to no Subprocess or behavior.
+// A call from another node to an AccessRead operation gets them inside
+// the pooled frame its reply is sent in, which is reused once sent; any
+// other call gets an allocation of their own, which becomes the
+// invoker's Reply.Data or the at-most-once table's copy as Return's
+// slice would. A later Return or Fail replaces them.
+func (c *Call) ReturnBuffer(n int) []byte {
+	if c.inPlace {
+		c.frame, c.replyData = msg.ReplyInPlace(n)
+	} else {
+		c.frame, c.replyData = nil, make([]byte, n)
+	}
+	return c.replyData
 }
 
 // ReturnCaps sets the invocation's capability results. Like Return it
@@ -786,7 +817,7 @@ func (c *Call) ReturnCaps(caps ...capability.Capability) {
 // the invoker receives ErrInvocationFailed wrapping the message.
 func (c *Call) Fail(format string, args ...interface{}) {
 	c.status = msg.StatusError
-	c.replyData = fmt.Appendf(nil, format, args...)
+	c.replyData, c.frame = fmt.Appendf(nil, format, args...), nil
 }
 
 // SegmentInfo describes one representation segment in an anatomy dump.

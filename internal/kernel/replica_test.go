@@ -347,8 +347,15 @@ func TestMoveInvalidatesReplicaServing(t *testing.T) {
 // home, and promoting would split the object between two live homes.
 // Once the grace elapses (the heartbeat went quiet), promotion works
 // and recovery proceeds as before.
+//
+// No verdict rests on how promptly the test is scheduled: the grace is
+// far longer than the test, so the window stays open for as long as the
+// test looks inside it, and the test closes it by aging the home's last
+// ship on each checksite by the grace — the state the fence reads, as a
+// heartbeat quiet for RecoverGrace leaves it — instead of sleeping
+// through it.
 func TestRecoverGraceFencesPromotion(t *testing.T) {
-	const grace = 600 * time.Millisecond
+	const grace = time.Hour
 	s := newSys(t, 1)
 	for _, n := range []uint32{2, 3} {
 		s.addNodeCfg(n, func(c *Config) {
@@ -393,8 +400,48 @@ func TestRecoverGraceFencesPromotion(t *testing.T) {
 	if _, err := s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 400 * time.Millisecond}); err == nil {
 		t.Fatal("home-demanding read succeeded inside the grace window with no home")
 	}
-	time.Sleep(grace)
-	rep, err := s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+	for _, n := range []uint32{2, 3} {
+		k := s.ks[n]
+		k.mu.Lock()
+		r := k.roles[cap.ID()]
+		backup := r != nil && r.home != 0
+		fenced := backup && time.Since(r.lastShip) < grace
+		if fenced {
+			r.lastShip = time.Now().Add(-grace)
+		}
+		k.mu.Unlock()
+		if !fenced {
+			t.Fatalf("checksite %d inside the grace window: backup %v, fenced %v", n, backup, fenced)
+		}
+	}
+	// Recovery is a claim the sibling checksite must grant, and an
+	// invoker whose locate budget (250 ms) runs out before the grant is
+	// told "no such object" while the claim goes on. Such a read is asked
+	// again once neither checksite has a settlement under way: the
+	// verdict waits on the claim's own state, not on how promptly it ran.
+	settling := func() bool {
+		for _, n := range []uint32{2, 3} {
+			k := s.ks[n]
+			k.mu.Lock()
+			r := k.roles[cap.ID()]
+			busy := r != nil && r.settled != nil
+			k.mu.Unlock()
+			if busy {
+				return true
+			}
+		}
+		return false
+	}
+	var rep Reply
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		rep, err = s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+		if !errors.Is(err, ErrNoSuchObject) || time.Now().After(deadline) {
+			break
+		}
+		for settling() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	if err != nil {
 		t.Fatalf("recovery after grace elapsed: %v", err)
 	}

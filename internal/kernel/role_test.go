@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"eden/internal/edenid"
+	"eden/internal/killpoint"
 	"eden/internal/msg"
 	"eden/internal/store"
 )
@@ -88,6 +89,58 @@ func TestDestroyAfterMoveReachesOldChecksites(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoSuchObject) {
 		t.Errorf("invoke of the destroyed object: %v, want ErrNoSuchObject", err)
+	}
+}
+
+// TestClaimGrantedKeepsTheClaimedRecord pins where the claim.granted
+// crash boundary lies: every sibling has granted the claim, and the
+// claimant's own record is still the one it claimed. A kill there must
+// find that record in the claimant's store, version and epoch unchanged,
+// so that a restart claims again from it; a kill after the home record
+// is written would test nothing the boundary names.
+func TestClaimGrantedKeepsTheClaimedRecord(t *testing.T) {
+	s := newSys(t, 1, 2, 3)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", &CreateOptions{Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	s.crashNode(1)
+	claimed, ok := s.stores[1].Stat(cap.ID())
+	if !ok {
+		t.Fatal("the crashed home holds no record")
+	}
+	k1 := s.restartNode(1)
+
+	killpoint.Reset()
+	t.Cleanup(killpoint.Reset)
+	var (
+		mu   sync.Mutex
+		hits int
+		seen store.Meta
+		held bool
+	)
+	killpoint.Arm(killpoint.ClaimGranted, 0, func(killpoint.Point) {
+		mu.Lock()
+		defer mu.Unlock()
+		hits++
+		seen, held = s.stores[1].Stat(cap.ID())
+	})
+	mustInvoke(t, k1, cap, "inc", nil) // the restarted home claims before it serves
+
+	mu.Lock()
+	defer mu.Unlock()
+	if hits != 1 {
+		t.Fatalf("claim.granted fired %d times, want once", hits)
+	}
+	if !held || seen.Version != claimed.Version || seen.Epoch != claimed.Epoch {
+		t.Errorf("at claim.granted the claimant's record is v%d e%d (held %v), want the claimed v%d e%d",
+			seen.Version, seen.Epoch, held, claimed.Version, claimed.Epoch)
+	}
+	if home, _ := s.stores[1].Stat(cap.ID()); home.Epoch != normEpoch(claimed.Epoch)+1 {
+		t.Errorf("after the claim the home record is at epoch %d, want %d", home.Epoch, normEpoch(claimed.Epoch)+1)
 	}
 }
 

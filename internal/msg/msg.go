@@ -464,6 +464,23 @@ func (r InvokeRep) Encode(dst []byte) []byte {
 	return capability.EncodeList(dst, r.Caps)
 }
 
+// ReplyInPlace returns a pooled buffer that holds the wire form of an
+// InvokeRep with StatusOK, n zero bytes of data and no capabilities —
+// the bytes Encode would write for that reply — and those n data bytes,
+// a slice of the buffer, for the caller to fill: a reply written once,
+// into the buffer it is sent from. The buffer is freed as an Encode
+// buffer is, once Send has returned.
+func ReplyInPlace(n int) (*Buffer, []byte) {
+	b := borrow(InvokeRep{}.Size() + n)
+	b.B = append(b.B, byte(StatusOK))
+	b.B = binary.BigEndian.AppendUint32(b.B, uint32(n))
+	at := len(b.B)
+	b.B = b.B[:at+n]
+	clear(b.B[at:])
+	b.B = capability.EncodeList(b.B, nil)
+	return b, b.B[at : at+n : at+n]
+}
+
 // DecodeInvokeRep parses an InvokeRep payload. Data aliases src.
 func DecodeInvokeRep(src []byte) (InvokeRep, error) {
 	var r InvokeRep

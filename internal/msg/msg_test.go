@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -152,6 +153,36 @@ func TestInvokeRepEmpty(t *testing.T) {
 	got, err := DecodeInvokeRep(InvokeRep{Status: StatusOK}.Encode(nil))
 	if err != nil || got.Status != StatusOK {
 		t.Errorf("minimal reply: %v %+v", err, got)
+	}
+}
+
+// TestReplyInPlace: the buffer ReplyInPlace lays out is, once its data
+// is filled, byte for byte what Encode writes for the same reply, and
+// its data starts zeroed even in a buffer a larger message used before.
+func TestReplyInPlace(t *testing.T) {
+	for _, n := range []int{0, 8, 1 << 10, 4 << 10, 64 << 10, maxPooledBuffer} {
+		dirty := GetBuffer()
+		dirty.B = append(dirty.B, bytes.Repeat([]byte{0xaa}, cap(dirty.B))...)
+		dirty.Free()
+		b, data := ReplyInPlace(n)
+		if len(data) != n || cap(data) != n {
+			t.Fatalf("n=%d: data len %d cap %d", n, len(data), cap(data))
+		}
+		if !bytes.Equal(data, make([]byte, n)) {
+			t.Fatalf("n=%d: data does not start zeroed", n)
+		}
+		for i := range data {
+			data[i] = byte(i)
+		}
+		want := InvokeRep{Status: StatusOK, Data: data}.Encode(nil)
+		if !bytes.Equal(b.B, want) {
+			t.Fatalf("n=%d: in-place reply differs from its encoding", n)
+		}
+		got, err := DecodeInvokeRep(b.B)
+		if err != nil || got.Status != StatusOK || !bytes.Equal(got.Data, data) || len(got.Caps) != 0 {
+			t.Fatalf("n=%d: decodes as %v, %v", n, got.Status, err)
+		}
+		b.Free()
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"eden/internal/kernel"
 	"eden/internal/naming"
 	"eden/internal/policy"
+	"eden/internal/rights"
 	"eden/internal/store"
 	"eden/internal/telemetry"
 	"eden/internal/transport"
@@ -335,8 +336,16 @@ func (n *Node) InvokeAsync(target Capability, operation string, data []byte, cap
 // Object returns the kernel handle of the object a capability
 // designates, provided it is homed on this node — activating it from a
 // local checkpoint if necessary. Type implementations normally use
-// Call.Self instead; this is for hosting and administrative code.
-func (n *Node) Object(c Capability) (*Object, error) { return n.Kernel().Object(c.ID()) }
+// Call.Self instead; this is for hosting and administrative code. The
+// handle can update, checkpoint, move, freeze and destroy the object,
+// so the capability must carry every kernel-defined right; otherwise
+// the error wraps ErrRights.
+func (n *Node) Object(c Capability) (*Object, error) {
+	if !c.Has(rights.Kernel) {
+		return nil, fmt.Errorf("%w: a kernel handle needs every kernel right, the capability has %v", ErrRights, c.Rights())
+	}
+	return n.Kernel().Object(c.ID())
+}
 
 // EFS returns an Eden File System client bound to this node using the
 // given concurrency-control mode.

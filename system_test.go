@@ -210,6 +210,46 @@ func TestSystemRightsRestriction(t *testing.T) {
 	}
 }
 
+// TestObjectHandleNeedsKernelRights: Node.Object hands out a handle that
+// can update, checkpoint, move, freeze and destroy the object, so a
+// capability without every kernel-defined right gets ErrRights and no
+// handle, and the representation stays as it was.
+func TestObjectHandleNeedsKernelRights(t *testing.T) {
+	sys, nodes := testSystem(t, 1)
+	registerCounter(t, sys)
+	full, err := nodes[0].CreateObject("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustGet := func() byte {
+		t.Helper()
+		rep, err := nodes[0].Invoke(full, "get", nil, nil, nil)
+		if err != nil || len(rep.Data) != 1 {
+			t.Fatalf("get: %v %v", rep.Data, err)
+		}
+		return rep.Data[0]
+	}
+	before := mustGet()
+	for _, weak := range []Capability{full.Restrict(0), full.Restrict(RightInvoke)} {
+		obj, err := nodes[0].Object(weak)
+		if !errors.Is(err, ErrRights) {
+			t.Errorf("Object with rights %v: err = %v, want ErrRights", weak.Rights(), err)
+		}
+		if obj != nil {
+			_ = obj.Update(func(r *Representation) error {
+				r.SetData("n", []byte{before + 1})
+				return nil
+			})
+		}
+	}
+	if got := mustGet(); got != before {
+		t.Errorf("representation changed through a restricted capability: n = %d, want %d", got, before)
+	}
+	if _, err := nodes[0].Object(full); err != nil {
+		t.Errorf("Object with the creator's capability: %v", err)
+	}
+}
+
 func TestSystemCloseIdempotent(t *testing.T) {
 	sys, _ := testSystem(t, 1)
 	if err := sys.Close(); err != nil {
