@@ -167,7 +167,9 @@ type Tx struct {
 	// several files; an optimistic one-file transaction has none.
 	tid []byte
 	// first is the first file written and rest the others, so that a
-	// one-file transaction grows no slice.
+	// one-file transaction grows no slice. (A slice over an array in the
+	// Tx would point into the Tx and move it to the heap, an allocation
+	// of its own: a Begin inlined into its caller stays on the stack.)
 	first txWrite
 	rest  []txWrite
 	// held are the files sent a lock or a prepare under tid: each may

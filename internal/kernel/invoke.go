@@ -309,13 +309,13 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 		if err != nil {
 			// Nobody answered: the home may have failed. Run the
 			// recovery protocol once — a checkpoint backup site will
-			// claim the object and reincarnate it.
+			// claim the object and reincarnate it. A site answers only
+			// once its siblings granted the claim, which it awaits for
+			// up to its DefaultTimeout, so the answer is awaited that
+			// long plus a locate's budget, not a locate's alone.
 			if !triedRecovery {
 				triedRecovery = true
-				rtimeout := time.Until(deadline)
-				if rtimeout > k.loc.DefaultTimeout {
-					rtimeout = k.loc.DefaultTimeout
-				}
+				rtimeout := min(time.Until(deadline), k.cfg.DefaultTimeout+k.loc.DefaultTimeout)
 				if rl, rerr := k.loc.Recover(id, rtimeout); rerr == nil {
 					k.loc.Learn(id, rl.Node, false)
 					continue

@@ -414,34 +414,7 @@ func TestRecoverGraceFencesPromotion(t *testing.T) {
 			t.Fatalf("checksite %d inside the grace window: backup %v, fenced %v", n, backup, fenced)
 		}
 	}
-	// Recovery is a claim the sibling checksite must grant, and an
-	// invoker whose locate budget (250 ms) runs out before the grant is
-	// told "no such object" while the claim goes on. Such a read is asked
-	// again once neither checksite has a settlement under way: the
-	// verdict waits on the claim's own state, not on how promptly it ran.
-	settling := func() bool {
-		for _, n := range []uint32{2, 3} {
-			k := s.ks[n]
-			k.mu.Lock()
-			r := k.roles[cap.ID()]
-			busy := r != nil && r.settled != nil
-			k.mu.Unlock()
-			if busy {
-				return true
-			}
-		}
-		return false
-	}
-	var rep Reply
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		rep, err = s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
-		if !errors.Is(err, ErrNoSuchObject) || time.Now().After(deadline) {
-			break
-		}
-		for settling() && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	rep, err := s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
 	if err != nil {
 		t.Fatalf("recovery after grace elapsed: %v", err)
 	}
@@ -450,6 +423,39 @@ func TestRecoverGraceFencesPromotion(t *testing.T) {
 	}
 	if reinc := s.ks[2].Stats().Reincarnations + s.ks[3].Stats().Reincarnations; reinc != 1 {
 		t.Errorf("reincarnations across checksites = %d, want 1", reinc)
+	}
+}
+
+// TestRecoveryAwaitsASlowClaim: a checksite answers a recovery request
+// only once its sibling granted its claim, so one invocation's recovery
+// must wait for the claim as long as the checksite does, not a locate's
+// budget (250 ms here). With the link between the two checksites slowed
+// to 200 ms each way, the grant lands 400 ms after the request; the
+// invocation must be served, not told "no such object".
+func TestRecoveryAwaitsASlowClaim(t *testing.T) {
+	s := newSys(t, 1, 2, 3, 4)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", &CreateOptions{
+		Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2, 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	s.crashNode(1)
+	s.mesh.SetLatency(func(from, to uint32) time.Duration {
+		if from == 2 && to == 3 || from == 3 && to == 2 {
+			return 200 * time.Millisecond
+		}
+		return 0
+	})
+	rep, err := s.ks[4].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+	if err != nil {
+		t.Fatalf("recovery through a slow claim: %v", err)
+	}
+	if fromU64(rep.Data) != 1 {
+		t.Errorf("recovered state = %d, want the checkpointed 1", fromU64(rep.Data))
 	}
 }
 
