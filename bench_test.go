@@ -219,8 +219,9 @@ func BenchmarkLoopbackFloor64B(b *testing.B) {
 // invoke-remote workload as a Go benchmark: two kernels over loopback
 // TCP, 16 asynchronous echoes in flight, payloads of 64 B, 4 KiB and
 // 64 KiB in the ratio 14:5:1. allocs/op is what one remote invocation
-// allocates on both nodes together; B/op shows every copy of a payload
-// that is not into a pooled buffer.
+// allocates on both nodes together — 3: the Pending, its channel and the
+// reply's frame read, where the request's read made it 4 — and B/op shows
+// every copy of a payload that is not into a pooled buffer.
 func BenchmarkInvokeRemoteAsyncTCP(b *testing.B) {
 	ks, cp := tcpPair(b)
 	const inflight = 16
@@ -574,9 +575,11 @@ func BenchmarkEFSRead(b *testing.B) {
 
 // BenchmarkEFSReadRemote is BenchmarkEFSRead over loopback TCP: the
 // latest 1 KiB version of a file on the other kernel, both nodes'
-// allocations counted. The serving node writes the reply into the frame
-// it is sent in, so what is left is the invoker's side and one frame
-// read per direction.
+// allocations counted. The serving node reads the request into a pooled
+// frame, writes the reply into the frame it is sent in and frees the
+// request's once the reply is sent, so what is left is the invoker's
+// side: the reply's frame read, 1 allocation (2 while the request's was
+// one too).
 func BenchmarkEFSReadRemote(b *testing.B) {
 	ks := tcpKernels(b, efs.RegisterType)
 	home := efs.NewClient(ks[1], efs.Optimistic)

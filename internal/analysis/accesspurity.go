@@ -11,6 +11,15 @@ package analysis
 // mutates its representation races every concurrent reader and serves
 // torn state across the mesh. This analyzer makes the declaration a
 // checked property instead of a promise.
+//
+// The declaration carries a loan too: a read served for another node
+// borrows its request until its handler returns — Call.Data lies in a
+// pooled frame the kernel frees once the reply is sent. So Call.Data is
+// a second root, which such a handler may read and write but must not
+// keep: store outside its locals, send on a channel, hand to a
+// goroutine, a Subprocess, a behavior, Invoke or InvokeAsync (a local
+// invocation gets the bytes uncopied as its Call.Data), or pass to a
+// package-local helper that does any of these.
 
 import (
 	"go/ast"
@@ -23,7 +32,7 @@ import (
 // bodies.
 var AccessPurity = &Analyzer{
 	Name: "accesspurity",
-	Doc:  "a handler registered Access: AccessRead must not mutate or leak the object representation",
+	Doc:  "a handler registered Access: AccessRead must not mutate or leak the object representation, nor keep the request it borrows",
 	Run:  runAccessPurity,
 }
 
@@ -91,16 +100,20 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 		return
 	}
 	for _, ev := range handlerEffects(pass, eng, handler) {
-		if reported[ev.Pos] {
-			continue
+		if reported[ev.Pos] || (ev.Root != 0 && ev.Root != dataRoot(0)) {
+			continue // a ReturnBuffer result is returngives' to judge
 		}
 		reported[ev.Pos] = true
-		switch ev.Kind {
-		case effectMutate:
+		switch {
+		case ev.Root == dataRoot(0):
+			pass.Reportf(ev.Pos,
+				"read-only operation %q %s; a read served for another node borrows its request until the handler returns, and the frame is reused once the reply is sent",
+				opName, ev.What)
+		case ev.Kind == effectMutate:
 			pass.Reportf(ev.Pos,
 				"read-only operation %q %s; the reader pool runs this handler concurrently with other readers — declare AccessWrite or drop the write",
 				opName, ev.What)
-		case effectEscape:
+		default:
 			pass.Reportf(ev.Pos,
 				"read-only operation %q %s; the reference outlives the read lock and can be mutated unsynchronized",
 				opName, ev.What)
@@ -110,7 +123,8 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 
 // handlerEffects analyzes an operation handler expression — a function
 // literal or a reference to a package-local function — and returns the
-// mutation/escape events reachable from its *kernel.Call parameter.
+// mutation/escape events reachable from its *kernel.Call parameter,
+// root 0, and from the bytes that Call lends.
 func handlerEffects(pass *Pass, eng *effectEngine, handler ast.Expr) []effectEvent {
 	handler = ast.Unparen(handler)
 	// Strip a Handler(...) or kernel.Handler(...) conversion.
@@ -121,29 +135,13 @@ func handlerEffects(pass *Pass, eng *effectEngine, handler ast.Expr) []effectEve
 	}
 	switch h := handler.(type) {
 	case *ast.FuncLit:
-		var events []effectEvent
-		tr := &tracker{
-			eng:   eng,
-			roots: make(map[types.Object]int),
-			body:  h.Body,
-			sink:  func(ev effectEvent) { events = append(events, ev) },
-		}
-		tr.bindParams(h.Type, 0) // the handler's single parameter is the Call
-		tr.walkBody(h.Body)
-		return events
+		return eng.literalEffects(h) // the handler's single parameter is the Call
 	case *ast.Ident, *ast.SelectorExpr:
-		fn := identFunc(pass.Info, h)
-		sum := eng.summarize(fn)
+		sum := eng.summarize(identFunc(pass.Info, h))
 		if sum == nil {
 			return nil // foreign handler: beyond one package's proof
 		}
-		var events []effectEvent
-		for _, ev := range sum.effects {
-			if ev.Root == 0 { // effects reachable from the Call parameter
-				events = append(events, ev)
-			}
-		}
-		return events
+		return sum.effects
 	}
 	return nil
 }

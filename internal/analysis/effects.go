@@ -8,14 +8,17 @@ package analysis
 // The engine answers one domain-specific question precisely rather
 // than the general aliasing problem: may this code mutate, or leak a
 // live reference to, state reachable from an Eden object's
-// representation? Three effect sources are tracked, mirroring the ways
-// a handler can break a read-only declaration:
+// representation — or let bytes the kernel lends a handler (Call.Data
+// of a read served for another node, a ReturnBuffer result) outlive
+// it? Three effect sources are tracked, mirroring the ways a handler
+// can break a read-only declaration or a loan:
 //
 //   - assignments that write through a tracked value (field stores,
 //     element stores, *p = x, x.f++),
 //   - escapes: a tracked reference (the representation pointer, or an
 //     &-of-path rooted in it) stored somewhere that outlives the
-//     tracked scope — a captured variable, a channel, a goroutine,
+//     tracked scope — a captured variable, a channel, a goroutine; for
+//     lent bytes also a Subprocess, a behavior or an invocation's data,
 //   - calls to methods summarized as mutating, either by a
 //     package-local summary (computed recursively, depth-capped) or by
 //     the built-in effect tables for the kernel's own API
@@ -56,6 +59,25 @@ type effectEvent struct {
 	Pos  token.Pos
 	What string // human-readable description, e.g. `call to (*segment.Representation).SetData`
 }
+
+// A root is a small integer: a parameter's index in a summary (receiver
+// first), or 0 for the Call of a handler literal. The bytes a Call lends
+// its handler are roots of their own, derived from the Call's root r:
+// its request's Data, dataRoot(r), which a read served for another node
+// borrows until its handler returns, and ReturnBuffer's result,
+// bufferRoot(r), which lies in the frame the reply is sent in. Lent bytes
+// may be written, but must not outlive the handler.
+const (
+	dataRootBase   = 1 << 10
+	bufferRootBase = 2 << 10
+)
+
+func dataRoot(r int) int   { return dataRootBase + r }
+func bufferRoot(r int) int { return bufferRootBase + r }
+
+// lentBase returns the base of a derived root (dataRootBase or
+// bufferRootBase), or 0 for a plain one.
+func lentBase(root int) int { return root / dataRootBase * dataRootBase }
 
 // funcSummary records a package-local function's effects on values
 // reachable from its receiver and parameters.
@@ -165,47 +187,71 @@ func (e *effectEngine) summarize(fn *types.Func) *funcSummary {
 	defer delete(e.busy, fn)
 
 	sum := &funcSummary{returns: make(map[int]bool)}
-	tr := &tracker{
-		eng:   e,
-		roots: make(map[types.Object]int),
-		body:  fd.Body,
-		sink: func(ev effectEvent) {
-			sum.effects = append(sum.effects, ev)
-		},
-		returned: func(root int) { sum.returns[root] = true },
-	}
-	idx := 0
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			for _, name := range field.Names {
-				if obj := e.pass.Info.Defs[name]; obj != nil && trackableType(obj.Type()) {
-					tr.roots[obj] = idx
-				}
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				if obj := e.pass.Info.Defs[name]; obj != nil && trackableType(obj.Type()) {
-					tr.roots[obj] = idx
-				}
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
-	}
+	tr := e.newTracker(fd.Body, func(ev effectEvent) { sum.effects = append(sum.effects, ev) })
+	tr.returned = func(root int) { sum.returns[root] = true }
+	tr.bindIndexed(fd.Recv, fd.Type.Params)
 	if len(tr.roots) > 0 {
 		tr.walkBody(fd.Body)
 	}
 	e.sums[fn] = sum
 	return sum
+}
+
+// literalEffects analyzes a function literal as summarize does a
+// declaration: its parameters are the roots, by index.
+func (e *effectEngine) literalEffects(lit *ast.FuncLit) []effectEvent {
+	var events []effectEvent
+	tr := e.newTracker(lit.Body, func(ev effectEvent) { events = append(events, ev) })
+	tr.bindIndexed(nil, lit.Type.Params)
+	if len(tr.roots) > 0 {
+		tr.walkBody(lit.Body)
+	}
+	return events
+}
+
+func (e *effectEngine) newTracker(body *ast.BlockStmt, sink func(effectEvent)) *tracker {
+	return &tracker{eng: e, roots: make(map[types.Object]int), lentParams: make(map[int]bool), body: body, sink: sink}
+}
+
+// bindIndexed makes every parameter that can lead to a representation
+// or to lent bytes a root numbered by its position, receiver first. A
+// []byte parameter is treated as lent: the only tracked bytes a caller
+// can pass are bytes a Call lent it, since the representation's API
+// copies what it hands out.
+func (tr *tracker) bindIndexed(recv, params *ast.FieldList) {
+	idx := 0
+	for _, fl := range []*ast.FieldList{recv, params} {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				if obj := tr.info().Defs[name]; obj != nil {
+					switch {
+					case trackableType(obj.Type()):
+						tr.roots[obj] = idx
+					case isByteSlice(obj.Type()):
+						tr.roots[obj] = idx
+						tr.lentParams[idx] = true
+					}
+				}
+				idx++
+			}
+			if len(field.Names) == 0 {
+				idx++
+			}
+		}
+	}
+}
+
+// isByteSlice reports whether t is a []byte.
+func isByteSlice(t types.Type) bool {
+	sl, ok := types.Unalias(t).Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := types.Unalias(sl.Elem()).Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // trackableType reports whether a parameter of this type can lead to
@@ -284,8 +330,10 @@ var callPureMethods = map[string]bool{
 type tracker struct {
 	eng   *effectEngine
 	roots map[types.Object]int // ident object -> root index
-	body  *ast.BlockStmt       // the analyzed scope, for locality tests
-	sink  func(effectEvent)
+	// lentParams are the parameter roots that hold lent bytes.
+	lentParams map[int]bool
+	body       *ast.BlockStmt // the analyzed scope, for locality tests
+	sink       func(effectEvent)
 	// returned, when non-nil, is told that a tracked root may flow to
 	// the function's results.
 	returned func(root int)
@@ -293,8 +341,15 @@ type tracker struct {
 
 func (tr *tracker) info() *types.Info { return tr.eng.pass.Info }
 
-// report emits one event.
+// lent reports whether root is bytes a Call lent: writing them is the
+// handler's right, keeping them is not.
+func (tr *tracker) lent(root int) bool { return lentBase(root) != 0 || tr.lentParams[root] }
+
+// report emits one event. A write to lent bytes is none.
 func (tr *tracker) report(root int, kind effectKind, pos token.Pos, format string, args ...interface{}) {
+	if kind == effectMutate && tr.lent(root) {
+		return
+	}
 	tr.sink(effectEvent{Root: root, Kind: kind, Pos: pos, What: fmt.Sprintf(format, args...)})
 }
 
@@ -327,7 +382,11 @@ func (tr *tracker) rootOf(e ast.Expr) (int, bool) {
 		}
 		return 0, false
 	case *ast.SelectorExpr:
-		return tr.rootOf(x.X)
+		root, ok := tr.rootOf(x.X)
+		if ok && x.Sel.Name == "Data" && lentBase(root) == 0 && recvIsNamed(tr.info(), x, "internal/kernel", "Call") {
+			return dataRoot(root), true
+		}
+		return root, ok
 	case *ast.IndexExpr:
 		return tr.rootOf(x.X)
 	case *ast.SliceExpr:
@@ -341,12 +400,17 @@ func (tr *tracker) rootOf(e ast.Expr) (int, bool) {
 }
 
 // callResultRoot applies result-aliasing propagation: c.Self() is the
-// tracked object; a package-local callee whose summary returns one of
-// its parameters propagates the argument's root.
+// tracked object and c.ReturnBuffer(n) the bytes it lends; a
+// package-local callee whose summary returns one of its parameters (or
+// bytes one lent) propagates the argument's root.
 func (tr *tracker) callResultRoot(call *ast.CallExpr) (int, bool) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if recvIsNamed(tr.info(), sel, "internal/kernel", "Call") && sel.Sel.Name == "Self" {
-			return tr.rootOf(sel.X)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && recvIsNamed(tr.info(), sel, "internal/kernel", "Call") {
+		switch root, ok := tr.rootOf(sel.X); {
+		case !ok:
+		case sel.Sel.Name == "Self":
+			return root, true
+		case sel.Sel.Name == "ReturnBuffer" && lentBase(root) == 0:
+			return bufferRoot(root), true
 		}
 	}
 	fn := staticCallee(tr.info(), call)
@@ -354,12 +418,25 @@ func (tr *tracker) callResultRoot(call *ast.CallExpr) (int, bool) {
 	if sum == nil || len(sum.returns) == 0 {
 		return 0, false
 	}
-	for argIdx, rootIdx := range tr.callArgRoots(fn, call) {
-		if sum.returns[argIdx] && rootIdx >= 0 {
-			return rootIdx, true
+	args := tr.callArgRoots(fn, call)
+	for root := range sum.returns {
+		if r, ok := callerRoot(root, args); ok {
+			return r, true
 		}
 	}
 	return 0, false
+}
+
+// callerRoot maps a root of a callee's summary to the caller's: a
+// parameter's to its argument's, and bytes lent through a Call
+// parameter to those the Call passed lends. args is callArgRoots'.
+func callerRoot(root int, args map[int]int) (int, bool) {
+	base := lentBase(root)
+	r, ok := args[root-base]
+	if !ok || r < 0 || (base != 0 && lentBase(r) != 0) {
+		return 0, false
+	}
+	return r + base, true
 }
 
 // recvIsNamed reports whether the selector's receiver has the named
@@ -693,19 +770,32 @@ func (tr *tracker) walkGoCall(call *ast.CallExpr) {
 // reportCapturedRoots reports an escape for every tracked root the
 // literal's body references.
 func (tr *tracker) reportCapturedRoots(lit *ast.FuncLit, how string) {
+	tr.capturedRoots(lit, func(root int, e ast.Expr) {
+		tr.report(root, effectEscape, e.Pos(), "%s %s", renderExpr(e), how)
+	})
+}
+
+// capturedRoots calls f once for every tracked root a literal's body
+// refers to, with the first expression that reaches it: bytes a Call
+// lends through the selector that lends them (c.Data), any other root
+// through its identifier.
+func (tr *tracker) capturedRoots(lit *ast.FuncLit, f func(root int, e ast.Expr)) {
 	seen := make(map[int]bool)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := tr.info().Uses[id]
-		if obj == nil {
-			return true
-		}
-		if root, tracked := tr.roots[obj]; tracked && !seen[root] {
-			seen[root] = true
-			tr.report(root, effectEscape, id.Pos(), "%s %s", renderExpr(id), how)
+		switch e := n.(type) {
+		case *ast.SelectorExpr:
+			if root, ok := tr.rootOf(e); ok && lentBase(root) != 0 {
+				if !seen[root] {
+					seen[root] = true
+					f(root, e)
+				}
+				return false
+			}
+		case *ast.Ident:
+			if root, ok := tr.roots[tr.info().Uses[e]]; ok && !seen[root] {
+				seen[root] = true
+				f(root, e)
+			}
 		}
 		return true
 	})
@@ -797,26 +887,30 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 		return
 	}
 
+	fn := staticCallee(tr.info(), call)
+	if fn != nil && (fn.Name() == "Invoke" || fn.Name() == "InvokeAsync") {
+		tr.invokeData(fn, call)
+	}
+
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if tr.walkKernelMethod(call, sel) {
 			return
 		}
 	}
 
-	// Package-local callee: apply its summary to tracked arguments.
-	fn := staticCallee(tr.info(), call)
+	// Package-local callee: apply its summary to tracked arguments, the
+	// first event of each kind per root.
 	if fd := tr.eng.declOf(fn); fd != nil {
-		sum := tr.eng.summarize(fn)
-		for argIdx, rootIdx := range tr.callArgRoots(fn, call) {
-			if rootIdx < 0 {
-				continue
-			}
-			if ev := sum.paramEffect(argIdx, effectMutate); ev != nil {
-				tr.report(rootIdx, effectMutate, call.Pos(),
-					"calls %s, which %s (at %s)", fn.Name(), ev.What, tr.eng.pass.Fset.Position(ev.Pos))
-			}
-			if ev := sum.paramEffect(argIdx, effectEscape); ev != nil {
-				tr.report(rootIdx, effectEscape, call.Pos(),
+		if sum := tr.eng.summarize(fn); sum != nil {
+			args := tr.callArgRoots(fn, call)
+			seen := make(map[[2]int]bool)
+			for _, ev := range sum.effects {
+				root, ok := callerRoot(ev.Root, args)
+				if !ok || seen[[2]int{root, int(ev.Kind)}] {
+					continue
+				}
+				seen[[2]int{root, int(ev.Kind)}] = true
+				tr.report(root, ev.Kind, call.Pos(),
 					"calls %s, which %s (at %s)", fn.Name(), ev.What, tr.eng.pass.Fset.Position(ev.Pos))
 			}
 		}
@@ -835,6 +929,43 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 	}
 	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		tr.walkExpr(fun.X)
+	}
+}
+
+// invokeData reports lent bytes passed to Invoke or InvokeAsync as its
+// data. An asynchronous invocation may run, and read them, after the
+// handler has returned; so may a synchronous one on this node, which
+// gets them uncopied as its Call.Data, when it outlasts its timeout, and
+// a write there may keep them.
+func (tr *tracker) invokeData(fn *types.Func, call *ast.CallExpr) {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return
+	}
+	for i, arg := range call.Args {
+		if i >= sig.Params().Len() || !isByteSlice(sig.Params().At(i).Type()) {
+			continue
+		}
+		if root, ok := tr.rootOf(arg); ok && tr.lent(root) {
+			tr.report(root, effectEscape, arg.Pos(),
+				"passes %s to %s, whose invocation may read it after the handler returns", renderExpr(arg), fn.Name())
+		}
+	}
+}
+
+// lentCaptures reports the lent bytes that a function literal run as a
+// Subprocess or a behavior refers to: it may run after the handler has
+// returned.
+func (tr *tracker) lentCaptures(call *ast.CallExpr, how string) {
+	if len(call.Args) == 0 {
+		return
+	}
+	if lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok {
+		tr.capturedRoots(lit, func(root int, e ast.Expr) {
+			if tr.lent(root) {
+				tr.report(root, effectEscape, e.Pos(), "captures %s in %s, which may run after the handler returns", renderExpr(e), how)
+			}
+		})
 	}
 }
 
@@ -874,6 +1005,7 @@ func (tr *tracker) walkKernelMethod(call *ast.CallExpr, sel *ast.SelectorExpr) b
 			// The behavior runs concurrently; analyze its body inline
 			// (mutations through the object still count) — capture of
 			// the raw representation would be caught there.
+			tr.lentCaptures(call, "a behavior")
 			tr.analyzeAccessorFn(call, root)
 			return true
 		case objectPureMethods[name]:
@@ -893,6 +1025,7 @@ func (tr *tracker) walkKernelMethod(call *ast.CallExpr, sel *ast.SelectorExpr) b
 			return true // propagation handled by rootOf
 		}
 		if name == "Subprocess" {
+			tr.lentCaptures(call, "a Subprocess")
 			tr.analyzeAccessorFn(call, root)
 			return true
 		}

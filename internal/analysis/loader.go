@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -183,13 +184,16 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// The files a plain `go build` compiles: of a pair of constrained
+		// variants (race on and off), the default build's.
+		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
+			continue
+		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %s: %w", path, err)
 		}
-		if !buildTagged(f) {
-			files = append(files, f)
-		}
+		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: %s: no buildable Go files in %s", path, dir)
@@ -206,22 +210,4 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
 	return &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// buildTagged reports whether the file carries a //go:build constraint.
-// Constrained variants (race on/off pairs and the like) are skipped:
-// analyzing both halves of a pair in one package would double-declare
-// symbols, and the unconstrained view is what edenvet audits.
-func buildTagged(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, "//go:build") || strings.HasPrefix(c.Text, "// +build") {
-				return true
-			}
-		}
-	}
-	return false
 }

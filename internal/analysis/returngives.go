@@ -16,22 +16,22 @@ package analysis
 // Call.ReturnBuffer lends where Return takes: the handler fills the
 // bytes it returns, which for a read served for another node lie inside
 // the pooled frame the reply is sent in, reused once it is sent. So a
-// lent buffer, or a slice of it, must not outlive the handler:
+// lent buffer, or a slice of it, must not outlive the handler: stored
+// anywhere but in the handler's own locals, sent on a channel, captured
+// by a go statement, a Subprocess or a behavior, passed to Invoke or
+// InvokeAsync, or handed to a package-local helper that does any of these. That is
+// the rule accesspurity holds a read's borrowed Call.Data to, and one
+// machinery judges both: the effect engine (effects.go), whose
+// summaries follow the bytes into helpers.
 //
-//   - stored anywhere but in the handler's own locals — a field, a map or
-//     slice element, a package-level variable, a variable of an enclosing
-//     function;
-//   - sent on a channel;
-//   - captured by a function literal that runs on after the handler —
-//     a Subprocess, a SpawnBehavior behavior or a go statement.
-//
-// The check is per function that takes a *kernel.Call, source-ordered
-// and branch-insensitive. Slices are tracked by the variable (and
-// selector path) they are rooted in; a local bound to a slice of
-// another (`b := out[:]`, `x := append(b[:0], …)`) joins its alias class
-// wherever in the function the binding is. A Return followed
-// in its own block by a `return` of the checked function reaches no
-// further, so an early exit does not make the code after it suspect.
+// The Return-gives check is per function that takes a *kernel.Call,
+// source-ordered and branch-insensitive. Slices are tracked by the
+// variable (and selector path) they are rooted in; a local bound to a
+// slice of another (`b := out[:]`, `x := append(b[:0], …)`) joins its
+// alias class wherever in the function the binding is. A Return
+// followed in its own block by a `return` of the checked function
+// reaches no further, so an early exit does not make the code after it
+// suspect.
 
 import (
 	"go/ast"
@@ -48,6 +48,7 @@ var ReturnGives = &Analyzer{
 }
 
 func runReturnGives(pass *Pass) {
+	eng := newEffectEngine(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var ft *ast.FuncType
@@ -63,9 +64,34 @@ func runReturnGives(pass *Pass) {
 			if body == nil || !takesCall(pass.Info, ft) {
 				return true
 			}
-			newGivesWalk(pass, n, body).check()
+			newGivesWalk(pass, body).check()
+			judgeLent(pass, eng, n)
 			return false // literals nested in a handler are part of its walk
 		})
+	}
+}
+
+// judgeLent reports every way a buffer ReturnBuffer lent escapes the
+// function, as the effect engine finds them.
+func judgeLent(pass *Pass, eng *effectEngine, fn ast.Node) {
+	var events []effectEvent
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		if decl, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
+			if sum := eng.summarize(decl); sum != nil {
+				events = sum.effects
+			}
+		}
+	case *ast.FuncLit:
+		events = eng.literalEffects(fn)
+	}
+	reported := make(map[token.Pos]bool)
+	for _, ev := range events {
+		if ev.Kind != effectEscape || lentBase(ev.Root) != bufferRootBase || reported[ev.Pos] {
+			continue
+		}
+		reported[ev.Pos] = true
+		pass.Reportf(ev.Pos, "%s: a buffer ReturnBuffer lent is the reply's frame, reused once the reply is sent, so the handler must keep nothing of it", ev.What)
 	}
 }
 
@@ -102,36 +128,22 @@ type access struct {
 	what string
 }
 
-// escape is one way a slice may outlive the handler: stored outside its
-// locals, sent on a channel, or captured by a literal that runs on.
-type escape struct {
-	expr  ast.Expr  // what escapes
-	pos   token.Pos // where
-	group token.Pos // one report per group: a capturing literal reports once
-	how   string    // the finding, with a %s for expr
-}
-
 type givesWalk struct {
 	pass    *Pass
-	fn      ast.Node // the handler; what is declared inside it is its own
 	body    *ast.BlockStmt
 	alias   map[sliceID]sliceID // union-find parent links
 	global  map[sliceID]string  // bound from package-level state: its name
-	lent    map[sliceID]bool    // bound from a ReturnBuffer result
 	gives   []give
 	writes  []access
 	rebinds []access
-	escapes []escape
 }
 
-func newGivesWalk(pass *Pass, fn ast.Node, body *ast.BlockStmt) *givesWalk {
+func newGivesWalk(pass *Pass, body *ast.BlockStmt) *givesWalk {
 	return &givesWalk{
 		pass:   pass,
-		fn:     fn,
 		body:   body,
 		alias:  make(map[sliceID]sliceID),
 		global: make(map[sliceID]string),
-		lent:   make(map[sliceID]bool),
 	}
 }
 
@@ -176,25 +188,16 @@ func (w *givesWalk) check() {
 			}
 		case *ast.CallExpr:
 			w.call(x, stack)
-		case *ast.SendStmt:
-			w.escapes = append(w.escapes, escape{x.Value, x.Pos(), x.Pos(), "sends %s on a channel"})
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				w.capture(lit, "go statement")
-			}
 		}
 		return true
 	})
 	w.judge()
 }
 
-// assign records index writes, whole-array overwrites, rebindings,
-// alias bindings and stores outside the handler's locals.
+// assign records index writes, whole-array overwrites, rebindings and
+// alias bindings.
 func (w *givesWalk) assign(s *ast.AssignStmt) {
 	for i, lhs := range s.Lhs {
-		if len(s.Lhs) == len(s.Rhs) && !w.local(lhs) {
-			w.escapes = append(w.escapes, escape{s.Rhs[i], s.Pos(), s.Pos(), "stores %s in " + exprKey(lhs)})
-		}
 		if w.writeIndex(lhs, s.Pos()) {
 			continue
 		}
@@ -244,9 +247,6 @@ func (w *givesWalk) bind(lhs, rhs ast.Expr) {
 	if name, ok := w.globalName(rhs); ok {
 		w.global[lid] = name
 	}
-	if w.isReturnBuffer(rhs) {
-		w.lent[lid] = true
-	}
 	if rid, ok := w.sliceOf(rhs); ok {
 		w.union(lid, rid)
 	}
@@ -270,14 +270,6 @@ func (w *givesWalk) call(c *ast.CallExpr, stack []ast.Node) {
 	if !ok || len(c.Args) != 1 {
 		return
 	}
-	if lit, ok := ast.Unparen(c.Args[0]).(*ast.FuncLit); ok {
-		switch {
-		case sel.Sel.Name == "Subprocess" && recvIsNamed(w.info(), sel, "internal/kernel", "Call"):
-			w.capture(lit, "Subprocess")
-		case sel.Sel.Name == "SpawnBehavior" && recvIsNamed(w.info(), sel, "internal/kernel", "Object"):
-			w.capture(lit, "behavior")
-		}
-	}
 	if sel.Sel.Name != "Return" || !recvIsNamed(w.info(), sel, "internal/kernel", "Call") {
 		return
 	}
@@ -290,69 +282,6 @@ func (w *givesWalk) writeCall(dst ast.Expr, pos token.Pos, what string) {
 	if id, ok := w.sliceOf(dst); ok {
 		w.writes = append(w.writes, access{id, pos, what + exprKey(dst)})
 	}
-}
-
-// capture records every variable of the handler that a literal running
-// on after it (where) refers to.
-func (w *givesWalk) capture(lit *ast.FuncLit, where string) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := w.info().Uses[id].(*types.Var); ok && (v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
-			w.escapes = append(w.escapes, escape{id, id.Pos(), lit.Pos(), "captures %s in a " + where})
-		}
-		return true
-	})
-}
-
-// local reports whether assigning to lhs binds a variable declared in
-// the handler (or discards the value): anything else stores it where it
-// may outlive the handler.
-func (w *givesWalk) local(lhs ast.Expr) bool {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if id.Name == "_" {
-		return true
-	}
-	obj := w.info().Uses[id]
-	if obj == nil {
-		obj = w.info().Defs[id]
-	}
-	return obj != nil && obj.Pos() >= w.fn.Pos() && obj.Pos() < w.fn.End()
-}
-
-// isReturnBuffer reports whether e is a slice of what a
-// Call.ReturnBuffer call lent.
-func (w *givesWalk) isReturnBuffer(e ast.Expr) bool {
-	c, ok := w.strip(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "ReturnBuffer" && recvIsNamed(w.info(), sel, "internal/kernel", "Call")
-}
-
-// isLent reports whether e is a buffer ReturnBuffer lent: the call
-// itself, or a slice in the alias class of a variable bound from one.
-func (w *givesWalk) isLent(e ast.Expr) bool {
-	if w.isReturnBuffer(e) {
-		return true
-	}
-	id, ok := w.sliceOf(e)
-	if !ok {
-		return false
-	}
-	root := w.find(id)
-	for l := range w.lent {
-		if w.find(l) == root {
-			return true
-		}
-	}
-	return false
 }
 
 // reach bounds what can run after the Return at the top of stack: a
@@ -387,18 +316,10 @@ func (w *givesWalk) reach(stack []ast.Node) token.Pos {
 	return w.body.End()
 }
 
-// judge reports package-level gives, writes that can run after the
-// Return that gave their slice away, and lent buffers that escape.
+// judge reports package-level gives and writes that can run after the
+// Return that gave their slice away.
 func (w *givesWalk) judge() {
 	reported := make(map[token.Pos]bool)
-	for _, e := range w.escapes {
-		if reported[e.group] || !w.isLent(e.expr) {
-			continue
-		}
-		reported[e.group] = true
-		w.pass.Reportf(e.pos, e.how+", a buffer ReturnBuffer lent; it is the reply's frame, reused once the reply is sent, so the handler must keep nothing of it",
-			exprKey(e.expr))
-	}
 	for _, g := range w.gives {
 		if name, ok := w.globalName(g.arg); ok {
 			w.pass.Reportf(g.call.Pos(),

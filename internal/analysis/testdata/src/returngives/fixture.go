@@ -90,12 +90,13 @@ func register(tm *kernel.TypeManager) {
 	}})
 
 	tm.Op(kernel.Operation{Name: "named", Handler: named})
+	tm.Op(kernel.Operation{Name: "named-lends", Handler: namedLends})
 
 	// A buffer ReturnBuffer lends must not outlive the handler.
 	var last []byte
 	tm.Op(kernel.Operation{Name: "lent-field", Handler: func(c *kernel.Call) {
 		out := c.ReturnBuffer(8)
-		held.keep = out // want "stores out in held.keep, a buffer ReturnBuffer lent"
+		held.keep = out // want "stores out in held.keep, which outlives the call: a buffer ReturnBuffer lent"
 	}})
 
 	tm.Op(kernel.Operation{Name: "lent-map", Handler: func(c *kernel.Call) {
@@ -105,7 +106,7 @@ func register(tm *kernel.TypeManager) {
 
 	tm.Op(kernel.Operation{Name: "lent-enclosing", Handler: func(c *kernel.Call) {
 		view := c.ReturnBuffer(8)[2:]
-		last = view // want "stores view in last"
+		last = view // want "stores view in \"last\""
 	}})
 	tm.Op(kernel.Operation{Name: "last", Handler: func(c *kernel.Call) { c.Return(append([]byte(nil), last...)) }})
 
@@ -141,8 +142,32 @@ func register(tm *kernel.TypeManager) {
 	tm.Op(kernel.Operation{Name: "lent-go", Handler: func(c *kernel.Call) {
 		view := c.ReturnBuffer(8)[4:]
 		go func() {
-			_ = view // want "captures view in a go statement"
+			_ = view // want "view captured by a goroutine"
 		}()
+	}})
+
+	// A helper is judged by what it does with the buffer it is handed.
+	tm.Op(kernel.Operation{Name: "lent-helper-subprocess", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		repair(c, out) // want "calls repair, which captures reply in a Subprocess"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-helper-store", Handler: func(c *kernel.Call) {
+		keep(c.ReturnBuffer(8)[2:]) // want "calls keep, which stores b in held.keep"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-async", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		c.Kernel().InvokeAsync(c.Self().SelfCapability(0), "x", out, nil, nil) // want "passes out to InvokeAsync"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-invoke", Handler: func(c *kernel.Call) {
+		out := c.ReturnBuffer(8)
+		_, _ = c.Kernel().Invoke(c.Self().SelfCapability(0), "x", out[:4], nil, nil) // want "passes out[:4] to Invoke,"
+	}})
+
+	tm.Op(kernel.Operation{Name: "lent-helper-fills", Handler: func(c *kernel.Call) {
+		fill(c.ReturnBuffer(8))
 	}})
 
 	// What a lent buffer allows: filling it, inside callbacks too.
@@ -214,6 +239,34 @@ func named(c *kernel.Call) {
 	out := make([]byte, 8)
 	c.Return(out)
 	copy(out[4:], "late") // want "copies into out[4:]"
+}
+
+// namedLends is a declared handler that hands what ReturnBuffer lent it
+// to a helper, from inside a View callback.
+func namedLends(c *kernel.Call) {
+	c.Self().View(func(r *segment.Representation) {
+		out := c.ReturnBuffer(8)
+		repair(c, out) // want "calls repair, which captures reply in a Subprocess"
+	})
+}
+
+// repair hands reply to a Subprocess, which may run after the handler
+// that lent it has returned.
+func repair(c *kernel.Call, reply []byte) {
+	c.Subprocess(func() {
+		_ = reply[0]
+	})
+}
+
+// keep stores what it is given where it outlives the call.
+func keep(b []byte) {
+	held.keep = b
+}
+
+// fill writes what it is given, and keeps nothing of it.
+func fill(b []byte) {
+	binary.BigEndian.PutUint64(b, 7)
+	b[0] = 1
 }
 
 // notAHandler takes no *kernel.Call: it owns its buffers.

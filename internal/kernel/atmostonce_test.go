@@ -21,7 +21,8 @@ import (
 // state-changing operation, which can be held inside its handler, and a
 // read-only one; both count their executions. A third, "keep", changes
 // nothing but is not declared AccessRead: it returns the first 8 bytes of
-// its request, a slice of the frame the request arrived in. A fourth,
+// its request, a slice of its Call.Data, and keeps the first request it
+// is given, as a write may. A fourth,
 // "build", is a state-changing operation that writes its reply with
 // ReturnBuffer: its execution count, then its request.
 type onceRig struct {
@@ -35,6 +36,7 @@ type onceRig struct {
 	entered   chan struct{}
 	mu        sync.Mutex
 	replies   []msg.Envelope
+	kept      []byte // the first request "keep" was given
 	delivered chan struct{}
 }
 
@@ -54,6 +56,11 @@ func newOnceRig(t *testing.T) *onceRig {
 		c.Return(u64(uint64(r.peeks.Add(1))))
 	}})
 	tm.Op(Operation{Name: "keep", Access: AccessWrite, Handler: func(c *Call) {
+		r.mu.Lock()
+		if r.kept == nil {
+			r.kept = c.Data
+		}
+		r.mu.Unlock()
 		c.Return(c.Data[:min(8, len(c.Data))])
 	}})
 	tm.Op(Operation{Name: "build", Access: AccessWrite, Handler: func(c *Call) {

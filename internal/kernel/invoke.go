@@ -82,6 +82,10 @@ type inbound struct {
 	// (Call.ReturnBuffer), already in its wire form; serveInvoke sends
 	// and frees it. nil when the reply is to be encoded.
 	frame *msg.Buffer
+	// kept: a read's handler may still read the request after the reply
+	// is sent (its invoker's time ran out), so serveInvoke leaves the
+	// request's frame to the collector instead of freeing it.
+	kept bool
 }
 
 // home is the index entry where a probe for the key starts: the high
@@ -316,6 +320,11 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 			if !triedRecovery {
 				triedRecovery = true
 				rtimeout := min(time.Until(deadline), k.cfg.DefaultTimeout+k.loc.DefaultTimeout)
+				if rtimeout <= 0 {
+					// The lookup ran out the invocation's budget: no
+					// broadcast is sent to be waited for past the deadline.
+					return Reply{}, ErrTimeout
+				}
 				if rl, rerr := k.loc.Recover(id, rtimeout); rerr == nil {
 					k.loc.Learn(id, rl.Node, false)
 					continue
@@ -545,6 +554,11 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 			return answer, nil
 		}
 		defer func() { k.served.end(n, rep) }()
+		// A write may keep its Data, and its reply may be a slice of it,
+		// which the table keeps: it gets its own copy, what a fresh
+		// receive frame cost, and the request's frame goes back to the
+		// pool with the reply.
+		c.data = bytes.Clone(req.Data)
 	}
 	remaining := timeout
 	if k.vprocs != nil {
@@ -590,10 +604,17 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		obj.sched.Unlock()
 	}
 	rep, ok := c.await(remaining)
-	if ok && origin != nil {
+	if origin != nil {
 		// The process wrote the frame before finishing, and the frame is
-		// not recycled before this share is released.
-		origin.frame = c.call.frame
+		// not recycled before this share is released. A read still queued
+		// or running may read its request after the reply is sent. Every
+		// round of tryLocal sets the frame; kept, once set, stays.
+		origin.frame = nil
+		if ok {
+			origin.frame = c.call.frame
+		} else if c.inPlace {
+			origin.kept = true
+		}
 	}
 	c.release()
 	if !ok {
@@ -647,12 +668,22 @@ func (k *Kernel) invokeRemote(node uint32, corr, trace uint64, req msg.InvokeReq
 
 // serveInvoke executes an invocation received from another node and
 // sends the reply envelope back. The request is decoded in place: its
-// data is the handler's Call.Data, inside the frame it arrived in. The
+// data is a read's Call.Data, inside the frame it arrived in; a write
+// gets a copy (dispatch). A read borrows its request: when the transport
+// lent that frame from the pool (env.Frame), it is freed once the reply
+// is sent, unless a read timed out while its handler was queued or
+// running (inbound.kept) — that frame is left to the collector. The
 // request's own flag decides whether a replica or checkpoint shadow
 // qualifies: an invoker that demands the home (after a StatusMoved
 // bounce, or because it never opted into stale reads) clears the flag,
 // and serving a shadow anyway would bounce it here forever.
 func (k *Kernel) serveInvoke(env msg.Envelope) {
+	var origin inbound
+	defer func() {
+		if !origin.kept {
+			env.Frame.Free()
+		}
+	}()
 	req, err := msg.DecodeInvokeReq(env.Payload)
 	if err != nil {
 		return // corrupt frame; the invoker will time out and retry
@@ -665,7 +696,7 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	// trace id; together they split a remote invocation's latency into
 	// service time (here) and everything else (wire + location).
 	sp := k.tel.reg.StartSpan("serve", env.Trace, k.cfg.Node)
-	origin := inbound{key: servedKey{from: env.From, corr: env.Corr}}
+	origin.key = servedKey{from: env.From, corr: env.Corr}
 	rep, served, derr := k.tryLocal(req, req.AllowReplica(), &origin, time.Now().Add(timeout))
 	if derr != nil {
 		rep = msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(derr.Error())}
@@ -681,7 +712,7 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 	sp.End(rep.Status.String())
 	payload := origin.frame // the reply as the handler wrote it in place
 	if payload == nil {
-		payload = msg.Encode(rep)
+		payload = msg.Encode(rep) // rep.Data may lie in the request: copied here
 	}
 	_ = k.send(msg.Envelope{Kind: msg.KindInvokeRep, To: env.From, Corr: env.Corr, Trace: env.Trace}, payload)
 }

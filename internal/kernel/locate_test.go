@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -146,5 +147,35 @@ func TestDetachedCreatorRecoversWithinBudget(t *testing.T) {
 	}
 	if st := s.ks[1].Locator().Stats(); st.Guesses != 1 || st.Broadcasts != 2 {
 		t.Errorf("locator %+v, want one guess, one lookup and one recovery broadcast", st)
+	}
+}
+
+// TestSpentBudgetSendsNoRecovery: an invocation whose lookup ran out its
+// whole budget answers ErrTimeout at its deadline and sends no recovery
+// broadcast. Here the home is alive but 100 ms away, so the lookup's
+// broadcast goes unanswered within a 1 ms call; a recovery broadcast sent
+// after it was waited for until the home's answer came back, 200 ms past
+// the deadline.
+func TestSpentBudgetSendsNoRecovery(t *testing.T) {
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	cp, err := s.ks[2].Create("counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mesh.SetLatency(func(from, to uint32) time.Duration { return 100 * time.Millisecond })
+	s.ks[1].loc.Forget(cp.ID()) // the creator is ruled out: the first hop is the lookup
+	before := s.ks[1].Locator().Stats().Broadcasts
+	const timeout = time.Millisecond
+	start := time.Now()
+	_, err = s.ks[1].Invoke(cp, "get", nil, nil, &InvokeOptions{Timeout: timeout})
+	if took := time.Since(start); took > timeout+50*time.Millisecond {
+		t.Errorf("a %v invocation answered after %v", timeout, took)
+	}
+	if !errors.Is(err, ErrTimeout) {
+		t.Errorf("err = %v, want ErrTimeout", err)
+	}
+	if n := s.ks[1].Locator().Stats().Broadcasts - before; n != 1 {
+		t.Errorf("%d broadcasts, want the lookup's alone", n)
 	}
 }

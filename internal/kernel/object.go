@@ -748,9 +748,18 @@ type Call struct {
 	// Operation is the invoked operation's name.
 	Operation string
 	// Data carries the data parameters: the invoker's own slice for a
-	// local call; for a call from another node, the bytes inside the frame
-	// it arrived in, which belongs to this call alone. A handler that
-	// returns Data on a local call hands the invoker its own bytes back.
+	// local call; for a call from another node, a read's bytes inside the
+	// frame it arrived in, which belongs to this call alone, and a
+	// write's own copy of them. A handler that returns Data on a local
+	// call hands the invoker its own bytes back. A read served for
+	// another node borrows its request until its handler returns: the
+	// frame is a pooled buffer, freed once the reply is sent. So an
+	// AccessRead handler may read and write Data but keeps nothing of it:
+	// it stores it in no variable that outlives it, sends it on no channel
+	// and hands it to no goroutine, Subprocess, behavior, Invoke or
+	// InvokeAsync — a local invocation gets it uncopied as its own Data
+	// (edenvet's accesspurity checks this). Returning it is fine: the
+	// reply is encoded from it before the frame is freed.
 	Data []byte
 	// Caps carries the capability parameters.
 	Caps capability.List

@@ -396,16 +396,17 @@ func TestLocalInvokeAllocCeilings(t *testing.T) {
 // counted. It was 25 when every layer allocated its own (reply channel
 // and timer, coordinator goroutine, envelope encodes and decodes, serve
 // closure, dedup entry and channel), 10 once the waits were pooled
-// frames, and is 2: the mesh's copy of each direction's payload at Send,
-// which is what lets the sender take its buffer back and the handler own
-// what it decodes in place. Encodes are pooled, decodes alias, the serve
-// goroutine starts from a pooled frame and a read-only call costs no
-// dedup slot. Held to 3, the same one of slack.
+// frames, 2 while the mesh's copy of each direction's payload at Send was
+// an allocation, and is 1: the reply's copy, which the invoker's
+// Reply.Data lives in. The request's copy is a pooled frame, which the
+// serving kernel frees once a read's reply is sent. Encodes are pooled,
+// decodes alias, the serve goroutine starts from a pooled frame and a
+// read-only call costs no dedup slot. Held to 2, the same one of slack.
 func TestRemoteInvokeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
 	}
-	const ceiling = 3
+	const ceiling = 2
 	s := newSys(t, 1, 2)
 	tm := NewType("allocs")
 	tm.Op(Operation{Name: "read", Access: AccessRead, Handler: func(c *Call) {}})
@@ -425,18 +426,53 @@ func TestRemoteInvokeAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestRemoteWriteAllocCeiling: a 64-byte write served by another node
+// over the mesh, both nodes counted. Measured 2: the reply's copy, as
+// for a read, and the write's own copy of its request data, which it may
+// keep. The request's frame is pooled and freed once the reply is sent,
+// so a write costs what it did while that frame was an allocation; 3
+// while a write's frame was taken from the pool and never given back.
+// Held to 2: a write's dedup slot is a value in a ring allocated once.
+func TestRemoteWriteAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
+	}
+	const ceiling = 2
+	s := newSys(t, 1, 2)
+	tm := NewType("allocs")
+	tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: func(c *Call) {}})
+	mustRegister(t, s.reg, tm)
+	cp, err := s.ks[2].Create("allocs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 64)
+	mustInvoke(t, s.ks[1], cp, "write", data) // node 1 learns the home; node 2 makes its table
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := s.ks[1].Invoke(cp, "write", data, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.2f allocs per remote write", got)
+	if got > ceiling {
+		t.Errorf("%.1f allocs per remote write, ceiling %d", got, ceiling)
+	}
+}
+
 // TestRemoteAsyncTCPAllocCeiling is the same over loopback TCP through
 // InvokeAsync with a 64-byte echo — the shape of benchmark/'s
-// invoke-remote — both nodes counted. Measured 4: the Pending and its
-// done channel, and one frame read per direction. The handler returns
-// the request bytes inside the frame it was given, which the reply is
-// encoded from (5 when Return copied them). Everything else on the path
-// is pooled or decoded in place.
+// invoke-remote — both nodes counted. Measured 3: the Pending and its
+// done channel, and the reply's frame read. The request is read into a
+// pooled frame, freed once the reply is sent (4 while it was an
+// allocation); the handler returns the request bytes inside it, which
+// the reply is encoded from before the frame is freed (5 when Return
+// copied them). Everything else on the path is pooled or decoded in
+// place.
 func TestRemoteAsyncTCPAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
 	}
-	const ceiling = 5
+	const ceiling = 4
 	ks, reg := tcpSys(t, 2)
 	tm := NewType("allocs")
 	tm.Op(Operation{Name: "echo", Access: AccessRead, Handler: func(c *Call) { c.Return(c.Data) }})

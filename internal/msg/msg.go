@@ -12,9 +12,11 @@
 // Decoders alias: every []byte a Decode* function returns is a
 // sub-slice of its input, never a copy. The input must therefore stay
 // unchanged for as long as the decoded value is in use — which the
-// transports guarantee by handing each inbound frame to its handler as
-// a freshly allocated slice nobody else writes to (DESIGN.md, "The
-// wire path: who owns a buffer").
+// transports guarantee by handing each inbound frame to its handler in
+// a buffer nobody else writes to: a fresh allocation, or for an
+// invocation request a pooled buffer that is the handler's until it
+// frees it (Envelope.Frame; DESIGN.md, "The wire path: who owns a
+// buffer").
 package msg
 
 import (
@@ -107,6 +109,12 @@ type Envelope struct {
 	Trace uint64
 	// Payload is the kind-specific body, already encoded.
 	Payload []byte
+	// Frame is the pooled buffer an inbound Payload lies in, or nil when
+	// the handler owns Payload outright. A transport lends one with an
+	// invocation request (FrameBuffer), each delivery its own; whoever
+	// handles the frame frees it once nothing reads the payload, or
+	// leaves it to the collector. Senders leave it nil: Send ignores it.
+	Frame *Buffer
 }
 
 // envelope header: version(1) kind(1) from(4) to(4) corr(8) trace(8) payloadLen(4)
@@ -134,9 +142,16 @@ func EncodeEnvelope(dst []byte, e Envelope) []byte {
 // the wire. The struct wraps the slice so the pool traffics in a stable
 // pointer rather than re-boxing a slice header on every Put.
 type Buffer struct {
+	bufferState // what a race build checks of the buffer's lifetime; nothing otherwise
 	// B is the buffer's contents; append to it freely.
 	B []byte
 }
+
+// Poison is the byte a race build overwrites a freed buffer with, all of
+// its capacity, so that a reader still holding its bytes sees them
+// change (buffer_race.go); a race build also panics on a buffer freed
+// twice. Other builds leave freed bytes as they are.
+const Poison byte = 0xdb
 
 // maxPooledBuffer is the largest class: a frame carrying a 64 KiB
 // payload, with every header around it, fits; nothing larger is pooled,
@@ -170,12 +185,28 @@ func borrow(n int) *Buffer {
 			continue
 		}
 		if b, _ := c.pool.Get().(*Buffer); b != nil {
+			b.reused()
 			b.B = b.B[:0]
 			return b
 		}
 		return &Buffer{B: make([]byte, 0, c.size)}
 	}
 	return &Buffer{B: make([]byte, 0, n)}
+}
+
+// MaxFrameBuffer is the largest frame FrameBuffer lends.
+const MaxFrameBuffer = maxPooledBuffer
+
+// FrameBuffer returns a pooled buffer of n bytes, whatever they hold,
+// for a transport to receive one inbound frame into, or nil when n is
+// beyond MaxFrameBuffer: such a frame is allocated for its delivery.
+func FrameBuffer(n int) *Buffer {
+	if n > MaxFrameBuffer {
+		return nil
+	}
+	b := borrow(n)
+	b.B = b.B[:n]
+	return b
 }
 
 // Encode returns a pooled buffer holding the wire form of one payload,
@@ -196,7 +227,11 @@ func Encode[P interface {
 // is left to the collector. The caller must not touch b (or its bytes)
 // afterwards.
 func (b *Buffer) Free() {
-	if b == nil || cap(b.B) > maxPooledBuffer {
+	if b == nil {
+		return
+	}
+	b.freed()
+	if cap(b.B) > maxPooledBuffer {
 		return
 	}
 	for i := len(bufferClasses) - 1; i >= 0; i-- {

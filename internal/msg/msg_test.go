@@ -507,6 +507,27 @@ func TestBufferClasses(t *testing.T) {
 	}
 }
 
+// TestFrameBuffer: a frame of up to maxPooledBuffer bytes is received
+// into a buffer of the smallest class that holds it, n bytes long; a
+// larger one is not pooled.
+func TestFrameBuffer(t *testing.T) {
+	for _, n := range []int{1, 100, bufferClasses[0].size, bufferClasses[0].size + 1, maxPooledBuffer} {
+		b := FrameBuffer(n)
+		want := 0
+		if n > bufferClasses[0].size {
+			want = 1
+		}
+		inClass := cap(b.B) >= bufferClasses[want].size && (want == len(bufferClasses)-1 || cap(b.B) < bufferClasses[want+1].size)
+		if len(b.B) != n || !inClass {
+			t.Errorf("FrameBuffer(%d): len %d cap %d, want len %d in the %d-byte class", n, len(b.B), cap(b.B), n, bufferClasses[want].size)
+		}
+		b.Free()
+	}
+	if b := FrameBuffer(maxPooledBuffer + 1); b != nil {
+		t.Errorf("FrameBuffer(%d) lent a %d-byte buffer; a frame past every class is not pooled", maxPooledBuffer+1, cap(b.B))
+	}
+}
+
 // TestOperationNamesAreInterned: a registered operation name decodes to
 // the registered string at no allocation; any other still decodes.
 func TestOperationNamesAreInterned(t *testing.T) {

@@ -467,21 +467,48 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if n == 0 || n > maxFrame {
 			return // corrupt peer
 		}
-		frame, err := readFrame(r, int(n))
+		frame, buf, err := readBody(r, int(n))
 		if err != nil {
 			return
 		}
 		// The envelope's payload aliases frame, and frame is this
-		// delivery's alone: the handler owns it.
+		// delivery's alone: the handler owns it, or borrows it from the
+		// pool when buf is one.
 		env, rest, err := msg.DecodeEnvelope(frame)
 		if err != nil || len(rest) != 0 {
 			return // corrupt peer
 		}
+		env.Frame = buf
 		tel := t.tel.Load()
 		tel.recvFrames.Inc()
 		tel.recvBytes.Add(int64(len(env.Payload)))
 		t.dispatch(env)
 	}
+}
+
+// readBody reads an n-byte frame body. An invocation request that fits
+// msg's size classes is read into a pooled buffer, returned with it; any
+// other frame is readFrame's. The kind is the body's second byte (after
+// the version), peeked before any buffer is taken, and only for a body
+// that fits one; a pooled buffer is no larger than readFrame's first
+// chunk.
+func readBody(r *bufio.Reader, n int) ([]byte, *msg.Buffer, error) {
+	if n >= 2 && n <= msg.MaxFrameBuffer {
+		head, err := r.Peek(2)
+		if err != nil {
+			return nil, nil, err
+		}
+		if msg.Kind(head[1]) == msg.KindInvokeReq {
+			b := msg.FrameBuffer(n)
+			if _, err := io.ReadFull(r, b.B); err != nil {
+				b.Free()
+				return nil, nil, err
+			}
+			return b.B, b, nil
+		}
+	}
+	frame, err := readFrame(r, n)
+	return frame, nil, err
 }
 
 // readFrame reads an n-byte frame body. A peer is believed about n only

@@ -24,10 +24,15 @@ import (
 
 // Handler receives inbound frames. Handlers run on transport
 // goroutines and must not block for long; kernels hand frames off to
-// their own dispatch machinery. The handler owns env.Payload outright:
-// it is one allocation made for this delivery, which no sender, pool or
-// other receiver can reach, so anything decoded from it may alias it
-// for as long as it likes.
+// their own dispatch machinery. No sender or other receiver can reach
+// env.Payload, so anything decoded from it may alias it. When env.Frame
+// is nil the payload is one allocation made for this delivery, which the
+// handler owns outright. An invocation request that fits msg's size
+// classes arrives instead in a pooled buffer of its own, env.Frame: the
+// handler may free it once nothing reads the payload any more — the
+// kernel does so once the reply is sent, since a read served for
+// another node borrows its request until its handler returns and a
+// write copies its data out — or leave it to the collector.
 type Handler func(env msg.Envelope)
 
 // Transport is the kernel's view of the network.
@@ -216,9 +221,18 @@ func (m *Mesh) Close() error {
 
 // owned returns env with a private copy of its payload: what a
 // delivery that stays inside the process must make, because the sender
-// takes its slice back when Send returns and the handler owns what it is
-// given.
+// takes its slice back when Send returns. An invocation request's copy
+// is a pooled buffer, env.Frame, as TCP's reader would lend it; any
+// other payload's is an allocation the handler owns.
 func owned(env msg.Envelope) msg.Envelope {
+	env.Frame = nil
+	if env.Kind == msg.KindInvokeReq {
+		if b := msg.FrameBuffer(len(env.Payload)); b != nil {
+			copy(b.B, env.Payload)
+			env.Payload, env.Frame = b.B, b
+			return env
+		}
+	}
 	env.Payload = append([]byte(nil), env.Payload...)
 	return env
 }
