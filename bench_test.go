@@ -348,6 +348,10 @@ func BenchmarkCheckpoint1KB(b *testing.B)  { benchCheckpoint(b, 1<<10) }
 func BenchmarkCheckpoint64KB(b *testing.B) { benchCheckpoint(b, 64<<10) }
 func BenchmarkCheckpoint1MB(b *testing.B)  { benchCheckpoint(b, 1<<20) }
 
+// BenchmarkReincarnate passivates an object and invokes it again: 2
+// allocs/op, the record the store reads and the incarnation, allocated
+// with its segment table (4 while the table and a copy of the segment
+// names were allocated apart).
 func BenchmarkReincarnate(b *testing.B) {
 	_, nodes := benchSystem(b, 1)
 	cap, err := nodes[0].CreateObject("bench.echo")

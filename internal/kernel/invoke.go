@@ -337,8 +337,13 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 		// with a bounded slice of the budget so a wrong hint cannot
 		// consume the caller's whole timeout. A guess at the creator is
 		// a probe too, paid from the locate budget. A freshly confirmed
-		// location gets the full remainder.
+		// location gets the full remainder. Only the wait is bounded: the
+		// serving node runs the call to the invocation's deadline, so a
+		// right guess at an operation slower than the probe is answered
+		// to the retransmission that follows the lookup, which carries
+		// the same corr and so does not run it again.
 		attempt := time.Until(deadline)
+		req.TimeoutNanos = int64(attempt)
 		var sent time.Time
 		switch {
 		case loc.Guess:
@@ -654,13 +659,13 @@ func (k *Kernel) roundTrip(env msg.Envelope, payload *msg.Buffer, timeout time.D
 }
 
 // invokeRemote ships the request to another node's kernel and awaits
-// its reply envelope. corr identifies the logical invocation across
-// retries (the receiver deduplicates on it).
+// its reply envelope for at most timeout; the request's own TimeoutNanos
+// is how long the serving node may take. corr identifies the logical
+// invocation across retries (the receiver deduplicates on it).
 func (k *Kernel) invokeRemote(node uint32, corr, trace uint64, req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, error) {
 	if timeout <= 0 {
 		return msg.InvokeRep{}, ErrTimeout
 	}
-	req.TimeoutNanos = int64(timeout)
 	k.stRemote.Add(1)
 	k.tel.invRemote.Inc()
 	return k.roundTrip(msg.Envelope{Kind: msg.KindInvokeReq, To: node, Corr: corr, Trace: trace}, msg.Encode(req), timeout)

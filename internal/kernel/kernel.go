@@ -844,7 +844,7 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	k.mu.Unlock()
 
 	id := k.gen.Next()
-	obj := k.newObject(id, tt, 0, false)
+	obj := k.newObject(new(Object), id, tt, 0, false)
 	obj.epoch = 1 // first residency; every committed move increments it
 	if tt.tm.Init != nil {
 		if err := tt.tm.Init(obj); err != nil {

@@ -73,8 +73,8 @@ func (k *Kernel) reincarnate(id edenid.ID) (*Object, error) {
 	// writes a segment included. A promoted backup record does not
 	// qualify: the home's record must be written without the backup
 	// marker, or a restart would take it for a backup again.
-	obj := k.newObject(id, tt, rec.Version, rec.Frozen)
-	if err := decodeWhole(&obj.rep, rec.Rep); err != nil {
+	obj, err := k.incarnate(id, tt, rec.Version, rec.Frozen, rec.Rep)
+	if err != nil {
 		return nil, fmt.Errorf("kernel: corrupt checkpoint for %v: %v", id, err)
 	}
 	obj.epoch = normEpoch(rec.Epoch)
@@ -158,9 +158,10 @@ func (o *Object) Checkpoint() error {
 }
 
 // decodeWhole decodes into r an encoding that must fill src exactly: a
-// record's or a shipment's representation. Data segments alias src.
-func decodeWhole(r *segment.Representation, src []byte) error {
-	rest, err := segment.DecodeInto(r, src)
+// record's or a shipment's representation, in table when it has room
+// (segment.DecodeInto). Names and data segments alias src.
+func decodeWhole(r *segment.Representation, src []byte, table []segment.Segment) error {
+	rest, err := segment.DecodeInto(r, src, table)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%w: %d bytes after the representation", segment.ErrBadEncoding, len(rest))
 	}
@@ -664,10 +665,10 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 				return fmt.Errorf("kernel: incremental checkpoint base v%d, have v%d", ship.Base, baseRec.Version)
 			}
 			var base, delta segment.Representation
-			if err := decodeWhole(&base, baseRec.Rep); err != nil {
+			if err := decodeWhole(&base, baseRec.Rep, nil); err != nil {
 				return fmt.Errorf("kernel: corrupt base checkpoint: %v", err)
 			}
-			if err := decodeWhole(&delta, ship.Rep); err != nil {
+			if err := decodeWhole(&delta, ship.Rep, nil); err != nil {
 				return fmt.Errorf("kernel: corrupt checkpoint delta: %v", err)
 			}
 			base.Merge(&delta, ship.Removed)
@@ -721,8 +722,8 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil {
 			return err
 		}
-		obj := k.newObject(ship.Object, tt, ship.Version, true)
-		if err := decodeWhole(&obj.rep, ship.Rep); err != nil {
+		obj, err := k.incarnate(ship.Object, tt, ship.Version, true, ship.Rep)
+		if err != nil {
 			return fmt.Errorf("kernel: corrupt replica representation: %v", err)
 		}
 		obj.epoch = normEpoch(ship.Epoch)
@@ -766,8 +767,8 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		if err != nil {
 			return err
 		}
-		obj := k.newObject(ship.Object, tt, ship.Version, ship.Frozen)
-		if err := decodeWhole(&obj.rep, ship.Rep); err != nil {
+		obj, err := k.incarnate(ship.Object, tt, ship.Version, ship.Frozen, ship.Rep)
+		if err != nil {
 			return fmt.Errorf("kernel: corrupt moved representation: %v", err)
 		}
 		obj.epoch = newEpoch

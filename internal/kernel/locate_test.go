@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -177,5 +178,42 @@ func TestSpentBudgetSendsNoRecovery(t *testing.T) {
 	}
 	if n := s.ks[1].Locator().Stats().Broadcasts - before; n != 1 {
 		t.Errorf("%d broadcasts, want the lookup's alone", n)
+	}
+}
+
+// TestRightGuessOutlastsItsProbe: a guess at the creator is waited for
+// only half the locate budget (125 ms here), but a right guess at a write
+// that runs 200 ms must not time out with most of a 750 ms invocation
+// left. The serving node runs the write to the invocation's deadline;
+// the invoker, done waiting on the guess, locates the object and sends
+// the request again under the same corr, which the serving node answers
+// with the first execution's reply instead of running the write twice.
+func TestRightGuessOutlastsItsProbe(t *testing.T) {
+	const work = 200 * time.Millisecond
+	s := newSys(t, 1, 2)
+	var runs atomic.Int32
+	tm := NewType("slowcount")
+	tm.Op(Operation{Name: "inc", Handler: func(c *Call) {
+		time.Sleep(work)
+		c.Return(u64(uint64(runs.Add(1))))
+	}})
+	mustRegister(t, s.reg, tm)
+	cp, err := s.ks[2].Create("slowcount", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe := s.ks[1].loc.DefaultTimeout / 2; probe >= work || work >= s.ks[1].cfg.DefaultTimeout {
+		t.Fatalf("the guess's wait %v and the invocation timeout %v must bracket the write's %v", probe, s.ks[1].cfg.DefaultTimeout, work)
+	}
+	rep, err := s.ks[1].Invoke(cp, "inc", nil, nil, nil)
+	if err != nil {
+		t.Fatalf("a right guess at a %v write: %v", work, err)
+	}
+	time.Sleep(work) // a second execution would have finished by now
+	if n := runs.Load(); n != 1 || fromU64(rep.Data) != 1 {
+		t.Errorf("the write ran %d times, replied %d; want once", n, fromU64(rep.Data))
+	}
+	if st := s.ks[1].Locator().Stats(); st.Guesses != 1 {
+		t.Errorf("locator %+v, want the first send to be a guess", st)
 	}
 }

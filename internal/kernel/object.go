@@ -122,11 +122,11 @@ type shortTerm struct {
 	behaviors sync.WaitGroup
 }
 
-// newObject makes an incarnation with an empty representation: Create
-// fills it through the type's Init hook, and the paths that incarnate a
-// record decode the record into it (decodeWhole).
-func (k *Kernel) newObject(id edenid.ID, tt *typeTable, version uint64, frozen bool) *Object {
-	o := &Object{
+// newObject makes o an incarnation with an empty representation:
+// Create fills it through the type's Init hook, and incarnate decodes an
+// encoding into it.
+func (k *Kernel) newObject(o *Object, id edenid.ID, tt *typeTable, version uint64, frozen bool) *Object {
+	*o = Object{
 		k:       k,
 		id:      id,
 		table:   tt,
@@ -138,6 +138,42 @@ func (k *Kernel) newObject(id edenid.ID, tt *typeTable, version uint64, frozen b
 		o.cs.more = &rows
 	}
 	return o
+}
+
+// tableSlots is how many segments the table allocated with an
+// incarnation made from an encoding holds (objectWithTable). An EFS file
+// has three, and the spare slot takes its next version without growing
+// the table.
+const tableSlots = 4
+
+// objectWithTable is an incarnation allocated with its segment table, so
+// that making one from a record is one allocation, not two.
+type objectWithTable struct {
+	Object
+	segs [tableSlots]segment.Segment
+}
+
+// incarnate makes an incarnation of an encoded representation that must
+// fill rep exactly: a record's or a shipment's. Its names and data
+// segments alias rep (segment.Decode). An encoding of at most tableSlots
+// segments decodes into the table allocated with the object, so a
+// reincarnation costs its record and one block; a larger one gets a
+// table of its own. A table that outgrows the block leaves the block's
+// slots unused for the incarnation's lifetime.
+func (k *Kernel) incarnate(id edenid.ID, tt *typeTable, version uint64, frozen bool, rep []byte) (*Object, error) {
+	var o *Object
+	var table []segment.Segment
+	if n := segment.Count(rep); n <= tableSlots {
+		b := new(objectWithTable)
+		o, table = &b.Object, b.segs[:n]
+	} else {
+		o = new(Object)
+	}
+	k.newObject(o, id, tt, version, frozen)
+	if err := decodeWhole(&o.rep, rep, table); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // shortLocked returns the incarnation's short-term state, making it on

@@ -85,8 +85,8 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	// makes even a mis-registered mutating handler fail at Update.
 	// validate's replica gate refuses anything not AccessRead before
 	// that can matter.
-	obj := k.newObject(id, tt, rec.Version, true)
-	if decodeWhole(&obj.rep, rec.Rep) != nil {
+	obj, err := k.incarnate(id, tt, rec.Version, true, rec.Rep)
+	if err != nil {
 		k.tel.replicaMiss.Inc()
 		return nil
 	}

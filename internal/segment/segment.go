@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"eden/internal/capability"
 )
@@ -130,12 +131,16 @@ func (r *Representation) lookup(name string) *Segment {
 }
 
 // slot returns the named entry, inserting an empty one in order when
-// there is none. Names that arrive in order append.
+// there is none. Names that arrive in order append. An entry found takes
+// the caller's equal name, so that one no longer as decoded holds
+// nothing of the encoding it was decoded from; the insert makes name
+// escape already, so this costs nothing.
 func (r *Representation) slot(name string) *Segment {
 	i, ok := r.find(name)
 	if !ok {
 		r.segs = slices.Insert(r.segs, i, Segment{name: name})
 	}
+	r.segs[i].name = name
 	return &r.segs[i]
 }
 
@@ -224,7 +229,8 @@ func (r *Representation) Caps(name string) (capability.List, error) {
 	return s.caps.Clone(), nil
 }
 
-// Delete removes the named segment if present.
+// Delete removes the named segment if present. Its tombstone keeps the
+// name it had until the clean mark passes it (MarkClean).
 func (r *Representation) Delete(name string) {
 	if s := r.lookup(name); s != nil {
 		r.change(s, 0, nil, nil)
@@ -280,15 +286,16 @@ func (r *Representation) Capabilities() capability.List {
 }
 
 // Clone returns a deep copy of the representation, in which every
-// segment counts as changed.
+// segment counts as changed. The copy's names are its own, too: it
+// keeps nothing r was decoded from.
 func (r *Representation) Clone() *Representation {
 	out := New()
 	for i := range r.segs {
 		switch s := &r.segs[i]; s.kind {
 		case Data:
-			out.SetData(s.name, s.data)
+			out.SetData(strings.Clone(s.name), s.data)
 		case Caps:
-			out.SetCaps(s.name, s.caps)
+			out.SetCaps(strings.Clone(s.name), s.caps)
 		}
 	}
 	return out
@@ -381,12 +388,17 @@ func (s *Segment) bodyLen() int {
 // found before anything is built; so an encoding Decode accepts is the
 // one Encode writes for its result.
 //
-// The caller hands src over. The result's data segments are slices of
-// it, capacity-clipped, so src must not be written afterwards; every
-// other method copies as before, so nothing the representation does
-// writes to it either. The result is clean: it is exactly what src holds.
+// The caller hands src over. The result's names and data segments are
+// its bytes — a data segment a capacity-clipped slice of them, a name a
+// string over them — so src must not be written afterwards; every other
+// method copies as before, so nothing the representation does writes to
+// it either. A name is the caller's again once its segment is set, so
+// src stays reachable only through segments that are as decoded. The
+// result is clean: it is exactly what src holds. Decode allocates the
+// Representation and its segment array; capability lists are the only
+// others.
 func Decode(src []byte) (*Representation, []byte, error) {
-	segs, rest, err := decode(src)
+	segs, rest, err := decode(src, nil)
 	if err != nil {
 		return nil, src, err
 	}
@@ -395,11 +407,13 @@ func Decode(src []byte) (*Representation, []byte, error) {
 
 // DecodeInto is Decode into a representation the caller owns, such as
 // one inside the object that will hold it: on success r is replaced by
-// the decoded representation, and on failure it is left as it was. It
-// allocates the segment array and one string holding every name;
-// capability lists are the only others.
-func DecodeInto(r *Representation, src []byte) ([]byte, error) {
-	segs, rest, err := decode(src)
+// the decoded representation, and on failure it is left as it was.
+// table, when its length is the encoding's segment count (Count), is the
+// segment array the representation takes, spare capacity and all; it is
+// written only on success. Otherwise DecodeInto allocates the array, and
+// capability lists are its only other allocations.
+func DecodeInto(r *Representation, src []byte, table []Segment) ([]byte, error) {
+	segs, rest, err := decode(src, table)
 	if err != nil {
 		return src, err
 	}
@@ -407,28 +421,37 @@ func DecodeInto(r *Representation, src []byte) ([]byte, error) {
 	return rest, nil
 }
 
+// Count returns the number of segments the encoding at the front of src
+// says it holds, as at most len(src), which no true count reaches, or 0
+// when src is too short to say. It checks nothing else: it is for sizing
+// a table for DecodeInto, which checks.
+func Count(src []byte) int {
+	if len(src) < 8 {
+		return 0
+	}
+	return int(min(binary.BigEndian.Uint32(src[4:]), uint32(len(src))))
+}
+
 // decode checks the encoding at the front of src and then builds its
-// segments.
-func decode(src []byte) ([]Segment, []byte, error) {
-	nsegs, nameBytes, end, err := check(src)
+// segments, in table when it has their number. Names are strings over
+// src's bytes: this is the package's one use of unsafe, and Decode's
+// contract — src is never written afterwards — is what makes it sound.
+func decode(src []byte, table []Segment) ([]Segment, []byte, error) {
+	nsegs, end, err := check(src)
 	if err != nil {
 		return nil, src, err
 	}
-	segs := make([]Segment, nsegs)
-	var names strings.Builder
-	names.Grow(nameBytes)
-	b := src[8:end]
-	for range segs {
-		name, _, _, rest, _ := segmentAt(b)
-		names.Write(name)
-		b = rest
+	segs := table
+	if len(segs) != nsegs {
+		segs = make([]Segment, nsegs)
 	}
-	all, at := names.String(), 0
-	b = src[8:end]
+	b := src[8:end]
 	for i := range segs {
 		name, kind, body, rest, _ := segmentAt(b)
-		s := &segs[i]
-		s.name, s.kind = all[at:at+len(name)], kind
+		s := Segment{kind: kind}
+		if len(name) > 0 {
+			s.name = unsafe.String(&name[0], len(name))
+		}
 		if kind == Data {
 			s.data = body[:len(body):len(body)]
 		} else if n := len(body) / capability.EncodedSize; n > 0 {
@@ -437,21 +460,20 @@ func decode(src []byte) ([]Segment, []byte, error) {
 				s.caps[j], _, _ = capability.Decode(body[4+j*capability.EncodedSize:])
 			}
 		}
-		at += len(name)
+		segs[i] = s
 		b = rest
 	}
 	return segs, src[end+4:], nil
 }
 
 // check verifies an encoding at the front of src without building
-// anything. It returns the segment count, the total length of the
-// names and where the checksum starts.
-func check(src []byte) (nsegs, nameBytes, end int, err error) {
+// anything. It returns the segment count and where the checksum starts.
+func check(src []byte) (nsegs, end int, err error) {
 	if len(src) < 8 {
-		return 0, 0, 0, fmt.Errorf("%w: truncated header", ErrBadEncoding)
+		return 0, 0, fmt.Errorf("%w: truncated header", ErrBadEncoding)
 	}
 	if binary.BigEndian.Uint32(src) != encMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrBadEncoding)
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrBadEncoding)
 	}
 	n := binary.BigEndian.Uint32(src[4:])
 	b := src[8:]
@@ -459,31 +481,31 @@ func check(src []byte) (nsegs, nameBytes, end int, err error) {
 	for i := uint32(0); i < n; i++ {
 		name, kind, body, rest, ok := segmentAt(b)
 		if !ok {
-			return 0, 0, 0, fmt.Errorf("%w: truncated segment %d", ErrBadEncoding, i)
+			return 0, 0, fmt.Errorf("%w: truncated segment %d", ErrBadEncoding, i)
 		}
 		if i > 0 && string(prev) >= string(name) {
-			return 0, 0, 0, fmt.Errorf("%w: segment %q out of order", ErrBadEncoding, name)
+			return 0, 0, fmt.Errorf("%w: segment %q out of order", ErrBadEncoding, name)
 		}
 		switch kind {
 		case Data:
 		case Caps:
 			if err := checkCaps(body); err != nil {
-				return 0, 0, 0, fmt.Errorf("%w: segment %q: %v", ErrBadEncoding, name, err)
+				return 0, 0, fmt.Errorf("%w: segment %q: %v", ErrBadEncoding, name, err)
 			}
 		default:
-			return 0, 0, 0, fmt.Errorf("%w: segment %q has unknown kind %d", ErrBadEncoding, name, kind)
+			return 0, 0, fmt.Errorf("%w: segment %q has unknown kind %d", ErrBadEncoding, name, kind)
 		}
-		prev, nameBytes = name, nameBytes+len(name)
+		prev = name
 		b = rest
 	}
 	if len(b) < 4 {
-		return 0, 0, 0, fmt.Errorf("%w: truncated checksum", ErrBadEncoding)
+		return 0, 0, fmt.Errorf("%w: truncated checksum", ErrBadEncoding)
 	}
 	end = len(src) - len(b)
 	if crc32.ChecksumIEEE(src[:end]) != binary.BigEndian.Uint32(b) {
-		return 0, 0, 0, fmt.Errorf("%w: checksum mismatch", ErrBadEncoding)
+		return 0, 0, fmt.Errorf("%w: checksum mismatch", ErrBadEncoding)
 	}
-	return int(n), nameBytes, end, nil
+	return int(n), end, nil
 }
 
 // segmentAt splits the segment at the front of b into its parts and
@@ -579,16 +601,17 @@ func (r *Representation) EncodePartial(names []string, dst []byte) []byte {
 // Merge applies a partial representation onto r: every segment in
 // partial replaces (or adds to) r's, and every name in removed is
 // deleted. Merge changes contents, not change tracking: a name keeps
-// its stamp, and a new one has none.
+// its stamp, and a new one has none. What it takes from partial it
+// copies, names included, so r keeps nothing partial was decoded from.
 func (r *Representation) Merge(partial *Representation, removed []string) {
 	for i := range partial.segs {
 		p := &partial.segs[i]
 		switch p.kind {
 		case Data:
-			s := r.slot(p.name)
+			s := r.slot(strings.Clone(p.name))
 			s.kind, s.data, s.caps = Data, append([]byte(nil), p.data...), nil
 		case Caps:
-			s := r.slot(p.name)
+			s := r.slot(strings.Clone(p.name))
 			s.kind, s.data, s.caps = Caps, nil, p.caps.Clone()
 		}
 	}

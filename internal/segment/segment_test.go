@@ -10,8 +10,10 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
@@ -340,6 +342,9 @@ func BenchmarkEncode4K(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode4K decodes a one-segment representation: 2 allocs/op,
+// the Representation and its segment table (3 while the names were
+// copied out into a string of their own).
 func BenchmarkDecode4K(b *testing.B) {
 	r := New()
 	r.SetData("state", make([]byte, 4096))
@@ -349,6 +354,33 @@ func BenchmarkDecode4K(b *testing.B) {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeAllocations: decoding copies nothing out of its input. Into a
+// table the caller made, DecodeInto allocates nothing; Decode allocates
+// the Representation and its table.
+func TestDecodeAllocations(t *testing.T) {
+	r := sampleRep()
+	r.SetData("other", []byte("more"))
+	r.Delete("refs") // capability lists are decoded into lists of their own
+	src := r.Encode(nil)
+	var into Representation
+	table := make([]Segment, Count(src))
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeInto(&into, src, table); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 || &into.segs[0] != &table[0] {
+		t.Errorf("DecodeInto a caller's table: %.0f allocs (want 0), decoded into it: %v", got, &into.segs[0] == &table[0])
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, _, err := Decode(src); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Errorf("Decode: %.0f allocs, want 2", got)
 	}
 }
 
@@ -391,10 +423,12 @@ func TestQuickDecodeCorruptedValid(t *testing.T) {
 }
 
 // checkDecoded asserts what Decode promises of an input it accepts: its
-// segments are strictly sorted, its data segments lie inside the consumed
-// input (each capacity-clipped), the result is clean, encoding it gives
-// the consumed input back byte for byte, and DecodeInto a used
-// representation gives the same result. Of an input Decode refuses,
+// segments are strictly sorted, its names and data segments lie inside
+// the consumed input (each data segment capacity-clipped), the result is
+// clean, encoding it gives the consumed input back byte for byte,
+// DecodeInto a used representation or into a table of Count's length
+// gives the same result, and once every segment is set again no name
+// lies inside the input. Of an input Decode refuses,
 // DecodeInto leaves its representation as it was. It reports whether src
 // decoded at all.
 func checkDecoded(t *testing.T, src []byte) bool {
@@ -404,12 +438,20 @@ func checkDecoded(t *testing.T, src []byte) bool {
 	if err != nil {
 		kept := sampleRep()
 		before := *kept
-		if _, err := DecodeInto(kept, src); err == nil || !reflect.DeepEqual(*kept, before) {
+		if _, err := DecodeInto(kept, src, nil); err == nil || !reflect.DeepEqual(*kept, before) {
 			t.Errorf("DecodeInto of what Decode refused: %v, representation changed: %v", err, !reflect.DeepEqual(*kept, before))
 		}
 		return false
 	}
 	used := len(src) - len(rest)
+	// A table of Count's length, with room to spare, is the one decoded into.
+	table := make([]Segment, Count(src), Count(src)+1)
+	var tabled Representation
+	_, err = DecodeInto(&tabled, src, table)
+	same := len(tabled.segs) == len(r.segs) && (len(r.segs) == 0 || reflect.DeepEqual(tabled.segs, r.segs))
+	if err != nil || !same || cap(tabled.segs) != cap(table) {
+		t.Errorf("DecodeInto a table of %d: %v, decoded into it: %v, same as Decode: %v", len(table), err, cap(tabled.segs) == cap(table), same)
+	}
 	if r.HasDirty() {
 		changed, removed := r.Dirty()
 		t.Errorf("decoded representation has changed %v and removed %v", changed, removed)
@@ -422,11 +464,16 @@ func checkDecoded(t *testing.T, src []byte) bool {
 			t.Errorf("segments %q and %q out of order", r.segs[i-1].name, r.segs[i].name)
 		}
 	}
+	for i := range r.segs {
+		if name := r.segs[i].name; name != "" && !within(name, src[:used]) {
+			t.Errorf("name %q does not lie inside the consumed input", name)
+		}
+	}
 	// Decoding into a representation that already holds something
 	// replaces all of it, change tracking included.
 	reused := sampleRep()
 	reused.Delete("state")
-	if rest2, err := DecodeInto(reused, src); err != nil || len(rest2) != len(rest) || !reflect.DeepEqual(reused, r) {
+	if rest2, err := DecodeInto(reused, src, nil); err != nil || len(rest2) != len(rest) || !reflect.DeepEqual(reused, r) {
 		t.Errorf("DecodeInto a used representation = %+v (%d left, %v), Decode = %+v", reused, len(rest2), err, r)
 	}
 	for i := range r.segs {
@@ -452,7 +499,22 @@ func checkDecoded(t *testing.T, src []byte) bool {
 			t.Errorf("segment %q does not lie inside the consumed input (changed byte %d of %d)", s.name, changed, used)
 		}
 	}
+	// A segment set again holds nothing of the input, its name included.
+	for _, name := range r.Names() {
+		r.SetData(strings.Clone(name), nil)
+	}
+	for i := range r.segs {
+		if name := r.segs[i].name; name != "" && within(name, src) {
+			t.Errorf("name %q still lies inside the input after its segment was set", name)
+		}
+	}
 	return true
+}
+
+// within reports whether s's bytes lie inside b's.
+func within(s string, b []byte) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(b))
 }
 
 // TestDecodeAliasesInput: a decoded representation's data is the input's
@@ -498,7 +560,8 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 
 // FuzzDecode holds Decode to its promises on arbitrary input: it never
 // panics, and what it accepts is sorted, aliased, clean and canonical,
-// and decodes the same into a used representation.
+// and decodes the same into a used representation and into a caller's
+// table; its names lie inside the input until their segments are set.
 func FuzzDecode(f *testing.F) {
 	f.Add(sampleRep().Encode(nil))
 	f.Add(sampleRep().EncodePartial([]string{"refs"}, nil))
