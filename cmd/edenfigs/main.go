@@ -70,30 +70,7 @@ func buildPrototype() (*eden.System, []*eden.Node, eden.Capability) {
 		nodes = append(nodes, n)
 	}
 
-	// A demonstration object with all four anatomical parts visibly
-	// populated: representation segments, a supertype, invocation
-	// classes, live short-term state.
-	base := eden.NewType("stored-object")
-	base.Op(eden.Operation{Name: "describe", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
-	demo := eden.NewType("mailbox")
-	demo.Extends = "stored-object"
-	demo.Limit("deliver", 1)
-	demo.Init = func(o *eden.Object) error {
-		_ = o.Port("incoming", 16)
-		_ = o.Semaphore("quota", 4)
-		o.SpawnBehavior(func(stop <-chan struct{}) { <-stop })
-		return o.Update(func(r *eden.Representation) error {
-			r.SetData("meta", make([]byte, 8))
-			r.SetData("msg:00000001", []byte("welcome to Eden"))
-			return nil
-		})
-	}
-	demo.Op(eden.Operation{Name: "deliver", Class: "deliver", Handler: func(c *eden.Call) {}})
-	demo.Op(eden.Operation{Name: "read", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
-	if err := sys.RegisterType(base); err != nil {
-		log.Fatal(err)
-	}
-	if err := sys.RegisterType(demo); err != nil {
+	if err := registerPrototypeTypes(sys); err != nil {
 		log.Fatal(err)
 	}
 	cap, err := nodes[0].CreateObject("mailbox")
@@ -126,6 +103,34 @@ func buildPrototype() (*eden.System, []*eden.Node, eden.Capability) {
 		log.Fatal(err)
 	}
 	return sys, nodes, cap
+}
+
+// registerPrototypeTypes registers a demonstration type, and its
+// supertype, with all four anatomical parts visibly populated:
+// representation segments, a supertype, invocation classes, live
+// short-term state.
+func registerPrototypeTypes(sys *eden.System) error {
+	base := eden.NewType("stored-object")
+	base.Op(eden.Operation{Name: "describe", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
+	demo := eden.NewType("mailbox")
+	demo.Extends = "stored-object"
+	demo.Limit("deliver", 1)
+	demo.Init = func(o *eden.Object) error {
+		_ = o.Port("incoming", 16)
+		_ = o.Semaphore("quota", 4)
+		o.SpawnBehavior(func(stop <-chan struct{}) { <-stop })
+		return o.Update(func(r *eden.Representation) error {
+			r.SetData("meta", make([]byte, 8))
+			r.SetData("msg:00000001", []byte("welcome to Eden"))
+			return nil
+		})
+	}
+	demo.Op(eden.Operation{Name: "deliver", Class: "deliver", Handler: func(c *eden.Call) {}})
+	demo.Op(eden.Operation{Name: "read", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
+	if err := sys.RegisterType(base); err != nil {
+		return err
+	}
+	return sys.RegisterType(demo)
 }
 
 // figure1 renders the system-level hardware architecture: node

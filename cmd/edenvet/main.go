@@ -9,7 +9,6 @@
 //	edenvet            # analyze the module containing the cwd
 //	edenvet ./...      # same
 //	edenvet <dir>      # analyze the module rooted at <dir>
-//	edenvet -q ./...   # suppress the summary, print findings only
 //	edenvet -json ./...    # machine-readable report on stdout
 //	edenvet -gha ./...     # GitHub Actions ::error annotations
 //	edenvet -strict ./...  # stale suppressions are failures too
@@ -29,22 +28,20 @@ import (
 )
 
 func main() {
-	quiet := flag.Bool("q", false, "print findings only, no summary")
 	jsonOut := flag.Bool("json", false, "emit a JSON report on stdout instead of text")
 	gha := flag.Bool("gha", false, "emit GitHub Actions ::error annotations alongside findings")
 	strict := flag.Bool("strict", false, "exit non-zero on stale suppressions, not just findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: edenvet [-q] [-json] [-gha] [-strict] [./... | module-dir]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: edenvet [-json] [-gha] [-strict] [./... | module-dir]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-	os.Exit(run(flag.Args(), options{quiet: *quiet, json: *jsonOut, gha: *gha, strict: *strict}))
+	os.Exit(run(flag.Args(), options{json: *jsonOut, gha: *gha, strict: *strict}))
 }
 
 type options struct {
-	quiet  bool
 	json   bool
 	gha    bool
 	strict bool
@@ -100,15 +97,16 @@ func run(args []string, opts options) int {
 	}
 
 	var active, suppressed []analysis.Diagnostic
-	var unused []analysis.Suppression
+	var sups, unused []analysis.Suppression
 	perAnalyzer := make(map[string]int)
 	for _, pkg := range pkgs {
 		diags := analysis.Run(pkg, analysis.All())
-		sups, bad := analysis.CollectSuppressions(pkg)
-		a, s, u := analysis.ApplySuppressions(diags, sups)
+		ps, bad := analysis.CollectSuppressions(pkg)
+		a, s, u := analysis.ApplySuppressions(diags, ps)
 		active = append(active, a...)
 		active = append(active, bad...)
 		suppressed = append(suppressed, s...)
+		sups = append(sups, ps...)
 		unused = append(unused, u...)
 	}
 
@@ -130,21 +128,12 @@ func run(args []string, opts options) int {
 		for _, s := range unused {
 			staleAt[fmt.Sprintf("%s:%d", s.Pos.Filename, s.Pos.Line)] = true
 		}
-		seen := make(map[string]bool)
-		for _, pkg := range pkgs {
-			sups, _ := analysis.CollectSuppressions(pkg)
-			for _, s := range sups {
-				key := fmt.Sprintf("%s:%d:%s", s.Pos.Filename, s.Pos.Line, s.Analyzer)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				report.Suppressions = append(report.Suppressions, jsonSuppression{
-					File: relPath(root, s.Pos.Filename), Line: s.Pos.Line,
-					Analyzer: s.Analyzer, Reason: s.Reason,
-					Stale: staleAt[fmt.Sprintf("%s:%d", s.Pos.Filename, s.Pos.Line)],
-				})
-			}
+		for _, s := range sups {
+			report.Suppressions = append(report.Suppressions, jsonSuppression{
+				File: relPath(root, s.Pos.Filename), Line: s.Pos.Line,
+				Analyzer: s.Analyzer, Reason: s.Reason,
+				Stale: staleAt[fmt.Sprintf("%s:%d", s.Pos.Filename, s.Pos.Line)],
+			})
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -169,25 +158,23 @@ func run(args []string, opts options) int {
 		}
 	}
 
-	if !opts.quiet {
-		if len(suppressed) > 0 {
-			fmt.Printf("\n%d finding(s) suppressed by //edenvet:ignore:\n", len(suppressed))
-			for _, d := range suppressed {
-				fmt.Printf("  %s\n", render(root, d))
-			}
+	if len(suppressed) > 0 {
+		fmt.Printf("\n%d finding(s) suppressed by //edenvet:ignore:\n", len(suppressed))
+		for _, d := range suppressed {
+			fmt.Printf("  %s\n", render(root, d))
 		}
-		if len(unused) > 0 {
-			fmt.Printf("\n%d suppression(s) matched nothing (stale?):\n", len(unused))
-			for _, s := range unused {
-				fmt.Printf("  %s:%d: //edenvet:ignore %s %s\n", relPath(root, s.Pos.Filename), s.Pos.Line, s.Analyzer, s.Reason)
-			}
+	}
+	if len(unused) > 0 {
+		fmt.Printf("\n%d suppression(s) matched nothing (stale?):\n", len(unused))
+		for _, s := range unused {
+			fmt.Printf("  %s:%d: //edenvet:ignore %s %s\n", relPath(root, s.Pos.Filename), s.Pos.Line, s.Analyzer, s.Reason)
 		}
-		fmt.Printf("\nedenvet: %d package(s), %d finding(s), %d suppressed\n",
-			len(pkgs), len(active), len(suppressed))
-		for _, a := range analysis.All() {
-			if n := perAnalyzer[a.Name]; n > 0 {
-				fmt.Printf("  %-14s %d\n", a.Name, n)
-			}
+	}
+	fmt.Printf("\nedenvet: %d package(s), %d finding(s), %d suppressed\n",
+		len(pkgs), len(active), len(suppressed))
+	for _, a := range analysis.All() {
+		if n := perAnalyzer[a.Name]; n > 0 {
+			fmt.Printf("  %-14s %d\n", a.Name, n)
 		}
 	}
 

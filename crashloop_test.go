@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"eden/internal/chaos"
 	"eden/internal/kernel"
 	"eden/internal/store"
 )
@@ -77,68 +78,15 @@ func durableCounterType() *TypeManager {
 	return tm
 }
 
-// ackFloor tracks the highest acknowledged value/version — the floor
-// every post-restart observation must meet.
-type ackFloor struct {
-	mu              sync.Mutex
-	value, version  uint64
-	observedVersion uint64
-	acks            uint64
-}
-
-func (f *ackFloor) ack(value, version uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.acks++
-	if value > f.value {
-		f.value = value
-	}
-	if version > f.version {
-		f.version = version
-	}
-}
-
-// waitAck waits for the next acknowledgement.
-func (f *ackFloor) waitAck(timeout time.Duration) error {
-	f.mu.Lock()
-	from := f.acks
-	f.mu.Unlock()
+// waitAck waits for the model's next acknowledgement.
+func waitAck(floor *chaos.Model, timeout time.Duration) error {
+	from := floor.Snapshot().Acks
 	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		f.mu.Lock()
-		n := f.acks
-		f.mu.Unlock()
-		if n > from {
+		if floor.Snapshot().Acks > from {
 			return nil
 		}
 	}
 	return fmt.Errorf("no write acknowledged in %v", timeout)
-}
-
-// acked returns the floor as it stands: a read sent after this returns
-// must observe at least this value and version.
-func (f *ackFloor) acked() (value, version uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.value, f.version
-}
-
-// observe checks a post-restart observation against the floor acked
-// returned before the observing read was sent. Acks recorded since may
-// be of writes the read preceded, so they do not count against it.
-func (f *ackFloor) observe(floorValue, floorVersion, value, version uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if value < floorValue {
-		return fmt.Errorf("lost acknowledged writes: observed value %d < acked floor %d", value, floorValue)
-	}
-	if version < floorVersion {
-		return fmt.Errorf("lost acknowledged checkpoint: observed version %d < acked floor %d", version, floorVersion)
-	}
-	if version < f.observedVersion {
-		return fmt.Errorf("version ran backwards across restart: %d after %d", version, f.observedVersion)
-	}
-	f.observedVersion = version
-	return nil
 }
 
 // allowedCrashLoopErr reports whether an invocation error is legitimate
@@ -202,13 +150,13 @@ func TestCrashLoopInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	floor := &ackFloor{}
+	floor := &chaos.Model{}
 	// Baseline durable write (retried: the schedule may fail it).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		rep, err := client.Invoke(cap, "incdur", nil, nil, nil)
 		if err == nil {
-			floor.ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
+			floor.Ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
 			break
 		}
 		if !allowedCrashLoopErr(err) || time.Now().After(deadline) {
@@ -236,7 +184,7 @@ func TestCrashLoopInProcess(t *testing.T) {
 					}
 					continue
 				}
-				floor.ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
+				floor.Ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
 			}
 		}()
 	}
@@ -248,7 +196,7 @@ func TestCrashLoopInProcess(t *testing.T) {
 	for cycle := 1; cycle <= cycles; cycle++ {
 		// Crash under load: once a write gets through to this incarnation,
 		// after a seeded while — most likely inside a batch, stalled.
-		if err := floor.waitAck(10 * time.Second); err != nil {
+		if err := waitAck(floor, 10*time.Second); err != nil {
 			t.Fatalf("cycle %d (seed %d): %v", cycle, seed, err)
 		}
 		time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
@@ -260,12 +208,12 @@ func TestCrashLoopInProcess(t *testing.T) {
 		// subject to injected store faults) comes through.
 		obsDeadline := time.Now().Add(10 * time.Second)
 		for {
-			floorValue, floorVersion := floor.acked()
+			acked := floor.Snapshot()
 			rep, err := client.Invoke(cap, "stat", nil, nil, &InvokeOptions{Timeout: time.Second})
 			if err == nil {
 				v := binary.BigEndian.Uint64(rep.Data[:8])
 				ver := binary.BigEndian.Uint64(rep.Data[8:])
-				if oerr := floor.observe(floorValue, floorVersion, v, ver); oerr != nil {
+				if oerr := floor.Observe(acked, v, ver); oerr != nil {
 					t.Fatalf("cycle %d (seed %d): %v", cycle, seed, oerr)
 				}
 				break
@@ -286,10 +234,9 @@ func TestCrashLoopInProcess(t *testing.T) {
 	if c.Ops == 0 {
 		t.Fatal("fault schedule never consulted: the fault layer is not under the node's log")
 	}
-	floor.mu.Lock()
+	acked := floor.Snapshot()
 	t.Logf("seed %d: survived %d crash cycles, %d acked writes (floor value=%d version=%d); injected faults: fail=%d delay=%d over %d segment calls, %d torn and %d dropped tails",
-		seed, cycles, floor.acks, floor.value, floor.version, c.Fail, c.Delay, c.Ops, c.Torn, c.Dropped)
-	floor.mu.Unlock()
+		seed, cycles, acked.Acks, acked.AckedValue, acked.AckedVersion, c.Fail, c.Delay, c.Ops, c.Torn, c.Dropped)
 }
 
 // TestCrashSyncLieInProcess is the in-process negative control: a log
@@ -319,13 +266,13 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	floor := &ackFloor{}
+	floor := &chaos.Model{}
 	for i := uint64(1); i <= 3; i++ {
 		rep, err := client.Invoke(cap, "incdur", nil, nil, nil)
 		if err != nil {
 			t.Fatalf("incdur %d: %v", i, err)
 		}
-		floor.ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
+		floor.Ack(binary.BigEndian.Uint64(rep.Data[:8]), binary.BigEndian.Uint64(rep.Data[8:]))
 	}
 	if c := fl.Counters(); c.SyncLie < 3 {
 		t.Fatalf("%d lying fsyncs behind three acknowledged checkpoints", c.SyncLie)
@@ -344,11 +291,11 @@ func TestCrashSyncLieInProcess(t *testing.T) {
 	// intact would mean the injection (or Crash) stopped working.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		floorValue, floorVersion := floor.acked()
+		acked := floor.Snapshot()
 		rep, err := client.Invoke(cap, "stat", nil, nil, &InvokeOptions{Timeout: time.Second})
 		if err == nil {
 			v := binary.BigEndian.Uint64(rep.Data[:8])
-			if oerr := floor.observe(floorValue, floorVersion, v, binary.BigEndian.Uint64(rep.Data[8:])); oerr == nil {
+			if oerr := floor.Observe(acked, v, binary.BigEndian.Uint64(rep.Data[8:])); oerr == nil {
 				t.Fatalf("acked writes survived a sync-lie crash (value %d): fault injection is not working", v)
 			}
 			t.Logf("loss detected: observed value %d below acked floor %d", v, 3)

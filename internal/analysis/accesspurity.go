@@ -12,14 +12,10 @@ package analysis
 // torn state across the mesh. This analyzer makes the declaration a
 // checked property instead of a promise.
 //
-// The declaration carries a loan too: a read served for another node
-// borrows its request until its handler returns — Call.Data lies in a
-// pooled frame the kernel frees once the reply is sent. So Call.Data is
-// a second root, which such a handler may read and write but must not
-// keep: store outside its locals, send on a channel, hand to a
-// goroutine, a Subprocess, a behavior, Invoke or InvokeAsync (a local
-// invocation gets the bytes uncopied as its Call.Data), or pass to a
-// package-local helper that does any of these.
+// Call.Data is reached through the Call, so a read handler that keeps
+// it leaks it too: a read served for another node borrows its request
+// until the reply is sent. Running every read (internal/conform) catches
+// a kept request read back; this catches one kept where nothing reads it.
 
 import (
 	"go/ast"
@@ -32,7 +28,7 @@ import (
 // bodies.
 var AccessPurity = &Analyzer{
 	Name: "accesspurity",
-	Doc:  "a handler registered Access: AccessRead must not mutate or leak the object representation, nor keep the request it borrows",
+	Doc:  "a handler registered Access: AccessRead must not mutate or leak the object representation or its request",
 	Run:  runAccessPurity,
 }
 
@@ -100,22 +96,18 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 		return
 	}
 	for _, ev := range handlerEffects(pass, eng, handler) {
-		if reported[ev.Pos] || (ev.Root != 0 && ev.Root != dataRoot(0)) {
-			continue // a ReturnBuffer result is returngives' to judge
+		if reported[ev.Pos] || ev.Root != 0 {
+			continue
 		}
 		reported[ev.Pos] = true
-		switch {
-		case ev.Root == dataRoot(0):
-			pass.Reportf(ev.Pos,
-				"read-only operation %q %s; a read served for another node borrows its request until the handler returns, and the frame is reused once the reply is sent",
-				opName, ev.What)
-		case ev.Kind == effectMutate:
+		switch ev.Kind {
+		case effectMutate:
 			pass.Reportf(ev.Pos,
 				"read-only operation %q %s; the reader pool runs this handler concurrently with other readers — declare AccessWrite or drop the write",
 				opName, ev.What)
-		default:
+		case effectEscape:
 			pass.Reportf(ev.Pos,
-				"read-only operation %q %s; the reference outlives the read lock and can be mutated unsynchronized",
+				"read-only operation %q %s; the reference outlives the read lock (and a read served for another node borrows its request only until the reply is sent)",
 				opName, ev.What)
 		}
 	}
@@ -123,8 +115,8 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 
 // handlerEffects analyzes an operation handler expression — a function
 // literal or a reference to a package-local function — and returns the
-// mutation/escape events reachable from its *kernel.Call parameter,
-// root 0, and from the bytes that Call lends.
+// mutation/escape events; those reachable from its *kernel.Call
+// parameter are root 0.
 func handlerEffects(pass *Pass, eng *effectEngine, handler ast.Expr) []effectEvent {
 	handler = ast.Unparen(handler)
 	// Strip a Handler(...) or kernel.Handler(...) conversion.

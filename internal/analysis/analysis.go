@@ -18,10 +18,9 @@
 // crash harness can schedule kills around them (killpointcover). A
 // seventh, returngives, holds handlers to the reply-ownership rule: a
 // slice given to Call.Return is the reply, so it is not written
-// afterwards and is never package-level state, and a buffer
-// Call.ReturnBuffer lends does not outlive the handler — judged by the
-// effect engine, which holds a read handler's borrowed Call.Data to the
-// same rule for accesspurity.
+// afterwards and is never package-level state; nor are the bytes a call
+// lends an invocation's data. The rest of a loan is checked by running
+// every read operation (internal/conform).
 //
 // Everything here is built on go/ast, go/parser, go/token and go/types
 // only, so the suite builds in an offline environment with a bare

@@ -8,17 +8,14 @@ package analysis
 // The engine answers one domain-specific question precisely rather
 // than the general aliasing problem: may this code mutate, or leak a
 // live reference to, state reachable from an Eden object's
-// representation — or let bytes the kernel lends a handler (Call.Data
-// of a read served for another node, a ReturnBuffer result) outlive
-// it? Three effect sources are tracked, mirroring the ways a handler
-// can break a read-only declaration or a loan:
+// representation? Three effect sources are tracked, mirroring the ways
+// a handler can break a read-only declaration:
 //
 //   - assignments that write through a tracked value (field stores,
 //     element stores, *p = x, x.f++),
 //   - escapes: a tracked reference (the representation pointer, or an
 //     &-of-path rooted in it) stored somewhere that outlives the
-//     tracked scope — a captured variable, a channel, a goroutine; for
-//     lent bytes also a Subprocess, a behavior or an invocation's data,
+//     tracked scope — a captured variable, a channel, a goroutine,
 //   - calls to methods summarized as mutating, either by a
 //     package-local summary (computed recursively, depth-capped) or by
 //     the built-in effect tables for the kernel's own API
@@ -59,25 +56,6 @@ type effectEvent struct {
 	Pos  token.Pos
 	What string // human-readable description, e.g. `call to (*segment.Representation).SetData`
 }
-
-// A root is a small integer: a parameter's index in a summary (receiver
-// first), or 0 for the Call of a handler literal. The bytes a Call lends
-// its handler are roots of their own, derived from the Call's root r:
-// its request's Data, dataRoot(r), which a read served for another node
-// borrows until its handler returns, and ReturnBuffer's result,
-// bufferRoot(r), which lies in the frame the reply is sent in. Lent bytes
-// may be written, but must not outlive the handler.
-const (
-	dataRootBase   = 1 << 10
-	bufferRootBase = 2 << 10
-)
-
-func dataRoot(r int) int   { return dataRootBase + r }
-func bufferRoot(r int) int { return bufferRootBase + r }
-
-// lentBase returns the base of a derived root (dataRootBase or
-// bufferRootBase), or 0 for a plain one.
-func lentBase(root int) int { return root / dataRootBase * dataRootBase }
 
 // funcSummary records a package-local function's effects on values
 // reachable from its receiver and parameters.
@@ -134,15 +112,6 @@ func newEffectEngine(pass *Pass) *effectEngine {
 	return e
 }
 
-// declOf returns the package-local declaration of fn, or nil for
-// foreign (or bodyless) functions.
-func (e *effectEngine) declOf(fn *types.Func) *ast.FuncDecl {
-	if fn == nil {
-		return nil
-	}
-	return e.decls[fn]
-}
-
 // staticCallee resolves a call expression to the invoked *types.Func,
 // for direct calls and method calls (including interface methods,
 // which resolve to the interface's declared method). Calls through
@@ -179,7 +148,7 @@ func (e *effectEngine) summarize(fn *types.Func) *funcSummary {
 	if s, ok := e.sums[fn]; ok {
 		return s
 	}
-	fd := e.declOf(fn)
+	fd := e.decls[fn] // nil for foreign (or bodyless) functions
 	if fd == nil || e.busy[fn] || len(e.busy) >= maxSummaryDepth {
 		return nil
 	}
@@ -210,14 +179,12 @@ func (e *effectEngine) literalEffects(lit *ast.FuncLit) []effectEvent {
 }
 
 func (e *effectEngine) newTracker(body *ast.BlockStmt, sink func(effectEvent)) *tracker {
-	return &tracker{eng: e, roots: make(map[types.Object]int), lentParams: make(map[int]bool), body: body, sink: sink}
+	return &tracker{eng: e, roots: make(map[types.Object]int), body: body, sink: sink}
 }
 
-// bindIndexed makes every parameter that can lead to a representation
-// or to lent bytes a root numbered by its position, receiver first. A
-// []byte parameter is treated as lent: the only tracked bytes a caller
-// can pass are bytes a Call lent it, since the representation's API
-// copies what it hands out.
+// bindIndexed makes every parameter that can lead to a representation a
+// root numbered by its position, receiver first; a handler literal's
+// Call is root 0.
 func (tr *tracker) bindIndexed(recv, params *ast.FieldList) {
 	idx := 0
 	for _, fl := range []*ast.FieldList{recv, params} {
@@ -226,14 +193,8 @@ func (tr *tracker) bindIndexed(recv, params *ast.FieldList) {
 		}
 		for _, field := range fl.List {
 			for _, name := range field.Names {
-				if obj := tr.info().Defs[name]; obj != nil {
-					switch {
-					case trackableType(obj.Type()):
-						tr.roots[obj] = idx
-					case isByteSlice(obj.Type()):
-						tr.roots[obj] = idx
-						tr.lentParams[idx] = true
-					}
+				if obj := tr.info().Defs[name]; obj != nil && trackableType(obj.Type()) {
+					tr.roots[obj] = idx
 				}
 				idx++
 			}
@@ -242,16 +203,6 @@ func (tr *tracker) bindIndexed(recv, params *ast.FieldList) {
 			}
 		}
 	}
-}
-
-// isByteSlice reports whether t is a []byte.
-func isByteSlice(t types.Type) bool {
-	sl, ok := types.Unalias(t).Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := types.Unalias(sl.Elem()).Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
 
 // trackableType reports whether a parameter of this type can lead to
@@ -330,10 +281,8 @@ var callPureMethods = map[string]bool{
 type tracker struct {
 	eng   *effectEngine
 	roots map[types.Object]int // ident object -> root index
-	// lentParams are the parameter roots that hold lent bytes.
-	lentParams map[int]bool
-	body       *ast.BlockStmt // the analyzed scope, for locality tests
-	sink       func(effectEvent)
+	body  *ast.BlockStmt       // the analyzed scope, for locality tests
+	sink  func(effectEvent)
 	// returned, when non-nil, is told that a tracked root may flow to
 	// the function's results.
 	returned func(root int)
@@ -341,15 +290,8 @@ type tracker struct {
 
 func (tr *tracker) info() *types.Info { return tr.eng.pass.Info }
 
-// lent reports whether root is bytes a Call lent: writing them is the
-// handler's right, keeping them is not.
-func (tr *tracker) lent(root int) bool { return lentBase(root) != 0 || tr.lentParams[root] }
-
-// report emits one event. A write to lent bytes is none.
+// report emits one event.
 func (tr *tracker) report(root int, kind effectKind, pos token.Pos, format string, args ...interface{}) {
-	if kind == effectMutate && tr.lent(root) {
-		return
-	}
 	tr.sink(effectEvent{Root: root, Kind: kind, Pos: pos, What: fmt.Sprintf(format, args...)})
 }
 
@@ -382,11 +324,7 @@ func (tr *tracker) rootOf(e ast.Expr) (int, bool) {
 		}
 		return 0, false
 	case *ast.SelectorExpr:
-		root, ok := tr.rootOf(x.X)
-		if ok && x.Sel.Name == "Data" && lentBase(root) == 0 && recvIsNamed(tr.info(), x, "internal/kernel", "Call") {
-			return dataRoot(root), true
-		}
-		return root, ok
+		return tr.rootOf(x.X)
 	case *ast.IndexExpr:
 		return tr.rootOf(x.X)
 	case *ast.SliceExpr:
@@ -400,17 +338,12 @@ func (tr *tracker) rootOf(e ast.Expr) (int, bool) {
 }
 
 // callResultRoot applies result-aliasing propagation: c.Self() is the
-// tracked object and c.ReturnBuffer(n) the bytes it lends; a
-// package-local callee whose summary returns one of its parameters (or
-// bytes one lent) propagates the argument's root.
+// tracked object; a package-local callee whose summary returns one of
+// its parameters propagates the argument's root.
 func (tr *tracker) callResultRoot(call *ast.CallExpr) (int, bool) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && recvIsNamed(tr.info(), sel, "internal/kernel", "Call") {
-		switch root, ok := tr.rootOf(sel.X); {
-		case !ok:
-		case sel.Sel.Name == "Self":
-			return root, true
-		case sel.Sel.Name == "ReturnBuffer" && lentBase(root) == 0:
-			return bufferRoot(root), true
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if recvIsNamed(tr.info(), sel, "internal/kernel", "Call") && sel.Sel.Name == "Self" {
+			return tr.rootOf(sel.X)
 		}
 	}
 	fn := staticCallee(tr.info(), call)
@@ -418,25 +351,12 @@ func (tr *tracker) callResultRoot(call *ast.CallExpr) (int, bool) {
 	if sum == nil || len(sum.returns) == 0 {
 		return 0, false
 	}
-	args := tr.callArgRoots(fn, call)
-	for root := range sum.returns {
-		if r, ok := callerRoot(root, args); ok {
-			return r, true
+	for argIdx, rootIdx := range tr.callArgRoots(fn, call) {
+		if sum.returns[argIdx] && rootIdx >= 0 {
+			return rootIdx, true
 		}
 	}
 	return 0, false
-}
-
-// callerRoot maps a root of a callee's summary to the caller's: a
-// parameter's to its argument's, and bytes lent through a Call
-// parameter to those the Call passed lends. args is callArgRoots'.
-func callerRoot(root int, args map[int]int) (int, bool) {
-	base := lentBase(root)
-	r, ok := args[root-base]
-	if !ok || r < 0 || (base != 0 && lentBase(r) != 0) {
-		return 0, false
-	}
-	return r + base, true
 }
 
 // recvIsNamed reports whether the selector's receiver has the named
@@ -533,7 +453,7 @@ func (tr *tracker) walkStmt(stmt ast.Stmt) {
 		tr.walkAssign(s)
 	case *ast.IncDecStmt:
 		if root, ok := tr.writesThrough(s.X); ok {
-			tr.report(root, effectMutate, s.Pos(), "writes %s", renderExpr(s.X))
+			tr.report(root, effectMutate, s.Pos(), "writes %s", exprKey(s.X))
 		}
 		tr.walkExpr(s.X)
 	case *ast.ExprStmt:
@@ -542,7 +462,7 @@ func (tr *tracker) walkStmt(stmt ast.Stmt) {
 		tr.walkExpr(s.Chan)
 		tr.walkExpr(s.Value)
 		if root, ok := tr.rootOf(s.Value); ok && tr.exprRefLike(s.Value) {
-			tr.report(root, effectEscape, s.Pos(), "sends %s on a channel", renderExpr(s.Value))
+			tr.report(root, effectEscape, s.Pos(), "sends %s on a channel", exprKey(s.Value))
 		}
 	case *ast.GoStmt:
 		tr.walkGoCall(s.Call)
@@ -665,7 +585,7 @@ func (tr *tracker) walkAssign(s *ast.AssignStmt) {
 		}
 		// Write through a tracked destination.
 		if root, ok := tr.writesThrough(lhs); ok {
-			tr.report(root, effectMutate, s.Pos(), "writes %s", renderExpr(lhs))
+			tr.report(root, effectMutate, s.Pos(), "writes %s", exprKey(lhs))
 		}
 		if rhs == nil {
 			continue
@@ -697,7 +617,7 @@ func (tr *tracker) walkAssign(s *ast.AssignStmt) {
 				continue
 			}
 			tr.report(rhsRoot, effectEscape, s.Pos(),
-				"stores %s in %q, which outlives the call", renderExpr(rhs), id.Name)
+				"stores %s in %q, which outlives the call", exprKey(rhs), id.Name)
 			continue
 		}
 		// Stored into a structured destination: an escape unless the
@@ -715,7 +635,7 @@ func (tr *tracker) walkAssign(s *ast.AssignStmt) {
 				continue
 			}
 			tr.report(rhsRoot, effectEscape, s.Pos(),
-				"stores %s in %s, which outlives the call", renderExpr(rhs), renderExpr(lhs))
+				"stores %s in %s, which outlives the call", exprKey(rhs), exprKey(lhs))
 		}
 	}
 }
@@ -757,7 +677,7 @@ func (tr *tracker) walkGoCall(call *ast.CallExpr) {
 		tr.walkExpr(arg)
 		if root, ok := tr.rootOf(arg); ok && tr.exprRefLike(arg) {
 			tr.report(root, effectEscape, arg.Pos(),
-				"passes %s to a goroutine", renderExpr(arg))
+				"passes %s to a goroutine", exprKey(arg))
 		}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
@@ -770,31 +690,12 @@ func (tr *tracker) walkGoCall(call *ast.CallExpr) {
 // reportCapturedRoots reports an escape for every tracked root the
 // literal's body references.
 func (tr *tracker) reportCapturedRoots(lit *ast.FuncLit, how string) {
-	tr.capturedRoots(lit, func(root int, e ast.Expr) {
-		tr.report(root, effectEscape, e.Pos(), "%s %s", renderExpr(e), how)
-	})
-}
-
-// capturedRoots calls f once for every tracked root a literal's body
-// refers to, with the first expression that reaches it: bytes a Call
-// lends through the selector that lends them (c.Data), any other root
-// through its identifier.
-func (tr *tracker) capturedRoots(lit *ast.FuncLit, f func(root int, e ast.Expr)) {
 	seen := make(map[int]bool)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.SelectorExpr:
-			if root, ok := tr.rootOf(e); ok && lentBase(root) != 0 {
-				if !seen[root] {
-					seen[root] = true
-					f(root, e)
-				}
-				return false
-			}
-		case *ast.Ident:
-			if root, ok := tr.roots[tr.info().Uses[e]]; ok && !seen[root] {
+		if id, ok := n.(*ast.Ident); ok {
+			if root, tracked := tr.roots[tr.info().Uses[id]]; tracked && !seen[root] {
 				seen[root] = true
-				f(root, e)
+				tr.report(root, effectEscape, id.Pos(), "%s %s", exprKey(id), how)
 			}
 		}
 		return true
@@ -858,7 +759,7 @@ func (tr *tracker) walkExpr(e ast.Expr) {
 func (tr *tracker) compositeEscape(elt ast.Expr, lit *ast.CompositeLit) {
 	if root, ok := tr.rootOf(elt); ok && tr.exprRefLike(elt) {
 		tr.report(root, effectEscape, elt.Pos(),
-			"stores %s in a composite literal", renderExpr(elt))
+			"stores %s in a composite literal", exprKey(elt))
 	}
 }
 
@@ -871,13 +772,13 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 		case "copy":
 			if len(call.Args) == 2 {
 				if root, ok := tr.rootOf(call.Args[0]); ok {
-					tr.report(root, effectMutate, call.Pos(), "copies into %s", renderExpr(call.Args[0]))
+					tr.report(root, effectMutate, call.Pos(), "copies into %s", exprKey(call.Args[0]))
 				}
 			}
 		case "delete":
 			if len(call.Args) >= 1 {
 				if root, ok := tr.rootOf(call.Args[0]); ok {
-					tr.report(root, effectMutate, call.Pos(), "deletes from %s", renderExpr(call.Args[0]))
+					tr.report(root, effectMutate, call.Pos(), "deletes from %s", exprKey(call.Args[0]))
 				}
 			}
 		}
@@ -887,11 +788,6 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 		return
 	}
 
-	fn := staticCallee(tr.info(), call)
-	if fn != nil && (fn.Name() == "Invoke" || fn.Name() == "InvokeAsync") {
-		tr.invokeData(fn, call)
-	}
-
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if tr.walkKernelMethod(call, sel) {
 			return
@@ -899,19 +795,16 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 	}
 
 	// Package-local callee: apply its summary to tracked arguments, the
-	// first event of each kind per root.
-	if fd := tr.eng.declOf(fn); fd != nil {
-		if sum := tr.eng.summarize(fn); sum != nil {
-			args := tr.callArgRoots(fn, call)
-			seen := make(map[[2]int]bool)
-			for _, ev := range sum.effects {
-				root, ok := callerRoot(ev.Root, args)
-				if !ok || seen[[2]int{root, int(ev.Kind)}] {
-					continue
+	// first event of each kind per argument.
+	fn := staticCallee(tr.info(), call)
+	if fd := tr.eng.decls[fn]; fd != nil {
+		sum := tr.eng.summarize(fn)
+		for argIdx, rootIdx := range tr.callArgRoots(fn, call) {
+			for _, kind := range []effectKind{effectMutate, effectEscape} {
+				if ev := sum.paramEffect(argIdx, kind); ev != nil && rootIdx >= 0 {
+					tr.report(rootIdx, kind, call.Pos(),
+						"calls %s, which %s (at %s)", fn.Name(), ev.What, tr.eng.pass.Fset.Position(ev.Pos))
 				}
-				seen[[2]int{root, int(ev.Kind)}] = true
-				tr.report(root, ev.Kind, call.Pos(),
-					"calls %s, which %s (at %s)", fn.Name(), ev.What, tr.eng.pass.Fset.Position(ev.Pos))
 			}
 		}
 		for _, arg := range call.Args {
@@ -929,43 +822,6 @@ func (tr *tracker) walkCall(call *ast.CallExpr) {
 	}
 	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		tr.walkExpr(fun.X)
-	}
-}
-
-// invokeData reports lent bytes passed to Invoke or InvokeAsync as its
-// data. An asynchronous invocation may run, and read them, after the
-// handler has returned; so may a synchronous one on this node, which
-// gets them uncopied as its Call.Data, when it outlasts its timeout, and
-// a write there may keep them.
-func (tr *tracker) invokeData(fn *types.Func, call *ast.CallExpr) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	for i, arg := range call.Args {
-		if i >= sig.Params().Len() || !isByteSlice(sig.Params().At(i).Type()) {
-			continue
-		}
-		if root, ok := tr.rootOf(arg); ok && tr.lent(root) {
-			tr.report(root, effectEscape, arg.Pos(),
-				"passes %s to %s, whose invocation may read it after the handler returns", renderExpr(arg), fn.Name())
-		}
-	}
-}
-
-// lentCaptures reports the lent bytes that a function literal run as a
-// Subprocess or a behavior refers to: it may run after the handler has
-// returned.
-func (tr *tracker) lentCaptures(call *ast.CallExpr, how string) {
-	if len(call.Args) == 0 {
-		return
-	}
-	if lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok {
-		tr.capturedRoots(lit, func(root int, e ast.Expr) {
-			if tr.lent(root) {
-				tr.report(root, effectEscape, e.Pos(), "captures %s in %s, which may run after the handler returns", renderExpr(e), how)
-			}
-		})
 	}
 }
 
@@ -1005,7 +861,6 @@ func (tr *tracker) walkKernelMethod(call *ast.CallExpr, sel *ast.SelectorExpr) b
 			// The behavior runs concurrently; analyze its body inline
 			// (mutations through the object still count) — capture of
 			// the raw representation would be caught there.
-			tr.lentCaptures(call, "a behavior")
 			tr.analyzeAccessorFn(call, root)
 			return true
 		case objectPureMethods[name]:
@@ -1021,19 +876,13 @@ func (tr *tracker) walkKernelMethod(call *ast.CallExpr, sel *ast.SelectorExpr) b
 		}
 
 	case recvIsNamed(tr.info(), sel, "internal/kernel", "Call"):
-		if name == "Self" {
-			return true // propagation handled by rootOf
-		}
-		if name == "Subprocess" {
-			tr.lentCaptures(call, "a Subprocess")
+		switch name {
+		case "Self": // propagation handled by rootOf
+		case "Subprocess":
 			tr.analyzeAccessorFn(call, root)
-			return true
-		}
-		if callPureMethods[name] {
+		default:
 			tr.walkArgs(call)
-			return true
 		}
-		tr.walkArgs(call)
 		return true
 	}
 	return false
@@ -1134,9 +983,4 @@ func (tr *tracker) callArgRoots(fn *types.Func, call *ast.CallExpr) map[int]int 
 		}
 	}
 	return out
-}
-
-// renderExpr prints an expression compactly for messages.
-func renderExpr(e ast.Expr) string {
-	return exprKey(e)
 }

@@ -13,16 +13,12 @@ package analysis
 //   - giving away package-level state, or a slice of it: one shared
 //     buffer would become every caller's reply.
 //
-// Call.ReturnBuffer lends where Return takes: the handler fills the
-// bytes it returns, which for a read served for another node lie inside
-// the pooled frame the reply is sent in, reused once it is sent. So a
-// lent buffer, or a slice of it, must not outlive the handler: stored
-// anywhere but in the handler's own locals, sent on a channel, captured
-// by a go statement, a Subprocess or a behavior, passed to Invoke or
-// InvokeAsync, or handed to a package-local helper that does any of these. That is
-// the rule accesspurity holds a read's borrowed Call.Data to, and one
-// machinery judges both: the effect engine (effects.go), whose
-// summaries follow the bytes into helpers.
+// Nor are the bytes a call lends its handler an invocation's data:
+// Call.Data and a ReturnBuffer buffer, which for a read served for
+// another node lie in pooled frames. An invocation on this node gets its
+// data uncopied, and a write there may keep it after the frame is
+// reused, where no run of the read sees it (internal/conform runs the
+// rest of a loan). This check does not follow the bytes into helpers.
 //
 // The Return-gives check is per function that takes a *kernel.Call,
 // source-ordered and branch-insensitive. Slices are tracked by the
@@ -43,12 +39,11 @@ import (
 // ReturnGives enforces the Return-gives ownership rule in handlers.
 var ReturnGives = &Analyzer{
 	Name: "returngives",
-	Doc:  "a slice given to Call.Return is the reply itself: it must not be written afterwards, nor be package-level state",
+	Doc:  "a slice given to Call.Return is the reply itself: it must not be written afterwards, nor be package-level state; bytes a call lends are no invocation's data",
 	Run:  runReturnGives,
 }
 
 func runReturnGives(pass *Pass) {
-	eng := newEffectEngine(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var ft *ast.FuncType
@@ -65,33 +60,8 @@ func runReturnGives(pass *Pass) {
 				return true
 			}
 			newGivesWalk(pass, body).check()
-			judgeLent(pass, eng, n)
 			return false // literals nested in a handler are part of its walk
 		})
-	}
-}
-
-// judgeLent reports every way a buffer ReturnBuffer lent escapes the
-// function, as the effect engine finds them.
-func judgeLent(pass *Pass, eng *effectEngine, fn ast.Node) {
-	var events []effectEvent
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		if decl, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
-			if sum := eng.summarize(decl); sum != nil {
-				events = sum.effects
-			}
-		}
-	case *ast.FuncLit:
-		events = eng.literalEffects(fn)
-	}
-	reported := make(map[token.Pos]bool)
-	for _, ev := range events {
-		if ev.Kind != effectEscape || lentBase(ev.Root) != bufferRootBase || reported[ev.Pos] {
-			continue
-		}
-		reported[ev.Pos] = true
-		pass.Reportf(ev.Pos, "%s: a buffer ReturnBuffer lent is the reply's frame, reused once the reply is sent, so the handler must keep nothing of it", ev.What)
 	}
 }
 
@@ -133,9 +103,11 @@ type givesWalk struct {
 	body    *ast.BlockStmt
 	alias   map[sliceID]sliceID // union-find parent links
 	global  map[sliceID]string  // bound from package-level state: its name
+	lent    map[sliceID]bool    // bound from bytes the call lends
 	gives   []give
 	writes  []access
 	rebinds []access
+	passes  []access // slices passed to Invoke or InvokeAsync
 }
 
 func newGivesWalk(pass *Pass, body *ast.BlockStmt) *givesWalk {
@@ -144,6 +116,7 @@ func newGivesWalk(pass *Pass, body *ast.BlockStmt) *givesWalk {
 		body:   body,
 		alias:  make(map[sliceID]sliceID),
 		global: make(map[sliceID]string),
+		lent:   make(map[sliceID]bool),
 	}
 }
 
@@ -247,6 +220,7 @@ func (w *givesWalk) bind(lhs, rhs ast.Expr) {
 	if name, ok := w.globalName(rhs); ok {
 		w.global[lid] = name
 	}
+	w.lent[lid] = w.lent[lid] || w.lends(rhs)
 	if rid, ok := w.sliceOf(rhs); ok {
 		w.union(lid, rid)
 	}
@@ -262,9 +236,18 @@ func (w *givesWalk) call(c *ast.CallExpr, stack []ast.Node) {
 			w.writeCall(c.Args[0], c.Pos(), "appends onto ")
 		}
 	}
-	if fn := staticCallee(w.info(), c); fn != nil && fn.Pkg() != nil &&
+	fn := staticCallee(w.info(), c)
+	if fn != nil && fn.Pkg() != nil &&
 		fn.Pkg().Path() == "encoding/binary" && strings.HasPrefix(fn.Name(), "Put") && len(c.Args) > 0 {
 		w.writeCall(c.Args[0], c.Pos(), fn.Name()+" writes ")
+	}
+	if fn != nil && (fn.Name() == "Invoke" || fn.Name() == "InvokeAsync") {
+		for _, arg := range c.Args {
+			if id, ok := w.sliceOf(arg); ok || w.lends(arg) {
+				w.lent[id] = w.lent[id] || w.lends(arg)
+				w.passes = append(w.passes, access{id, arg.Pos(), exprKey(arg) + " to " + fn.Name()})
+			}
+		}
 	}
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 	if !ok || len(c.Args) != 1 {
@@ -344,6 +327,27 @@ func (w *givesWalk) judge() {
 				wr.what, w.pass.Fset.Position(g.call.Pos()).Line)
 		}
 	}
+	for _, p := range w.passes {
+		for id, lent := range w.lent {
+			if lent && w.find(id) == w.find(p.id) {
+				w.pass.Reportf(p.pos, "passes %s, bytes the call lends: an invocation on this node gets them uncopied, and a write there may keep them after a read's frame is reused; pass a copy", p.what)
+				break
+			}
+		}
+	}
+}
+
+// lends reports whether e is, or slices, bytes a call lends its
+// handler: Call.Data, or a buffer from Call.ReturnBuffer.
+func (w *givesWalk) lends(e ast.Expr) bool {
+	switch x := w.strip(e).(type) {
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "Data" && recvIsNamed(w.info(), x, "internal/kernel", "Call")
+	case *ast.CallExpr:
+		sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "ReturnBuffer" && recvIsNamed(w.info(), sel, "internal/kernel", "Call")
+	}
+	return false
 }
 
 // globalAlias names the package-level state a local in the given

@@ -1,6 +1,7 @@
 // Package returngives exercises the returngives analyzer: a slice given
 // to Call.Return is the reply itself, so the handler must not write it
-// afterwards, and must not give away package-level state.
+// afterwards, and must not give away package-level state; and the bytes
+// a call lends are no invocation's data.
 package returngives
 
 import (
@@ -15,12 +16,6 @@ var shared = make([]byte, 8)
 
 // table holds one buffer per slot, all package-level.
 var table [4][]byte
-
-// held and cache are package-level places a lent buffer must not reach.
-var (
-	held  struct{ keep []byte }
-	cache = map[string][]byte{}
-)
 
 func register(tm *kernel.TypeManager) {
 	tm.Op(kernel.Operation{Name: "index-after", Handler: func(c *kernel.Call) {
@@ -90,102 +85,30 @@ func register(tm *kernel.TypeManager) {
 	}})
 
 	tm.Op(kernel.Operation{Name: "named", Handler: named})
-	tm.Op(kernel.Operation{Name: "named-lends", Handler: namedLends})
 
-	// A buffer ReturnBuffer lends must not outlive the handler.
-	var last []byte
-	tm.Op(kernel.Operation{Name: "lent-field", Handler: func(c *kernel.Call) {
+	// Bytes a call lends are no invocation's data: on this node an
+	// invocation gets them uncopied, and a write there may keep them.
+	tm.Op(kernel.Operation{Name: "lent-invoke", Handler: func(c *kernel.Call) {
 		out := c.ReturnBuffer(8)
-		held.keep = out // want "stores out in held.keep, which outlives the call: a buffer ReturnBuffer lent"
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-map", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(16)
-		cache[c.Operation] = out[8:] // want "stores out[8:] in cache[c.Operation]"
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-enclosing", Handler: func(c *kernel.Call) {
-		view := c.ReturnBuffer(8)[2:]
-		last = view // want "stores view in \"last\""
-	}})
-	tm.Op(kernel.Operation{Name: "last", Handler: func(c *kernel.Call) { c.Return(append([]byte(nil), last...)) }})
-
-	ch := make(chan []byte, 1)
-	tm.Op(kernel.Operation{Name: "lent-send", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		ch <- out // want "sends out on a channel"
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-send-direct", Handler: func(c *kernel.Call) {
-		ch <- c.ReturnBuffer(8) // want "sends c.ReturnBuffer(8) on a channel"
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-subprocess", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		<-c.Subprocess(func() {
-			out[0] = 1 // want "captures out in a Subprocess"
-			out[1] = 2
-		})
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-behavior", Handler: func(c *kernel.Call) {
-		var out []byte
-		c.Self().View(func(r *segment.Representation) {
-			out = c.ReturnBuffer(8)
-		})
-		c.Self().SpawnBehavior(func(stop <-chan struct{}) {
-			<-stop
-			out[0] = 1 // want "captures out in a behavior"
-		})
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-go", Handler: func(c *kernel.Call) {
-		view := c.ReturnBuffer(8)[4:]
-		go func() {
-			_ = view // want "view captured by a goroutine"
-		}()
-	}})
-
-	// A helper is judged by what it does with the buffer it is handed.
-	tm.Op(kernel.Operation{Name: "lent-helper-subprocess", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		repair(c, out) // want "calls repair, which captures reply in a Subprocess"
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-helper-store", Handler: func(c *kernel.Call) {
-		keep(c.ReturnBuffer(8)[2:]) // want "calls keep, which stores b in held.keep"
+		_, _ = c.Kernel().Invoke(c.Self().SelfCapability(0), "x", out[:4], nil, nil) // want "passes out[:4] to Invoke, bytes the call lends"
 	}})
 
 	tm.Op(kernel.Operation{Name: "lent-async", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		c.Kernel().InvokeAsync(c.Self().SelfCapability(0), "x", out, nil, nil) // want "passes out to InvokeAsync"
+		c.Kernel().InvokeAsync(c.Self().SelfCapability(0), "x", c.ReturnBuffer(8), nil, nil) // want "passes c.ReturnBuffer(8) to InvokeAsync"
 	}})
 
-	tm.Op(kernel.Operation{Name: "lent-invoke", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		_, _ = c.Kernel().Invoke(c.Self().SelfCapability(0), "x", out[:4], nil, nil) // want "passes out[:4] to Invoke,"
+	tm.Op(kernel.Operation{Name: "request-invoke", Handler: func(c *kernel.Call) {
+		_, _ = c.Kernel().Invoke(c.Self().SelfCapability(0), "x", c.Data, nil, nil) // want "passes c.Data to Invoke"
 	}})
 
-	tm.Op(kernel.Operation{Name: "lent-helper-fills", Handler: func(c *kernel.Call) {
-		fill(c.ReturnBuffer(8))
+	tm.Op(kernel.Operation{Name: "request-self-invoke", Handler: func(c *kernel.Call) {
+		data := c.Data[1:]
+		_, _ = c.Self().Invoke(c.Self().SelfCapability(0), "x", data, nil, nil) // want "passes data to Invoke"
 	}})
 
-	// What a lent buffer allows: filling it, inside callbacks too.
-	tm.Op(kernel.Operation{Name: "lent-filled", Handler: func(c *kernel.Call) {
-		var out []byte
-		c.Self().View(func(r *segment.Representation) {
-			out = c.ReturnBuffer(8 + len(c.Data))
-			binary.BigEndian.PutUint64(out, 7)
-			copy(out[8:], c.Data)
-		})
-		out[0] = 1
-	}})
-
-	tm.Op(kernel.Operation{Name: "lent-subprocess-elsewhere", Handler: func(c *kernel.Call) {
-		out := c.ReturnBuffer(8)
-		data := c.Data
-		<-c.Subprocess(func() { ch <- data })
-		out[0] = 1
+	tm.Op(kernel.Operation{Name: "request-copied", Handler: func(c *kernel.Call) {
+		own := append([]byte(nil), c.Data...)
+		_, _ = c.Self().Invoke(c.Self().SelfCapability(0), "x", own, nil, nil)
 	}})
 
 	// What the rule allows.
@@ -239,34 +162,6 @@ func named(c *kernel.Call) {
 	out := make([]byte, 8)
 	c.Return(out)
 	copy(out[4:], "late") // want "copies into out[4:]"
-}
-
-// namedLends is a declared handler that hands what ReturnBuffer lent it
-// to a helper, from inside a View callback.
-func namedLends(c *kernel.Call) {
-	c.Self().View(func(r *segment.Representation) {
-		out := c.ReturnBuffer(8)
-		repair(c, out) // want "calls repair, which captures reply in a Subprocess"
-	})
-}
-
-// repair hands reply to a Subprocess, which may run after the handler
-// that lent it has returned.
-func repair(c *kernel.Call, reply []byte) {
-	c.Subprocess(func() {
-		_ = reply[0]
-	})
-}
-
-// keep stores what it is given where it outlives the call.
-func keep(b []byte) {
-	held.keep = b
-}
-
-// fill writes what it is given, and keeps nothing of it.
-func fill(b []byte) {
-	binary.BigEndian.PutUint64(b, 7)
-	b[0] = 1
 }
 
 // notAHandler takes no *kernel.Call: it owns its buffers.

@@ -794,8 +794,9 @@ type Call struct {
 	// it stores it in no variable that outlives it, sends it on no channel
 	// and hands it to no goroutine, Subprocess, behavior, Invoke or
 	// InvokeAsync — a local invocation gets it uncopied as its own Data
-	// (edenvet's accesspurity checks this). Returning it is fine: the
-	// reply is encoded from it before the frame is freed.
+	// (TestReadConformance catches a read that keeps it and reads it
+	// back, edenvet one that stores it or passes it to Invoke). Returning
+	// it is fine: the reply is encoded from it before the frame is freed.
 	Data []byte
 	// Caps carries the capability parameters.
 	Caps capability.List
