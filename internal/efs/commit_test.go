@@ -221,16 +221,17 @@ func TestLostReplyLeavesNoLock(t *testing.T) {
 // read of a 1 KiB version, and a one-file optimistic commit on a memory
 // store. Each ceiling is the measured count plus one, since a sync.Pool
 // may drop a buffer: read 1, the exact-size reply ReturnBuffer
-// allocates for a local call (2 while Return copied it), and commit 8,
+// allocates for a local call (2 while Return copied it), and commit 6,
 // on the client's side the one copy of the value, laid out as the
-// proposal, and the rest the handler's version name, segments,
-// checkpoint encode and store batch (10 while the value was copied into
-// a grown slice and again into the proposal).
+// proposal, and the rest the handler's version name, segments and
+// checkpoint encode (8 while the store allocated each write's queued
+// frame and its batch's buffer, 10 while the value was copied into a
+// grown slice and again into the proposal).
 func TestEFSAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
 	}
-	const readCeiling, commitCeiling = 2, 9
+	const readCeiling, commitCeiling = 2, 7
 	ks := testSys(t, 1)
 	c := NewClient(ks[1], Optimistic)
 	f, _ := c.CreateFile()

@@ -350,6 +350,40 @@ func TestReplicationPushesToMirrors(t *testing.T) {
 	}
 }
 
+// TestMirrorPutIgnoresOldVersionsWithoutCheckpoint: a mirror-put of a
+// version the file already has changes nothing, so it writes nothing to
+// the store either. Five of version 1 onto a file at version 1 leave its
+// checkpoint version at 1; they cost one checkpoint each while every
+// push was checkpointed.
+func TestMirrorPutIgnoresOldVersionsWithoutCheckpoint(t *testing.T) {
+	ks := testSys(t, 1)
+	c := NewClient(ks[1], Optimistic)
+	f, _ := c.CreateFile()
+	tx := c.Begin()
+	_ = tx.Write(f, 0, []byte("v1"))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := ks[1].Object(f.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.Version(); got != 1 {
+		t.Fatalf("checkpoint version after one commit = %d, want 1", got)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := ks[1].Invoke(f, "mirror-put", append(u64b(1), "late"...), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := obj.Version(); got != 1 {
+		t.Errorf("checkpoint version after five mirror-puts of version 1 = %d, want 1", got)
+	}
+	if data, ver, err := c.Read(f); err != nil || ver != 1 || string(data) != "v1" {
+		t.Errorf("read = v%d %q, %v; want v1 \"v1\"", ver, data, err)
+	}
+}
+
 func TestReadAnySurvivesPrimaryFailure(t *testing.T) {
 	ks := testSys(t, 1, 2)
 	c2 := NewClient(ks[2], Optimistic)

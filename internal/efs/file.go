@@ -405,7 +405,7 @@ func opAddMirror(c *kernel.Call) {
 // opMirrorPut installs a version pushed by the primary. Data:
 // version(8) | content. Versions arrive in order from the primary's
 // serialized commits; anything not newer than our latest is a
-// duplicate and ignored.
+// duplicate and ignored, and costs no checkpoint.
 func opMirrorPut(c *kernel.Call) {
 	if len(c.Data) < 8 {
 		c.Fail("mirror-put: short request")
@@ -413,6 +413,7 @@ func opMirrorPut(c *kernel.Call) {
 	}
 	ver := binary.BigEndian.Uint64(c.Data)
 	content := c.Data[8:]
+	installed := false
 	err := c.Self().Update(func(r *segment.Representation) error {
 		m := readMeta(r)
 		if ver <= m.latest {
@@ -421,13 +422,16 @@ func opMirrorPut(c *kernel.Call) {
 		r.SetData(verSeg(ver), content)
 		m.latest = ver
 		writeMeta(r, m)
+		installed = true
 		return nil
 	})
 	if err != nil {
 		c.Fail("mirror-put: %v", err)
 		return
 	}
-	_ = c.Self().Checkpoint()
+	if installed {
+		_ = c.Self().Checkpoint()
+	}
 }
 
 // isConflict reports whether an invocation error carries an EFS

@@ -33,17 +33,19 @@ type File struct {
 
 	// The write side. mu guards the queue of frames waiting for a batch,
 	// inflight — the newest frame accepted for each object whose frames
-	// are not all published yet — and the flags. The appender that finds
-	// no batch being written leads: until it hands back under mu, it alone
-	// touches the log's tail (the head segment, sealing and compaction)
-	// and the segments' byte counts.
+	// are not all published yet — the free frames and the flags. The
+	// appender that finds no batch being written leads: until it hands
+	// back under mu, it alone touches the log's tail (the head segment,
+	// sealing and compaction), the segments' byte counts and buf.
 	mu       sync.Mutex
 	turn     sync.Cond // broadcast when a batch is done
 	queue    []*pending
 	spare    []*pending // the previous batch's slice, for the next queue
+	free     []*pending // zeroed frames that no appender, batch or inflight entry holds
 	inflight map[frameKey]*pending
-	writing  bool  // a leader is writing a batch
-	broken   error // set when a failed batch could not be cut off the log; fails every later write
+	buf      []byte // the leader's batch buffer, at most maxBatchBuffer long
+	writing  bool   // a leader is writing a batch
+	broken   error  // set when a failed batch could not be cut off the log; fails every later write
 	closed   bool
 	fsyncs   atomic.Int64
 
@@ -182,6 +184,11 @@ const (
 	// scanBuffer is the open pass's read size; a longer frame is read
 	// into its own buffer.
 	scanBuffer = 256 << 10
+	// maxBatchBuffer bounds the batch buffer the leader keeps from batch
+	// to batch, as msg's largest pooled frame bounds a frame: a longer
+	// batch is laid out in a buffer of its own, dropped once written, so
+	// one huge record pins nothing.
+	maxBatchBuffer = 65 << 10
 )
 
 // The kinds of frame.
@@ -474,50 +481,67 @@ func (f *File) Put(rec Record) error {
 	if len(rec.TypeName)+len(rec.Rep) > maxRecord {
 		return fmt.Errorf("store: a record of %d bytes is too long for the log", len(rec.TypeName)+len(rec.Rep))
 	}
-	return f.append(&pending{kind: kindRecord, id: rec.Object, rec: rec})
+	return f.append(pending{kind: kindRecord, id: rec.Object, rec: rec})
 }
 
-// Delete implements Store. Deleting an absent record writes nothing.
+// Delete implements Store. Deleting a record that is absent, and has no
+// deletion on its way to the log, writes nothing.
 func (f *File) Delete(id edenid.ID) error {
-	return f.append(&pending{kind: kindRecordGone, id: id})
+	return f.append(pending{kind: kindRecordGone, id: id})
 }
 
 // PutIntent implements Store: an intent is a frame of the log like a
 // record, and as durable when PutIntent returns.
 func (f *File) PutIntent(it MoveIntent) error {
-	return f.append(&pending{kind: kindIntent, id: it.Object, it: it})
+	return f.append(pending{kind: kindIntent, id: it.Object, it: it})
 }
 
 // DeleteIntent implements Store. Removing an absent intent is not an
-// error, and writes nothing: recovery may race a concurrent resolution
-// to the same verdict.
+// error, and writes nothing unless a removal of it is on its way to the
+// log: recovery may race a concurrent resolution to the same verdict.
 func (f *File) DeleteIntent(id edenid.ID) error {
-	return f.append(&pending{kind: kindIntentGone, id: id})
+	return f.append(pending{kind: kindIntentGone, id: id})
 }
 
-// append queues p and returns once the batch carrying it is durable and
-// published, or has failed.
-func (f *File) append(p *pending) error {
+// append queues a frame holding what fr says and returns once the batch
+// carrying it is durable and published, or has failed. The frame comes
+// from the free list and goes back to it zeroed, so that a write
+// allocates no frame and the list holds no record's bytes: by the time
+// the frame is done, lead has taken it out of its batch and of inflight.
+func (f *File) append(fr pending) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if queued, err := f.admit(p); !queued {
-		return err
+	var p *pending
+	if n := len(f.free); n > 0 {
+		p, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		p = new(pending)
 	}
-	for !p.done {
+	*p = fr
+	queued, err := f.admit(p)
+	for queued && !p.done {
 		if f.writing {
 			f.turn.Wait()
 		} else {
 			f.lead()
 		}
 	}
-	return p.err
+	if queued {
+		err = p.err
+	}
+	*p = pending{}
+	f.free = append(f.free, p)
+	return err
 }
 
 // admit checks p against the newest state accepted into the log for its
 // object — a frame still on its way there, or else the directory — and
 // queues it. So log order is version order for every object, batches in
-// flight included. A deletion of something absent needs no frame: admit
-// reports it unqueued, with no error. Caller holds mu.
+// flight included. A deletion of something the directory lacks needs no
+// frame: admit reports it unqueued, with no error. One of something that
+// only a deletion on its way to the log removed is queued all the same,
+// so that it is acknowledged no sooner than that deletion is durable, and
+// fails if it fails. Caller holds mu.
 func (f *File) admit(p *pending) (bool, error) {
 	if f.closed {
 		return false, ErrClosed
@@ -526,9 +550,10 @@ func (f *File) admit(p *pending) (bool, error) {
 		return false, f.broken
 	}
 	k := p.key()
+	q, inFlight := f.inflight[k]
 	var present bool
 	var version uint64
-	if q, ok := f.inflight[k]; ok {
+	if inFlight {
 		present, version = q.kind == kindRecord || q.kind == kindIntent, q.rec.Version
 	} else {
 		f.dirMu.RLock()
@@ -547,7 +572,7 @@ func (f *File) admit(p *pending) (bool, error) {
 			return false, fmt.Errorf("%w: have v%d, got v%d", ErrStale, version, p.rec.Version)
 		}
 	case kindRecordGone, kindIntentGone:
-		if !present {
+		if !present && !inFlight {
 			return false, nil
 		}
 	}
@@ -596,7 +621,7 @@ func (f *File) commit(batch []*pending) error {
 	for _, p := range batch {
 		n += frameLen(p)
 	}
-	buf := make([]byte, 0, n)
+	buf := f.batchBuffer(n)
 	for _, p := range batch {
 		start := len(buf)
 		buf = appendFrame(buf, p)
@@ -614,6 +639,19 @@ func (f *File) commit(batch []*pending) error {
 		f.seal()
 	}
 	return nil
+}
+
+// batchBuffer returns an empty buffer with room for n bytes: the
+// leader's own, grown if it is too small, or for n over maxBatchBuffer a
+// new one, which is not kept. The leader calls it.
+func (f *File) batchBuffer(n int) []byte {
+	if n > maxBatchBuffer {
+		return make([]byte, 0, n)
+	}
+	if cap(f.buf) < n {
+		f.buf = make([]byte, 0, min(max(n, 2*cap(f.buf)), maxBatchBuffer))
+	}
+	return f.buf[:0]
 }
 
 // write appends b to segment s, the head, and makes it durable. If either
@@ -697,7 +735,7 @@ func (f *File) compactOldest() error {
 	for _, m := range moves {
 		n += int(m.from.size)
 	}
-	buf := make([]byte, n)
+	buf := f.batchBuffer(n)[:n] // the batch that sealed the head is written
 	start := 0
 	for i := range moves {
 		m := &moves[i]

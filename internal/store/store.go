@@ -197,7 +197,10 @@ func DecodePolicy(b []byte) (Policy, []byte, error) {
 // against. Implementations must be safe for concurrent use.
 type Store interface {
 	// Put installs a checkpoint atomically. It fails with ErrStale if
-	// rec.Version is not greater than the stored version.
+	// rec.Version is not greater than the stored version. Put may keep
+	// rec.Rep, so the caller hands it bytes it will not write again;
+	// File copies them into its log, and holds nothing of rec once Put
+	// returns.
 	Put(rec Record) error
 	// Get returns the most recent checkpoint for the object. The
 	// caller owns the result: nothing else refers to its Rep.
