@@ -344,12 +344,15 @@ func benchCheckpoint(b *testing.B, size int) {
 	}
 }
 
-// BenchmarkCheckpoint1KB allocates 1 object per op: the checkpoint's
-// encoding, a fresh buffer of its exact size, which the store may keep
-// (store.Store.Put). The log lays the record out in its leader's reused
-// buffer, from a reused frame; with those allocated per write it was 3.
-// A record over the log's kept buffer (65 KiB) adds a buffer of its own,
-// so BenchmarkCheckpoint1MB allocates more.
+// BenchmarkCheckpoint1KB and BenchmarkCheckpoint64KB allocate 0 objects
+// per op: the checkpoint's encoding is lent from msg's pool to the log,
+// which copies it before Put returns (store.CopiesRep), and lays the
+// record out in its leader's reused buffer, from a reused frame. It was 1
+// while each checkpoint encoded into a fresh buffer of its own, 3 while
+// the log also allocated each write's frame and batch buffer. An encoding
+// over msg's largest pooled buffer is a fresh one of its exact size, and a
+// record over the log's kept buffer (65 KiB) adds a buffer of its own, so
+// BenchmarkCheckpoint1MB allocates more.
 func BenchmarkCheckpoint1KB(b *testing.B)  { benchCheckpoint(b, 1<<10) }
 func BenchmarkCheckpoint64KB(b *testing.B) { benchCheckpoint(b, 64<<10) }
 func BenchmarkCheckpoint1MB(b *testing.B)  { benchCheckpoint(b, 1<<20) }

@@ -2,7 +2,10 @@ package efs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -221,17 +224,21 @@ func TestLostReplyLeavesNoLock(t *testing.T) {
 // read of a 1 KiB version, and a one-file optimistic commit on a memory
 // store. Each ceiling is the measured count plus one, since a sync.Pool
 // may drop a buffer: read 1, the exact-size reply ReturnBuffer
-// allocates for a local call (2 while Return copied it), and commit 6,
+// allocates for a local call (2 while Return copied it), and commit 5,
 // on the client's side the one copy of the value, laid out as the
-// proposal, and the rest the handler's version name, segments and
-// checkpoint encode (8 while the store allocated each write's queued
+// proposal, and the rest the reply, the handler's segments and, once the
+// file's encoding outgrows msg's largest pooled buffer (about 60 of the
+// 100 commits counted), the checkpoint's encoding and the log's batch
+// buffer; a smaller file's commit is 4 (TestCommitOneNamesNoVersion).
+// It was 6 while each commit allocated its version's name and its
+// checkpoint's encoding, 8 while the store allocated each write's queued
 // frame and its batch's buffer, 10 while the value was copied into a
-// grown slice and again into the proposal).
+// grown slice and again into the proposal.
 func TestEFSAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
 	}
-	const readCeiling, commitCeiling = 2, 7
+	const readCeiling, commitCeiling = 2, 6
 	ks := testSys(t, 1)
 	c := NewClient(ks[1], Optimistic)
 	f, _ := c.CreateFile()
@@ -257,5 +264,136 @@ func TestEFSAllocCeilings(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, commit); got > commitCeiling {
 		t.Errorf("one-file commit: %.0f allocs, ceiling %d", got, commitCeiling)
+	}
+}
+
+// commitOne invokes commit-one on f directly, with no tid, and returns
+// the version it installed.
+func commitOne(t *testing.T, k *kernel.Kernel, f capability.Capability, base uint64, content []byte) uint64 {
+	t.Helper()
+	req := binary.BigEndian.AppendUint32(nil, 0)
+	req = binary.BigEndian.AppendUint64(req, base)
+	rep, err := k.Invoke(f, "commit-one", append(req, content...), nil, nil)
+	if err != nil {
+		t.Fatalf("commit-one on v%d: %v", base, err)
+	}
+	return binary.BigEndian.Uint64(rep.Data)
+}
+
+// TestCommitOneNamesNoVersion: a commit-one that installs a version some
+// file has had before allocates three objects: the reply's version
+// number, the version's copy of its content and the meta segment. Its
+// segment's name is the one every file shares, and its checkpoint's
+// encoding is lent to the log, which copies it. A local call allocates
+// nothing of its own. The collector is held off, so that no pooled
+// buffer is dropped while counting.
+func TestCommitOneNamesNoVersion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ks := testSys(t, 1)
+	c := NewClient(ks[1], Optimistic)
+	value := bytes.Repeat([]byte("v"), 1<<10)
+	const versions = 40
+	named, _ := c.CreateFile()
+	for v := uint64(0); v < versions; v++ {
+		commitOne(t, ks[1], named, v, value)
+	}
+	f, _ := c.CreateFile()
+	base := uint64(0)
+	req := binary.BigEndian.AppendUint32(nil, 0)
+	req = binary.BigEndian.AppendUint64(req, 0)
+	req = append(req, value...)
+	// The first commits grow the representation's segment array, which
+	// later ones find room in.
+	for ; base < 8; base++ {
+		commitOne(t, ks[1], f, base, value)
+	}
+	got := testing.AllocsPerRun(int(versions-base-1), func() { // and one warm-up run
+		binary.BigEndian.PutUint64(req[4:], base)
+		if _, err := ks[1].Invoke(f, "commit-one", req, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		base++
+	})
+	if got > 3 {
+		t.Errorf("commit-one of a named version: %.0f allocs, want 3", got)
+	}
+}
+
+// TestVersionPastSharedNamesCommits: a version past the shared names'
+// bound is named by a string of its own, and a version in a later block
+// of them by its own number; each commits, reads and counts in the
+// file's history, also once the file is reincarnated from its record.
+// Each file jumps to its first version by a mirror's push.
+func TestVersionPastSharedNamesCommits(t *testing.T) {
+	ks := testSys(t, 1)
+	c := NewClient(ks[1], Optimistic)
+	for _, first := range []uint64{versionBlock + 36, sharedVersions - 1, sharedVersions + 3} {
+		f, _ := c.CreateFile()
+		if _, err := ks[1].Invoke(f, "mirror-put", append(u64b(first), "first"...), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if v := commitOne(t, ks[1], f, first, []byte("next")); v != first+1 {
+			t.Fatalf("commit-one after v%d installed v%d", first, v)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for v, want := range map[uint64]string{first: "first", first + 1: "next"} {
+				data, got, err := c.ReadVersion(f, v)
+				if err != nil || got != v || string(data) != want {
+					t.Errorf("pass %d: read v%d = v%d %q, %v; want %q", pass, v, got, data, err, want)
+				}
+			}
+			if latest, count, err := c.History(f); err != nil || latest != first+1 || count != 2 {
+				t.Errorf("pass %d: history = latest %d count %d, %v; want %d, 2", pass, latest, count, err, first+1)
+			}
+			obj, _ := ks[1].Object(f.ID())
+			obj.Crash() // the next pass reincarnates it from its record
+		}
+	}
+}
+
+// TestSharedVersionNamesAcrossFilesAndRestarts: two files committing the
+// same version numbers share their names, and read back only their own
+// contents and histories, also when a file was reincarnated between
+// commits, so that its older versions' names lie in the record it was
+// decoded from and its newer ones in the shared table.
+func TestSharedVersionNamesAcrossFilesAndRestarts(t *testing.T) {
+	ks := testSys(t, 1)
+	c := NewClient(ks[1], Optimistic)
+	files := make([]capability.Capability, 2)
+	for i := range files {
+		files[i], _ = c.CreateFile()
+	}
+	content := func(file int, v uint64) string { return fmt.Sprintf("file %d version %d", file, v) }
+	crash := func() {
+		for _, f := range files {
+			obj, err := ks[1].Object(f.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj.Crash()
+		}
+	}
+	const latest = 6
+	for v := uint64(1); v <= latest; v++ {
+		for i, f := range files {
+			commitOne(t, ks[1], f, v-1, []byte(content(i, v)))
+		}
+		if v%2 == 0 {
+			crash()
+		}
+	}
+	for i, f := range files {
+		for v := uint64(1); v <= latest; v++ {
+			data, got, err := c.ReadVersion(f, v)
+			if err != nil || got != v || string(data) != content(i, v) {
+				t.Errorf("file %d: read v%d = v%d %q, %v; want %q", i, v, got, data, err, content(i, v))
+			}
+		}
+		if l, count, err := c.History(f); err != nil || l != latest || count != latest {
+			t.Errorf("file %d: history = latest %d count %d, %v; want %d, %d", i, l, count, err, latest, latest)
+		}
 	}
 }

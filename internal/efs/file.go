@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"eden/internal/capability"
 	"eden/internal/kernel"
@@ -83,6 +84,39 @@ func verSeg(n uint64) string {
 	return string(b[:])
 }
 
+// sharedVersions bounds the version names every file shares: a version
+// at or past it is named by a string of its own.
+const sharedVersions = 4096
+
+// versionBlock is how many shared names are made at once.
+const versionBlock = 64
+
+// versionNames holds the shared names, made a block at a time on first
+// use and never changed, so a lookup takes no lock. Every file at
+// version n names it alike, and its segment keeps the name, so a commit
+// installing a version below sharedVersions allocates no name.
+var versionNames [sharedVersions / versionBlock]atomic.Pointer[[versionBlock]string]
+
+// newVerSeg is verSeg(n) for the segment of a version being installed,
+// which keeps it: the shared name, or for n past the table its own.
+func newVerSeg(n uint64) string {
+	if n >= sharedVersions {
+		return verSeg(n)
+	}
+	slot := &versionNames[n/versionBlock]
+	block := slot.Load()
+	if block == nil {
+		block = new([versionBlock]string)
+		for i := range block {
+			block[i] = verSeg(n - n%versionBlock + uint64(i))
+		}
+		if !slot.CompareAndSwap(nil, block) {
+			block = slot.Load() // another commit made it first: share its names
+		}
+	}
+	return block[n%versionBlock]
+}
+
 type meta struct {
 	latest  uint64
 	lockTid string
@@ -135,7 +169,7 @@ func (m meta) vote(tid string, base uint64) error {
 // tid's lock, returning the new version.
 func install(r *segment.Representation, m meta, tid string, content []byte) uint64 {
 	m.latest++
-	r.SetData(verSeg(m.latest), content)
+	r.SetData(newVerSeg(m.latest), content)
 	if m.lockTid == tid {
 		m.lockTid = ""
 	}
@@ -419,7 +453,7 @@ func opMirrorPut(c *kernel.Call) {
 		if ver <= m.latest {
 			return nil
 		}
-		r.SetData(verSeg(ver), content)
+		r.SetData(newVerSeg(ver), content)
 		m.latest = ver
 		writeMeta(r, m)
 		installed = true

@@ -165,6 +165,9 @@ type Kernel struct {
 	gen   *edenid.Generator
 	store store.Store
 	tel   kernelTel
+	// lendRep says store copies a checkpoint's encoding before Put
+	// returns (store.CopiesRep), so Checkpoint lends it a pooled buffer.
+	lendRep bool
 
 	// mu guards the books: a map per kind of entry an object can have here.
 	mu       sync.Mutex
@@ -259,6 +262,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 		types:    types,
 		gen:      edenid.NewGenerator(cfg.Node),
 		store:    st,
+		lendRep:  store.CopiesRep(st),
 		tel:      newKernelTel(cfg.Telemetry),
 		active:   make(map[edenid.ID]*Object),
 		replicas: make(map[edenid.ID]*Object),

@@ -121,7 +121,8 @@ func (o *Object) Checkpoint() error {
 	// nothing has to be put back. Only a remote checksite can use the
 	// changes since the mark, as the delta of an incremental shipment.
 	stamp := o.rep.Stamp()
-	encoded := o.rep.Encode(nil)
+	encoded, lent := o.encodeCheckpoint()
+	defer lent.Free() // after the store, the ships and the telemetry are done with encoded
 	frozen := o.frozen
 	var partial []byte
 	var removed []string
@@ -155,6 +156,22 @@ func (o *Object) Checkpoint() error {
 	o.k.stCkpt.Add(1)
 	o.k.stCkptBytes.Add(int64(len(encoded)))
 	return nil
+}
+
+// encodeCheckpoint returns the encoding of o's representation that a
+// checkpoint writes. A store that copies it before Put returns
+// (Kernel.lendRep) is lent it in a pooled buffer, also returned, which
+// the caller frees once the checkpoint is written; another store, which
+// may keep it, and an encoding too long for the pool get a fresh one of
+// its exact size, and a nil buffer. Caller holds o.mu.
+func (o *Object) encodeCheckpoint() ([]byte, *msg.Buffer) {
+	if o.k.lendRep {
+		if b := msg.FrameBuffer(o.rep.EncodedSize()); b != nil {
+			b.B = o.rep.Encode(b.B[:0])
+			return b.B, b
+		}
+	}
+	return o.rep.Encode(nil), nil
 }
 
 // decodeWhole decodes into r an encoding that must fill src exactly: a

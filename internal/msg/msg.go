@@ -198,8 +198,9 @@ func borrow(n int) *Buffer {
 const MaxFrameBuffer = maxPooledBuffer
 
 // FrameBuffer returns a pooled buffer of n bytes, whatever they hold,
-// for a transport to receive one inbound frame into, or nil when n is
-// beyond MaxFrameBuffer: such a frame is allocated for its delivery.
+// for a transport to receive one inbound frame into (or a checkpoint to
+// encode a representation into), or nil when n is beyond
+// MaxFrameBuffer: such a frame is allocated for its delivery.
 func FrameBuffer(n int) *Buffer {
 	if n > MaxFrameBuffer {
 		return nil

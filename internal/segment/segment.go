@@ -337,16 +337,30 @@ const encMagic = 0x45645231 // "EdR1"
 // (including its trailing checksum) to dst.
 func (r *Representation) Encode(dst []byte) []byte { return r.encode(dst, (*Segment).live) }
 
-// encode appends the encoding of the segments keep selects, growing dst
-// once to the exact size. keep selects live segments only.
-func (r *Representation) encode(dst []byte, keep func(*Segment) bool) []byte {
-	size, n := 12, 0 // magic, count, checksum
+// EncodedSize is the length of what Encode appends: a caller that
+// encodes into a buffer of its own sizes the buffer by it.
+func (r *Representation) EncodedSize() int {
+	size, _ := r.encodedSize((*Segment).live)
+	return size
+}
+
+// encodedSize returns the length of the encoding of the segments keep
+// selects, and how many there are.
+func (r *Representation) encodedSize(keep func(*Segment) bool) (size, n int) {
+	size = 12 // magic, count, checksum
 	for i := range r.segs {
 		if s := &r.segs[i]; keep(s) {
 			size += 2 + len(s.name) + 1 + 4 + s.bodyLen()
 			n++
 		}
 	}
+	return size, n
+}
+
+// encode appends the encoding of the segments keep selects, growing dst
+// once to the exact size. keep selects live segments only.
+func (r *Representation) encode(dst []byte, keep func(*Segment) bool) []byte {
+	size, n := r.encodedSize(keep)
 	if cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
 	}

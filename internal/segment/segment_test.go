@@ -285,6 +285,24 @@ func TestEncodeSizesOnce(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeIsEncodeLength: EncodedSize is the length Encode
+// appends, for an empty representation and with deleted segments, whose
+// tombstones encode nothing.
+func TestEncodedSizeIsEncodeLength(t *testing.T) {
+	r := New()
+	for step := 0; step < 3; step++ {
+		if got, want := r.EncodedSize(), len(r.Encode(nil)); got != want {
+			t.Errorf("step %d: EncodedSize %d, Encode wrote %d bytes", step, got, want)
+		}
+		switch step {
+		case 0:
+			r = sampleRep()
+		case 1:
+			r.Delete(r.Names()[0])
+		}
+	}
+}
+
 // TestEncodePartialMergesOntoBase: a partial encoding of some changed
 // segments, merged onto the old state with the removed ones, is the new
 // state. Names may be absent (never there, or deleted), repeated or

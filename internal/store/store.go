@@ -198,9 +198,12 @@ func DecodePolicy(b []byte) (Policy, []byte, error) {
 type Store interface {
 	// Put installs a checkpoint atomically. It fails with ErrStale if
 	// rec.Version is not greater than the stored version. Put may keep
-	// rec.Rep, so the caller hands it bytes it will not write again;
-	// File copies them into its log, and holds nothing of rec once Put
-	// returns.
+	// rec.Rep, so the caller hands it bytes it will not write again,
+	// unless CopiesRep says the store copies them: File copies them into
+	// its log, and holds nothing of rec once Put returns, whether the
+	// batch carrying it was written or failed. A store that is not a
+	// File, or this package's wrapper of one, may keep rec.Rep (the
+	// benchmark's tracing store does).
 	Put(rec Record) error
 	// Get returns the most recent checkpoint for the object. The
 	// caller owns the result: nothing else refers to its Rep.
@@ -223,6 +226,20 @@ type Store interface {
 	// ListIntents returns every surviving move intent, sorted by
 	// object ID — the recovery boot scan.
 	ListIntents() ([]MoveIntent, error)
+}
+
+// CopiesRep reports whether s is done with a record's Rep once Put
+// returns, so that a caller may lend Put an encoding it writes again
+// afterwards: true of File, and of the instrumented wrapper Instrument
+// puts around a store that copies; false of any other Store.
+func CopiesRep(s Store) bool {
+	switch s := s.(type) {
+	case *File:
+		return true
+	case *instrumented:
+		return CopiesRep(s.s)
+	}
+	return false
 }
 
 // Memory is File. The name stays only because benchmark/ names it.

@@ -10,6 +10,7 @@ import (
 
 	"eden/internal/edenid"
 	"eden/internal/segment"
+	"eden/internal/telemetry"
 )
 
 var gen = edenid.NewGenerator(1)
@@ -341,5 +342,35 @@ func TestRecordLayoutWithoutPolicy(t *testing.T) {
 	if err != nil || got.Level != 2 || !slices.Equal(got.Sites, sited.Sites) || !slices.Equal(got.Ex, sited.Ex) ||
 		!got.Meta().Sited || got.Home != 4 || string(got.Rep) != "rep" {
 		t.Errorf("a sited record decodes as %+v, %v", got, err)
+	}
+}
+
+// keeper stands for a Store outside this package, which may keep what
+// Put is given whatever it wraps.
+type keeper struct{ Store }
+
+// TestCopiesRep: a File, and the instrumented wrapper of one, are done
+// with a record's Rep once Put returns; no other store is vouched for,
+// nor the instrumented wrapper of one.
+func TestCopiesRep(t *testing.T) {
+	f, err := NewFile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reg := telemetry.New()
+	for _, tc := range []struct {
+		name string
+		s    Store
+		want bool
+	}{
+		{"file", f, true},
+		{"instrumented-file", Instrument(f, reg), true},
+		{"foreign", keeper{f}, false},
+		{"instrumented-foreign", Instrument(keeper{f}, reg), false},
+	} {
+		if got := CopiesRep(tc.s); got != tc.want {
+			t.Errorf("%s: CopiesRep = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
