@@ -23,7 +23,6 @@ import (
 
 	"eden/internal/capability"
 	"eden/internal/msg"
-	"eden/internal/rights"
 	"eden/internal/telemetry"
 )
 
@@ -68,37 +67,21 @@ func (p *Pending) Done() <-chan struct{} { return p.done }
 // Pending resolves with ErrTimeout (counted under kernel.async.shed).
 // Ignoring the Pending gives fire-and-forget.
 func (k *Kernel) InvokeAsync(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) *Pending {
-	var o InvokeOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = k.cfg.DefaultTimeout
-	}
+	o, err := k.invocation(target, opts)
 	// The span opens at submission and closes at completion, so the
 	// hand-off to a processor is visible in the trace.
 	trace := k.tel.reg.NextTraceID(k.cfg.Node)
 	p := &Pending{
-		done: make(chan struct{}),
-		req: msg.InvokeReq{
-			Target:       target,
-			Operation:    operation,
-			Data:         data,
-			Caps:         caps,
-			TimeoutNanos: int64(o.Timeout),
-		},
+		done:         make(chan struct{}),
+		req:          msg.InvokeReq{Target: target, Operation: operation, Data: data, Caps: caps},
 		allowReplica: o.AllowReplica,
 		deadline:     time.Now().Add(o.Timeout),
 		trace:        trace,
 		sp:           k.tel.reg.StartSpan("invoke.async", trace, k.cfg.Node),
 		enq:          k.tel.now(),
 	}
-	switch {
-	case target.IsNull():
-		k.resolve(p, Reply{}, fmt.Errorf("%w: null capability", ErrNoSuchObject))
-		return p
-	case !target.Has(rights.Invoke):
-		k.resolve(p, Reply{}, fmt.Errorf("%w: capability lacks invoke right", ErrRights))
+	if err != nil {
+		k.resolve(p, Reply{}, err)
 		return p
 	}
 	if k.asyncInFlight.Add(1) > asyncCap {

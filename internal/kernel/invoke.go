@@ -220,38 +220,19 @@ func (t *servedTable) unindex(i int) {
 
 // Invoke performs a synchronous invocation: "parameters are passed and
 // the caller's thread of control is suspended pending completion".
-// The kernel locates the target — local fast path, hint cache,
-// broadcast, or failure recovery from a checkpoint backup — and
-// forwards the request.
+// The kernel locates the target and forwards the request (invoke).
 func (k *Kernel) Invoke(target capability.Capability, operation string, data []byte, caps capability.List, opts *InvokeOptions) (Reply, error) {
-	if target.IsNull() {
-		return Reply{}, fmt.Errorf("%w: null capability", ErrNoSuchObject)
+	o, err := k.invocation(target, opts)
+	if err != nil {
+		return Reply{}, err
 	}
-	if !target.Has(rights.Invoke) {
-		return Reply{}, fmt.Errorf("%w: capability lacks invoke right", ErrRights)
-	}
-	var o InvokeOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = k.cfg.DefaultTimeout
-	}
-	deadline := time.Now().Add(o.Timeout)
-
-	req := msg.InvokeReq{
-		Target:       target,
-		Operation:    operation,
-		Data:         data,
-		Caps:         caps,
-		TimeoutNanos: int64(o.Timeout),
-	}
+	req := msg.InvokeReq{Target: target, Operation: operation, Data: data, Caps: caps}
 	// One trace id per user-level invocation; it rides the envelope so
 	// the serving node's span joins this one. With telemetry disabled
 	// the id is 0, the span inert, and nothing below allocates for it.
 	trace := k.tel.reg.NextTraceID(k.cfg.Node)
 	sp := k.tel.reg.StartSpan("invoke", trace, k.cfg.Node)
-	rep, err := k.invoke(req, o.AllowReplica, deadline, trace)
+	rep, err := k.invoke(req, o.AllowReplica, time.Now().Add(o.Timeout), trace)
 	sp.End(spanStatus(err))
 	if err != nil && errors.Is(err, ErrTimeout) {
 		k.tel.timeouts.Inc()
@@ -259,146 +240,104 @@ func (k *Kernel) Invoke(target capability.Capability, operation string, data []b
 	return rep, err
 }
 
-// invoke routes one invocation, chasing moves and falling back to
-// recovery, until the deadline. One correlation id is allocated per
-// *logical* invocation and reused across retransmissions, so the
-// serving kernel can deduplicate re-executions.
+// invocation checks an invocation's target, and fills in its options'
+// defaults.
+func (k *Kernel) invocation(target capability.Capability, opts *InvokeOptions) (o InvokeOptions, err error) {
+	if opts != nil {
+		o = *opts
+	}
+	if o.Timeout <= 0 {
+		o.Timeout = k.cfg.DefaultTimeout
+	}
+	switch {
+	case target.IsNull():
+		err = fmt.Errorf("%w: null capability", ErrNoSuchObject)
+	case !target.Has(rights.Invoke):
+		err = fmt.Errorf("%w: capability lacks invoke right", ErrRights)
+	}
+	return o, err
+}
+
+// invoke routes one invocation: it carries out the route policy's actions
+// (routeStep) and feeds their answers back. Every send of the invocation
+// carries one corr, so the serving node runs a retransmission once.
 func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time, trace uint64) (Reply, error) {
 	id := req.Target.ID()
 	corr := k.corr.Add(1)
 	start := k.tel.now() // zero (no clock read) when telemetry is off
-	triedRecovery := false
-	// guessSpent is what a wrong guess at the object's creating node took
-	// out of the locate budget: the broadcast after it gets the rest, so a
-	// dead creator delays failure recovery by nothing.
-	var guessSpent time.Duration
-	for hop := 0; hop < maxHops; hop++ {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return Reply{}, ErrTimeout
+	s := routeState{locate: k.loc.DefaultTimeout, recover: k.cfg.DefaultTimeout + k.loc.DefaultTimeout, replica: allowReplica}
+	a := s.try(time.Until(deadline), false, 0)
+	var rep msg.InvokeRep
+	lat := k.tel.localLat
+	for {
+		if a.forget || a.moved != 0 {
+			k.loc.Forget(id)
 		}
-
-		// Local fast path: the target is (or can become) active here.
-		if rep, served, err := k.tryLocal(req, allowReplica, nil, deadline); served {
-			if err != nil {
+		if a.moved != 0 {
+			k.loc.Learn(id, a.moved, false)
+			k.stChases.Add(1)
+		}
+		var ev routeEvent
+		var err error
+		switch a.kind {
+		case raLocal:
+			var here bool
+			if rep, here, err = k.tryLocal(req, a.any, nil, deadline); err != nil {
 				return Reply{}, err
 			}
-			if rep.Status == msg.StatusMoved {
-				if dest, ok := movedDest(rep); ok {
-					k.loc.Forget(id)
-					k.loc.Learn(id, dest, false)
-					k.stChases.Add(1)
-					allowReplica = false
-					continue
-				}
-				return Reply{}, ErrNoSuchObject
+			ev, lat = answered(rep, here), k.tel.localLat
+		case raLookup:
+			if a.any {
+				ev = located(k.loc.LookupAny(id, a.wait))
+			} else {
+				ev = located(k.loc.Lookup(id, a.wait))
 			}
-			k.tel.localLat.ObserveSince(start)
-			return replyFrom(rep)
-		}
-
-		// Locate the target elsewhere. Location answers arrive within
-		// a round trip, so the broadcast wait is bounded separately
-		// from the invocation budget.
-		ltimeout := min(remaining, k.loc.DefaultTimeout-guessSpent)
-		var loc locator.Location
-		err := locator.ErrNotFound
-		switch {
-		case ltimeout <= 0:
-		case allowReplica:
-			loc, err = k.loc.LookupAny(id, ltimeout)
-		default:
-			loc, err = k.loc.Lookup(id, ltimeout)
-		}
-		if err != nil {
-			// Nobody answered: the home may have failed. Run the
-			// recovery protocol once — a checkpoint backup site will
-			// claim the object and reincarnate it. A site answers only
-			// once its siblings granted the claim, which it awaits for
-			// up to its DefaultTimeout, so the answer is awaited that
-			// long plus a locate's budget, not a locate's alone.
-			if !triedRecovery {
-				triedRecovery = true
-				rtimeout := min(time.Until(deadline), k.cfg.DefaultTimeout+k.loc.DefaultTimeout)
-				if rtimeout <= 0 {
-					// The lookup ran out the invocation's budget: no
-					// broadcast is sent to be waited for past the deadline.
-					return Reply{}, ErrTimeout
-				}
-				if rl, rerr := k.loc.Recover(id, rtimeout); rerr == nil {
-					k.loc.Learn(id, rl.Node, false)
-					continue
-				}
+		case raProbe:
+			req.TimeoutNanos, req.Flags = int64(a.serve), 0
+			if a.any { // a checkpoint shadow will do
+				req.Flags = msg.FlagAllowReplica
 			}
-			return Reply{}, fmt.Errorf("%w: %v", ErrNoSuchObject, id)
-		}
-
-		// A cached hint may point at a dead or stale node; probe it
-		// with a bounded slice of the budget so a wrong hint cannot
-		// consume the caller's whole timeout. A guess at the creator is
-		// a probe too, paid from the locate budget. A freshly confirmed
-		// location gets the full remainder. Only the wait is bounded: the
-		// serving node runs the call to the invocation's deadline, so a
-		// right guess at an operation slower than the probe is answered
-		// to the retransmission that follows the lookup, which carries
-		// the same corr and so does not run it again.
-		attempt := time.Until(deadline)
-		req.TimeoutNanos = int64(attempt)
-		var sent time.Time
-		switch {
-		case loc.Guess:
-			attempt = min(attempt, ltimeout/2)
-			sent = time.Now()
-		case !loc.Fresh:
-			attempt = min(attempt/2, time.Second)
-		}
-		// The stale-tolerance flag travels with the request so the
-		// serving node knows whether a checkpoint shadow qualifies;
-		// re-derived per attempt because a StatusMoved bounce clears
-		// allowReplica for the rest of the chase.
-		if allowReplica {
-			req.Flags |= msg.FlagAllowReplica
-		} else {
-			req.Flags &^= msg.FlagAllowReplica
-		}
-		rep, err := k.invokeRemote(loc.Node, corr, trace, req, attempt)
-		if err != nil || rep.Status == msg.StatusNoSuchObject {
-			// The node is stale, down, or was a wrong guess: drop what
-			// pointed there (for a guess, that rules it out) and retry
-			// through location.
-			k.loc.Forget(id)
-			if loc.Guess {
-				guessSpent += time.Since(sent)
+			k.stRemote.Add(1)
+			k.tel.invRemote.Inc()
+			rep, err = k.roundTrip(msg.Envelope{Kind: msg.KindInvokeReq, To: a.node, Corr: corr, Trace: trace}, msg.Encode(req), a.wait)
+			ev, lat = answered(rep, err == nil), k.tel.remoteLat
+		case raRecover:
+			ev = located(k.loc.Recover(id, a.wait))
+		case raReply:
+			lat.ObserveSince(start)
+			if err := errFromStatus(rep.Status, rep.Data); err != nil {
+				return Reply{}, err
 			}
-			if time.Until(deadline) <= 0 {
-				return Reply{}, ErrTimeout
-			}
-			continue
+			return Reply{Data: rep.Data, Caps: rep.Caps}, nil
+		case raFail:
+			return Reply{}, a.err
 		}
-		if rep.Status == msg.StatusMoved {
-			if dest, ok := movedDest(rep); ok {
-				k.loc.Forget(id)
-				k.loc.Learn(id, dest, false)
-				k.stChases.Add(1)
-				// The bounce directs us at the home; replicas are no
-				// longer acceptable (a local replica would bounce the
-				// same request forever).
-				allowReplica = false
-				continue
-			}
-			return Reply{}, ErrNoSuchObject
+		if ev.kind != reServed { // a served answer ends the route: no clock read
+			ev.rest = time.Until(deadline)
 		}
-		k.tel.remoteLat.ObserveSince(start)
-		return replyFrom(rep)
+		a = routeStep(&s, ev)
 	}
-	return Reply{}, fmt.Errorf("%w: forwarding chain exceeded %d hops", ErrNoSuchObject, maxHops)
 }
 
-func replyFrom(rep msg.InvokeRep) (Reply, error) {
-	if err := errFromStatus(rep.Status, rep.Data); err != nil {
-		return Reply{}, err
+// answered is the event a reply is; ok is false when the object is not
+// here, or the probe went unanswered.
+func answered(rep msg.InvokeRep, ok bool) routeEvent {
+	switch {
+	case !ok || rep.Status == msg.StatusNoSuchObject:
+		return routeEvent{kind: reAbsent}
+	case rep.Status == msg.StatusMoved:
+		dest, _ := movedDest(rep)
+		return routeEvent{kind: reMoved, dest: dest}
 	}
-	return Reply{Data: rep.Data, Caps: rep.Caps}, nil
+	return routeEvent{kind: reServed}
+}
+
+// located is the event a lookup's or a recovery's answer is.
+func located(loc locator.Location, err error) routeEvent {
+	if err != nil {
+		return routeEvent{kind: reSilent}
+	}
+	return routeEvent{kind: reFound, loc: loc}
 }
 
 // tryLocal serves the invocation on this node if the target is active,
@@ -656,19 +595,6 @@ func (k *Kernel) roundTrip(env msg.Envelope, payload *msg.Buffer, timeout time.D
 	k.pendMu.Unlock()
 	c.recycle()
 	return rep, err
-}
-
-// invokeRemote ships the request to another node's kernel and awaits
-// its reply envelope for at most timeout; the request's own TimeoutNanos
-// is how long the serving node may take. corr identifies the logical
-// invocation across retries (the receiver deduplicates on it).
-func (k *Kernel) invokeRemote(node uint32, corr, trace uint64, req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, error) {
-	if timeout <= 0 {
-		return msg.InvokeRep{}, ErrTimeout
-	}
-	k.stRemote.Add(1)
-	k.tel.invRemote.Inc()
-	return k.roundTrip(msg.Envelope{Kind: msg.KindInvokeReq, To: node, Corr: corr, Trace: trace}, msg.Encode(req), timeout)
 }
 
 // serveInvoke executes an invocation received from another node and

@@ -205,15 +205,21 @@ func TestRightGuessOutlastsItsProbe(t *testing.T) {
 	if probe := s.ks[1].loc.DefaultTimeout / 2; probe >= work || work >= s.ks[1].cfg.DefaultTimeout {
 		t.Fatalf("the guess's wait %v and the invocation timeout %v must bracket the write's %v", probe, s.ks[1].cfg.DefaultTimeout, work)
 	}
-	rep, err := s.ks[1].Invoke(cp, "inc", nil, nil, nil)
-	if err != nil {
-		t.Fatalf("a right guess at a %v write: %v", work, err)
-	}
+	var rep Reply
+	got := measureLocate(s, 1, 2, func() {
+		if rep, err = s.ks[1].Invoke(cp, "inc", nil, nil, nil); err != nil {
+			t.Fatalf("a right guess at a %v write: %v", work, err)
+		}
+	})
 	time.Sleep(work) // a second execution would have finished by now
 	if n := runs.Load(); n != 1 || fromU64(rep.Data) != 1 {
 		t.Errorf("the write ran %d times, replied %d; want once", n, fromU64(rep.Data))
 	}
-	if st := s.ks[1].Locator().Stats(); st.Guesses != 1 {
-		t.Errorf("locator %+v, want the first send to be a guess", st)
+	// What the slow node costs today (TestRoutePolicySlowGuess): the guess,
+	// a broadcast and its answer, the retransmission (dropped while the
+	// write runs) and the first execution's reply. The request and its reply
+	// would do.
+	if want := (locateCost{frames: 5, guesses: 1, broadcasts: 1, remote: 2, servedAtHome: 1}); got != want {
+		t.Errorf("cost %+v, want %+v", got, want)
 	}
 }
