@@ -37,12 +37,9 @@ func (k *Kernel) pendingIntent(id edenid.ID) (store.MoveIntent, bool) {
 // resolvePendingIntent settles id's move intent the way an activation
 // does, and reports whether the move rolled forward: whether k now
 // forwards the object.
-func (k *Kernel) resolvePendingIntent(id edenid.ID) (forwarded bool, err error) {
+func (k *Kernel) resolvePendingIntent(id edenid.ID) (rolledForward bool, err error) {
 	err = k.settle(id, time.Now().Add(k.cfg.DefaultTimeout))
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	r := k.roles[id]
-	return r != nil && r.fwd.node != 0, err
+	return k.judgeRecord(id).role == forwarded, err
 }
 
 // TestKillpointSweep drives every lifecycle path that carries a crash
@@ -71,6 +68,10 @@ func TestKillpointSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustInvoke(t, s.ks[1], cap, "get", nil) // reincarnate.pre-install
+	rec, err := s.stores[1].Get(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	obj, err = s.ks[1].Object(cap.ID())
 	if err != nil {
@@ -101,9 +102,10 @@ func TestKillpointSweep(t *testing.T) {
 		t.Errorf("MoveResolveRollbacks = %d, want 1", st.MoveResolveRollbacks)
 	}
 
-	// Commit: re-inject the committed move's intent — the destination
-	// (node 2) holds the object at the intent epoch, so resolution rolls
-	// forward.
+	// Commit: re-plant the committed move's record and intent in place
+	// of its forward — the destination (node 2) holds the object at the
+	// intent epoch, so resolution rolls forward.
+	plantMoveDebris(t, s.stores[1], rec, store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
 	injectIntent(s.ks[1], store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
 	if forwarded, err := s.ks[1].resolvePendingIntent(cap.ID()); !forwarded {
 		t.Fatalf("resolvePendingIntent = %v, %v; want rolled forward", forwarded, err) // move.resolve-commit

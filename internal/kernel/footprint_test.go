@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"eden/internal/capability"
+	"eden/internal/edenid"
 	"eden/internal/msg"
 	"eden/internal/rights"
 	"eden/internal/segment"
@@ -82,6 +83,62 @@ func TestObjectFootprint(t *testing.T) {
 	t.Logf("%d B of heap per resident object (Object %d B)", per, reflect.TypeOf(Object{}).Size())
 	if per > measured+32 {
 		t.Errorf("%d B of heap per resident object, want at most %d", per, measured+32)
+	}
+}
+
+// TestMovedAwayFootprint pins what a node keeps for each object it moved
+// away: the forward, one entry of its log's directory, and no role entry.
+// It moves 4 096 objects off one node, then drops the node's role table
+// and closes its log, which frees the directory but not the log's bytes
+// (the log is in memory), between two GCs. A forward kept as a whole role
+// entry cost about 245 B; the bound is TestFileDirectoryFootprint's, 80 B.
+// The locator's hint at the source (commitMove's Learn) is a cache, and
+// not counted.
+func TestMovedAwayFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what an allocation costs")
+	}
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	const n = 4096
+	ids := make([]edenid.ID, n)
+	for i := range ids {
+		cp, err := s.ks[1].Create("counter", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := s.ks[1].Object(cp.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-obj.Move(2); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = cp.ID()
+	}
+	k := s.ks[1]
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the second would otherwise free sync.Pool's victims inside the window
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	k.mu.Lock()
+	roles := len(k.roles)
+	k.roles = make(map[edenid.ID]*role)
+	k.mu.Unlock()
+	if err := s.stores[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ids)
+	per := (int64(before.HeapAlloc) - int64(after.HeapAlloc)) / n
+	t.Logf("%d B of heap per moved-away object (%d role entries)", per, roles)
+	if roles != 0 {
+		t.Errorf("%d role entries after %d committed moves, want none", roles, n)
+	}
+	if per > 80 {
+		t.Errorf("%d B of heap per moved-away object, want at most 80", per)
 	}
 }
 

@@ -341,13 +341,13 @@ func located(loc locator.Location, err error) routeEvent {
 }
 
 // tryLocal serves the invocation on this node if the target is active,
-// passive, a forwarded ghost, or (when permitted) a cached replica
-// here. served reports whether the invocation was handled locally.
-// origin is non-nil for requests that arrived over the wire, and names
-// the logical invocation: those get a StatusMoved bounce from a
-// forwarding pointer, while locally originated invocations fall through
-// to the locator (bouncing them here would loop on this node's own
-// forward).
+// passive, forwarded, or (when permitted) a cached replica here. served
+// reports whether the invocation was handled locally. origin is non-nil
+// for requests that arrived over the wire, and names the logical
+// invocation: those get a StatusMoved bounce from a forward, while
+// locally originated invocations fall through to the locator (bouncing
+// them here would loop on this node's own forward; learning it as a hint
+// would clobber the fresher ones a chase produces).
 //
 // Resolution and arrival are separate critical sections, so the
 // incarnation resolved may have been passivated by the time the call
@@ -375,10 +375,6 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 		return msg.InvokeRep{}, true, ErrClosed
 	}
 	obj, isActive := k.active[id]
-	var fwd uint32
-	if r := k.roles[id]; r != nil {
-		fwd = r.fwd.node
-	}
 	var replica *Object
 	if allowReplica {
 		replica = k.replicas[id]
@@ -388,16 +384,6 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 	var shadowServe bool
 	switch {
 	case isActive:
-	case fwd != 0:
-		if origin != nil {
-			return movedReply(fwd), true, nil
-		}
-		// Locally originated: fall through to the locator. The local
-		// forwarding pointer is deliberately NOT cached as a hint here:
-		// it may be stale (the object moved on), and re-learning it on
-		// every retry would clobber the fresher hints the chase
-		// produces, bouncing forever between two old homes.
-		return msg.InvokeRep{}, false, nil
 	case replica != nil:
 		obj = replica
 	default:
@@ -407,6 +393,11 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 		switch v := k.judgeRecord(id); v.role {
 		case noRecord:
 			return msg.InvokeRep{}, false, nil
+		case forwarded:
+			if origin != nil {
+				return movedReply(v.node), true, nil
+			}
+			return msg.InvokeRep{}, false, nil // to the locator, which does not learn the forward: it may be stale
 		case backupRecord:
 			// A backup may serve a stale-tolerant read as a shadow.
 			if allowReplica && k.cfg.ReplicaServe {
@@ -536,11 +527,9 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 		moved, passive := obj.movedTo, obj.passive
 		obj.sched.Unlock()
 		if moved == 0 { // not retired toward a home: it may have moved since
-			k.mu.Lock()
-			if r := k.roles[obj.id]; r != nil {
-				moved = r.fwd.node
+			if v := k.judgeRecord(obj.id); v.role == forwarded {
+				moved = v.node
 			}
-			k.mu.Unlock()
 		}
 		c.finish(downReply(moved, passive))
 	} else {

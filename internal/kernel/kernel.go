@@ -173,7 +173,7 @@ type Kernel struct {
 	mu       sync.Mutex
 	active   map[edenid.ID]*Object // incarnations homed here
 	replicas map[edenid.ID]*Object // frozen replicas cached here (Replicate)
-	roles    map[edenid.ID]*role   // policies, backups, claims, move intents and forwards (role.go)
+	roles    map[edenid.ID]*role   // policies, backups, claims and move intents (role.go)
 	boot     time.Time             // kernel start, the heartbeat of backups no ship has reached
 	scanErr  error                 // why the boot scan failed; nil once one has succeeded (bootScan)
 	memInUse int64
@@ -405,9 +405,10 @@ type roleOutcome struct {
 // out fx, a step of id's role, in order, once the caller has let go of
 // k.mu. A refusal comes alone and is returned as it is. A store effect
 // that fails skips the store effects and retirements after it, and its
-// error is returned; an intent's deletion is stepped as evMoveCommitted
-// once durable, else (failed or skipped) as evIntentKept. The ships go out
-// last, all at once, whatever the store did; a probe is the settlement's
+// error is returned (a stale Put is none, but for a forward's); an
+// intent's deletion is stepped as evMoveCommitted once durable, else
+// (failed or skipped) as evIntentKept. The ships go out last, all at
+// once, whatever the store did; a probe is the settlement's
 // (runSettlement).
 func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleOutcome, err error) {
 	ships := false
@@ -432,7 +433,7 @@ func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleO
 		case e.kind == fxPut:
 			if err = k.store.Put(io.rec); err == nil {
 				out.wrote = true
-			} else if errors.Is(err, store.ErrStale) {
+			} else if errors.Is(err, store.ErrStale) && !io.rec.Forward {
 				err = nil
 			}
 		case e.kind == fxDelete:
@@ -482,20 +483,23 @@ const (
 	ownRecord                      // the home record: this node may reincarnate it
 	backupRecord                   // held as a checksite for another home
 	inDoubt                        // a move intent, a claim, or a failed boot scan forbids serving it
+	forwarded                      // the object moved on from here: the record is a forward to node
 )
 
 // verdict is judgeRecord's answer: aboveFloor says a shadow may be made
-// of a backup; err is a failed boot scan's, a doubt no settlement ends.
+// of a backup, node where a forward points; err is a failed boot scan's,
+// a doubt no settlement ends.
 type verdict struct {
 	role       recordRole
 	aboveFloor bool
+	node       uint32
 	err        error
 }
 
 // judgeRecord decides whether id's record in this node's store is the
-// node's to serve — the one reader of the boot scan and the role table
-// for that, by the policy's judgeRole. Settling a doubt is the caller's
-// choice.
+// node's to serve, or a forward — the one reader of the boot scan and the
+// role table for that, by the policy's judgeRole. Settling a doubt is the
+// caller's choice.
 func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 	var rs roleState
 	var held bool
@@ -584,12 +588,7 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 		return true, false
 	}
 	_, isReplica := k.replicas[id]
-	r := k.roles[id]
-	movedAway := r != nil && r.fwd.node != 0
 	k.mu.Unlock()
-	if movedAway {
-		return false, isReplica
-	}
 	var deadline time.Time
 	if recover {
 		deadline = time.Now().Add(k.cfg.DefaultTimeout)
@@ -626,6 +625,7 @@ func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
 	var rec store.Record
 	err := errNoRecord // until read: only a claim, which may start now, takes the record
 	var buf [4]roleEffect
+	m, _ := k.store.Stat(id) // a forward settles an intent beside it
 	k.mu.Lock()
 	if r := k.roles[id]; r != nil && r.settled == nil && r.intent.node == 0 {
 		k.mu.Unlock()
@@ -646,7 +646,7 @@ func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
 	}
 	if done == nil {
 		fresh := r != nil && r.home != 0 && time.Since(r.lastShip) < k.cfg.RecoverGrace
-		s, fx := k.stepRoleLocked(id, roleEvent{kind: evSettle, fresh: fresh, record: err == nil, policy: policyOf(rec.Policy), ex: rec.Ex}, buf[:0])
+		s, fx := k.stepRoleLocked(id, roleEvent{kind: evSettle, fresh: fresh, record: err == nil, rec: m, policy: policyOf(rec.Policy), ex: rec.Ex}, buf[:0])
 		if len(fx) > 0 {
 			done = make(chan struct{})
 			if r = k.roles[id]; r != nil {
@@ -670,8 +670,8 @@ func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
 }
 
 // runSettlement carries out a settlement that s and fx started — a probe
-// of s's intent, or a claim of rec — and closes done once its outcome is
-// applied.
+// of s's intent, or a claim of rec; or deletes an intent beside its
+// forward — and closes done once its outcome is applied.
 func (k *Kernel) runSettlement(id edenid.ID, done chan struct{}, s roleState, fx []roleEffect, rec store.Record) {
 	defer func() {
 		k.mu.Lock()
@@ -681,7 +681,7 @@ func (k *Kernel) runSettlement(id edenid.ID, done chan struct{}, s roleState, fx
 		k.mu.Unlock()
 		close(done)
 	}()
-	if s.intent.node != 0 {
+	if fx[0].kind == fxProbe {
 		k.resolveIntent(id, s.intent)
 		return
 	}
@@ -1096,14 +1096,15 @@ func (k *Kernel) DebugObjectState(id edenid.ID) string {
 	if active {
 		epoch = obj.epoch
 	}
+	v := k.judgeRecord(id)
 	rec, ok := k.store.Stat(id)
 	stored := "no-record"
-	if ok {
+	if ok && !rec.Forward {
 		stored = fmt.Sprintf("record-v%d-e%d", rec.Version, normEpoch(rec.Epoch))
 		if !active {
 			epoch = normEpoch(rec.Epoch)
 		}
 	}
 	return fmt.Sprintf("active=%v epoch=%d fwd=%v(%d) replica=%v backup=%v intent=%v(%d@%d) store=%s",
-		active, epoch, rs.fwd.node != 0, rs.fwd.node, replica, backup, rs.intent.node != 0, rs.intent.node, rs.intent.epoch, stored)
+		active, epoch, v.role == forwarded, v.node, replica, backup, rs.intent.node != 0, rs.intent.node, rs.intent.epoch, stored)
 }

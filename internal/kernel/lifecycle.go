@@ -34,12 +34,11 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 		return nil, fmt.Errorf("%w: no record of %v here", ErrNoCheckpoint, id)
 	case backupRecord:
 		return nil, fmt.Errorf("%w: %v is a checksite backup (home may be alive)", ErrNoCheckpoint, id)
+	case forwarded:
+		return nil, fmt.Errorf("%w: %v moved to node %d", ErrNoSuchObject, id, v.node)
 	case inDoubt:
 		if err := k.settle(id, time.Now().Add(k.cfg.DefaultTimeout)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
-		}
-		if k.roleOf(id).fwd.node != 0 {
-			return nil, fmt.Errorf("%w: %v moved before the crash", ErrNoSuchObject, id)
 		}
 		return k.activate(id)
 	}
@@ -227,15 +226,7 @@ func (k *Kernel) roleOf(id edenid.ID) roleState {
 // hasRemote reports whether the policy names a checksite other than
 // self.
 func (p checksitePolicy) hasRemote(self uint32) bool {
-	if p.level != RelRemote && p.level != RelReplicated {
-		return false
-	}
-	for _, site := range p.sites {
-		if site != self {
-			return true
-		}
-	}
-	return false
+	return p.level != RelLocal && slices.ContainsFunc(p.sites, func(site uint32) bool { return site != self })
 }
 
 // writeCheckpoint persists one checkpoint where the object's role says
@@ -304,12 +295,10 @@ func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, remo
 }
 
 // recordShipped notes the checkpoint version a site has acknowledged, if
-// the object is still on this node's books.
+// the object is still on this node's books: no entry is made for it.
 func (k *Kernel) recordShipped(id edenid.ID, site uint32, ver uint64) {
 	k.mu.Lock()
-	if k.roles[id] != nil {
-		k.stepRoleLocked(id, roleEvent{kind: evAcked, from: site, version: ver}, nil)
-	}
+	k.stepRoleLocked(id, roleEvent{kind: evAcked, from: site, version: ver}, nil)
 	k.mu.Unlock()
 }
 
@@ -617,8 +606,8 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	// the destination, find it installed, and roll the move forward.
 	killpoint.Hit(killpoint.MovePreCommit)
 
-	// Commit: we are no longer the home; leave a forwarding pointer.
-	k.commitMove(o.id, o, roleEvent{kind: evMoveAcked, from: to, epoch: newEpoch}, ver)
+	// Commit: we are no longer the home; leave a forward.
+	k.commitMove(o.id, o, roleEvent{kind: evMoveAcked, from: to, epoch: newEpoch}, residency{to, newEpoch}, ver)
 	k.stMoves.Add(1)
 	o.destroyActiveState(to)
 	// Crash boundary: the move is fully committed — a kill here must
@@ -804,10 +793,10 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		}
 		// The object's role here is now the home's, with the policy it
 		// brought; a backup held here for the old home ends.
-		m, _ := k.store.Stat(ship.Object)
+		m, here := k.store.Stat(ship.Object)
 		var buf [4]roleEffect
 		k.mu.Lock()
-		_, fx := k.stepRoleLocked(ship.Object, roleEvent{kind: evMoveIn, version: ship.Version, record: m.Version > 0, rec: m,
+		_, fx := k.stepRoleLocked(ship.Object, roleEvent{kind: evMoveIn, version: ship.Version, record: here, rec: m,
 			policy: policyOf(ship.Policy), ex: ship.Ex}, buf[:0])
 		k.mu.Unlock()
 		// Checkpoint durability travels with the object: the old home

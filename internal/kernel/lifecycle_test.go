@@ -536,21 +536,18 @@ func TestDestroyReachesExChecksites(t *testing.T) {
 }
 
 // held names the kernel's per-object maps that hold any entry; the role
-// table's entries are named by what they hold: a forward, a home's
-// policy, a backup, a shadow, a move intent.
+// table's entries are named by what they hold: a home's policy, a backup,
+// a shadow, a move intent.
 func held(k *Kernel) string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	var forwards, policies, backups, shadows, intents int
+	var policies, backups, shadows, intents int
 	for _, r := range k.roles {
 		switch {
 		case r.home != 0:
 			backups++
 		case r.policy.level != RelLocal || len(r.ex) > 0 || r.phase != settleNone:
 			policies++
-		}
-		if r.fwd.node != 0 {
-			forwards++
 		}
 		if r.shadow != nil {
 			shadows++
@@ -566,7 +563,6 @@ func held(k *Kernel) string {
 	}{
 		{"active", len(k.active)},
 		{"replicas", len(k.replicas)},
-		{"forwards", forwards},
 		{"policy", policies},
 		{"backup", backups},
 		{"shadow", shadows},
@@ -580,8 +576,9 @@ func held(k *Kernel) string {
 }
 
 // TestLeavingTheBooksLeavesNothingBehind: every way an object leaves a
-// node's books — or one of its roles there — deletes all it held: a
-// forwarding pointer stays after a move, nothing after a destroy, and a
+// node's books — or one of its roles there — deletes all it held: nothing
+// stays after a move (its forward is a record in the log), nor after a
+// destroy, and a
 // checksite that becomes the home keeps only the incarnation and the
 // policy, which travels with the object. Each row
 // runs on a system of its own, so every entry a node holds is the
@@ -660,7 +657,7 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 			},
 			// The policy moved with the object: node 2 stays its checksite,
 			// its shadow retired by the move.
-			want: map[uint32]string{1: "forwards", 2: "backup", 3: "active policy"},
+			want: map[uint32]string{1: "", 2: "backup", 3: "active policy"},
 		},
 		{
 			name: "a roll-forward by recovery",
@@ -679,7 +676,7 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 				mustInvoke(t, s.restartNode(1), cap, "get", nil)
 				return s
 			},
-			want: map[uint32]string{1: "forwards"},
+			want: map[uint32]string{1: ""},
 		},
 		{
 			name: "ShipMove acceptance at a checksite holding a shadow",
@@ -688,7 +685,7 @@ func TestLeavingTheBooksLeavesNothingBehind(t *testing.T) {
 				move(t, s.ks[1], cap, 2)
 				return s
 			},
-			want: map[uint32]string{1: "forwards", 2: "active policy"},
+			want: map[uint32]string{1: "", 2: "active policy"},
 		},
 		{
 			name: "promotion followed by activation",

@@ -82,9 +82,9 @@ func TestMovedObjectFoundThroughCreator(t *testing.T) {
 }
 
 // TestCreatorWithoutRecordCostsOneBroadcast: a creator that neither
-// holds the object nor remembers where it went (it restarted since the
-// move) answers StatusNoSuchObject, and the invoker broadcasts once.
-// The guess is not made again.
+// holds the object nor knows where it went (it restarted since the move,
+// on a log that lost the move's forward) answers StatusNoSuchObject, and
+// the invoker broadcasts once. The guess is not made again.
 func TestCreatorWithoutRecordCostsOneBroadcast(t *testing.T) {
 	s := newSys(t, 1, 2, 3)
 	mustRegister(t, s.reg, counterType(nil))
@@ -98,6 +98,9 @@ func TestCreatorWithoutRecordCostsOneBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.crashNode(2)
+	if err := s.stores[2].Delete(cp.ID()); err != nil {
+		t.Fatal(err)
+	}
 	s.restartNode(2)
 	s.addNode(4)
 	got := measureLocate(s, 4, 3, func() { mustInvoke(t, s.ks[4], cp, "get", nil) })

@@ -6,6 +6,7 @@ import (
 	"eden/internal/edenid"
 	"eden/internal/killpoint"
 	"eden/internal/msg"
+	"eden/internal/store"
 )
 
 // This file holds the move transaction's I/O — the probe that settles a
@@ -63,42 +64,39 @@ func (k *Kernel) resolveIntent(id edenid.ID, it residency) {
 		return
 	}
 	// The move committed everywhere but here: finish the source half of
-	// the commit exactly as moveObject would have.
+	// the commit as moveObject would have, at the record's version.
 	// Crash boundary: verdict reached, nothing released — a kill here
 	// re-resolves to the same verdict.
 	killpoint.Hit(killpoint.MoveResolveCommit)
-	// Version 0: a move invalidate retires shadows and re-steers the
-	// locator regardless of version (see handleInvalidate).
-	k.commitMove(id, nil, ev, 0)
+	m, _ := k.store.Stat(id)
+	k.commitMove(id, nil, ev, it, m.Version)
 	k.stMoveResolveFwd.Add(1)
 	// Crash boundary: the recovered move is fully committed — a kill here
 	// must find the object serving at the destination only.
 	killpoint.Hit(killpoint.MovePostCommit)
 }
 
-// commitMove is the source half of a move's commit, ev the live move's
-// ack or recovery's probe answer: o is the leaving incarnation, nil when
-// recovery rolls a move forward. The policy went with the ship; the acked
-// versions end here: kept as incremental bases for a return, they would
-// omit changes — deletions too — made at other homes.
-func (k *Kernel) commitMove(id edenid.ID, o *Object, ev roleEvent, ver uint64) {
+// commitMove is the source half of a move's commit to where it installed,
+// at version ver, ev the live move's ack or recovery's probe answer: o is
+// the leaving incarnation, nil in recovery. The policy went with the ship;
+// the acked versions end here: kept as incremental bases for a return,
+// they would omit changes — deletions too — made at other homes.
+func (k *Kernel) commitMove(id edenid.ID, o *Object, ev roleEvent, to residency, ver uint64) {
 	var buf [2]roleEffect
 	k.mu.Lock()
-	if o != nil {
-		k.unchargeLocked(o)
-	}
-	s, fx := k.stepRoleLocked(id, ev, buf[:0])
+	_, fx := k.stepRoleLocked(id, ev, buf[:0])
 	k.mu.Unlock()
-	// The stale local checkpoint would otherwise make this node claim to
-	// be home again after a restart. The commit point is the intent's
-	// deletion after it: once it is durable, no future incarnation of this
-	// node will question the move (if a deletion fails, the next boot
-	// re-resolves to the same verdict).
-	_, _ = k.applyRole(id, fx, nil)
+	// The commit point is the forward over the stale local checkpoint (if
+	// it fails, the next touch probes again); the incarnation stays in the
+	// books until then, so a call meanwhile queues at it and is bounced.
+	_, _ = k.applyRole(id, fx, &roleIO{rec: store.Record{Object: id, Version: ver, Epoch: to.epoch, Home: to.node, Forward: true}})
+	if o != nil {
+		k.removeActive(o)
+	}
 	k.loc.Forget(id)
-	k.loc.Learn(id, s.fwd.node, false)
+	k.loc.Learn(id, to.node, false)
 	// The new home will not refresh this home's checksites; the move
 	// invalidate disables their serving floors until a checkpoint from
 	// the new home arrives (see handleInvalidate).
-	k.broadcastInvalidate(id, ver, true, s.fwd.node, nil)
+	k.broadcastInvalidate(id, ver, true, to.node, nil)
 }

@@ -22,9 +22,13 @@ import (
 )
 
 // plantMoveDebris re-creates the post-crash store state of a move
-// coordinator: the pre-move checkpoint record plus the durable intent.
+// coordinator: the pre-move checkpoint record plus the durable intent. A
+// forward the move's commit wrote goes first, as if it was never written.
 func plantMoveDebris(t *testing.T, st store.Store, rec store.Record, it store.MoveIntent) {
 	t.Helper()
+	if err := st.Delete(rec.Object); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Put(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -645,4 +649,63 @@ func TestFailedIntentDeletionIsSettledLater(t *testing.T) {
 			wantNoIntents(t, s.stores[1])
 		})
 	}
+}
+
+// TestMovedOnAndRestartedDestinationAnswersTheProbe is M2 on a mesh: node
+// 1 dies before its move to node 2 commits, node 2 moves the object on to
+// node 3 and restarts, and node 1 restarts and probes node 2. Node 2's
+// forward is in its log, so it answers "installed" and node 1 rolls the
+// move forward: every node reads the value node 3 serves, and node 1 serves
+// nothing from its pre-move record. A forward kept only in memory was
+// gone after node 2's restart; node 1 rolled back, and two homes served.
+func TestMovedOnAndRestartedDestinationAnswersTheProbe(t *testing.T) {
+	s := newSys(t, 1, 2, 3)
+	mustRegister(t, s.reg, counterType(nil))
+	cap, err := s.ks[1].Create("counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "inc", nil)
+	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
+	rec, err := s.stores[1].Get(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := func(k *Kernel, to uint32) {
+		t.Helper()
+		obj, err := k.Object(cap.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-obj.Move(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	move(s.ks[1], 2)
+	s.crashNode(1)
+	plantMoveDebris(t, s.stores[1], rec, store.MoveIntent{Object: cap.ID(), Dest: 2, Epoch: 2})
+
+	mustInvoke(t, s.ks[2], cap, "inc", nil)
+	move(s.ks[2], 3)
+	s.crashNode(2)
+	s.restartNode(2)
+	k1 := s.restartNode(1)
+
+	for _, n := range []uint32{1, 2, 3} {
+		rep, err := s.ks[n].Invoke(cap, "get", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+		if err != nil {
+			t.Fatalf("get at node %d: %v (node 1: %s)", n, err, k1.DebugObjectState(cap.ID()))
+		}
+		if got := fromU64(rep.Data); got != 2 {
+			t.Errorf("get at node %d = %d, want node 3's 2 (node 1: %s; node 2: %s)", n, got,
+				k1.DebugObjectState(cap.ID()), s.ks[2].DebugObjectState(cap.ID()))
+		}
+	}
+	if st := k1.Stats(); st.Reincarnations != 0 || st.MoveResolveForwards != 1 {
+		t.Errorf("node 1: %d reincarnations, %d moves rolled forward; want 0 and 1", st.Reincarnations, st.MoveResolveForwards)
+	}
+	if ds := k1.DebugObjectState(cap.ID()); !strings.Contains(ds, "store=no-record") || !strings.Contains(ds, "fwd=true(2)") {
+		t.Errorf("node 1 after the probe: %s, want a forward to node 2 and no record", ds)
+	}
+	wantNoIntents(t, s.stores[1])
 }

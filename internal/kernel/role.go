@@ -10,8 +10,8 @@ import (
 
 // This file holds the role policy: what one node is to one object besides
 // its incarnation — the home's checkpoint policy, a checksite's backup, a
-// claim, a move intent, a forward — and one pure transition that decides
-// how that changes. roleStep references no *Kernel, lock, store or clock: it
+// claim, a move intent — and one pure transition that decides how that
+// changes. roleStep references no *Kernel, lock, store or clock: it
 // returns the new state and the effects to carry out, in order. The
 // monitor is stepRoleLocked, which keeps the state in the role table
 // under Kernel.mu, and applyRole, which carries the effects out once the
@@ -36,13 +36,15 @@ import (
 //
 // A move is a two-phase transaction ordered by residency epochs: the
 // source's durable intent (destination, epoch) comes before the ship, the
-// destination installs and acks, and the source commits — its record goes,
-// then its intent — and forwards. An intent found at boot is settled as a
-// claim is, one settlement per object at a time: a touch probes the
-// destination at the intent's epoch, and the answer decides.
+// destination installs and acks, and the source commits: a forward
+// (store.Record.Forward) replaces its record, then its intent goes. An
+// intent found at boot is settled as a claim is, one settlement per object
+// at a time: beside its commit's forward it only goes, else a touch probes
+// the destination at the intent's epoch, and the answer decides.
 //
-//	installed: the object is served or recorded | roll forward: the record
-//	there from that epoch on, or left later     | goes, then the intent
+//	installed: the object is served or recorded | roll forward: the forward
+//	there from that epoch on, or a forward or a | replaces the record, then
+//	backup there is later                       | the intent goes
 //	not installed                               | roll back: the intent goes,
 //	                                            | then the object resumes
 //	no answer                                   | in doubt: serve nothing,
@@ -56,7 +58,8 @@ type role struct {
 	settled  chan struct{} // closed when the settlement under way ends; nil when none runs
 }
 
-// roleState is the policy's whole state for one object on one node.
+// roleState is the policy's whole state for one object on one node; the
+// node's record, a forward included, is roleEvent.rec.
 type roleState struct {
 	policy checksitePolicy // the object's checksites: the home's, or as the last ship said
 	ex     []uint32        // ex-checksites that may still hold a record of the object
@@ -70,7 +73,6 @@ type roleState struct {
 	floor   uint64  // backup: the serving floor, no shadow below it (floorDisabled after a move)
 	shadow  *Object // backup: the shadow serving stale-tolerant reads, if made
 	phase   settlePhase
-	fwd     residency // the object moved on: where it was installed, and at which epoch
 	intent  residency // a move intent: the destination, and the epoch the move installs at
 }
 
@@ -99,8 +101,7 @@ const (
 // held reports whether the state is worth an entry: a backup, a policy
 // other than the default, ex-checksites, a settlement, or a move.
 func (s *roleState) held() bool {
-	return s.home != 0 || s.policy.level != RelLocal || len(s.ex) > 0 || s.phase != settleNone ||
-		s.fwd.node != 0 || s.intent.node != 0
+	return s.home != 0 || s.policy.level != RelLocal || len(s.ex) > 0 || s.phase != settleNone || s.intent.node != 0
 }
 
 // siblings returns the nodes other than self that may hold a record of
@@ -207,7 +208,8 @@ type roleEvent struct {
 	superseded bool
 	// evShip, evDestroyShip, evMoveIn, evBoot, evMoveCommitted and
 	// evProbe: this node's record, if it has one (evShip and evProbe: at
-	// the epoch it serves the object at, if it does).
+	// the epoch it serves the object at, if it does); evSettle: a record
+	// to claim was read, and rec is what Stat says.
 	record bool
 	rec    store.Meta
 	shadow *Object // evShadow: the shadow made
@@ -217,7 +219,7 @@ type roleEvent struct {
 type effectKind uint8
 
 const (
-	fxPut          effectKind = iota + 1 // write this node's record: its own on the home's side, else a backup for home
+	fxPut          effectKind = iota + 1 // write this node's record: its own on the home's side, a move's forward, else a backup for home
 	fxDelete                             // delete this node's record
 	fxDeleteIntent                       // delete this node's move intent: evMoveCommitted once it is durable, else evIntentKept
 	fxRetire                             // retire shadow; calls queued at it bounce to site (0: report a crash)
@@ -336,9 +338,9 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		case s.home != 0 && ev.epoch < s.epoch:
 			refuse = errSuperseded
 		case !ev.claim:
-		case s.fwd.epoch >= ev.epoch:
-			refuse = errSuperseded // moved on from here after the claimant's residency
-		case !ev.record:
+		case ev.rec.Forward && normEpoch(ev.rec.Epoch) >= ev.epoch:
+			refuse = errSuperseded // moved on from here at the claimant's residency
+		case !ev.record || ev.rec.Forward:
 			// Nothing here to vouch for: the object was destroyed or
 			// moved on from here, or never reached this node. A grant
 			// could bring back a destroyed object, or make a second home.
@@ -392,10 +394,10 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		s = roleState{policy: ev.policy, ex: ev.ex, shipped: ev.policy.seeded(ev.self)}
 		if ev.version > 0 {
 			if ev.rec.Backup || ev.rec.Version >= ev.version {
-				// A backup here, or a record of an earlier residency here at
-				// the moved version, would refuse the home record as stale:
-				// it goes first. A crash between the two loses no
-				// acknowledged move, since the ack comes after.
+				// A backup here, or a record or forward of an earlier
+				// residency here at the moved version, would refuse the home
+				// record as stale: it goes first. A crash between the two
+				// loses no acknowledged move, since the ack comes after.
 				fx = append(fx, roleEffect{kind: fxDelete})
 			}
 			fx = append(fx, roleEffect{kind: fxPut})
@@ -405,6 +407,9 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		switch {
 		case s.phase == settleRunning, s.home != 0 && ev.fresh:
 			return s, fx
+		case s.intent.node != 0 && s.phase == settleNeeded && ev.rec.Forward && normEpoch(ev.rec.Epoch) >= s.intent.epoch:
+			s.phase = settleNone // the commit's forward is durable, and answers: the intent only goes
+			return s, append(fx, roleEffect{kind: fxDeleteIntent})
 		case s.intent.node != 0 && s.phase == settleNeeded:
 			s.phase = settleRunning
 			return s, append(fx, roleEffect{kind: fxProbe, site: s.intent.node})
@@ -455,13 +460,15 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 
 	case evDestroyShip:
 		// Only the home a backup names, or a later residency, may destroy
-		// it: a record this node is home for is not the sender's.
-		if ev.serving || ev.record && !(ev.rec.Backup && ev.rec.Home == ev.from) && ev.epoch <= normEpoch(ev.rec.Epoch) {
+		// it: a record this node is home for is not the sender's. A
+		// forward stays, to answer a probe of the move it made.
+		record := ev.record && !ev.rec.Forward
+		if ev.serving || record && !(ev.rec.Backup && ev.rec.Home == ev.from) && ev.epoch <= normEpoch(ev.rec.Epoch) {
 			return s, append(fx, roleEffect{kind: fxRefuse, err: errNotBackup})
 		}
 		fx = s.retireBelow(floorDisabled, 0, fx)
 		s = roleState{}
-		if ev.record {
+		if record {
 			fx = append(fx, roleEffect{kind: fxDelete})
 		}
 
@@ -525,44 +532,47 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 	case evIntentKept:
 		// A roll-back's or a live abort's intent is settled by a probe,
 		// on the next touch that finds the object not served here, as
-		// after a boot. A commit's forward answers without one.
-		if s.intent.node != 0 && s.fwd.node == 0 {
+		// after a boot; one beside its commit's durable forward only goes.
+		if s.intent.node != 0 {
 			s.phase = settleNeeded
 		}
 
 	case evProbe:
 		// Installed here: the object is served or recorded here from the
-		// probed epoch on, or moved on from here (or is moving) at a later
-		// epoch. A forward from an earlier residency says nothing of this
-		// move.
-		if !(ev.record && !ev.rec.Backup && normEpoch(ev.rec.Epoch) >= ev.epoch || s.fwd.epoch >= ev.epoch || s.intent.epoch > ev.epoch) {
+		// probed epoch on, or moved on from here (a forward, a move under
+		// way, or a later home's backup over the forward) at a later one;
+		// not a forward from an earlier residency.
+		e := normEpoch(ev.rec.Epoch)
+		if !(ev.record && (e > ev.epoch || e == ev.epoch && !ev.rec.Backup) || s.intent.epoch > ev.epoch) {
 			fx = append(fx, roleEffect{kind: fxRefuse, err: errProbeNotInstalled})
 		}
 	}
 	return s, fx
 }
 
-// commit is a move's commit at its source: the node forwards to it. The
-// record goes before the intent, so that a crash between the two leaves
-// an intent to settle, never a record this node would serve as its own.
+// commit is a move's commit at its source: the forward to where it
+// installed replaces the record, then the intent goes, so that a crash
+// between the two leaves an intent the forward settles, never a record
+// this node would serve as its own.
 func commit(to residency, fx []roleEffect) (roleState, []roleEffect) {
-	return roleState{fwd: to, intent: to}, append(fx, roleEffect{kind: fxDelete}, roleEffect{kind: fxDeleteIntent})
+	return roleState{intent: to}, append(fx, roleEffect{kind: fxPut}, roleEffect{kind: fxDeleteIntent})
 }
 
 // judgeRole is the policy's verdict on this node's record of an object:
 // scanned says a boot scan has succeeded, s (when held) the object's role
-// here, and here and m the record.
+// here, and here and m the record: a forward is forwarded, unless an
+// intent beside it is later, or waits to be settled.
 func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict {
 	switch {
 	case !scanned && here:
 		// Until a scan succeeds this node cannot tell a backup from its
 		// own record.
 		return verdict{role: inDoubt}
-	case held && s.fwd.node != 0:
-		return verdict{role: noRecord} // moved on: the forward answers
+	case m.Forward && normEpoch(m.Epoch) >= s.intent.epoch && s.phase != settleNeeded:
+		return verdict{role: forwarded, node: m.Home} // moved on: the forward answers
 	case held && s.intent.node != 0:
 		return verdict{role: inDoubt} // a move to settle, or under way
-	case !here:
+	case !here || m.Forward:
 		return verdict{role: noRecord}
 	case held && s.home != 0:
 		return verdict{role: backupRecord, aboveFloor: m.Version >= s.floor}
@@ -578,7 +588,7 @@ func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict
 // later step has changed the state a step left.
 func (s *roleState) same(t roleState) bool {
 	return s.home == t.home && s.epoch == t.epoch && s.floor == t.floor && s.shadow == t.shadow && s.phase == t.phase &&
-		s.fwd == t.fwd && s.intent == t.intent
+		s.intent == t.intent
 }
 
 // shippedTo returns the index of site in the shipped list, or -1.

@@ -49,12 +49,16 @@ const rlat = 10 * time.Millisecond
 type rodd uint8
 
 const (
-	oddNone     rodd = iota
-	oddDead          // down: frames to it are lost, and it answers nothing
-	oddSlow          // its operation takes work
-	oddMoving        // it moves the object to moveTo at moveAt, or once a call running then ends
-	oddClaiming      // it holds the checkpoint, and its claim takes claim
+	oddNone       rodd = iota
+	oddDead            // down: frames to it are lost, and it answers nothing
+	oddSlow            // its operation takes work
+	oddMoving          // it moves the object to moveTo at moveAt, or once a call running then ends
+	oddClaiming        // it holds the checkpoint, and its claim takes claim
+	oddSlowMoving      // slow and moving: outside TestRoutePolicy's scope (ROADMAP item 26)
 )
+
+// moves reports whether the odd node moves the object.
+func (o rodd) moves() bool { return o == oddMoving || o == oddSlowMoving }
 
 // rhint is what the invoker's locator holds of the object at the start.
 type rhint uint8
@@ -95,6 +99,8 @@ func (w rworld) String() string {
 		s += fmt.Sprintf(", node %d slow (%v)", w.odd, w.work)
 	case oddMoving:
 		s += fmt.Sprintf(", node %d moves it to %d at %v", w.odd, w.moveTo, w.moveAt)
+	case oddSlowMoving:
+		s += fmt.Sprintf(", node %d slow (%v) moves it to %d at %v", w.odd, w.work, w.moveTo, w.moveAt)
 	case oddClaiming:
 		s += fmt.Sprintf(", node %d claims in %v", w.odd, w.claim)
 	}
@@ -146,7 +152,7 @@ func (m *rsim) holder(t time.Duration) uint32 {
 	switch {
 	case m.claimAt > 0 && t >= m.claimAt:
 		return m.w.backup
-	case m.w.how == oddMoving && t >= m.moveDone:
+	case m.w.how.moves() && t >= m.moveDone:
 		return m.w.moveTo
 	}
 	return m.w.home
@@ -157,7 +163,7 @@ func (m *rsim) alive(n uint32) bool {
 }
 
 func (m *rsim) workAt(n uint32) time.Duration {
-	if n == m.w.odd && m.w.how == oddSlow {
+	if n == m.w.odd && (m.w.how == oddSlow || m.w.how == oddSlowMoving) {
 		return m.w.work
 	}
 	return 0
@@ -282,11 +288,11 @@ func (m *rsim) arrive(n uint32, t, serve time.Duration, any bool) {
 			m.runs++
 			sl.until, sl.status, sl.used = until, status, true
 		}
-		if m.w.how == oddMoving && n == m.w.odd && t+work > m.moveDone {
+		if m.w.how.moves() && n == m.w.odd && t+work > m.moveDone {
 			m.moveDone = t + work // a move waits for the running call
 		}
 		m.reply(until+rlat, status, 0)
-	case m.w.how == oddMoving && n == m.w.odd && t >= m.moveDone:
+	case m.w.how.moves() && n == m.w.odd && t >= m.moveDone:
 		m.reply(t+rlat, msg.StatusMoved, m.w.moveTo)
 	case any && n == m.w.replica && m.w.read:
 		m.reply(t+rlat, msg.StatusOK, 0)
@@ -426,7 +432,7 @@ func (m *rsim) ended(res rresult) string {
 	if !w.read && m.runs > 1 {
 		return fmt.Sprintf("a non-read ran %d times", m.runs)
 	}
-	served := w.home != 0 && !(w.odd == w.home && (w.how == oddDead || w.how == oddMoving))
+	served := w.home != 0 && !(w.odd == w.home && (w.how == oddDead || w.how.moves()))
 	if served && res.err != nil && w.timeout/2 >= w.locate/2+m.workAt(w.home)+8*rlat {
 		return fmt.Sprintf("the invocation failed: %v", res.err)
 	}
@@ -481,8 +487,9 @@ func fmtEvent(ev routeEvent) string {
 	return s
 }
 
-// routeWorlds calls f with every world of the checker's scope.
-func routeWorlds(f func(rworld)) {
+// routeWorlds calls f with every world of the checker's scope, and with
+// the odd node behaving as each of extra as well.
+func routeWorlds(extra []roddity, f func(rworld)) {
 	budgets := [][2]time.Duration{
 		{250 * time.Millisecond, 750 * time.Millisecond}, // the kernel tests' locate budget and DefaultTimeout
 		{2 * time.Second, 750 * time.Millisecond},
@@ -499,7 +506,7 @@ func routeWorlds(f func(rworld)) {
 				for _, read := range []bool{false, true} {
 					for _, any := range []bool{false, true} {
 						w := rworld{locate: L, dflt: D, timeout: T, nodes: nodes, read: read, any: any}
-						worldPlaces(w, f)
+						worldPlaces(w, extra, f)
 					}
 				}
 			}
@@ -508,7 +515,7 @@ func routeWorlds(f func(rworld)) {
 }
 
 // worldPlaces varies where the object, its checkpoint and its replica are.
-func worldPlaces(w rworld, f func(rworld)) {
+func worldPlaces(w rworld, extra []roddity, f func(rworld)) {
 	for w.home = 0; w.home <= w.nodes; w.home++ {
 		for w.backup = 0; w.backup <= w.nodes; w.backup++ {
 			if w.backup == 1 || w.backup != 0 && w.backup == w.home {
@@ -519,31 +526,44 @@ func worldPlaces(w rworld, f func(rworld)) {
 					continue
 				}
 				w.replica = rep
-				worldOdds(w, f)
+				worldOdds(w, extra, f)
 			}
 		}
 	}
 }
 
+// roddity is one way the odd node behaves.
+type roddity struct {
+	how                 rodd
+	work, claim, moveAt time.Duration
+	moveTo              uint32
+}
+
+// slowWorks and moveTimes are the works of a slow odd node and the times
+// a moving one moves at, in a world whose locate budget is locate.
+func slowWorks(locate time.Duration) []time.Duration {
+	return []time.Duration{rlat, locate/2 - rlat, locate/2 + rlat, locate, 1200 * time.Millisecond}
+}
+
+func moveTimes(locate time.Duration) []time.Duration {
+	return []time.Duration{0, rlat, 2 * rlat, 3 * rlat, locate / 2, locate}
+}
+
 // worldOdds varies the odd node and what the invoker's locator knows.
-func worldOdds(w rworld, f func(rworld)) {
-	type odd struct {
-		how                 rodd
-		work, claim, moveAt time.Duration
-		moveTo              uint32
-	}
-	odds := []odd{{how: oddDead}}
-	for _, work := range []time.Duration{rlat, w.locate/2 - rlat, w.locate/2 + rlat, w.locate, 1200 * time.Millisecond} {
-		odds = append(odds, odd{how: oddSlow, work: work})
+func worldOdds(w rworld, extra []roddity, f func(rworld)) {
+	odds := []roddity{{how: oddDead}}
+	for _, work := range slowWorks(w.locate) {
+		odds = append(odds, roddity{how: oddSlow, work: work})
 	}
 	for _, to := range []uint32{1, 2, 3} {
-		for _, at := range []time.Duration{0, rlat, 2 * rlat, 3 * rlat, w.locate / 2, w.locate} {
-			odds = append(odds, odd{how: oddMoving, moveTo: to, moveAt: at})
+		for _, at := range moveTimes(w.locate) {
+			odds = append(odds, roddity{how: oddMoving, moveTo: to, moveAt: at})
 		}
 	}
 	for _, c := range []time.Duration{0, rlat, w.dflt / 2, w.dflt - 2*rlat, w.dflt} {
-		odds = append(odds, odd{how: oddClaiming, claim: c})
+		odds = append(odds, roddity{how: oddClaiming, claim: c})
 	}
+	odds = append(odds, extra...)
 	hints := func(w rworld) {
 		for w.hint = rhNothing; w.hint <= rhRight; w.hint++ {
 			switch {
@@ -564,7 +584,7 @@ func worldOdds(w rworld, f func(rworld)) {
 		for _, o := range odds {
 			w.how, w.work, w.claim, w.moveAt, w.moveTo = o.how, o.work, o.claim, o.moveAt, o.moveTo
 			switch {
-			case o.how == oddMoving && (w.home != w.odd || o.moveTo == w.odd || o.moveTo > w.nodes || o.moveTo == w.replica || o.moveTo == w.backup):
+			case o.how.moves() && (w.home != w.odd || o.moveTo == w.odd || o.moveTo > w.nodes || o.moveTo == w.replica || o.moveTo == w.backup):
 			case o.how == oddClaiming && (w.home != 0 || w.backup != w.odd):
 			default:
 				hints(w)
@@ -573,10 +593,11 @@ func worldOdds(w rworld, f func(rworld)) {
 	}
 }
 
-// checkRoutes runs every world and returns the first broken invariant, with
-// the world and the trace, and how many worlds and steps it took.
-func checkRoutes() (found string, worlds, steps int) {
-	routeWorlds(func(w rworld) {
+// checkRoutes runs every world, with the odd node behaving as each of
+// extra as well, and returns the first broken invariant, with the world
+// and the trace, and how many worlds and steps it took.
+func checkRoutes(extra []roddity) (found string, worlds, steps int) {
+	routeWorlds(extra, func(w rworld) {
 		if found != "" {
 			return
 		}
@@ -593,7 +614,7 @@ func checkRoutes() (found string, worlds, steps int) {
 
 func TestRoutePolicy(t *testing.T) {
 	start := time.Now()
-	found, worlds, steps := checkRoutes()
+	found, worlds, steps := checkRoutes(nil)
 	if found != "" {
 		t.Fatalf("after %d worlds, %d steps: %s", worlds, steps, found)
 	}
@@ -625,6 +646,46 @@ func TestRoutePolicySlowGuess(t *testing.T) {
 			m.frames, m.broadcasts, m.runs, probes, w.locate/2, m.trace())
 	}
 	t.Logf("%d frames, %d broadcast:%s", m.frames, m.broadcasts, m.trace())
+}
+
+// TestRoutePolicySlowMoveToInvoker pins a defect the route still has
+// (ROADMAP item 26): the creator runs a write for longer than the guess's
+// wait, and meanwhile moves the object to the invoker; the move waits for
+// the running call and commits, and the invoker's next try is local, and
+// runs the write again. The at-most-once table is the node's, and does
+// not move with the object. When this test fails, the defect is gone, and
+// the slow moves belong in TestRoutePolicy's scope.
+func TestRoutePolicySlowMoveToInvoker(t *testing.T) {
+	pinnedRoute(t, 1, 4)
+}
+
+// TestRoutePolicySlowMoveToThird pins the same defect with the move going
+// to a third node: the invoker's lookup finds the new home, whose table
+// does not hold the call, and the retransmission runs there again.
+func TestRoutePolicySlowMoveToThird(t *testing.T) {
+	pinnedRoute(t, 3, 6)
+}
+
+// pinnedRoute runs the checker's scope widened with an odd node that is
+// slow and moves the object to to, which must run a non-read twice at
+// depth steps.
+func pinnedRoute(t *testing.T, to uint32, depth int) {
+	t.Helper()
+	var extra []roddity
+	for _, work := range slowWorks(250 * time.Millisecond) {
+		for _, at := range moveTimes(250 * time.Millisecond) {
+			extra = append(extra, roddity{how: oddSlowMoving, work: work, moveTo: to, moveAt: at})
+		}
+	}
+	start := time.Now()
+	found, worlds, steps := checkRoutes(extra)
+	if found == "" {
+		t.Fatalf("no violation in %d worlds: the pinned defect is fixed", worlds)
+	}
+	if want := fmt.Sprintf("a non-read ran 2 times, depth %d\n", depth); !strings.HasPrefix(found, want) {
+		t.Fatalf("found another violation than %q: %s", want, found)
+	}
+	t.Logf("after %d worlds, %d steps, %v: %s", worlds, steps, time.Since(start).Round(time.Millisecond), found)
 }
 
 // TestRouteFailureReasons drives routeStep to each way a route fails, and

@@ -40,6 +40,17 @@ func TestStatAnswersAsGetWould(t *testing.T) {
 		if _, ok := s.Stat(rec.Object); ok {
 			t.Error("Stat still finds a deleted record")
 		}
+		// A forward: Stat answers it, and Get answers a missing record.
+		fwd := forwardOf(sampleRec(2))
+		if err := s.Put(fwd); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Stat(fwd.Object); !ok || got != fwd.Meta() {
+			t.Errorf("Stat of a forward = %+v, %v; want %+v", got, ok, fwd.Meta())
+		}
+		if _, err := s.Get(fwd.Object); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get of a forward = %v, want ErrNotFound", err)
+		}
 	})
 }
 

@@ -552,9 +552,9 @@ func (f *File) admit(p *pending) (bool, error) {
 	k := p.key()
 	q, inFlight := f.inflight[k]
 	var present bool
-	var version uint64
+	var have Meta
 	if inFlight {
-		present, version = q.kind == kindRecord || q.kind == kindIntent, q.rec.Version
+		present, have = q.kind == kindRecord || q.kind == kindIntent, q.rec.Meta()
 	} else {
 		f.dirMu.RLock()
 		if k.intent {
@@ -562,14 +562,15 @@ func (f *File) admit(p *pending) (bool, error) {
 		} else {
 			var e dirEntry
 			e, present = f.recs.get(k.id)
-			version = e.meta.Version
+			have = e.meta
 		}
 		f.dirMu.RUnlock()
 	}
 	switch p.kind {
 	case kindRecord:
-		if present && p.rec.Version <= version {
-			return false, fmt.Errorf("%w: have v%d, got v%d", ErrStale, version, p.rec.Version)
+		// A forward carries the version it replaces: its epoch orders it.
+		if present && (p.rec.Forward && max(p.rec.Epoch, 1) <= max(have.Epoch, 1) || !p.rec.Forward && p.rec.Version <= have.Version) {
+			return false, fmt.Errorf("%w: have v%d e%d, got v%d e%d", ErrStale, have.Version, have.Epoch, p.rec.Version, p.rec.Epoch)
 		}
 	case kindRecordGone, kindIntentGone:
 		if !present && !inFlight {
@@ -813,13 +814,13 @@ func (f *File) Get(id edenid.ID) (Record, error) {
 	}
 	e, ok := f.recs.get(id)
 	var s *segFile
-	if ok {
+	if ok && !e.meta.Forward {
 		s = f.segment(e.seg)
 		s.refs.Add(1)
 	}
 	f.dirMu.RUnlock()
-	if !ok {
-		return Record{}, &notFound{id: id}
+	if s == nil {
+		return Record{}, &notFound{id: id} // a forward is answered as a missing record
 	}
 	b := make([]byte, e.size)
 	_, err := s.fh.ReadAt(b, e.off)
@@ -855,7 +856,9 @@ func (f *File) List() ([]edenid.ID, error) {
 	}
 	out := make([]edenid.ID, 0, len(f.recs.ents))
 	for _, e := range f.recs.ents {
-		out = append(out, e.id)
+		if !e.v.meta.Forward {
+			out = append(out, e.id)
+		}
 	}
 	f.dirMu.RUnlock()
 	slices.SortFunc(out, edenid.Compare)
@@ -932,8 +935,9 @@ func appendFrame(dst []byte, p *pending) []byte {
 
 // appendRecord lays a record out as:
 // magic | id | version(8) | epoch(8) | flags(1) | home(4) [policy] | typeLen(4) type | repLen(4) rep
-// where flags bit 0 is Frozen, bit 1 is Backup and bit 2 says the
-// checksite policy follows home, laid out as Policy.Append does.
+// where flags bit 0 is Frozen, bit 1 is Backup, bit 2 says the checksite
+// policy follows home, laid out as Policy.Append does, and bit 3 is
+// Forward.
 // recordOverhead is all but the policy, the type name and the
 // representation.
 const recordOverhead = len(fileMagic) + edenid.Size + 8 + 8 + 1 + 4 + 4 + 4
@@ -949,6 +953,9 @@ func appendRecord(dst []byte, rec Record) []byte {
 	}
 	if rec.Backup {
 		flags |= 2
+	}
+	if rec.Forward {
+		flags |= 8
 	}
 	if rec.Sited() {
 		flags |= 4
@@ -982,6 +989,7 @@ func decodeHeader(b []byte) (Record, []byte, error) {
 	rec.Epoch = binary.BigEndian.Uint64(b[8:])
 	rec.Frozen = b[16]&1 != 0
 	rec.Backup = b[16]&2 != 0
+	rec.Forward = b[16]&8 != 0
 	rec.Home = binary.BigEndian.Uint32(b[17:])
 	if b[16]&4 == 0 {
 		return rec, b[21:], nil

@@ -41,9 +41,15 @@ func FuzzFileOpen(f *testing.F) {
 		}
 		defer g.Close()
 		for id, want := range checkReplay(t, g, "after open") {
-			if got, err := g.Get(id); err == nil && got.Meta() != want {
+			got, err := g.Get(id)
+			switch {
+			case want.Forward:
+				if !errors.Is(err, ErrNotFound) {
+					t.Errorf("Get(%v) of a forward = %+v, %v; want ErrNotFound", id, got.Meta(), err)
+				}
+			case err == nil && got.Meta() != want:
 				t.Errorf("Get(%v) = %+v, want %+v", id, got.Meta(), want)
-			} else if err != nil && !errors.Is(err, ErrFailed) {
+			case err != nil && !errors.Is(err, ErrFailed):
 				t.Errorf("Get(%v) = %v, want a record or ErrFailed", id, err)
 			}
 		}
@@ -90,10 +96,12 @@ func crashSeeds(tb testing.TB) [][]byte {
 	}
 	defer f.Close()
 	f.segSize = 300 // three segments, the first compacted away and renumbered
-	a, b, c := sampleRec(1), sampleRec(1), sampleRec(1)
+	a, b, c, d := sampleRec(1), sampleRec(1), sampleRec(1), sampleRec(1)
 	// A backup that carries its object's checksite policy.
 	b.Backup, b.Home, b.Level, b.Sites, b.Ex = true, 4, 2, []uint32{3, 5}, []uint32{2}
-	for _, rec := range []Record{a, b, c} {
+	// A record a forward replaces, and a forward with no record before it.
+	e := forwardOf(sampleRec(2))
+	for _, rec := range []Record{a, b, c, d, forwardOf(d), e} {
 		if err := f.Put(rec); err != nil {
 			tb.Fatal(err)
 		}
@@ -148,17 +156,18 @@ func crashSeeds(tb testing.TB) [][]byte {
 // synced is lost whole or torn, and where. segment sets the length at
 // which the head is sealed, short enough that segments seal and compact
 // under the program. Of op, the low three bits are the kind (opKinds),
-// the next two the object, one of four, and the top bit says that the
-// operation joins the batch before it: it is queued while that batch's
-// fsync is held. arg is a Put's version (high nibble) and length (low),
-// and an intent's destination.
+// the next two the object, one of four, the next one makes a Put of the
+// first three kinds a forward, and the top bit says that the operation
+// joins the batch before it: it is queued while that batch's fsync is
+// held. arg is a Put's version (high nibble) and length (low), a
+// forward's version and epoch, and an intent's destination.
 //
 // The oracle: the reopened log holds every acknowledged write and, of the
 // writes that failed, some prefix in the order they were queued, each
 // record whole (so no unacknowledged record is partly visible); a Put is
 // refused as stale exactly when the writes accepted before it hold its
-// version or a newer one; the directory is what a replay of the log
-// gives; and a second reopen changes nothing.
+// version or a newer one (a forward: its epoch); the directory is what a
+// replay of the log gives; and a second reopen changes nothing.
 func FuzzFileCrash(f *testing.F) {
 	for _, seed := range crashPrograms() {
 		f.Add(seed)
@@ -247,6 +256,9 @@ type crashOp struct {
 func (op crashOp) String() string {
 	switch op.kind {
 	case kindRecord:
+		if op.rec.Forward {
+			return fmt.Sprintf("Forward(%x v%d e%d)", op.rec.Object[15], op.rec.Version, op.rec.Epoch)
+		}
 		return fmt.Sprintf("Put(%x v%d, %d B)", op.rec.Object[15], op.rec.Version, len(op.rec.Rep))
 	case kindRecordGone:
 		return fmt.Sprintf("Delete(%x)", op.rec.Object[15])
@@ -281,6 +293,10 @@ func decodeCrashProgram(in []byte) []crashOp {
 		op.rec.Object, op.it.Object = id, id
 		switch op.kind {
 		case kindRecord:
+			if code&0x20 != 0 && code&7 != 3 {
+				op.rec.Forward, op.rec.Home, op.rec.Version, op.rec.Epoch = true, 2, uint64(arg>>4), uint64(arg&15)
+				break
+			}
 			n := int(arg&15) * 29
 			if code&7 == 3 {
 				n = maxBatchBuffer + 1 + int(arg)
@@ -422,10 +438,13 @@ func newLogState() logState {
 	return logState{recs: make(map[edenid.ID]Record), its: make(map[edenid.ID]MoveIntent)}
 }
 
-// holds reports whether s holds rec's version of its object or a newer
-// one.
+// holds reports whether s holds a record of rec's object that rec does
+// not supersede.
 func (s logState) holds(rec Record) bool {
 	have, ok := s.recs[rec.Object]
+	if rec.Forward {
+		return ok && max(rec.Epoch, 1) <= max(have.Epoch, 1)
+	}
 	return ok && have.Version >= rec.Version
 }
 
@@ -455,6 +474,10 @@ func (s logState) equal(o logState) bool {
 func (s logState) String() string {
 	var items []string
 	for id, rec := range s.recs {
+		if rec.Forward {
+			items = append(items, fmt.Sprintf("[%x forward v%d e%d]", id[15], rec.Version, rec.Epoch))
+			continue
+		}
 		items = append(items, fmt.Sprintf("[%x v%d %d B]", id[15], rec.Version, len(rec.Rep)))
 	}
 	for id, it := range s.its {
@@ -464,7 +487,8 @@ func (s logState) String() string {
 	return strings.Join(items, "")
 }
 
-// readLogState reads every record and intent f holds.
+// readLogState reads every record, forward and intent f holds: List and
+// Get answer the records, the directory the forwards.
 func readLogState(t *testing.T, f *File) logState {
 	t.Helper()
 	s := newLogState()
@@ -477,6 +501,13 @@ func readLogState(t *testing.T, f *File) logState {
 			t.Fatalf("Get(%v): %v", id, err)
 		}
 	}
+	f.dirMu.RLock()
+	for _, e := range f.recs.ents {
+		if m := e.v.meta; m.Forward {
+			s.recs[e.id] = Record{Object: e.id, Version: m.Version, Epoch: m.Epoch, Home: m.Home, Forward: true}
+		}
+	}
+	f.dirMu.RUnlock()
 	its, err := f.ListIntents()
 	if err != nil {
 		t.Fatal(err)
@@ -509,6 +540,20 @@ func crashPrograms() [][]byte {
 		huge = append(huge, join([]byte{3<<3 | 3, v<<4 | 2})...) // over maxBatchBuffer
 		huge = append(huge, put(2, v, 4)...)
 	}
+	// Forwards: each replaces a record by its epoch, and a record replaces
+	// it by its version; one at a lower epoch, and a record at the
+	// forward's version, are stale.
+	fwd := func(obj, ver, epoch byte) []byte { return []byte{obj<<3 | 0x20, ver<<4 | epoch} }
+	var forwards []byte
+	for v := byte(1); v < 6; v++ {
+		forwards = append(forwards, put(0, 2*v, 3)...)
+		forwards = append(forwards, join(fwd(0, 2*v, v+1))...)
+		forwards = append(forwards, join(fwd(0, 2*v, v))...)      // stale
+		forwards = append(forwards, join(put(0, 2*v, 2))...)      // stale
+		forwards = append(forwards, join([]byte{0<<3 | 6, v})...) // PutIntent
+		forwards = append(forwards, fwd(1, v, v)...)
+		forwards = append(forwards, join(put(2, v, 15))...)
+	}
 	churn := []byte{3<<3 | 6, 9} // an intent, live while its segment is compacted
 	for v := byte(1); v < 16; v++ {
 		churn = append(churn, put(v&3, v, 15)...)
@@ -516,7 +561,7 @@ func crashPrograms() [][]byte {
 	}
 	var seeds [][]byte
 	for crash := byte(0); crash < 8; crash++ {
-		for _, prog := range [][]byte{batches, huge, churn} {
+		for _, prog := range [][]byte{batches, huge, churn, forwards} {
 			seeds = append(seeds, append([]byte{crash, crash * 37, 4}, prog...))
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -242,13 +243,41 @@ func replayLog(t testing.TB, f *File) (map[edenid.ID]Meta, map[edenid.ID]MoveInt
 }
 
 // checkDirectory asserts the invariant: the directory is exactly what a
-// replay of the log gives, and every entry points at its record.
+// replay of the log gives, and every entry points at its record; Get
+// answers a forward as a missing record.
 func checkDirectory(t testing.TB, f *File, when string) {
 	t.Helper()
 	for id, want := range checkReplay(t, f, when) {
-		if got, err := f.Get(id); err != nil || got.Meta() != want {
+		got, err := f.Get(id)
+		switch {
+		case want.Forward:
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: Get(%v) of a forward = %+v, %v; want ErrNotFound", when, id, got.Meta(), err)
+			}
+		case err != nil || got.Meta() != want:
 			t.Errorf("%s: Get(%v) = %+v, %v; want %+v", when, id, got.Meta(), err, want)
 		}
+	}
+}
+
+// forwardOf is the forward a move's commit writes over rec: to node 2, at
+// the next epoch, at the version that left.
+func forwardOf(rec Record) Record {
+	return Record{Object: rec.Object, Version: rec.Version, Epoch: max(rec.Epoch, 1) + 1, Home: 2, Forward: true}
+}
+
+// wantForward checks that f holds fwd as its object's record: Stat answers
+// the forward, Get a missing record, and List leaves it out.
+func wantForward(t testing.TB, f *File, fwd Record, when string) {
+	t.Helper()
+	if m, ok := f.Stat(fwd.Object); !ok || m != fwd.Meta() {
+		t.Errorf("%s: Stat = %+v, %v; want the forward %+v", when, m, ok, fwd.Meta())
+	}
+	if _, err := f.Get(fwd.Object); !errors.Is(err, ErrNotFound) {
+		t.Errorf("%s: Get of a forward = %v, want ErrNotFound", when, err)
+	}
+	if ids, err := f.List(); err != nil || slices.Contains(ids, fwd.Object) {
+		t.Errorf("%s: List = %v, %v; want no forward", when, ids, err)
 	}
 }
 

@@ -70,6 +70,100 @@ func TestFileTornTail(t *testing.T) {
 	}
 }
 
+// TestFileForwardCommitCrash: a move's writes at its source — its record,
+// the intent, the forward that replaces the record, the intent's deletion
+// — cut by a crash inside each fsync in turn, and once not at all. The
+// reopened log holds exactly the writes acknowledged before the crash:
+// the record until the forward's fsync returned, the forward after.
+func TestFileForwardCommitCrash(t *testing.T) {
+	rec := sampleRec(3)
+	it := MoveIntent{Object: rec.Object, Dest: 2, Epoch: 2}
+	fwd := forwardOf(rec)
+	steps := []func(f *File) error{
+		func(f *File) error { return f.Put(rec) },
+		func(f *File) error { return f.PutIntent(it) },
+		func(f *File) error { return f.Put(fwd) },
+		func(f *File) error { return f.DeleteIntent(rec.Object) },
+	}
+	for crash := 1; crash <= len(steps)+1; crash++ {
+		fl := NewFaults(FaultConfig{Seed: int64(crash)})
+		f, err := fl.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashAtSync(fl, int64(crash))
+		acked := 0
+		for _, step := range steps {
+			if step(f) != nil {
+				break
+			}
+			acked++
+		}
+		if acked != min(crash-1, len(steps)) {
+			t.Fatalf("crash in fsync %d: %d writes acknowledged", crash, acked)
+		}
+		fl.trigger = nil
+		fl.Crash()
+		f.Close()
+		g, err := f.Reopen()
+		if err != nil {
+			t.Fatalf("crash in fsync %d: reopen: %v", crash, err)
+		}
+		when := fmt.Sprintf("crash in fsync %d, reopened", crash)
+		m, ok := g.Stat(rec.Object)
+		switch {
+		case acked == 0:
+			if ok {
+				t.Errorf("%s: Stat = %+v of a record never acknowledged", when, m)
+			}
+		case acked < 3:
+			if got, err := g.Get(rec.Object); err != nil || got.Meta() != rec.Meta() || !bytes.Equal(got.Rep, rec.Rep) {
+				t.Errorf("%s: Get = %+v, %v; want the record", when, got.Meta(), err)
+			}
+		default:
+			wantForward(t, g, fwd, when)
+		}
+		its, err := g.ListIntents()
+		if want := acked >= 2 && acked < 4; err != nil || (len(its) == 1 && its[0] == it) != want || len(its) > 1 {
+			t.Errorf("%s: intents %+v, %v; want the intent: %v", when, its, err, want)
+		}
+		checkDirectory(t, g, when)
+		g.Close()
+	}
+}
+
+// TestFileTornForward: a crash inside the forward's write leaves part of
+// its frame at the end of the log. Reopen drops it, and the record it was
+// to replace reads as it was.
+func TestFileTornForward(t *testing.T) {
+	dir := t.TempDir()
+	f, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sampleRec(2)
+	fwd := forwardOf(rec)
+	for _, r := range []Record{rec, fwd} {
+		if err := f.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantForward(t, f, fwd, "before the cut")
+	torn := recordAt(t, f, rec.Object)
+	f.Close()
+	for _, cut := range []int64{torn.off + 3, torn.off + frameHeader, torn.off + int64(torn.size) - 1} {
+		g, err := NewFile(copyLog(t, dir, cut))
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if got, err := g.Get(rec.Object); err != nil || got.Meta() != rec.Meta() || !bytes.Equal(got.Rep, rec.Rep) {
+			t.Errorf("cut at %d: the record under the torn forward: %+v, %v", cut, got.Meta(), err)
+		}
+		checkDirectory(t, g, fmt.Sprintf("cut at %d", cut))
+		g.Close()
+	}
+}
+
 // TestFileGroupCommitDurablePrefix: a batch of several frames cut at any
 // point opens to a prefix of it. Nothing acknowledged by an earlier batch
 // is lost, and no frame appears without every frame before it.
@@ -272,6 +366,42 @@ func TestFileCompaction(t *testing.T) {
 	if got := snapshot(t, g); got != want {
 		t.Errorf("reopened after compaction:\n%s\nwant\n%s", got, want)
 	}
+}
+
+// TestFileCompactionKeepsAForward: a forward is its object's live entry,
+// so compaction copies it out of the segment it removes, as it copies a
+// record; the directory, reopened or not, answers the forward.
+func TestFileCompactionKeepsAForward(t *testing.T) {
+	dir := t.TempDir()
+	f, _ := compactable(t, dir)
+	rec := sampleRec(4)
+	fwd := forwardOf(rec)
+	f.segSize = segmentSize
+	for _, r := range []Record{rec, fwd} {
+		if err := f.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.segSize = f.head().size + 1
+	if err := f.Put(sampleRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if f.segs[0].num == 1 {
+		t.Fatal("no compaction ran")
+	}
+	if at := recordAt(t, f, fwd.Object); at.seg == 1 {
+		t.Fatal("the forward still points into the removed segment")
+	}
+	wantForward(t, f, fwd, "after compaction")
+	checkDirectory(t, f, "after compaction")
+	f.Close()
+	g, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	wantForward(t, g, fwd, "reopened after compaction")
+	checkDirectory(t, g, "reopened after compaction")
 }
 
 // TestFileCrashMidCompaction: a crash after the copies are durable but

@@ -74,8 +74,11 @@ type Record struct {
 	// checksite does not mistake backups for its own objects and claim
 	// to be their home while the real home is alive.
 	Backup bool
-	// Home is the shipping node for a backup record (zero otherwise).
+	// Home is a backup's shipping node, a forward's destination (or zero).
 	Home uint32
+	// Forward marks a forward to Home, installed there at Epoch and left
+	// at Version: no type, policy or representation, and Get misses it.
+	Forward bool
 	// Policy is the object's checksite policy as of this checkpoint. It
 	// is written with the state, so a restarted, promoted or moved-to
 	// home knows where its checkpoints go and which nodes a destroy must
@@ -109,13 +112,13 @@ type Meta struct {
 	Version, Epoch uint64
 	// Backup and Home are the record's backup marker and shipping node;
 	// Sited says the record carries a checksite policy (Record.Sited).
-	Backup, Sited bool
-	Home          uint32
+	Backup, Sited, Forward bool
+	Home                   uint32
 }
 
 // Meta returns the record's metadata.
 func (rec Record) Meta() Meta {
-	return Meta{Version: rec.Version, Epoch: rec.Epoch, Backup: rec.Backup, Home: rec.Home, Sited: rec.Sited()}
+	return Meta{Version: rec.Version, Epoch: rec.Epoch, Backup: rec.Backup, Home: rec.Home, Sited: rec.Sited(), Forward: rec.Forward}
 }
 
 // Policy is an object's checksite policy as records and shipments lay
@@ -196,22 +199,21 @@ func DecodePolicy(b []byte) (Policy, []byte, error) {
 // Store is the long-term storage interface the kernel checkpoints
 // against. Implementations must be safe for concurrent use.
 type Store interface {
-	// Put installs a checkpoint atomically. It fails with ErrStale if
-	// rec.Version is not greater than the stored version. Put may keep
-	// rec.Rep, so the caller hands it bytes it will not write again,
-	// unless CopiesRep says the store copies them: File copies them into
-	// its log, and holds nothing of rec once Put returns, whether the
-	// batch carrying it was written or failed. A store that is not a
-	// File, or this package's wrapper of one, may keep rec.Rep (the
-	// benchmark's tracing store does).
+	// Put installs a checkpoint or a forward atomically. It fails with
+	// ErrStale if rec.Version (a forward's Epoch) is not greater than the
+	// stored record's. Put may keep rec.Rep, so the caller hands it bytes
+	// it will not write again, unless CopiesRep says the store copies
+	// them: File copies them into its log, and holds nothing of rec once
+	// Put returns, whether the batch carrying it was written or failed. A
+	// store that is not a File, or this package's wrapper of one, may keep
+	// rec.Rep (the benchmark's tracing store does).
 	Put(rec Record) error
 	// Get returns the most recent checkpoint for the object. The
 	// caller owns the result: nothing else refers to its Rep.
 	Get(id edenid.ID) (Record, error)
-	// Stat reports whether Get would find a checkpoint for the object,
-	// and that record's metadata, without reading the representation. A
-	// caller that wants a fact about a record, not its contents, asks
-	// here.
+	// Stat reports whether the store holds a checkpoint of the object or
+	// a forward (Get misses it), and its metadata, without reading the
+	// representation. A caller that wants a fact, not contents, asks here.
 	Stat(id edenid.ID) (Meta, bool)
 	// Delete removes an object's checkpoint (object destruction).
 	Delete(id edenid.ID) error

@@ -345,6 +345,31 @@ func TestRecordLayoutWithoutPolicy(t *testing.T) {
 	}
 }
 
+// TestForwardLayout: a forward is a record frame with flags bit 3 set,
+// its destination in home, and an empty type name and representation; it
+// decodes as it was written.
+func TestForwardLayout(t *testing.T) {
+	id := edenid.New(3, 0x0102030405060708, 9)
+	fwd := Record{Object: id, Version: 7, Epoch: 3, Home: 2, Forward: true}
+	p := &pending{kind: kindRecord, id: id, rec: fwd}
+	frame := appendFrame(nil, p)
+	if want := "000000351384d79f014544454e434b5033000000030102030405060708000009320000000000000007000000000000000308000000020000000000000000"; hex.EncodeToString(frame) != want {
+		t.Errorf("forward encodes as\n%x, want\n%s", frame, want)
+	}
+	if len(frame) != frameLen(p) {
+		t.Errorf("frame of %d bytes, frameLen %d", len(frame), frameLen(p))
+	}
+	body, err := checkFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types typeNames
+	got, err := decodeRecord(body[1:], &types)
+	if want := (Meta{Version: 7, Epoch: 3, Home: 2, Forward: true}); err != nil || got.Meta() != want || got.TypeName != "" || len(got.Rep) != 0 {
+		t.Errorf("a forward decodes as %+v, %v; want %+v", got, err, want)
+	}
+}
+
 // keeper stands for a Store outside this package, which may keep what
 // Put is given whatever it wraps.
 type keeper struct{ Store }
