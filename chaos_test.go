@@ -138,7 +138,7 @@ func runChaos(t *testing.T, seed int64) {
 	var objs []*tracked
 
 	// Seed with a few objects; half keep their long-term state at a
-	// remote checksite, exercising the incremental-shipment and
+	// remote checksite, exercising the checkpoint-shipment and
 	// recovery paths under churn.
 	for i := 0; i < 6; i++ {
 		home := nodes[rng.Intn(nNodes)]

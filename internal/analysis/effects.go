@@ -241,12 +241,13 @@ func isNamedPtr(t types.Type, pkgSuffix, name string) bool {
 // mutate the representation nor return a live internal reference
 // (Data/Caps/Clone/Encode all copy; CopyData copies into the caller's
 // buffer). MarkClean is left out on purpose: moving the clean mark
-// changes what the next checkpoint ships, so it fails closed.
+// decides whether an eviction writes the object first, so it fails
+// closed.
 var repPureMethods = map[string]bool{
 	"Data": true, "CopyData": true, "Caps": true, "Has": true, "Names": true,
 	"NumSegments": true, "Size": true, "Capabilities": true,
-	"Clone": true, "Equal": true, "Encode": true, "EncodePartial": true,
-	"Dirty": true, "HasDirty": true, "Stamp": true,
+	"Clone": true, "Equal": true, "Encode": true,
+	"HasDirty": true, "Stamp": true,
 }
 
 // objectMethodEffect classifies kernel.Object methods as seen from a

@@ -27,13 +27,25 @@ import (
 // and port tables sat inline whether or not anything used them. With
 // intrusive queues and short-term state made on first use it is 288 B,
 // the 288-byte class. The heap bound is the measured growth per created
-// object plus 32 B: 428 B (780 B at 584) — the Object, one 80-byte
-// segment array, half of a 16-byte block for the 8-byte value, and about
-// 52 B of active-table slots. The first kernel a process makes reads
-// about 36 B less, as other start-up memory is freed during its window.
+// object plus 32 B: 428 B (780 B at 584) — the Object, one 72-byte
+// segment array in an 80-byte block, half of a 16-byte block for the
+// 8-byte value, and about 52 B of active-table slots. The first kernel a
+// process makes reads about 36 B less, as other start-up memory is freed
+// during its window. A Segment is 72 B, the 80 B it was less the change
+// stamp each carried for delta checkpoints, so the Object and its table
+// of four (objectWithTable) are 576 B where they were 608. A reincarnation
+// still takes a 640-byte block for them: Go puts an 8-byte header before
+// an object over 512 B that holds pointers, and 584 B rounds up to 640.
+// The 576-byte class needs 568 B, 8 less.
 func TestObjectFootprint(t *testing.T) {
 	if got := reflect.TypeOf(Object{}).Size(); got > 288 {
 		t.Errorf("Object is %d B, want at most 288 (the 288-byte size class)", got)
+	}
+	if got := reflect.TypeOf(segment.Segment{}).Size(); got > 72 {
+		t.Errorf("segment.Segment is %d B, want at most 72", got)
+	}
+	if got := reflect.TypeOf(objectWithTable{}).Size(); got > 576 {
+		t.Errorf("objectWithTable is %d B, want at most 576 (the 576-byte size class)", got)
 	}
 	if raceEnabled {
 		t.Skip("the race detector changes what an allocation costs")

@@ -99,9 +99,6 @@ type Stats struct {
 	Checkpoints int64
 	// CheckpointBytes counts representation bytes checkpointed.
 	CheckpointBytes int64
-	// IncrementalCheckpoints counts checkpoints shipped to a remote
-	// site as a segment delta rather than the full representation.
-	IncrementalCheckpoints int64
 	// Moves counts objects shipped away from this node.
 	Moves int64
 	// MoveAborts counts moves that failed and resumed service here.
@@ -211,7 +208,6 @@ type Kernel struct {
 
 	stLocal, stRemote, stServed, stChases atomic.Int64
 	stReinc, stCkpt, stCkptBytes          atomic.Int64
-	stCkptIncr                            atomic.Int64
 	stMoves, stMoveAborts                 atomic.Int64
 	stMoveResolveFwd, stMoveResolveBack   atomic.Int64
 	stReplicas, stEvictions               atomic.Int64
@@ -383,13 +379,10 @@ func (k *Kernel) stepRoleLocked(id edenid.ID, ev roleEvent, fx []roleEffect) (ro
 }
 
 // roleIO is what one step's effects write and send: rec for fxPut; ship
-// for fxShip, fxClaim and fxDestroy, with the delta of an incremental
-// checkpoint (fxShip with a base), each answer awaited for timeout.
+// for fxShip, fxClaim and fxDestroy, each answer awaited for timeout.
 type roleIO struct {
 	rec     store.Record
 	ship    msg.Ship
-	partial []byte
-	removed []string
 	timeout time.Duration
 }
 
@@ -443,7 +436,7 @@ func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleO
 		}
 	}
 	if ships {
-		out.sites, out.acks = k.shipAll(fx, io.ship, io.partial, io.removed, io.timeout)
+		out.sites, out.acks = k.shipAll(fx, io.ship, io.timeout)
 	}
 	return out, err
 }
@@ -451,7 +444,7 @@ func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleO
 // shipAll sends ship to the site of every ship effect in fx at once and
 // returns each one's answer, so that a silent site costs one timeout
 // however many there are.
-func (k *Kernel) shipAll(fx []roleEffect, ship msg.Ship, partial []byte, removed []string, timeout time.Duration) ([]uint32, []error) {
+func (k *Kernel) shipAll(fx []roleEffect, ship msg.Ship, timeout time.Duration) ([]uint32, []error) {
 	var sites []uint32
 	var wg sync.WaitGroup
 	acks := make([]error, len(fx))
@@ -464,11 +457,7 @@ func (k *Kernel) shipAll(fx []roleEffect, ship msg.Ship, partial []byte, removed
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if e.kind == fxShip {
-				acks[i] = k.shipCheckpoint(e.site, ship, partial, removed, e.base, timeout)
-			} else {
-				acks[i] = k.shipAndWait(e.site, ship, timeout)
-			}
+			acks[i] = k.shipAndWait(e.site, ship, timeout)
 		}()
 	}
 	wg.Wait()
@@ -542,20 +531,19 @@ func (k *Kernel) Locator() *locator.Locator { return k.loc }
 // Stats returns cumulative activity counters.
 func (k *Kernel) Stats() Stats {
 	return Stats{
-		LocalInvokes:           k.stLocal.Load(),
-		RemoteInvokes:          k.stRemote.Load(),
-		ServedInvokes:          k.stServed.Load(),
-		MovedChases:            k.stChases.Load(),
-		Reincarnations:         k.stReinc.Load(),
-		Checkpoints:            k.stCkpt.Load(),
-		CheckpointBytes:        k.stCkptBytes.Load(),
-		IncrementalCheckpoints: k.stCkptIncr.Load(),
-		Moves:                  k.stMoves.Load(),
-		MoveAborts:             k.stMoveAborts.Load(),
-		MoveResolveForwards:    k.stMoveResolveFwd.Load(),
-		MoveResolveRollbacks:   k.stMoveResolveBack.Load(),
-		ReplicasInstalled:      k.stReplicas.Load(),
-		Evictions:              k.stEvictions.Load(),
+		LocalInvokes:         k.stLocal.Load(),
+		RemoteInvokes:        k.stRemote.Load(),
+		ServedInvokes:        k.stServed.Load(),
+		MovedChases:          k.stChases.Load(),
+		Reincarnations:       k.stReinc.Load(),
+		Checkpoints:          k.stCkpt.Load(),
+		CheckpointBytes:      k.stCkptBytes.Load(),
+		Moves:                k.stMoves.Load(),
+		MoveAborts:           k.stMoveAborts.Load(),
+		MoveResolveForwards:  k.stMoveResolveFwd.Load(),
+		MoveResolveRollbacks: k.stMoveResolveBack.Load(),
+		ReplicasInstalled:    k.stReplicas.Load(),
+		Evictions:            k.stEvictions.Load(),
 	}
 }
 
@@ -688,7 +676,7 @@ func (k *Kernel) runSettlement(id edenid.ID, done chan struct{}, s roleState, fx
 	if slices.ContainsFunc(fx, roleEffect.ships) {
 		ship := msg.Ship{Purpose: msg.ShipCheckpoint, Claim: true, Object: id, TypeName: rec.TypeName,
 			Frozen: rec.Frozen, Version: rec.Version + 1, Epoch: normEpoch(rec.Epoch) + 1, Policy: rec.Policy, Rep: rec.Rep}
-		_, acks := k.shipAll(fx, ship, nil, nil, k.cfg.DefaultTimeout)
+		_, acks := k.shipAll(fx, ship, k.cfg.DefaultTimeout)
 		granted, superseded := true, false
 		for _, ack := range acks {
 			granted = granted && ack == nil

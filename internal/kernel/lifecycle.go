@@ -107,7 +107,6 @@ func (k *Kernel) reincarnate(id edenid.ID) (*Object, error) {
 // representation atomically with respect to Update, so any moment
 // between handler mutations is consistent.
 func (o *Object) Checkpoint() error {
-	remote := o.k.roleOf(o.id).policy.hasRemote(o.k.cfg.Node)
 	o.mu.Lock()
 	if o.replica {
 		o.mu.Unlock()
@@ -117,26 +116,18 @@ func (o *Object) Checkpoint() error {
 	ver := o.version
 	// The snapshot holds every change up to stamp; once it is durable
 	// the clean mark rises to it. A failed checkpoint changes nothing, so
-	// nothing has to be put back. Only a remote checksite can use the
-	// changes since the mark, as the delta of an incremental shipment.
+	// nothing has to be put back.
 	stamp := o.rep.Stamp()
 	encoded, lent := o.encodeCheckpoint()
 	defer lent.Free() // after the store, the ships and the telemetry are done with encoded
 	frozen := o.frozen
-	var partial []byte
-	var removed []string
-	if remote {
-		var changed []string
-		changed, removed = o.rep.Dirty()
-		partial = o.rep.EncodePartial(changed, nil)
-	}
 	o.mu.Unlock()
 
 	// Crash boundary: the version is advanced in memory but nothing is
 	// durable — a kill here must recover to the previous checkpoint.
 	killpoint.Hit(killpoint.CheckpointPreSync)
 	start := o.k.tel.ckptLat.Start()
-	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded, partial, removed)
+	local, err := o.k.writeCheckpoint(o.id, o.table.tm.Name, ver, o.epoch, frozen, encoded)
 	if err != nil {
 		return err
 	}
@@ -223,33 +214,23 @@ func (k *Kernel) roleOf(id edenid.ID) roleState {
 	return roleState{}
 }
 
-// hasRemote reports whether the policy names a checksite other than
-// self.
-func (p checksitePolicy) hasRemote(self uint32) bool {
-	return p.level != RelLocal && slices.ContainsFunc(p.sites, func(site uint32) bool { return site != self })
-}
-
 // writeCheckpoint persists one checkpoint where the object's role says
 // (roleStep), and the policy and the ex-checksites go with it, in the
 // record and in every ship. "Different reliability levels may cause
-// different actions when a checkpoint is issued." Remote checksites
-// holding the immediately preceding version receive only the changed
-// segments (an incremental checkpoint, partial and removed, when the
-// caller encoded them); anything else — a lagging or fresh site, or a
-// site that rejects the delta — receives the full representation. local
-// reports that this node's store now holds
-// exactly this version as the home record (a stale Put is tolerated but
-// leaves something else there).
-func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded, partial []byte, removed []string) (local bool, err error) {
+// different actions when a checkpoint is issued." Every remote checksite
+// receives the full representation, all at once. local reports that this
+// node's store now holds exactly this version as the home record (a
+// stale Put is tolerated but leaves something else there).
+func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint64, frozen bool, encoded []byte) (local bool, err error) {
 	var buf [4]roleEffect
 	k.mu.Lock()
-	role, fx := k.stepRoleLocked(id, roleEvent{kind: evCheckpoint, version: ver}, buf[:0])
+	role, fx := k.stepRoleLocked(id, roleEvent{kind: evCheckpoint}, buf[:0])
 	k.mu.Unlock()
 	policy := role.durable()
 	out, err := k.applyRole(id, fx, &roleIO{
 		rec:     store.Record{Object: id, TypeName: typeName, Version: ver, Epoch: epoch, Frozen: frozen, Policy: policy, Rep: encoded},
 		ship:    msg.Ship{Purpose: msg.ShipCheckpoint, Object: id, TypeName: typeName, Frozen: frozen, Version: ver, Epoch: epoch, Policy: policy, Rep: encoded},
-		partial: partial, removed: removed, timeout: k.cfg.DefaultTimeout})
+		timeout: k.cfg.DefaultTimeout})
 	var acked []uint32
 	for i, ack := range out.acks {
 		if ack == nil {
@@ -266,40 +247,6 @@ func (k *Kernel) writeCheckpoint(id edenid.ID, typeName string, ver, epoch uint6
 		k.broadcastInvalidate(id, ver, false, k.cfg.Node, acked)
 	}
 	return out.wrote, err
-}
-
-// shipCheckpoint delivers one checkpoint to a remote site: incremental
-// from base when the policy found the site holding the immediately
-// preceding version and the delta was encoded, with transparent
-// fallback to the full representation.
-func (k *Kernel) shipCheckpoint(site uint32, full msg.Ship, partial []byte, removed []string, base uint64, timeout time.Duration) error {
-	if base > 0 && partial != nil {
-		inc := full
-		inc.Partial = true
-		inc.Base = base
-		inc.Removed = removed
-		inc.Rep = partial
-		if err := k.shipAndWait(site, inc, timeout); err == nil {
-			k.recordShipped(full.Object, site, full.Version)
-			k.stCkptIncr.Add(1)
-			return nil
-		}
-		// The site lacks or rejected the base: fall back to a full
-		// checkpoint.
-	}
-	if err := k.shipAndWait(site, full, timeout); err != nil {
-		return err
-	}
-	k.recordShipped(full.Object, site, full.Version)
-	return nil
-}
-
-// recordShipped notes the checkpoint version a site has acknowledged, if
-// the object is still on this node's books: no entry is made for it.
-func (k *Kernel) recordShipped(id edenid.ID, site uint32, ver uint64) {
-	k.mu.Lock()
-	k.stepRoleLocked(id, roleEvent{kind: evAcked, from: site, version: ver}, nil)
-	k.mu.Unlock()
 }
 
 // Crash simulates "a virtual memory failure, destroying all existing
@@ -658,28 +605,6 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		// We are acting as a remote checksite: hold the record as a
 		// backup, to be served only during failure recovery — or, for a
 		// claim, grant the sender the object (role.go).
-		repBytes := ship.Rep
-		if ship.Partial {
-			// Incremental: merge the delta onto the base version we
-			// hold. A missing or mismatched base rejects the shipment;
-			// the sender falls back to a full checkpoint.
-			baseRec, err := k.store.Get(ship.Object)
-			if err != nil {
-				return fmt.Errorf("kernel: incremental checkpoint without base: %w", err)
-			}
-			if baseRec.Version != ship.Base {
-				return fmt.Errorf("kernel: incremental checkpoint base v%d, have v%d", ship.Base, baseRec.Version)
-			}
-			var base, delta segment.Representation
-			if err := decodeWhole(&base, baseRec.Rep, nil); err != nil {
-				return fmt.Errorf("kernel: corrupt base checkpoint: %v", err)
-			}
-			if err := decodeWhole(&delta, ship.Rep, nil); err != nil {
-				return fmt.Errorf("kernel: corrupt checkpoint delta: %v", err)
-			}
-			base.Merge(&delta, ship.Removed)
-			repBytes = base.Encode(nil)
-		}
 		if err := k.bootScan(); err != nil {
 			return err // the record here may be this node's own
 		}
@@ -707,7 +632,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		}
 		k.mu.Unlock()
 		out, err := k.applyRole(ship.Object, fx, &roleIO{rec: store.Record{Object: ship.Object, TypeName: ship.TypeName,
-			Version: ship.Version, Epoch: ship.Epoch, Frozen: ship.Frozen, Backup: true, Home: from, Policy: ship.Policy, Rep: repBytes}})
+			Version: ship.Version, Epoch: ship.Epoch, Frozen: ship.Frozen, Backup: true, Home: from, Policy: ship.Policy, Rep: ship.Rep}})
 		if err != nil && !out.refused {
 			// The record did not reach the store: no ack, and the step is
 			// undone, unless a later event has changed the entry since.

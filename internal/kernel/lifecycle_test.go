@@ -3,14 +3,17 @@ package kernel
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"eden/internal/capability"
-	"eden/internal/rights"
+	"eden/internal/edenid"
+	"eden/internal/msg"
 	"eden/internal/segment"
 	"eden/internal/store"
+	"eden/internal/transport"
 )
 
 // ---- checkpoint / crash / reincarnation ----
@@ -937,11 +940,47 @@ func TestBackupRecordNotActivatable(t *testing.T) {
 	}
 }
 
-// ---- incremental checkpoints ----
+// ---- checkpoints at a remote checksite ----
+//
+// A checkpoint ships the whole representation. The three tests below
+// keep the names they had when a checkpoint could ship a delta; each
+// pins a case that delta shipping had to get right and a whole-record
+// ship must still get right: deletions, a checksite that lost its
+// record, and a move away and back.
 
-// TestIncrementalCheckpointDelta: after a full first checkpoint, a
-// small mutation ships only the changed segments to the remote
-// checksite — and the merged record there matches the full state.
+// backupRep decodes the record node holds of id.
+func backupRep(t *testing.T, s *sys, node uint32, id edenid.ID) *segment.Representation {
+	t.Helper()
+	rec, err := s.stores[node].Get(id)
+	if err != nil {
+		t.Fatalf("node %d's record: %v", node, err)
+	}
+	rep, _, err := segment.Decode(rec.Rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// checkpointMatches checkpoints o and checks that the record its
+// checksite, node site, holds afterwards equals o's representation.
+func checkpointMatches(t *testing.T, s *sys, o *Object, site uint32, id edenid.ID, step string) {
+	t.Helper()
+	if err := o.Checkpoint(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	got := backupRep(t, s, site, id)
+	o.View(func(r *segment.Representation) {
+		if !got.Equal(r) {
+			t.Errorf("%s: checksite holds %v, home %v", step, got.Names(), r.Names())
+		}
+	})
+}
+
+// TestIncrementalCheckpointDelta: after a small set and after a
+// deletion, the checksite's record is the home's representation — the
+// deleted segment is gone from it — and recovery from it serves the
+// last set.
 func TestIncrementalCheckpointDelta(t *testing.T) {
 	s := newSys(t, 1, 2)
 	big := NewType("bigdelta")
@@ -952,24 +991,24 @@ func TestIncrementalCheckpointDelta(t *testing.T) {
 			return nil
 		})
 	}
-	big.Op(Operation{
-		Name: "touch",
-		Handler: func(c *Call) {
-			_ = c.Self().Update(func(r *segment.Representation) error {
-				r.SetData("hot", c.Data)
-				return nil
-			})
-		},
-	})
-	big.Op(Operation{
-		Name: "drop-bulk",
-		Handler: func(c *Call) {
-			_ = c.Self().Update(func(r *segment.Representation) error {
-				r.Delete("bulk")
-				return nil
-			})
-		},
-	})
+	big.Op(Operation{Name: "touch", Handler: func(c *Call) {
+		_ = c.Self().Update(func(r *segment.Representation) error {
+			r.SetData("hot", c.Data)
+			return nil
+		})
+	}})
+	big.Op(Operation{Name: "drop-bulk", Handler: func(c *Call) {
+		_ = c.Self().Update(func(r *segment.Representation) error {
+			r.Delete("bulk")
+			return nil
+		})
+	}})
+	big.Op(Operation{Name: "hot", Access: AccessRead, Handler: func(c *Call) {
+		c.Self().View(func(r *segment.Representation) {
+			b, _ := r.Data("hot")
+			c.Return(b)
+		})
+	}})
 	mustRegister(t, s.reg, big)
 
 	cap, _ := s.ks[1].Create("bigdelta", nil)
@@ -977,67 +1016,35 @@ func TestIncrementalCheckpointDelta(t *testing.T) {
 	if err := obj.SetChecksite(RelRemote, 2); err != nil {
 		t.Fatal(err)
 	}
-	// First checkpoint: full (the site has no base).
-	if err := obj.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ks[1].Stats().IncrementalCheckpoints; got != 0 {
-		t.Fatalf("first checkpoint counted as incremental (%d)", got)
-	}
-	bytesAfterFull := s.mesh.Stats().Bytes
+	checkpointMatches(t, s, obj, 2, cap.ID(), "first checkpoint")
 
-	// Small mutation, second checkpoint: incremental.
 	mustInvoke(t, s.ks[1], cap, "touch", []byte("v1"))
-	if err := obj.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ks[1].Stats().IncrementalCheckpoints; got != 1 {
-		t.Errorf("IncrementalCheckpoints = %d, want 1", got)
-	}
-	deltaBytes := s.mesh.Stats().Bytes - bytesAfterFull
-	if deltaBytes > 64<<10 {
-		t.Errorf("incremental checkpoint shipped %d bytes for a tiny delta", deltaBytes)
-	}
-
-	// The merged record at the checksite reconstructs the full state.
-	rec, err := s.stores[2].Get(cap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := segment.Decode(rec.Rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkpointMatches(t, s, obj, 2, cap.ID(), "after a set")
+	rep := backupRep(t, s, 2, cap.ID())
 	if hot, _ := rep.Data("hot"); string(hot) != "v1" {
-		t.Errorf("merged hot segment = %q", hot)
+		t.Errorf("checksite's hot segment = %q, want v1", hot)
 	}
 	if bulk, _ := rep.Data("bulk"); len(bulk) != 256<<10 {
-		t.Errorf("merged bulk segment = %d bytes", len(bulk))
+		t.Errorf("checksite's bulk segment = %d bytes", len(bulk))
 	}
 
-	// Deletions travel in deltas too.
 	mustInvoke(t, s.ks[1], cap, "drop-bulk", nil)
-	if err := obj.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rec, _ = s.stores[2].Get(cap.ID())
-	rep, _, _ = segment.Decode(rec.Rep)
-	if rep.Has("bulk") {
-		t.Error("deleted segment survived an incremental checkpoint")
+	checkpointMatches(t, s, obj, 2, cap.ID(), "after a deletion")
+	if backupRep(t, s, 2, cap.ID()).Has("bulk") {
+		t.Error("deleted segment survived a checkpoint")
 	}
 
-	// Recovery from the incrementally-maintained backup works.
+	// Recovery from the checksite's record serves the last set.
 	s.crashNode(1)
-	repOut, err := s.ks[2].Invoke(cap.Restrict(rights.All), "touch", []byte("v2"), nil, &InvokeOptions{Timeout: 3 * time.Second})
-	if err != nil {
-		t.Fatalf("recovery from incremental backup: %v", err)
+	out, err := s.ks[2].Invoke(cap, "hot", nil, nil, &InvokeOptions{Timeout: 3 * time.Second})
+	if err != nil || string(out.Data) != "v1" {
+		t.Fatalf("recovery from the checksite: hot = %q, %v; want v1", out.Data, err)
 	}
-	_ = repOut
 }
 
-// TestIncrementalFallbackToFull: a checksite that lost its base (e.g.
-// wiped store) rejects the delta, and the sender transparently
-// re-ships the full representation.
+// TestIncrementalFallbackToFull: a checksite that lost its record
+// (a wiped store) holds the whole current representation again after
+// the next checkpoint, at the new version.
 func TestIncrementalFallbackToFull(t *testing.T) {
 	s := newSys(t, 1, 2)
 	mustRegister(t, s.reg, counterType(nil))
@@ -1046,30 +1053,147 @@ func TestIncrementalFallbackToFull(t *testing.T) {
 	if err := obj.SetChecksite(RelRemote, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := obj.Checkpoint(); err != nil { // full, establishes base v1
-		t.Fatal(err)
-	}
-	// The checksite loses the record behind the sender's back.
+	checkpointMatches(t, s, obj, 2, cap.ID(), "first checkpoint")
+	// The checksite loses the record behind the home's back.
 	if err := s.stores[2].Delete(cap.ID()); err != nil {
 		t.Fatal(err)
 	}
 	mustInvoke(t, s.ks[1], cap, "inc", nil)
-	if err := obj.Checkpoint(); err != nil { // delta rejected -> full resend
-		t.Fatal(err)
-	}
+	checkpointMatches(t, s, obj, 2, cap.ID(), "after a lost record")
 	rec, err := s.stores[2].Get(cap.ID())
 	if err != nil {
-		t.Fatalf("record missing after fallback: %v", err)
+		t.Fatal(err)
 	}
 	if rec.Version != 2 {
 		t.Errorf("record version = %d, want 2", rec.Version)
 	}
-	rep, _, err := segment.Decode(rec.Rep)
+	if n, _ := backupRep(t, s, 2, cap.ID()).Data("n"); fromU64(n) != 1 {
+		t.Errorf("checksite's state = %d, want 1", fromU64(n))
+	}
+}
+
+// TestMoveInvalidatesIncrementalBase: a segment deleted while the
+// object lived at another node is not resurrected at the checksite by
+// a checkpoint after the object moves back.
+func TestMoveInvalidatesIncrementalBase(t *testing.T) {
+	s := newSys(t, 1, 2, 3)
+	tm := NewType("segjuggler")
+	tm.Init = func(o *Object) error {
+		return o.Update(func(r *segment.Representation) error {
+			r.SetData("keep", []byte("keep"))
+			r.SetData("doomed", []byte("doomed"))
+			return nil
+		})
+	}
+	tm.Op(Operation{Name: "drop-doomed", Handler: func(c *Call) {
+		_ = c.Self().Update(func(r *segment.Representation) error {
+			r.Delete("doomed")
+			return nil
+		})
+	}})
+	mustRegister(t, s.reg, tm)
+
+	cap, _ := s.ks[1].Create("segjuggler", nil)
+	obj, _ := s.ks[1].Object(cap.ID())
+	if err := obj.SetChecksite(RelRemote, 3); err != nil {
+		t.Fatal(err)
+	}
+	checkpointMatches(t, s, obj, 3, cap.ID(), "first checkpoint") // site 3 holds "doomed"
+
+	// Away to node 2, where "doomed" is deleted with no checkpoint, and
+	// back.
+	if err := <-obj.Move(2); err != nil {
+		t.Fatal(err)
+	}
+	mustInvoke(t, s.ks[1], cap, "drop-doomed", nil)
+	obj2, err := s.ks[2].Object(cap.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := rep.Data("n"); fromU64(n) != 1 {
-		t.Errorf("fallback record state = %d", fromU64(n))
+	if err := <-obj2.Move(1); err != nil {
+		t.Fatal(err)
+	}
+	obj3, err := s.ks[1].Object(cap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj3.SetChecksite(RelRemote, 3); err != nil {
+		t.Fatal(err)
+	}
+	checkpointMatches(t, s, obj3, 3, cap.ID(), "after a move away and back")
+	rep := backupRep(t, s, 3, cap.ID())
+	if rep.Has("doomed") {
+		t.Error("deleted segment resurrected in the post-move checkpoint")
+	}
+	if !rep.Has("keep") {
+		t.Error("kept segment missing from the post-move checkpoint")
+	}
+}
+
+// shipCounter is a transport that counts the checkpoint ships sent to
+// each node.
+type shipCounter struct {
+	transport.Transport
+	mu   sync.Mutex
+	sent map[uint32]int
+}
+
+func (c *shipCounter) Send(env msg.Envelope) error {
+	if env.Kind == msg.KindShip {
+		if ship, err := msg.DecodeShip(env.Payload); err == nil && ship.Purpose == msg.ShipCheckpoint {
+			c.mu.Lock()
+			c.sent[env.To]++
+			c.mu.Unlock()
+		}
+	}
+	return c.Transport.Send(env)
+}
+
+// TestSilentChecksiteCostsOneTimeout: a checkpoint to a checksite that
+// acknowledged the previous version and now answers nothing sends it one
+// ship and fails after one timeout.
+func TestSilentChecksiteCostsOneTimeout(t *testing.T) {
+	s := newSys(t, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	ep, err := s.mesh.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ships := &shipCounter{Transport: ep, sent: map[uint32]int{}}
+	cfg := DefaultConfig(1, "node-1")
+	cfg.DefaultTimeout = 300 * time.Millisecond
+	k1 := New(cfg, ships, s.reg, nil)
+	t.Cleanup(func() { k1.Close() })
+
+	cap, _ := k1.Create("counter", nil)
+	obj, _ := k1.Object(cap.ID())
+	if err := obj.SetChecksite(RelReplicated, 2); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		mustInvoke(t, k1, cap, "inc", nil)
+		if err := obj.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mesh.Partition(1, 2)
+	mustInvoke(t, k1, cap, "inc", nil)
+	ships.mu.Lock()
+	ships.sent[2] = 0
+	ships.mu.Unlock()
+	start := time.Now()
+	err = obj.Checkpoint()
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("checkpoint to a silent checksite succeeded")
+	}
+	ships.mu.Lock()
+	defer ships.mu.Unlock()
+	if ships.sent[2] != 1 {
+		t.Errorf("%d checkpoint ships to the silent site, want 1", ships.sent[2])
+	}
+	if limit := cfg.DefaultTimeout * 3 / 2; elapsed >= limit {
+		t.Errorf("checkpoint failed after %v, want under %v (one timeout of %v)", elapsed, limit, cfg.DefaultTimeout)
 	}
 }
 
@@ -1103,79 +1227,6 @@ func TestDirtyRestoredOnCheckpointFailure(t *testing.T) {
 	rep, _, _ := segment.Decode(rec.Rep)
 	if n, _ := rep.Data("n"); fromU64(n) != 1 {
 		t.Errorf("change lost across failed checkpoint: n = %d", fromU64(n))
-	}
-}
-
-// TestMoveInvalidatesIncrementalBase: a segment deleted while the
-// object lived at another node must not be resurrected by a later
-// incremental checkpoint after the object moves back — the move
-// invalidates the incremental base, forcing a full shipment.
-func TestMoveInvalidatesIncrementalBase(t *testing.T) {
-	s := newSys(t, 1, 2, 3)
-	tm := NewType("segjuggler")
-	tm.Init = func(o *Object) error {
-		return o.Update(func(r *segment.Representation) error {
-			r.SetData("keep", []byte("keep"))
-			r.SetData("doomed", []byte("doomed"))
-			return nil
-		})
-	}
-	tm.Op(Operation{
-		Name: "drop-doomed",
-		Handler: func(c *Call) {
-			_ = c.Self().Update(func(r *segment.Representation) error {
-				r.Delete("doomed")
-				return nil
-			})
-		},
-	})
-	tm.Op(Operation{Name: "noop", Handler: func(c *Call) {}})
-	mustRegister(t, s.reg, tm)
-
-	cap, _ := s.ks[1].Create("segjuggler", nil)
-	obj, _ := s.ks[1].Object(cap.ID())
-	if err := obj.SetChecksite(RelRemote, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := obj.Checkpoint(); err != nil { // v1 at site 3, with "doomed"
-		t.Fatal(err)
-	}
-	// Move to node 2, delete "doomed" there (no checkpoint), move back.
-	if err := <-obj.Move(2); err != nil {
-		t.Fatal(err)
-	}
-	mustInvoke(t, s.ks[1], cap, "drop-doomed", nil)
-	obj2, err := s.ks[2].Object(cap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-obj2.Move(1); err != nil {
-		t.Fatal(err)
-	}
-	// Back at node 1: checkpoint to the original checksite.
-	obj3, err := s.ks[1].Object(cap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obj3.SetChecksite(RelRemote, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := obj3.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.stores[3].Get(cap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := segment.Decode(rec.Rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Has("doomed") {
-		t.Error("deleted segment resurrected in the post-move checkpoint")
-	}
-	if !rep.Has("keep") {
-		t.Error("kept segment missing from the post-move checkpoint")
 	}
 }
 

@@ -78,9 +78,8 @@ func (k *Kernel) resolveIntent(id edenid.ID, it residency) {
 
 // commitMove is the source half of a move's commit to where it installed,
 // at version ver, ev the live move's ack or recovery's probe answer: o is
-// the leaving incarnation, nil in recovery. The policy went with the ship;
-// the acked versions end here: kept as incremental bases for a return,
-// they would omit changes — deletions too — made at other homes.
+// the leaving incarnation, nil in recovery. The policy went with the ship,
+// and the sites this node shipped checkpoints to are its books no more.
 func (k *Kernel) commitMove(id edenid.ID, o *Object, ev roleEvent, to residency, ver uint64) {
 	var buf [2]roleEffect
 	k.mu.Lock()

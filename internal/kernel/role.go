@@ -65,9 +65,8 @@ type roleState struct {
 	ex     []uint32        // ex-checksites that may still hold a record of the object
 	// home: every remote site that may hold a record of the object — a
 	// checkpoint went to it, or it was a checksite when this node became
-	// the home — with the version it acknowledged (0: none), the
-	// incremental base.
-	shipped []siteVersion
+	// the home.
+	shipped []uint32
 	home    uint32  // backup: the object's home; 0 on the home's side
 	epoch   uint64  // backup: the residency epoch the record was shipped at
 	floor   uint64  // backup: the serving floor, no shadow below it (floorDisabled after a move)
@@ -80,12 +79,6 @@ type roleState struct {
 type residency struct {
 	node  uint32
 	epoch uint64
-}
-
-// siteVersion is one remote site's acknowledged checkpoint version.
-type siteVersion struct {
-	site    uint32
-	version uint64
 }
 
 // settlePhase says whether the node must settle a doubt before it serves
@@ -141,13 +134,9 @@ func (p checksitePolicy) names(site uint32) bool {
 
 // seeded is the shipped list of a node that becomes the home from a
 // record or a move: every remote checksite may hold a record already.
-func (p checksitePolicy) seeded(self uint32) []siteVersion {
+func (p checksitePolicy) seeded(self uint32) []uint32 {
 	_, remote := p.targets(self)
-	out := make([]siteVersion, len(remote))
-	for i, site := range remote {
-		out[i].site = site
-	}
-	return out
+	return remote
 }
 
 // durable is the state's policy as records and ships carry it.
@@ -165,8 +154,7 @@ type roleEventKind uint8
 
 const (
 	evPolicy        roleEventKind = iota // Create or SetChecksite chose policy
-	evCheckpoint                         // the home checkpoints version
-	evAcked                              // from acknowledged the checkpoint at version
+	evCheckpoint                         // the home checkpoints
 	evShip                               // a checkpoint ship (or a claim) from from arrived
 	evInvalidate                         // an invalidation: version acked, or the object moved to from
 	evMoveIn                             // a move installed here, with policy and ex; backup: a backup record is here
@@ -191,7 +179,7 @@ type roleEvent struct {
 	kind    roleEventKind
 	self    uint32 // this node
 	from    uint32 // the sender: a ship's, a destroy's; a move invalidate's new home; a move's destination
-	version uint64 // a checkpoint's, ship's or invalidation's version
+	version uint64 // a ship's, move's or invalidation's version
 	epoch   uint64 // a ship's, destroy's or probe's epoch; the epoch a move installs at
 	policy  checksitePolicy
 	ex      []uint32
@@ -223,7 +211,7 @@ const (
 	fxDelete                             // delete this node's record
 	fxDeleteIntent                       // delete this node's move intent: evMoveCommitted once it is durable, else evIntentKept
 	fxRetire                             // retire shadow; calls queued at it bounce to site (0: report a crash)
-	fxShip                               // ship the checkpoint to site, incremental from base when base is not 0
+	fxShip                               // ship the checkpoint to site
 	fxClaim                              // ship the claim to site
 	fxDestroy                            // ship a destroy to site
 	fxProbe                              // probe site, the intent's destination, at the intent's epoch
@@ -234,7 +222,6 @@ const (
 type roleEffect struct {
 	kind   effectKind
 	site   uint32
-	base   uint64
 	shadow *Object
 	err    error
 }
@@ -286,9 +273,9 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		// went to it: it becomes an ex-checksite, which Destroy and
 		// claims reach. A site no checkpoint went to holds nothing, and
 		// would refuse every claim.
-		for _, sv := range s.shipped {
-			if !ev.policy.names(sv.site) && !slices.Contains(s.ex, sv.site) {
-				s.ex = append(slices.Clip(s.ex), sv.site)
+		for _, site := range s.shipped {
+			if !ev.policy.names(site) && !slices.Contains(s.ex, site) {
+				s.ex = append(slices.Clip(s.ex), site)
 			}
 		}
 		s.policy = ev.policy
@@ -298,30 +285,12 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		if local {
 			fx = append(fx, roleEffect{kind: fxPut})
 		}
-		shipped := s.shipped
 		for _, site := range remote {
-			e := roleEffect{kind: fxShip, site: site}
-			switch i := s.shippedTo(site); {
-			case i < 0:
-				shipped = append(slices.Clip(shipped), siteVersion{site: site})
-			case s.shipped[i].version > 0 && s.shipped[i].version == ev.version-1:
-				e.base = s.shipped[i].version
+			if !slices.Contains(s.shipped, site) {
+				s.shipped = append(slices.Clip(s.shipped), site)
 			}
-			fx = append(fx, e)
+			fx = append(fx, roleEffect{kind: fxShip, site: site})
 		}
-		s.shipped = shipped
-
-	case evAcked:
-		if s.home != 0 {
-			break // a claim or a ship made this node a backup meanwhile
-		}
-		shipped := slices.Clone(s.shipped)
-		if i := s.shippedTo(ev.from); i >= 0 {
-			shipped[i].version = ev.version
-		} else {
-			shipped = append(shipped, siteVersion{ev.from, ev.version})
-		}
-		s.shipped = shipped
 
 	case evShip:
 		var refuse error
@@ -589,11 +558,6 @@ func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict
 func (s *roleState) same(t roleState) bool {
 	return s.home == t.home && s.epoch == t.epoch && s.floor == t.floor && s.shadow == t.shadow && s.phase == t.phase &&
 		s.intent == t.intent
-}
-
-// shippedTo returns the index of site in the shipped list, or -1.
-func (s *roleState) shippedTo(site uint32) int {
-	return slices.IndexFunc(s.shipped, func(a siteVersion) bool { return a.site == site })
 }
 
 // retireBelow retires the shadow if its version is below version; calls

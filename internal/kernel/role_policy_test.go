@@ -807,7 +807,7 @@ func (s *rstate) checkpoint(i int) {
 	s.incarnate(i)
 	n := &s.n[i]
 	n.v++
-	fx := s.step(i, roleEvent{kind: evCheckpoint, version: uint64(n.v)})
+	fx := s.step(i, roleEvent{kind: evCheckpoint})
 	n.ckptV, n.ckptWait = n.v, 0
 	for _, e := range fx {
 		switch e.kind {
@@ -1024,7 +1024,6 @@ func (s *rstate) answer(i int, m rmsg) {
 			n.ckptWait = 0 // the checkpoint fails
 			return
 		}
-		s.step(i, roleEvent{kind: evAcked, from: uint32(m.from), version: uint64(m.v)})
 		if n.ckptWait &^= bit; n.ckptWait == 0 {
 			s.ackCheckpoint(i)
 		}

@@ -224,8 +224,7 @@ func FuzzDecodeShip(f *testing.F) {
 	}.Encode(nil))
 	f.Add(Ship{
 		Purpose: ShipMove, Object: edenid.NewGenerator(9).Next(),
-		TypeName: "counter", Frozen: true, Version: 1 << 40, Epoch: 3,
-		Partial: true, Base: 9, Removed: []string{"a", "b"}, Rep: []byte{1},
+		TypeName: "counter", Frozen: true, Version: 1 << 40, Epoch: 3, Rep: []byte{1},
 	}.Encode(nil))
 	f.Add(Ship{
 		Purpose: ShipMoveProbe, Object: edenid.NewGenerator(9).Next(), Epoch: 5,
@@ -268,9 +267,6 @@ func FuzzDecodeShip(f *testing.F) {
 func normShip(s Ship) Ship {
 	if len(s.Rep) == 0 {
 		s.Rep = nil
-	}
-	if len(s.Removed) == 0 {
-		s.Removed = nil
 	}
 	return s
 }

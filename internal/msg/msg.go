@@ -654,7 +654,9 @@ func (p ShipPurpose) String() string {
 }
 
 // Ship is the payload of KindShip: an object's identity, type, flags
-// and encoded representation in transit between kernels.
+// and encoded representation in transit between kernels. A
+// representation always travels whole: a checkpoint ship carries the
+// full record the checksite holds in place of the one it had.
 type Ship struct {
 	// Purpose says what the receiver should do with the payload.
 	Purpose ShipPurpose
@@ -673,19 +675,8 @@ type Ship struct {
 	// predating epochs" and is treated as epoch 1.
 	Epoch uint64
 	// Rep is the encoded representation (segment.Representation wire
-	// form). For a partial checkpoint it contains only the changed
-	// segments.
+	// form).
 	Rep []byte
-	// Partial marks an incremental checkpoint: Rep holds only the
-	// segments changed since Base, and Removed lists segments deleted
-	// since then. The receiver merges onto its record at version Base;
-	// if it does not hold exactly Base, it rejects the shipment and
-	// the sender falls back to a full checkpoint.
-	Partial bool
-	// Base is the version the partial applies on top of.
-	Base uint64
-	// Removed lists segment names deleted since Base.
-	Removed []string
 	// Policy is the object's checksite policy: a checkpoint ship carries
 	// it for the checksite's record, a move for the new home.
 	store.Policy
@@ -697,11 +688,7 @@ type Ship struct {
 
 // Size is the length of the shipment's wire form.
 func (s Ship) Size() int {
-	n := 1 + edenid.Size + 4 + len(s.TypeName) + 1 + 8 + 8 + 8 + 4 + 4 + len(s.Rep)
-	for _, name := range s.Removed {
-		n += 4 + len(name)
-	}
-	return n + s.Policy.Len()
+	return 1 + edenid.Size + 4 + len(s.TypeName) + 1 + 8 + 8 + 4 + len(s.Rep) + s.Policy.Len()
 }
 
 // Encode appends the wire form of the shipment to dst.
@@ -713,9 +700,6 @@ func (s Ship) Encode(dst []byte) []byte {
 	if s.Frozen {
 		flags |= 1
 	}
-	if s.Partial {
-		flags |= 2
-	}
 	if s.Sited() {
 		flags |= 4
 	}
@@ -724,12 +708,7 @@ func (s Ship) Encode(dst []byte) []byte {
 	}
 	dst = append(dst, flags)
 	dst = binary.BigEndian.AppendUint64(dst, s.Version)
-	dst = binary.BigEndian.AppendUint64(dst, s.Base)
 	dst = binary.BigEndian.AppendUint64(dst, s.Epoch)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Removed)))
-	for _, name := range s.Removed {
-		dst = appendString(dst, name)
-	}
 	dst = s.Policy.Append(dst)
 	return appendBytes(dst, s.Rep)
 }
@@ -751,28 +730,15 @@ func DecodeShip(src []byte) (Ship, error) {
 	if s.TypeName, src, err = takeString(src); err != nil {
 		return s, err
 	}
-	if len(src) < 29 {
+	if len(src) < 17 {
 		return s, fmt.Errorf("%w: truncated flags", ErrBadFrame)
 	}
 	s.Frozen = src[0]&1 != 0
-	s.Partial = src[0]&2 != 0
 	sited := src[0]&4 != 0
 	s.Claim = src[0]&8 != 0
 	s.Version = binary.BigEndian.Uint64(src[1:9])
-	s.Base = binary.BigEndian.Uint64(src[9:17])
-	s.Epoch = binary.BigEndian.Uint64(src[17:25])
-	nRemoved := int(binary.BigEndian.Uint32(src[25:29]))
-	src = src[29:]
-	if nRemoved < 0 || nRemoved > len(src) {
-		return s, fmt.Errorf("%w: implausible removed count %d", ErrBadFrame, nRemoved)
-	}
-	for i := 0; i < nRemoved; i++ {
-		var name string
-		if name, src, err = takeString(src); err != nil {
-			return s, err
-		}
-		s.Removed = append(s.Removed, name)
-	}
+	s.Epoch = binary.BigEndian.Uint64(src[9:17])
+	src = src[17:]
 	if sited {
 		if s.Policy, src, err = store.DecodePolicy(src); err != nil {
 			return s, fmt.Errorf("%w: %v", ErrBadFrame, err)

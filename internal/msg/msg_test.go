@@ -224,8 +224,8 @@ func TestShipRoundTrip(t *testing.T) {
 }
 
 // TestShipLayoutWithoutPolicy pins the wire form of shipments that carry
-// no checksite policy — every shipment of a local-policy object — to the
-// bytes they had before ships could carry one.
+// no checksite policy — every shipment of a local-policy object — which
+// holds no policy bytes: a policy costs only the ships of a sited object.
 func TestShipLayoutWithoutPolicy(t *testing.T) {
 	id := edenid.New(3, 0x0102030405060708, 9)
 	for _, c := range []struct {
@@ -233,11 +233,11 @@ func TestShipLayoutWithoutPolicy(t *testing.T) {
 		want string
 	}{
 		{Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Version: 7, Epoch: 2, Rep: []byte("rep")},
-			"010000000301020304050607080000093200000007636f756e746572000000000000000007000000000000000000000000000000020000000000000003726570"},
-		{Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Frozen: true, Partial: true, Base: 6, Removed: []string{"gone"}, Version: 7, Epoch: 2, Rep: []byte("rep")},
-			"010000000301020304050607080000093200000007636f756e746572030000000000000007000000000000000600000000000000020000000100000004676f6e6500000003726570"},
+			"010000000301020304050607080000093200000007636f756e74657200" + "0000000000000007" + "0000000000000002" + "00000003726570"},
+		{Ship{Purpose: ShipCheckpoint, Object: id, TypeName: "counter", Frozen: true, Version: 7, Epoch: 2, Rep: []byte("rep")},
+			"010000000301020304050607080000093200000007636f756e74657201" + "0000000000000007" + "0000000000000002" + "00000003726570"},
 		{Ship{Purpose: ShipDestroy, Object: id},
-			"050000000301020304050607080000093200000000000000000000000000000000000000000000000000000000000000000000000000"},
+			"05000000030102030405060708000009320000000000" + "0000000000000000" + "0000000000000000" + "00000000"},
 	} {
 		if got := hex.EncodeToString(c.ship.Encode(nil)); got != c.want {
 			t.Errorf("%v ship encodes as\n%s, want\n%s", c.ship.Purpose, got, c.want)
@@ -364,33 +364,6 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestShipPartialRoundTrip(t *testing.T) {
-	s := Ship{
-		Purpose:  ShipCheckpoint,
-		Object:   gen.Next(),
-		TypeName: "counter",
-		Version:  9,
-		Partial:  true,
-		Base:     8,
-		Removed:  []string{"old-a", "old-b"},
-		Rep:      []byte("partial segments"),
-	}
-	got, err := DecodeShip(s.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Partial || got.Base != 8 || len(got.Removed) != 2 ||
-		got.Removed[0] != "old-a" || got.Removed[1] != "old-b" {
-		t.Errorf("partial round trip: %+v", got)
-	}
-	// Frozen and Partial flags are independent.
-	s.Frozen = true
-	got, err = DecodeShip(s.Encode(nil))
-	if err != nil || !got.Frozen || !got.Partial {
-		t.Errorf("flag independence: %+v %v", got, err)
 	}
 }
 

@@ -60,15 +60,12 @@ var (
 	ErrNoSegment = errors.New("segment: no such segment")
 )
 
-// Segment is one named piece of an object's long-term state. A segment
-// whose kind is zero is a tombstone: the name was deleted, and the
-// deletion is a change a delta checkpoint has yet to carry.
+// Segment is one named piece of an object's long-term state.
 type Segment struct {
-	name  string
-	kind  Kind
-	stamp uint64          // the change that last set or deleted it; 0 if none since it was decoded or merged in
-	data  []byte          // kind == Data
-	caps  capability.List // kind == Caps
+	name string
+	kind Kind
+	data []byte          // kind == Data
+	caps capability.List // kind == Caps
 }
 
 // Kind returns the segment's kind.
@@ -83,32 +80,29 @@ func (s *Segment) Len() int {
 	return len(s.data)
 }
 
-func (s *Segment) live() bool { return s.kind != 0 }
-
 // Representation is the complete long-term state of one object: its
 // segments, in one array sorted by name. The zero value is an empty
 // representation ready to use. A Representation is not safe for
 // concurrent mutation; in Eden the owning object's coordinator
 // serializes access.
 //
-// Every change — SetData, SetCaps, Delete — takes the next stamp from a
-// counter and stamps its segment with it; a deletion leaves a stamped
-// tombstone. The clean mark is the newest stamp a durable copy is known
-// to hold, so "changed since the last checkpoint" is a comparison, and
-// a checkpoint that fails has nothing to put back.
+// Every change — SetData, SetCaps, Delete — advances a counter, the
+// stamp. The clean mark is the newest stamp a durable copy is known to
+// hold, so "changed since the last checkpoint" is a comparison, and a
+// checkpoint that fails has nothing to put back.
 type Representation struct {
-	segs  []Segment // sorted by name, tombstones included
-	stamp uint64    // the newest change's stamp
+	segs  []Segment // sorted by name
+	stamp uint64    // counts the changes
 	clean uint64    // the clean mark
 }
 
 // New returns an empty representation.
 func New() *Representation { return new(Representation) }
 
-// find returns the index of the named entry, live or tombstone, or the
-// index at which it would be inserted. The search is written out, not
-// sort.Find with a closure, so that name does not escape: a name the
-// caller builds in a stack buffer stays there.
+// find returns the index of the named segment, or the index at which it
+// would be inserted. The search is written out, not sort.Find with a
+// closure, so that name does not escape: a name the caller builds in a
+// stack buffer stays there.
 func (r *Representation) find(name string) (int, bool) {
 	lo, hi := 0, len(r.segs)
 	for lo < hi {
@@ -124,13 +118,13 @@ func (r *Representation) find(name string) (int, bool) {
 
 // lookup returns the named segment, or nil when it does not exist.
 func (r *Representation) lookup(name string) *Segment {
-	if i, ok := r.find(name); ok && r.segs[i].live() {
+	if i, ok := r.find(name); ok {
 		return &r.segs[i]
 	}
 	return nil
 }
 
-// slot returns the named entry, inserting an empty one in order when
+// slot returns the named segment, inserting an empty one in order when
 // there is none. Names that arrive in order append. An entry found takes
 // the caller's equal name, so that one no longer as decoded holds
 // nothing of the encoding it was decoded from; the insert makes name
@@ -144,10 +138,10 @@ func (r *Representation) slot(name string) *Segment {
 	return &r.segs[i]
 }
 
-// change sets s's contents and stamps it with the next change.
+// change sets s's contents and counts the change.
 func (r *Representation) change(s *Segment, kind Kind, data []byte, caps capability.List) {
 	r.stamp++
-	s.kind, s.data, s.caps, s.stamp = kind, data, caps, r.stamp
+	s.kind, s.data, s.caps = kind, data, caps
 }
 
 // SetData installs (or replaces) the named data segment with a copy of
@@ -229,11 +223,11 @@ func (r *Representation) Caps(name string) (capability.List, error) {
 	return s.caps.Clone(), nil
 }
 
-// Delete removes the named segment if present. Its tombstone keeps the
-// name it had until the clean mark passes it (MarkClean).
+// Delete removes the named segment if present.
 func (r *Representation) Delete(name string) {
-	if s := r.lookup(name); s != nil {
-		r.change(s, 0, nil, nil)
+	if i, ok := r.find(name); ok {
+		r.segs = slices.Delete(r.segs, i, i+1)
+		r.stamp++
 	}
 }
 
@@ -242,25 +236,15 @@ func (r *Representation) Has(name string) bool { return r.lookup(name) != nil }
 
 // Names returns the segment names in sorted order.
 func (r *Representation) Names() []string {
-	names := make([]string, 0, len(r.segs))
+	names := make([]string, len(r.segs))
 	for i := range r.segs {
-		if r.segs[i].live() {
-			names = append(names, r.segs[i].name)
-		}
+		names[i] = r.segs[i].name
 	}
 	return names
 }
 
 // NumSegments returns the number of segments in the representation.
-func (r *Representation) NumSegments() int {
-	n := 0
-	for i := range r.segs {
-		if r.segs[i].live() {
-			n++
-		}
-	}
-	return n
-}
+func (r *Representation) NumSegments() int { return len(r.segs) }
 
 // Size returns the total payload size: bytes of data plus encoded bytes
 // of capabilities. It is the quantity the node's virtual memory budget
@@ -286,8 +270,8 @@ func (r *Representation) Capabilities() capability.List {
 }
 
 // Clone returns a deep copy of the representation, in which every
-// segment counts as changed. The copy's names are its own, too: it
-// keeps nothing r was decoded from.
+// segment is a change since the clean mark. The copy's names are its
+// own, too: it keeps nothing r was decoded from.
 func (r *Representation) Clone() *Representation {
 	out := New()
 	for i := range r.segs {
@@ -304,22 +288,9 @@ func (r *Representation) Clone() *Representation {
 // Equal reports whether two representations have identical segment
 // names, kinds and contents.
 func (r *Representation) Equal(o *Representation) bool {
-	i, j := r.nextLive(0), o.nextLive(0)
-	for ; i < len(r.segs) && j < len(o.segs); i, j = r.nextLive(i+1), o.nextLive(j+1) {
-		s, t := &r.segs[i], &o.segs[j]
-		if s.name != t.name || s.kind != t.kind || string(s.data) != string(t.data) || !slices.Equal(s.caps, t.caps) {
-			return false
-		}
-	}
-	return i == len(r.segs) && j == len(o.segs)
-}
-
-// nextLive returns the index of the first live segment at or after i.
-func (r *Representation) nextLive(i int) int {
-	for i < len(r.segs) && !r.segs[i].live() {
-		i++
-	}
-	return i
+	return slices.EqualFunc(r.segs, o.segs, func(s, t Segment) bool {
+		return s.name == t.name && s.kind == t.kind && string(s.data) == string(t.data) && slices.Equal(s.caps, t.caps)
+	})
 }
 
 // Encoding format:
@@ -334,44 +305,17 @@ func (r *Representation) nextLive(i int) int {
 const encMagic = 0x45645231 // "EdR1"
 
 // Encode appends the deterministic binary form of the representation
-// (including its trailing checksum) to dst.
-func (r *Representation) Encode(dst []byte) []byte { return r.encode(dst, (*Segment).live) }
-
-// EncodedSize is the length of what Encode appends: a caller that
-// encodes into a buffer of its own sizes the buffer by it.
-func (r *Representation) EncodedSize() int {
-	size, _ := r.encodedSize((*Segment).live)
-	return size
-}
-
-// encodedSize returns the length of the encoding of the segments keep
-// selects, and how many there are.
-func (r *Representation) encodedSize(keep func(*Segment) bool) (size, n int) {
-	size = 12 // magic, count, checksum
-	for i := range r.segs {
-		if s := &r.segs[i]; keep(s) {
-			size += 2 + len(s.name) + 1 + 4 + s.bodyLen()
-			n++
-		}
-	}
-	return size, n
-}
-
-// encode appends the encoding of the segments keep selects, growing dst
-// once to the exact size. keep selects live segments only.
-func (r *Representation) encode(dst []byte, keep func(*Segment) bool) []byte {
-	size, n := r.encodedSize(keep)
-	if cap(dst)-len(dst) < size {
+// (including its trailing checksum) to dst, growing dst once to the
+// exact size.
+func (r *Representation) Encode(dst []byte) []byte {
+	if size := r.EncodedSize(); cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
 	}
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, encMagic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.segs)))
 	for i := range r.segs {
 		s := &r.segs[i]
-		if !keep(s) {
-			continue
-		}
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s.name)))
 		dst = append(dst, s.name...)
 		dst = append(dst, byte(s.kind))
@@ -384,6 +328,17 @@ func (r *Representation) encode(dst []byte, keep func(*Segment) bool) []byte {
 	}
 	crc := crc32.ChecksumIEEE(dst[start:])
 	return binary.BigEndian.AppendUint32(dst, crc)
+}
+
+// EncodedSize is the length of what Encode appends: a caller that
+// encodes into a buffer of its own sizes the buffer by it.
+func (r *Representation) EncodedSize() int {
+	size := 12 // magic, count, checksum
+	for i := range r.segs {
+		s := &r.segs[i]
+		size += 2 + len(s.name) + 1 + 4 + s.bodyLen()
+	}
+	return size
 }
 
 // bodyLen is the length of the segment's encoded body: its bytes, or a
@@ -558,13 +513,12 @@ func checkCaps(body []byte) error {
 	return nil
 }
 
-// ---- change tracking (incremental checkpoint support) ----
+// ---- change tracking ----
 //
-// The checkpoint machinery ships only the delta to a remote checksite
-// that already holds the previous version: the segments changed and
-// removed since the clean mark. A checkpoint reads Stamp when it takes
-// its snapshot and, once that snapshot is durable, raises the mark to
-// it with MarkClean; changes made meanwhile stay above the mark.
+// A checkpoint reads Stamp when it takes its snapshot and, once that
+// snapshot is durable, raises the clean mark to it with MarkClean;
+// changes made meanwhile stay above the mark. The kernel reads HasDirty
+// to decide whether an object must be written before it is evicted.
 
 // Stamp returns the newest change's stamp: what a checkpoint taking its
 // snapshot now will hand to MarkClean once the snapshot is durable.
@@ -573,66 +527,7 @@ func (r *Representation) Stamp() uint64 { return r.stamp }
 // HasDirty reports whether anything changed since the clean mark.
 func (r *Representation) HasDirty() bool { return r.stamp > r.clean }
 
-// Dirty returns the names of segments changed (set) and removed
-// (deleted) since the clean mark, each sorted.
-func (r *Representation) Dirty() (changed, removed []string) {
-	for i := range r.segs {
-		if s := &r.segs[i]; s.stamp > r.clean {
-			if s.live() {
-				changed = append(changed, s.name)
-			} else {
-				removed = append(removed, s.name)
-			}
-		}
-	}
-	return changed, removed
-}
-
 // MarkClean records that a durable copy holds every change stamped up
 // to stamp, a value Stamp returned. The mark only rises: a checkpoint
 // that finishes after a later one leaves it where the later one put it.
-// Tombstones at or below the mark are dropped.
-func (r *Representation) MarkClean(stamp uint64) {
-	if stamp > r.clean {
-		r.clean = stamp
-		r.sweep()
-	}
-}
-
-// sweep drops the tombstones the clean mark covers.
-func (r *Representation) sweep() {
-	r.segs = slices.DeleteFunc(r.segs, func(s Segment) bool { return !s.live() && s.stamp <= r.clean })
-}
-
-// EncodePartial encodes only the named segments, in the same wire
-// format as Encode; names absent from the representation are skipped,
-// and names may repeat or come in any order. Decoding a partial
-// encoding yields a sub-representation that Merge applies onto a base.
-func (r *Representation) EncodePartial(names []string, dst []byte) []byte {
-	return r.encode(dst, func(s *Segment) bool { return s.live() && slices.Contains(names, s.name) })
-}
-
-// Merge applies a partial representation onto r: every segment in
-// partial replaces (or adds to) r's, and every name in removed is
-// deleted. Merge changes contents, not change tracking: a name keeps
-// its stamp, and a new one has none. What it takes from partial it
-// copies, names included, so r keeps nothing partial was decoded from.
-func (r *Representation) Merge(partial *Representation, removed []string) {
-	for i := range partial.segs {
-		p := &partial.segs[i]
-		switch p.kind {
-		case Data:
-			s := r.slot(strings.Clone(p.name))
-			s.kind, s.data, s.caps = Data, append([]byte(nil), p.data...), nil
-		case Caps:
-			s := r.slot(strings.Clone(p.name))
-			s.kind, s.data, s.caps = Caps, nil, p.caps.Clone()
-		}
-	}
-	for _, name := range removed {
-		if s := r.lookup(name); s != nil {
-			s.kind, s.data, s.caps = 0, nil, nil
-		}
-	}
-	r.sweep()
-}
+func (r *Representation) MarkClean(stamp uint64) { r.clean = max(r.clean, stamp) }

@@ -286,8 +286,7 @@ func TestEncodeSizesOnce(t *testing.T) {
 }
 
 // TestEncodedSizeIsEncodeLength: EncodedSize is the length Encode
-// appends, for an empty representation and with deleted segments, whose
-// tombstones encode nothing.
+// appends, for an empty representation and after a deletion.
 func TestEncodedSizeIsEncodeLength(t *testing.T) {
 	r := New()
 	for step := 0; step < 3; step++ {
@@ -300,29 +299,6 @@ func TestEncodedSizeIsEncodeLength(t *testing.T) {
 		case 1:
 			r.Delete(r.Names()[0])
 		}
-	}
-}
-
-// TestEncodePartialMergesOntoBase: a partial encoding of some changed
-// segments, merged onto the old state with the removed ones, is the new
-// state. Names may be absent (never there, or deleted), repeated or
-// unsorted.
-func TestEncodePartialMergesOntoBase(t *testing.T) {
-	base := sampleRep()
-	r := base.Clone()
-	r.SetData("state", []byte("changed"))
-	r.SetData("new", []byte("added"))
-	r.Delete("empty")
-	sub, rest, err := Decode(r.EncodePartial([]string{"state", "new", "gone", "state", "empty"}, nil))
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("Decode partial: %v, %d bytes left", err, len(rest))
-	}
-	if sub.NumSegments() != 2 {
-		t.Errorf("partial holds %v, want [new state]", sub.Names())
-	}
-	base.Merge(sub, []string{"empty"})
-	if !base.Equal(r) {
-		t.Errorf("merged %v, want %v", base.Names(), r.Names())
 	}
 }
 
@@ -471,8 +447,7 @@ func checkDecoded(t *testing.T, src []byte) bool {
 		t.Errorf("DecodeInto a table of %d: %v, decoded into it: %v, same as Decode: %v", len(table), err, cap(tabled.segs) == cap(table), same)
 	}
 	if r.HasDirty() {
-		changed, removed := r.Dirty()
-		t.Errorf("decoded representation has changed %v and removed %v", changed, removed)
+		t.Errorf("decoded representation of %v is dirty", r.Names())
 	}
 	if enc := r.Encode(nil); !bytes.Equal(enc, pristine[:used]) {
 		t.Errorf("Encode(Decode(x)) = %x, want %x", enc, pristine[:used])
@@ -539,12 +514,24 @@ func within(s string, b []byte) bool {
 // own bytes, it comes back clean, and it re-encodes to the input.
 func TestDecodeAliasesInput(t *testing.T) {
 	full := sampleRep().Encode(nil)
-	partial := sampleRep().EncodePartial([]string{"state"}, nil)
-	for _, src := range [][]byte{full, append(full, 1, 2, 3), partial, New().Encode(nil)} {
+	sub := subRep("state").Encode(nil)
+	for _, src := range [][]byte{full, append(full, 1, 2, 3), sub, New().Encode(nil)} {
 		if !checkDecoded(t, src) {
 			t.Errorf("Decode rejected %x", src)
 		}
 	}
+}
+
+// subRep is the sample representation with only the named segments
+// left.
+func subRep(names ...string) *Representation {
+	r := sampleRep()
+	for _, name := range r.Names() {
+		if !slices.Contains(names, name) {
+			r.Delete(name)
+		}
+	}
+	return r
 }
 
 // rawEncoding lays segments out in the wire format in the order given,
@@ -582,7 +569,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 // table; its names lie inside the input until their segments are set.
 func FuzzDecode(f *testing.F) {
 	f.Add(sampleRep().Encode(nil))
-	f.Add(sampleRep().EncodePartial([]string{"refs"}, nil))
+	f.Add(subRep("refs").Encode(nil))
 	f.Add(New().Encode(nil))
 	f.Add(rawEncoding("a", "b"))
 	f.Add([]byte("EdR1"))
@@ -617,17 +604,15 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 }
 
 // modelRep is the plain-map model TestRepresentationModel checks a
-// Representation against: the segments, and the stamp of each name's
-// last change.
+// Representation against: the segments, the number of changes and the
+// clean mark.
 type modelRep struct {
 	segs         map[string]*Segment
-	stamps       map[string]uint64
 	stamp, clean uint64
 }
 
 func (m *modelRep) change(name string, s *Segment) {
 	m.stamp++
-	m.stamps[name] = m.stamp
 	if s == nil {
 		delete(m.segs, name)
 	} else {
@@ -643,24 +628,6 @@ func (m *modelRep) names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// dirty is Dirty by the model's definition: a name whose last change is
-// newer than the clean mark, present or not.
-func (m *modelRep) dirty() (changed, removed []string) {
-	for name, st := range m.stamps {
-		if st <= m.clean {
-			continue
-		}
-		if _, ok := m.segs[name]; ok {
-			changed = append(changed, name)
-		} else {
-			removed = append(removed, name)
-		}
-	}
-	sort.Strings(changed)
-	sort.Strings(removed)
-	return changed, removed
 }
 
 // encode lays the model out in the wire format by hand.
@@ -685,20 +652,20 @@ func (m *modelRep) encode() []byte {
 }
 
 // TestRepresentationModel runs random sequences of SetData, SetCaps,
-// Delete, Merge, Stamp and MarkClean against the model, checking after
-// every step the names, each name's presence and bytes, the encoding and
-// the changed and removed sets.
+// Delete, Stamp and MarkClean against the model, checking after every
+// step the names, each name's presence and bytes, the encoding and
+// whether anything changed since the clean mark.
 func TestRepresentationModel(t *testing.T) {
 	universe := []string{"a", "b", "c", "d", "e", "f"}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var r Representation
-		m := &modelRep{segs: map[string]*Segment{}, stamps: map[string]uint64{}}
+		m := &modelRep{segs: map[string]*Segment{}}
 		var snaps []uint64
 		pick := func() string { return universe[rng.Intn(len(universe))] }
 		for step := 0; step < 400; step++ {
 			var op string
-			switch x := rng.Intn(10); {
+			switch x := rng.Intn(9); {
 			case x < 3:
 				name, b := pick(), []byte{byte(rng.Intn(256)), byte(step)}
 				op = fmt.Sprintf("SetData(%s)", name)
@@ -717,26 +684,6 @@ func TestRepresentationModel(t *testing.T) {
 					m.change(name, nil)
 				}
 			case x < 7:
-				var p Representation
-				var removed []string
-				for _, name := range universe {
-					switch rng.Intn(4) {
-					case 0:
-						p.SetData(name, []byte{byte(step), 'm'})
-					case 1:
-						removed = append(removed, name)
-					}
-				}
-				op = fmt.Sprintf("Merge(%v, %v)", p.Names(), removed)
-				r.Merge(&p, removed)
-				for _, name := range p.Names() {
-					b, _ := p.Data(name)
-					m.segs[name] = &Segment{kind: Data, data: b}
-				}
-				for _, name := range removed {
-					delete(m.segs, name)
-				}
-			case x < 8:
 				op = "Stamp"
 				if got := r.Stamp(); got != m.stamp {
 					t.Fatalf("seed %d step %d: Stamp = %d, model %d", seed, step, got, m.stamp)
@@ -767,13 +714,8 @@ func TestRepresentationModel(t *testing.T) {
 			if got, want := r.Encode(nil), m.encode(); !bytes.Equal(got, want) {
 				t.Fatalf("%s: Encode differs from the model's", where)
 			}
-			changed, removed := r.Dirty()
-			wantChanged, wantRemoved := m.dirty()
-			if !slices.Equal(changed, wantChanged) || !slices.Equal(removed, wantRemoved) {
-				t.Fatalf("%s: Dirty = %v, %v; model %v, %v", where, changed, removed, wantChanged, wantRemoved)
-			}
-			if r.HasDirty() != (m.stamp > m.clean) || r.HasDirty() != (len(changed)+len(removed) > 0) {
-				t.Fatalf("%s: HasDirty = %v with changed %v, removed %v", where, r.HasDirty(), changed, removed)
+			if r.HasDirty() != (m.stamp > m.clean) {
+				t.Fatalf("%s: HasDirty = %v, model's stamp %d, clean mark %d", where, r.HasDirty(), m.stamp, m.clean)
 			}
 		}
 	}
