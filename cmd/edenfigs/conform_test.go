@@ -18,3 +18,14 @@ func TestReadConformance(t *testing.T) {
 		{Type: "mailbox", Op: "read", Setup: create("mailbox")},
 	})
 }
+
+// TestWriteConformance invokes the prototype's write from another node
+// on one object and locally on its twin, and holds the replies and the
+// two objects' states to each other's.
+func TestWriteConformance(t *testing.T) {
+	conform.Writes(t, registerPrototypeTypes, []conform.Row{
+		{Type: "mailbox", Op: "deliver", Setup: func(home, _ *eden.Node) (eden.Capability, error) {
+			return home.CreateObject("mailbox")
+		}, Requests: [][]byte{[]byte("a letter")}},
+	})
+}

@@ -25,3 +25,22 @@ func TestReadConformance(t *testing.T) {
 			Requests: [][]byte{[]byte("00000001"), []byte("00000002"), []byte("00000009")}},
 	})
 }
+
+// TestWriteConformance invokes the mailbox's writes from another node on
+// one mailbox and locally on its twin, and holds the replies and the two
+// mailboxes' messages to each other's.
+func TestWriteConformance(t *testing.T) {
+	mailbox := func(home, client *eden.Node) (eden.Capability, error) {
+		box, err := home.CreateObject(mailboxType)
+		if err == nil {
+			_, err = client.Invoke(box, "deliver", encodeMail("bob", "hello", "body of hello"), nil, opts())
+		}
+		return box, err
+	}
+	conform.Writes(t, func(s *eden.System) error { return s.RegisterType(mailboxManager()) }, []conform.Row{
+		{Type: mailboxType, Op: "deliver", Setup: mailbox,
+			Requests: [][]byte{encodeMail("alice", "a somewhat longer subject line", "a body"), encodeMail("carol", "", "")}},
+		{Type: mailboxType, Op: "delete", Setup: mailbox,
+			Requests: [][]byte{[]byte("00000001"), []byte("00000009")}},
+	})
+}

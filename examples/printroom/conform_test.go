@@ -23,3 +23,19 @@ func TestReadConformance(t *testing.T) {
 		}},
 	})
 }
+
+// TestWriteConformance invokes the spooler's writes from another node on
+// one spooler and locally on its twin, and holds the replies and the two
+// spoolers' queues to each other's. The printer attached is another
+// spooler: with no job queued, nothing is sent to it.
+func TestWriteConformance(t *testing.T) {
+	spooler := func(home, _ *eden.Node) (eden.Capability, error) { return home.CreateObject(spoolerType) }
+	conform.Writes(t, func(s *eden.System) error { return s.RegisterType(spoolerManager()) }, []conform.Row{
+		{Type: spoolerType, Op: "attach-printer", Setup: spooler, Caps: func(home *eden.Node) (eden.CapabilityList, error) {
+			printer, err := home.CreateObject(spoolerType)
+			return eden.CapabilityList{printer}, err
+		}},
+		{Type: spoolerType, Op: "submit", Setup: spooler,
+			Requests: [][]byte{[]byte("first job"), []byte("second job")}},
+	})
+}

@@ -13,9 +13,12 @@ package analysis
 // checked property instead of a promise.
 //
 // Call.Data is reached through the Call, so a read handler that keeps
-// it leaks it too: a read served for another node borrows its request
-// until the reply is sent. Running every read (internal/conform) catches
-// a kept request read back; this catches one kept where nothing reads it.
+// it leaks it too: every call served for another node borrows its
+// request until the reply is sent, and a handler keeps nothing of Data.
+// Running every operation (internal/conform's Reads and Writes) catches
+// a kept request read back; this catches one a read keeps where nothing
+// reads it. A write's handler is not analyzed here, as this analyzer
+// proves read-only declarations; Writes runs every write.
 
 import (
 	"go/ast"

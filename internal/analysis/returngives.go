@@ -14,11 +14,12 @@ package analysis
 //     buffer would become every caller's reply.
 //
 // Nor are the bytes a call lends its handler an invocation's data:
-// Call.Data and a ReturnBuffer buffer, which for a read served for
-// another node lie in pooled frames. An invocation on this node gets its
-// data uncopied, and a write there may keep it after the frame is
-// reused, where no run of the read sees it (internal/conform runs the
-// rest of a loan). This check does not follow the bytes into helpers.
+// Call.Data, which for a call served for another node lies in a pooled
+// frame, and a ReturnBuffer buffer, which for a read does. An invocation
+// on this node gets its data uncopied, and its handler may still read it
+// after the invoker stopped waiting and the frame was reused, where no
+// run of the lending operation sees it (internal/conform runs the rest
+// of a loan). This check does not follow the bytes into helpers.
 //
 // The Return-gives check is per function that takes a *kernel.Call,
 // source-ordered and branch-insensitive. Slices are tracked by the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"eden/internal/kernel"
 	"eden/internal/msg"
 	"eden/internal/transport"
 )
@@ -39,6 +40,28 @@ func (r *replyTap) Send(env msg.Envelope) error {
 	return nil
 }
 
+// tappedSys is nodes 1 and 2 with node 2's transport tapped: serve
+// hands node 2 a request frame, a new call each time, and returns its
+// reply's data length.
+func tappedSys(t *testing.T) (map[uint32]*kernel.Kernel, func(req []byte) int) {
+	tap := &replyTap{reply: make(chan int, 1)}
+	ks := testSysWith(t, 2*time.Second, func(tr transport.Transport) transport.Transport {
+		if tr.Node() != 2 {
+			return tr
+		}
+		tap.Transport = tr
+		return tap
+	}, 1, 2)
+	var corr uint64
+	return ks, func(req []byte) int {
+		frame := msg.FrameBuffer(len(req))
+		copy(frame.B, req)
+		corr++
+		tap.h(msg.Envelope{Kind: msg.KindInvokeReq, From: 1, To: 2, Corr: corr, Payload: frame.B, Frame: frame})
+		return <-tap.reply
+	}
+}
+
 // TestServedReadAllocCeiling pins what serving a read of a 1 KiB
 // version for another node allocates on the serving node: nothing. The
 // request arrives in a pooled frame, as a transport lends it
@@ -52,14 +75,7 @@ func TestServedReadAllocCeiling(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
 	}
 	const ceiling = 0
-	tap := &replyTap{reply: make(chan int, 1)}
-	ks := testSysWith(t, 2*time.Second, func(tr transport.Transport) transport.Transport {
-		if tr.Node() != 2 {
-			return tr
-		}
-		tap.Transport = tr
-		return tap
-	}, 1, 2)
+	ks, serve := tappedSys(t)
 	c := NewClient(ks[2], Optimistic)
 	f, err := c.CreateFile()
 	if err != nil {
@@ -73,18 +89,58 @@ func TestServedReadAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := msg.InvokeReq{Target: f, Operation: "read", TimeoutNanos: int64(2 * time.Second)}.Encode(nil)
-	serve := func() {
-		frame := msg.FrameBuffer(len(req))
-		copy(frame.B, req)
-		env := msg.Envelope{Kind: msg.KindInvokeReq, From: 1, To: 2, Corr: 1, Payload: frame.B, Frame: frame}
-		tap.h(env)
-		if n := <-tap.reply; n != 8+1<<10 {
+	read := func() {
+		if n := serve(req); n != 8+1<<10 {
 			t.Fatalf("served read replied %d bytes of data, want %d", n, 8+1<<10)
 		}
 	}
-	serve() // the processor and the pools are warm
-	if got := testing.AllocsPerRun(1000, serve); got > ceiling {
+	read() // the processor and the pools are warm
+	if got := testing.AllocsPerRun(1000, read); got > ceiling {
 		t.Errorf("serving a 1 KiB read for another node: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestServedCommitAllocCeiling pins what serving an optimistic one-file
+// commit (commit-one) of 64 B for another node allocates on the serving
+// node: 3 objects — the new version's copy of the content (SetData), the
+// meta segment's, and the 8-byte reply. The request arrives in a pooled
+// frame, which the kernel frees once the reply is sent; the handler
+// borrows the content from it, as a read borrows its request. It was 4
+// while a write got its own copy of its request data. The checkpoint
+// lends its encoding to the store, the version's name is shared (made
+// before the count, as the first file at that version makes it), and
+// the representation's segment table and the store's log grow by
+// doubling, which AllocsPerRun's truncated mean does not count.
+func TestServedCommitAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; the call frame is reallocated at random")
+	}
+	const ceiling = 3
+	ks, serve := tappedSys(t)
+	f, err := NewClient(ks[2], Optimistic).CreateFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// proposal: tidLen(4) = 0, no tid | base(8) | content
+	prop := append(make([]byte, 12, 12+64), bytes.Repeat([]byte("c"), 64)...)
+	req := make([]byte, 0, 256)
+	var base uint64
+	commit := func() {
+		binary.BigEndian.PutUint64(prop[4:], base)
+		req = msg.InvokeReq{Target: f, Operation: "commit-one", Data: prop, TimeoutNanos: int64(2 * time.Second)}.Encode(req[:0])
+		if n := serve(req); n != 8 {
+			t.Fatalf("served commit-one of version %d replied %d bytes of data, want 8", base+1, n)
+		}
+		base++
+	}
+	commit() // the processor and the pools are warm
+	for v := uint64(0); v < 256; v += versionBlock {
+		newVerSeg(v) // and the shared version names made, once per process
+	}
+	got := testing.AllocsPerRun(200, commit)
+	t.Logf("%.0f allocs per served commit-one", got)
+	if got > ceiling {
+		t.Errorf("serving a 64-byte commit-one for another node: %.1f allocs, ceiling %d", got, ceiling)
 	}
 }
 

@@ -34,8 +34,12 @@ import (
 // ForeignOp is one operation of the foreign service: it receives the
 // request bytes and returns the response bytes, which become the
 // invoker's reply as they are (kernel.Call.Return): the op must not
-// modify them, or hand them to anyone else, afterwards. Errors are
-// reported to the invoker as application failures.
+// modify them, or hand them to anyone else, afterwards. The request is
+// the invocation's Call.Data, lent until the op returns: the op keeps
+// nothing of it, and copies what it needs later (a foreign service that
+// queues the request queues a copy). It may return the request itself,
+// or a slice of it. Errors are reported to the invoker as application
+// failures.
 type ForeignOp func(data []byte) ([]byte, error)
 
 // Spec describes one gateway type.

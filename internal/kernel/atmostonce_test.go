@@ -19,12 +19,11 @@ import (
 // onceRig is node 2 serving crafted request frames "from" node 9, a
 // bare mesh endpoint that collects the reply frames. The type has a
 // state-changing operation, which can be held inside its handler, and a
-// read-only one; both count their executions. A third, "keep", changes
+// read-only one; both count their executions. A third, "head", changes
 // nothing but is not declared AccessRead: it returns the first 8 bytes of
-// its request, a slice of its Call.Data, and keeps the first request it
-// is given, as a write may. A fourth,
-// "build", is a state-changing operation that writes its reply with
-// ReturnBuffer: its execution count, then its request.
+// its request, a slice of its Call.Data. A fourth, "build", is a
+// state-changing operation that writes its reply with ReturnBuffer: its
+// execution count, then its request.
 type onceRig struct {
 	*sys
 	k         *Kernel
@@ -36,7 +35,6 @@ type onceRig struct {
 	entered   chan struct{}
 	mu        sync.Mutex
 	replies   []msg.Envelope
-	kept      []byte // the first request "keep" was given
 	delivered chan struct{}
 }
 
@@ -55,12 +53,7 @@ func newOnceRig(t *testing.T) *onceRig {
 	tm.Op(Operation{Name: "peek", Access: AccessRead, Handler: func(c *Call) {
 		c.Return(u64(uint64(r.peeks.Add(1))))
 	}})
-	tm.Op(Operation{Name: "keep", Access: AccessWrite, Handler: func(c *Call) {
-		r.mu.Lock()
-		if r.kept == nil {
-			r.kept = c.Data
-		}
-		r.mu.Unlock()
+	tm.Op(Operation{Name: "head", Access: AccessWrite, Handler: func(c *Call) {
 		c.Return(c.Data[:min(8, len(c.Data))])
 	}})
 	tm.Op(Operation{Name: "build", Access: AccessWrite, Handler: func(c *Call) {
@@ -311,7 +304,7 @@ func TestAtMostOnceKeepsRightSizedReplies(t *testing.T) {
 	r := newOnceRig(t)
 	body := make([]byte, 64<<10)
 	copy(body, "8 bytes!")
-	env := r.frameData("keep", 400, body)
+	env := r.frameData("head", 400, body)
 	r.k.serveInvoke(env)
 	if rep := r.answers(t, 1, 400)[0]; string(rep.Data) != "8 bytes!" {
 		t.Fatalf("reply = %q", rep.Data)
@@ -475,7 +468,7 @@ func TestServedTableMatchesModel(t *testing.T) {
 			} else if rep.Status == msg.StatusMoved || rep.Status == statusPassive {
 				met["a slot freed"]++
 			}
-			got.end(c.n, rep)
+			got.end(c.n, rep, nil)
 			want.end(c.n, rep)
 		}
 		if step%512 == 0 {

@@ -53,12 +53,12 @@ func TestReadBorrowsItsRequest(t *testing.T) {
 	}
 }
 
-// lingerType registers "linger", a read whose handler, except for a
-// request reading "later", waits for release and then sends a copy of
-// its request on seen.
-func lingerType(t *testing.T, s *sys, release <-chan struct{}, seen chan<- []byte) {
+// lingerType registers "linger", an operation of the given access
+// whose handler, except for a request reading "later", waits for
+// release and then sends a copy of its request on seen.
+func lingerType(t *testing.T, s *sys, access Access, release <-chan struct{}, seen chan<- []byte) {
 	tm := NewType("linger")
-	tm.Op(Operation{Name: "linger", Access: AccessRead, Handler: func(c *Call) {
+	tm.Op(Operation{Name: "linger", Access: access, Handler: func(c *Call) {
 		if string(c.Data) == "later" {
 			return
 		}
@@ -68,15 +68,17 @@ func lingerType(t *testing.T, s *sys, release <-chan struct{}, seen chan<- []byt
 	mustRegister(t, s.reg, tm)
 }
 
-// lingerOut serves a "linger" read that times out after 10 ms, then a
-// later call, whose frame may take the first one's buffer were it freed,
-// and releases the first handler, which must still read its own request.
-func lingerOut(t *testing.T, k *Kernel, cp capability.Capability, release chan<- struct{}, seen <-chan []byte) {
+// lingerOut serves a "linger" call to slow that times out after 10 ms,
+// then a later call to later, whose frame may take the first one's
+// buffer were it freed, and releases the first handler, which must still
+// read its own request. A write holds its object exclusively, so its
+// later call goes to another object.
+func lingerOut(t *testing.T, k *Kernel, slow, later capability.Capability, release chan<- struct{}, seen <-chan []byte) {
 	want := bytes.Repeat([]byte("request!"), 8)
-	slow := msg.InvokeReq{Target: cp, Operation: "linger", Data: want, TimeoutNanos: int64(10 * time.Millisecond)}
-	k.serveInvoke(request(slow, 1)) // answered StatusTimeout; the handler waits
-	later := msg.InvokeReq{Target: cp, Operation: "linger", Data: []byte("later"), TimeoutNanos: int64(5 * time.Second)}
-	k.serveInvoke(request(later, 2))
+	first := msg.InvokeReq{Target: slow, Operation: "linger", Data: want, TimeoutNanos: int64(10 * time.Millisecond)}
+	k.serveInvoke(request(first, 1)) // answered StatusTimeout; the handler waits
+	next := msg.InvokeReq{Target: later, Operation: "linger", Data: []byte("later"), TimeoutNanos: int64(5 * time.Second)}
+	k.serveInvoke(request(next, 2))
 	close(release)
 	select {
 	case got := <-seen:
@@ -95,12 +97,26 @@ func lingerOut(t *testing.T, k *Kernel, cp capability.Capability, release chan<-
 func TestTimedOutReadKeepsItsRequest(t *testing.T) {
 	s := newSys(t, 2)
 	release, seen := make(chan struct{}), make(chan []byte, 1)
-	lingerType(t, s, release, seen)
+	lingerType(t, s, AccessRead, release, seen)
 	cp, err := s.ks[2].Create("linger", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lingerOut(t, s.ks[2], cp, release, seen)
+	lingerOut(t, s.ks[2], cp, cp, release, seen)
+}
+
+// bounceOnce passivates cp's incarnation when the next call arrives, so
+// that call's first round finishes without running the handler, and
+// returns whether that happened.
+func bounceOnce(t *testing.T, k *Kernel, cp capability.Capability) *atomic.Bool {
+	var bounced atomic.Bool
+	hookOnce(k, hookArrival, cp.ID(), func(o *Object) {
+		if err := o.Passivate(); err != nil {
+			t.Error(err)
+		}
+		bounced.Store(true)
+	})
+	return &bounced
 }
 
 // TestBouncedReadKeepsItsRequest: the same, for a read that first meets
@@ -110,53 +126,67 @@ func TestTimedOutReadKeepsItsRequest(t *testing.T) {
 func TestBouncedReadKeepsItsRequest(t *testing.T) {
 	s := newSys(t, 2)
 	release, seen := make(chan struct{}), make(chan []byte, 1)
-	lingerType(t, s, release, seen)
+	lingerType(t, s, AccessRead, release, seen)
 	cp, err := s.ks[2].Create("linger", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bounced atomic.Bool
-	hookOnce(s.ks[2], hookArrival, cp.ID(), func(o *Object) {
-		if err := o.Passivate(); err != nil {
-			t.Error(err)
-		}
-		bounced.Store(true)
-	})
-	lingerOut(t, s.ks[2], cp, release, seen)
+	bounced := bounceOnce(t, s.ks[2], cp)
+	lingerOut(t, s.ks[2], cp, cp, release, seen)
 	if !bounced.Load() {
 		t.Error("the read never met a passivated incarnation")
 	}
 }
 
-// TestWriteKeepsItsRequest: a write may keep Call.Data — "keep" keeps
-// its first request — and its reply may be a slice of it, which the
-// at-most-once table keeps for a retransmission. So a write served for
-// another node gets its own copy of its request, and the frame goes back
-// to the pool with the reply (in a race build, overwritten with
-// msg.Poison). The kept request still reads its own bytes after a later
-// request, whose frame may take the freed buffer, was served; the table's
-// reply does not lie in the frame; and the retransmission is answered
+// TestTimedOutWriteKeepsItsRequest: a write borrows its request as a read
+// does, and one whose invoker gave up keeps it the same way — here after
+// a first round that met a passivated incarnation, and whose at-most-once
+// slot was freed with it. The handler, released after a later write was
+// served, still reads its own request.
+func TestTimedOutWriteKeepsItsRequest(t *testing.T) {
+	s := newSys(t, 2)
+	release, seen := make(chan struct{}), make(chan []byte, 1)
+	lingerType(t, s, AccessWrite, release, seen)
+	cp, err := s.ks[2].Create("linger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.ks[2].Create("linger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounced := bounceOnce(t, s.ks[2], cp)
+	lingerOut(t, s.ks[2], cp, other, release, seen)
+	if !bounced.Load() {
+		t.Error("the write never met a passivated incarnation")
+	}
+}
+
+// TestWriteBorrowsItsRequest: a write served for another node borrows
+// its request as a read does, and the frame goes back to the pool once
+// the reply is sent (in a race build, overwritten with msg.Poison). Its
+// reply, "head"'s first 8 bytes of Call.Data, lies in that frame, and
+// the at-most-once table keeps it for a retransmission: the table's
+// reply does not lie in the frame, and the retransmission, after a later
+// request whose frame may take the freed buffer was served, is answered
 // with the first reply's bytes.
-func TestWriteKeepsItsRequest(t *testing.T) {
+func TestWriteBorrowsItsRequest(t *testing.T) {
 	r := newOnceRig(t)
-	env := lend(r.frameData("keep", 700, []byte("8 bytes!")))
+	env := lend(r.frameData("head", 700, []byte("8 bytes!")))
 	frame := env.Frame.B[:cap(env.Frame.B)]
 	r.k.serveInvoke(env)
 	if rep := r.answers(t, 1, 700)[0]; string(rep.Data) != "8 bytes!" {
 		t.Fatalf("reply = %q", rep.Data)
 	}
-	r.k.serveInvoke(lend(r.frameData("peek", 701, bytes.Repeat([]byte{0xff}, 8))))
-	r.answers(t, 1, 701)
-	r.mu.Lock()
-	kept := r.kept
-	r.mu.Unlock()
-	if string(kept) != "8 bytes!" {
-		t.Errorf("the write's kept request reads %q after a later call was served", kept)
+	if want := bytes.Repeat([]byte{msg.Poison}, len(frame)); raceEnabled && !bytes.Equal(frame, want) {
+		t.Errorf("a write's request frame still reads %q after its reply was sent; it was not freed", frame[:16])
 	}
 	if reply := r.recorded(t, 700).Data; aliases(reply, frame) {
 		t.Errorf("the table keeps the reply %q inside the request's %d-byte pooled frame", reply, len(frame))
 	}
-	r.k.serveInvoke(r.frameData("keep", 700, []byte("8 bytes!"))) // the retransmission
+	r.k.serveInvoke(lend(r.frameData("peek", 701, bytes.Repeat([]byte{0xff}, 64))))
+	r.answers(t, 1, 701)
+	r.k.serveInvoke(lend(r.frameData("head", 700, []byte("8 bytes!")))) // the retransmission
 	if rep := r.answers(t, 1, 700)[0]; string(rep.Data) != "8 bytes!" {
 		t.Errorf("retransmission answered %q, want the first reply %q", rep.Data, "8 bytes!")
 	}

@@ -82,8 +82,8 @@ type inbound struct {
 	// (Call.ReturnBuffer), already in its wire form; serveInvoke sends
 	// and frees it. nil when the reply is to be encoded.
 	frame *msg.Buffer
-	// kept: a read's handler may still read the request after the reply
-	// is sent (its invoker's time ran out), so serveInvoke leaves the
+	// kept: a handler may still read the request after the reply is
+	// sent (its invoker's time ran out), so serveInvoke leaves the
 	// request's frame to the collector instead of freeing it.
 	kept bool
 }
@@ -165,11 +165,13 @@ func (t *servedTable) begin(key servedKey) (n uint64, rep msg.InvokeRep) {
 // end settles call n with its outcome. A call that met a moved or
 // passivated incarnation never ran: its slot is freed, so that the retry
 // — which may find the object elsewhere by then — is not answered here.
-// The slot keeps a copy of reply data that sits in a much larger array —
-// a handler that returned a few bytes of its request would otherwise
-// pin the whole receive frame for as long as the slot lives.
-func (t *servedTable) end(n uint64, rep msg.InvokeRep) {
-	if cap(rep.Data) > 2*len(rep.Data)+64 {
+// The slot keeps a copy of reply data that lies in req, the request data,
+// whose frame is freed once the reply is sent: data that ends where req
+// does, as every c.Data[i:j] does (the decoder clips Data's capacity).
+// Comparing addresses would catch c.Data[i:j:k] too, but needs unsafe,
+// which the module keeps to internal/segment.
+func (t *servedTable) end(n uint64, rep msg.InvokeRep, req []byte) {
+	if c, r := cap(rep.Data), cap(req); c > 0 && r > 0 && &rep.Data[:c][c-1] == &req[:r][r-1] {
 		rep.Data = bytes.Clone(rep.Data)
 	}
 	t.mu.Lock()
@@ -488,12 +490,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 			c.recycle()
 			return answer, nil
 		}
-		defer func() { k.served.end(n, rep) }()
-		// A write may keep its Data, and its reply may be a slice of it,
-		// which the table keeps: it gets its own copy, what a fresh
-		// receive frame cost, and the request's frame goes back to the
-		// pool with the reply.
-		c.data = bytes.Clone(req.Data)
+		defer func() { k.served.end(n, rep, req.Data) }()
 	}
 	remaining := timeout
 	if k.vprocs != nil {
@@ -539,13 +536,13 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, deadline time.Time, or
 	rep, ok := c.await(remaining)
 	if origin != nil {
 		// The process wrote the frame before finishing, and the frame is
-		// not recycled before this share is released. A read still queued
+		// not recycled before this share is released. A call still queued
 		// or running may read its request after the reply is sent. Every
 		// round of tryLocal sets the frame; kept, once set, stays.
 		origin.frame = nil
 		if ok {
 			origin.frame = c.call.frame
-		} else if c.inPlace {
+		} else {
 			origin.kept = true
 		}
 	}
@@ -588,11 +585,11 @@ func (k *Kernel) roundTrip(env msg.Envelope, payload *msg.Buffer, timeout time.D
 
 // serveInvoke executes an invocation received from another node and
 // sends the reply envelope back. The request is decoded in place: its
-// data is a read's Call.Data, inside the frame it arrived in; a write
-// gets a copy (dispatch). A read borrows its request: when the transport
-// lent that frame from the pool (env.Frame), it is freed once the reply
-// is sent, unless a read timed out while its handler was queued or
-// running (inbound.kept) — that frame is left to the collector. The
+// data is Call.Data, inside the frame it arrived in. Every call borrows
+// its request: when the transport lent that frame from the pool
+// (env.Frame), it is freed once the reply is sent, unless the call timed
+// out while its handler was queued or running (inbound.kept) — that
+// frame is left to the collector. The
 // request's own flag decides whether a replica or checkpoint shadow
 // qualifies: an invoker that demands the home (after a StatusMoved
 // bounce, or because it never opted into stale reads) clears the flag,

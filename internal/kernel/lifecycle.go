@@ -78,7 +78,7 @@ func (k *Kernel) reincarnate(id edenid.ID) (*Object, error) {
 	}
 	obj.epoch = normEpoch(rec.Epoch)
 	if !rec.Backup {
-		obj.saved, obj.savedFrozen = rec.Version, rec.Frozen
+		obj.saved = rec.Version
 	}
 	// The reincarnation condition handler runs before any invocation
 	// is dispatched; install() happens only after it succeeds.
@@ -137,8 +137,9 @@ func (o *Object) Checkpoint() error {
 	killpoint.Hit(killpoint.CheckpointPostSync)
 	o.mu.Lock()
 	o.rep.MarkClean(stamp)
-	if local && ver > o.saved { // a concurrent later checkpoint may have finished first
-		o.saved, o.savedFrozen = ver, frozen
+	// A later checkpoint may have finished first; one before a Freeze lacks the flag.
+	if local && ver > o.saved && frozen == o.frozen {
+		o.saved = ver
 	}
 	o.mu.Unlock()
 	o.k.tel.ckptLat.ObserveSince(start)
@@ -427,7 +428,9 @@ func (o *Object) Freeze() error {
 	if o.replica {
 		return fmt.Errorf("kernel: cannot freeze a replica")
 	}
-	o.frozen = true
+	if !o.frozen {
+		o.frozen, o.saved = true, 0 // no record holds the flag yet
+	}
 	return nil
 }
 

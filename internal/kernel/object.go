@@ -55,11 +55,11 @@ type Object struct {
 	mu      sync.RWMutex
 	rep     segment.Representation
 	version uint64 // checkpoint version counter
-	// saved and savedFrozen are the version and frozen flag of the local
-	// home record this incarnation is known to match — the one it was
-	// decoded from, or that its latest fully successful Checkpoint wrote.
-	// saved is zero when there is none (never checkpointed, shipped in,
-	// promoted from a backup record, or checkpointing elsewhere).
+	// saved is the version of the local home record this incarnation is
+	// known to match, frozen flag included — the one it was decoded
+	// from, or that its latest fully successful Checkpoint wrote. It is
+	// zero when there is none (never checkpointed, shipped in, promoted
+	// from a backup record, checkpointing elsewhere, or frozen since).
 	saved uint64
 
 	// epoch is the object's residency epoch: set before the incarnation
@@ -96,10 +96,10 @@ type Object struct {
 	running int32 // handler processes currently executing
 	state   objState
 
-	// The flags. frozen and savedFrozen are mu's; passive is sched's.
-	frozen      bool
-	savedFrozen bool
-	passive     bool // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
+	// The flags. frozen is mu's; passive is sched's. Object is 280 B, so that
+	// objectWithTable fits the 576-byte size class (TestObjectFootprint).
+	frozen  bool
+	passive bool // passivated: the local record holds this incarnation's state, so a call that met it re-resolves
 	// replica marks an incarnation serving for a remote home: a frozen
 	// replica cached here (Kernel.replicas), or a shadow — a read-only
 	// reincarnation of the home's last checkpoint held for a backup
@@ -229,14 +229,14 @@ func (o *Object) Version() uint64 {
 }
 
 // clean reports whether the local home record already holds exactly this
-// incarnation's long-term state: it is at the version and frozen flag of
-// the record the incarnation was decoded from or last checkpointed into,
-// and no segment has been touched since. Passivating a clean incarnation
+// incarnation's long-term state: it is at the version of the record the
+// incarnation was decoded from or last checkpointed into, it has not
+// been frozen since, and no segment has been touched since. Passivating a clean incarnation
 // writes nothing — no virtual memory writes back a clean page.
 func (o *Object) clean() bool {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return o.saved != 0 && o.saved == o.version && o.savedFrozen == o.frozen && !o.rep.HasDirty()
+	return o.saved != 0 && o.saved == o.version && !o.rep.HasDirty()
 }
 
 // SelfCapability returns a capability for the object itself carrying
@@ -783,20 +783,19 @@ type Call struct {
 
 	// Operation is the invoked operation's name.
 	Operation string
-	// Data carries the data parameters: the invoker's own slice for a
-	// local call; for a call from another node, a read's bytes inside the
-	// frame it arrived in, which belongs to this call alone, and a
-	// write's own copy of them. A handler that returns Data on a local
-	// call hands the invoker its own bytes back. A read served for
-	// another node borrows its request until its handler returns: the
-	// frame is a pooled buffer, freed once the reply is sent. So an
-	// AccessRead handler may read and write Data but keeps nothing of it:
-	// it stores it in no variable that outlives it, sends it on no channel
-	// and hands it to no goroutine, Subprocess, behavior, Invoke or
-	// InvokeAsync — a local invocation gets it uncopied as its own Data
-	// (TestReadConformance catches a read that keeps it and reads it
-	// back, edenvet one that stores it or passes it to Invoke). Returning
-	// it is fine: the reply is encoded from it before the frame is freed.
+	// Data carries the data parameters, and a handler keeps nothing of
+	// Data: the invoker's own slice for a local call, and for a call from
+	// another node the bytes inside the pooled frame it arrived in, which
+	// the call borrows until its handler returns and which is freed once
+	// the reply is sent. A handler may read and write Data but stores it
+	// in no variable that outlives it, sends it on no channel and hands it
+	// to no goroutine, Subprocess, behavior, Invoke or InvokeAsync (a
+	// local invocation gets it uncopied); it copies what it needs later,
+	// as SetData, string(...) and edenid.Decode do. TestReadConformance
+	// and TestWriteConformance catch one that keeps it and reads it back,
+	// edenvet a read that stores it or one that passes it to Invoke.
+	// Returning it is fine: the reply is encoded from it before the frame
+	// is freed, and a local caller gets its own bytes back.
 	Data []byte
 	// Caps carries the capability parameters.
 	Caps capability.List

@@ -53,7 +53,7 @@ func TestReturnKeepsTheHandlersSlice(t *testing.T) {
 
 	t.Run("a replayed reply is the first one's bytes", func(t *testing.T) {
 		r := newOnceRig(t)
-		env := r.frameData("keep", 500, []byte("replayed"))
+		env := r.frameData("head", 500, []byte("replayed"))
 		r.k.serveInvoke(env)
 		r.k.serveInvoke(env)
 		reps := r.answers(t, 2, 500)

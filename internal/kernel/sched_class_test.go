@@ -427,17 +427,17 @@ func TestRemoteInvokeAllocCeiling(t *testing.T) {
 }
 
 // TestRemoteWriteAllocCeiling: a 64-byte write served by another node
-// over the mesh, both nodes counted. Measured 2: the reply's copy, as
-// for a read, and the write's own copy of its request data, which it may
-// keep. The request's frame is pooled and freed once the reply is sent,
-// so a write costs what it did while that frame was an allocation; 3
-// while a write's frame was taken from the pool and never given back.
-// Held to 2: a write's dedup slot is a value in a ring allocated once.
+// over the mesh, both nodes counted. Measured 1: the reply's copy, as
+// for a read. A write borrows its request as a read does: the frame is
+// pooled and freed once the reply is sent, and its handler keeps nothing
+// of Call.Data. It was 2 while a write got its own copy of its request
+// data, and 3 while its frame was taken from the pool and never given
+// back. A write's dedup slot is a value in a ring allocated once.
 func TestRemoteWriteAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
 	}
-	const ceiling = 2
+	const ceiling = 1
 	s := newSys(t, 1, 2)
 	tm := NewType("allocs")
 	tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: func(c *Call) {}})

@@ -30,9 +30,9 @@ import (
 // handler owns outright. An invocation request that fits msg's size
 // classes arrives instead in a pooled buffer of its own, env.Frame: the
 // handler may free it once nothing reads the payload any more — the
-// kernel does so once the reply is sent, since a read served for
-// another node borrows its request until its handler returns and a
-// write copies its data out — or leave it to the collector.
+// kernel does so once the reply is sent, since every call served for
+// another node borrows its request until its handler returns — or
+// leave it to the collector.
 type Handler func(env msg.Envelope)
 
 // Transport is the kernel's view of the network.
