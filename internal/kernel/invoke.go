@@ -413,13 +413,10 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 			// A move this node never finished, or a checksite's claim while
 			// this node was down, may have superseded the record: settle
 			// it first, waiting no longer than the call may, and look
-			// again. Refusing service meanwhile is the safe side, as it is
-			// while the boot scan fails (v.err).
-			err := v.err
+			// again. Refusing service meanwhile is the safe side.
+			err := k.settle(id, deadline)
 			if err == nil {
-				if err = k.settle(id, deadline); err == nil {
-					return k.tryLocalOnce(req, allowReplica, origin, deadline)
-				}
+				return k.tryLocalOnce(req, allowReplica, origin, deadline)
 			}
 			return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(err.Error())}, true, nil
 		default:

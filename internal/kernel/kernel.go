@@ -172,7 +172,6 @@ type Kernel struct {
 	replicas map[edenid.ID]*Object // frozen replicas cached here (Replicate)
 	roles    map[edenid.ID]*role   // policies, backups, claims and move intents (role.go)
 	boot     time.Time             // kernel start, the heartbeat of backups no ship has reached
-	scanErr  error                 // why the boot scan failed; nil once one has succeeded (bootScan)
 	memInUse int64
 	closed   bool
 	// relieving is set while the one asynchronous eviction run (relieve)
@@ -275,22 +274,15 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	// restarted node's fresh ids from colliding with its previous
 	// incarnation's entries (which would replay stale replies).
 	k.corr.Store(uint64(time.Now().UnixNano()))
-	k.scanErr = errNotScanned
-	_ = k.bootScan() // a failure is remembered, and retried on first need
+	k.bootScan()
 	k.loc = locator.New(cfg.Node, tr.Send, k.hostCheck)
 	tr.SetHandler(k.handleFrame)
 	return k
 }
 
-// errNotScanned is the boot scan's state before its first attempt.
-var errNotScanned = errors.New("kernel: store not scanned yet")
-
 // bootScan reads from the store what decides whether a local record may
-// be served as this node's own, and registers it; nothing is registered
-// unless the whole scan succeeds. A failed scan is remembered (scanErr)
-// and re-run when a record here is next judged (judgeRecord): until one
-// succeeds, no local record is served as this node's own. Once one has
-// succeeded, calls do nothing.
+// be served as this node's own, and registers it in the role table. New
+// runs it once, before the node serves anything, so no lock is taken.
 //
 // Backups: without them a restarted checksite cannot tell the records it
 // holds for other homes from its own checkpoints, and would reincarnate
@@ -308,51 +300,29 @@ var errNotScanned = errors.New("kernel: store not scanned yet")
 // construction time no peer is reachable yet; until resolved the object
 // is refused service rather than served from a record the committed move
 // may have superseded.
-func (k *Kernel) bootScan() error {
-	k.mu.Lock()
-	done := k.scanErr == nil
-	k.mu.Unlock()
-	if done {
-		return nil
-	}
+//
+// The scan cannot fail on an open store: store.File answers List and
+// ListIntents from the directory its open pass built, and fails them only
+// once it is closed. A closed store is its caller's error, as a malformed
+// type is TypeManager.Op's, so the scan panics with it and the node never
+// comes up.
+func (k *Kernel) bootScan() {
 	ids, err := k.store.List()
 	var its []store.MoveIntent
 	if err == nil {
 		its, err = k.store.ListIntents()
 	}
-	roles := make(map[edenid.ID]roleEvent)
+	if err != nil {
+		panic(fmt.Sprintf("kernel: boot scan of node %d's store: %v", k.cfg.Node, err))
+	}
 	for _, id := range ids {
 		if m, ok := k.store.Stat(id); ok && (m.Backup || m.Sited) {
-			roles[id] = bootEvent(m)
+			k.stepRoleLocked(id, roleEvent{kind: evBoot, record: true, rec: m}, nil)
 		}
 	}
 	for _, it := range its {
-		ev := roles[it.Object]
-		ev.kind, ev.from, ev.epoch = evBoot, it.Dest, it.Epoch
-		roles[it.Object] = ev
+		k.stepRoleLocked(it.Object, roleEvent{kind: evBoot, from: it.Dest, epoch: it.Epoch}, nil)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	switch {
-	case k.scanErr == nil:
-		return nil // a racing scan succeeded meanwhile
-	case err != nil:
-		k.scanErr = fmt.Errorf("kernel: boot scan of node %d's store: %w", k.cfg.Node, err)
-		return k.scanErr
-	}
-	k.scanErr = nil
-	for id, ev := range roles {
-		if _, live := k.active[id]; live {
-			continue // moved in while the scan was failing: its own home now
-		}
-		k.stepRoleLocked(id, ev, nil)
-	}
-	return nil
-}
-
-// bootEvent is the policy's event for a record the boot scan found.
-func bootEvent(m store.Meta) roleEvent {
-	return roleEvent{kind: evBoot, record: true, rec: m}
 }
 
 // stepRoleLocked applies ev to id's role: the entry stays while the state
@@ -422,6 +392,16 @@ func (k *Kernel) applyRole(id edenid.ID, fx []roleEffect, io *roleIO) (out roleO
 			k.mu.Lock()
 			k.stepRoleLocked(id, ev, nil)
 			k.mu.Unlock()
+		case e.kind == fxPutHome:
+			ev := roleEvent{kind: evHomeUnwritten}
+			if err == nil {
+				if err = k.store.Put(io.rec); err == nil {
+					ev.kind = evHomeWritten
+				}
+			}
+			k.mu.Lock()
+			k.stepRoleLocked(id, ev, nil)
+			k.mu.Unlock()
 		case err != nil:
 		case e.kind == fxPut:
 			if err = k.store.Put(io.rec); err == nil {
@@ -471,45 +451,32 @@ const (
 	noRecord     recordRole = iota // nothing here to serve as the object
 	ownRecord                      // the home record: this node may reincarnate it
 	backupRecord                   // held as a checksite for another home
-	inDoubt                        // a move intent, a claim, or a failed boot scan forbids serving it
+	inDoubt                        // a move intent, or a claim to make or to finish, forbids serving it
 	forwarded                      // the object moved on from here: the record is a forward to node
 )
 
 // verdict is judgeRecord's answer: aboveFloor says a shadow may be made
-// of a backup, node where a forward points; err is a failed boot scan's,
-// a doubt no settlement ends.
+// of a backup, node where a forward points.
 type verdict struct {
 	role       recordRole
 	aboveFloor bool
 	node       uint32
-	err        error
 }
 
 // judgeRecord decides whether id's record in this node's store is the
-// node's to serve, or a forward — the one reader of the boot scan and the
-// role table for that, by the policy's judgeRole. Settling a doubt is the
-// caller's choice.
+// node's to serve, or a forward — the one reader of the role table for
+// that, by the policy's judgeRole. Settling a doubt is the caller's
+// choice.
 func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 	var rs roleState
 	var held bool
 	k.mu.Lock()
-	scanErr := k.scanErr
 	if r := k.roles[id]; r != nil {
 		rs, held = r.roleState, true
 	}
 	k.mu.Unlock()
 	rec, here := k.store.Stat(id)
-	if scanErr != nil && here {
-		if err := k.bootScan(); err != nil {
-			return verdict{role: inDoubt, err: err}
-		}
-		return k.judgeRecord(id)
-	}
-	v := judgeRole(scanErr == nil, rs, held, here, rec)
-	if v.role == noRecord {
-		v.err = scanErr
-	}
-	return v
+	return judgeRole(rs, held, here, rec)
 }
 
 // Node returns the node number.
@@ -585,7 +552,7 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	case ownRecord:
 		return true, isReplica // a passive object is homed where its checkpoint lives
 	case inDoubt:
-		if v.err == nil && k.settle(id, deadline) == nil {
+		if k.settle(id, deadline) == nil {
 			return k.hostCheck(id, false)
 		}
 		return false, false
@@ -691,7 +658,7 @@ func (k *Kernel) runSettlement(id edenid.ID, done chan struct{}, s roleState, fx
 	// restart.
 	rec.Version, rec.Epoch = rec.Version+1, normEpoch(rec.Epoch)+1
 	rec.Backup, rec.Home, rec.Policy = false, 0, s.durable()
-	if slices.ContainsFunc(fx, func(e roleEffect) bool { return e.kind == fxPut }) {
+	if slices.ContainsFunc(fx, func(e roleEffect) bool { return e.kind == fxPutHome }) {
 		// Crash boundary: every sibling holds the claimant's record,
 		// and the claimant's own is still the one it claimed.
 		killpoint.Hit(killpoint.ClaimGranted)

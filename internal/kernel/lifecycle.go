@@ -25,11 +25,7 @@ import (
 // activationMu, so that a probe stalls no other reincarnation on the
 // node.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
-	v := k.judgeRecord(id)
-	if v.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCrashed, v.err)
-	}
-	switch v.role {
+	switch v := k.judgeRecord(id); v.role {
 	case noRecord:
 		return nil, fmt.Errorf("%w: no record of %v here", ErrNoCheckpoint, id)
 	case backupRecord:
@@ -608,19 +604,19 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		// We are acting as a remote checksite: hold the record as a
 		// backup, to be served only during failure recovery — or, for a
 		// claim, grant the sender the object (role.go).
-		if err := k.bootScan(); err != nil {
-			return err // the record here may be this node's own
-		}
-		m, here := k.store.Stat(ship.Object)
-		own := k.judgeRecord(ship.Object).role == ownRecord
 		var buf [4]roleEffect
 		k.mu.Lock()
+		// Read under k.mu, the record agrees with the role: a granted
+		// claim's home record lands before the step that ends its doubt.
+		m, here := k.store.Stat(ship.Object)
 		cur, live := k.active[ship.Object]
 		var prev *role
+		var rs roleState
 		if r := k.roles[ship.Object]; r != nil {
 			saved := *r
-			prev = &saved
+			prev, rs = &saved, r.roleState
 		}
+		own := judgeRole(rs, prev != nil, here, m).role == ownRecord
 		ev := roleEvent{kind: evShip, from: from, version: ship.Version, epoch: normEpoch(ship.Epoch),
 			policy: policyOf(ship.Policy), ex: ship.Ex, claim: ship.Claim, serving: live || own, record: here, rec: m,
 			fresh: prev != nil && prev.home != 0 && time.Since(prev.lastShip) < k.cfg.RecoverGrace}
@@ -675,27 +671,18 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 
 	case msg.ShipMove:
 		newEpoch := normEpoch(ship.Epoch)
-		// Stale-epoch fence: a move shipment at or below the epoch this
-		// node already hosts is a replay of an older transaction (a
-		// retransmitted ship, or a source resolving a move this node has
-		// since moved past). Executing it would fork the object's
-		// history; refuse it instead.
-		if err := k.bootScan(); err != nil {
-			return err // a move intent here may not be scanned yet
-		}
+		var s roleState
+		var hosting uint64
 		k.mu.Lock()
-		cur, live := k.active[ship.Object]
-		r := k.roles[ship.Object]
-		moving := r != nil && r.intent.node != 0
-		k.mu.Unlock()
-		if live && cur.epoch >= newEpoch {
-			return fmt.Errorf("kernel: stale move of %v at epoch %d, already hosting epoch %d",
-				ship.Object, newEpoch, cur.epoch)
+		if cur, live := k.active[ship.Object]; live {
+			hosting = cur.epoch
 		}
-		if moving {
-			// A move of this node's own, committing or in doubt: its
-			// record may yet go, or be served.
-			return fmt.Errorf("%w: %v has a move intent here", ErrMoving, ship.Object)
+		if r := k.roles[ship.Object]; r != nil {
+			s = r.roleState
+		}
+		k.mu.Unlock()
+		if err := moveFence(s, hosting, newEpoch); err != nil {
+			return fmt.Errorf("%w: %v at epoch %d", err, ship.Object, newEpoch)
 		}
 		tt, err := k.types.table(ship.TypeName)
 		if err != nil {
@@ -757,11 +744,7 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 	case msg.ShipMoveProbe:
 		// Move recovery asking whether this node installed the move
 		// (role.go): "yes" commits the crashed move at the source; "no"
-		// (errProbeNotInstalled → StatusNoSuchObject) rolls it back. A
-		// node that cannot tell what it holds does not answer.
-		if err := k.bootScan(); err != nil {
-			return err
-		}
+		// (errProbeNotInstalled → StatusNoSuchObject) rolls it back.
 		m, here := k.store.Stat(ship.Object)
 		k.mu.Lock()
 		if cur, live := k.active[ship.Object]; live {

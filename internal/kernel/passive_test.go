@@ -338,7 +338,7 @@ func TestPassivateWritesOnlyWhatChanged(t *testing.T) {
 					r.t.Fatal(err)
 				}
 				r.k.mu.Lock()
-				r.k.stepRoleLocked(id, bootEvent(ship.Meta()), nil)
+				r.k.stepRoleLocked(id, roleEvent{kind: evBoot, record: true, rec: ship.Meta()}, nil)
 				r.k.mu.Unlock()
 				if home, _ := r.k.hostCheck(id, true); !home {
 					r.t.Fatal("recovery did not promote the backup")

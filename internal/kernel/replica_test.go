@@ -2,13 +2,12 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"eden/internal/capability"
-	"eden/internal/edenid"
 	"eden/internal/store"
 	"eden/internal/telemetry"
 )
@@ -505,88 +504,24 @@ func TestBackupRegistrySurvivesRestart(t *testing.T) {
 	}
 }
 
-// offlineStore is a store whose medium is offline while err is set: List
-// and Get fail with err, and Stat finds nothing, as Get would not. An open
-// File answers List and Stat from its directory, so no fault under one
-// fails them.
-type offlineStore struct {
-	store.Store
-	err atomic.Pointer[error]
-}
-
-func (s *offlineStore) List() ([]edenid.ID, error) {
-	if err := s.err.Load(); err != nil {
-		return nil, *err
-	}
-	return s.Store.List()
-}
-
-func (s *offlineStore) Get(id edenid.ID) (store.Record, error) {
-	if err := s.err.Load(); err != nil {
-		return store.Record{}, *err
-	}
-	return s.Store.Get(id)
-}
-
-func (s *offlineStore) Stat(id edenid.ID) (store.Meta, bool) {
-	if s.err.Load() != nil {
-		return store.Meta{}, false
-	}
-	return s.Store.Stat(id)
-}
-
-// TestFailedBootScanIsRetried: a checksite that restarts while its store
-// fails the boot scan must not take the backups it holds for their home.
-// While the scan fails, nothing here is served as the object's home;
-// once the store heals, the first touch re-runs the scan and the record
-// is a backup again. Skipping the failed scan instead reincarnated the
-// backup as a second home beside the live one.
-func TestFailedBootScanIsRetried(t *testing.T) {
-	s := newSys(t, 1, 2)
-	mustRegister(t, s.reg, counterType(nil))
-	cap, err := s.ks[1].Create("counter", &CreateOptions{
-		Checksite: &ChecksiteSpec{Level: RelReplicated, Sites: []uint32{2}},
-	})
+// TestNewPanicsOverAClosedStore: a node whose boot scan fails never comes
+// up. Only a closed store fails the scan, and handing New one is its
+// caller's error, so New panics, naming the node.
+func TestNewPanicsOverAClosedStore(t *testing.T) {
+	s := newSys(t)
+	ep, err := s.mesh.Attach(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustInvoke(t, s.ks[1], cap, "inc", nil)
-	mustInvoke(t, s.ks[1], cap, "checkpoint", nil)
-
-	s.crashNode(2)
-	media := errors.New("media offline")
-	st := &offlineStore{Store: s.stores[2]}
-	st.err.Store(&media)
-	k2 := s.bootNode(2, st, nil)
-	id := cap.ID()
-	if home, _ := k2.hostCheck(id, true); home {
-		t.Error("scan failing: the checksite claims to be the home")
-	}
-	if _, err := k2.Object(id); !errors.Is(err, ErrCrashed) || !errors.Is(err, media) {
-		t.Errorf("scan failing: Object = %v, want ErrCrashed carrying the scan error", err)
-	}
-	// A call from the checksite still reaches the live home.
-	mustInvoke(t, k2, cap, "inc", nil)
-	if _, active := k2.lookupActive(id); active {
-		t.Fatal("scan failing: the backup was activated")
-	}
-
-	st.err.Store(nil)
-	// The first touch after healing re-runs the scan: the record is a
-	// backup, so the call goes to the home and nothing activates here.
-	mustInvoke(t, k2, cap, "inc", nil)
-	if _, active := k2.lookupActive(id); active {
-		t.Fatal("store healed: the backup was activated as a second home")
-	}
-	if home, _ := k2.hostCheck(id, false); home {
-		t.Error("store healed: the checksite claims to be the home")
-	}
-	if _, err := k2.Object(id); !errors.Is(err, ErrNoCheckpoint) {
-		t.Errorf("store healed: Object = %v, want the backup refused (ErrNoCheckpoint)", err)
-	}
-	if got := counterValue(t, s.ks[1], cap, false); got != 3 {
-		t.Errorf("home counter = %d, want 3 (every inc ran at the home)", got)
-	}
+	st, _ := memLog(t)
+	st.Close()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "node 7's store") || !strings.Contains(msg, store.ErrClosed.Error()) {
+			t.Errorf("New over a closed store panicked with %q, want the scan error naming node 7", msg)
+		}
+	}()
+	New(DefaultConfig(7, "node-7"), ep, s.reg, st)
 }
 
 // TestPromotedChecksiteRetiresItsShadow: a checksite that failure

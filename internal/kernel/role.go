@@ -29,10 +29,12 @@ import (
 // restarted. The claimant ships its record, one version and one epoch on,
 // to every other checksite and ex-checksite; each grants by holding that
 // record as the claimant's backup, durably, and the claimant serves only
-// once all have granted. A node that serves the object, holds it from a
-// later epoch or a newer checkpoint, or holds no record of it refuses; so
-// does a claimant with a lower node number, which wins. A claim that
-// cannot reach a sibling stays in doubt, and the next touch claims again.
+// once all have granted and its own record is durable, though it refuses
+// as the home from the last grant on. A node that serves the object,
+// holds it from a later epoch or a newer checkpoint, or holds no record
+// of it refuses; so does a claimant with a lower node number, which wins.
+// A claim that cannot reach a sibling stays in doubt, and the next touch
+// claims again.
 //
 // A move is a two-phase transaction ordered by residency epochs: the
 // source's durable intent (destination, epoch) comes before the ship, the
@@ -89,6 +91,7 @@ const (
 	settleNone    settlePhase = iota
 	settleNeeded              // a restarted node: an intent to probe, or a sited record to claim
 	settleRunning             // a probe or a claim is in flight
+	settleGranted             // every sibling granted the claim: the node serves once its home record is durable
 )
 
 // held reports whether the state is worth an entry: a backup, a policy
@@ -171,6 +174,8 @@ const (
 	evIntentKept                         // the intent's deletion failed: the intent stays
 	evProbeAnswered                      // the intent's destination answered a probe, or did not
 	evProbe                              // a probe from from, at epoch, arrived
+	evHomeWritten                        // the home record a granted claim makes is durable
+	evHomeUnwritten                      // the home record a granted claim makes failed to be written
 )
 
 // roleEvent is one input of roleStep. Only the fields its kind names are
@@ -210,6 +215,7 @@ const (
 	fxPut          effectKind = iota + 1 // write this node's record: its own on the home's side, a move's forward, else a backup for home
 	fxDelete                             // delete this node's record
 	fxDeleteIntent                       // delete this node's move intent: evMoveCommitted once it is durable, else evIntentKept
+	fxPutHome                            // write the home record a granted claim makes: evHomeWritten once it is durable, else evHomeUnwritten
 	fxRetire                             // retire shadow; calls queued at it bounce to site (0: report a crash)
 	fxShip                               // ship the checkpoint to site
 	fxClaim                              // ship the claim to site
@@ -261,6 +267,9 @@ var (
 	// errProbeNotInstalled answers a probe for a move this node did not
 	// install: the source rolls the move back.
 	errProbeNotInstalled = errors.New("kernel: probed object not installed")
+	// errStaleMove refuses a move's ship at a node that hosts the object
+	// from the epoch the move installs at, or a later one.
+	errStaleMove = errors.New("kernel: stale move")
 )
 
 // roleStep is the policy: the state after ev, and the effects to apply, in
@@ -293,16 +302,18 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		}
 
 	case evShip:
+		serving := ev.serving || s.phase == settleGranted // the home, its record not yet durable
 		var refuse error
 		switch {
 		case s.intent.node != 0:
 			refuse = ErrMoving // the record here is about to go, or to be settled
-		case ev.serving && ev.claim && normEpoch(ev.rec.Epoch)+1 >= ev.epoch:
+		case serving && ev.claim && normEpoch(ev.rec.Epoch)+1 >= ev.epoch:
 			// This node became the home at or after the epoch of the
 			// claimant's record: a move's destination that restarted finds
-			// its record claimed by a checksite that missed the move.
+			// its record claimed by a checksite that missed the move, or a
+			// sibling's claim meets the claim that beat it.
 			refuse = errSuperseded
-		case ev.serving:
+		case serving:
 			refuse = errHomeHere
 		case s.home != 0 && ev.epoch < s.epoch:
 			refuse = errSuperseded
@@ -376,6 +387,10 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		switch {
 		case s.phase == settleRunning, s.home != 0 && ev.fresh:
 			return s, fx
+		case s.home != 0 && normEpoch(ev.rec.Epoch) < s.epoch:
+			// The record read predates a grant stepped since, whose
+			// epoch a claim from it would take.
+			return s, fx
 		case s.intent.node != 0 && s.phase == settleNeeded && ev.rec.Forward && normEpoch(ev.rec.Epoch) >= s.intent.epoch:
 			s.phase = settleNone // the commit's forward is durable, and answers: the intent only goes
 			return s, append(fx, roleEffect{kind: fxDeleteIntent})
@@ -407,8 +422,8 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 				s.ex = append(slices.Clip(s.ex), old)
 			}
 			fx = s.retireBelow(floorDisabled, ev.self, fx)
-			s = roleState{policy: s.policy, ex: s.ex, shipped: s.policy.seeded(ev.self)}
-			fx = append(fx, roleEffect{kind: fxPut})
+			s = roleState{policy: s.policy, ex: s.ex, shipped: s.policy.seeded(ev.self), phase: settleGranted}
+			fx = append(fx, roleEffect{kind: fxPutHome})
 		case s.home != 0:
 			s.phase = settleNone
 		case ev.superseded:
@@ -432,7 +447,7 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 		// it: a record this node is home for is not the sender's. A
 		// forward stays, to answer a probe of the move it made.
 		record := ev.record && !ev.rec.Forward
-		if ev.serving || record && !(ev.rec.Backup && ev.rec.Home == ev.from) && ev.epoch <= normEpoch(ev.rec.Epoch) {
+		if ev.serving || s.phase == settleGranted || record && !(ev.rec.Backup && ev.rec.Home == ev.from) && ev.epoch <= normEpoch(ev.rec.Epoch) {
 			return s, append(fx, roleEffect{kind: fxRefuse, err: errNotBackup})
 		}
 		fx = s.retireBelow(floorDisabled, 0, fx)
@@ -498,6 +513,16 @@ func roleStep(s roleState, ev roleEvent, fx []roleEffect) (roleState, []roleEffe
 			s.intent, s.phase = residency{}, settleNone
 		}
 
+	case evHomeWritten:
+		if s.phase == settleGranted {
+			s.phase = settleNone // the node serves the object from its record
+		}
+
+	case evHomeUnwritten:
+		if s.phase == settleGranted {
+			s.phase = settleNeeded // the next touch claims again
+		}
+
 	case evIntentKept:
 		// A roll-back's or a live abort's intent is settled by a probe,
 		// on the next touch that finds the object not served here, as
@@ -528,15 +553,11 @@ func commit(to residency, fx []roleEffect) (roleState, []roleEffect) {
 }
 
 // judgeRole is the policy's verdict on this node's record of an object:
-// scanned says a boot scan has succeeded, s (when held) the object's role
-// here, and here and m the record: a forward is forwarded, unless an
-// intent beside it is later, or waits to be settled.
-func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict {
+// s (when held) is the object's role here, and here and m the record: a
+// forward is forwarded, unless an intent beside it is later, or waits to
+// be settled.
+func judgeRole(s roleState, held, here bool, m store.Meta) verdict {
 	switch {
-	case !scanned && here:
-		// Until a scan succeeds this node cannot tell a backup from its
-		// own record.
-		return verdict{role: inDoubt}
 	case m.Forward && normEpoch(m.Epoch) >= s.intent.epoch && s.phase != settleNeeded:
 		return verdict{role: forwarded, node: m.Home} // moved on: the forward answers
 	case held && s.intent.node != 0:
@@ -551,6 +572,20 @@ func judgeRole(scanned bool, s roleState, held, here bool, m store.Meta) verdict
 		return verdict{role: inDoubt}
 	}
 	return verdict{role: ownRecord}
+}
+
+// moveFence is the destination's verdict on a move's ship that installs
+// at epoch, hosting the epoch of an incarnation here (0: none): a replay
+// of an older move would fork the object's history, and a move intent of
+// this node's own means its record may yet go, or be served.
+func moveFence(s roleState, hosting, epoch uint64) error {
+	switch {
+	case hosting >= epoch:
+		return errStaleMove
+	case s.intent.node != 0:
+		return ErrMoving
+	}
+	return nil
 }
 
 // same reports whether s and t agree on all but their policy: whether a

@@ -3,14 +3,15 @@ package kernel
 // TestRolePolicy checks the role policy exhaustively at small scope. It
 // composes three nodes around one object: each node is its store's record
 // and move intent (what a crash keeps), its role state, its incarnation,
-// the store writes a move step has yet to make, and the operations it
-// waits on, and the nodes talk through a multiset
+// the store writes a move step or a granted claim has yet to make, and the
+// operations it waits on, and the nodes talk through a multiset
 // of messages in flight that may be delivered, dropped or duplicated;
 // each link delivers in the order it was sent in, as the transports do and
 // as a kernel serves checkpoint ships, claims and destroys, so a duplicate
 // arrives right behind its original. The nodes
-// decide only through roleStep and judgeRole, and apply their
-// effects as the kernel does: a move step's store writes one at a time,
+// decide only through roleStep, judgeRole and moveFence, and apply their
+// effects as the kernel does: a move step's or a granted claim's store
+// writes one at a time,
 // each a step of its own that other steps may precede, a crash may
 // forestall and the store may fail. Breadth-first search with state hashing
 // reaches every state within the scope and checks the invariants after
@@ -41,9 +42,10 @@ package kernel
 // longer than a message and its answer take, so a node gives up waiting
 // only when what it waits for was lost; failure detection is perfect,
 // so recovery claims a backup only when no node answers for the object;
-// and RecoverGrace is longer than any message takes, so a backup's
-// heartbeat goes stale only while no node answers for the object and
-// every message sent has arrived or been lost. A move's messages may be
+// and RecoverGrace is longer than any message or store write takes, so a
+// backup's heartbeat goes stale only while no node answers for the
+// object, every message sent has arrived or been lost, and no granted
+// claim's home record is being written. A move's messages may be
 // lost or duplicated, but for the destination's answer to the live ship:
 // its loss is the ack-lost ambiguity, which TestRolePolicyMoveAckLost
 // pins.
@@ -112,16 +114,16 @@ func (m rmsg) String() string {
 
 // rnode is one node of the model.
 type rnode struct {
-	up, scanned, fresh bool
-	rec                rrec
-	it, ite            uint8 // the durable move intent: its destination (0: none) and epoch
-	role               roleState
-	held               bool // role is an entry of the node's table
-	active             bool // an incarnation serves here
-	v, e               uint8
-	moving             uint8         // the destination of a live move whose ship or answer is in flight
-	probe              bool          // a probe this incarnation sent awaits its answer
-	todo               [2]effectKind // a move step's store writes not made yet, in order
+	up, fresh bool
+	rec       rrec
+	it, ite   uint8 // the durable move intent: its destination (0: none) and epoch
+	role      roleState
+	held      bool // role is an entry of the node's table
+	active    bool // an incarnation serves here
+	v, e      uint8
+	moving    uint8         // the destination of a live move whose ship or answer is in flight
+	probe     bool          // a probe this incarnation sent awaits its answer
+	todo      [2]effectKind // a move step's or a granted claim's store writes not made yet, in order
 	// The operations the node waits on: the sites each still owes an
 	// answer, and what they are about.
 	ckptWait, claimWait, destroyWait uint8
@@ -149,7 +151,8 @@ type rstate struct {
 	ckpts, sets, moves, destroys, crashes, claims, shadows, dups, drops, fails uint8
 	// A checkpoint's invalidations move only floors and shadows: a
 	// configuration without shadow reads sends none.
-	inval bool
+	inval   bool
+	oneStep bool // a granted claim's home record is written in the step that grants it
 }
 
 func mask(nodes []uint32) uint8 {
@@ -194,7 +197,7 @@ func (s *rstate) key(b []byte) []byte {
 		if r.floor == floorDisabled {
 			floor = 255
 		}
-		b = append(b, b2b(n.up)<<0|b2b(n.scanned)<<1|b2b(n.fresh)<<2|b2b(n.rec.backup)<<3|b2b(n.held)<<4|b2b(n.active)<<5|b2b(n.claimSup)<<6|b2b(n.destroyOK)<<7, b2b(n.rec.fwd),
+		b = append(b, b2b(n.up)|b2b(n.fresh)<<1|b2b(n.rec.backup)<<2|b2b(n.held)<<3|b2b(n.active)<<4|b2b(n.claimSup)<<5|b2b(n.destroyOK)<<6|b2b(n.rec.fwd)<<7,
 			n.rec.v, n.rec.e, n.rec.home, uint8(n.rec.level), n.rec.sites, n.rec.ex,
 			uint8(r.policy.level), mask(r.policy.sites), mask(r.ex), uint8(r.home), uint8(r.epoch), floor, shadow, uint8(r.phase),
 			n.v, n.e, n.moving, n.ckptWait, n.claimWait, n.destroyWait, n.ckptV, n.claimV, n.claimE,
@@ -261,7 +264,7 @@ func (n *rnode) meta() (store.Meta, bool) {
 // judge is the node's verdict on its record.
 func (n *rnode) judge() verdict {
 	m, here := n.meta()
-	return judgeRole(n.scanned, n.role, n.held, here, m)
+	return judgeRole(n.role, n.held, here, m)
 }
 
 // answers reports whether the node answers a locate as the object's home.
@@ -305,6 +308,13 @@ func (s *rstate) write(i int, fail bool) {
 	n := &s.n[i]
 	kind := n.todo[0]
 	n.todo = [2]effectKind{n.todo[1]}
+	if fail {
+		s.fails--
+	}
+	if kind == fxPutHome {
+		s.putHome(i, fail)
+		return
+	}
 	if kind == fxPut && !fail {
 		it := n.role.intent
 		if n.rec.v > 0 || n.rec.fwd {
@@ -314,8 +324,6 @@ func (s *rstate) write(i int, fail bool) {
 			n.rec = rrec{fwd: true, v: max(n.v, n.rec.v), e: uint8(it.epoch), home: uint8(it.node)}
 			return
 		}
-	} else if fail {
-		s.fails--
 	}
 	if fail {
 		n.todo = [2]effectKind{}
@@ -486,7 +494,7 @@ func (s *rstate) String() string {
 	var b strings.Builder
 	for i := 1; i <= rnodes; i++ {
 		n := &s.n[i]
-		fmt.Fprintf(&b, "\n\tnode %d: up=%v scanned=%v fresh=%v active=%v v%d e%d rec=%+v role=%+v held=%v", i, n.up, n.scanned, n.fresh, n.active, n.v, n.e, n.rec, n.role, n.held)
+		fmt.Fprintf(&b, "\n\tnode %d: up=%v fresh=%v active=%v v%d e%d rec=%+v role=%+v held=%v", i, n.up, n.fresh, n.active, n.v, n.e, n.rec, n.role, n.held)
 	}
 	for _, m := range s.msgs {
 		fmt.Fprintf(&b, "\n\tmsg %v", m)
@@ -544,10 +552,10 @@ func (rc *roleChecker) check(s *rstate, tr *rtrace) bool {
 			}
 		}
 	}
-	due := false // a scan or a settlement the next touch makes
+	due := false // a settlement the next touch makes
 	for i := 1; i <= rnodes; i++ {
 		n := &s.n[i]
-		due = due || n.up && !n.scanned || n.held && (n.role.phase != settleNone || n.role.intent.node != 0)
+		due = due || n.held && (n.role.phase != settleNone || n.role.intent.node != 0)
 	}
 	if (due || len(homes) == 0) && !s.destroyed && !s.lost && s.crashed <= 1 && s.recorded() {
 		if why := s.settles(); why != "" {
@@ -588,11 +596,11 @@ func (s *rstate) recorded() bool {
 }
 
 // settles runs touches in s: each node in turn, for a few rounds, is
-// touched — a failed boot scan is retried, a doubt is settled, a backup
-// claimed while no node serves the object, the home's heartbeat having
-// gone stale — and every message is delivered, every store write made,
-// and a probe that went unanswered times out. It says what is wrong after: no node serves the object, or a node
-// is left in doubt.
+// touched — a doubt is settled, a backup claimed while no node serves the
+// object, the home's heartbeat having gone stale — and every message is
+// delivered, every store write made, and a probe that went unanswered
+// times out. It says what is wrong after: no node serves the object, or a
+// node is left in doubt.
 func (s *rstate) settles() string {
 	next := s.clone()
 	next.claims = 255
@@ -600,10 +608,7 @@ func (s *rstate) settles() string {
 		for i := 1; i <= rnodes; i++ {
 			n := &next.n[i]
 			n.fresh = false
-			if !n.scanned {
-				next.boot(i)
-			}
-			if v := n.judge(); !n.active && (v.role == inDoubt || v.role == backupRecord && !next.served()) {
+			if v := n.judge(); !n.active && n.todo[0] == 0 && (v.role == inDoubt || v.role == backupRecord && !next.served()) {
 				next.settle(i)
 			}
 			for more := true; more; {
@@ -643,11 +648,8 @@ func (rc *roleChecker) successors(s *rstate, visit func(rev, *rstate)) {
 		n := &s.n[i]
 		if !n.up {
 			next := rc.clone(s)
-			next.restart(i, true)
+			next.restart(i)
 			visit(rev{what: "restart", i: i}, next)
-			next = rc.clone(s)
-			next.restart(i, false)
-			visit(rev{what: "restart, the boot scan failing,", i: i}, next)
 			continue
 		}
 		if s.crashes > 0 {
@@ -697,14 +699,11 @@ func (rc *roleChecker) successors(s *rstate, visit func(rev, *rstate)) {
 				visit(rev{what: "store write fails at", i: i}, next)
 			}
 		}
-		// A touch: a failed boot scan is retried; a doubt is settled, and
-		// a backup whose home's heartbeat went stale is claimed.
+		// A touch: a doubt is settled, and a backup whose home's heartbeat
+		// went stale is claimed; not while the last settlement's writes are
+		// due, since the kernel runs one settlement per object at a time.
 		switch v := n.judge(); {
-		case !n.scanned:
-			next := rc.clone(s)
-			next.boot(i)
-			visit(rev{what: "touch, the boot scan retried, at", i: i}, next)
-		case s.claims > 0 && n.claimWait == 0 && !n.active && (v.role == inDoubt || v.role == backupRecord && !n.fresh && !s.served()):
+		case s.claims > 0 && n.claimWait == 0 && n.todo[0] == 0 && !n.active && (v.role == inDoubt || v.role == backupRecord && !n.fresh && !s.served()):
 			next := rc.clone(s)
 			next.settle(i)
 			visit(rev{what: "settle at", i: i}, next)
@@ -714,7 +713,7 @@ func (rc *roleChecker) successors(s *rstate, visit func(rev, *rstate)) {
 			next.step(i, roleEvent{kind: evShadow, shadow: shadows[n.rec.v]})
 			visit(rev{what: "shadow read at", i: i}, next)
 		}
-		if n.held && n.role.home != 0 && n.fresh && len(s.msgs) == 0 && !s.served() {
+		if n.held && n.role.home != 0 && n.fresh && len(s.msgs) == 0 && !s.served() && !s.granted() {
 			next := rc.clone(s)
 			next.n[i].fresh = false
 			visit(rev{what: "grace elapses at", i: i}, next)
@@ -762,6 +761,17 @@ func (s *rstate) served() bool {
 	return false
 }
 
+// granted reports whether some node's granted claim has its home record
+// yet to write: the grant that made a backup fresh came just before.
+func (s *rstate) granted() bool {
+	for i := 1; i <= rnodes; i++ {
+		if s.n[i].role.phase == settleGranted {
+			return true
+		}
+	}
+	return false
+}
+
 // awaited reports whether a message node i sent, or an answer to it, is
 // in flight: a timeout is longer than a message and its answer take, so
 // a node gives up waiting only when what it waits for was lost.
@@ -781,23 +791,17 @@ func (s *rstate) crash(i int) {
 	s.n[i] = rnode{rec: n.rec, it: n.it, ite: n.ite}
 }
 
-func (s *rstate) restart(i int, scanned bool) {
+// restart boots node i: its boot scan registers its record and its
+// intent, as bootScan does.
+func (s *rstate) restart(i int) {
 	n := &s.n[i]
 	n.up = true
-	if scanned {
-		s.boot(i)
-	}
-}
-
-// boot is a boot scan that succeeds.
-func (s *rstate) boot(i int) {
-	n := &s.n[i]
-	n.scanned = true
-	if m, ok := n.meta(); !n.active && (ok && (m.Backup || m.Sited) || n.it != 0) {
-		ev := bootEvent(m)
-		ev.record, ev.from, ev.epoch = ok, uint32(n.it), uint64(n.ite)
-		s.step(i, ev)
+	if m, ok := n.meta(); ok && (m.Backup || m.Sited) {
+		s.step(i, roleEvent{kind: evBoot, record: true, rec: m})
 		n.fresh = m.Backup // the boot is the heartbeat of a backup no ship reached
+	}
+	if n.it != 0 {
+		s.step(i, roleEvent{kind: evBoot, from: uint32(n.it), epoch: uint64(n.ite)})
 	}
 }
 
@@ -910,17 +914,34 @@ func (s *rstate) settle(i int) {
 	s.claimDone(i, fx)
 }
 
-// claimDone applies a claim's outcome, fx, at node i.
+// claimDone applies a claim's outcome, fx, at node i: a granted claim's
+// home record is written in a step of its own (write), unless oneStep.
 func (s *rstate) claimDone(i int, fx []roleEffect) {
 	n := &s.n[i]
 	for _, e := range fx {
-		switch e.kind {
-		case fxPut:
-			s.put(i, rrec{v: n.claimV, e: n.claimE, level: n.role.policy.level, sites: mask(n.role.policy.sites), ex: mask(n.role.ex)})
-		case fxDelete:
+		switch {
+		case e.kind == fxPutHome && !s.oneStep:
+			n.todo[slices.Index(n.todo[:], 0)] = fxPutHome
+		case e.kind == fxPutHome:
+			s.putHome(i, false)
+		case e.kind == fxDelete:
 			n.rec = rrec{}
 		}
 	}
+}
+
+// putHome writes the home record node i's granted claim makes, or fails
+// it, and steps the policy with the outcome, as applyRole does; a stale
+// record is not written.
+func (s *rstate) putHome(i int, fail bool) {
+	n := &s.n[i]
+	rec := rrec{v: n.claimV, e: n.claimE, level: n.role.policy.level, sites: mask(n.role.policy.sites), ex: mask(n.role.ex)}
+	if fail || rec.v <= n.rec.v {
+		s.step(i, roleEvent{kind: evHomeUnwritten})
+		return
+	}
+	n.rec = rec
+	s.step(i, roleEvent{kind: evHomeWritten})
 }
 
 func (s *rstate) timeout(i int) {
@@ -950,10 +971,6 @@ func (s *rstate) deliver(m rmsg) {
 	ack := rmsg{kind: mAck, from: m.to, to: m.from, of: m.kind, v: m.v, e: m.e, ok: true}
 	switch m.kind {
 	case mShip, mClaim:
-		if !n.scanned {
-			ack.ok = false // the record here may be this node's own
-			break
-		}
 		rm, here := n.meta()
 		if n.active {
 			rm.Epoch = uint64(n.e)
@@ -978,8 +995,12 @@ func (s *rstate) deliver(m rmsg) {
 			n.rec = rrec{}
 		}
 	case mMove:
-		if n.active && n.e >= m.e || !n.scanned || n.held && n.role.intent.node != 0 {
-			ack.ok = false // a stale move, or one to a node with a move of its own to settle
+		var hosting uint64
+		if n.active {
+			hosting = uint64(n.e)
+		}
+		if moveFence(n.role, hosting, uint64(m.e)) != nil {
+			ack.ok = false
 			break
 		}
 		n.active, n.v, n.e = true, m.v, m.e
@@ -993,9 +1014,6 @@ func (s *rstate) deliver(m rmsg) {
 			s.put(i, rrec{v: m.v, e: m.e, level: m.level, sites: m.sites, ex: m.ex})
 		}
 	case mProbe:
-		if !n.scanned {
-			return // no answer: the node cannot tell what it holds
-		}
 		rm, here := n.meta()
 		if n.active {
 			rm, here = store.Meta{Epoch: uint64(n.e)}, true
@@ -1081,15 +1099,19 @@ type roleConfig struct {
 	ckpts, sets, moves, destroys, crashes, claims, shd uint8
 	dups, drops, fails                                 uint8 // fails: a move step's store writes that fail
 	ackLoss                                            bool  // the answer to a live move's ship may be lost
+	// oneStep writes a granted claim's home record in the step that grants
+	// it, which hides the window before the record lands: a pin keeps the
+	// depth its counterexample was found at.
+	oneStep bool
 }
 
 // run explores c.
 func (c roleConfig) run(t *testing.T, expect bool) *roleChecker {
 	rc := &roleChecker{t: t, alt: c.alt, ackLoss: c.ackLoss, seen: make(map[[2]uint64]struct{}), expect: expect, started: time.Now()}
 	init := &rstate{policy: c.policy, durable: c.policy, ckpts: c.ckpts, sets: c.sets, moves: c.moves, destroys: c.destroys,
-		crashes: c.crashes, claims: c.claims, shadows: c.shd, dups: c.dups, drops: c.drops, fails: c.fails, inval: c.shd > 0}
+		crashes: c.crashes, claims: c.claims, shadows: c.shd, dups: c.dups, drops: c.drops, fails: c.fails, inval: c.shd > 0, oneStep: c.oneStep}
 	for i := 1; i <= rnodes; i++ {
-		init.n[i].up, init.n[i].scanned = true, true
+		init.n[i].up = true
 	}
 	init.n[1].active, init.n[1].e = true, 1
 	init.step(1, roleEvent{kind: evPolicy, policy: c.policy})
@@ -1139,7 +1161,7 @@ func TestRolePolicy(t *testing.T) {
 // roleConfigs.
 func TestRolePolicyStaleExChecksite(t *testing.T) {
 	c := roleConfig{name: "replicated, moved to another site", policy: checksitePolicy{RelReplicated, []uint32{2}},
-		alt: checksitePolicy{RelReplicated, []uint32{3}}, ckpts: 2, sets: 1, crashes: 1, claims: 1}
+		alt: checksitePolicy{RelReplicated, []uint32{3}}, ckpts: 2, sets: 1, crashes: 1, claims: 1, oneStep: true}
 	rc := c.run(t, true)
 	if !rc.failed {
 		t.Fatalf("no violation in %d states: the stale ex-checksite defect is fixed", len(rc.seen))
@@ -1169,6 +1191,23 @@ func TestRolePolicyMoveAckLost(t *testing.T) {
 func TestRolePolicyMoveOnAndRestart(t *testing.T) {
 	c := roleConfig{name: "local, moved on, both first homes crash", policy: checksitePolicy{RelLocal, nil},
 		ckpts: 1, moves: 2, crashes: 2, claims: 1}
+	rc := c.run(t, false)
+	t.Logf("%s: %d states, %d steps, depth %d, %v", c.name, len(rc.seen), rc.steps, rc.depth, time.Since(rc.started).Round(time.Millisecond))
+}
+
+// TestRolePolicyClaimWindow checks the configuration that found the claim
+// window: two checksites of a failed home claim it, and one's grants all
+// come in before its home record is written. While the winner still held
+// its old backup record, it granted the other's claim as a backup would;
+// that claimant then served, and destroyed the object, and the winner's
+// home record, landing after the destroy, brought it back (depth 20, 1 162
+// states). A granted claim now refuses ships, claims and destroys as the
+// home from its grants on, and its doubt ends only once its record is
+// durable (role.go, settleGranted). It stays a test of its own, which CI
+// runs under the race detector.
+func TestRolePolicyClaimWindow(t *testing.T) {
+	c := roleConfig{name: "two remote sites, both claim", policy: checksitePolicy{RelRemote, []uint32{2, 3}},
+		ckpts: 1, destroys: 1, crashes: 1, claims: 2}
 	rc := c.run(t, false)
 	t.Logf("%s: %d states, %d steps, depth %d, %v", c.name, len(rc.seen), rc.steps, rc.depth, time.Since(rc.started).Round(time.Millisecond))
 }
