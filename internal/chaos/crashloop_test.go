@@ -30,10 +30,7 @@ import (
 // It holds no types: every invocation it issues crosses the wire.
 func client(t *testing.T, nodeAddr string) (*kernel.Kernel, string) {
 	t.Helper()
-	tr, err := transport.NewTCPWithConfig(9, "127.0.0.1:0", transport.Config{
-		DialTimeout:   500 * time.Millisecond,
-		RedialBackoff: 50 * time.Millisecond,
-	})
+	tr, err := transport.NewTCP(9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,7 @@ func whereState(t *testing.T, p *Proc, capHex string, want *regexp.Regexp) strin
 // both nodes under test.
 func client2(t *testing.T, addr1, addr2 string) (*kernel.Kernel, string) {
 	t.Helper()
-	tr, err := transport.NewTCPWithConfig(9, "127.0.0.1:0", transport.Config{
-		DialTimeout:   500 * time.Millisecond,
-		RedialBackoff: 50 * time.Millisecond,
-	})
+	tr, err := transport.NewTCP(9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

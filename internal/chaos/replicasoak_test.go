@@ -97,10 +97,7 @@ func TestReplicaSoakKillChecksites(t *testing.T) {
 	// holds no types, so every invocation crosses the wire; it is peered
 	// with all three nodes so locate replies and invalidation broadcasts
 	// reach it and steer its stale-tolerant reads.
-	ctr, err := transport.NewTCPWithConfig(9, "127.0.0.1:0", transport.Config{
-		DialTimeout:   500 * time.Millisecond,
-		RedialBackoff: 50 * time.Millisecond,
-	})
+	ctr, err := transport.NewTCP(9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

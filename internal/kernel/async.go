@@ -81,13 +81,13 @@ func (k *Kernel) InvokeAsync(target capability.Capability, operation string, dat
 		enq:          k.tel.now(),
 	}
 	if err != nil {
-		k.resolve(p, Reply{}, err)
+		k.complete(p, Reply{}, err)
 		return p
 	}
 	if k.asyncInFlight.Add(1) > asyncCap {
 		k.asyncInFlight.Add(-1)
 		k.tel.asyncShed.Inc()
-		k.resolve(p, Reply{}, fmt.Errorf("%w: %d async invocations in flight", ErrTimeout, asyncCap))
+		k.complete(p, Reply{}, fmt.Errorf("%w: %d async invocations in flight", ErrTimeout, asyncCap))
 		return p
 	}
 	k.tel.asyncPending.Add(1)
@@ -109,13 +109,13 @@ func (c *callCtx) runAsync() {
 	c.recycle()
 	k.asyncInFlight.Add(-1)
 	k.tel.asyncPending.Add(-1)
-	k.resolve(p, rep, err)
+	k.complete(p, rep, err)
 }
 
-// resolve completes the promise and closes its span; every submission
+// complete completes the promise and closes its span; every submission
 // reaches it exactly once, run or not. The request is let go, so that a
 // Pending its caller keeps does not pin the parameters.
-func (k *Kernel) resolve(p *Pending, rep Reply, err error) {
+func (k *Kernel) complete(p *Pending, rep Reply, err error) {
 	if err != nil && errors.Is(err, ErrTimeout) {
 		k.tel.timeouts.Inc()
 	}

@@ -391,8 +391,12 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 	default:
 		// Passive here? The store answers from its directory: on a node
 		// that never held the object this is a map miss, and a record
-		// judged our own is read once, by reincarnate.
-		switch v := k.judgeRecord(id); v.role {
+		// judged our own is read once, by reincarnate. A move this node
+		// never finished, or a checksite's claim while this node was
+		// down, may have superseded the record: resolve settles it first,
+		// waiting no longer than the call may. Refusing service meanwhile
+		// is the safe side.
+		switch v, err := k.resolve(id, deadline, false); v.role {
 		case noRecord:
 			return msg.InvokeRep{}, false, nil
 		case forwarded:
@@ -410,14 +414,6 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 			}
 			shadowServe = true
 		case inDoubt:
-			// A move this node never finished, or a checksite's claim while
-			// this node was down, may have superseded the record: settle
-			// it first, waiting no longer than the call may, and look
-			// again. Refusing service meanwhile is the safe side.
-			err := k.settle(id, deadline)
-			if err == nil {
-				return k.tryLocalOnce(req, allowReplica, origin, deadline)
-			}
 			return msg.InvokeRep{Status: msg.StatusCrashed, Data: []byte(err.Error())}, true, nil
 		default:
 			var aerr error

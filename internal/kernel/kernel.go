@@ -248,8 +248,7 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	if st == nil {
 		st, _ = store.NewFile("") // a log in memory opens without error
 	}
-	// The kernel observes its store through the instrumenting wrapper;
-	// with telemetry disabled Instrument returns st unchanged.
+	// A File reports its traffic into the node's registry, if it has one.
 	st = store.Instrument(st, cfg.Telemetry)
 	k := &Kernel{
 		cfg:      cfg,
@@ -465,8 +464,8 @@ type verdict struct {
 
 // judgeRecord decides whether id's record in this node's store is the
 // node's to serve, or a forward — the one reader of the role table for
-// that, by the policy's judgeRole. Settling a doubt is the caller's
-// choice.
+// that, by the policy's judgeRole. resolve settles what it leaves in
+// doubt.
 func (k *Kernel) judgeRecord(id edenid.ID) verdict {
 	var rs roleState
 	var held bool
@@ -544,26 +543,19 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	}
 	_, isReplica := k.replicas[id]
 	k.mu.Unlock()
+	// Failure recovery claims a backup, unless a checkpoint ship (or a
+	// boot) within RecoverGrace says the home is likely alive: promoting
+	// would split the object.
 	var deadline time.Time
 	if recover {
 		deadline = time.Now().Add(k.cfg.DefaultTimeout)
 	}
-	switch v := k.judgeRecord(id); v.role {
+	switch v, _ := k.resolve(id, deadline, recover); v.role {
 	case ownRecord:
 		return true, isReplica // a passive object is homed where its checkpoint lives
 	case inDoubt:
-		if k.settle(id, deadline) == nil {
-			return k.hostCheck(id, false)
-		}
 		return false, false
 	case backupRecord:
-		// Failure recovery: claim the object, unless a checkpoint ship
-		// (or a boot: ship times are not persisted) within RecoverGrace
-		// says the home is likely alive and the "failure" a transient
-		// locate timeout — promoting would split the object.
-		if recover && k.settle(id, deadline) == nil {
-			return k.hostCheck(id, false)
-		}
 		// A backup above the invalidation floor is servable as a
 		// checkpoint shadow; advertise it to stale-tolerant reads.
 		return false, isReplica || k.cfg.ReplicaServe && v.aboveFloor
@@ -571,11 +563,27 @@ func (k *Kernel) hostCheck(id edenid.ID, recover bool) (home, replica bool) {
 	return false, isReplica
 }
 
+// resolve judges id's record here (judgeRecord). A doubt — or, with
+// claim, a backup that failure recovery would promote — is settled once,
+// waiting no longer than deadline (a past one: not at all), and the
+// record judged again. The verdict is inDoubt only with the error that
+// says why the doubt remains.
+func (k *Kernel) resolve(id edenid.ID, deadline time.Time, claim bool) (v verdict, err error) {
+	if v = k.judgeRecord(id); v.role != inDoubt && !(claim && v.role == backupRecord) {
+		return v, nil
+	}
+	if err = k.settle(id, deadline); err == nil {
+		if v = k.judgeRecord(id); v.role == inDoubt {
+			err = fmt.Errorf("kernel: %v in doubt here", id)
+		}
+	}
+	return v, err
+}
+
 // settle settles id's doubt here — a move intent to probe, or a record to
-// claim (role.go) — and waits for it no longer than deadline (a past one:
-// not at all). One settlement runs per object at a time; a touch that
-// finds one under way joins it. It returns nil once no doubt is left, and
-// the caller judges the record again.
+// claim (role.go) — and waits for it no longer than deadline. One
+// settlement runs per object at a time; a touch that finds one under way
+// joins it.
 func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
 	var rec store.Record
 	err := errNoRecord // until read: only a claim, which may start now, takes the record
@@ -611,17 +619,17 @@ func (k *Kernel) settle(id edenid.ID, deadline time.Time) error {
 		}
 	}
 	k.mu.Unlock()
-	if done != nil {
-		select {
-		case <-done:
-		case <-time.After(time.Until(deadline)):
-			return fmt.Errorf("kernel: %v in doubt here: %w", id, ErrTimeout)
-		}
+	if done == nil {
+		return nil
 	}
-	if k.judgeRecord(id).role == inDoubt {
-		return fmt.Errorf("kernel: %v in doubt here", id)
+	wait := time.NewTimer(time.Until(deadline))
+	defer wait.Stop() // before Go 1.23, a timer that is not stopped lives until it fires
+	select {
+	case <-done:
+		return nil
+	case <-wait.C:
+		return fmt.Errorf("kernel: %v in doubt here: %w", id, ErrTimeout)
 	}
-	return nil
 }
 
 // runSettlement carries out a settlement that s and fx started — a probe

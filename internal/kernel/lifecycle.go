@@ -25,7 +25,7 @@ import (
 // activationMu, so that a probe stalls no other reincarnation on the
 // node.
 func (k *Kernel) activate(id edenid.ID) (*Object, error) {
-	switch v := k.judgeRecord(id); v.role {
+	switch v, err := k.resolve(id, time.Now().Add(k.cfg.DefaultTimeout), false); v.role {
 	case noRecord:
 		return nil, fmt.Errorf("%w: no record of %v here", ErrNoCheckpoint, id)
 	case backupRecord:
@@ -33,10 +33,7 @@ func (k *Kernel) activate(id edenid.ID) (*Object, error) {
 	case forwarded:
 		return nil, fmt.Errorf("%w: %v moved to node %d", ErrNoSuchObject, id, v.node)
 	case inDoubt:
-		if err := k.settle(id, time.Now().Add(k.cfg.DefaultTimeout)); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
-		}
-		return k.activate(id)
+		return nil, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
 	}
 	return k.reincarnate(id)
 }

@@ -58,6 +58,8 @@ type File struct {
 	segs    []*segFile // oldest first; the last, the head, is the one appended to; nil once closed
 
 	types typeNames // the type names Get has returned
+
+	tel fileTel // set by Instrument; until then nothing is counted
 }
 
 // typeNames interns the type names of records read back: a node holds
@@ -478,9 +480,6 @@ func closeAll(segs []*segFile) error {
 // finds it, having shared its write and fsync with every Put, Delete and
 // intent change that queued while the previous batch was being written.
 func (f *File) Put(rec Record) error {
-	if len(rec.TypeName)+len(rec.Rep) > maxRecord {
-		return fmt.Errorf("store: a record of %d bytes is too long for the log", len(rec.TypeName)+len(rec.Rep))
-	}
 	return f.append(pending{kind: kindRecord, id: rec.Object, rec: rec})
 }
 
@@ -509,8 +508,8 @@ func (f *File) DeleteIntent(id edenid.ID) error {
 // allocates no frame and the list holds no record's bytes: by the time
 // the frame is done, lead has taken it out of its batch and of inflight.
 func (f *File) append(fr pending) error {
+	start := f.tel.putLat.Start()
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	var p *pending
 	if n := len(f.free); n > 0 {
 		p, f.free = f.free[n-1], f.free[:n-1]
@@ -531,6 +530,8 @@ func (f *File) append(fr pending) error {
 	}
 	*p = pending{}
 	f.free = append(f.free, p)
+	f.mu.Unlock()
+	f.tel.wrote(fr.kind, len(fr.rec.Rep), start, err)
 	return err
 }
 
@@ -541,7 +542,8 @@ func (f *File) append(fr pending) error {
 // frame: admit reports it unqueued, with no error. One of something that
 // only a deletion on its way to the log removed is queued all the same,
 // so that it is acknowledged no sooner than that deletion is durable, and
-// fails if it fails. Caller holds mu.
+// fails if it fails. A record too long for the log is refused. Caller
+// holds mu.
 func (f *File) admit(p *pending) (bool, error) {
 	if f.closed {
 		return false, ErrClosed
@@ -568,6 +570,9 @@ func (f *File) admit(p *pending) (bool, error) {
 	}
 	switch p.kind {
 	case kindRecord:
+		if n := len(p.rec.TypeName) + len(p.rec.Rep); n > maxRecord {
+			return false, fmt.Errorf("store: a record of %d bytes is too long for the log", n)
+		}
 		// A forward carries the version it replaces: its epoch orders it.
 		if present && (p.rec.Forward && max(p.rec.Epoch, 1) <= max(have.Epoch, 1) || !p.rec.Forward && p.rec.Version <= have.Version) {
 			return false, fmt.Errorf("%w: have v%d e%d, got v%d e%d", ErrStale, have.Version, have.Epoch, p.rec.Version, p.rec.Epoch)
@@ -806,7 +811,8 @@ func (f *File) Stat(id edenid.ID) (Meta, bool) {
 // only to look the record up, and pins the segment so that compaction
 // cannot close it under the read. A frame that fails its checksum, is
 // not a record, or names another object is a media failure.
-func (f *File) Get(id edenid.ID) (Record, error) {
+func (f *File) Get(id edenid.ID) (rec Record, err error) {
+	defer f.tel.read(f.tel.getLat.Start(), &err)
 	f.dirMu.RLock()
 	if f.segs == nil {
 		f.dirMu.RUnlock()
@@ -823,7 +829,7 @@ func (f *File) Get(id edenid.ID) (Record, error) {
 		return Record{}, &notFound{id: id} // a forward is answered as a missing record
 	}
 	b := make([]byte, e.size)
-	_, err := s.fh.ReadAt(b, e.off)
+	_, err = s.fh.ReadAt(b, e.off)
 	s.release() // only read: a failed close loses nothing
 	if err == io.EOF {
 		return Record{}, fmt.Errorf("%w: the record of %v is cut short", ErrFailed, id)
@@ -837,7 +843,7 @@ func (f *File) Get(id edenid.ID) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: the record of %v: %v", ErrFailed, id, err)
 	}
-	rec, err := decodeRecord(body[1:], &f.types)
+	rec, err = decodeRecord(body[1:], &f.types)
 	if err != nil {
 		return Record{}, err
 	}
@@ -852,6 +858,7 @@ func (f *File) List() ([]edenid.ID, error) {
 	f.dirMu.RLock()
 	if f.segs == nil {
 		f.dirMu.RUnlock()
+		f.tel.errs.Inc()
 		return nil, ErrClosed
 	}
 	out := make([]edenid.ID, 0, len(f.recs.ents))
@@ -872,6 +879,7 @@ func (f *File) ListIntents() ([]MoveIntent, error) {
 	f.dirMu.RLock()
 	if f.segs == nil {
 		f.dirMu.RUnlock()
+		f.tel.errs.Inc()
 		return nil, ErrClosed
 	}
 	out := make([]MoveIntent, 0, len(f.intents.ents))

@@ -22,8 +22,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"eden/internal/edenid"
+	"eden/internal/telemetry"
 )
 
 // Errors reported by stores.
@@ -205,8 +207,8 @@ type Store interface {
 	// it will not write again, unless CopiesRep says the store copies
 	// them: File copies them into its log, and holds nothing of rec once
 	// Put returns, whether the batch carrying it was written or failed. A
-	// store that is not a File, or this package's wrapper of one, may keep
-	// rec.Rep (the benchmark's tracing store does).
+	// store that is not a File may keep rec.Rep (the benchmark's tracing
+	// store does).
 	Put(rec Record) error
 	// Get returns the most recent checkpoint for the object. The
 	// caller owns the result: nothing else refers to its Rep.
@@ -232,16 +234,73 @@ type Store interface {
 
 // CopiesRep reports whether s is done with a record's Rep once Put
 // returns, so that a caller may lend Put an encoding it writes again
-// afterwards: true of File, and of the instrumented wrapper Instrument
-// puts around a store that copies; false of any other Store.
+// afterwards: true of File, false of any other Store.
 func CopiesRep(s Store) bool {
-	switch s := s.(type) {
-	case *File:
-		return true
-	case *instrumented:
-		return CopiesRep(s.s)
+	_, ok := s.(*File)
+	return ok
+}
+
+// Metric names reported by a File that Instrument gave a registry.
+const (
+	metricPutLat   = "store.put.latency"
+	metricGetLat   = "store.get.latency"
+	metricPutBytes = "store.put.bytes"
+	metricPuts     = "store.puts"
+	metricGets     = "store.gets"
+	metricErrors   = "store.errors"
+)
+
+// Instrument has s report its traffic into reg, if s is a File and reg
+// is not nil, and returns s: a File times and counts its puts (an
+// intent's included) and gets, the bytes its puts write, and every
+// operation that fails. Any other store comes back unobserved. It is
+// called before s is in use (kernel.New).
+func Instrument(s Store, reg *telemetry.Registry) Store {
+	if f, ok := s.(*File); ok && reg != nil {
+		f.tel = fileTel{
+			putLat:   reg.Histogram(metricPutLat),
+			getLat:   reg.Histogram(metricGetLat),
+			putBytes: reg.Counter(metricPutBytes),
+			puts:     reg.Counter(metricPuts),
+			gets:     reg.Counter(metricGets),
+			errs:     reg.Counter(metricErrors),
+		}
 	}
-	return false
+	return s
+}
+
+// fileTel is a File's instruments, nil until Instrument: a nil one
+// records nothing, and its histograms read no clock. Stat is a question
+// about the store, not traffic to the medium, so it is neither timed nor
+// counted.
+type fileTel struct {
+	putLat, getLat             *telemetry.Histogram
+	putBytes, puts, gets, errs *telemetry.Counter
+}
+
+// wrote records a write of a frame of kind begun at start: a record's
+// (of n bytes) or an intent's is a put; a deletion counts only if it
+// fails.
+func (t *fileTel) wrote(kind byte, n int, start time.Time, err error) {
+	if kind == kindRecord || kind == kindIntent {
+		t.putLat.ObserveSince(start)
+		t.puts.Inc()
+		if err == nil {
+			t.putBytes.Add(int64(n))
+		}
+	}
+	if err != nil {
+		t.errs.Inc()
+	}
+}
+
+// read records a Get begun at start that returned *err.
+func (t *fileTel) read(start time.Time, err *error) {
+	t.getLat.ObserveSince(start)
+	t.gets.Inc()
+	if *err != nil {
+		t.errs.Inc()
+	}
 }
 
 // Memory is File. The name stays only because benchmark/ names it.

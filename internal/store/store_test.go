@@ -374,9 +374,9 @@ func TestForwardLayout(t *testing.T) {
 // Put is given whatever it wraps.
 type keeper struct{ Store }
 
-// TestCopiesRep: a File, and the instrumented wrapper of one, are done
-// with a record's Rep once Put returns; no other store is vouched for,
-// nor the instrumented wrapper of one.
+// TestCopiesRep: a File, instrumented or not, is done with a record's
+// Rep once Put returns; no other store is vouched for, and Instrument
+// leaves one as it is.
 func TestCopiesRep(t *testing.T) {
 	f, err := NewFile("")
 	if err != nil {
@@ -397,5 +397,50 @@ func TestCopiesRep(t *testing.T) {
 		if got := CopiesRep(tc.s); got != tc.want {
 			t.Errorf("%s: CopiesRep = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestFileReportsItsTraffic: a File that Instrument gave a registry times
+// and counts its puts, an intent's among them, and its gets, adds up the
+// bytes its puts write and counts what fails; a Stat is not traffic. Any
+// other store comes back from Instrument as it went in.
+func TestFileReportsItsTraffic(t *testing.T) {
+	f, fl := openFaulty(t, "")
+	defer f.Close()
+	reg := telemetry.New()
+	if s := Instrument(f, reg); s != Store(f) {
+		t.Fatalf("Instrument(File) = %T, want the File", s)
+	}
+	rec := sampleRec(1)
+	if err := f.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Get(rec.Object); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.Stat(rec.Object); !ok {
+		t.Fatal("Stat misses the record")
+	}
+	if err := f.PutIntent(MoveIntent{Object: rec.Object, Dest: 2, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fl.FailWith(ErrInjected)
+	if err := f.Put(sampleRec(1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Put under FailWith: %v, want ErrInjected", err)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{metricPuts: 3, metricGets: 1, metricPutBytes: int64(len(rec.Rep)), metricErrors: 1} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]int64{metricPutLat: 3, metricGetLat: 1} {
+		if got := snap.Histograms[name].Count; got != want {
+			t.Errorf("%s has %d samples, want %d", name, got, want)
+		}
+	}
+	other := keeper{f}
+	if s := Instrument(other, reg); s != Store(other) {
+		t.Errorf("Instrument(%T) = %T, want it back as it went in", other, s)
 	}
 }

@@ -31,16 +31,20 @@ import (
 // flush instead of one per frame. The writer owns the outbound
 // connection outright — no write lock exists — and dials with a
 // bounded timeout plus jittered exponential backoff, so a dead peer
-// neither stalls senders nor triggers dial storms. See Config for the
-// queue-depth and backpressure knobs.
+// neither stalls senders nor triggers dial storms. The tuning is the
+// package's Default* constants.
 //
 // Framing: each frame on a connection is a 4-byte big-endian length
 // followed by that many bytes of msg.EncodeEnvelope output.
 type TCP struct {
 	node uint32
-	cfg  Config
 	ln   net.Listener
 	done chan struct{}
+
+	// A peer's queue depth and a unicast's enqueue bound: the defaults,
+	// which a test in this package may lower before the first AddPeer.
+	queueDepth     int
+	enqueueTimeout time.Duration
 
 	mu       sync.Mutex
 	peers    map[uint32]*tcpPeer
@@ -97,27 +101,21 @@ type outFrame struct {
 	payload int
 }
 
-// NewTCP starts a TCP transport for the given node with default
-// tuning, listening on addr (e.g. "127.0.0.1:0"). The chosen address
-// is available via Addr.
+// NewTCP starts a TCP transport for the given node, listening on addr
+// (e.g. "127.0.0.1:0"). The chosen address is available via Addr.
 func NewTCP(node uint32, addr string) (*TCP, error) {
-	return NewTCPWithConfig(node, addr, Config{})
-}
-
-// NewTCPWithConfig starts a TCP transport with explicit pipeline
-// tuning; zero Config fields take the package defaults.
-func NewTCPWithConfig(node uint32, addr string, cfg Config) (*TCP, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	t := &TCP{
-		node:     node,
-		cfg:      cfg.withDefaults(),
-		ln:       ln,
-		done:     make(chan struct{}),
-		peers:    make(map[uint32]*tcpPeer),
-		accepted: make(map[net.Conn]struct{}),
+		node:           node,
+		ln:             ln,
+		done:           make(chan struct{}),
+		queueDepth:     DefaultQueueDepth,
+		enqueueTimeout: DefaultEnqueueTimeout,
+		peers:          make(map[uint32]*tcpPeer),
+		accepted:       make(map[net.Conn]struct{}),
 	}
 	t.tel.Store(&transportTel{})
 	t.wg.Add(1)
@@ -159,7 +157,7 @@ func (t *TCP) AddPeer(node uint32, addr string) {
 		p.addr = addr
 		return
 	}
-	p := &tcpPeer{node: node, addr: addr, q: make(chan outFrame, t.cfg.QueueDepth)}
+	p := &tcpPeer{node: node, addr: addr, q: make(chan outFrame, t.queueDepth)}
 	t.peers[node] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
@@ -177,10 +175,10 @@ func (t *TCP) Peers() []uint32 {
 }
 
 // Send queues one frame for transmission. Unicast sends block for up
-// to the configured enqueue timeout when the peer's queue is full,
-// then fail with ErrQueueFull; broadcast copies are dropped instantly
-// on a full queue (both drops are counted in telemetry). A nil return
-// means queued, not delivered — datagram semantics, like the Mesh.
+// to DefaultEnqueueTimeout when the peer's queue is full, then fail
+// with ErrQueueFull; broadcast copies are dropped instantly on a full
+// queue (both drops are counted in telemetry). A nil return means
+// queued, not delivered — datagram semantics, like the Mesh.
 func (t *TCP) Send(env msg.Envelope) error {
 	env.From = t.node
 	if env.To == msg.Broadcast {
@@ -267,7 +265,7 @@ func (t *TCP) enqueue(p *tcpPeer, env msg.Envelope, block bool) error {
 		tel.dropped.Inc()
 		return nil
 	}
-	deadline := time.NewTimer(t.cfg.EnqueueTimeout)
+	deadline := time.NewTimer(t.enqueueTimeout)
 	defer deadline.Stop()
 	select {
 	case p.q <- f:
@@ -389,11 +387,11 @@ func (t *TCP) peerConn(p *tcpPeer) (net.Conn, error) {
 	addr := p.addr
 	t.mu.Unlock()
 
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		t.mu.Lock()
 		if p.backoff <= 0 {
-			p.backoff = t.cfg.RedialBackoff
+			p.backoff = DefaultRedialBackoff
 		} else if p.backoff *= 2; p.backoff > DefaultRedialBackoffMax {
 			p.backoff = DefaultRedialBackoffMax
 		}

@@ -22,6 +22,30 @@ import (
 	"eden/internal/telemetry"
 )
 
+// Pipeline tuning, the same for every transport: deep enough queues that
+// bursts of invocation traffic coalesce, bounded enough that a dead peer
+// cannot absorb unbounded memory or stall a sender forever. A unicast
+// send whose queue is full blocks for up to DefaultEnqueueTimeout, then
+// drops the frame with an error and a counter; TCP drops a broadcast
+// copy that meets a full queue at once, counted but errorless.
+const (
+	// DefaultQueueDepth is the per-peer send-queue (TCP) / inbox (Mesh)
+	// depth in frames.
+	DefaultQueueDepth = 256
+	// DefaultEnqueueTimeout bounds how long a unicast send blocks on a
+	// full queue before the frame is dropped.
+	DefaultEnqueueTimeout = time.Second
+	// DefaultDialTimeout bounds one TCP dial attempt, so a black-holed
+	// peer address cannot stall the writer indefinitely.
+	DefaultDialTimeout = 2 * time.Second
+	// DefaultRedialBackoff is the pause after a first failed dial; it
+	// doubles (with jitter) per consecutive failure up to
+	// DefaultRedialBackoffMax.
+	DefaultRedialBackoff = 50 * time.Millisecond
+	// DefaultRedialBackoffMax caps the redial backoff.
+	DefaultRedialBackoffMax = 2 * time.Second
+)
+
 // Handler receives inbound frames. Handlers run on transport
 // goroutines and must not block for long; kernels hand frames off to
 // their own dispatch machinery. No sender or other receiver can reach

@@ -447,14 +447,12 @@ func TestTCPQueueOverflowAccounting(t *testing.T) {
 		}
 	}()
 
-	a, err := NewTCPWithConfig(1, "127.0.0.1:0", Config{
-		QueueDepth:     2,
-		EnqueueTimeout: 50 * time.Millisecond,
-	})
+	a, err := NewTCP(1, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
+	a.queueDepth, a.enqueueTimeout = 2, 50*time.Millisecond // before AddPeer makes the queue
 	a.AddPeer(2, sink.Addr().String())
 	reg := telemetry.New()
 	a.SetTelemetry(reg)
