@@ -331,8 +331,8 @@ func runChaos(t *testing.T, seed int64) {
 	}
 
 	// Telemetry audit: the network registry's counters must agree
-	// exactly with the mesh's own accounting — they increment at the
-	// same sites, so any divergence is an instrumentation bug.
+	// exactly with the mesh's own accounting — the registry reads the
+	// mesh's Stats, so any divergence is a reporting bug.
 	st := sys.NetworkStats()
 	net := sys.NetworkTelemetry().Snapshot()
 	if got := net.Counters["transport.send.frames"]; got != st.Frames {

@@ -90,7 +90,6 @@ func (k *Kernel) InvokeAsync(target capability.Capability, operation string, dat
 		k.complete(p, Reply{}, fmt.Errorf("%w: %d async invocations in flight", ErrTimeout, asyncCap))
 		return p
 	}
-	k.tel.asyncPending.Add(1)
 	c := k.getFrame()
 	c.async = p
 	c.start()
@@ -108,7 +107,6 @@ func (c *callCtx) runAsync() {
 	rep, err := k.invoke(p.req, p.allowReplica, p.deadline, p.trace)
 	c.recycle()
 	k.asyncInFlight.Add(-1)
-	k.tel.asyncPending.Add(-1)
 	k.complete(p, rep, err)
 }
 

@@ -99,14 +99,18 @@ func TestAsyncShedAtCapacity(t *testing.T) {
 	if got := tel.Counter(metricAsyncShed).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", metricAsyncShed, got)
 	}
+	const pending = "kernel.async.pending"
+	if got := tel.Snapshot().Gauges[pending]; got != asyncCap {
+		t.Errorf("%s = %d while parked, want %d", pending, got, asyncCap)
+	}
 	close(release)
 	for i, p := range parked {
 		if _, err := p.Wait(); err != nil {
 			t.Fatalf("parked submission %d: %v", i, err)
 		}
 	}
-	if got := tel.Gauge(metricAsyncPending).Value(); got != 0 {
-		t.Errorf("%s = %d after release, want 0", metricAsyncPending, got)
+	if got := tel.Snapshot().Gauges[pending]; got != 0 {
+		t.Errorf("%s = %d after release, want 0", pending, got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"eden/internal/capability"
 	"eden/internal/edenid"
+	"eden/internal/locator"
 	"eden/internal/msg"
 	"eden/internal/rights"
 	"eden/internal/segment"
@@ -108,7 +109,9 @@ func TestObjectFootprint(t *testing.T) {
 // (the log is in memory), between two GCs. A forward kept as a whole role
 // entry cost about 245 B; the bound is TestFileDirectoryFootprint's, 80 B.
 // The locator's hint at the source (commitMove's Learn) is a cache, and
-// not counted.
+// not counted. The destination's locator, replaced by an empty one
+// between two GCs, must keep nothing for the objects its node now holds:
+// a hint naming the node itself cost 69 B each.
 func TestMovedAwayFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what an allocation costs")
@@ -154,6 +157,20 @@ func TestMovedAwayFootprint(t *testing.T) {
 	}
 	if per > 80 {
 		t.Errorf("%d B of heap per moved-away object, want at most 80", per)
+	}
+
+	dst := s.ks[2]
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dst.loc = locator.New(2, dst.tr.Send, dst.hostCheck)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per = (int64(before.HeapAlloc) - int64(after.HeapAlloc)) / n
+	t.Logf("%d B of the destination's locator per object it holds", per)
+	if per > 8 {
+		t.Errorf("%d B of the destination's locator per object it holds, want at most 8", per)
 	}
 }
 

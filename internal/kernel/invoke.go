@@ -276,7 +276,9 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 			k.loc.Forget(id)
 		}
 		if a.moved != 0 {
-			k.loc.Learn(id, a.moved, false)
+			if a.moved != k.cfg.Node { // a bounce back here: the local try meets this node's forward
+				k.loc.Learn(id, a.moved, false)
+			}
 			k.stChases.Add(1)
 		}
 		var ev routeEvent
@@ -300,7 +302,6 @@ func (k *Kernel) invoke(req msg.InvokeReq, allowReplica bool, deadline time.Time
 				req.Flags = msg.FlagAllowReplica
 			}
 			k.stRemote.Add(1)
-			k.tel.invRemote.Inc()
 			rep, err = k.roundTrip(msg.Envelope{Kind: msg.KindInvokeReq, To: a.node, Corr: corr, Trace: trace}, msg.Encode(req), a.wait)
 			ev, lat = answered(rep, err == nil), k.tel.remoteLat
 		case raRecover:
@@ -433,12 +434,8 @@ func (k *Kernel) tryLocalOnce(req msg.InvokeReq, allowReplica bool, origin *inbo
 	if rep.Status == statusPassive || rep.Status == statusDuplicate {
 		return rep, true, err // not served: tryLocal resolves again, serveInvoke drops it
 	}
-	k.stLocal.Add(1)
-	// Served requests that arrived over the wire are counted by
-	// kernel.invoke.served at the dedup layer; invLocal counts only
-	// invocations that originated here and never touched the network.
-	if origin == nil {
-		k.tel.invLocal.Inc()
+	if origin == nil { // a call served for another node counts as served, in serveInvoke
+		k.stLocal.Add(1)
 	}
 	if shadowServe && err == nil {
 		switch rep.Status {
@@ -618,7 +615,6 @@ func (k *Kernel) serveInvoke(env msg.Envelope) {
 		return
 	}
 	k.stServed.Add(1)
-	k.tel.invServed.Inc()
 	sp.End(rep.Status.String())
 	payload := origin.frame // the reply as the handler wrote it in place
 	if payload == nil {

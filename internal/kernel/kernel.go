@@ -82,37 +82,39 @@ func DefaultConfig(node uint32, name string) Config {
 	}
 }
 
-// Stats counts kernel activity, for tests, benchmarks and operators.
+// Stats counts kernel activity, for tests, benchmarks and operators. A
+// node's telemetry registry reads it under the names in the tags.
 type Stats struct {
-	// LocalInvokes counts invocations satisfied without the network.
-	LocalInvokes int64
+	// LocalInvokes counts invocations started here and satisfied
+	// without the network.
+	LocalInvokes int64 `metric:"kernel.invoke.local"`
 	// RemoteInvokes counts invocations sent to another node.
-	RemoteInvokes int64
+	RemoteInvokes int64 `metric:"kernel.invoke.remote"`
 	// ServedInvokes counts invocations executed here for remote
 	// invokers.
-	ServedInvokes int64
+	ServedInvokes int64 `metric:"kernel.invoke.served"`
 	// MovedChases counts StatusMoved bounces followed.
-	MovedChases int64
+	MovedChases int64 `metric:"kernel.invoke.moved_chases"`
 	// Reincarnations counts passive->active transitions.
-	Reincarnations int64
+	Reincarnations int64 `metric:"kernel.reincarnations"`
 	// Checkpoints counts checkpoint operations completed.
-	Checkpoints int64
+	Checkpoints int64 `metric:"kernel.checkpoints"`
 	// CheckpointBytes counts representation bytes checkpointed.
-	CheckpointBytes int64
+	CheckpointBytes int64 `metric:"kernel.checkpoint.bytes"`
 	// Moves counts objects shipped away from this node.
-	Moves int64
+	Moves int64 `metric:"kernel.moves"`
 	// MoveAborts counts moves that failed and resumed service here.
-	MoveAborts int64
+	MoveAborts int64 `metric:"kernel.move.aborts"`
 	// MoveResolveForwards counts crashed moves recovery rolled forward
 	// (the destination had installed the object).
-	MoveResolveForwards int64
+	MoveResolveForwards int64 `metric:"kernel.move.resolve.forward"`
 	// MoveResolveRollbacks counts crashed moves recovery rolled back
 	// (the destination never installed the object).
-	MoveResolveRollbacks int64
+	MoveResolveRollbacks int64 `metric:"kernel.move.resolve.rollback"`
 	// ReplicasInstalled counts frozen replicas cached here.
-	ReplicasInstalled int64
+	ReplicasInstalled int64 `metric:"kernel.replicas.installed"`
 	// Evictions counts objects passivated by memory pressure.
-	Evictions int64
+	Evictions int64 `metric:"kernel.evictions"`
 }
 
 // checksitePolicy records where and how reliably an object keeps its
@@ -275,6 +277,11 @@ func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *K
 	k.corr.Store(uint64(time.Now().UnixNano()))
 	k.bootScan()
 	k.loc = locator.New(cfg.Node, tr.Send, k.hostCheck)
+	k.tel.unreport = cfg.Telemetry.Report(
+		func() any { return k.Stats() },
+		func() any { return k.loc.Stats() },
+		func() any { return k.levels() },
+	)
 	tr.SetHandler(k.handleFrame)
 	return k
 }
@@ -871,7 +878,6 @@ func (k *Kernel) install(obj *Object) error {
 	// would pick it, unserved, ahead of every object that ever ran.
 	obj.lastInvoked = k.tick.Add(1)
 	k.chargeLocked(obj, size)
-	k.tel.activeObjects.Add(1)
 	k.mu.Unlock()
 	return nil
 }
@@ -880,7 +886,6 @@ func (k *Kernel) install(obj *Object) error {
 // The caller holds k.mu.
 func (k *Kernel) chargeLocked(o *Object, size int64) {
 	k.memInUse = max(k.memInUse+size-o.charged.Swap(size), 0)
-	k.tel.memBytes.Set(k.memInUse)
 }
 
 // unchargeLocked takes o, if active, out of the active table and the
@@ -891,7 +896,6 @@ func (k *Kernel) unchargeLocked(o *Object) {
 	}
 	delete(k.active, o.id)
 	k.chargeLocked(o, 0)
-	k.tel.activeObjects.Add(-1)
 }
 
 // recharge adjusts the memory budget after an object's representation
@@ -996,8 +1000,6 @@ func (k *Kernel) Close() error {
 	k.active = make(map[edenid.ID]*Object)
 	k.replicas = make(map[edenid.ID]*Object)
 	k.memInUse = 0
-	k.tel.activeObjects.Set(0)
-	k.tel.memBytes.Set(0)
 	k.mu.Unlock()
 	// From here a process runs on a goroutine of its own, and one that is
 	// running keeps its processor until it returns.
@@ -1016,6 +1018,7 @@ func (k *Kernel) Close() error {
 		delete(k.pend, corr)
 	}
 	k.pendMu.Unlock()
+	k.tel.unreport()
 	return k.tr.Close()
 }
 

@@ -136,7 +136,6 @@ func (o *Object) Checkpoint() error {
 	}
 	o.mu.Unlock()
 	o.k.tel.ckptLat.ObserveSince(start)
-	o.k.tel.ckptBytes.Add(int64(len(encoded)))
 	o.k.stCkpt.Add(1)
 	o.k.stCkptBytes.Add(int64(len(encoded)))
 	return nil

@@ -341,52 +341,58 @@ func TestClassQueueUniformBehaviour(t *testing.T) {
 // is given (it cost 2 when Return copied it again), so its ceiling has
 // no slack. A call that Fails costs its message, formatted once, and the
 // invoker's error wrapping it.
+//
+// Every row runs twice, with telemetry off and on, under the same
+// ceilings: the instrumented path (trace id, spans, latency histograms)
+// allocates nothing more.
 func TestLocalInvokeAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool lossy; the frame is reallocated at random")
 	}
-	k, reg, _ := newSchedKernel(t, func(c *Config) { c.Telemetry = nil })
-	nop := func(c *Call) {}
-	tm := NewType("allocs").Limit("one", 1)
-	tm.Init = func(o *Object) error {
-		return o.Update(func(r *segment.Representation) error {
-			r.SetData("v", make([]byte, 64))
-			return nil
-		})
-	}
-	tm.Op(Operation{Name: "read", Access: AccessRead, Handler: nop})
-	tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: nop})
-	tm.Op(Operation{Name: "shared", Class: "one", Handler: nop})
-	tm.Op(Operation{Name: "copy", Access: AccessRead, Handler: func(c *Call) {
-		var v []byte
-		c.Self().View(func(r *segment.Representation) { v, _ = r.Data("v") })
-		c.Return(v)
-	}})
-	tm.Op(Operation{Name: "fail", Access: AccessRead, Handler: func(c *Call) { c.Fail("no value here") }})
-	mustRegister(t, reg, tm)
-	cp, err := k.Create("allocs", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range []struct {
-		op       string
-		ceiling  float64
-		failures bool
-	}{
-		{op: "read", ceiling: 1},
-		{op: "write", ceiling: 1},
-		{op: "shared", ceiling: 1},
-		{op: "copy", ceiling: 1},
-		{op: "fail", ceiling: 5, failures: true},
-	} {
-		got := testing.AllocsPerRun(1000, func() {
-			if _, err := k.Invoke(cp, row.op, nil, nil, nil); (err != nil) != row.failures {
-				t.Fatal(err)
+	for _, tel := range []*telemetry.Registry{nil, telemetry.New()} {
+		k, reg, _ := newSchedKernel(t, func(c *Config) { c.Telemetry = tel })
+		nop := func(c *Call) {}
+		tm := NewType("allocs").Limit("one", 1)
+		tm.Init = func(o *Object) error {
+			return o.Update(func(r *segment.Representation) error {
+				r.SetData("v", make([]byte, 64))
+				return nil
+			})
+		}
+		tm.Op(Operation{Name: "read", Access: AccessRead, Handler: nop})
+		tm.Op(Operation{Name: "write", Access: AccessWrite, Handler: nop})
+		tm.Op(Operation{Name: "shared", Class: "one", Handler: nop})
+		tm.Op(Operation{Name: "copy", Access: AccessRead, Handler: func(c *Call) {
+			var v []byte
+			c.Self().View(func(r *segment.Representation) { v, _ = r.Data("v") })
+			c.Return(v)
+		}})
+		tm.Op(Operation{Name: "fail", Access: AccessRead, Handler: func(c *Call) { c.Fail("no value here") }})
+		mustRegister(t, reg, tm)
+		cp, err := k.Create("allocs", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range []struct {
+			op       string
+			ceiling  float64
+			failures bool
+		}{
+			{op: "read", ceiling: 1},
+			{op: "write", ceiling: 1},
+			{op: "shared", ceiling: 1},
+			{op: "copy", ceiling: 1},
+			{op: "fail", ceiling: 5, failures: true},
+		} {
+			got := testing.AllocsPerRun(1000, func() {
+				if _, err := k.Invoke(cp, row.op, nil, nil, nil); (err != nil) != row.failures {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, telemetry %v: %.0f allocs per local invoke", row.op, tel != nil, got)
+			if got > row.ceiling {
+				t.Errorf("%s, telemetry %v: %.0f allocs per local invoke, ceiling %.0f", row.op, tel != nil, got, row.ceiling)
 			}
-		})
-		t.Logf("%s: %.0f allocs per local invoke", row.op, got)
-		if got > row.ceiling {
-			t.Errorf("%s: %.0f allocs per local invoke, ceiling %.0f", row.op, got, row.ceiling)
 		}
 	}
 }

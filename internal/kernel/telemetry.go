@@ -11,13 +11,12 @@ import (
 // construction so hot paths touch only instrument pointers — never a
 // registry map. With telemetry disabled (nil registry) every field is
 // nil and every call a nil-receiver no-op, keeping the invoke fast
-// path allocation- and regression-free.
+// path allocation- and regression-free. What Stats, the locator's Stats
+// and levels count has no instrument: the registry reads those books.
 type kernelTel struct {
-	reg *telemetry.Registry
+	reg      *telemetry.Registry
+	unreport func()
 
-	invLocal     *telemetry.Counter // invocations satisfied without the network
-	invRemote    *telemetry.Counter // invocation requests sent to another node
-	invServed    *telemetry.Counter // invocations executed here for remote invokers
 	rightsDenied *telemetry.Counter // rights checks that rejected a call
 	timeouts     *telemetry.Counter // invocations that expired at the invoker
 
@@ -27,18 +26,12 @@ type kernelTel struct {
 	ckptLat     *telemetry.Histogram // checkpoint write (policy-wide)
 	portWait    *telemetry.Histogram // Port.Receive wait
 
-	ckptBytes *telemetry.Counter
-
-	activeObjects *telemetry.Gauge // active incarnations on this node
-	memBytes      *telemetry.Gauge // representation bytes resident
-
 	admissionShed  *telemetry.Counter // calls shed by admission before executing
 	admissionDepth *telemetry.Gauge   // calls waiting in an object's class queues
 	queueFull      *telemetry.Counter // calls shed because a per-object queue hit its cap
 	serveConc      *telemetry.Gauge   // invocation processes currently executing
 
 	asyncShed      *telemetry.Counter   // async submissions shed at the in-flight cap
-	asyncPending   *telemetry.Gauge     // async invocations in flight
 	asyncQueueWait *telemetry.Histogram // hand-off from submission to processor
 
 	replicaHit        *telemetry.Counter   // reads served from a checkpoint shadow
@@ -50,27 +43,20 @@ type kernelTel struct {
 
 // Metric names, also documented in the README's Observability section.
 const (
-	metricInvokeLocal     = "kernel.invoke.local"
-	metricInvokeRemote    = "kernel.invoke.remote"
-	metricInvokeServed    = "kernel.invoke.served"
 	metricRightsDenied    = "kernel.invoke.rights_denied"
 	metricInvokeTimeouts  = "kernel.invoke.timeouts"
 	metricInvokeLocalLat  = "kernel.invoke.local.latency"
 	metricInvokeRemoteLat = "kernel.invoke.remote.latency"
 	metricDispatchLat     = "kernel.dispatch.latency"
 	metricCheckpointLat   = "kernel.checkpoint.latency"
-	metricCheckpointBytes = "kernel.checkpoint.bytes"
 	metricPortWait        = "kernel.sync.port.wait"
-	metricActiveObjects   = "kernel.objects.active"
-	metricMemoryBytes     = "kernel.memory.bytes"
 	metricAdmissionShed   = "kernel.admission.shed"
 	metricAdmissionDepth  = "kernel.admission.queue.depth"
 	metricQueueFull       = "kernel.admission.queue.full"
 	metricServeConc       = "kernel.serve.concurrency"
 
-	metricAsyncShed    = "kernel.async.shed"
-	metricAsyncPending = "kernel.async.pending"
-	metricAsyncWait    = "kernel.async.queue.wait"
+	metricAsyncShed = "kernel.async.shed"
+	metricAsyncWait = "kernel.async.queue.wait"
 
 	metricReplicaHit        = "kernel.replica.hit"
 	metricReplicaMiss       = "kernel.replica.miss"
@@ -82,20 +68,14 @@ const (
 func newKernelTel(reg *telemetry.Registry) kernelTel {
 	// A nil registry hands back nil instruments; both are safe to use.
 	return kernelTel{
-		reg:           reg,
-		invLocal:      reg.Counter(metricInvokeLocal),
-		invRemote:     reg.Counter(metricInvokeRemote),
-		invServed:     reg.Counter(metricInvokeServed),
-		rightsDenied:  reg.Counter(metricRightsDenied),
-		timeouts:      reg.Counter(metricInvokeTimeouts),
-		localLat:      reg.Histogram(metricInvokeLocalLat),
-		remoteLat:     reg.Histogram(metricInvokeRemoteLat),
-		dispatchLat:   reg.Histogram(metricDispatchLat),
-		ckptLat:       reg.Histogram(metricCheckpointLat),
-		portWait:      reg.Histogram(metricPortWait),
-		ckptBytes:     reg.Counter(metricCheckpointBytes),
-		activeObjects: reg.Gauge(metricActiveObjects),
-		memBytes:      reg.Gauge(metricMemoryBytes),
+		reg:          reg,
+		rightsDenied: reg.Counter(metricRightsDenied),
+		timeouts:     reg.Counter(metricInvokeTimeouts),
+		localLat:     reg.Histogram(metricInvokeLocalLat),
+		remoteLat:    reg.Histogram(metricInvokeRemoteLat),
+		dispatchLat:  reg.Histogram(metricDispatchLat),
+		ckptLat:      reg.Histogram(metricCheckpointLat),
+		portWait:     reg.Histogram(metricPortWait),
 
 		admissionShed:  reg.Counter(metricAdmissionShed),
 		admissionDepth: reg.Gauge(metricAdmissionDepth),
@@ -103,7 +83,6 @@ func newKernelTel(reg *telemetry.Registry) kernelTel {
 		serveConc:      reg.Gauge(metricServeConc),
 
 		asyncShed:      reg.Counter(metricAsyncShed),
-		asyncPending:   reg.Gauge(metricAsyncPending),
 		asyncQueueWait: reg.Histogram(metricAsyncWait),
 
 		replicaHit:        reg.Counter(metricReplicaHit),
@@ -112,6 +91,20 @@ func newKernelTel(reg *telemetry.Registry) kernelTel {
 		replicaInvalidate: reg.Counter(metricReplicaInvalidate),
 		replicaReadLat:    reg.Histogram(metricReplicaReadLat),
 	}
+}
+
+// levels are the node's gauges, read from the books they describe, so
+// that a registry several kernels share adds them up.
+type levels struct {
+	active  int   `metric:"kernel.objects.active,gauge"`
+	memory  int64 `metric:"kernel.memory.bytes,gauge"`
+	pending int32 `metric:"kernel.async.pending,gauge"`
+}
+
+func (k *Kernel) levels() levels {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return levels{len(k.active), k.memInUse, k.asyncInFlight.Load()}
 }
 
 // Telemetry returns the registry the kernel reports into, or nil when

@@ -56,19 +56,20 @@ type HostCheck func(id edenid.ID, recover bool) (home, replica bool)
 // Send, which borrows env.Payload only until it returns.
 type SendFunc func(env msg.Envelope) error
 
-// Stats counts locator activity.
+// Stats counts locator activity. The owning kernel's telemetry registry
+// reads it under the names in the tags.
 type Stats struct {
 	// Hits counts lookups satisfied from the hint cache.
-	Hits int64
+	Hits int64 `metric:"locator.hits"`
 	// Guesses counts lookups answered with the object's creating node
 	// because nothing was cached.
-	Guesses int64
+	Guesses int64 `metric:"locator.guesses"`
 	// Misses counts lookups that had to broadcast.
-	Misses int64
+	Misses int64 `metric:"locator.misses"`
 	// Broadcasts counts LocateReq frames sent.
-	Broadcasts int64
+	Broadcasts int64 `metric:"locator.broadcasts"`
 	// Invalidations counts hints discarded as wrong.
-	Invalidations int64
+	Invalidations int64 `metric:"locator.invalidations"`
 }
 
 // Location is a resolved object position.
@@ -156,8 +157,8 @@ func (l *Locator) Stats() Stats {
 }
 
 // Learn installs a location hint. Replica hints accumulate; home
-// hints replace the previous home. A home at the object's creating node
-// is what a lookup guesses anyway, so learning one stores nothing: it
+// hints replace the previous home. A home at the creating node or on this
+// node is what a lookup answers anyway: learning one stores nothing, and
 // discards the cached home and the mark that ruled the guess out.
 func (l *Locator) Learn(id edenid.ID, node uint32, replica bool) {
 	l.mu.Lock()
@@ -185,10 +186,10 @@ func (l *Locator) entry(id edenid.ID) *hintEntry {
 }
 
 // setHome records the object's home: as a hint when it is away from its
-// creator, as the absence of one when it is at its creator. Caller holds
-// l.mu.
+// creator, as the absence of one when it is at its creator or on this
+// node, whose lookups ask the local host check first. Caller holds l.mu.
 func (l *Locator) setHome(id edenid.ID, home uint32) {
-	if home != id.Node() {
+	if home != id.Node() && home != l.node {
 		e := l.entry(id)
 		e.home, e.hasHome = home, true
 		return

@@ -474,8 +474,9 @@ func TestLookupGuessesCreator(t *testing.T) {
 }
 
 // TestCreatorHomeIsNotCached: the cache holds exceptions only. Learning
-// that an object is at its creator, from a move or a broadcast answer,
-// leaves no entry; learning that it is elsewhere does, until it is back.
+// that an object is at its creator or on this node, from a move or a
+// broadcast answer, leaves no entry; learning that it is elsewhere does,
+// until it is back.
 func TestCreatorHomeIsNotCached(t *testing.T) {
 	f := newFixture(t, 1, 2, 3)
 	id := created2.Next()
@@ -488,6 +489,11 @@ func TestCreatorHomeIsNotCached(t *testing.T) {
 	l.Learn(id, 2, false)
 	if n := entries(); n != 0 {
 		t.Errorf("home at the creator: %d entries, want 0", n)
+	}
+	l.Forget(id)
+	l.Learn(id, 1, false) // moved here, as an invalidation frame tells it
+	if n := entries(); n != 0 {
+		t.Errorf("home on this node: %d entries, want 0", n)
 	}
 	l.Learn(id, 3, false)
 	if loc, _ := l.Lookup(id, 0); loc.Node != 3 || loc.Guess {

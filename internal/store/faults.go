@@ -39,19 +39,19 @@ type FaultConfig struct {
 	// SyncLie makes every fsync of a segment return at once with nothing
 	// made durable: what was written stays held until a crash tears it.
 	SyncLie bool
-	// Telemetry, when non-nil, counts the faults injected
+	// Telemetry, when non-nil, reads the layer's Counters
 	// (store.fault.*).
 	Telemetry *telemetry.Registry
 }
 
 // FaultCounters tallies a fault layer's schedule and what it injected.
 type FaultCounters struct {
-	Ops     uint64 // reads, writes and fsyncs of segments: the calls the schedule covers
-	Fail    uint64 // calls failed with ErrInjected
-	Delay   uint64 // calls stalled
-	SyncLie uint64 // fsyncs that made nothing durable
-	Dropped uint64 // held tails a crash lost whole
-	Torn    uint64 // held tails a crash cut short, leaving a prefix on the medium
+	Ops     uint64 `metric:"store.fault.ops"`              // reads, writes and fsyncs of segments: the calls the schedule covers
+	Fail    uint64 `metric:"store.fault.injected.fail"`    // calls failed with ErrInjected
+	Delay   uint64 `metric:"store.fault.injected.delay"`   // calls stalled
+	SyncLie uint64 `metric:"store.fault.injected.synclie"` // fsyncs that made nothing durable
+	Dropped uint64 `metric:"store.fault.dropped"`          // held tails a crash lost whole
+	Torn    uint64 `metric:"store.fault.torn"`             // held tails a crash cut short, leaving a prefix on the medium
 }
 
 // Faults is a fault layer under the Files opened through it. For each
@@ -78,8 +78,6 @@ type Faults struct {
 	segs   []*heldFile // the segments of the Files opened since the last crash, oldest first
 	mem    []*memFS    // the in-memory media of the Files opened through the layer
 	epoch  uint64      // the crashes so far
-
-	cFail, cDelay, cLie, cDropped, cTorn *telemetry.Counter
 }
 
 // NewFaults returns a fault layer with the schedule cfg describes.
@@ -90,15 +88,9 @@ func NewFaults(cfg FaultConfig) *Faults {
 	if cfg.DelayProb > 0 && cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 5 * time.Millisecond
 	}
-	return &Faults{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		cFail:    cfg.Telemetry.Counter("store.fault.injected.fail"),
-		cDelay:   cfg.Telemetry.Counter("store.fault.injected.delay"),
-		cLie:     cfg.Telemetry.Counter("store.fault.injected.synclie"),
-		cDropped: cfg.Telemetry.Counter("store.fault.dropped"),
-		cTorn:    cfg.Telemetry.Counter("store.fault.torn"),
-	}
+	fl := &Faults{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	cfg.Telemetry.Report(func() any { return fl.Counters() }) // for the layer's life: it has no Close
+	return fl
 }
 
 // Open opens the log in dir, as NewFile does, with the layer under it. An
@@ -150,10 +142,8 @@ func (fl *Faults) Crash() {
 			}
 			if keep == 0 {
 				fl.counts.Dropped++
-				fl.cDropped.Inc()
 			} else {
 				fl.counts.Torn++
-				fl.cTorn.Inc()
 				// A crash reports to no one.
 				_, _ = h.fh.WriteAt(h.held[:keep], h.base)
 				_ = h.fh.Sync()
@@ -208,11 +198,9 @@ func (fl *Faults) inject(op string) error {
 	if fl.rng.Float64() < fl.cfg.DelayProb {
 		delay = time.Duration(fl.rng.Int63n(int64(fl.cfg.MaxDelay) + 1))
 		fl.counts.Delay++
-		fl.cDelay.Inc()
 	}
 	if fail {
 		fl.counts.Fail++
-		fl.cFail.Inc()
 	}
 	fl.mu.Unlock()
 	time.Sleep(delay)
@@ -370,7 +358,6 @@ func (h *heldFile) Sync() error {
 	}
 	if fl.cfg.SyncLie {
 		fl.counts.SyncLie++
-		fl.cLie.Inc()
 		return nil
 	}
 	if _, err := h.fh.WriteAt(h.held, h.base); err != nil {

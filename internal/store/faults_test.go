@@ -106,7 +106,7 @@ func TestFaultsDelayInjection(t *testing.T) {
 	if c.Fail != 0 || c.Ops == 0 || c.Delay != c.Ops {
 		t.Fatalf("counters = %+v, want a stall on each of Ops and no failure", c)
 	}
-	if got := reg.Counter("store.fault.injected.delay").Value(); uint64(got) != c.Delay {
+	if got := reg.Snapshot().Counters["store.fault.injected.delay"]; uint64(got) != c.Delay {
 		t.Fatalf("store.fault.injected.delay = %d, want %d", got, c.Delay)
 	}
 }
@@ -150,8 +150,9 @@ func TestFaultsCountersReconcile(t *testing.T) {
 	if c.Delay == 0 {
 		t.Error("no stall injected")
 	}
-	for name, want := range map[string]uint64{"store.fault.injected.fail": c.Fail, "store.fault.injected.delay": c.Delay} {
-		if got := reg.Counter(name).Value(); uint64(got) != want {
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{"store.fault.ops": c.Ops, "store.fault.injected.fail": c.Fail, "store.fault.injected.delay": c.Delay} {
+		if got := snap.Counters[name]; uint64(got) != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}

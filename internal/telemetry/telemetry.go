@@ -15,7 +15,8 @@ package telemetry
 
 import (
 	"math/bits"
-	"sort"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,17 +44,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous level: queue depth, bytes resident,
-// objects active.
+// Gauge is an instantaneous level: queue depth, processes executing.
 type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value. Safe on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
 
 // Add moves the gauge by delta. Safe on a nil receiver.
 func (g *Gauge) Add(delta int64) {
@@ -247,7 +239,7 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(lo)
 }
 
-// Snapshot is a point-in-time copy of every instrument in a Registry,
+// Snapshot is a point-in-time copy of a Registry's instruments and books,
 // the unit the HTTP endpoint serves and the benchmark's layer report reads.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -255,17 +247,18 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Registry owns a namespace of instruments. Instruments are created
-// on first use and live forever; hot paths resolve them once at
-// construction time and then touch only atomics. All methods are
-// safe on a nil *Registry: they return nil instruments (whose methods
-// are themselves nil-safe) or zero values, so "telemetry disabled" is
-// spelled simply as a nil registry.
+// Registry owns a namespace of instruments and reads the books owners
+// report. Instruments are created on first use and live forever; hot
+// paths resolve them once at construction time and then touch only
+// atomics. All methods are safe on a nil *Registry: they return nil
+// instruments (whose methods are themselves nil-safe) or zero values, so
+// "telemetry disabled" is spelled simply as a nil registry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	owners   map[*[]func() any]bool
 	tracer   *Tracer
 	traceSeq atomic.Uint64
 }
@@ -277,8 +270,20 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		owners:   make(map[*[]func() any]bool),
 		tracer:   newTracer(DefaultTraceCap),
 	}
+}
+
+// instrument returns the named instrument of m, creating it if needed.
+// The caller holds r.mu.
+func instrument[T any](m map[string]*T, name string) *T {
+	v, ok := m[name]
+	if !ok {
+		v = new(T)
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it if needed. Returns
@@ -289,12 +294,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return instrument(r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it if needed. Returns nil
@@ -305,12 +305,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if needed.
@@ -321,23 +316,65 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return instrument(r.hists, name)
 }
 
-// Snapshot copies every instrument's current value. Safe on a nil
-// registry (returns the zero Snapshot).
+// Report makes every Snapshot read an owner's own books, so that an event
+// the owner counts once is what the registry shows. Each read returns a
+// struct whose fields tagged `metric:"name"` are counters and
+// `metric:"name,gauge"` gauges; fields of one name add up across owners
+// and with an instrument of that name. stop takes the owner out: the
+// last reading of its counters stays, its gauges go, and the registry
+// keeps no reference to it. On a nil registry Report does nothing.
+func (r *Registry) Report(read ...func() any) (stop func()) {
+	if r == nil {
+		return func() {}
+	}
+	r.mu.Lock()
+	r.owners[&read] = true
+	r.mu.Unlock()
+	return func() {
+		last := make(map[string]int64)
+		addBooks(read, last, make(map[string]int64))
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.owners[&read] {
+			delete(r.owners, &read)
+			for name, n := range last {
+				instrument(r.counters, name).Add(n)
+			}
+		}
+	}
+}
+
+// addBooks adds the tagged fields of what each read returns into counters
+// and gauges. A read may take its owner's locks, so the caller holds no
+// registry's lock.
+func addBooks(reads []func() any, counters, gauges map[string]int64) {
+	for _, read := range reads {
+		v := reflect.ValueOf(read())
+		for i := range v.NumField() {
+			name, kind, _ := strings.Cut(v.Type().Field(i).Tag.Get("metric"), ",")
+			to := counters
+			if kind == "gauge" {
+				to = gauges
+			}
+			if name != "" {
+				to[name] += v.Field(i).Convert(reflect.TypeFor[int64]()).Int()
+			}
+		}
+	}
+}
+
+// Snapshot copies every instrument's current value and reads every
+// reporting owner's books. Safe on a nil registry (returns the zero
+// Snapshot).
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s.Counters = make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -350,26 +387,11 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
+	var reads []func() any
+	for o := range r.owners {
+		reads = append(reads, *o...)
+	}
+	r.mu.Unlock()
+	addBooks(reads, s.Counters, s.Gauges)
 	return s
-}
-
-// Names returns every instrument name, sorted, for stable text output.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

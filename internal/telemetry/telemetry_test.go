@@ -204,7 +204,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter held a value")
 	}
 	g := r.Gauge("x")
-	g.Set(7)
 	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge held a value")
@@ -225,6 +224,38 @@ func TestNilSafety(t *testing.T) {
 	if snap := r.Snapshot(); snap.Counters != nil {
 		t.Fatal("nil registry snapshot non-zero")
 	}
+	r.Report(func() any { return struct{}{} })()
+}
+
+// TestReportReadsOwnersBooks: a registry reads each reporting owner's
+// tagged fields, adds up fields of one name across owners and with an
+// instrument, and after stop keeps only the owner's last counter reading.
+// A read takes the registry's lock itself, as a kernel's read takes the
+// kernel's: Snapshot and stop must not hold it while they read.
+func TestReportReadsOwnersBooks(t *testing.T) {
+	type books struct {
+		Calls  int64  `metric:"calls"`
+		Bytes  uint64 `metric:"bytes"`
+		Queued int32  `metric:"queued,gauge"`
+		Note   int64
+	}
+	r := New()
+	a, b := books{Calls: 2, Bytes: 10, Queued: 1, Note: 9}, books{Calls: 3, Queued: 4}
+	stopA := r.Report(func() any { r.Counter("calls"); return a })
+	r.Report(func() any { return b })
+	r.Counter("calls").Add(1)
+	s := r.Snapshot()
+	if s.Counters["calls"] != 6 || s.Counters["bytes"] != 10 || s.Gauges["queued"] != 5 || len(s.Counters)+len(s.Gauges) != 3 {
+		t.Fatalf("snapshot with two owners: %+v", s)
+	}
+	a.Calls = 4
+	stopA()
+	a.Calls = 100 // read no more
+	stopA()
+	s = r.Snapshot()
+	if s.Counters["calls"] != 8 || s.Counters["bytes"] != 10 || s.Gauges["queued"] != 4 || len(s.Counters)+len(s.Gauges) != 3 {
+		t.Fatalf("snapshot after one owner stopped: %+v", s)
+	}
 }
 
 // TestRegistryInstruments checks identity (same name, same instrument)
@@ -235,15 +266,14 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Fatal("same name returned distinct counters")
 	}
 	r.Counter("a").Add(3)
-	r.Gauge("b").Set(-2)
+	r.Gauge("b").Add(-2)
 	r.Histogram("c").Observe(time.Millisecond)
 	s := r.Snapshot()
 	if s.Counters["a"] != 3 || s.Gauges["b"] != -2 || s.Histograms["c"].Count != 1 {
 		t.Fatalf("snapshot mismatch: %+v", s)
 	}
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
+	if len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
+		t.Fatalf("snapshot holds more than a, b and c: %+v", s)
 	}
 }
 
@@ -290,7 +320,8 @@ func TestTraceIDs(t *testing.T) {
 }
 
 // TestConcurrentObserve hammers one histogram and counter from many
-// goroutines; run under -race this is the data-race gate.
+// goroutines, which also report, snapshot and stop owners; run under
+// -race this is the data-race gate.
 func TestConcurrentObserve(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat")
@@ -306,12 +337,22 @@ func TestConcurrentObserve(t *testing.T) {
 				c.Inc()
 				sp := r.StartSpan("w", 1, 0)
 				sp.End("ok")
+				stop := r.Report(func() any {
+					return struct {
+						N int64 `metric:"reported"`
+					}{1}
+				})
+				r.Snapshot()
+				stop()
 			}
 		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
+	}
+	if got := r.Snapshot().Counters["reported"]; got != workers*per {
+		t.Fatalf("reported = %d, want each stopped owner's last reading, %d", got, workers*per)
 	}
 	if s := h.Snapshot(); s.Count != workers*per {
 		t.Fatalf("histogram count = %d, want %d", s.Count, workers*per)

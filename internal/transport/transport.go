@@ -88,15 +88,17 @@ var (
 	ErrDuplicateNode = errors.New("transport: node number already attached")
 )
 
-// Stats counts traffic through a Mesh. All fields are cumulative.
+// Stats counts traffic through a Mesh. All fields are cumulative, and
+// a registry given to SetTelemetry reads them under the names in the
+// tags.
 type Stats struct {
 	// Frames counts frames accepted for delivery.
-	Frames int64
+	Frames int64 `metric:"transport.send.frames"`
 	// Bytes counts their payload bytes.
-	Bytes int64
-	// Dropped counts frames lost to injected loss, partitions or
-	// detached destinations.
-	Dropped int64
+	Bytes int64 `metric:"transport.send.bytes"`
+	// Dropped counts frames lost to injected loss, partitions, detached
+	// destinations or a full inbox.
+	Dropped int64 `metric:"transport.dropped"`
 }
 
 // Mesh is an in-process network connecting any number of Endpoints.
@@ -132,10 +134,12 @@ func NewMesh(seed int64) *Mesh {
 	return m
 }
 
-// SetTelemetry routes the mesh's traffic counters (send/recv frames
-// and bytes, drops, inbox queue depth) into reg. Safe to call while
-// traffic flows; nil disables.
+// SetTelemetry makes reg read the mesh's Stats, from NewMesh on, and
+// count what they do not: frames and bytes received, inbox queue depth
+// and queue drops. Give the mesh one registry, once; it is safe to do
+// while traffic flows.
 func (m *Mesh) SetTelemetry(reg *telemetry.Registry) {
+	reg.Report(func() any { return m.Stats() })
 	m.tel.Store(newTransportTel(reg))
 }
 
@@ -272,7 +276,6 @@ func (m *Mesh) route(from uint32, env msg.Envelope) {
 	if m.parts[linkKey(from, env.To)] || (m.loss > 0 && m.rng.Float64() < m.loss) {
 		m.mu.Unlock()
 		m.dropped.Add(1)
-		m.tel.Load().dropped.Inc()
 		return
 	}
 	ep, ok := m.eps[env.To]
@@ -283,14 +286,10 @@ func (m *Mesh) route(from uint32, env msg.Envelope) {
 	m.mu.Unlock()
 	if !ok {
 		m.dropped.Add(1)
-		m.tel.Load().dropped.Inc()
 		return
 	}
 	m.frames.Add(1)
 	m.bytes.Add(int64(len(env.Payload)))
-	tel := m.tel.Load()
-	tel.sendFrames.Inc()
-	tel.sendBytes.Add(int64(len(env.Payload)))
 	mine := owned(env) // a new variable: the closure below then captures a value, and only when it is made
 	if delay <= 0 {
 		ep.deliver(mine)
@@ -387,7 +386,6 @@ func (e *Endpoint) deliver(env msg.Envelope) {
 	case <-e.done:
 	case <-deadline.C:
 		e.mesh.dropped.Add(1)
-		tel.dropped.Inc()
 		tel.queueDrops.Inc()
 	}
 }
